@@ -15,9 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circle import Angle, sigma
+from .circle import Angle, cyclic_descents, sigma, sigma_power
 from .chords import Chord, chord_image, is_critical, linked, validate_collection
-from .lamination import FiniteLamination, orbit_classify, vertex_orbit_period
+from .lamination import FiniteLamination, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
 
 __all__ = [
@@ -58,18 +58,6 @@ def _default_horizon(d: int, chords) -> int:
         pre = max(pre, info.preperiod)
         per = math.lcm(per, info.period)
     return pre + 2 * per
-
-
-def _is_flip(d: int, c: Chord, bound: int) -> bool:
-    """Does some sigma_d^j swap the endpoints of the chord?"""
-    x, y = c.a, c.b
-    for _ in range(bound):
-        x, y = sigma(d, x), sigma(d, y)
-        if (x, y) == (c.b, c.a):
-            return True
-        if (x, y) == (c.a, c.b):
-            return False
-    return False
 
 
 def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = None) -> AccordionReport:
@@ -124,7 +112,8 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
         if pinfo.preperiod > 0:
             # crosses once and the closed orbit never returns to the axis
             classification = WANDERING
-        elif _is_flip(d, partner, 2 * pinfo.period):
+        elif sigma_power(d, partner.a, pinfo.period) == partner.b:
+            # the chord returns after its period, endpoints swapped or fixed
             classification = TWO_LEAF_FLIP
         else:
             classification = TWO_LEAF_DISJOINT
@@ -152,13 +141,10 @@ def _positively_ordered_images(points, images) -> bool:
     n = len(points)
     if len(set(images)) != n:
         return False
-    if n <= 2:
-        return True
-    descents = sum(1 for i in range(n) if images[i] > images[(i + 1) % n])
-    return descents == 1
+    return n <= 2 or cyclic_descents(images) == 1
 
 
-def _one_sided_order_preserving(d: int, axis: Chord, other: Chord, horizon: int | None) -> bool:
+def _one_sided_order_preserving(d: int, axis: Chord, other: Chord) -> bool:
     info_a = orbit_classify(d, axis)
     info_b = orbit_classify(d, other)
     # (pre)critical leaves never have order preserving accordions
@@ -167,11 +153,8 @@ def _one_sided_order_preserving(d: int, axis: Chord, other: Chord, horizon: int 
     if any(c.degenerate for c in info_b.orbit if isinstance(c, Chord)):
         return False
     orbit_b = [c for c in info_b.orbit if isinstance(c, Chord)]
-    steps = info_a.closes_at
-    if horizon is not None:
-        steps = min(steps, horizon)
     axis_k = axis
-    for _ in range(steps):
+    for _ in range(info_a.closes_at):
         pts = set(axis_k.endpoints)
         for c in orbit_b:
             if linked(c, axis_k):
@@ -184,16 +167,14 @@ def _one_sided_order_preserving(d: int, axis: Chord, other: Chord, horizon: int 
     return True
 
 
-def order_preserving_accordions(d: int, l1: Chord, l2: Chord, horizon: int | None = None) -> bool:
+def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     """Mutual order preservation: at every step, sigma_d is injective and
     positively order preserving on the accordion of each chord's image with
     respect to the other's forward orbit.  Exact for rational data (orbits
-    close); a horizon merely truncates."""
+    close)."""
     if not linked(l1, l2):
         raise ValueError("order preserving accordions are defined for linked chords")
-    return _one_sided_order_preserving(d, l1, l2, horizon) and _one_sided_order_preserving(
-        d, l2, l1, horizon
-    )
+    return _one_sided_order_preserving(d, l1, l2) and _one_sided_order_preserving(d, l2, l1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +362,7 @@ class CompgapReport:
     horizon: int
 
 
-def compgap_analyze(d: int, l1: Chord, l2: Chord, horizon: int | None = None) -> CompgapReport:
+def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
     """Follow the convex hull of two linked, mutually order-preserving
     chords; locate the first recurring image and the periodic polygon its
     orbit sweeps out, reporting vertex orbits and the return behavior."""
@@ -389,30 +370,19 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord, horizon: int | None = None) ->
         raise ValueError("hull analysis needs linked chords")
     if not order_preserving_accordions(d, l1, l2):
         raise ValueError("hull analysis needs mutually order preserving accordions")
-    if horizon is None:
-        horizon = _default_horizon(d, (l1, l2))
+    horizon = _default_horizon(d, (l1, l2))
 
-    hulls = [tuple(sorted(set(l1.endpoints) | set(l2.endpoints)))]
-    seen = {hulls[0]: 0}
-    closes = None
-    for i in range(1, horizon + 1):
-        nxt = tuple(sorted({sigma(d, p) for p in hulls[-1]}))
-        if nxt in seen:
-            closes = (seen[nxt], i - seen[nxt])
-            hulls.append(nxt)
-            break
-        seen[nxt] = i
-        hulls.append(nxt)
-    if closes is None:
+    info = orbit_classify(d, l1.endpoints + l2.endpoints, max_steps=horizon)
+    if info is None:
         return CompgapReport(WANDERING, None, None, (), (), (), None, horizon)
-    preperiod, period = closes
+    hulls = [tuple(sorted(h)) for h in info.orbit]
+    preperiod, period = info.preperiod, info.period
     total = preperiod + 2 * period
 
     def hull_at(i):
         if i < len(hulls):
             return hulls[i]
-        j = preperiod + (i - preperiod) % period
-        return hulls[j]
+        return hulls[preperiod + (i - preperiod) % period]
 
     r = None
     for i in range(preperiod + period):
@@ -429,8 +399,7 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord, horizon: int | None = None) ->
     current = set(base)
     seen_sets = {frozenset(base)}
     while True:
-        for _ in range(step):
-            current = {sigma(d, p) for p in current}
+        current = {sigma_power(d, p, step) for p in current}
         key = frozenset(current)
         if key in seen_sets:
             break
@@ -448,14 +417,13 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord, horizon: int | None = None) ->
         groups.append(tuple(members))
         remaining -= set(members)
     periods = tuple(orbit_classify(d, g[0]).period for g in groups)
-    vop = vertex_orbit_period(d, vertices)
+    vop = orbit_classify(d, vertices, max_steps=256)
     remap_identity = None
-    if vop is not None and vop[0] == 0:
-        gap_period = vop[1]
+    if vop is not None and vop.preperiod == 0:
+        # a periodic vertex whose period divides the gap's is fixed by it
         remap_identity = all(
-            orbit_classify(d, v).preperiod == 0 and gap_period % orbit_classify(d, v).period == 0
-            and _power_fixes(d, v, gap_period)
-            for v in vertices
+            info.preperiod == 0 and vop.period % info.period == 0
+            for info in (orbit_classify(d, v) for v in vertices)
         )
     return CompgapReport(
         classification=PERIODIC_GAP,
@@ -468,9 +436,3 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord, horizon: int | None = None) ->
         horizon=horizon,
     )
 
-
-def _power_fixes(d: int, v: Angle, n: int) -> bool:
-    x = v
-    for _ in range(n):
-        x = sigma(d, x)
-    return x == v

@@ -22,6 +22,7 @@ __all__ = [
     "is_critical",
     "sibling_collections",
     "validate_collection",
+    "greedy_no_loop",
     "CollectionReport",
 ]
 
@@ -174,3 +175,12 @@ def validate_collection(d: int, chords) -> CollectionReport:
         and all(is_critical(d, ch) for ch in chords)
     )
     return CollectionReport(has_loop=has_loop, is_full_collection=full)
+
+
+def greedy_no_loop(d: int, chords) -> list[Chord]:
+    """The chords, in order, that do not close a loop with those kept before."""
+    chosen: list[Chord] = []
+    for c in chords:
+        if not validate_collection(d, chosen + [c]).has_loop:
+            chosen.append(c)
+    return chosen

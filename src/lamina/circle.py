@@ -7,19 +7,21 @@ computation here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "Angle",
     "Arc",
-    "HALF",
     "THIRD",
     "sigma",
+    "sigma_power",
     "preimages",
     "shortest_dist",
     "circular_order",
     "in_arc",
+    "cyclic_descents",
     "POSITIVE",
     "NEGATIVE",
     "NEITHER",
@@ -29,15 +31,17 @@ POSITIVE = "positively_ordered"
 NEGATIVE = "negatively_ordered"
 NEITHER = "neither"
 
+_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")
+
 
 class Angle(Fraction):
     """A point of the circle R/Z stored as a reduced fraction in [0, 1).
 
-    Accepts integers, rationals and "p/q" strings ("0" is 0/1); floats are
-    rejected since the whole library is exact.  Values are reduced mod 1, so
-    ``Angle(7, 3) == Angle(1, 3)``.  Ordering and hashing are inherited from
-    Fraction, which matches the positive (counterclockwise) parametrization
-    of the circle by [0, 1).
+    Accepts integers, rationals and "p/q" strings ("0" is 0/1); floats and
+    decimal or exponent strings are rejected since the whole library is
+    exact.  Values are reduced mod 1, so ``Angle(7, 3) == Angle(1, 3)``.
+    Ordering and hashing are inherited from Fraction, which matches the
+    positive (counterclockwise) parametrization of the circle by [0, 1).
     """
 
     __slots__ = ()
@@ -45,6 +49,8 @@ class Angle(Fraction):
     def __new__(cls, numerator=0, denominator=None):
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
+        if isinstance(numerator, str) and not _RATIONAL.fullmatch(numerator.strip()):
+            raise ValueError(f"angle must be an integer or p/q with q > 0: {numerator!r}")
         value = Fraction(numerator, denominator) % 1
         return super().__new__(cls, value)
 
@@ -52,7 +58,6 @@ class Angle(Fraction):
         return f"Angle({self!s})"
 
 
-HALF = Angle(1, 2)
 THIRD = Angle(1, 3)
 
 
@@ -96,6 +101,11 @@ def sigma(d: int, a) -> Angle:
     return Angle(d * Fraction(a))
 
 
+def sigma_power(d: int, a, n: int) -> Angle:
+    """The n-th iterate of sigma(d, .), in closed form d**n * a mod 1."""
+    return Angle(d**n * Fraction(a))
+
+
 def preimages(d: int, a) -> list[Angle]:
     """The d preimages (a+k)/d of ``a`` under sigma(d, .), sorted ascending."""
     if not isinstance(d, int) or d < 2:
@@ -128,6 +138,12 @@ def circular_order(points) -> str:
     if all(offsets[i] > offsets[i + 1] for i in range(len(offsets) - 1)):
         return NEGATIVE
     return NEITHER
+
+
+def cyclic_descents(values) -> int:
+    """Number of cyclic positions i with values[i] > values[i + 1]."""
+    n = len(values)
+    return sum(1 for i in range(n) if values[i] > values[(i + 1) % n])
 
 
 def in_arc(x, arc: Arc, closed: bool = False) -> bool:

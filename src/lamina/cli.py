@@ -16,7 +16,7 @@ from .cubic_tags import FullPortrait, mixed_tag, tags_relation
 from .formats import lamination_text, parse_lamination, parse_portrait, tag_report
 from .render import RenderSpec, render_svg
 from .quad_minor import qml_enumerate
-from .lamination import FiniteLamination, InconsistentPortrait
+from .lamination import FiniteLamination, InconsistentPortrait, check_unlinked
 from .suites import SUITES, run_suite
 
 __all__ = ["main"]
@@ -35,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_qml.add_argument("--period", type=int, required=True)
     p_qml.add_argument("--out", default=None)
     p_qml.add_argument("--svg", default=None)
-    p_qml.add_argument("--image-reading", action="store_true",
-                       help="emit doubling images of the passing chords instead")
 
     p_tags = sub.add_parser("tags", help="mixed tags for a directory of portraits")
     p_tags.add_argument("--portraits", required=True, help="directory of .portrait files")
@@ -81,7 +79,7 @@ def cmd_build(args) -> int:
 
 def cmd_qml(args) -> int:
     try:
-        chords = qml_enumerate(args.period, image_reading=args.image_reading)
+        chords = qml_enumerate(args.period)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -138,7 +136,14 @@ def cmd_tags(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = int(os.environ.get("LAMINA_SEED", args.seed))
+    try:
+        seed = int(os.environ.get("LAMINA_SEED", args.seed))
+    except ValueError:
+        print(f"error: LAMINA_SEED is not an integer: {os.environ['LAMINA_SEED']!r}", file=sys.stderr)
+        return 2
+    if args.samples is not None and args.samples < 0:
+        print(f"error: --samples must be >= 0, got {args.samples}", file=sys.stderr)
+        return 2
     if args.samples is None:
         result = SUITES[args.suite](seed=seed)
     else:
@@ -155,6 +160,10 @@ def cmd_render(args) -> int:
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    ok, pair = check_unlinked(lam)
+    if not ok:
+        print(f"error: {args.lamination}: leaves cross: {pair[0]} x {pair[1]}", file=sys.stderr)
         return 2
     spec = RenderSpec(
         size=args.size,

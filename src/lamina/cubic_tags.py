@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import Angle, shortest_dist, sigma, preimages
+from .circle import THIRD, Angle, shortest_dist, sigma, preimages
 from .chords import Chord, is_critical, linked
 from .lamination import (
     FiniteLamination,
@@ -42,9 +42,6 @@ __all__ = [
     "linked_pair_cocritical_quads",
 ]
 
-ONE_THIRD = Fraction(1, 3)
-TWO_THIRDS = Fraction(2, 3)
-
 
 @dataclass(frozen=True)
 class ConvexSet:
@@ -63,6 +60,11 @@ class ConvexSet:
         if not vs:
             raise ValueError("a convex set needs at least one vertex")
         return cls(vs)
+
+    @classmethod
+    def hull_of(cls, s: Chord | Gap) -> "ConvexSet":
+        """The hull of a chord or of a finite gap, e.g. a critical set."""
+        return cls.of(s.endpoints if isinstance(s, Chord) else s.vertices)
 
     @property
     def edges(self) -> tuple:
@@ -100,19 +102,8 @@ class ConvexSet:
     def image(self, d: int) -> "ConvexSet":
         return ConvexSet.of(sigma(d, v) for v in self.vertices)
 
-    def translate(self, t) -> "ConvexSet":
-        return ConvexSet.of(Angle(v + Fraction(t)) for v in self.vertices)
-
     def degree(self, d: int) -> int:
         return boundary_degree(d, self.vertices)
-
-    @classmethod
-    def from_gap(cls, g: Gap) -> "ConvexSet":
-        return cls.of(g.vertices)
-
-    @classmethod
-    def from_chord(cls, c: Chord) -> "ConvexSet":
-        return cls.of(c.endpoints)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(v) for v in self.vertices) + "}"
@@ -124,26 +115,24 @@ def _in_closed_arc(p, start, end, length) -> bool:
     return (p - start) % 1 <= length
 
 
-def cocritical_set(C: ConvexSet, literal_closed_hole: bool = False) -> ConvexSet:
+def cocritical_set(C: ConvexSet) -> ConvexSet:
     """Co-critical set of a cubic critical leaf or gap.
 
     Degree-3 sets are their own co-critical set.  Otherwise the unique hole
     of length > 1/3 is selected (a tied length-1/3 hole loses); the result
     is the hull of the points of the closed hole, excluding points of the
-    set itself, whose tripling image lies in the image of the set.  Passing
-    ``literal_closed_hole`` keeps the set's own boundary points, for
-    comparison with the reading that takes the whole closed hole.
+    set itself, whose tripling image lies in the image of the set.
 
     Rejects sets with two holes of length > 1/3 (they separate the two
     critical sets and carry no co-critical data).
     """
     if C.degree(3) == 3:
         return C
-    long_holes = [h for h in C.holes() if h[2] >= ONE_THIRD]
+    long_holes = [h for h in C.holes() if h[2] >= THIRD]
     if not long_holes:
         raise ValueError(f"{C} has no hole of length >= 1/3")
     if len(long_holes) > 1:
-        strict = [h for h in long_holes if h[2] > ONE_THIRD]
+        strict = [h for h in long_holes if h[2] > THIRD]
         if len(strict) != 1:
             raise ValueError(f"{C} has several long holes; co-critical set undefined")
         hole = strict[0]
@@ -156,8 +145,7 @@ def cocritical_set(C: ConvexSet, literal_closed_hole: bool = False) -> ConvexSet
         for q in preimages(3, w):
             if _in_closed_arc(q, start, end, length):
                 points.add(q)
-    if not literal_closed_hole:
-        points -= set(C.vertices)
+    points -= set(C.vertices)
     if not points:
         raise ValueError(f"{C} has an empty co-critical set")
     return ConvexSet.of(points)
@@ -241,13 +229,7 @@ def tags_relation(t1: MixedTag, t2: MixedTag) -> str:
 def full_portraits_of(lam: FiniteLamination):
     """All full portraits formed from the lamination's maximal critical
     sets: both orderings of two distinct sets, or the doubled degree-3 set."""
-    analysis = critical_analysis(lam)
-    sets = []
-    for s in analysis.critical_sets:
-        if isinstance(s, Chord):
-            sets.append(ConvexSet.from_chord(s))
-        else:
-            sets.append(ConvexSet.from_gap(s))
+    sets = [ConvexSet.hull_of(s) for s in critical_analysis(lam).critical_sets]
     portraits = []
     if len(sets) == 1 and sets[0].degree(3) == 3:
         portraits.append(FullPortrait(sets[0], sets[0]))
@@ -373,8 +355,8 @@ def reconstruct(C: ConvexSet) -> ConvexSet:
     """Hull of the thirds-translates of the co-critical set; equals the
     original set for critical leaves and collapsing quadrilaterals."""
     coc = cocritical_set(C)
-    pts = [Angle(v + ONE_THIRD) for v in coc.vertices]
-    pts += [Angle(v + TWO_THIRDS) for v in coc.vertices]
+    pts = [Angle(v + THIRD) for v in coc.vertices]
+    pts += [Angle(v + 2 * THIRD) for v in coc.vertices]
     return ConvexSet.of(pts)
 
 
@@ -382,8 +364,8 @@ def linked_pair_cocritical_quads(l1: Chord, l2: Chord):
     """Co-critical quadrilaterals of two linked chords spanning at most a
     third of the circle; they should come out strongly linked and
     collapsing."""
-    q1 = cocritical_set(ConvexSet.from_chord(l1))
-    q2 = cocritical_set(ConvexSet.from_chord(l2))
+    q1 = cocritical_set(ConvexSet.hull_of(l1))
+    q2 = cocritical_set(ConvexSet.hull_of(l2))
     quad1 = make_quadrilateral(q1.vertices, 3)
     quad2 = make_quadrilateral(q2.vertices, 3)
     return quad1, quad2, strongly_linked(quad1, quad2)
@@ -401,6 +383,7 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
     """
     if lam.degree != 3:
         raise ValueError("geometry checks are cubic")
+    linked_samples = tuple(linked_samples)
     report = GeometryReport()
     portraits = full_portraits_of(lam)
     report.checked["portraits"] = len(portraits)
@@ -421,7 +404,7 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
                     continue  # not the hole behind this edge
                 if any(0 < (p - s) % 1 < arc_len for p in cset):
                     continue  # hole meets the critical set
-                if arc_len > ONE_THIRD:
+                if arc_len > THIRD:
                     report.colocation_failures.append((str(C), str(e), "arc longer than 1/3"))
                 img_span = (sigma(3, s) - sigma(3, t)) % 1
                 for w in D.image(3).vertices:
@@ -436,10 +419,10 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
             report.linkco_failures.append((str(l1), str(l2), "not strongly linked"))
         if quad1.classification != COLLAPSING or quad2.classification != COLLAPSING:
             report.linkco_failures.append((str(l1), str(l2), "not collapsing"))
-    report.checked["linked_samples"] = len(tuple(linked_samples))
+    report.checked["linked_samples"] = len(linked_samples)
 
     analysis = critical_analysis(lam)
-    recon_targets = [ConvexSet.from_chord(c) for c in analysis.critical_leaves]
+    recon_targets = [ConvexSet.hull_of(c) for c in analysis.critical_leaves]
     for g in analysis.critical_gaps:
         if len(g.vertices) == 4:
             try:
@@ -447,15 +430,13 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
             except ValueError:
                 continue
             if quad.classification == COLLAPSING:
-                recon_targets.append(ConvexSet.from_gap(g))
+                recon_targets.append(ConvexSet.hull_of(g))
     for C in recon_targets:
         if reconstruct(C) != C:
             report.reconstruction_failures.append(str(C))
     report.checked["reconstructions"] = len(recon_targets)
 
-    sets = []
-    for s in analysis.critical_sets:
-        sets.append(ConvexSet.from_chord(s) if isinstance(s, Chord) else ConvexSet.from_gap(s))
+    sets = [ConvexSet.hull_of(s) for s in analysis.critical_sets]
     if len(sets) >= 2:
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circle import Angle
-from .chords import Chord, is_critical, validate_collection
+from .chords import Chord, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, pullback_build
 from .qc_portrait import make_quadrilateral
 from .cubic_tags import ConvexSet
@@ -33,6 +33,13 @@ def lamination_text(lam: FiniteLamination) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _degree(line: str) -> int:
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"degree header needs exactly one value: {line!r}")
+    return int(parts[1])
+
+
 def parse_lamination(text: str) -> FiniteLamination:
     degree = None
     leaves = []
@@ -41,7 +48,7 @@ def parse_lamination(text: str) -> FiniteLamination:
         if not line:
             continue
         if line.startswith("degree"):
-            degree = int(line.split()[1])
+            degree = _degree(line)
             continue
         if degree is None:
             raise ValueError("lamination file must start with a degree header")
@@ -89,10 +96,7 @@ class PortraitSpec:
                 candidates.extend(diagonals[:1] if len(v) > 3 else diagonals)
             elif is_critical(d, obj):
                 candidates.append(obj)
-        chosen = []
-        for c in candidates:
-            if not validate_collection(d, chosen + [c]).has_loop:
-                chosen.append(c)
+        chosen = greedy_no_loop(d, candidates)
         if len(chosen) != d - 1:
             raise ValueError(
                 f"portrait yields {len(chosen)} branch cuts; degree {d} needs {d - 1}"
@@ -125,7 +129,7 @@ def parse_portrait(text: str) -> PortraitSpec:
             continue
         parts = line.split()
         if parts[0] == "degree":
-            degree = int(parts[1])
+            degree = _degree(line)
             continue
         if degree is None:
             raise ValueError("portrait file must start with a degree header")

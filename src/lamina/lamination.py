@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import Angle, Arc, sigma, shortest_dist
-from .chords import Chord, chord_image, is_critical, linked, sibling_collections, validate_collection
+from .chords import (
+    Chord,
+    chord_image,
+    greedy_no_loop,
+    is_critical,
+    linked,
+    sibling_collections,
+    validate_collection,
+)
 
 __all__ = [
     "FiniteLamination",
@@ -34,7 +42,6 @@ __all__ = [
     "sector_partition",
     "critical_analysis",
     "prune_isolated",
-    "vertex_orbit_period",
 ]
 
 
@@ -273,29 +280,33 @@ class OrbitInfo:
         return self.preperiod + self.period
 
 
-def orbit_classify(d: int, x) -> OrbitInfo:
-    """Preperiod and minimal period of an angle or chord under sigma_d."""
+def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
+    """Preperiod and minimal period of an angle, a chord or a vertex set
+    under sigma_d.
+
+    A vertex set (set, frozenset, tuple or list of angles) is followed as a
+    frozenset of its images.  With ``max_steps``, returns None when the orbit
+    has not closed within that many images.
+    """
     if isinstance(x, Chord):
         step = lambda c: chord_image(d, c)
+    elif isinstance(x, (set, frozenset, tuple, list)):
+        x = frozenset(Angle(v) for v in x)
+        step = lambda vs: frozenset(sigma(d, v) for v in vs)
     else:
         x = Angle(x)
         step = lambda a: sigma(d, a)
     seen = {x: 0}
     orbit = [x]
     current = x
-    while True:
+    while max_steps is None or len(orbit) <= max_steps:
         current = step(current)
         if current in seen:
             pre = seen[current]
             return OrbitInfo(preperiod=pre, period=len(orbit) - pre, orbit=tuple(orbit))
         seen[current] = len(orbit)
         orbit.append(current)
-
-
-def forward_orbit(d: int, c: Chord) -> list[Chord]:
-    """The full forward chord orbit until it closes (degenerates stop it)."""
-    info = orbit_classify(d, c)
-    return [x for x in info.orbit if isinstance(x, Chord)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +360,9 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
         raise InconsistentPortrait(
             f"critical chords do not form a full collection: {list(map(str, critical_chords))}"
         )
-    for i in range(len(critical_chords)):
-        for j in range(i + 1, len(critical_chords)):
-            if linked(critical_chords[i], critical_chords[j]):
-                raise InconsistentPortrait("critical chords of the portrait cross each other")
     mini = FiniteLamination(d, critical_chords)
+    if not check_unlinked(mini)[0]:
+        raise InconsistentPortrait("critical chords of the portrait cross each other")
     faces = gaps(mini)
     sectors = []
     for g in faces:
@@ -387,7 +396,7 @@ def _preimage_candidates(d: int, p: Angle, sector: _Sector) -> list[Angle]:
     return preferred + sorted(closure_only)
 
 
-def pullback_build(d: int, portrait, depth: int, sectors=None, check: bool = True) -> FiniteLamination:
+def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLamination:
     """Pullback construction: forward orbits of the portrait chords plus all
     iterated sector preimages up to ``depth`` generations.
 
@@ -407,9 +416,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None, check: bool = Tru
     arc lies in the sector.
 
     Raises InconsistentPortrait when the forward orbit of a portrait chord
-    crosses a portrait chord or a sector chord, and ValueError when an
-    endpoint orbit fails to close (impossible for exact rational angles,
-    kept as a defensive guard).
+    crosses itself, another portrait chord's orbit or a sector chord.
     """
     portrait = [c for c in portrait if not c.degenerate]
     if sectors is not None:
@@ -418,31 +425,20 @@ def pullback_build(d: int, portrait, depth: int, sectors=None, check: bool = Tru
         # maximal no-loop subset of the portrait's critical chords (an
         # all-critical polygon contributes all edges as leaves but only a
         # spanning subset as branch cuts)
-        sector_chords = []
-        for c in portrait:
-            if is_critical(d, c) and not validate_collection(d, sector_chords + [c]).has_loop:
-                sector_chords.append(c)
+        sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
     parts = sector_partition(d, sector_chords)
     ambiguous_values = {sigma(d, e) for c in sector_chords for e in c.endpoints}
 
     generations: dict[Chord, int] = {}
     for c in portrait:
-        info = orbit_classify(d, c)
-        if info.period < 1:
-            raise ValueError(f"orbit of {c} does not close")
-        for leaf in info.orbit:
-            if isinstance(leaf, Chord) and not leaf.degenerate:
+        for leaf in orbit_classify(d, c).orbit:
+            if not leaf.degenerate:
                 generations.setdefault(leaf, 0)
 
     gen0 = sorted(generations)
-    if check:
-        for i, ci in enumerate(gen0):
-            for cj in gen0[i + 1 :]:
-                if linked(ci, cj):
-                    raise InconsistentPortrait(f"forward orbit chords cross: {ci} x {cj}")
-            for s in sector_chords:
-                if linked(ci, s):
-                    raise InconsistentPortrait(f"orbit chord {ci} crosses portrait chord {s}")
+    ok, pair = check_unlinked(FiniteLamination(d, gen0 + sector_chords))
+    if not ok:
+        raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
 
     by_image: dict[Chord, list] = {}
     for c in generations:
@@ -704,16 +700,3 @@ def prune_isolated(lam: FiniteLamination, tol, rounds: int = 8) -> FiniteLaminat
             break
         leaves = kept
     return FiniteLamination(lam.degree, leaves)
-
-
-def vertex_orbit_period(d: int, vertices, max_steps: int = 256):
-    """(preperiod, period) of a vertex set under sigma_d, or None if the set
-    does not recur within max_steps."""
-    current = frozenset(Angle(v) for v in vertices)
-    seen = {current: 0}
-    for i in range(1, max_steps + 1):
-        current = frozenset(sigma(d, v) for v in current)
-        if current in seen:
-            return seen[current], i - seen[current]
-        seen[current] = i
-    return None

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circle import Angle, sigma
-from .chords import Chord, chord_image, is_critical, linked, validate_collection
+from .circle import Angle, cyclic_descents, sigma
+from .chords import Chord, chord_image, greedy_no_loop, is_critical, validate_collection
 from .lamination import (
     FiniteLamination,
     Gap,
@@ -48,9 +48,7 @@ ALL_CRITICAL_QUADRILATERAL = "all_critical_quadrilateral"
 
 def _cyclically_ordered(values) -> bool:
     """Weakly increasing around the circle: at most one strict descent."""
-    n = len(values)
-    descents = sum(1 for i in range(n) if values[i] > values[(i + 1) % n])
-    return descents <= 1
+    return cyclic_descents(values) <= 1
 
 
 @dataclass(frozen=True)
@@ -209,11 +207,7 @@ def derive_qc_portrait(lam: FiniteLamination) -> QcPortrait:
     for g in analysis.critical_gaps:
         if len(g.vertices) == 4 and not all(is_critical(d, e) for e in g.edges):
             quads.append(make_quadrilateral(g.vertices, d))
-    chosen: list[Chord] = []
-    for c in analysis.critical_leaves:
-        if not validate_collection(d, chosen + [c]).has_loop:
-            chosen.append(c)
-    for c in chosen:
+    for c in greedy_no_loop(d, analysis.critical_leaves):
         quads.append(make_quadrilateral((c.a, c.a, c.b, c.b), d))
     quads.sort(key=lambda q: q.vertices)
     portrait = QcPortrait(degree=d, quads=tuple(quads))
@@ -281,7 +275,6 @@ class PairReport:
     verdict: str                 # "linked" | "essentially_equal" | "neither"
     k: int | None                # number of index pairs classified by linkage
     detail: tuple                # per-index status for the winning alignment
-    permuted: "PairReport | None" = None
 
 
 def _classify_fixed(qcp1: QcPortrait, qcp2: QcPortrait, common_clusters) -> PairReport:
@@ -317,7 +310,6 @@ def classify_pair(
     qcp1: QcPortrait,
     lam2: FiniteLamination,
     qcp2: QcPortrait,
-    search_permutations: bool = False,
 ) -> PairReport:
     """Classify two laminations with qc-portraits as linked, essentially
     equal, or neither.
@@ -325,8 +317,7 @@ def classify_pair(
     A suffix of associated pairs may sit in a common critical cluster of
     both laminations; the remaining pairs must share a spike (essentially
     equal when all of them do) or be strongly linked.  Indices are aligned
-    by position; with ``search_permutations`` the second portrait is also
-    tried in every order and the best verdict reported alongside.
+    by position.
     """
     if qcp1.degree != qcp2.degree or lam1.degree != lam2.degree or lam1.degree != qcp1.degree:
         raise ValueError("degree mismatch")
@@ -334,17 +325,7 @@ def classify_pair(
         raise ValueError("both portraits must be valid qc-portraits")
     clusters1 = set(critical_analysis(lam1).critical_clusters)
     clusters2 = set(critical_analysis(lam2).critical_clusters)
-    common = sorted(clusters1 & clusters2)
-    fixed = _classify_fixed(qcp1, qcp2, common)
-    if not search_permutations:
-        return fixed
-    rank = {"essentially_equal": 2, "linked": 1, "neither": 0}
-    best = None
-    for perm in itertools.permutations(qcp2.quads):
-        candidate = _classify_fixed(qcp1, QcPortrait(qcp2.degree, perm), common)
-        if best is None or rank[candidate.verdict] > rank[best.verdict]:
-            best = candidate
-    return PairReport(fixed.verdict, fixed.k, fixed.detail, permuted=best)
+    return _classify_fixed(qcp1, qcp2, sorted(clusters1 & clusters2))
 
 
 # ---------------------------------------------------------------------------

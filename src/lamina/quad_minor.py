@@ -9,12 +9,13 @@ bound yields the finite approximations of QML used by the CLI and suites.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import Angle, Arc, preimages, shortest_dist
+from .circle import THIRD, Angle, Arc, preimages, shortest_dist
 from .chords import Chord, chord_image, linked
-from .lamination import FiniteLamination, pullback_build
+from .lamination import FiniteLamination, check_unlinked, pullback_build
 
 __all__ = [
     "Strip",
@@ -28,8 +29,6 @@ __all__ = [
     "major_quadrilateral",
     "build_from_minor",
 ]
-
-ONE_THIRD = Fraction(1, 3)
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,19 @@ class Strip:
         )
         return on_arcs
 
+    def first_entry(self, c: Chord):
+        """(n, sigma_2^n(c)) for the first doubling image of ``c`` meeting
+        the open strip, or None once the orbit closes without one."""
+        seen = {c}
+        current = c
+        for n in itertools.count(1):
+            current = chord_image(2, current)
+            if self.meets_open(current):
+                return n, current
+            if current in seen:
+                return None
+            seen.add(current)
+
 
 def strip_between(c1: Chord, c2: Chord) -> Strip:
     """The strip between two disjoint nondegenerate chords (no shared
@@ -87,7 +99,7 @@ def critical_strip(c: Chord) -> Strip:
     if c.degenerate:
         half = Chord(Angle(c.a / 2), Angle(c.a / 2 + Fraction(1, 2)))
         return Strip(half, half, None, None, True)
-    if c.length >= ONE_THIRD:
+    if c.length >= THIRD:
         raise ValueError(f"critical strip needs length < 1/3, got {c.length}")
     if (c.b - c.a) % 1 <= Fraction(1, 2):
         u, v = c.a, c.b
@@ -107,29 +119,17 @@ def critical_strip(c: Chord) -> Strip:
 @dataclass(frozen=True)
 class StripVerdict:
     passes: bool
-    exact: bool               # orbit closed within the horizon
     fail_index: int | None    # n with sigma^n meeting the open strip
     fail_chord: Chord | None
-    orbit: tuple              # images inspected, sigma^1 .. sigma^n
 
 
-def strip_test(c: Chord, horizon: int = 4096) -> StripVerdict:
+def strip_test(c: Chord) -> StripVerdict:
     """Iterate angle doubling on the chord and test every image against the
-    open critical strip of ``c``.  Exact for (pre)periodic chords (the orbit
-    closes); otherwise the verdict holds up to the horizon only."""
-    strip = critical_strip(c)
-    seen = {c}
-    inspected = []
-    current = c
-    for n in range(1, horizon + 1):
-        current = chord_image(2, current)
-        inspected.append(current)
-        if strip.meets_open(current):
-            return StripVerdict(False, True, n, current, tuple(inspected))
-        if current in seen:
-            return StripVerdict(True, True, None, None, tuple(inspected))
-        seen.add(current)
-    return StripVerdict(True, False, None, None, tuple(inspected))
+    open critical strip of ``c``.  Exact: a rational chord orbit closes."""
+    hit = critical_strip(c).first_entry(c)
+    if hit is None:
+        return StripVerdict(True, None, None)
+    return StripVerdict(False, *hit)
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,12 @@ def periodic_angles(period_bound: int) -> list[Angle]:
     return sorted(out)
 
 
-def qml_enumerate(period_bound: int, image_reading: bool = False) -> list[Chord]:
+def qml_enumerate(period_bound: int) -> list[Chord]:
     """Chords with both endpoints periodic of period <= period_bound and
     length < 1/3 that pass the strip test, canonically sorted.
 
-    The test is applied to the candidate chord itself; the alternative
-    reading that returns doubling images of the passing chords is provided
-    behind ``image_reading`` for comparison.  The result is verified to be
-    pairwise unlinked.
+    The test is applied to the candidate chord itself.  The result is
+    verified to be pairwise unlinked.
     """
     if not 1 <= period_bound <= 12:
         raise ValueError("period bound must be between 1 and 12")
@@ -179,18 +177,15 @@ def qml_enumerate(period_bound: int, image_reading: bool = False) -> list[Chord]
     passing = []
     for i, a in enumerate(angles):
         for b in angles[i + 1 :]:
-            if not 0 < shortest_dist(a, b) < ONE_THIRD:
+            if not 0 < shortest_dist(a, b) < THIRD:
                 continue
             c = Chord(a, b)
             if strip_test(c).passes:
                 passing.append(c)
     passing.sort()
-    for i, ci in enumerate(passing):
-        for cj in passing[i + 1 :]:
-            if linked(ci, cj):
-                raise AssertionError(f"enumerated chords cross: {ci} x {cj}")
-    if image_reading:
-        return sorted({chord_image(2, c) for c in passing})
+    ok, pair = check_unlinked(FiniteLamination(2, passing))
+    if not ok:
+        raise AssertionError(f"enumerated chords cross: {pair[0]} x {pair[1]}")
     return passing
 
 

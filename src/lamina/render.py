@@ -19,8 +19,6 @@ from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
 
-mpmath.mp.dps = 30
-
 _STYLE = (
     "circle.boundary{fill:none;stroke:#222;stroke-width:1.5}"
     ".leaf{fill:none;stroke:#3366aa;stroke-width:1}"

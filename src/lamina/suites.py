@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import Angle, sigma
+from .circle import THIRD, Angle, cyclic_descents, sigma_power
 from .chords import Chord, chord_image, linked
 from .lamination import (
     FiniteLamination,
@@ -22,7 +22,6 @@ from .lamination import (
     gaps,
     orbit_classify,
     pullback_build,
-    vertex_orbit_period,
 )
 from .quad_minor import build_from_minor, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
@@ -41,8 +40,6 @@ from .cubic_tags import (
 from .sampling import Lcg
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "sample_cubic_library", "hexagon_fixtures"]
-
-ONE_THIRD = Fraction(1, 3)
 
 
 @dataclass
@@ -77,7 +74,7 @@ def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
     for i in range(samples):
         # alternate critical leaves and collapsing quadrilaterals
         a = rng.angle()
-        leaf = ConvexSet.of([a, Angle(a + ONE_THIRD)])
+        leaf = ConvexSet.of([a, Angle(a + THIRD)])
         if reconstruct(leaf) != leaf:
             failures.append(f"critical leaf {leaf} fails reconstruction")
         base = rng.chord_in_window()
@@ -128,8 +125,7 @@ def run_linkco(samples: int = 1000, seed: int = 1) -> SuiteResult:
             failures.append(f"{l1} / {l2}: quadrilaterals not strongly linked")
             continue
         merged = [v for pair in zip(srep.witness[0], srep.witness[1]) for v in pair]
-        desc = sum(1 for k in range(8) if merged[k] > merged[(k + 1) % 8])
-        if desc > 1:
+        if cyclic_descents(merged) > 1:
             failures.append(f"{l1} / {l2}: witness chain not circularly ordered")
     return SuiteResult(
         "linkco",
@@ -172,19 +168,19 @@ def _quad_portrait(rng: Lcg):
     for _ in range(64):
         x = rng.preperiodic_cubic_angle()
         y = rng.preperiodic_cubic_angle()
-        if not 0 < (y - x) % 1 < ONE_THIRD:
+        if not 0 < (y - x) % 1 < THIRD:
             continue
         quad = ConvexSet.of(
-            [Angle(x + ONE_THIRD), Angle(y + ONE_THIRD), Angle(x + 2 * ONE_THIRD), Angle(y + 2 * ONE_THIRD)]
+            [Angle(x + THIRD), Angle(y + THIRD), Angle(x + 2 * THIRD), Angle(y + 2 * THIRD)]
         )
         edges = list(quad.edges)
-        spike = Chord(Angle(x + ONE_THIRD), Angle(x + 2 * ONE_THIRD))
+        spike = Chord(Angle(x + THIRD), Angle(x + 2 * THIRD))
         # second critical chord inside the hole (y + 2/3, x + 1/3)
-        hole_start = Angle(y + 2 * ONE_THIRD)
-        hole_len = (Angle(x + ONE_THIRD) - hole_start) % 1
+        hole_start = Angle(y + 2 * THIRD)
+        hole_len = (Angle(x + THIRD) - hole_start) % 1
         for _ in range(32):
             b = rng.preperiodic_cubic_angle()
-            t = Angle(b + ONE_THIRD)
+            t = Angle(b + THIRD)
             if 0 < (b - hole_start) % 1 < hole_len and 0 < (t - hole_start) % 1 < hole_len:
                 second = Chord(b, t)
                 if any(linked(second, e) for e in edges):
@@ -235,8 +231,8 @@ def heuristically_dendritic(lam: FiniteLamination) -> bool:
     for g in gaps(lam):
         if g.is_disk or g.finite:
             continue
-        vop = vertex_orbit_period(lam.degree, g.vertices, max_steps=16)
-        if vop is not None and vop[0] == 0:
+        vop = orbit_classify(lam.degree, g.vertices, max_steps=16)
+        if vop is not None and vop.preperiod == 0:
             return False
     return True
 
@@ -246,16 +242,20 @@ def heuristically_dendritic(lam: FiniteLamination) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _as_convex(s) -> ConvexSet:
-    return ConvexSet.from_chord(s) if isinstance(s, Chord) else ConvexSet.of(s.vertices)
+def _short_library(library, requested: int) -> list:
+    """A failure line when the sampler gave up short of the requested count."""
+    if len(library) < requested:
+        return [f"sampled {len(library)} of {requested} requested laminations"]
+    return []
 
 
 def run_crifar(samples: int = 100, seed: int = 1) -> SuiteResult:
     rng = Lcg(seed)
-    library = sample_cubic_library(rng, max(samples, 100))
-    failures = []
+    requested = max(samples, 100)
+    library = sample_cubic_library(rng, requested)
+    failures = _short_library(library, requested)
     for idx, lam in enumerate(library):
-        sets = [_as_convex(s) for s in critical_analysis(lam).critical_sets]
+        sets = [ConvexSet.hull_of(s) for s in critical_analysis(lam).critical_sets]
         if len(sets) != 2:
             failures.append(f"lamination {idx}: expected two critical sets")
             continue
@@ -277,9 +277,10 @@ def run_crifar(samples: int = 100, seed: int = 1) -> SuiteResult:
 
 def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
     rng = Lcg(seed)
-    library = sample_cubic_library(rng, max(samples, 100))
+    requested = max(samples, 100)
+    library = sample_cubic_library(rng, requested)
+    failures = _short_library(library, requested)
     library += hexagon_fixtures()
-    failures = []
     tagged = []
     for idx, lam in enumerate(library):
         for fp in full_portraits_of(lam):
@@ -321,7 +322,7 @@ def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
     tunings = 0
     for idx, lam in enumerate(library):
         analysis = critical_analysis(lam)
-        sets = [_as_convex(s) for s in analysis.critical_sets]
+        sets = [ConvexSet.hull_of(s) for s in analysis.critical_sets]
         if len(sets) != 2:
             continue
         for g in analysis.critical_gaps:
@@ -433,10 +434,8 @@ def _survivor_pairs(kmax: int):
             im = [3 * p % N for p in pl]
             if len(set(im)) != len(im):
                 return False
-            if len(pl) > 2:
-                desc = sum(1 for i in range(len(im)) if im[i] > im[(i + 1) % len(im)])
-                if desc != 1:
-                    return False
+            if len(pl) > 2 and cyclic_descents(im) != 1:
+                return False
         return True
 
     survivors = []
@@ -467,22 +466,12 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
         if any(e.preperiod for e in endpoints):
             return None, "non-periodic endpoint"
         periods = {e.period for e in endpoints}
-        # flip: some power swaps the partner's endpoints
-        x, y = partner.endpoints
-        per = orbit_classify(d, x).period
-        flip_j = None
-        u, v = x, y
-        for j in range(1, per + 1):
-            u, v = sigma(d, u), sigma(d, v)
-            if (u, v) == (y, x):
-                flip_j = j
-                break
-            if (u, v) == (x, y):
-                break
-        if flip_j is not None:
-            if any(e.period != 2 * flip_j for e in endpoints):
+        # flip: the periodic partner returns after its period with its
+        # endpoints swapped
+        if sigma_power(d, partner.a, pinfo.period) == partner.b:
+            if any(e.period != 2 * pinfo.period for e in endpoints):
                 return None, "flip with wrong endpoint periods"
-            return "two_leaf_periodic_flip", f"flip power {flip_j}"
+            return "two_leaf_periodic_flip", f"flip power {pinfo.period}"
         if len(periods) != 1:
             return None, f"mixed endpoint periods {sorted(periods)}"
         orbits = [frozenset(orbit_classify(d, p).orbit) for p in l2.endpoints]
@@ -508,12 +497,6 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
     if len(crossing) == 0:
         return None, "no crossing members"
     return None, f"{len(crossing)} crossing images"
-
-
-def sigma_power(d: int, p: Angle, k: int) -> Angle:
-    for _ in range(k):
-        p = sigma(d, p)
-    return p
 
 
 def _separates(axis: Chord, u: Angle, v: Angle) -> bool:
@@ -595,18 +578,9 @@ def run_qml(samples: int = 0, seed: int = 1, period: int = 6) -> SuiteResult:
             failures.append(f"majors of {m}: {rep.majors} != preimage pair")
             continue
         if len(rep.majors) == 2:
-            strip = strip_between(*rep.majors)
             major = rep.majors[0]
-            seen = {major}
-            img = major
-            while True:
-                img = chord_image(2, img)
-                if strip.meets_open(img):
-                    failures.append(f"image of major {major} enters its central strip")
-                    break
-                if img in seen:
-                    break
-                seen.add(img)
+            if strip_between(*rep.majors).first_entry(major) is not None:
+                failures.append(f"image of major {major} enters its central strip")
             strips += 1
     # the length-1/3 minor is reachable through the built-lamination path only
     basilica = build_from_minor(Chord(Angle(1, 3), Angle(2, 3)), depth=4)
@@ -625,7 +599,7 @@ def run_qml(samples: int = 0, seed: int = 1, period: int = 6) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _fixture_laminations(rng: Lcg, extra: int):
+def _fixture_laminations():
     fixtures = []
     rabbit_edges = [
         Chord(Angle(1, 14), Angle(1, 7)),
@@ -642,7 +616,6 @@ def _fixture_laminations(rng: Lcg, extra: int):
     qw = [Chord(A(114), A(193)), Chord(A(193), A(842)), Chord(A(842), A(921)), Chord(A(921), A(114))]
     fixtures.append(pullback_build(3, qn + qw, 3, sectors=[Chord(A(1009), A(1737)), Chord(A(114), A(842))]))
     fixtures += hexagon_fixtures()
-    fixtures += sample_cubic_library(rng, extra)
     return fixtures
 
 
@@ -652,22 +625,19 @@ def _remap_orbits(d: int, vertices, k: int):
     while remaining:
         v = min(remaining)
         orb = {v}
-        x = v
-        while True:
-            for _ in range(k):
-                x = sigma(d, x)
-            if x == v:
-                break
+        x = sigma_power(d, v, k)
+        while x != v:
             orb.add(x)
+            x = sigma_power(d, x, k)
         orbits.append(orb)
         remaining -= orb
     return orbits
 
 
 def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:
-    rng = Lcg(seed)
-    fixtures = _fixture_laminations(rng, samples)
-    failures = []
+    library = sample_cubic_library(Lcg(seed), samples)
+    fixtures = _fixture_laminations() + library
+    failures = _short_library(library, samples)
     counts = {"laminations": len(fixtures), "periodic_gaps": 0, "leaves": 0, "edges": 0}
     for idx, lam in enumerate(fixtures):
         d = lam.degree
@@ -683,12 +653,11 @@ def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:
         for g in gaps(lam):
             if g.is_disk or not g.finite:
                 continue
-            vop = vertex_orbit_period(d, g.vertices, max_steps=64)
-            if vop is None or vop[0] != 0:
+            vop = orbit_classify(d, g.vertices, max_steps=64)
+            if vop is None or vop.preperiod != 0:
                 continue
             counts["periodic_gaps"] += 1
-            k = vop[1]
-            orbits = _remap_orbits(d, g.vertices, k)
+            orbits = _remap_orbits(d, g.vertices, vop.period)
             is_dgon_fixed = len(g.vertices) == d and all(len(o) == 1 for o in orbits)
             if not (is_dgon_fixed or len(orbits) <= d - 1):
                 failures.append(
@@ -696,14 +665,7 @@ def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:
                 )
             if d == 2 and len(orbits) != 1:
                 failures.append(f"lam {idx}: degree-2 remap not transitive on {g}")
-            for e in g.edges:
-                counts["edges"] += 1
-                info = orbit_classify(d, e)
-                precritical = any(
-                    isinstance(x, Chord) and x.degenerate for x in info.orbit
-                )
-                if info.period < 1 and not precritical:
-                    failures.append(f"lam {idx}: edge {e} neither (pre)periodic nor (pre)critical")
+            counts["edges"] += len(g.edges)
     return SuiteResult("gaptrans", passed=not failures, counts=counts, failures=failures)
 
 

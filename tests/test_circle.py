@@ -14,11 +14,13 @@ from lamina.circle import (
     preimages,
     shortest_dist,
     sigma,
+    sigma_power,
 )
 
 
 def test_angle_normalization():
     assert Angle(7, 3) == Angle(1, 3)
+    assert Angle(" -1/03 ") == Angle(2, 3)
     assert Angle(-1, 3) == Angle(2, 3)
     assert Angle("3/7") == Angle(3, 7)
     assert str(Angle(0)) == "0"
@@ -28,6 +30,20 @@ def test_angle_normalization():
 def test_angle_rejects_floats():
     with pytest.raises(TypeError):
         Angle(0.5)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-1", "1/2.0", "1/", "1/3/4", "1/0", "1/00"])
+def test_angle_rejects_decimal_and_exponent_strings(text):
+    with pytest.raises(ValueError):
+        Angle(text)
+
+
+def test_sigma_power_matches_iterated_sigma():
+    for d, a in ((2, Angle(1, 7)), (3, Angle(5, 54)), (3, Angle(19, 80))):
+        x = a
+        for n in range(8):
+            assert sigma_power(d, a, n) == x
+            x = sigma(d, x)
 
 
 def test_sigma_examples():

@@ -54,11 +54,6 @@ def test_cocritical_examples():
     assert cocritical_set(S(F(1, 5))) == S(F(1, 5) + F(1, 3), F(1, 5) + F(2, 3))
 
 
-def test_cocritical_literal_reading_flag():
-    literal = cocritical_set(S(0, F(1, 3)), literal_closed_hole=True)
-    assert literal == TRIANGLE_SET
-
-
 def test_cocritical_rejects_separating_sets():
     with pytest.raises(ValueError):
         cocritical_set(S(0, F(1, 2)))  # two holes longer than 1/3
@@ -152,6 +147,13 @@ def test_geometry_checks_pass_on_fixtures():
         report.reconstruction_failures,
         report.separation_failures,
     )
+
+
+def test_geometry_checks_counts_generator_samples():
+    pairs = [(C(0, 1, 1, 12), C(1, 24, 1, 8))]
+    report = geometry_checks(lam_bicritical(2), linked_samples=(p for p in pairs))
+    assert report.checked["linked_samples"] == 1
+    assert not report.linkco_failures
 
 
 def test_full_portraits_of_bicritical():

@@ -160,3 +160,40 @@ def test_shipped_portraits_build():
         spec = parse_portrait(f.read_text())
         lam = spec.build(2)
         assert len(lam) > 0
+
+
+def test_degree_header_without_value_is_a_value_error(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        parse_lamination("degree\n1/7 2/7\n")
+    with pytest.raises(ValueError):
+        parse_portrait("degree\nquad 1/14 1/7 4/7 9/14\n")
+    bad = tmp_path / "bad.portrait"
+    bad.write_text("degree\nquad 1/14 1/7 4/7 9/14\n")
+    assert main(["build", "--portrait", str(bad), "--depth", "2"]) == 2
+    lam = tmp_path / "bad.lam"
+    lam.write_text("degree\n1/7 2/7\n")
+    assert main(["render", "--lamination", str(lam), "--out", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
+
+def test_cli_verify_rejects_bad_seed_env(monkeypatch, capsys):
+    monkeypatch.setenv("LAMINA_SEED", "abc")
+    assert main(["verify", "--suite", "linkco", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "LAMINA_SEED" in captured.err
+
+
+def test_cli_verify_rejects_negative_samples(capsys):
+    assert main(["verify", "--suite", "linkco", "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples" in captured.err
+
+
+def test_cli_render_rejects_crossing_leaves(tmp_path, capsys):
+    lam = tmp_path / "crossing.lam"
+    lam.write_text("degree 2\n1/3 1/2\n1/4 2/5\n")
+    out = tmp_path / "x.svg"
+    assert main(["render", "--lamination", str(lam), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "1/4 2/5 x 1/3 1/2" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from lamina.lamination import (
     orbit_classify,
     prune_isolated,
     pullback_build,
-    vertex_orbit_period,
 )
 
 A = Angle
@@ -199,8 +198,12 @@ def test_critical_analysis_concatenated_leaves_stay_separate():
 
 
 def test_vertex_orbit_period():
-    assert vertex_orbit_period(3, [A(1, 13), A(3, 13), A(9, 13)]) == (0, 1)
-    assert vertex_orbit_period(2, [A(1, 7), A(2, 7)]) == (0, 3)
+    info = orbit_classify(3, [A(1, 13), A(3, 13), A(9, 13)])
+    assert (info.preperiod, info.period) == (0, 1)
+    info = orbit_classify(2, [A(1, 7), A(2, 7)])
+    assert (info.preperiod, info.period) == (0, 3)
+    assert orbit_classify(2, [A(1, 7), A(2, 7)], max_steps=2) is None
+    assert orbit_classify(2, [A(1, 7), A(2, 7)], max_steps=3).period == 3
 
 
 def test_prune_isolated_drops_lonely_diameter():

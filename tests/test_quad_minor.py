@@ -48,9 +48,9 @@ def test_strip_membership():
 
 def test_strip_test_examples():
     good = strip_test(C(1, 7, 2, 7))
-    assert good.passes and good.exact
+    assert good.passes
     bad = strip_test(C(2, 7, 4, 7))
-    assert not bad.passes and bad.exact
+    assert not bad.passes
     assert bad.fail_index is not None
     assert strip_test(Chord(A(1, 5), A(1, 5))).passes
 
@@ -86,12 +86,6 @@ def test_qml_enumerate_small():
     for i, c1 in enumerate(q4):
         for c2 in q4[i + 1 :]:
             assert not linked(c1, c2)
-
-
-def test_qml_image_reading_flag():
-    q3 = qml_enumerate(3)
-    images = qml_enumerate(3, image_reading=True)
-    assert images == sorted({chord_image(2, c) for c in q3})
 
 
 def test_major_quadrilateral():

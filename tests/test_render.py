@@ -1,5 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import lamina
 from lamina.circle import Angle
 from lamina.chords import Chord
 from lamina.lamination import FiniteLamination, gaps, orbit_classify
@@ -76,3 +81,14 @@ def test_tag_factor_rendering():
     factors = (ConvexSet.of([A(2, 13), A(5, 13), A(6, 13)]), ConvexSet.of([A(16, 39)]))
     svg = render_svg(factors, RenderSpec(size=400))
     assert svg.count("<circle class=\"boundary\"") == 2
+
+
+def test_import_leaves_mpmath_precision():
+    src = Path(lamina.__file__).resolve().parent.parent
+    code = (
+        "import mpmath; before = mpmath.mp.dps; "
+        "import lamina, lamina.render, lamina.cli; "
+        "assert mpmath.mp.dps == before, (before, mpmath.mp.dps)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

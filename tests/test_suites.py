@@ -1,5 +1,8 @@
 """Determinism and report formatting of the verification suites."""
 
+import pytest
+
+import lamina.suites as suites
 from lamina.suites import SUITES, run_suite
 
 
@@ -36,3 +39,11 @@ def test_registry_names():
         "qml-unlinked",
         "reconstruct",
     ]
+
+
+@pytest.mark.parametrize("name", ["crifar", "maintag", "gaptrans"])
+def test_short_sample_library_fails(monkeypatch, name):
+    monkeypatch.setattr(suites, "sample_cubic_library", lambda rng, count, depth=3: [])
+    res = run_suite(name, 3, 1)
+    assert not res.passed
+    assert any("requested laminations" in f for f in res.failures)
