@@ -58,7 +58,7 @@ class FiniteLamination:
     is metadata: it does not participate in equality.
     """
 
-    __slots__ = ("degree", "leaves", "generations", "_leaf_set")
+    __slots__ = ("degree", "leaves", "generations", "_leaf_set", "_analysis")
 
     def __init__(self, degree: int, leaves=(), generations=None):
         if not isinstance(degree, int) or degree < 2:
@@ -68,6 +68,7 @@ class FiniteLamination:
         self.leaves = tuple(canon)
         self._leaf_set = frozenset(canon)
         self.generations = dict(generations) if generations else None
+        self._analysis = None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteLamination):
@@ -146,16 +147,28 @@ class Gap:
 
 
 def check_unlinked(lam: FiniteLamination):
-    """Exhaustive pairwise crossing sweep.
+    """Non-crossing sweep over the leaf endpoints in circle order, O(N log N).
 
-    Returns (True, None) or (False, (c1, c2)) with the first offending pair.
+    Pairwise unlinked leaves nest like parentheses.  At each endpoint the
+    leaves ending there close innermost first (largest ``a``), and each must
+    be the top of the stack of open leaves; then the leaves starting there
+    open outermost first (largest ``b``).  A closing leaf that is not the
+    top crosses the top.
+
+    Returns (True, None) or (False, (c1, c2)) with c1 < c2 a crossing pair,
+    not necessarily the lexicographically first one.
     """
-    leaves = lam.leaves
-    for i in range(len(leaves)):
-        ci = leaves[i]
-        for j in range(i + 1, len(leaves)):
-            if linked(ci, leaves[j]):
-                return False, (ci, leaves[j])
+    events = sorted(
+        [(c.b, False, -c.a, c) for c in lam.leaves] + [(c.a, True, -c.b, c) for c in lam.leaves]
+    )
+    stack = []
+    for _, opens, _, c in events:
+        if opens:
+            stack.append(c)
+        elif stack[-1] is c:
+            stack.pop()
+        else:
+            return False, tuple(sorted((c, stack[-1])))
     return True, None
 
 
@@ -416,8 +429,11 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     arc lies in the sector.
 
     Raises InconsistentPortrait when the forward orbit of a portrait chord
-    crosses itself, another portrait chord's orbit or a sector chord.
+    crosses itself, another portrait chord's orbit or a sector chord, and
+    ValueError when ``depth`` is not a non-negative int.
     """
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
     portrait = [c for c in portrait if not c.degenerate]
     if sectors is not None:
         sector_chords = list(sectors)
@@ -579,7 +595,7 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticalAnalysis:
     critical_leaves: tuple
     critical_gaps: tuple       # finite gaps of degree > 1
@@ -613,6 +629,14 @@ def _cluster_polygons(component_vertices, leaf_set):
 
 
 def critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
+    """Critical leaves, gaps, clusters and sets of ``lam``, computed on first
+    use and kept on the lamination (whose leaves never change)."""
+    if lam._analysis is None:
+        lam._analysis = _critical_analysis(lam)
+    return lam._analysis
+
+
+def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     d = lam.degree
     crit_leaves = tuple(c for c in lam.leaves if is_critical(d, c))
 

@@ -250,10 +250,8 @@ def _short_library(library, requested: int) -> list:
 
 
 def run_crifar(samples: int = 100, seed: int = 1) -> SuiteResult:
-    rng = Lcg(seed)
-    requested = max(samples, 100)
-    library = sample_cubic_library(rng, requested)
-    failures = _short_library(library, requested)
+    library = sample_cubic_library(Lcg(seed), samples)
+    failures = _short_library(library, samples)
     for idx, lam in enumerate(library):
         sets = [ConvexSet.hull_of(s) for s in critical_analysis(lam).critical_sets]
         if len(sets) != 2:
@@ -276,10 +274,8 @@ def run_crifar(samples: int = 100, seed: int = 1) -> SuiteResult:
 
 
 def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
-    rng = Lcg(seed)
-    requested = max(samples, 100)
-    library = sample_cubic_library(rng, requested)
-    failures = _short_library(library, requested)
+    library = sample_cubic_library(Lcg(seed), samples)
+    failures = _short_library(library, samples)
     library += hexagon_fixtures()
     tagged = []
     for idx, lam in enumerate(library):

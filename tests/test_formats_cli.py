@@ -79,6 +79,19 @@ def test_cli_build_error_exit_code(tmp_path):
     assert main(["build", "--portrait", str(missing), "--depth", "2"]) == 2
 
 
+def test_cli_rejects_negative_depth(tmp_path, capsys):
+    portrait = tmp_path / "rabbit.portrait"
+    portrait.write_text(RABBIT)
+    assert main(["build", "--portrait", str(portrait), "--depth", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "depth" in captured.err
+    assert main(["tags", "--portraits", str(tmp_path), "--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "depth" in captured.err
+
+
 def test_cli_qml(tmp_path):
     out = tmp_path / "qml.lam"
     svg = tmp_path / "qml.svg"

@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lamina.lamination as lamination
 from lamina.circle import Angle
 from lamina.chords import Chord, chord_image, is_critical, linked
 from lamina.lamination import (
@@ -46,6 +49,55 @@ def test_check_unlinked():
     bad = FiniteLamination(2, [C(0, 1, 1, 2), C(1, 4, 3, 4)])
     ok, pair = check_unlinked(bad)
     assert not ok and set(pair) == {C(0, 1, 1, 2), C(1, 4, 3, 4)}
+
+
+def pairwise_crossing(lam):
+    """Oracle for check_unlinked: the first linked pair in leaf order, or None."""
+    leaves = lam.leaves
+    for i in range(len(leaves)):
+        for j in range(i + 1, len(leaves)):
+            if linked(leaves[i], leaves[j]):
+                return leaves[i], leaves[j]
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_check_unlinked_agrees_with_pairwise_oracle(data):
+    # small denominators, so endpoints are often shared
+    q = data.draw(st.integers(min_value=2, max_value=12))
+    point = st.integers(min_value=0, max_value=q - 1).map(lambda p: A(p, q))
+    chord = st.builds(Chord, point, point)
+    chords = data.draw(st.lists(chord, max_size=12))
+    if data.draw(st.booleans()):
+        # a laminar set plus one extra chord
+        laminar = []
+        for c in chords:
+            if not any(linked(c, m) for m in laminar):
+                laminar.append(c)
+        chords = laminar + [data.draw(chord)]
+    lam = FiniteLamination(data.draw(st.integers(min_value=2, max_value=4)), chords)
+    ok, pair = check_unlinked(lam)
+    assert ok == (pairwise_crossing(lam) is None)
+    if ok:
+        assert pair is None
+    else:
+        assert linked(*pair) and pair[0] < pair[1]
+        assert pair[0] in lam and pair[1] in lam
+
+
+def test_check_unlinked_is_a_sweep(monkeypatch):
+    lam = pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE)
+    assert len(lam) >= 500
+    crossing = lam.with_leaves([C(0, 1, 1, 2)])
+
+    def no_pairwise_scan(c1, c2):
+        raise AssertionError("check_unlinked called linked")
+
+    monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
+    assert check_unlinked(lam) == (True, None)
+    ok, pair = check_unlinked(crossing)
+    assert not ok and C(0, 1, 1, 2) in pair
 
 
 def test_period_six_orbit_is_unlinked():
@@ -136,6 +188,12 @@ def test_pullback_rejects_crossing_portrait():
         pullback_build(3, [C(0, 1, 1, 3), C(1, 6, 1, 2)], 2)
 
 
+@pytest.mark.parametrize("depth", [-1, -3, 1.5, "2", None, True])
+def test_pullback_rejects_bad_depth(depth):
+    with pytest.raises(ValueError, match="depth"):
+        pullback_build(3, TRIANGLE, depth)
+
+
 def test_pullback_rejects_incomplete_sectors():
     with pytest.raises(InconsistentPortrait):
         pullback_build(3, [C(0, 1, 1, 3)], 2)
@@ -195,6 +253,15 @@ def test_critical_analysis_concatenated_leaves_stay_separate():
     lam = FiniteLamination(3, [C(0, 1, 1, 3), C(1, 3, 2, 3)])
     an = critical_analysis(lam)
     assert set(an.critical_clusters) == {(A(0), A(1, 3)), (A(1, 3), A(2, 3))}
+
+
+def test_critical_analysis_is_computed_once_and_frozen():
+    lam = pullback_build(3, [C(0, 1, 1, 3), C(1, 2, 5, 6)], 3)
+    an = critical_analysis(lam)
+    assert critical_analysis(lam) is an
+    assert critical_analysis(FiniteLamination(3, lam.leaves)) == an
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        an.critical_sets = ()
 
 
 def test_vertex_orbit_period():

@@ -13,13 +13,14 @@ def test_suites_are_deterministic_under_fixed_seed():
     c = run_suite("crifar", 10, 5)
     d = run_suite("crifar", 10, 5)
     assert (c.passed, c.counts) == (d.passed, d.counts)
+    assert c.counts["laminations"] == 10
 
 
 def test_seed_changes_samples():
     a = run_suite("crifar", 10, 5)
     b = run_suite("crifar", 10, 6)
     assert a.passed and b.passed
-    assert a.counts["laminations"] >= 10 and b.counts["laminations"] >= 10
+    assert a.counts["laminations"] == 10 and b.counts["laminations"] == 10
 
 
 def test_report_text_blocks():
