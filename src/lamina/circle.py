@@ -39,7 +39,8 @@ class Angle(Fraction):
 
     Accepts integers, rationals and "p/q" strings ("0" is 0/1); floats and
     decimal or exponent strings are rejected since the whole library is
-    exact.  Values are reduced mod 1, so ``Angle(7, 3) == Angle(1, 3)``.
+    exact.  Values are reduced mod 1, so ``Angle(7, 3) == Angle(1, 3)``;
+    ``Angle(a)`` of an Angle ``a`` returns ``a`` itself.
     Ordering and hashing are inherited from Fraction, which matches the
     positive (counterclockwise) parametrization of the circle by [0, 1).
     """
@@ -47,6 +48,8 @@ class Angle(Fraction):
     __slots__ = ()
 
     def __new__(cls, numerator=0, denominator=None):
+        if type(numerator) is cls and denominator is None:
+            return numerator  # already reduced; immutable, so safe to share
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
         if isinstance(numerator, str) and not _RATIONAL.fullmatch(numerator.strip()):

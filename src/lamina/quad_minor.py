@@ -3,8 +3,9 @@
 A chord of length < 1/3 determines a *critical strip*, the hull of the two
 halving preimages of its short arc.  A chord belongs to the quadratic minor
 lamination exactly when no forward image under angle doubling meets the open
-strip; enumerating all such chords with periodic endpoints up to a period
-bound yields the finite approximations of QML used by the CLI and suites.
+strip.  The finite approximations of QML used by the CLI and suites (all
+chords with periodic endpoints up to a period bound) are built by Lavaurs'
+algorithm, and the strip test verifies each chord it draws.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import THIRD, Angle, Arc, preimages, shortest_dist
+from .circle import THIRD, Angle, Arc, preimages
 from .chords import Chord, chord_image, linked
-from .lamination import FiniteLamination, check_unlinked, pullback_build
+from .lamination import FiniteLamination, check_unlinked, orbit_classify, pullback_build
 
 __all__ = [
     "Strip",
@@ -153,40 +154,48 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
     return MinorReport(minor=next(iter(images)), majors=majors)
 
 
-def periodic_angles(period_bound: int) -> list[Angle]:
-    """All angles periodic under doubling with period <= period_bound, i.e.
-    fractions with denominator dividing some 2^k - 1."""
-    out = set()
-    for k in range(1, period_bound + 1):
-        q = 2**k - 1
-        for j in range(q):
-            out.add(Angle(j, q))
-    return sorted(out)
-
-
 def qml_enumerate(period_bound: int) -> list[Chord]:
-    """Chords with both endpoints periodic of period <= period_bound and
-    length < 1/3 that pass the strip test, canonically sorted.
+    """The chords of QML with both endpoints of period <= period_bound and
+    length < 1/3, canonically sorted.
 
-    The test is applied to the candidate chord itself.  The result is
-    verified to be pairwise unlinked.
+    Lavaurs' algorithm draws them period by period: for k = 2..period_bound
+    the angles of exact period k are swept together with the endpoints of
+    the chords drawn so far, which places each angle in a region (the
+    innermost drawn chord around it, or the outer region); within each
+    region the new angles are joined in consecutive pairs in angle order.
+    The period-2 chord 1/3 2/3 stays drawn during the sweep and is dropped
+    at the end with every other chord of length >= 1/3.  Each returned
+    chord is then verified exactly by the strip test, and the set by
+    :func:`check_unlinked`; a failure of either raises AssertionError.
     """
     if not 1 <= period_bound <= 12:
         raise ValueError("period bound must be between 1 and 12")
-    angles = periodic_angles(period_bound)
-    passing = []
-    for i, a in enumerate(angles):
-        for b in angles[i + 1 :]:
-            if not 0 < shortest_dist(a, b) < THIRD:
-                continue
-            c = Chord(a, b)
-            if strip_test(c).passes:
-                passing.append(c)
-    passing.sort()
-    ok, pair = check_unlinked(FiniteLamination(2, passing))
+    drawn = []
+    for k in range(2, period_bound + 1):
+        q = 2**k - 1
+        new = [a for a in (Angle(j, q) for j in range(q)) if orbit_classify(2, a).period == k]
+        events = sorted(
+            [(c.a, c) for c in drawn] + [(c.b, c) for c in drawn] + [(a, None) for a in new],
+            key=lambda e: e[0],
+        )
+        stack, regions = [], {}
+        for x, c in events:
+            if c is None:
+                regions.setdefault(stack[-1] if stack else None, []).append(x)
+            elif x == c.a:
+                stack.append(c)
+            else:
+                stack.pop()
+        for xs in regions.values():
+            drawn += [Chord(a, b) for a, b in zip(xs[::2], xs[1::2])]
+    chords = sorted(c for c in drawn if c.length < THIRD)
+    for c in chords:
+        if not strip_test(c).passes:
+            raise AssertionError(f"Lavaurs chord {c} fails the strip test")
+    ok, pair = check_unlinked(FiniteLamination(2, chords))
     if not ok:
         raise AssertionError(f"enumerated chords cross: {pair[0]} x {pair[1]}")
-    return passing
+    return chords
 
 
 def major_quadrilateral(minor: Chord):

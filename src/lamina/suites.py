@@ -243,9 +243,12 @@ def heuristically_dendritic(lam: FiniteLamination) -> bool:
 
 
 def _short_library(library, requested: int) -> list:
-    """A failure line when the sampler gave up short of the requested count."""
+    """A failure line when the sampler gave up short of the requested count,
+    or when there is no sampled lamination to check at all."""
     if len(library) < requested:
         return [f"sampled {len(library)} of {requested} requested laminations"]
+    if not library:
+        return ["no sampled lamination to check"]
     return []
 
 

@@ -27,6 +27,15 @@ def test_angle_normalization():
     assert str(Angle(2, 4)) == "1/2"
 
 
+def test_angle_of_angle_is_itself():
+    a = Angle(2, 7)
+    assert Angle(a) is a
+    assert Angle(a, 1) == a
+    assert Angle(Angle(2, 3), Fraction(1, 2)) == Angle(1, 3)
+    b = Angle(Fraction(9, 7))
+    assert type(b) is Angle and b == a
+
+
 def test_angle_rejects_floats():
     with pytest.raises(TypeError):
         Angle(0.5)

@@ -96,9 +96,20 @@ def test_cli_qml(tmp_path):
     out = tmp_path / "qml.lam"
     svg = tmp_path / "qml.svg"
     assert main(["qml", "--period", "3", "--out", str(out), "--svg", str(svg)]) == 0
+    assert out.read_bytes() == b"degree 2\n1/7 2/7\n3/7 4/7\n5/7 6/7\n"
     lam = parse_lamination(out.read_text())
     assert C(1, 7, 2, 7) in lam
     assert svg.exists()
+
+
+@pytest.mark.parametrize("period", ["0", "13"])
+def test_cli_qml_rejects_period_out_of_range(tmp_path, capsys, period):
+    out = tmp_path / "qml.lam"
+    assert main(["qml", "--period", period, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "period" in captured.err
+    assert not out.exists()
 
 
 def test_cli_tags(tmp_path):
@@ -195,6 +206,12 @@ def test_cli_verify_rejects_bad_seed_env(monkeypatch, capsys):
     assert main(["verify", "--suite", "linkco", "--samples", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "LAMINA_SEED" in captured.err
+
+
+def test_cli_verify_crifar_fails_without_samples(capsys):
+    assert main(["verify", "--suite", "crifar", "--samples", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "status: FAIL" in out and "laminations: 0" in out
 
 
 def test_cli_verify_rejects_negative_samples(capsys):

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from lamina.circle import Angle
+import lamina.quad_minor as quad_minor
+from lamina.circle import THIRD, Angle, shortest_dist
 from lamina.chords import Chord, chord_image, linked
 from lamina.lamination import FiniteLamination, check_unlinked
 from lamina.quad_minor import (
+    StripVerdict,
     build_from_minor,
     critical_strip,
     major_quadrilateral,
@@ -14,12 +16,26 @@ from lamina.quad_minor import (
     strip_between,
     strip_test,
 )
+from lamina.suites import run_suite
 
 A = Angle
 
 
 def C(p, q, r, s):
     return Chord(A(p, q), A(r, s))
+
+
+def strip_test_enumeration(period_bound):
+    """Oracle for qml_enumerate: every pair of angles of period <=
+    period_bound at distance in (0, 1/3) that passes the strip test.
+    Tests O(A^2) pairs, so it is only run at small bounds."""
+    angles = sorted({A(j, 2**k - 1) for k in range(1, period_bound + 1) for j in range(2**k - 1)})
+    return sorted(
+        Chord(a, b)
+        for i, a in enumerate(angles)
+        for b in angles[i + 1 :]
+        if 0 < shortest_dist(a, b) < THIRD and strip_test(Chord(a, b)).passes
+    )
 
 
 def test_critical_strip_construction():
@@ -86,6 +102,22 @@ def test_qml_enumerate_small():
     for i, c1 in enumerate(q4):
         for c2 in q4[i + 1 :]:
             assert not linked(c1, c2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lavaurs_matches_strip_test_enumeration(n):
+    assert qml_enumerate(n) == strip_test_enumeration(n)
+
+
+def test_strip_test_failure_raises(monkeypatch):
+    real = quad_minor.strip_test
+    rigged = lambda c: StripVerdict(False, 1, c) if c == C(1, 7, 2, 7) else real(c)
+    monkeypatch.setattr(quad_minor, "strip_test", rigged)
+    with pytest.raises(AssertionError, match="1/7 2/7"):
+        qml_enumerate(3)
+    res = run_suite("qml-unlinked", 0, 1)
+    assert not res.passed
+    assert any("1/7 2/7" in f for f in res.failures)
 
 
 def test_major_quadrilateral():
@@ -166,11 +198,11 @@ def test_enumeration_counts_match_necklace_formula():
         total = sum(mobius(n // d) * (2**d - 1) for d in range(1, n + 1) if n % d == 0)
         return total // 2
 
-    q = qml_enumerate(6)
+    q = qml_enumerate(10)
     by_period = {}
     for c in q:
         n = orbit_classify(2, c.a).period
         assert orbit_classify(2, c.b).period == n
         by_period[n] = by_period.get(n, 0) + 1
-    assert by_period == {3: expected(3), 4: expected(4), 5: expected(5), 6: expected(6)}
+    assert by_period == {n: expected(n) for n in range(3, 11)}
     assert expected(2) == 1 and 2 not in by_period

@@ -48,3 +48,9 @@ def test_short_sample_library_fails(monkeypatch, name):
     res = run_suite(name, 3, 1)
     assert not res.passed
     assert any("requested laminations" in f for f in res.failures)
+
+
+def test_gaptrans_fails_without_samples():
+    res = run_suite("gaptrans", 0, 1)
+    assert not res.passed
+    assert "no sampled lamination to check" in res.failures
