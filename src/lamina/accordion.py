@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circle import Angle, cyclic_descents, sigma, sigma_power
+from .circle import Angle, ccw_offset, cyclic_descents, sigma, sigma_power
 from .chords import Chord, chord_image, is_critical, linked, validate_collection
 from .lamination import FiniteLamination, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
@@ -246,10 +246,10 @@ class CollapseReport:
 def _chain_between(sample, start: Angle, end: Angle):
     """Concatenation of sample spikes from start to end whose junction
     points move monotonically along the positive arc [start, end]."""
-    span = (end - start) % 1
+    span = ccw_offset(start, end)
 
     def pos(p):
-        return (p - start) % 1
+        return ccw_offset(start, p)
 
     best = None
 
@@ -306,8 +306,8 @@ def detect_collapse(
     others = set(l1.endpoints) | set(l2.endpoints)
     for u, v in pairs:
         for start, end in ((u, v), (v, u)):
-            arc_len = (end - start) % 1
-            if any(0 < (p - start) % 1 < arc_len for p in others - {start, end}):
+            arc_len = ccw_offset(start, end)
+            if any(0 < ccw_offset(start, p) < arc_len for p in others - {start, end}):
                 continue  # not the adjacent side
             chain1 = chain2 = None
             for sample in complete_samples(qcp1):

@@ -3,13 +3,21 @@
 Angles are reduced fractions in [0, 1); everything downstream (chords,
 laminations, tags) is built on top of them.  No floating point enters any
 computation here.
+
+The hot operations run on the integers n, q of an angle n/q rather than
+through Fraction's generic arithmetic: construction of a known-reduced
+value (``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
+counterclockwise offset ``ccw_offset`` and comparisons and hashing between
+Angles.  Results are the same Angle values Fraction arithmetic gives.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "Angle",
@@ -18,6 +26,7 @@ __all__ = [
     "sigma",
     "sigma_power",
     "preimages",
+    "ccw_offset",
     "shortest_dist",
     "circular_order",
     "in_arc",
@@ -31,6 +40,7 @@ POSITIVE = "positively_ordered"
 NEGATIVE = "negatively_ordered"
 NEITHER = "neither"
 
+_HASH_MODULUS = sys.hash_info.modulus
 _RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")
 
 
@@ -41,24 +51,83 @@ class Angle(Fraction):
     decimal or exponent strings are rejected since the whole library is
     exact.  Values are reduced mod 1, so ``Angle(7, 3) == Angle(1, 3)``;
     ``Angle(a)`` of an Angle ``a`` returns ``a`` itself.
-    Ordering and hashing are inherited from Fraction, which matches the
-    positive (counterclockwise) parametrization of the circle by [0, 1).
+    Ordering matches the positive (counterclockwise) parametrization of the
+    circle by [0, 1).  Between two Angles it compares integers; against any
+    other number it is Fraction's.  The hash is Fraction's, computed once,
+    so an Angle finds the equal Fraction's dict entry and vice versa.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __new__(cls, numerator=0, denominator=None):
-        if type(numerator) is cls and denominator is None:
-            return numerator  # already reduced; immutable, so safe to share
+        if denominator is None:
+            if type(numerator) is cls:
+                return numerator  # already reduced; immutable, so safe to share
+            if type(numerator) is Fraction:
+                q = numerator._denominator
+                return _angle(numerator._numerator % q, q)
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
         if isinstance(numerator, str) and not _RATIONAL.fullmatch(numerator.strip()):
             raise ValueError(f"angle must be an integer or p/q with q > 0: {numerator!r}")
-        value = Fraction(numerator, denominator) % 1
-        return super().__new__(cls, value)
+        value = Fraction(numerator, denominator)
+        q = value._denominator
+        return _angle(value._numerator % q, q)
 
     def __repr__(self) -> str:
         return f"Angle({self!s})"
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            # the numeric hash of n/q for n >= 0 (see "Hashing of numeric
+            # types" in the Python reference), as Fraction computes it
+            try:
+                h = hash(hash(self._numerator) * pow(self._denominator, -1, _HASH_MODULUS))
+            except ValueError:  # q is a multiple of the modulus
+                h = Fraction.__hash__(self)
+            self._hash = h
+        return h
+
+    # n/q and m/r are reduced with q, r > 0, so equality is equality of the
+    # pairs and n/q < m/r iff n*r < m*q.
+    def __eq__(self, other):
+        if type(other) is Angle:
+            return self._numerator == other._numerator and self._denominator == other._denominator
+        return Fraction.__eq__(self, other)
+
+    def __lt__(self, other):
+        if type(other) is Angle:
+            return self._numerator * other._denominator < other._numerator * self._denominator
+        return Fraction.__lt__(self, other)
+
+    def __le__(self, other):
+        if type(other) is Angle:
+            return self._numerator * other._denominator <= other._numerator * self._denominator
+        return Fraction.__le__(self, other)
+
+    def __gt__(self, other):
+        if type(other) is Angle:
+            return self._numerator * other._denominator > other._numerator * self._denominator
+        return Fraction.__gt__(self, other)
+
+    def __ge__(self, other):
+        if type(other) is Angle:
+            return self._numerator * other._denominator >= other._numerator * self._denominator
+        return Fraction.__ge__(self, other)
+
+
+def _angle(n: int, q: int) -> Angle:
+    """The Angle n/q for coprime ints with 0 <= n < q, built without checks.
+
+    Sets Fraction's two slots directly, as Python 3.12's
+    ``Fraction._from_coprime_ints`` does.
+    """
+    self = object.__new__(Angle)
+    self._numerator = n
+    self._denominator = q
+    self._hash = None
+    return self
 
 
 THIRD = Angle(1, 3)
@@ -83,12 +152,12 @@ class Arc:
         object.__setattr__(self, "end", end)
 
     @property
-    def length(self) -> Fraction:
-        return (self.end - self.start) % 1
+    def length(self) -> Angle:
+        return ccw_offset(self.start, self.end)
 
     def contains(self, x, closed: bool = False) -> bool:
         """Membership of ``x`` in the arc, open by default."""
-        t = (Fraction(x) - self.start) % 1
+        t = ccw_offset(self.start, x)
         if closed:
             return t <= self.length
         return 0 < t < self.length
@@ -97,30 +166,62 @@ class Arc:
         return f"({self.start}, {self.end})"
 
 
-def sigma(d: int, a) -> Angle:
-    """The angle d-tupling map a -> d*a mod 1."""
+def _check_degree(d) -> None:
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"degree must be an integer >= 2, got {d!r}")
-    return Angle(d * Fraction(a))
+
+
+def sigma(d: int, a) -> Angle:
+    """The angle d-tupling map a -> d*a mod 1."""
+    _check_degree(d)
+    a = Angle(a)
+    q = a._denominator
+    n = d * a._numerator % q
+    g = gcd(n, q)
+    return _angle(n // g, q // g)
 
 
 def sigma_power(d: int, a, n: int) -> Angle:
     """The n-th iterate of sigma(d, .), in closed form d**n * a mod 1."""
-    return Angle(d**n * Fraction(a))
+    _check_degree(d)
+    if n < 0:
+        raise ValueError(f"iterate count must be >= 0, got {n!r}")
+    a = Angle(a)
+    q = a._denominator
+    m = a._numerator * pow(d, n, q) % q
+    g = gcd(m, q)
+    return _angle(m // g, q // g)
 
 
 def preimages(d: int, a) -> list[Angle]:
     """The d preimages (a+k)/d of ``a`` under sigma(d, .), sorted ascending."""
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"degree must be an integer >= 2, got {d!r}")
+    _check_degree(d)
     a = Angle(a)
-    return [Angle((a + k) / d) for k in range(d)]
+    n, q = a._numerator, a._denominator
+    out = []
+    # n + k*q is prime to q, so gcd(n + k*q, d*q) = gcd(n + k*q, d)
+    for m in range(n, d * q, q):
+        g = gcd(m, d)
+        out.append(_angle(m // g, d * q // g))
+    return out
 
 
-def shortest_dist(a, b) -> Fraction:
+def ccw_offset(a, b) -> Angle:
+    """How far b lies counterclockwise of a: (b - a) mod 1, as an Angle."""
+    a, b = Angle(a), Angle(b)
+    n, q = a._numerator, a._denominator
+    m, r = b._numerator, b._denominator
+    qr = q * r
+    t = (m * q - n * r) % qr
+    g = gcd(t, qr)
+    return _angle(t // g, qr // g)
+
+
+def shortest_dist(a, b) -> Angle:
     """Length of the shortest circle arc joining a and b; lies in [0, 1/2]."""
-    t = (Fraction(b) - Fraction(a)) % 1
-    return min(t, 1 - t)
+    t = ccw_offset(a, b)
+    n, q = t._numerator, t._denominator
+    return t if 2 * n <= q else _angle(q - n, q)
 
 
 def circular_order(points) -> str:
@@ -135,7 +236,7 @@ def circular_order(points) -> str:
         raise ValueError("circular order needs at least three points")
     if len(set(pts)) != len(pts):
         raise ValueError("circular order needs pairwise distinct points")
-    offsets = [(p - pts[0]) % 1 for p in pts[1:]]
+    offsets = [ccw_offset(pts[0], p) for p in pts[1:]]
     if all(offsets[i] < offsets[i + 1] for i in range(len(offsets) - 1)):
         return POSITIVE
     if all(offsets[i] > offsets[i + 1] for i in range(len(offsets) - 1)):

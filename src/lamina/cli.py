@@ -1,7 +1,8 @@
 """Command line surface: build, qml, tags, verify, render.
 
-Exit codes: 0 success, 1 suite failure, 2 argument or input errors.  The
-environment variable LAMINA_SEED overrides --seed for the verify command.
+Exit codes: 0 success, 1 suite failure, 2 argument or input errors,
+including a file that cannot be read or written.  The environment variable
+LAMINA_SEED overrides --seed for the verify command.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def cmd_build(args) -> int:
     try:
         spec = parse_portrait(Path(args.portrait).read_text())
         lam = spec.build(args.depth)
-    except (OSError, ValueError, InconsistentPortrait) as exc:
+    except (ValueError, InconsistentPortrait) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write(args.out, lamination_text(lam))
@@ -153,12 +154,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.size <= 0:
+        print(f"error: --size must be > 0, got {args.size}", file=sys.stderr)
+        return 2
     try:
         lam = parse_lamination(Path(args.lamination).read_text())
         highlight = tuple(
             Chord.parse(tok) for tok in args.highlight.split(";") if tok.strip()
         )
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok, pair = check_unlinked(lam)
@@ -187,7 +191,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:  # an input file that cannot be read, an output that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

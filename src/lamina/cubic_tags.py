@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import THIRD, Angle, shortest_dist, sigma, preimages
+from .circle import THIRD, Angle, ccw_offset, shortest_dist, sigma, preimages
 from .chords import Chord, is_critical, linked
 from .lamination import (
     FiniteLamination,
@@ -84,7 +84,7 @@ class ConvexSet:
         out = []
         for i in range(len(v)):
             s, e = v[i], v[(i + 1) % len(v)]
-            out.append((s, e, (e - s) % 1))
+            out.append((s, e, ccw_offset(s, e)))
         return out
 
     def intersects(self, other: "ConvexSet") -> bool:
@@ -112,7 +112,7 @@ class ConvexSet:
 def _in_closed_arc(p, start, end, length) -> bool:
     if length >= 1:
         return True
-    return (p - start) % 1 <= length
+    return ccw_offset(start, p) <= length
 
 
 def cocritical_set(C: ConvexSet) -> ConvexSet:
@@ -398,17 +398,17 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
         for e in coc.edges:
             a, b = e.a, e.b
             for (s, t) in ((a, b), (b, a)):
-                arc_len = (t - s) % 1
+                arc_len = ccw_offset(s, t)
                 others = set(coc.vertices) - {s, t}
-                if any(0 < (p - s) % 1 < arc_len for p in others):
+                if any(0 < ccw_offset(s, p) < arc_len for p in others):
                     continue  # not the hole behind this edge
-                if any(0 < (p - s) % 1 < arc_len for p in cset):
+                if any(0 < ccw_offset(s, p) < arc_len for p in cset):
                     continue  # hole meets the critical set
                 if arc_len > THIRD:
                     report.colocation_failures.append((str(C), str(e), "arc longer than 1/3"))
-                img_span = (sigma(3, s) - sigma(3, t)) % 1
+                img_span = ccw_offset(sigma(3, t), sigma(3, s))
                 for w in D.image(3).vertices:
-                    if (w - sigma(3, t)) % 1 > img_span:
+                    if ccw_offset(sigma(3, t), w) > img_span:
                         report.colocation_failures.append(
                             (str(C), str(e), f"minor vertex {w} escapes the image arc")
                         )

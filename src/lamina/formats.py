@@ -33,7 +33,11 @@ def lamination_text(lam: FiniteLamination) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _degree(line: str) -> int:
+def _degree(line: str, seen) -> int:
+    """The value of a ``degree d`` header line; ``seen`` is the degree read
+    so far (None before the first header)."""
+    if seen is not None:
+        raise ValueError(f"duplicate degree header {line!r} after degree {seen}")
     parts = line.split()
     if len(parts) != 2:
         raise ValueError(f"degree header needs exactly one value: {line!r}")
@@ -48,7 +52,7 @@ def parse_lamination(text: str) -> FiniteLamination:
         if not line:
             continue
         if line.startswith("degree"):
-            degree = _degree(line)
+            degree = _degree(line, degree)
             continue
         if degree is None:
             raise ValueError("lamination file must start with a degree header")
@@ -129,7 +133,7 @@ def parse_portrait(text: str) -> PortraitSpec:
             continue
         parts = line.split()
         if parts[0] == "degree":
-            degree = _degree(line)
+            degree = _degree(line, degree)
             continue
         if degree is None:
             raise ValueError("portrait file must start with a degree header")

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import Angle, Arc, sigma, shortest_dist
+from .circle import Angle, Arc, ccw_offset, preimages, sigma, shortest_dist
 from .chords import (
     Chord,
     chord_image,
@@ -42,6 +42,7 @@ __all__ = [
     "sector_partition",
     "critical_analysis",
     "prune_isolated",
+    "MAX_PULLBACK_LEAVES",
 ]
 
 
@@ -172,6 +173,9 @@ def check_unlinked(lam: FiniteLamination):
     return True, None
 
 
+_ZERO = Angle(0)
+
+
 def _face_walk(leaves):
     """Faces of the disk subdivision induced by pairwise unlinked chords.
 
@@ -190,16 +194,18 @@ def _face_walk(leaves):
     # t = (w - v) mod 1; the counterclockwise arc leaves at t -> 0+.
     out_sorted = {}
     for v in points:
-        cands = [((w - v) % 1, ("chord", v, w)) for w in chords_at[v]]
-        cands.append((Fraction(0), ("arc", v, succ[v])))
+        cands = [(ccw_offset(v, w), ("chord", v, w)) for w in chords_at[v]]
+        cands.append((_ZERO, ("arc", v, succ[v])))
         cands.sort(key=lambda x: x[0])
         out_sorted[v] = cands
 
     def next_edge(edge):
         kind, u, v = edge
-        # parameter of the reversed edge at v; arcs arrive along the circle,
-        # so their reverse points clockwise (parameter 1)
-        t_rev = (u - v) % 1 if kind == "chord" else Fraction(1)
+        if kind == "arc":
+            # arcs arrive along the circle, so their reverse points clockwise
+            # (parameter 1) and every outgoing candidate precedes it
+            return out_sorted[v][-1][1]
+        t_rev = ccw_offset(v, u)
         best = None
         for t, cand in out_sorted[v]:
             if t < t_rev:
@@ -335,29 +341,30 @@ class _Sector:
     which belong to the closure only.
     """
 
-    __slots__ = ("arcs", "corners")
+    __slots__ = ("arcs", "corners", "_spans")
 
     def __init__(self, arcs, corners=()):
         self.arcs = tuple(arcs)
         self.corners = frozenset(corners)
+        self._spans = tuple((s, ccw_offset(s, e)) for s, e in self.arcs)
 
     def contains(self, p) -> bool:
-        for s, e in self.arcs:
-            if (p - s) % 1 < (e - s) % 1:
+        for s, length in self._spans:
+            if ccw_offset(s, p) < length:
                 return True
         return False
 
     def contains_closed(self, p) -> bool:
         if p in self.corners:
             return True
-        for s, e in self.arcs:
-            if (p - s) % 1 <= (e - s) % 1:
+        for s, length in self._spans:
+            if ccw_offset(s, p) <= length:
                 return True
         return False
 
     @property
     def measure(self) -> Fraction:
-        return sum(((e - s) % 1 for s, e in self.arcs), Fraction(0))
+        return sum((length for _, length in self._spans), Fraction(0))
 
 
 def sector_partition(d: int, critical_chords) -> list[_Sector]:
@@ -390,8 +397,7 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
 
 
 def _preimage_in(d: int, p: Angle, sector: _Sector) -> Angle:
-    for k in range(d):
-        q = Angle((p + k) / d)
+    for q in preimages(d, p):
         if sector.contains(q):
             return q
     raise AssertionError(f"no preimage of {p} in sector {sector.arcs}")
@@ -400,13 +406,16 @@ def _preimage_in(d: int, p: Angle, sector: _Sector) -> Angle:
 def _preimage_candidates(d: int, p: Angle, sector: _Sector) -> list[Angle]:
     """Preimages of p in the closed sector, half-open-assigned ones first."""
     preferred, closure_only = [], []
-    for k in range(d):
-        q = Angle((p + k) / d)
+    for q in preimages(d, p):
         if sector.contains(q):
             preferred.append(q)
         elif sector.contains_closed(q):
             closure_only.append(q)
     return preferred + sorted(closure_only)
+
+
+# pullback_build refuses a depth at which the leaf count could pass this
+MAX_PULLBACK_LEAVES = 1_000_000
 
 
 def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLamination:
@@ -430,7 +439,9 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 
     Raises InconsistentPortrait when the forward orbit of a portrait chord
     crosses itself, another portrait chord's orbit or a sector chord, and
-    ValueError when ``depth`` is not a non-negative int.
+    ValueError when ``depth`` is not a non-negative int or when the leaf
+    bound |gen0| * (d**(depth+1) - 1) / (d - 1) (every leaf pulls back to d
+    leaves per generation) exceeds MAX_PULLBACK_LEAVES.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
@@ -452,6 +463,15 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                 generations.setdefault(leaf, 0)
 
     gen0 = sorted(generations)
+    if gen0:
+        # past depth 64 d**depth alone is over the limit; do not form it
+        bound = len(gen0) * (d ** (min(depth, 64) + 1) - 1) // (d - 1)
+        if bound > MAX_PULLBACK_LEAVES:
+            at_least = "" if depth <= 64 else "at least "
+            raise ValueError(
+                f"depth {depth} could build {at_least}{bound} leaves from {len(gen0)} "
+                f"generation-0 leaves; the limit is {MAX_PULLBACK_LEAVES}"
+            )
     ok, pair = check_unlinked(FiniteLamination(d, gen0 + sector_chords))
     if not ok:
         raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
@@ -527,6 +547,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 
     current = gen0
     for g in range(1, depth + 1):
+        if not current:
+            break  # nothing left to pull back (an empty portrait, say)
         new: list[Chord] = []
         for leaf in current:
             pull_leaf(leaf, g, new)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import THIRD, Angle, Arc, preimages
+from .circle import THIRD, Angle, Arc, ccw_offset, preimages
 from .chords import Chord, chord_image, linked
 from .lamination import FiniteLamination, check_unlinked, orbit_classify, pullback_build
 
@@ -89,7 +89,7 @@ def strip_between(c1: Chord, c2: Chord) -> Strip:
     # from its start and meet the nearer endpoint of c2 first
     start = c1.a if c1.a < c2.a < c1.b else c1.b
     end = c1.b if start == c1.a else c1.a
-    x, y = sorted(c2.endpoints, key=lambda p: (p - start) % 1)
+    x, y = sorted(c2.endpoints, key=lambda p: ccw_offset(start, p))
     return Strip(c1, c2, Arc(start, x), Arc(y, end), False)
 
 
@@ -102,7 +102,7 @@ def critical_strip(c: Chord) -> Strip:
         return Strip(half, half, None, None, True)
     if c.length >= THIRD:
         raise ValueError(f"critical strip needs length < 1/3, got {c.length}")
-    if (c.b - c.a) % 1 <= Fraction(1, 2):
+    if ccw_offset(c.a, c.b) <= Fraction(1, 2):
         u, v = c.a, c.b
     else:
         u, v = c.b, c.a

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .chords import Chord
+from .circle import ccw_offset
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -64,7 +65,7 @@ class _Canvas:
 def _geodesic_path(canvas: _Canvas, chord: Chord, straight: bool) -> str:
     a, b = chord.a, chord.b
     p1 = canvas.svg_xy(a)
-    if straight or (b - a) % 1 == Fraction(1, 2):
+    if straight or ccw_offset(a, b) == Fraction(1, 2):
         return f"M {p1} L {canvas.svg_xy(b)}"
     A = canvas.point(a)
     B = canvas.point(b)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import THIRD, Angle, cyclic_descents, sigma_power
+from .circle import THIRD, Angle, ccw_offset, cyclic_descents, sigma_power
 from .chords import Chord, chord_image, linked
 from .lamination import (
     FiniteLamination,
@@ -168,7 +168,7 @@ def _quad_portrait(rng: Lcg):
     for _ in range(64):
         x = rng.preperiodic_cubic_angle()
         y = rng.preperiodic_cubic_angle()
-        if not 0 < (y - x) % 1 < THIRD:
+        if not 0 < ccw_offset(x, y) < THIRD:
             continue
         quad = ConvexSet.of(
             [Angle(x + THIRD), Angle(y + THIRD), Angle(x + 2 * THIRD), Angle(y + 2 * THIRD)]
@@ -177,11 +177,11 @@ def _quad_portrait(rng: Lcg):
         spike = Chord(Angle(x + THIRD), Angle(x + 2 * THIRD))
         # second critical chord inside the hole (y + 2/3, x + 1/3)
         hole_start = Angle(y + 2 * THIRD)
-        hole_len = (Angle(x + THIRD) - hole_start) % 1
+        hole_len = ccw_offset(hole_start, x + THIRD)
         for _ in range(32):
             b = rng.preperiodic_cubic_angle()
             t = Angle(b + THIRD)
-            if 0 < (b - hole_start) % 1 < hole_len and 0 < (t - hole_start) % 1 < hole_len:
+            if 0 < ccw_offset(hole_start, b) < hole_len and 0 < ccw_offset(hole_start, t) < hole_len:
                 second = Chord(b, t)
                 if any(linked(second, e) for e in edges):
                     continue

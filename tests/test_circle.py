@@ -1,3 +1,7 @@
+import copy
+import operator
+import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +13,7 @@ from lamina.circle import (
     NEGATIVE,
     NEITHER,
     POSITIVE,
+    ccw_offset,
     circular_order,
     in_arc,
     preimages,
@@ -133,3 +138,96 @@ def test_circular_order_rotation_invariance(points, shift):
     k = shift % len(points)
     rotated = points[k:] + points[:k]
     assert circular_order(rotated) == verdict
+
+
+# Oracle tests: the integer kernel against plain Fraction arithmetic.
+
+big_angles = st.integers(min_value=1, max_value=10**12).flatmap(
+    lambda q: st.builds(Angle, st.integers(min_value=0, max_value=q - 1), st.just(q))
+)
+degrees = st.integers(min_value=2, max_value=6)
+rationals = st.builds(
+    Fraction, st.integers(min_value=-(10**12), max_value=10**12), st.integers(min_value=1, max_value=10**12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_angles, degrees, st.integers(min_value=0, max_value=40))
+def test_sigma_kernel_matches_fraction(a, d, n):
+    image = sigma(d, a)
+    assert type(image) is Angle and image == Angle(d * Fraction(a))
+    power = sigma_power(d, a, n)
+    assert type(power) is Angle and power == Angle(d**n * Fraction(a))
+    assert (power.numerator, power.denominator) == (Fraction(d**n * a) % 1).as_integer_ratio()
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_angles, degrees)
+def test_preimages_kernel_matches_fraction(a, d):
+    pre = preimages(d, a)
+    assert pre == [Angle((a + k) / d) for k in range(d)]
+    assert all(type(p) is Angle for p in pre)
+    assert [p.as_integer_ratio() for p in pre] == [((a + k) / d).as_integer_ratio() for k in range(d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_angles, big_angles)
+def test_ccw_offset_matches_fraction(a, b):
+    t = ccw_offset(a, b)
+    assert type(t) is Angle and t == (b - a) % 1
+    assert t.as_integer_ratio() == ((b - a) % 1).as_integer_ratio()
+    assert ccw_offset(a, a) == 0
+
+
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big_angles, st.one_of(big_angles, rationals, st.integers(min_value=-3, max_value=3)))
+def test_angle_comparisons_match_fraction(a, other):
+    # the other operand as drawn (Angle, Fraction or int), as a Fraction,
+    # and an equal Angle built separately
+    twin = Angle(a.numerator, a.denominator)
+    for op in COMPARISONS:
+        assert op(a, other) == op(Fraction(a), Fraction(other))
+        assert op(other, a) == op(Fraction(other), Fraction(a))
+        assert op(a, Fraction(other)) == op(Fraction(a), Fraction(other))
+        assert op(a, twin) == op(Fraction(a), Fraction(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(big_angles, rationals))
+def test_angle_hash_matches_fraction(x):
+    a = Angle(x)
+    assert hash(a) == hash(Fraction(a)) == hash(a)
+    assert {Fraction(a): "found"}[a] == "found"
+    assert {a: "found"}[Fraction(a)] == "found"
+
+
+def test_angle_finds_fraction_dict_key():
+    table = {Fraction(1, 3): "third", 0: "zero"}
+    assert table[Angle(1, 3)] == "third"
+    assert table[Angle(4, 3)] == "third"
+    assert table[Angle(0)] == "zero"
+    assert Angle(1, 3) in {Fraction(1, 3)} and Fraction(2, 3) in {Angle(-1, 3)}
+    # a denominator divisible by the hash modulus takes Fraction's other branch
+    m = sys.hash_info.modulus
+    assert hash(Angle(1, m)) == hash(Fraction(1, m)) and hash(Angle(5, 2 * m)) == hash(Fraction(5, 2 * m))
+
+
+@pytest.mark.parametrize("a", [Angle(0), Angle(1, 3), Angle(999999999989, 10**12)])
+def test_angle_pickle_and_copy_round_trip(a):
+    hash(a)  # fill the cached hash first
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is Angle and b == a and hash(b) == hash(a)
+        assert b.as_integer_ratio() == a.as_integer_ratio()
+
+
+def test_fraction_slot_layout():
+    # _angle and the comparisons read and write these slots directly
+    assert "_numerator" in Fraction.__slots__ and "_denominator" in Fraction.__slots__
+
+
+def test_sigma_power_rejects_negative_count():
+    with pytest.raises(ValueError):
+        sigma_power(2, Angle(1, 7), -1)

@@ -227,3 +227,72 @@ def test_cli_render_rejects_crossing_leaves(tmp_path, capsys):
     assert main(["render", "--lamination", str(lam), "--out", str(out)]) == 2
     assert not out.exists()
     assert "1/4 2/5 x 1/3 1/2" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_build_unwritable_out(tmp_path, capsys):
+    portrait = tmp_path / "rabbit.portrait"
+    portrait.write_text(RABBIT)
+    out = tmp_path / "missing" / "x.lam"
+    assert main(["build", "--portrait", str(portrait), "--depth", "2", "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_cli_qml_unwritable_out(tmp_path, capsys, flag):
+    assert main(["qml", "--period", "3", flag, str(tmp_path / "missing" / "x")]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_cli_render_unwritable_out(tmp_path, capsys):
+    lam = tmp_path / "rabbit.lam"
+    lam.write_text("degree 2\n1/7 2/7\n")
+    assert main(["render", "--lamination", str(lam), "--out", str(tmp_path / "missing" / "x.svg")]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_cli_tags_unwritable_out_and_figures(tmp_path, capsys):
+    d = tmp_path / "portraits"
+    d.mkdir()
+    (d / "a.portrait").write_text("degree 3\nleaf 0 1/3\nleaf 1/2 5/6\n")
+    assert main(["tags", "--portraits", str(d), "--depth", "1", "--out", str(tmp_path / "missing" / "t.txt")]) == 2
+    assert _one_error_line(capsys)
+    a_file = tmp_path / "not_a_dir"
+    a_file.write_text("")
+    assert main(["tags", "--portraits", str(d), "--depth", "1", "--out", str(tmp_path / "t.txt"),
+                 "--figures", str(a_file)]) == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_cli_render_rejects_nonpositive_size(tmp_path, capsys, size):
+    lam = tmp_path / "rabbit.lam"
+    lam.write_text("degree 2\n1/7 2/7\n")
+    out = tmp_path / "x.svg"
+    assert main(["render", "--lamination", str(lam), "--out", str(out), "--size", size]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_duplicate_degree_header_is_a_value_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="duplicate degree header"):
+        parse_lamination("degree 2\n1/3 2/3\ndegree 3\n")
+    with pytest.raises(ValueError, match="duplicate degree header"):
+        parse_portrait("degree 2\nquad 1/14 1/7 4/7 9/14\ndegree 3\n")
+    lam = tmp_path / "twice.lam"
+    lam.write_text("degree 2\n1/3 2/3\ndegree 3\n")
+    assert main(["render", "--lamination", str(lam), "--out", str(tmp_path / "x.svg")]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_cli_build_refuses_huge_depth(tmp_path, capsys):
+    portrait = tmp_path / "rabbit.portrait"
+    portrait.write_text(RABBIT)
+    assert main(["build", "--portrait", str(portrait), "--depth", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "limit is 1000000" in captured.err

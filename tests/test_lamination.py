@@ -194,6 +194,23 @@ def test_pullback_rejects_bad_depth(depth):
         pullback_build(3, TRIANGLE, depth)
 
 
+def test_pullback_refuses_depth_over_leaf_bound(monkeypatch):
+    n0 = len(pullback_build(2, RABBIT_QUAD, 0, sectors=RABBIT_SPIKE))
+    # n0 * (2**(depth+1) - 1): every leaf has two pullbacks per generation
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", n0 * (2**4 - 1))
+    assert len(pullback_build(2, RABBIT_QUAD, 3, sectors=RABBIT_SPIKE)) <= n0 * (2**4 - 1)
+    with pytest.raises(ValueError, match=f"could build {n0 * (2**5 - 1)} leaves"):
+        pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"could build {n0 * (2**41 - 1)} leaves"):
+        pullback_build(2, RABBIT_QUAD, 40, sectors=RABBIT_SPIKE)
+    # no d**depth is formed for an absurd depth
+    with pytest.raises(ValueError, match="at least"):
+        pullback_build(2, RABBIT_QUAD, 10**12, sectors=RABBIT_SPIKE)
+    # the bound of an empty portrait is 0, and its generations end at once
+    assert len(pullback_build(2, [], 10**12, sectors=RABBIT_SPIKE)) == 0
+
+
 def test_pullback_rejects_incomplete_sectors():
     with pytest.raises(InconsistentPortrait):
         pullback_build(3, [C(0, 1, 1, 3)], 2)
