@@ -4,7 +4,10 @@ The accordion of an axis chord collects the leaves of another lamination
 (or of a chord's forward orbit) crossing it.  For mutually order-preserving
 linked pairs the possible exact patterns are rigid: one extra crossing leaf
 (periodic flip or four disjoint endpoint orbits), two crossing images, or a
-periodic polygon swept out by the pair's convex hull.  Smart-criticality
+periodic polygon swept out by the pair's convex hull.  Order preservation
+puts both chords on one integer ring mod N, the common denominator of their
+endpoints, and follows the two orbits there as int pairs; the ``compgap``
+suite calls the same ring primitives.  Smart-criticality
 helpers pick full spike collections unlinked with a given leaf and detect
 collapses around chains of spikes.
 """
@@ -15,8 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circle import Angle, ccw_offset, cyclic_descents, sigma, sigma_power
-from .chords import Chord, chord_image, is_critical, linked, validate_collection
+from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
+from .chords import Chord, is_critical, linked, validate_collection
 from .lamination import FiniteLamination, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
 
@@ -144,26 +147,45 @@ def _positively_ordered_images(points, images) -> bool:
     return n <= 2 or cyclic_descents(images) == 1
 
 
-def _one_sided_order_preserving(d: int, axis: Chord, other: Chord) -> bool:
-    info_a = orbit_classify(d, axis)
-    info_b = orbit_classify(d, other)
-    # (pre)critical leaves never have order preserving accordions
-    if any(c.degenerate for c in info_a.orbit if isinstance(c, Chord)):
+def _ring_orbit(d: int, N: int, a: int, b: int):
+    """Forward orbit of the chord {a/N, b/N} to closure, as sorted int
+    pairs; None once an image is degenerate, since (pre)critical leaves
+    never have order preserving accordions."""
+    c = (a, b) if a < b else (b, a)
+    orbit = []
+    seen = set()
+    while c not in seen:
+        if c[0] == c[1]:
+            return None
+        seen.add(c)
+        orbit.append(c)
+        x, y = d * c[0] % N, d * c[1] % N
+        c = (x, y) if x < y else (y, x)
+    return orbit
+
+
+def _ring_linked(c1, c2) -> bool:
+    """``linked`` for sorted int pairs on one ring (see ``chords.linked``)."""
+    a, b = c1
+    x, y = c2
+    if a == x or b == y:
         return False
-    if any(c.degenerate for c in info_b.orbit if isinstance(c, Chord)):
-        return False
-    orbit_b = [c for c in info_b.orbit if isinstance(c, Chord)]
-    axis_k = axis
-    for _ in range(info_a.closes_at):
-        pts = set(axis_k.endpoints)
-        for c in orbit_b:
-            if linked(c, axis_k):
-                pts.update(c.endpoints)
-        pts = sorted(pts)
-        images = [sigma(d, p) for p in pts]
-        if not _positively_ordered_images(pts, images):
-            return False
-        axis_k = chord_image(d, axis_k)
+    return (a < x < b) != (a < y < b)
+
+
+def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
+    """Mutual order preservation of two chord orbits on the ring mod N:
+    sigma_d is injective and positively order preserving on the accordion of
+    each chord of either orbit with respect to the other orbit."""
+    for axes, others in ((o1, o2), (o2, o1)):
+        for ax in axes:
+            pts = set(ax)
+            for c in others:
+                if _ring_linked(ax, c):
+                    pts.update(c)
+            pts = sorted(pts)
+            if not _positively_ordered_images(pts, [d * p % N for p in pts]):
+                return False
     return True
 
 
@@ -171,10 +193,14 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     """Mutual order preservation: at every step, sigma_d is injective and
     positively order preserving on the accordion of each chord's image with
     respect to the other's forward orbit.  Exact for rational data (orbits
-    close)."""
+    close); both orbits are followed on one integer ring."""
+    _check_degree(d)
     if not linked(l1, l2):
         raise ValueError("order preserving accordions are defined for linked chords")
-    return _one_sided_order_preserving(d, l1, l2) and _one_sided_order_preserving(d, l2, l1)
+    N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
+    o1 = _ring_orbit(d, N, a1, b1)
+    o2 = _ring_orbit(d, N, a2, b2)
+    return o1 is not None and o2 is not None and _order_preserving_ring(d, N, o1, o2)
 
 
 # ---------------------------------------------------------------------------

@@ -82,15 +82,15 @@ def linked(c1: Chord, c2: Chord) -> bool:
 
     Degenerate chords never link; chords sharing an endpoint never link.
     """
-    if c1.degenerate or c2.degenerate:
-        return False
-    if c1 == c2:
-        return False
-    if c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b):
-        return False
+    a, b = c1.a, c1.b
+    x, y = c2.a, c2.b
     # endpoints interleave iff exactly one endpoint of c2 lies in the open
-    # interval (c1.a, c1.b) of the canonical ordering
-    return (c1.a < c2.a < c1.b) != (c1.a < c2.b < c1.b)
+    # interval (a, b).  Chords are stored with a <= b and x <= y, so that is
+    # already False for degenerate chords and when a == y or b == x; equal
+    # chords and the other touching ones share a first or a second endpoint.
+    if a == x or b == y:
+        return False
+    return (a < x < b) != (a < y < b)
 
 
 def chord_image(d: int, c: Chord) -> Chord:

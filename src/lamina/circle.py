@@ -9,6 +9,8 @@ through Fraction's generic arithmetic: construction of a known-reduced
 value (``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
+Loops that follow whole orbits go one step further: ``_ring`` puts their
+angles on one integer ring mod N, where no Angle is built at all.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Angle",
@@ -204,6 +206,19 @@ def preimages(d: int, a) -> list[Angle]:
         g = gcd(m, d)
         out.append(_angle(m // g, d * q // g))
     return out
+
+
+def _ring(angles) -> tuple[int, list[int]]:
+    """Put Angles on one ring: their common denominator N and each angle's
+    numerator over N.
+
+    sigma_d never enlarges a denominator, so the forward orbits of the
+    angles stay in (1/N)Z/Z, where sigma_d is ``d*x % N`` and the circle
+    order is the order of the ints.
+    """
+    angles = [Angle(a) for a in angles]
+    N = lcm(*(a._denominator for a in angles))
+    return N, [a._numerator * (N // a._denominator) for a in angles]
 
 
 def ccw_offset(a, b) -> Angle:

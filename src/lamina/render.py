@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .chords import Chord
-from .circle import ccw_offset
+from .circle import Angle, shortest_dist
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -35,6 +35,14 @@ class RenderSpec:
     geodesic_style: str = "hyperbolic"  # or "straight"
     labels: bool = False
     highlight: tuple = field(default_factory=tuple)
+
+
+# A chord at least this long, within 1e-14 of a diameter, bows away from
+# the straight segment by less than 1e-14 of the canvas size, below what
+# the 12 significant digits of an emitted coordinate can show; it is drawn
+# straight.  Nearer chords would also leave 1 + dot, the denominator of the
+# arc centre, at the rounding level of 30-digit evaluation.
+_STRAIGHT_FROM = Angle(Fraction(1, 2) - Fraction(1, 10**14))
 
 
 def _fmt(x) -> str:
@@ -65,7 +73,7 @@ class _Canvas:
 def _geodesic_path(canvas: _Canvas, chord: Chord, straight: bool) -> str:
     a, b = chord.a, chord.b
     p1 = canvas.svg_xy(a)
-    if straight or ccw_offset(a, b) == Fraction(1, 2):
+    if straight or shortest_dist(a, b) >= _STRAIGHT_FROM:
         return f"M {p1} L {canvas.svg_xy(b)}"
     A = canvas.point(a)
     B = canvas.point(b)

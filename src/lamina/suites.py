@@ -25,7 +25,13 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import accordion, compgap_analyze
+from .accordion import (
+    _order_preserving_ring,
+    _ring_linked,
+    _ring_orbit,
+    accordion,
+    compgap_analyze,
+)
 from .cubic_tags import (
     ConvexSet,
     FullPortrait,
@@ -375,21 +381,8 @@ def _compgap_universe(kmax: int):
         step = N // q
         pts.update(j * step for j in range(q))
     pts = sorted(pts)
-    period = {}
-    for p in pts:
-        x, n = 3 * p % N, 1
-        while x != p:
-            x, n = 3 * x % N, n + 1
-        period[p] = n
+    period = {p: orbit_classify(3, Angle(p, N)).period for p in pts}
     return N, pts, period
-
-
-def _linked_int(c1, c2) -> bool:
-    a, b = c1
-    x, y = c2
-    if a in c2 or b in c2:
-        return False
-    return (a < x < b) != (a < y < b)
 
 
 def _survivor_pairs(kmax: int):
@@ -397,56 +390,26 @@ def _survivor_pairs(kmax: int):
     dividing 3^k - 1, k <= kmax) with mutually order preserving accordions,
     via integer arithmetic modulo the common denominator."""
     N, pts, period = _compgap_universe(kmax)
-    candidates = [
-        (a, b)
-        for i, a in enumerate(pts)
-        for b in pts[i + 1 :]
-        if period[a] == period[b]
-    ]
     # leaf-eligible chords: equal endpoint periods and a pairwise unlinked
     # forward orbit (leaves of an invariant lamination satisfy both)
-    chords = []
     orbit = {}
-    for c in candidates:
-        o = [c]
-        x = c
-        while True:
-            x = tuple(sorted(((3 * x[0]) % N, (3 * x[1]) % N)))
-            if x == c:
-                break
-            o.append(x)
-        if any(
-            _linked_int(o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o))
-        ):
-            continue
-        chords.append(c)
-        orbit[c] = o
-
-    def one_sided(axis, other):
-        oo = orbit[other]
-        for ax in orbit[axis]:
-            pset = set(ax)
-            for c in oo:
-                if _linked_int(ax, c):
-                    pset.update(c)
-            pl = sorted(pset)
-            im = [3 * p % N for p in pl]
-            if len(set(im)) != len(im):
-                return False
-            if len(pl) > 2 and cyclic_descents(im) != 1:
-                return False
-        return True
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            if period[a] != period[b]:
+                continue
+            o = _ring_orbit(3, N, a, b)
+            if not any(_ring_linked(u, v) for k, u in enumerate(o) for v in o[k + 1 :]):
+                orbit[a, b] = o
+    chords = list(orbit)
 
     survivors = []
     nlinked = 0
-    for i in range(len(chords)):
-        c1 = chords[i]
-        for j in range(i + 1, len(chords)):
-            c2 = chords[j]
-            if not _linked_int(c1, c2):
+    for i, c1 in enumerate(chords):
+        for c2 in chords[i + 1 :]:
+            if not _ring_linked(c1, c2):
                 continue
             nlinked += 1
-            if one_sided(c1, c2) and one_sided(c2, c1):
+            if _order_preserving_ring(3, N, orbit[c1], orbit[c2]):
                 survivors.append((c1, c2))
     return N, nlinked, survivors
 

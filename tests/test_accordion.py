@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lamina.circle import Angle, sigma
+from lamina.circle import POSITIVE, Angle, circular_order, sigma
 from lamina.chords import Chord, chord_image, linked
 from lamina.lamination import FiniteLamination, orbit_classify, pullback_build
 from lamina.qc_portrait import QcPortrait, make_quadrilateral
@@ -19,6 +20,7 @@ from lamina.accordion import (
     detect_collapse,
     order_preserving_accordions,
 )
+from lamina.suites import _compgap_universe, _survivor_pairs
 
 A = Angle
 
@@ -77,6 +79,101 @@ def test_order_preserving_examples():
     assert not order_preserving_accordions(3, C(0, 1, 1, 3), C(1, 4, 2, 4))
     with pytest.raises(ValueError):
         order_preserving_accordions(3, C(0, 1, 1, 8), C(1, 2, 3, 4))
+
+
+def _one_sided_oracle(d, axis, other):
+    """Reference on Chords: both orbits followed with orbit_classify and
+    chord_image, the circular order of each accordion's images read from
+    ccw offsets."""
+    info_a = orbit_classify(d, axis)
+    info_b = orbit_classify(d, other)
+    # (pre)critical leaves never have order preserving accordions
+    if any(c.degenerate for c in info_a.orbit + info_b.orbit):
+        return False
+    axis_k = axis
+    for _ in range(info_a.closes_at):
+        pts = set(axis_k.endpoints)
+        for c in info_b.orbit:
+            if linked(c, axis_k):
+                pts.update(c.endpoints)
+        images = [sigma(d, p) for p in sorted(pts)]
+        if len(set(images)) != len(pts):
+            return False
+        if len(images) >= 3 and circular_order(images) != POSITIVE:
+            return False
+        axis_k = chord_image(d, axis_k)
+    return True
+
+
+def _order_preserving_oracle(d, l1, l2):
+    return _one_sided_oracle(d, l1, l2) and _one_sided_oracle(d, l2, l1)
+
+
+# circle points with periodic denominators d^k - 1 (k <= 3) and preperiodic
+# ones d^j (d^k - 1) (j, k <= 2); 8-28% of the linked pairs drawn from them
+# reach a critical chord
+_POINTS = {
+    d: sorted(
+        {
+            Angle(n, q)
+            for q in [d**k - 1 for k in (1, 2, 3)] + [d**j * (d**k - 1) for k in (1, 2) for j in (1, 2)]
+            for n in range(q)
+        }
+    )
+    for d in (2, 3, 4)
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_order_preserving_accordions_agrees_with_chord_oracle(d, data):
+    pts = data.draw(st.lists(st.sampled_from(_POINTS[d]), min_size=4, max_size=4, unique=True))
+    p0, p1, p2, p3 = sorted(pts)
+    l1, l2 = Chord(p0, p2), Chord(p1, p3)
+    assert order_preserving_accordions(d, l1, l2) == _order_preserving_oracle(d, l1, l2)
+    assert order_preserving_accordions(d, l2, l1) == order_preserving_accordions(d, l1, l2)
+
+
+@pytest.mark.parametrize(
+    "d, denominators, survivors",
+    [(3, (2, 8), 6), (3, (2, 8, 6, 24), 34), (4, (3, 15), 135), (2, (3, 7, 15), 2)],
+)
+def test_order_preserving_accordions_exhaustive(d, denominators, survivors):
+    pts = sorted({Angle(n, q) for q in denominators for n in range(q)})
+    chords = [Chord(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+    pairs = [(u, v) for i, u in enumerate(chords) for v in chords[i + 1 :] if linked(u, v)]
+    found = [(u, v) for u, v in pairs if order_preserving_accordions(d, u, v)]
+    assert found == [(u, v) for u, v in pairs if _order_preserving_oracle(d, u, v)]
+    assert len(found) == survivors
+
+
+def test_compgap_survivors_on_small_universe_match_oracle():
+    N, pts, _ = _compgap_universe(2)
+    # leaf-eligible chords: equal endpoint periods, pairwise unlinked orbit
+    eligible = []
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            c = Chord(Angle(a, N), Angle(b, N))
+            orbit = orbit_classify(3, c).orbit
+            if orbit_classify(3, c.a).period != orbit_classify(3, c.b).period:
+                continue
+            if not any(linked(x, y) for k, x in enumerate(orbit) for y in orbit[k + 1 :]):
+                eligible.append(c)
+    pairs = [(u, v) for i, u in enumerate(eligible) for v in eligible[i + 1 :] if linked(u, v)]
+    ring_n, nlinked, survivors = _survivor_pairs(2)
+    found = [
+        (Chord(Angle(a1, ring_n), Angle(b1, ring_n)), Chord(Angle(a2, ring_n), Angle(b2, ring_n)))
+        for (a1, b1), (a2, b2) in survivors
+    ]
+    assert nlinked == len(pairs)
+    assert found == [(u, v) for u, v in pairs if _order_preserving_oracle(3, u, v)]
+    assert found
+
+
+@pytest.mark.parametrize("d", [1, 0, 2.0])
+def test_order_preserving_accordions_rejects_bad_degree(d):
+    with pytest.raises(ValueError):
+        order_preserving_accordions(d, C(1, 8, 3, 8), C(1, 4, 3, 4))
 
 
 def test_choose_unlinked_spikes():

@@ -42,6 +42,29 @@ def test_linked_is_symmetric_on_samples():
             assert linked(c1, c2) == linked(c2, c1)
 
 
+def _linked_oracle(c1, c2):
+    """Reference for ``linked``: one rule per kind of non-crossing."""
+    if c1.degenerate or c2.degenerate:
+        return False
+    if c1 == c2:
+        return False
+    if c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b):
+        return False
+    return (c1.a < c2.a < c1.b) != (c1.a < c2.b < c1.b)
+
+
+# small denominators, so equal, touching and degenerate chords are common
+_angles = st.builds(lambda q, n: A(n % q, q), st.integers(1, 12), st.integers(0, 11))
+_chords = st.builds(Chord, _angles, _angles)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_chords, _chords)
+def test_linked_agrees_with_oracle(c1, c2):
+    assert linked(c1, c2) == _linked_oracle(c1, c2)
+    assert linked(c1, c1) is False
+
+
 def test_image_and_criticality():
     assert is_critical(3, C(0, 1, 1, 3))
     assert chord_image(3, C(342, 728, 579, 728)) == C(149, 364, 281, 728)

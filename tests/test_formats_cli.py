@@ -71,6 +71,21 @@ def test_cli_build_and_render(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+_Q = 3 * 10**50 + 1
+
+
+@pytest.mark.parametrize("leaf", [f"1/{_Q} 1/2", f"{_Q - 1}/{_Q} 1/2"])
+def test_cli_renders_near_diameter_straight(tmp_path, leaf):
+    # 1e-50 from a diameter: 1 + dot rounds to 0 at 30 digits, so the chord
+    # must be drawn straight instead of failing on the arc centre
+    lam = tmp_path / "near.lam"
+    lam.write_text(f"degree 2\n{leaf}\n")
+    svg = tmp_path / "near.svg"
+    assert main(["render", "--lamination", str(lam), "--out", str(svg)]) == 0
+    paths = [line for line in svg.read_text().splitlines() if "<path" in line]
+    assert len(paths) == 1 and " L " in paths[0] and " A " not in paths[0]
+
+
 def test_cli_build_error_exit_code(tmp_path):
     bad = tmp_path / "bad.portrait"
     bad.write_text("degree 3\nleaf 0 1/3\n")  # not enough branch cuts

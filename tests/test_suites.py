@@ -50,6 +50,14 @@ def test_short_sample_library_fails(monkeypatch, name):
     assert any("requested laminations" in f for f in res.failures)
 
 
+def test_compgap_counts_pinned():
+    counts = run_suite("compgap", 0, 1).counts
+    assert counts["linked_pairs"] == 47103
+    assert counts["order_preserving_pairs"] == 122
+    assert counts["case_three_leaf"] == 100
+    assert counts["case_two_leaf_periodic_flip"] == 22
+
+
 def test_gaptrans_fails_without_samples():
     res = run_suite("gaptrans", 0, 1)
     assert not res.passed
