@@ -5,6 +5,17 @@ arcs orthogonal to the unit circle, with diameters as straight lines.  All
 geometry is carried as exact rationals until emission, where fixed-precision
 evaluation (mpmath at 30 digits) is rounded to 12 significant digits, so
 identical inputs produce byte-identical SVG on any platform.
+
+Each disk of a picture has one ``_Canvas``, which evaluates every distinct
+quantity once: the point (cos 2*pi*a, sin 2*pi*a) and the formatted "x,y"
+string of each endpoint, keyed by Angle, and the formatted arc radius of
+each chord length.  The geodesic joining angles a and b, with shortest
+distance l = shortest_dist(a, b), is the circle orthogonal to the unit
+circle through both points; its radius is tan(pi*l), with no cancellation
+however near l is to 1/2.  The arc bends toward the disk centre, which
+fixes its sweep flag exactly: drawn from a to b it is 1 iff b lies less
+than half a turn counterclockwise of a.  The memo lives and dies with its
+canvas: nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from fractions import Fraction
 import mpmath
 
 from .chords import Chord
-from .circle import Angle, shortest_dist
+from .circle import Angle, ccw_offset
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -40,9 +51,9 @@ class RenderSpec:
 # A chord at least this long, within 1e-14 of a diameter, bows away from
 # the straight segment by less than 1e-14 of the canvas size, below what
 # the 12 significant digits of an emitted coordinate can show; it is drawn
-# straight.  Nearer chords would also leave 1 + dot, the denominator of the
-# arc centre, at the rounding level of 30-digit evaluation.
+# straight.
 _STRAIGHT_FROM = Angle(Fraction(1, 2) - Fraction(1, 10**14))
+_HALF = Angle(1, 2)
 
 
 def _fmt(x) -> str:
@@ -50,60 +61,73 @@ def _fmt(x) -> str:
 
 
 class _Canvas:
-    """Maps the unit disk to SVG pixel coordinates (y axis flipped)."""
+    """Maps the unit disk to SVG pixel coordinates (y axis flipped),
+    evaluating each endpoint and each arc radius once."""
 
     def __init__(self, size: int):
-        self.size = size
         self.center = mpmath.mpf(size) / 2
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
+        self._points: dict = {}
+        self._xy: dict = {}
+        self._radii: dict = {}
 
     def point(self, angle: Fraction):
-        t = 2 * mpmath.mpf(angle.numerator) / angle.denominator
-        return mpmath.cospi(t), mpmath.sinpi(t)
+        p = self._points.get(angle)
+        if p is None:
+            t = 2 * mpmath.mpf(angle.numerator) / angle.denominator
+            p = self._points[angle] = (mpmath.cospi(t), mpmath.sinpi(t))
+        return p
 
     def pix(self, xy):
         x, y = xy
         return self.center + self.radius * x, self.center - self.radius * y
 
     def svg_xy(self, angle: Fraction) -> str:
-        px, py = self.pix(self.point(angle))
-        return f"{_fmt(px)},{_fmt(py)}"
+        s = self._xy.get(angle)
+        if s is None:
+            px, py = self.pix(self.point(angle))
+            s = self._xy[angle] = f"{_fmt(px)},{_fmt(py)}"
+        return s
+
+    def arc_radius(self, length: Fraction) -> str:
+        """The formatted pixel radius of a geodesic of this shortest length."""
+        r = self._radii.get(length)
+        if r is None:
+            t = mpmath.mpf(length.numerator) / length.denominator
+            r = self._radii[length] = _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
+        return r
+
+
+def _geodesic_to(canvas: _Canvas, start: Angle, end: Angle, straight: bool) -> str:
+    """Path data drawing the geodesic from ``start`` (the current point) to ``end``."""
+    if not straight:
+        t = ccw_offset(start, end)
+        # the geodesic is the minor arc bending toward the disk centre, so
+        # the sweep flag is the sign of sin 2pi(end - start), decided exactly
+        sweep = 1 if t < _HALF else 0
+        length = t if sweep else 1 - t  # shortest_dist(start, end)
+        if length < _STRAIGHT_FROM:
+            r = canvas.arc_radius(length)
+            return f"A {r} {r} 0 0 {sweep} {canvas.svg_xy(end)}"
+    return f"L {canvas.svg_xy(end)}"
 
 
 def _geodesic_path(canvas: _Canvas, chord: Chord, straight: bool) -> str:
-    a, b = chord.a, chord.b
-    p1 = canvas.svg_xy(a)
-    if straight or shortest_dist(a, b) >= _STRAIGHT_FROM:
-        return f"M {p1} L {canvas.svg_xy(b)}"
-    A = canvas.point(a)
-    B = canvas.point(b)
-    dot = A[0] * B[0] + A[1] * B[1]
-    cx = (A[0] + B[0]) / (1 + dot)
-    cy = (A[1] + B[1]) / (1 + dot)
-    r = mpmath.sqrt(cx * cx + cy * cy - 1) * canvas.radius
-    # the geodesic is the minor arc; choose the sweep that bends toward the
-    # disk center (in pixel coordinates the orientation test flips with y)
-    cross = (B[0] - A[0]) * (0 - A[1]) - (B[1] - A[1]) * (0 - A[0])
-    sweep = 1 if cross > 0 else 0
-    return f"M {p1} A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {canvas.svg_xy(b)}"
+    return f"M {canvas.svg_xy(chord.a)} {_geodesic_to(canvas, chord.a, chord.b, straight)}"
 
 
 def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
-    parts = []
-    first = True
-    n = len(gap.vertices)
-    for i, (kind, obj) in enumerate(gap.sides):
-        start = gap.vertices[i]
-        end = gap.vertices[(i + 1) % n]
-        if first:
-            parts.append(f"M {canvas.svg_xy(start)}")
-            first = False
+    verts = gap.vertices
+    parts = [f"M {canvas.svg_xy(verts[0])}"] if verts else []
+    r = _fmt(canvas.radius)
+    for i, (kind, side) in enumerate(gap.sides):
+        start, end = verts[i], verts[(i + 1) % len(verts)]
         if kind == "arc":
-            r = _fmt(canvas.radius)
-            parts.append(f"A {r} {r} 0 0 0 {canvas.svg_xy(end)}")
+            # the boundary runs counterclockwise, which is sweep 0 with y flipped
+            large = 1 if side.length > _HALF else 0
+            parts.append(f"A {r} {r} 0 {large} 0 {canvas.svg_xy(end)}")
         else:
-            seg = _geodesic_path(canvas, Chord(start, end), straight)
-            parts.append(seg.split(" ", 2)[2] if seg.startswith("M") else seg)
+            parts.append(_geodesic_to(canvas, start, end, straight))
     parts.append("Z")
     return " ".join(parts)
 

@@ -1,15 +1,21 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
+from hypothesis import assume, given, settings, strategies as st
+
 import lamina
-from lamina.circle import Angle
+from lamina.circle import Angle, shortest_dist
 from lamina.chords import Chord
-from lamina.lamination import FiniteLamination, gaps, orbit_classify
+from lamina.lamination import FiniteLamination, gaps, orbit_classify, pullback_build
 from lamina.cubic_tags import ConvexSet
-from lamina.render import RenderSpec, render_svg
+from lamina.formats import parse_portrait
+from lamina.render import _STRAIGHT_FROM, RenderSpec, render_svg
 
 A = Angle
 
@@ -70,6 +76,13 @@ def test_orbit_figure_hash_pinned():
     assert digest2 == "19c73b7dc43ab38c5472a7bbc82c2cf82175830ab8e6acf13fb36a6186684c17"
 
 
+def test_rabbit_depth_six_hash_pinned():
+    lam = parse_portrait("degree 2\nquad 1/14 1/7 4/7 9/14\n").build(6)
+    svg = render_svg(lam, RenderSpec(labels=True))
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == "8cac8100246986082a281fb637ba98a1bdd0e79448912b44395723a75e227a99"
+
+
 def test_gap_shading():
     lam = FiniteLamination(3, [C(0, 1, 1, 3), C(1, 3, 2, 3), C(0, 1, 2, 3)])
     finite = [g for g in gaps(lam) if g.finite]
@@ -77,10 +90,125 @@ def test_gap_shading():
     assert 'class="shade"' in svg
 
 
+def _segments(path: str):
+    """The (command, arguments) pairs of SVG path data, Z dropped."""
+    return [(cmd, args.split()) for cmd, args in re.findall(r"([MLA])([^MLAZ]*)", path)]
+
+
+def _paths(svg: str, cls: str):
+    """The path data of every <path> of one class."""
+    return re.findall(rf'<path class="{cls}" d="([^"]*)"/>', svg)
+
+
+def _svg_xy_uncached(x, size):
+    with mpmath.workdps(30):
+        c = mpmath.mpf(size) / 2
+        R = mpmath.mpf(size) * mpmath.mpf("0.45")
+        t = 2 * mpmath.mpf(x.numerator) / x.denominator
+        px, py = c + R * mpmath.cospi(t), c - R * mpmath.sinpi(t)
+        return f"{mpmath.nstr(px, 12)},{mpmath.nstr(py, 12)}"
+
+
+def test_gap_shade_sides_run_vertex_to_vertex():
+    # both faces of one leaf: the face cut off by 1/7-2/7, whose chord side
+    # runs 2/7 -> 1/7 against the chord's order, and the rest of the disk,
+    # whose boundary arc 2/7 -> 1/7 is 6/7 of the circle
+    lam = FiniteLamination(2, [C(1, 7, 2, 7)])
+    faces = gaps(lam)
+    assert [len(g.sides) for g in faces] == [2, 2]
+    [leaf_path] = _paths(render_svg(lam), "leaf")
+    leaf = _segments(leaf_path)[1][1]
+    assert leaf[4] == "1"
+    for style in ("hyperbolic", "straight"):
+        svg = render_svg(lam, RenderSpec(geodesic_style=style), shaded=faces)
+        paths = _paths(svg, "shade")
+        assert len(paths) == 2
+        for g, path in zip(faces, paths):
+            assert path.endswith(" Z")
+            segments = _segments(path)
+            assert segments[0] == ("M", [_svg_xy_uncached(g.vertices[0], 800)])
+            n = len(g.vertices)
+            for i, ((kind, side), (cmd, args)) in enumerate(zip(g.sides, segments[1:])):
+                assert args[-1] == _svg_xy_uncached(g.vertices[(i + 1) % n], 800)
+                if kind == "arc":
+                    assert cmd == "A"
+                    assert args[3] == ("1" if side.length == Fraction(6, 7) else "0")
+                elif style == "straight":
+                    assert cmd == "L"
+                else:
+                    # the leaf's own arc, its sweep flipped when drawn 2/7 -> 1/7
+                    assert cmd == "A" and args[:4] == leaf[:4]
+                    forward = g.vertices[i] == side.a
+                    assert args[4] == ("1" if forward else "0")
+
+
+def test_near_diameter_radius_is_exact():
+    # 1e-13 from a diameter; the centre formula loses digits to 1 + dot
+    # there and printed 1.14591535607e+15, the 60-digit value is below
+    svg = render_svg([Chord(A(1, 10**13), A(1, 2))])
+    assert " A 1.14591559026e+15 1.14591559026e+15 0 0 1 " in svg
+
+
+def _oracle(a, b, size):
+    """Pixel radius and sweep flag by the arc-centre formula at 60 digits."""
+    with mpmath.workdps(60):
+        R = mpmath.mpf(size) * mpmath.mpf("0.45")
+
+        def unit(x):
+            t = 2 * mpmath.mpf(x.numerator) / x.denominator
+            return mpmath.cospi(t), mpmath.sinpi(t)
+
+        P, Q = unit(a), unit(b)
+        dot = P[0] * Q[0] + P[1] * Q[1]
+        cx = (P[0] + Q[0]) / (1 + dot)
+        cy = (P[1] + Q[1]) / (1 + dot)
+        r = mpmath.sqrt(cx * cx + cy * cy - 1) * R
+        cross = (Q[0] - P[0]) * (0 - P[1]) - (Q[1] - P[1]) * (0 - P[0])
+    return r, 1 if cross > 0 else 0
+
+
+_big_angles = st.builds(lambda q, n: A(n % q, q), st.integers(1, 10**6), st.integers(0, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_big_angles, _big_angles, st.sampled_from((100, 400, 800, 1234)))
+def test_geodesic_matches_centre_formula_oracle(a, b, size):
+    assume(a != b and shortest_dist(a, b) < _STRAIGHT_FROM)
+    chord = Chord(a, b)
+    [path] = _paths(render_svg([chord], RenderSpec(size=size)), "leaf")
+    (m, start), (cmd, args) = _segments(path)
+    assert m == "M" and cmd == "A" and len(args) == 6
+    assert start == [_svg_xy_uncached(chord.a, size)]
+    assert args[5] == _svg_xy_uncached(chord.b, size)
+    r, sweep = _oracle(chord.a, chord.b, size)
+    assert args[0] == args[1]
+    assert abs(mpmath.mpf(args[0]) - r) / r < 1e-11
+    assert args[2:5] == ["0", "0", str(sweep)]
+
+
+def test_canvas_memo_does_not_outlive_its_render():
+    lam = pullback_build(2, [C(1, 14, 4, 7)], 4)
+    render_svg(lam, RenderSpec(size=400, labels=True))
+    after = render_svg(lam, RenderSpec(size=800, labels=True))
+    src = Path(lamina.__file__).resolve().parent.parent
+    code = (
+        "import sys; from lamina.chords import Chord; from lamina.circle import Angle as A; "
+        "from lamina.lamination import pullback_build; "
+        "from lamina.render import RenderSpec, render_svg; "
+        "lam = pullback_build(2, [Chord(A(1, 14), A(4, 7))], 4); "
+        "sys.stdout.write(render_svg(lam, RenderSpec(size=800, labels=True)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert after == fresh.stdout
+
+
 def test_tag_factor_rendering():
     factors = (ConvexSet.of([A(2, 13), A(5, 13), A(6, 13)]), ConvexSet.of([A(16, 39)]))
     svg = render_svg(factors, RenderSpec(size=400))
     assert svg.count("<circle class=\"boundary\"") == 2
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == "71c2ef6ec4455e1cec8af9c39cc9d4f5c82e171070abfac20eb786aad3da59d2"
 
 
 def test_import_leaves_mpmath_precision():
