@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
 from .chords import Chord, is_critical, linked, validate_collection
+from .cubic_tags import ConvexSet
 from .lamination import FiniteLamination, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
 
@@ -354,23 +355,14 @@ def detect_collapse(
 # ---------------------------------------------------------------------------
 
 
-def _hull_edges(vertices):
-    n = len(vertices)
-    if n < 2:
-        return []
-    if n == 2:
-        return [Chord(vertices[0], vertices[1])]
-    return [Chord(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
-
-
 def _interiors_intersect(u, v) -> bool:
     """Interiors of convex hulls of circle points (sorted tuples)."""
     if len(u) < 2 or len(v) < 2:
         return False
     if set(u) <= set(v) or set(v) <= set(u):
         return True
-    for e1 in _hull_edges(u):
-        for e2 in _hull_edges(v):
+    for e1 in ConvexSet(u).edges:
+        for e2 in ConvexSet(v).edges:
             if linked(e1, e2):
                 return True
     return False
@@ -421,35 +413,26 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
     step = next(
         t for t in range(1, total + 1) if _interiors_intersect(base, hull_at(r + t))
     )
-    vertices = set(base)
-    current = set(base)
-    seen_sets = {frozenset(base)}
-    while True:
-        current = {sigma_power(d, p, step) for p in current}
-        key = frozenset(current)
-        if key in seen_sets:
-            break
-        seen_sets.add(key)
-        vertices |= current
-    vertices = tuple(sorted(vertices))
+    # the hulls the base sweeps out under sigma_d^step = sigma_{d^step}
+    vertices = tuple(sorted(set().union(*orbit_classify(d**step, base).orbit)))
+    infos = {v: orbit_classify(d, v) for v in vertices}
 
     groups = []
     remaining = set(vertices)
     while remaining:
         v = min(remaining)
-        info = orbit_classify(d, v)
+        info = infos[v]
         cycle = set(info.orbit[info.preperiod :])
         members = sorted((cycle & remaining) | {v})
         groups.append(tuple(members))
         remaining -= set(members)
-    periods = tuple(orbit_classify(d, g[0]).period for g in groups)
+    periods = tuple(infos[g[0]].period for g in groups)
     vop = orbit_classify(d, vertices, max_steps=256)
     remap_identity = None
     if vop is not None and vop.preperiod == 0:
         # a periodic vertex whose period divides the gap's is fixed by it
         remap_identity = all(
-            info.preperiod == 0 and vop.period % info.period == 0
-            for info in (orbit_classify(d, v) for v in vertices)
+            info.preperiod == 0 and vop.period % info.period == 0 for info in infos.values()
         )
     return CompgapReport(
         classification=PERIODIC_GAP,

@@ -18,6 +18,7 @@ from .circle import Angle, shortest_dist, sigma, preimages
 __all__ = [
     "Chord",
     "linked",
+    "disjoint",
     "chord_image",
     "is_critical",
     "sibling_collections",
@@ -93,6 +94,11 @@ def linked(c1: Chord, c2: Chord) -> bool:
     return (a < x < b) != (a < y < b)
 
 
+def disjoint(c1: Chord, c2: Chord) -> bool:
+    """True iff the chords share no endpoint and do not cross."""
+    return not (c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b) or linked(c1, c2))
+
+
 def chord_image(d: int, c: Chord) -> Chord:
     """Apply sigma_d to both endpoints; the image may be degenerate."""
     return Chord(sigma(d, c.a), sigma(d, c.b))
@@ -125,12 +131,7 @@ def sibling_collections(d: int, c: Chord) -> list[list[Chord]]:
     collections = []
     for perm in itertools.permutations(rest_b):
         coll = [c] + [Chord(p, q) for p, q in zip(rest_a, perm)]
-        ok = True
-        for u, v in itertools.combinations(coll, 2):
-            if linked(u, v) or u.a in (v.a, v.b) or u.b in (v.a, v.b):
-                ok = False
-                break
-        if ok:
+        if all(disjoint(u, v) for u, v in itertools.combinations(coll, 2)):
             collections.append(coll)
     return collections
 

@@ -2,10 +2,10 @@
 
 A FiniteLamination is a canonical finite set of pairwise-unlinked chords of
 fixed degree d (degenerate leaves are implied and not stored).  The disk
-minus the chords decomposes into gaps, extracted here by a planar face walk;
-laminations are generated from critical portraits by the standard pullback
-scheme, with branches chosen inside the complementary sectors of a full
-collection of critical chords.
+minus the chords decomposes into gaps, read off the same nesting sweep that
+checks the leaves are unlinked; laminations are generated from critical
+portraits by the standard pullback scheme, with branches chosen inside the
+complementary sectors of a full collection of critical chords.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .circle import Angle, Arc, ccw_offset, preimages, sigma, shortest_dist
 from .chords import (
     Chord,
     chord_image,
+    disjoint,
     greedy_no_loop,
     is_critical,
     linked,
-    sibling_collections,
     validate_collection,
 )
 
@@ -147,114 +147,77 @@ class Gap:
         return "Gap(" + ", ".join(str(v) for v in self.vertices) + ")"
 
 
-def check_unlinked(lam: FiniteLamination):
+def _nest(leaves):
     """Non-crossing sweep over the leaf endpoints in circle order, O(N log N).
 
     Pairwise unlinked leaves nest like parentheses.  At each endpoint the
     leaves ending there close innermost first (largest ``a``), and each must
     be the top of the stack of open leaves; then the leaves starting there
     open outermost first (largest ``b``).  A closing leaf that is not the
-    top crosses the top.
+    top crosses the top.  A stack frame is (leaf, the leaves directly inside
+    it in circle order), over the root frame (None, the top-level leaves).
 
-    Returns (True, None) or (False, (c1, c2)) with c1 < c2 a crossing pair,
-    not necessarily the lexicographically first one.
+    Returns (the frames in closing order with the root last, None), or
+    (None, (c1, c2)) with c1 < c2 a crossing pair.
     """
     events = sorted(
-        [(c.b, False, -c.a, c) for c in lam.leaves] + [(c.a, True, -c.b, c) for c in lam.leaves]
+        [(c.b, False, -c.a, c) for c in leaves] + [(c.a, True, -c.b, c) for c in leaves]
     )
-    stack = []
+    stack = [(None, [])]
+    closed = []
     for _, opens, _, c in events:
         if opens:
-            stack.append(c)
-        elif stack[-1] is c:
-            stack.pop()
+            stack.append((c, []))
+        elif stack[-1][0] is c:
+            closed.append(stack.pop())
+            stack[-1][1].append(c)
         else:
-            return False, tuple(sorted((c, stack[-1])))
-    return True, None
+            return None, tuple(sorted((c, stack[-1][0])))
+    return closed + stack, None
 
 
-_ZERO = Angle(0)
+def check_unlinked(lam: FiniteLamination):
+    """(True, None) if the leaves are pairwise unlinked, else (False, (c1, c2))
+    with c1 < c2 a crossing pair, not necessarily the lexicographically
+    first one; see :func:`_nest`."""
+    frames, pair = _nest(lam.leaves)
+    return frames is not None, pair
 
 
-def _face_walk(leaves):
-    """Faces of the disk subdivision induced by pairwise unlinked chords.
-
-    Each face is a list of directed edges ("chord", u, v) or ("arc", p, q);
-    interior faces keep the region on the left, so boundaries come out in
-    positive circular order.
-    """
-    points = sorted({e for c in leaves for e in c.endpoints})
-    n = len(points)
-    succ = {points[i]: points[(i + 1) % n] for i in range(n)}
-    chords_at: dict = {p: [] for p in points}
-    for c in leaves:
-        chords_at[c.a].append(c.b)
-        chords_at[c.b].append(c.a)
-    # outgoing candidates at v, sorted by the rotation parameter
-    # t = (w - v) mod 1; the counterclockwise arc leaves at t -> 0+.
-    out_sorted = {}
-    for v in points:
-        cands = [(ccw_offset(v, w), ("chord", v, w)) for w in chords_at[v]]
-        cands.append((_ZERO, ("arc", v, succ[v])))
-        cands.sort(key=lambda x: x[0])
-        out_sorted[v] = cands
-
-    def next_edge(edge):
-        kind, u, v = edge
-        if kind == "arc":
-            # arcs arrive along the circle, so their reverse points clockwise
-            # (parameter 1) and every outgoing candidate precedes it
-            return out_sorted[v][-1][1]
-        t_rev = ccw_offset(v, u)
-        best = None
-        for t, cand in out_sorted[v]:
-            if t < t_rev:
-                best = cand
-            else:
-                break
-        if best is None:
-            raise AssertionError("face walk found no outgoing edge")
-        return best
-
-    all_edges = [("arc", p, succ[p]) for p in points]
-    for c in leaves:
-        all_edges.append(("chord", c.a, c.b))
-        all_edges.append(("chord", c.b, c.a))
-    seen = set()
-    faces = []
-    for start in all_edges:
-        if start in seen:
-            continue
-        face = []
-        edge = start
-        while True:
-            face.append(edge)
-            seen.add(edge)
-            edge = next_edge(edge)
-            if edge == start:
-                break
-        faces.append(face)
-    return faces
+def _face(children, start, end, closing) -> Gap:
+    """The gap whose boundary runs from ``start`` through ``children``
+    (leaves in circle order, joined by circle arcs) to ``end``, then back
+    along the side ``closing``."""
+    sides, p = [], start
+    for c in children:
+        if p != c.a:
+            sides.append((p, ("arc", Arc(p, c.a))))
+        sides.append((c.a, ("chord", c)))
+        p = c.b
+    if p != end:
+        sides.append((p, ("arc", Arc(p, end))))
+    sides.append((end, closing))
+    verts, sides = zip(*sides)
+    return Gap(vertices=verts, sides=sides)
 
 
 def gaps(lam: FiniteLamination) -> list[Gap]:
-    """All gaps of an unlinked lamination, including arc-bearing ones."""
+    """All gaps of an unlinked lamination, including arc-bearing ones, sorted
+    by vertices.  They are read off the sweep of :func:`check_unlinked`: the
+    gap just inside each leaf, bounded by it and the leaves directly inside
+    it, and the outer gap, bounded by the top-level leaves.
+
+    Raises ValueError naming a crossing pair when the leaves cross.
+    """
     if not lam.leaves:
         return [Gap.whole_disk()]
-    result = []
-    for face in _face_walk(lam.leaves):
-        verts = [edge[1] for edge in face]
-        sides = []
-        for kind, u, v in face:
-            if kind == "chord":
-                sides.append(("chord", Chord(u, v)))
-            else:
-                sides.append(("arc", Arc(u, v)))
-        # canonical rotation: start at the smallest vertex
-        k = verts.index(min(verts))
-        verts = verts[k:] + verts[:k]
-        sides = sides[k:] + sides[:k]
-        result.append(Gap(vertices=tuple(verts), sides=tuple(sides)))
+    frames, pair = _nest(lam.leaves)
+    if pair is not None:
+        raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
+    result = [_face(children, c.a, c.b, ("chord", c)) for c, children in frames[:-1]]
+    top = frames[-1][1]
+    first, last = top[0].a, top[-1].b
+    result.append(_face(top, first, last, ("arc", Arc(last, first))))
     result.sort(key=lambda g: g.vertices)
     return result
 
@@ -602,12 +565,13 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
         if c not in by_image:
             report.condition2.append(c)
         if not img.degenerate:
-            found = False
-            for coll in sibling_collections(d, c):
-                if all(member == c or member in lam for member in coll):
-                    found = True
-                    break
-            if not found:
+            # a sibling collection is c plus d - 1 leaves with its image, all
+            # pairwise disjoint, so matching the image's preimages one to one
+            others = [m for m in by_image[img] if disjoint(m, c)]
+            if not any(
+                all(disjoint(u, v) for u, v in itertools.combinations(rest, 2))
+                for rest in itertools.combinations(others, d - 1)
+            ):
                 report.condition3.append(c)
     return report
 

@@ -117,9 +117,13 @@ def _geodesic_path(canvas: _Canvas, chord: Chord, straight: bool) -> str:
 
 
 def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
-    verts = gap.vertices
-    parts = [f"M {canvas.svg_xy(verts[0])}"] if verts else []
     r = _fmt(canvas.radius)
+    if gap.is_disk:
+        # the whole disk: two counterclockwise half circles
+        zero, half = canvas.svg_xy(Angle(0)), canvas.svg_xy(_HALF)
+        return f"M {zero} A {r} {r} 0 1 0 {half} A {r} {r} 0 1 0 {zero} Z"
+    verts = gap.vertices
+    parts = [f"M {canvas.svg_xy(verts[0])}"]
     for i, (kind, side) in enumerate(gap.sides):
         start, end = verts[i], verts[(i + 1) % len(verts)]
         if kind == "arc":
@@ -133,8 +137,8 @@ def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
 
 
 def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
-    """Render a lamination, a list of chords, or a pair of tag factor vertex
-    collections to an SVG document string."""
+    """Render a lamination, a list of chords, or a pair of tag factors
+    (``ConvexSet``s) to an SVG document string."""
     with mpmath.workdps(30):
         return _render(target, spec, shaded)
 
@@ -147,16 +151,9 @@ def _render(target, spec: RenderSpec, shaded) -> str:
         chords = list(target)
         disks = [chords]
     else:
-        # tag factors: two convex sets rendered side by side
-        disks = []
-        for factor in target:
-            verts = tuple(factor.vertices)
-            if len(verts) == 1:
-                disks.append([Chord(verts[0], verts[0])])
-            else:
-                disks.append(list(
-                    Chord(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))
-                ) if len(verts) > 2 else [Chord(verts[0], verts[1])])
+        # tag factors: two convex sets rendered side by side, a point as a
+        # degenerate chord
+        disks = [list(f.edges) or [Chord(f.vertices[0], f.vertices[0])] for f in target]
 
     size = spec.size
     width = size * len(disks)

@@ -582,18 +582,8 @@ def _fixture_laminations():
 
 
 def _remap_orbits(d: int, vertices, k: int):
-    remaining = set(vertices)
-    orbits = []
-    while remaining:
-        v = min(remaining)
-        orb = {v}
-        x = sigma_power(d, v, k)
-        while x != v:
-            orb.add(x)
-            x = sigma_power(d, x, k)
-        orbits.append(orb)
-        remaining -= orb
-    return orbits
+    """The cycles of sigma_d^k = sigma_{d^k} on a vertex set it maps onto itself."""
+    return {frozenset(orbit_classify(d**k, v).orbit) for v in vertices}
 
 
 def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lamina.lamination as lamination
-from lamina.circle import Angle
-from lamina.chords import Chord, chord_image, is_critical, linked
+from lamina.circle import Angle, Arc, ccw_offset
+from lamina.chords import Chord, chord_image, is_critical, linked, sibling_collections
 from lamina.lamination import (
     FiniteLamination,
+    Gap,
     InconsistentPortrait,
     boundary_degree,
     check_invariance,
@@ -49,6 +50,8 @@ def test_check_unlinked():
     bad = FiniteLamination(2, [C(0, 1, 1, 2), C(1, 4, 3, 4)])
     ok, pair = check_unlinked(bad)
     assert not ok and set(pair) == {C(0, 1, 1, 2), C(1, 4, 3, 4)}
+    with pytest.raises(ValueError, match="0 1/2 x 1/4 3/4"):
+        gaps(bad)
 
 
 def pairwise_crossing(lam):
@@ -59,6 +62,54 @@ def pairwise_crossing(lam):
             if linked(leaves[i], leaves[j]):
                 return leaves[i], leaves[j]
     return None
+
+
+def face_walk_gaps(lam):
+    """Oracle for gaps: a planar face walk over the endpoints, arcs and both
+    directions of every chord, turning at each endpoint to the next edge
+    in rotation order, so each face keeps its region on the left."""
+    if not lam.leaves:
+        return [Gap.whole_disk()]
+    points = sorted({e for c in lam.leaves for e in c.endpoints})
+    succ = {p: points[(i + 1) % len(points)] for i, p in enumerate(points)}
+    # outgoing edges at v sorted by the rotation parameter t = (w - v) mod 1;
+    # the counterclockwise arc leaves at t -> 0+
+    out_sorted = {p: [(A(0), ("arc", p, succ[p]))] for p in points}
+    for c in lam.leaves:
+        out_sorted[c.a].append((ccw_offset(c.a, c.b), ("chord", c.a, c.b)))
+        out_sorted[c.b].append((ccw_offset(c.b, c.a), ("chord", c.b, c.a)))
+    for cands in out_sorted.values():
+        cands.sort(key=lambda x: x[0])
+
+    def next_edge(edge):
+        kind, u, v = edge
+        if kind == "arc":
+            # an arc arrives along the circle, so its reverse points clockwise
+            # (parameter 1) and every outgoing candidate precedes it
+            return out_sorted[v][-1][1]
+        t_rev = ccw_offset(v, u)
+        return [cand for t, cand in out_sorted[v] if t < t_rev][-1]
+
+    all_edges = [("arc", p, succ[p]) for p in points]
+    for c in lam.leaves:
+        all_edges += [("chord", c.a, c.b), ("chord", c.b, c.a)]
+    seen = set()
+    result = []
+    for start in all_edges:
+        if start in seen:
+            continue
+        face = []
+        edge = start
+        while edge not in seen:
+            face.append(edge)
+            seen.add(edge)
+            edge = next_edge(edge)
+        verts = [u for _, u, _ in face]
+        sides = [(kind, Chord(u, v) if kind == "chord" else Arc(u, v)) for kind, u, v in face]
+        k = verts.index(min(verts))
+        result.append(Gap(vertices=tuple(verts[k:] + verts[:k]), sides=tuple(sides[k:] + sides[:k])))
+    result.sort(key=lambda g: g.vertices)
+    return result
 
 
 @settings(max_examples=600, deadline=None)
@@ -81,9 +132,12 @@ def test_check_unlinked_agrees_with_pairwise_oracle(data):
     assert ok == (pairwise_crossing(lam) is None)
     if ok:
         assert pair is None
+        assert gaps(lam) == face_walk_gaps(lam)
     else:
         assert linked(*pair) and pair[0] < pair[1]
         assert pair[0] in lam and pair[1] in lam
+        with pytest.raises(ValueError, match=f"{pair[0]} x {pair[1]}"):
+            gaps(lam)
 
 
 def test_check_unlinked_is_a_sweep(monkeypatch):
@@ -94,10 +148,18 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     def no_pairwise_scan(c1, c2):
         raise AssertionError("check_unlinked called linked")
 
+    def no_rotation_order(a, b):
+        raise AssertionError("gaps called ccw_offset")
+
     monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
+    monkeypatch.setattr(lamination, "ccw_offset", no_rotation_order)
     assert check_unlinked(lam) == (True, None)
     ok, pair = check_unlinked(crossing)
     assert not ok and C(0, 1, 1, 2) in pair
+    # gaps reads the faces off the same sweep
+    assert len(gaps(lam)) == len(lam) + 1
+    with pytest.raises(ValueError, match="cross"):
+        gaps(crossing)
 
 
 def test_period_six_orbit_is_unlinked():
@@ -216,7 +278,21 @@ def test_pullback_rejects_incomplete_sectors():
         pullback_build(3, [C(0, 1, 1, 3)], 2)
 
 
+def sibling_condition_oracle(lam, boundary_depth):
+    """Oracle for condition 3 of check_invariance: enumerate every sibling
+    collection of each leaf and look for one whose members are all leaves."""
+    gens = lam.generations or {}
+    missing = []
+    for c in lam.leaves:
+        if gens.get(c, -1) >= boundary_depth or chord_image(lam.degree, c).degenerate:
+            continue
+        if not any(all(m in lam for m in coll) for coll in sibling_collections(lam.degree, c)):
+            missing.append(c)
+    return missing
+
+
 def test_invariance_of_generated_laminations():
+    violations = 0
     for d, portrait, sectors, depth in [
         (2, RABBIT_QUAD, RABBIT_SPIKE, 5),
         (3, TRIANGLE, None, 3),
@@ -226,6 +302,14 @@ def test_invariance_of_generated_laminations():
         assert check_unlinked(lam)[0]
         report = check_invariance(lam, depth)
         assert report.ok, (report.condition1, report.condition2, report.condition3)
+        for drop in (3, 7):
+            # drop every drop-th leaf, so some siblings go missing
+            kept = [c for i, c in enumerate(lam.leaves) if i % drop]
+            cut = FiniteLamination(d, kept, generations={c: lam.generations[c] for c in kept})
+            missing = check_invariance(cut, depth).condition3
+            assert missing == sibling_condition_oracle(cut, depth)
+            violations += len(missing)
+    assert violations > 0
 
 
 def test_invariance_examples():
@@ -304,6 +388,9 @@ def test_gap_count_oracle():
         pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE),
         pullback_build(3, [C(0, 1, 1, 3), C(1, 2, 5, 6)], 3),
         figure_orbit_lamination(2),
+        pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE),
+        figure_orbit_lamination(),
     ]
     for lam in builds:
         assert len(gaps(lam)) == len(lam) + 1
+        assert gaps(lam) == face_walk_gaps(lam)

@@ -142,6 +142,21 @@ def test_gap_shade_sides_run_vertex_to_vertex():
                     assert args[4] == ("1" if forward else "0")
 
 
+def test_whole_disk_shade_is_two_half_circles():
+    lam = FiniteLamination(2, [])
+    svg = render_svg(lam, shaded=gaps(lam))
+    [path] = _paths(svg, "shade")
+    assert path.endswith(" Z")
+    # counterclockwise (sweep 0 with y flipped) along the boundary circle
+    [r] = re.findall(r'<circle class="boundary" [^>]* r="([^"]*)"/>', svg)
+    zero, half = _svg_xy_uncached(Angle(0), 800), _svg_xy_uncached(Angle(1, 2), 800)
+    assert _segments(path) == [
+        ("M", [zero]),
+        ("A", [r, r, "0", "1", "0", half]),
+        ("A", [r, r, "0", "1", "0", zero]),
+    ]
+
+
 def test_near_diameter_radius_is_exact():
     # 1e-13 from a diameter; the centre formula loses digits to 1 + dot
     # there and printed 1.14591535607e+15, the 60-digit value is below
