@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
-from .chords import Chord, is_critical, linked, validate_collection
+from .chords import Chord, _ring_linked, is_critical, linked, validate_collection
 from .cubic_tags import ConvexSet
 from .lamination import FiniteLamination, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
@@ -163,15 +163,6 @@ def _ring_orbit(d: int, N: int, a: int, b: int):
         x, y = d * c[0] % N, d * c[1] % N
         c = (x, y) if x < y else (y, x)
     return orbit
-
-
-def _ring_linked(c1, c2) -> bool:
-    """``linked`` for sorted int pairs on one ring (see ``chords.linked``)."""
-    a, b = c1
-    x, y = c2
-    if a == x or b == y:
-        return False
-    return (a < x < b) != (a < y < b)
 
 
 def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:

@@ -6,6 +6,10 @@ chords are *linked* when they cross inside the open disk; a chord is
 critical chords are validated against loops (closed concatenations or
 repeated chords), and sibling collections enumerate the ways a chord extends
 to d pairwise disjoint chords with a common image.
+
+Code that puts its chords on one integer ring mod N (pullbacks, invariance,
+order preservation) uses the int-pair forms ``_ring_image``,
+``_ring_linked`` and ``_ring_disjoint`` of the image and the two tests.
 """
 
 from __future__ import annotations
@@ -97,6 +101,31 @@ def linked(c1: Chord, c2: Chord) -> bool:
 def disjoint(c1: Chord, c2: Chord) -> bool:
     """True iff the chords share no endpoint and do not cross."""
     return not (c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b) or linked(c1, c2))
+
+
+def _ring_image(d: int, N: int, c) -> tuple[int, int]:
+    """``chord_image`` for a sorted int pair on one ring mod N."""
+    x, y = d * c[0] % N, d * c[1] % N
+    return (x, y) if x <= y else (y, x)
+
+
+def _ring_linked(c1, c2) -> bool:
+    """``linked`` for chords on one integer ring mod N, each a sorted pair
+    of numerators over N: the circle order is the order of the ints."""
+    a, b = c1
+    x, y = c2
+    if a == x or b == y:
+        return False
+    return (a < x < b) != (a < y < b)
+
+
+def _ring_disjoint(c1, c2) -> bool:
+    """``disjoint`` for sorted int pairs on one ring (see ``_ring_linked``)."""
+    a, b = c1
+    x, y = c2
+    if a == x or a == y or b == x or b == y:
+        return False
+    return (a < x < b) == (a < y < b)
 
 
 def chord_image(d: int, c: Chord) -> Chord:

@@ -216,7 +216,8 @@ def _ring(angles) -> tuple[int, list[int]]:
     angles stay in (1/N)Z/Z, where sigma_d is ``d*x % N`` and the circle
     order is the order of the ints.
     """
-    angles = [Angle(a) for a in angles]
+    # callers pass thousands of Angles, for which Angle() is a no-op call
+    angles = [a if type(a) is Angle else Angle(a) for a in angles]
     N = lcm(*(a._denominator for a in angles))
     return N, [a._numerator * (N // a._denominator) for a in angles]
 

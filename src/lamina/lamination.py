@@ -6,19 +6,31 @@ minus the chords decomposes into gaps, read off the same nesting sweep that
 checks the leaves are unlinked; laminations are generated from critical
 portraits by the standard pullback scheme, with branches chosen inside the
 complementary sectors of a full collection of critical chords.
+
+Pullbacks and invariance checks run on one integer ring (1/N)Z/Z: sigma_d
+never enlarges a denominator and each pullback generation multiplies it by
+at most d, so a depth-k build lives on N = N0 * d**k, N0 the common
+denominator of its generation-0 leaves and sector chords, and a finished
+lamination on the common denominator of its endpoints.  There a leaf is a
+sorted pair of ints, sigma_d is ``d*x % N``, the preimages of an endpoint X
+of a leaf still to be pulled back are X//d + k*(N//d), and the circle order
+is the order of the ints.  Chords are built once per leaf, for the result.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
-from .circle import Angle, Arc, ccw_offset, preimages, sigma, shortest_dist
+from .circle import Angle, Arc, _angle, _ring, ccw_offset, sigma, shortest_dist
 from .chords import (
     Chord,
+    _ring_disjoint,
+    _ring_image,
     chord_image,
-    disjoint,
     greedy_no_loop,
     is_critical,
     linked,
@@ -64,7 +76,8 @@ class FiniteLamination:
     def __init__(self, degree: int, leaves=(), generations=None):
         if not isinstance(degree, int) or degree < 2:
             raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
-        canon = sorted({c for c in leaves if not c.degenerate})
+        # dict.fromkeys keeps input order, so sorted input sorts in one pass
+        canon = sorted(dict.fromkeys(c for c in leaves if not c.degenerate))
         self.degree = degree
         self.leaves = tuple(canon)
         self._leaf_set = frozenset(canon)
@@ -311,12 +324,6 @@ class _Sector:
         self.corners = frozenset(corners)
         self._spans = tuple((s, ccw_offset(s, e)) for s, e in self.arcs)
 
-    def contains(self, p) -> bool:
-        for s, length in self._spans:
-            if ccw_offset(s, p) < length:
-                return True
-        return False
-
     def contains_closed(self, p) -> bool:
         if p in self.corners:
             return True
@@ -359,24 +366,6 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
     return sectors
 
 
-def _preimage_in(d: int, p: Angle, sector: _Sector) -> Angle:
-    for q in preimages(d, p):
-        if sector.contains(q):
-            return q
-    raise AssertionError(f"no preimage of {p} in sector {sector.arcs}")
-
-
-def _preimage_candidates(d: int, p: Angle, sector: _Sector) -> list[Angle]:
-    """Preimages of p in the closed sector, half-open-assigned ones first."""
-    preferred, closure_only = [], []
-    for q in preimages(d, p):
-        if sector.contains(q):
-            preferred.append(q)
-        elif sector.contains_closed(q):
-            closure_only.append(q)
-    return preferred + sorted(closure_only)
-
-
 # pullback_build refuses a depth at which the leaf count could pass this
 MAX_PULLBACK_LEAVES = 1_000_000
 
@@ -400,6 +389,13 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     other sector preimages, preferring the end whose positively adjacent
     arc lies in the sector.
 
+    The pullbacks run on one integer ring mod N = N0 * d**depth, where N0
+    is the common denominator of the generation-0 leaves and the sector
+    chords: the preimages of X/N are (X + kN)/(dN), and a generation-g leaf
+    has numerators divisible by d**(depth - g), so every leaf the build can
+    reach is a pair of ints mod N.  Each leaf's Chord is built once, when
+    the leaf is recorded.
+
     Raises InconsistentPortrait when the forward orbit of a portrait chord
     crosses itself, another portrait chord's orbit or a sector chord, and
     ValueError when ``depth`` is not a non-negative int or when the leaf
@@ -417,7 +413,6 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         # spanning subset as branch cuts)
         sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
     parts = sector_partition(d, sector_chords)
-    ambiguous_values = {sigma(d, e) for c in sector_chords for e in c.endpoints}
 
     generations: dict[Chord, int] = {}
     for c in portrait:
@@ -438,85 +433,132 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     ok, pair = check_unlinked(FiniteLamination(d, gen0 + sector_chords))
     if not ok:
         raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
+    if not gen0:
+        # nothing to pull back (an empty portrait, say), and the depth may
+        # be too large to form d**depth
+        return FiniteLamination(d, (), generations=generations)
 
-    by_image: dict[Chord, list] = {}
-    for c in generations:
-        by_image.setdefault(chord_image(d, c), []).append(c)
+    ends = [e for c in gen0 + sector_chords for e in c.endpoints]
+    N, xs = _ring(ends)
+    scale = d**depth
+    N *= scale
+    on_ring = {a: x * scale for a, x in zip(ends, xs)}
+    step = N // d
+    # the half-open sector arcs tile the circle: the arc starting at
+    # starts[i] belongs to sector owner[i], and the last one wraps past 0
+    tiles = sorted((on_ring[s], k) for k, sector in enumerate(parts) for s, _ in sector.arcs)
+    starts = [s for s, _ in tiles]
+    owner = [k for _, k in tiles]
+    # the points of each closed sector outside its half-open arcs: the arc
+    # ends and the corners
+    closure = [
+        {on_ring[p] for p in sector.corners.union(e for _, e in sector.arcs)} for sector in parts
+    ]
+    ambiguous_values = {d * on_ring[e] % N for c in sector_chords for e in c.endpoints}
 
-    def record(c: Chord, generation: int, new: list):
-        if c not in generations:
-            generations[c] = generation
-            by_image.setdefault(chord_image(d, c), []).append(c)
-            new.append(c)
+    def sector_of(q: int) -> int:
+        return owner[bisect_right(starts, q) - 1]
 
-    def pull_leaf(leaf: Chord, generation: int, new: list):
-        if leaf.a not in ambiguous_values and leaf.b not in ambiguous_values:
-            # interior preimages: one unambiguous choice per sector
-            chosen = [
-                Chord(_preimage_in(d, leaf.a, sector), _preimage_in(d, leaf.b, sector))
-                for sector in parts
-            ]
-        else:
-            # an endpoint is the image of a critical chord, so several chord
-            # ends qualify in the adjacent sectors; search the d sector
-            # choices jointly for a pairwise disjoint, non-crossing set,
-            # preferring leaves already present with this image (a periodic
-            # leaf must appear in its own sibling collection)
-            existing = set(by_image.get(leaf, ()))
-            options = []
-            for sector in parts:
-                cands = []
-                for pa in _preimage_candidates(d, leaf.a, sector):
-                    for pb in _preimage_candidates(d, leaf.b, sector):
-                        if pa == pb:
-                            continue
-                        cand = Chord(pa, pb)
-                        if not any(linked(cand, m) for m in generations):
-                            cands.append(cand)
-                if not cands:
-                    raise InconsistentPortrait(
-                        f"no unlinked pullback of {leaf} in sector {sector.arcs}"
-                    )
-                cands.sort(key=lambda c: (c not in existing,))
-                options.append(cands)
+    def chord_at(x, y) -> Chord:
+        g, h = gcd(x, N), gcd(y, N)
+        return Chord(_angle(x // g, N // g), _angle(y // h, N // h))
 
-            # exhaustive over the tiny option product: prefer assignments
-            # containing as many already-present same-image leaves as
-            # possible, then the first in preference order
-            chosen = None
-            best_score = -1
+    def candidates(X: int, k: int) -> list[int]:
+        """Preimages of X in the closed sector k, half-open-assigned ones first."""
+        pre = range(X // d, N, step)
+        return [q for q in pre if sector_of(q) == k] + [
+            q for q in pre if sector_of(q) != k and q in closure[k]
+        ]
 
-            def search(idx, picked, used, score):
-                nonlocal chosen, best_score
-                if idx == len(options):
-                    if score > best_score:
-                        best_score = score
-                        chosen = list(picked)
-                    return
-                for cand in options[idx]:
-                    if cand.a in used or cand.b in used:
+    leaves: dict[tuple, Chord] = {}  # int pair -> its Chord, in record order
+    by_image: dict[tuple, list] = {}
+    current = []
+    for c in gen0:
+        p = (on_ring[c.a], on_ring[c.b])
+        leaves[p] = c
+        by_image.setdefault(_ring_image(d, N, p), []).append(p)
+        current.append(p)
+
+    def record(p, chord, generation: int, new: list):
+        if p not in leaves:
+            chord = chord or chord_at(*p)
+            leaves[p] = chord
+            generations[chord] = generation
+            by_image.setdefault(_ring_image(d, N, p), []).append(p)
+            new.append(p)
+
+    def pull_leaf(leaf, generation: int, new: list):
+        a, b = leaf
+        if a not in ambiguous_values and b not in ambiguous_values:
+            # interior preimages: each sector holds exactly one preimage of
+            # each endpoint
+            xs, ys = [0] * d, [0] * d
+            for q in range(a // d, N, step):
+                xs[sector_of(q)] = q
+            for q in range(b // d, N, step):
+                ys[sector_of(q)] = q
+            for x, y in zip(xs, ys):
+                record((x, y) if x < y else (y, x), None, generation, new)
+            return
+        # an endpoint is the image of a critical chord, so several chord
+        # ends qualify in the adjacent sectors; search the d sector choices
+        # jointly for a pairwise disjoint, non-crossing set, preferring
+        # leaves already present with this image (a periodic leaf must
+        # appear in its own sibling collection)
+        existing = set(by_image.get(leaf, ()))
+        options = []
+        for k, sector in enumerate(parts):
+            cands = []
+            for x in candidates(a, k):
+                for y in candidates(b, k):
+                    if x == y:
                         continue
-                    picked.append(cand)
-                    used |= {cand.a, cand.b}
-                    search(idx + 1, picked, used, score + (cand in existing))
-                    used -= {cand.a, cand.b}
-                    picked.pop()
+                    p = (x, y) if x < y else (y, x)
+                    cand = leaves.get(p) or chord_at(*p)
+                    if not any(linked(cand, m) for m in leaves.values()):
+                        cands.append((p, cand))
+            if not cands:
+                raise InconsistentPortrait(
+                    f"no unlinked pullback of {leaves[leaf]} in sector {sector.arcs}"
+                )
+            cands.sort(key=lambda pc: pc[0] not in existing)
+            options.append(cands)
 
-            search(0, [], set(), 0)
-            if chosen is None:
-                raise InconsistentPortrait(f"no disjoint pullback collection for {leaf}")
-        for c in chosen:
-            record(c, generation, new)
+        # exhaustive over the tiny option product: prefer assignments
+        # containing as many already-present same-image leaves as possible,
+        # then the first in preference order
+        chosen = None
+        best_score = -1
 
-    current = gen0
+        def search(idx, picked, used, score):
+            nonlocal chosen, best_score
+            if idx == len(options):
+                if score > best_score:
+                    best_score = score
+                    chosen = list(picked)
+                return
+            for p, cand in options[idx]:
+                if p[0] in used or p[1] in used:
+                    continue
+                picked.append((p, cand))
+                used |= {p[0], p[1]}
+                search(idx + 1, picked, used, score + (p in existing))
+                used -= {p[0], p[1]}
+                picked.pop()
+
+        search(0, [], set(), 0)
+        if chosen is None:
+            raise InconsistentPortrait(f"no disjoint pullback collection for {leaves[leaf]}")
+        for p, cand in chosen:
+            record(p, cand, generation, new)
+
     for g in range(1, depth + 1):
-        if not current:
-            break  # nothing left to pull back (an empty portrait, say)
-        new: list[Chord] = []
+        new: list[tuple] = []
         for leaf in current:
             pull_leaf(leaf, g, new)
         current = new
-    return FiniteLamination(d, generations.keys(), generations=generations)
+    # ring order is circle order, so the leaves arrive sorted
+    return FiniteLamination(d, [leaves[p] for p in sorted(leaves)], generations=generations)
 
 
 # ---------------------------------------------------------------------------
@@ -546,30 +588,37 @@ class InvarianceReport:
 
 
 def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceReport:
+    """Sibling invariance of ``lam`` (see :class:`InvarianceReport`), checked
+    with the leaves on one integer ring mod N, the common denominator of
+    their endpoints; sigma_d maps the ring into itself."""
     d = lam.degree
     report = InvarianceReport()
     gens = lam.generations or {}
-    exempt = {c for c, g in gens.items() if g >= boundary_depth}
-    report.exempt = len(exempt)
+    report.exempt = sum(g >= boundary_depth for g in gens.values())
 
-    by_image: dict[Chord, list] = {}
-    for c in lam.leaves:
-        by_image.setdefault(chord_image(d, c), []).append(c)
+    N, xs = _ring([e for c in lam.leaves for e in (c.a, c.b)])
+    pairs = list(zip(xs[::2], xs[1::2]))
+    leaf_pairs = set(pairs)
+    images = [_ring_image(d, N, p) for p in pairs]
+    by_image: dict[tuple, list] = {}
+    for p, img in zip(pairs, images):
+        by_image.setdefault(img, []).append(p)
 
-    for c in lam.leaves:
-        img = chord_image(d, c)
-        if not img.degenerate and img not in lam:
+    for c, p, img in zip(lam.leaves, pairs, images):
+        degenerate = img[0] == img[1]
+        if not degenerate and img not in leaf_pairs:
             report.condition1.append(c)
-        if c in exempt:
+        g = gens.get(c)
+        if g is not None and g >= boundary_depth:
             continue
-        if c not in by_image:
+        if p not in by_image:
             report.condition2.append(c)
-        if not img.degenerate:
+        if not degenerate:
             # a sibling collection is c plus d - 1 leaves with its image, all
             # pairwise disjoint, so matching the image's preimages one to one
-            others = [m for m in by_image[img] if disjoint(m, c)]
+            others = [m for m in by_image[img] if _ring_disjoint(m, p)]
             if not any(
-                all(disjoint(u, v) for u, v in itertools.combinations(rest, 2))
+                all(_ring_disjoint(u, v) for u, v in itertools.combinations(rest, 2))
                 for rest in itertools.combinations(others, d - 1)
             ):
                 report.condition3.append(c)

@@ -146,8 +146,9 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
         raise ValueError("minors are defined for degree-2 laminations")
     if not lam.leaves:
         raise ValueError("empty lamination has no minor")
-    top = max(c.length for c in lam.leaves)
-    majors = tuple(c for c in lam.leaves if c.length == top)
+    lengths = [c.length for c in lam.leaves]
+    top = max(lengths)
+    majors = tuple(c for c, length in zip(lam.leaves, lengths) if length == top)
     images = {chord_image(2, c) for c in majors}
     if len(images) != 1:
         raise ValueError(f"longest leaves have distinct images: {sorted(map(str, images))}")

@@ -176,13 +176,13 @@ def _render(target, spec: RenderSpec, shaded) -> str:
             out.append(f'<path class="shade" d="{_gap_shade_path(canvas, g, straight)}"/>')
         plain = [c for c in chord_list if c not in highlight]
         strong = [c for c in chord_list if c in highlight]
-        for c in sorted(set(plain)):
+        for c in sorted(dict.fromkeys(plain)):
             if c.degenerate:
                 px, py = canvas.pix(canvas.point(c.a))
                 out.append(f'<circle class="leaf" cx="{_fmt(px)}" cy="{_fmt(py)}" r="2"/>')
             else:
                 out.append(f'<path class="leaf" d="{_geodesic_path(canvas, c, straight)}"/>')
-        for c in sorted(set(strong)):
+        for c in sorted(dict.fromkeys(strong)):
             out.append(f'<path class="hl" d="{_geodesic_path(canvas, c, straight)}"/>')
         if spec.labels:
             seen = set()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import THIRD, Angle, ccw_offset, cyclic_descents, sigma_power
-from .chords import Chord, chord_image, linked
+from .chords import Chord, _ring_linked, chord_image, linked
 from .lamination import (
     FiniteLamination,
     InconsistentPortrait,
@@ -27,7 +27,6 @@ from .quad_minor import build_from_minor, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
 from .accordion import (
     _order_preserving_ring,
-    _ring_linked,
     _ring_orbit,
     accordion,
     compgap_analyze,
@@ -233,11 +232,18 @@ def sample_cubic_library(rng: Lcg, count: int, depth: int = 3):
 
 def heuristically_dendritic(lam: FiniteLamination) -> bool:
     """Finite-depth stand-in for dendriticity: no arc-bearing gap whose
-    vertex set recurs (the footprint a Fatou gap would leave)."""
+    vertex set recurs (the footprint a Fatou gap would leave).
+
+    A recurring vertex set is permuted by an iterate of sigma_d, so all its
+    vertices are periodic, and n/q is periodic iff q is prime to d; a gap
+    with any other vertex is skipped without following its orbit."""
+    d = lam.degree
     for g in gaps(lam):
         if g.is_disk or g.finite:
             continue
-        vop = orbit_classify(lam.degree, g.vertices, max_steps=16)
+        if any(math.gcd(v.denominator, d) != 1 for v in g.vertices):
+            continue
+        vop = orbit_classify(d, g.vertices, max_steps=16)
         if vop is not None and vop.preperiod == 0:
             return False
     return True

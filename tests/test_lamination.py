@@ -1,12 +1,28 @@
 import dataclasses
+import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lamina.lamination as lamination
-from lamina.circle import Angle, Arc, ccw_offset
-from lamina.chords import Chord, chord_image, is_critical, linked, sibling_collections
+from lamina.circle import Angle, Arc, ccw_offset, preimages, sigma
+from lamina.chords import (
+    Chord,
+    _ring_disjoint,
+    _ring_linked,
+    chord_image,
+    disjoint,
+    greedy_no_loop,
+    is_critical,
+    linked,
+    sibling_collections,
+)
+from lamina.formats import parse_portrait
+from lamina.quad_minor import major_quadrilateral, qml_enumerate
+from lamina.sampling import Lcg
+from lamina.suites import _quad_portrait, heuristically_dendritic, hexagon_fixtures
 from lamina.lamination import (
     FiniteLamination,
     Gap,
@@ -20,6 +36,7 @@ from lamina.lamination import (
     orbit_classify,
     prune_isolated,
     pullback_build,
+    sector_partition,
 )
 
 A = Angle
@@ -278,6 +295,176 @@ def test_pullback_rejects_incomplete_sectors():
         pullback_build(3, [C(0, 1, 1, 3)], 2)
 
 
+def chord_pullback_build(d, portrait, depth, sectors=None):
+    """Oracle for pullback_build: the same construction on Chords and
+    Angles, with sigma, preimages and ccw_offset sector tests per leaf."""
+    portrait = [c for c in portrait if not c.degenerate]
+    if sectors is not None:
+        sector_chords = list(sectors)
+    else:
+        sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
+    parts = sector_partition(d, sector_chords)
+    ambiguous_values = {sigma(d, e) for c in sector_chords for e in c.endpoints}
+
+    def contains(sector, p, closed=False):
+        for s, e in sector.arcs:
+            t, length = ccw_offset(s, p), ccw_offset(s, e)
+            if t < length or (closed and t == length):
+                return True
+        return closed and p in sector.corners
+
+    def preimage_candidates(p, sector):
+        preferred, closure_only = [], []
+        for q in preimages(d, p):
+            if contains(sector, q):
+                preferred.append(q)
+            elif contains(sector, q, closed=True):
+                closure_only.append(q)
+        return preferred + sorted(closure_only)
+
+    generations = {}
+    for c in portrait:
+        for leaf in orbit_classify(d, c).orbit:
+            if not leaf.degenerate:
+                generations.setdefault(leaf, 0)
+    gen0 = sorted(generations)
+    if gen0:
+        bound = len(gen0) * (d ** (min(depth, 64) + 1) - 1) // (d - 1)
+        if bound > lamination.MAX_PULLBACK_LEAVES:
+            at_least = "" if depth <= 64 else "at least "
+            raise ValueError(
+                f"depth {depth} could build {at_least}{bound} leaves from {len(gen0)} "
+                f"generation-0 leaves; the limit is {lamination.MAX_PULLBACK_LEAVES}"
+            )
+    ok, pair = check_unlinked(FiniteLamination(d, gen0 + sector_chords))
+    if not ok:
+        raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
+    by_image = {}
+    for c in generations:
+        by_image.setdefault(chord_image(d, c), []).append(c)
+
+    def record(c, generation, new):
+        if c not in generations:
+            generations[c] = generation
+            by_image.setdefault(chord_image(d, c), []).append(c)
+            new.append(c)
+
+    def pull_leaf(leaf, generation, new):
+        if leaf.a not in ambiguous_values and leaf.b not in ambiguous_values:
+            chosen = [
+                Chord(
+                    next(q for q in preimages(d, leaf.a) if contains(sector, q)),
+                    next(q for q in preimages(d, leaf.b) if contains(sector, q)),
+                )
+                for sector in parts
+            ]
+        else:
+            existing = set(by_image.get(leaf, ()))
+            options = []
+            for sector in parts:
+                cands = [
+                    Chord(pa, pb)
+                    for pa in preimage_candidates(leaf.a, sector)
+                    for pb in preimage_candidates(leaf.b, sector)
+                    if pa != pb and not any(linked(Chord(pa, pb), m) for m in generations)
+                ]
+                if not cands:
+                    raise InconsistentPortrait(f"no unlinked pullback of {leaf} in sector {sector.arcs}")
+                cands.sort(key=lambda c: c not in existing)
+                options.append(cands)
+            chosen, best = None, -1
+            for pick in itertools.product(*options):
+                ends = [e for c in pick for e in c.endpoints]
+                score = sum(c in existing for c in pick)
+                if len(set(ends)) == len(ends) and score > best:
+                    chosen, best = list(pick), score
+            if chosen is None:
+                raise InconsistentPortrait(f"no disjoint pullback collection for {leaf}")
+        for c in chosen:
+            record(c, generation, new)
+
+    current = gen0
+    for g in range(1, depth + 1):
+        new = []
+        for leaf in current:
+            pull_leaf(leaf, g, new)
+        current = new
+    return FiniteLamination(d, generations.keys(), generations=generations)
+
+
+def build_outcome(build, *args, **kwargs):
+    """The leaves and generations a build returns, or its exception's class
+    and message."""
+    try:
+        lam = build(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return lam.leaves, lam.generations
+
+
+SHIPPED_PORTRAITS = sorted((Path(__file__).parent.parent / "portraits").glob("*/*.portrait"))
+
+
+def pullback_cases():
+    """(d, portrait, sectors, depth) for the shipped portraits at depths
+    0-5, every period <= 6 minor at depth 4, and 200 sampled cubic
+    portraits at depth 3 (some of them inconsistent)."""
+    cases = []
+    for path in SHIPPED_PORTRAITS:
+        spec = parse_portrait(path.read_text())
+        for depth in range(6):
+            cases.append((spec.degree, spec.initial_chords(), spec.sector_chords(), depth))
+    for minor in qml_enumerate(6):
+        verts, edges, _ = major_quadrilateral(minor)
+        cases.append((2, edges, [Chord(verts[0], verts[2])], 4))
+    rng = Lcg(2014)
+    sampled_from = len(cases)
+    while len(cases) < sampled_from + 200:
+        if rng.below(3) < 2:
+            cases.append((3, list(rng.disjoint_critical_pair()), None, 3))
+        else:
+            sampled = _quad_portrait(rng)
+            if sampled is not None:
+                cases.append((3, sampled[0], sampled[1], 3))
+    return cases
+
+
+def test_pullback_build_agrees_with_chord_oracle():
+    assert len(SHIPPED_PORTRAITS) == 6
+    inconsistent = 0
+    for d, portrait, sectors, depth in pullback_cases():
+        got = build_outcome(pullback_build, d, portrait, depth, sectors=sectors)
+        assert got == build_outcome(chord_pullback_build, d, portrait, depth, sectors=sectors)
+        inconsistent += got[0] is InconsistentPortrait
+    assert inconsistent > 0
+
+
+def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
+    # 1/7 is the image of the rabbit's spike, so the leaves ending there pull
+    # back through the joint search, whose candidates are filtered by linked
+    calls = []
+
+    def counting_linked(c1, c2):
+        calls.append((c1, c2))
+        return linked(c1, c2)
+
+    monkeypatch.setattr(lamination, "linked", counting_linked)
+    pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
+    assert calls and all(isinstance(c, Chord) for pair in calls for c in pair)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ring_predicates_agree_with_chord_predicates(data):
+    N = data.draw(st.integers(min_value=1, max_value=40))
+    point = st.integers(min_value=0, max_value=N - 1)
+    p1 = tuple(sorted(data.draw(st.tuples(point, point))))
+    p2 = tuple(sorted(data.draw(st.tuples(point, point))))
+    c1, c2 = (Chord(A(x, N), A(y, N)) for x, y in (p1, p2))
+    assert _ring_linked(p1, p2) == linked(c1, c2)
+    assert _ring_disjoint(p1, p2) == disjoint(c1, c2)
+
+
 def sibling_condition_oracle(lam, boundary_depth):
     """Oracle for condition 3 of check_invariance: enumerate every sibling
     collection of each leaf and look for one whose members are all leaves."""
@@ -291,8 +478,37 @@ def sibling_condition_oracle(lam, boundary_depth):
     return missing
 
 
+def chord_check_invariance(lam, boundary_depth):
+    """Oracle for check_invariance: the same conditions on Chords, with
+    chord_image, Chord membership and chords.disjoint."""
+    d = lam.degree
+    report = lamination.InvarianceReport()
+    gens = lam.generations or {}
+    exempt = {c for c, g in gens.items() if g >= boundary_depth}
+    report.exempt = len(exempt)
+    by_image = {}
+    for c in lam.leaves:
+        by_image.setdefault(chord_image(d, c), []).append(c)
+    for c in lam.leaves:
+        img = chord_image(d, c)
+        if not img.degenerate and img not in lam:
+            report.condition1.append(c)
+        if c in exempt:
+            continue
+        if c not in by_image:
+            report.condition2.append(c)
+        if not img.degenerate:
+            others = [m for m in by_image[img] if disjoint(m, c)]
+            if not any(
+                all(disjoint(u, v) for u, v in itertools.combinations(rest, 2))
+                for rest in itertools.combinations(others, d - 1)
+            ):
+                report.condition3.append(c)
+    return report
+
+
 def test_invariance_of_generated_laminations():
-    violations = 0
+    violations = [0, 0, 0]
     for d, portrait, sectors, depth in [
         (2, RABBIT_QUAD, RABBIT_SPIKE, 5),
         (3, TRIANGLE, None, 3),
@@ -306,10 +522,12 @@ def test_invariance_of_generated_laminations():
             # drop every drop-th leaf, so some siblings go missing
             kept = [c for i, c in enumerate(lam.leaves) if i % drop]
             cut = FiniteLamination(d, kept, generations={c: lam.generations[c] for c in kept})
-            missing = check_invariance(cut, depth).condition3
-            assert missing == sibling_condition_oracle(cut, depth)
-            violations += len(missing)
-    assert violations > 0
+            report = check_invariance(cut, depth)
+            assert report == chord_check_invariance(cut, depth)
+            assert report.condition3 == sibling_condition_oracle(cut, depth)
+            for k, found in enumerate((report.condition1, report.condition2, report.condition3)):
+                violations[k] += len(found)
+    assert all(violations), violations
 
 
 def test_invariance_examples():
@@ -394,3 +612,23 @@ def test_gap_count_oracle():
     for lam in builds:
         assert len(gaps(lam)) == len(lam) + 1
         assert gaps(lam) == face_walk_gaps(lam)
+
+
+def orbit_dendritic(lam):
+    """Oracle for heuristically_dendritic: follow the vertex set of every
+    arc-bearing gap, whatever its denominators."""
+    for g in gaps(lam):
+        if g.is_disk or g.finite:
+            continue
+        vop = orbit_classify(lam.degree, g.vertices, max_steps=16)
+        if vop is not None and vop.preperiod == 0:
+            return False
+    return True
+
+
+def test_heuristically_dendritic_agrees_with_orbit_oracle():
+    lams = [parse_portrait(p.read_text()).build(depth) for p in SHIPPED_PORTRAITS for depth in range(6)]
+    lams += hexagon_fixtures(3)
+    verdicts = [heuristically_dendritic(lam) for lam in lams]
+    assert verdicts == [orbit_dendritic(lam) for lam in lams]
+    assert True in verdicts and False in verdicts
