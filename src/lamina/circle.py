@@ -70,8 +70,17 @@ class Angle(Fraction):
                 return _angle(numerator._numerator % q, q)
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
-        if isinstance(numerator, str) and not _RATIONAL.fullmatch(numerator.strip()):
-            raise ValueError(f"angle must be an integer or p/q with q > 0: {numerator!r}")
+        if isinstance(numerator, str):
+            text = numerator.strip()
+            if not _RATIONAL.fullmatch(text):
+                raise ValueError(f"angle must be an integer or p/q with q > 0: {numerator!r}")
+            if denominator is None:
+                # the match leaves only "p" or "p/q" with q > 0 for int()
+                p, _, q = text.partition("/")
+                q = int(q) if q else 1
+                n = int(p) % q
+                g = gcd(n, q)
+                return _angle(n // g, q // g)
         value = Fraction(numerator, denominator)
         q = value._denominator
         return _angle(value._numerator % q, q)

@@ -3,9 +3,11 @@
 A FiniteLamination is a canonical finite set of pairwise-unlinked chords of
 fixed degree d (degenerate leaves are implied and not stored).  The disk
 minus the chords decomposes into gaps, read off the same nesting sweep that
-checks the leaves are unlinked; laminations are generated from critical
-portraits by the standard pullback scheme, with branches chosen inside the
-complementary sectors of a full collection of critical chords.
+checks the leaves are unlinked.  The sweep sorts its events as ints on the
+ring of the leaf endpoints, where critical leaves are read off too.
+Laminations are generated from critical portraits by the standard pullback
+scheme, with branches chosen inside the complementary sectors of a full
+collection of critical chords.
 
 Pullbacks and invariance checks run on one integer ring (1/N)Z/Z: sigma_d
 never enlarges a denominator and each pullback generation multiplies it by
@@ -160,6 +162,13 @@ class Gap:
         return "Gap(" + ", ".join(str(v) for v in self.vertices) + ")"
 
 
+def _ring_leaves(leaves) -> tuple[int, list[tuple[int, int]]]:
+    """The leaves on the ring of their endpoints (see ``circle._ring``): N
+    and the (a, b) ints of each leaf."""
+    N, xs = _ring([e for c in leaves for e in (c.a, c.b)])
+    return N, list(zip(xs[::2], xs[1::2]))
+
+
 def _nest(leaves):
     """Non-crossing sweep over the leaf endpoints in circle order, O(N log N).
 
@@ -170,30 +179,42 @@ def _nest(leaves):
     top crosses the top.  A stack frame is (leaf, the leaves directly inside
     it in circle order), over the root frame (None, the top-level leaves).
 
-    Returns (the frames in closing order with the root last, None), or
-    (None, (c1, c2)) with c1 < c2 a crossing pair.
+    The sweep runs on the ring of the endpoints (see ``circle._ring``),
+    where circle order is int order: an event is (position, 0 to close or
+    1 to open, minus the other end, leaf index), and the stack top is
+    matched by leaf index.
+
+    Returns (the frames in closing order with the root last, None, the
+    leaf index of each frame but the root), or (None, (c1, c2), None) with
+    c1 < c2 a crossing pair.
     """
+    _, ring = _ring_leaves(leaves)
     events = sorted(
-        [(c.b, False, -c.a, c) for c in leaves] + [(c.a, True, -c.b, c) for c in leaves]
+        [(b, 0, -a, i) for i, (a, b) in enumerate(ring)]
+        + [(a, 1, -b, i) for i, (a, b) in enumerate(ring)]
     )
     stack = [(None, [])]
-    closed = []
-    for _, opens, _, c in events:
+    open_ids = [-1]
+    closed, closed_ids = [], []
+    for _, opens, _, i in events:
         if opens:
-            stack.append((c, []))
-        elif stack[-1][0] is c:
-            closed.append(stack.pop())
-            stack[-1][1].append(c)
+            stack.append((leaves[i], []))
+            open_ids.append(i)
+        elif open_ids[-1] == i:
+            closed_ids.append(open_ids.pop())
+            frame = stack.pop()
+            closed.append(frame)
+            stack[-1][1].append(frame[0])
         else:
-            return None, tuple(sorted((c, stack[-1][0])))
-    return closed + stack, None
+            return None, tuple(sorted((leaves[i], stack[-1][0]))), None
+    return closed + stack, None, closed_ids
 
 
 def check_unlinked(lam: FiniteLamination):
     """(True, None) if the leaves are pairwise unlinked, else (False, (c1, c2))
     with c1 < c2 a crossing pair, not necessarily the lexicographically
     first one; see :func:`_nest`."""
-    frames, pair = _nest(lam.leaves)
+    frames, pair, _ = _nest(lam.leaves)
     return frames is not None, pair
 
 
@@ -222,16 +243,25 @@ def gaps(lam: FiniteLamination) -> list[Gap]:
 
     Raises ValueError naming a crossing pair when the leaves cross.
     """
-    if not lam.leaves:
+    leaves = lam.leaves
+    if not leaves:
         return [Gap.whole_disk()]
-    frames, pair = _nest(lam.leaves)
+    frames, pair, ids = _nest(leaves)
     if pair is not None:
         raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
-    result = [_face(children, c.a, c.b, ("chord", c)) for c, children in frames[:-1]]
+    # The vertices of a face run in circle order from the first end of its
+    # leaf, and of two leaves from one point the shorter one's face has the
+    # smaller vertices (the longer one's next vertex is the end of a leaf
+    # from that point), so the faces inside the leaves sort as the leaves
+    # do.  The outer face runs from the first end of the first top-level
+    # leaf and sorts after every face from that point.
+    result = [None] * len(leaves)
+    for i, (c, children) in zip(ids, frames):
+        result[i] = _face(children, c.a, c.b, ("chord", c))
     top = frames[-1][1]
     first, last = top[0].a, top[-1].b
-    result.append(_face(top, first, last, ("arc", Arc(last, first))))
-    result.sort(key=lambda g: g.vertices)
+    outer = _face(top, first, last, ("arc", Arc(last, first)))
+    result.insert(bisect_right(leaves, first, key=lambda c: c.a), outer)
     return result
 
 
@@ -596,8 +626,7 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
     gens = lam.generations or {}
     report.exempt = sum(g >= boundary_depth for g in gens.values())
 
-    N, xs = _ring([e for c in lam.leaves for e in (c.a, c.b)])
-    pairs = list(zip(xs[::2], xs[1::2]))
+    N, pairs = _ring_leaves(lam.leaves)
     leaf_pairs = set(pairs)
     images = [_ring_image(d, N, p) for p in pairs]
     by_image: dict[tuple, list] = {}
@@ -673,7 +702,9 @@ def critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
 
 def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     d = lam.degree
-    crit_leaves = tuple(c for c in lam.leaves if is_critical(d, c))
+    # a leaf is critical when its ends share an image, d*x_a == d*x_b mod N
+    N, pairs = _ring_leaves(lam.leaves)
+    crit_leaves = tuple(c for c, (a, b) in zip(lam.leaves, pairs) if d * a % N == d * b % N)
 
     crit_gaps = []
     all_crit_gaps = []

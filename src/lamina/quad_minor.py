@@ -16,7 +16,13 @@ from fractions import Fraction
 
 from .circle import THIRD, Angle, Arc, ccw_offset, preimages
 from .chords import Chord, chord_image, linked
-from .lamination import FiniteLamination, check_unlinked, orbit_classify, pullback_build
+from .lamination import (
+    FiniteLamination,
+    _ring_leaves,
+    check_unlinked,
+    orbit_classify,
+    pullback_build,
+)
 
 __all__ = [
     "Strip",
@@ -146,7 +152,9 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
         raise ValueError("minors are defined for degree-2 laminations")
     if not lam.leaves:
         raise ValueError("empty lamination has no minor")
-    lengths = [c.length for c in lam.leaves]
+    # on the ring of the endpoints a leaf's length is min(b - a, N - b + a)
+    N, pairs = _ring_leaves(lam.leaves)
+    lengths = [min(b - a, N - b + a) for a, b in pairs]
     top = max(lengths)
     majors = tuple(c for c, length in zip(lam.leaves, lengths) if length == top)
     images = {chord_image(2, c) for c in majors}

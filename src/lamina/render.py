@@ -16,6 +16,13 @@ however near l is to 1/2.  The arc bends toward the disk centre, which
 fixes its sweep flag exactly: drawn from a to b it is 1 iff b lies less
 than half a turn counterclockwise of a.  The memo lives and dies with its
 canvas: nothing is cached across calls.
+
+Each endpoint is evaluated once, on raw mpf values through mpmath's
+``libmp``: ``mpf_cos_sin_pi`` gives cosine and sine together,
+``mpf_mul``/``mpf_add``/``mpf_sub`` the pixel coordinates and ``to_str``
+the 12-digit strings.  These are the functions, in the same order and with
+the same rounding, that the mpf operators, ``cospi``/``sinpi`` and
+``nstr`` call, so the bytes are those of the mpf formula.
 """
 
 from __future__ import annotations
@@ -24,6 +31,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    from_int,
+    mpf_add,
+    mpf_cos_sin_pi,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pos,
+    mpf_sub,
+    to_str,
+)
 
 from .chords import Chord
 from .circle import Angle, ccw_offset
@@ -60,34 +78,59 @@ def _fmt(x) -> str:
     return mpmath.nstr(x, 12)
 
 
+# every rounding of the canvas is to nearest, as the mpf operators round
+_RND = "n"
+
+
 class _Canvas:
     """Maps the unit disk to SVG pixel coordinates (y axis flipped),
-    evaluating each endpoint and each arc radius once."""
+    evaluating each endpoint and each arc radius once.
+
+    Endpoints go through mpmath's low-level ``libmp`` functions on raw mpf
+    values at the context precision, calling the same functions in the
+    same order as the mpf operators, ``cospi``/``sinpi`` and ``nstr`` would.
+    """
 
     def __init__(self, size: int):
         self.center = mpmath.mpf(size) / 2
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
+        self._label_radius = (self.radius * mpmath.mpf("1.06"))._mpf_
+        self._prec = mpmath.mp.prec
         self._points: dict = {}
         self._xy: dict = {}
         self._radii: dict = {}
 
     def point(self, angle: Fraction):
+        """(cos 2*pi*angle, sin 2*pi*angle) as raw mpf values."""
         p = self._points.get(angle)
         if p is None:
-            t = 2 * mpmath.mpf(angle.numerator) / angle.denominator
-            p = self._points[angle] = (mpmath.cospi(t), mpmath.sinpi(t))
+            prec = self._prec
+            # 2 * mpf(n) / q
+            t = mpf_mul_int(mpf_pos(from_int(angle.numerator), prec, _RND), 2, prec, _RND)
+            t = mpf_div(t, from_int(angle.denominator), prec, _RND)
+            p = self._points[angle] = mpf_cos_sin_pi(t, prec, _RND)
         return p
 
-    def pix(self, xy):
-        x, y = xy
-        return self.center + self.radius * x, self.center - self.radius * y
+    def pix(self, angle: Fraction, radius=None) -> tuple[str, str]:
+        """The formatted pixel coordinates center + radius*x and
+        center - radius*y of the angle's point (x, y), ``radius`` a raw mpf
+        value (the disk radius by default)."""
+        x, y = self.point(angle)
+        prec, c = self._prec, self.center._mpf_
+        r = self.radius._mpf_ if radius is None else radius
+        px = mpf_add(c, mpf_mul(r, x, prec, _RND), prec, _RND)
+        py = mpf_sub(c, mpf_mul(r, y, prec, _RND), prec, _RND)
+        return to_str(px, 12), to_str(py, 12)
 
     def svg_xy(self, angle: Fraction) -> str:
         s = self._xy.get(angle)
         if s is None:
-            px, py = self.pix(self.point(angle))
-            s = self._xy[angle] = f"{_fmt(px)},{_fmt(py)}"
+            s = self._xy[angle] = ",".join(self.pix(angle))
         return s
+
+    def label_xy(self, angle: Fraction) -> tuple[str, str]:
+        """The formatted position of a label, 1.06 disk radii out."""
+        return self.pix(angle, self._label_radius)
 
     def arc_radius(self, length: Fraction) -> str:
         """The formatted pixel radius of a geodesic of this shortest length."""
@@ -178,8 +221,8 @@ def _render(target, spec: RenderSpec, shaded) -> str:
         strong = [c for c in chord_list if c in highlight]
         for c in sorted(dict.fromkeys(plain)):
             if c.degenerate:
-                px, py = canvas.pix(canvas.point(c.a))
-                out.append(f'<circle class="leaf" cx="{_fmt(px)}" cy="{_fmt(py)}" r="2"/>')
+                px, py = canvas.pix(c.a)
+                out.append(f'<circle class="leaf" cx="{px}" cy="{py}" r="2"/>')
             else:
                 out.append(f'<path class="leaf" d="{_geodesic_path(canvas, c, straight)}"/>')
         for c in sorted(dict.fromkeys(strong)):
@@ -191,12 +234,8 @@ def _render(target, spec: RenderSpec, shaded) -> str:
                     if v in seen:
                         continue
                     seen.add(v)
-                    x, y = canvas.point(v)
-                    lx = canvas.center + canvas.radius * mpmath.mpf("1.06") * x
-                    ly = canvas.center - canvas.radius * mpmath.mpf("1.06") * y
-                    out.append(
-                        f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" text-anchor="middle">{v}</text>'
-                    )
+                    lx, ly = canvas.label_xy(v)
+                    out.append(f'<text x="{lx}" y="{ly}" text-anchor="middle">{v}</text>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

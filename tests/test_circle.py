@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lamina.circle import (
     Angle,
@@ -50,6 +50,44 @@ def test_angle_rejects_floats():
 def test_angle_rejects_decimal_and_exponent_strings(text):
     with pytest.raises(ValueError):
         Angle(text)
+
+
+_blanks = st.text(alphabet=" \t\n", max_size=2)
+_digits = st.builds(
+    lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**30)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _blanks,
+    st.sampled_from(["", "+", "-"]),
+    _digits,
+    st.none()
+    | st.builds(lambda zeros, q: "0" * zeros + str(q), st.integers(0, 2), st.integers(1, 10**30)),
+    _blanks,
+)
+@example("", "", "0", "7", "")
+@example(" ", "-", "00", "007", "\t")
+@example("", "-", "5", "3", "")
+@example("", "+", str(10**30), None, " ")
+def test_angle_text_matches_fraction(lead, sign, p, q, trail):
+    text = lead + sign + p + ("" if q is None else "/" + q) + trail
+    a, expected = Angle(text), Fraction(text) % 1
+    assert type(a) is Angle and a == expected
+    assert (a.numerator, a.denominator) == (expected.numerator, expected.denominator)
+    assert hash(a) == hash(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _digits,
+    st.sampled_from(["{}.{}", "{}e{}", "{}/0", "{}/00", "{}/-{}", "{}/{}/3", "{}/ {}", "/{}{}", "{}/{}.5"]),
+    st.integers(0, 10**30),
+)
+def test_angle_text_rejects_non_rationals(p, form, q):
+    with pytest.raises(ValueError):
+        Angle(form.format(p, q))
 
 
 def test_sigma_power_matches_iterated_sigma():

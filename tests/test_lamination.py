@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +156,70 @@ def test_check_unlinked_agrees_with_pairwise_oracle(data):
         assert pair[0] in lam and pair[1] in lam
         with pytest.raises(ValueError, match=f"{pair[0]} x {pair[1]}"):
             gaps(lam)
+
+
+def angle_nest(leaves):
+    """Oracle for the ring sweep ``_nest``: the same sweep with its events
+    keyed by Angles and its stack top matched by Chord identity."""
+    events = sorted(
+        [(c.b, False, -c.a, c) for c in leaves] + [(c.a, True, -c.b, c) for c in leaves]
+    )
+    stack = [(None, [])]
+    closed = []
+    for _, opens, _, c in events:
+        if opens:
+            stack.append((c, []))
+        elif stack[-1][0] is c:
+            closed.append(stack.pop())
+            stack[-1][1].append(c)
+        else:
+            return None, tuple(sorted((c, stack[-1][0])))
+    return closed + stack, None
+
+
+def assert_nest_matches_oracle(lam):
+    frames, pair, ids = lamination._nest(lam.leaves)
+    expected_frames, expected_pair = angle_nest(lam.leaves)
+    assert pair == expected_pair
+    assert frames == expected_frames
+    if frames is None:
+        assert ids is None
+    else:
+        # the frames' leaves, in closing order, are exact leaf objects
+        assert all(lam.leaves[i] is c for i, (c, _) in zip(ids, frames))
+        assert len(ids) == len(lam)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ring_nest_agrees_with_angle_oracle(data):
+    # small denominators share endpoints; mixed ones put the leaves on a
+    # ring whose N is a proper multiple of most denominators
+    qs = data.draw(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=3))
+    point = st.sampled_from(qs).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: A(p, q)))
+    chords = data.draw(st.lists(st.builds(Chord, point, point), max_size=14))
+    if data.draw(st.booleans()):
+        laminar = []
+        for c in chords:
+            if not any(linked(c, m) for m in laminar):
+                laminar.append(c)
+        chords = laminar + data.draw(st.lists(st.builds(Chord, point, point), max_size=2))
+    assert_nest_matches_oracle(FiniteLamination(2, chords))
+
+
+def test_ring_nest_agrees_with_angle_oracle_on_large_laminations():
+    lam = pullback_build(2, RABBIT_QUAD, 8, sectors=RABBIT_SPIKE)
+    cubic = figure_orbit_lamination(4)
+    assert len(lam) > 2000 and len(cubic) > 1000
+    sub = FiniteLamination(2, random.Random(7).sample(lam.leaves, 1200))
+    for big in (lam, cubic, sub):
+        assert_nest_matches_oracle(big)
+        # chords that cross leaves of the lamination
+        for extra in (C(0, 1, 1, 2), C(1, 5, 3, 5)):
+            crossing = big.with_leaves([extra])
+            assert not check_unlinked(crossing)[0]
+            assert_nest_matches_oracle(crossing)
+    assert_nest_matches_oracle(FiniteLamination(2, []))
 
 
 def test_check_unlinked_is_a_sweep(monkeypatch):

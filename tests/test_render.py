@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from lamina.chords import Chord
 from lamina.lamination import FiniteLamination, gaps, orbit_classify, pullback_build
 from lamina.cubic_tags import ConvexSet
 from lamina.formats import parse_portrait
-from lamina.render import _STRAIGHT_FROM, RenderSpec, render_svg
+from lamina.render import _STRAIGHT_FROM, RenderSpec, _Canvas, render_svg
 
 A = Angle
 
@@ -100,13 +101,50 @@ def _paths(svg: str, cls: str):
     return re.findall(rf'<path class="{cls}" d="([^"]*)"/>', svg)
 
 
-def _svg_xy_uncached(x, size):
+def _mpf_pix(x, size, scale=None):
+    """Oracle for the canvas's libmp pipeline: the pixel strings of angle x,
+    ``scale`` disk radii out, by the mpf-object formula at 30 digits."""
     with mpmath.workdps(30):
         c = mpmath.mpf(size) / 2
         R = mpmath.mpf(size) * mpmath.mpf("0.45")
+        if scale is not None:
+            R = R * mpmath.mpf(scale)
         t = 2 * mpmath.mpf(x.numerator) / x.denominator
         px, py = c + R * mpmath.cospi(t), c - R * mpmath.sinpi(t)
-        return f"{mpmath.nstr(px, 12)},{mpmath.nstr(py, 12)}"
+        return mpmath.nstr(px, 12), mpmath.nstr(py, 12)
+
+
+def _svg_xy_uncached(x, size):
+    return ",".join(_mpf_pix(x, size))
+
+
+def test_canvas_points_match_mpf_oracle():
+    rng = random.Random(2024)
+    angles = [A(rng.randrange(q), q) for q in (rng.randint(1, 10**6) for _ in range(2000))]
+    # exact quarter turns, and numerators wider than the 103-bit precision
+    angles += [A(k, 4) for k in range(4)] + [A(rng.randrange(2**130), 2**130 - 1) for _ in range(50)]
+    for size in (1, 7, 800, 1000):
+        with mpmath.workdps(30):
+            canvas = _Canvas(size)
+            got = [canvas.svg_xy(a) for a in angles]
+        assert got == [_svg_xy_uncached(a, size) for a in angles]
+    # the raw cosine and sine, bit for bit, which 12 printed digits hide
+    with mpmath.workdps(30):
+        for a in angles:
+            t = 2 * mpmath.mpf(a.numerator) / a.denominator
+            assert canvas.point(a) == (mpmath.cospi(t)._mpf_, mpmath.sinpi(t)._mpf_)
+
+
+def test_labelled_render_with_degenerate_chord_matches_mpf_oracle():
+    chords = [C(3, 11, 3, 11), C(1, 7, 2, 7), C(5, 13, 12, 13), C(0, 1, 1, 2)]
+    for size in (7, 640):
+        svg = render_svg(chords, RenderSpec(size=size, labels=True))
+        [(cx, cy)] = re.findall(r'<circle class="leaf" cx="([^"]*)" cy="([^"]*)" r="2"/>', svg)
+        assert (cx, cy) == _mpf_pix(A(3, 11), size)
+        labels = re.findall(r'<text x="([^"]*)" y="([^"]*)" text-anchor="middle">([^<]*)</text>', svg)
+        assert [v for _, _, v in labels] == ["3/11", "1/7", "2/7", "5/13", "12/13", "0", "1/2"]
+        for x, y, v in labels:
+            assert (x, y) == _mpf_pix(A(v), size, "1.06")
 
 
 def test_gap_shade_sides_run_vertex_to_vertex():
