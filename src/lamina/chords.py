@@ -7,9 +7,10 @@ critical chords are validated against loops (closed concatenations or
 repeated chords), and sibling collections enumerate the ways a chord extends
 to d pairwise disjoint chords with a common image.
 
-Code that puts its chords on one integer ring mod N (pullbacks, invariance,
-order preservation) uses the int-pair forms ``_ring_image``,
-``_ring_linked`` and ``_ring_disjoint`` of the image and the two tests.
+Code that puts its chords on one integer ring mod N uses the int-pair
+forms ``_ring_image``, ``_ring_linked`` and ``_ring_disjoint`` of the image
+and the two tests: pullbacks, order preservation, and every check on a
+finished lamination, which carries its own ring (``FiniteLamination.ring``).
 """
 
 from __future__ import annotations

@@ -41,7 +41,10 @@ def _degree(line: str, seen) -> int:
     parts = line.split()
     if len(parts) != 2:
         raise ValueError(f"degree header needs exactly one value: {line!r}")
-    return int(parts[1])
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise ValueError(f"degree header needs an integer: {line!r}") from None
 
 
 def parse_lamination(text: str) -> FiniteLamination:
@@ -146,9 +149,10 @@ def parse_portrait(text: str) -> PortraitSpec:
                 raise ValueError(f"quad line needs four angles: {line!r}")
             entries.append(("quad", make_quadrilateral([Angle(p) for p in parts[1:]], degree)))
         elif parts[0] == "poly":
-            if len(parts) < 4:
-                raise ValueError(f"poly line needs at least three angles: {line!r}")
-            entries.append(("poly", tuple(sorted(Angle(p) for p in parts[1:]))))
+            vertices = tuple(sorted(Angle(p) for p in parts[1:]))
+            if len(set(vertices)) < 3:
+                raise ValueError(f"poly line needs at least three distinct angles: {line!r}")
+            entries.append(("poly", vertices))
         else:
             raise ValueError(f"unknown portrait line: {line!r}")
     if degree is None:

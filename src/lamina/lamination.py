@@ -1,10 +1,12 @@
 """Finite laminations: unlinkedness, gaps, invariance, pullbacks, criticality.
 
 A FiniteLamination is a canonical finite set of pairwise-unlinked chords of
-fixed degree d (degenerate leaves are implied and not stored).  The disk
-minus the chords decomposes into gaps, read off the same nesting sweep that
-checks the leaves are unlinked.  The sweep sorts its events as ints on the
-ring of the leaf endpoints, where critical leaves are read off too.
+fixed degree d (degenerate leaves are implied and not stored).  It carries
+its leaves on the integer ring of their endpoints (``FiniteLamination.ring``),
+formed on first read and kept; every check on the lamination reads that
+ring.  The disk minus the chords decomposes into gaps, read off the same
+nesting sweep that checks the leaves are unlinked.  The sweep sorts its
+events as ints on the ring, where critical leaves are read off too.
 Laminations are generated from critical portraits by the standard pullback
 scheme, with branches chosen inside the complementary sectors of a full
 collection of critical chords.
@@ -32,10 +34,10 @@ from .chords import (
     Chord,
     _ring_disjoint,
     _ring_image,
+    _ring_linked,
     chord_image,
     greedy_no_loop,
     is_critical,
-    linked,
     validate_collection,
 )
 
@@ -70,10 +72,12 @@ class FiniteLamination:
     Construction canonicalizes (sorts, dedupes, drops degenerate chords) but
     does not enforce unlinkedness; use :func:`check_unlinked`.  The optional
     ``generations`` mapping records the pullback generation of each leaf and
-    is metadata: it does not participate in equality.
+    is metadata: it does not participate in equality.  ``ring`` and
+    :func:`critical_analysis` are computed on first use and kept, since the
+    leaves never change.
     """
 
-    __slots__ = ("degree", "leaves", "generations", "_leaf_set", "_analysis")
+    __slots__ = ("degree", "leaves", "generations", "_leaf_set", "_analysis", "_on_ring")
 
     def __init__(self, degree: int, leaves=(), generations=None):
         if not isinstance(degree, int) or degree < 2:
@@ -85,6 +89,7 @@ class FiniteLamination:
         self._leaf_set = frozenset(canon)
         self.generations = dict(generations) if generations else None
         self._analysis = None
+        self._on_ring = None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteLamination):
@@ -109,6 +114,15 @@ class FiniteLamination:
     @property
     def leaf_set(self) -> frozenset:
         return self._leaf_set
+
+    @property
+    def ring(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The leaves on the ring of their endpoints (see ``circle._ring``):
+        N and the sorted (a, b) int pair of each leaf, in leaf order."""
+        if self._on_ring is None:
+            N, xs = _ring([e for c in self.leaves for e in (c.a, c.b)])
+            self._on_ring = N, tuple(zip(xs[::2], xs[1::2]))
+        return self._on_ring
 
     @property
     def max_generation(self) -> int:
@@ -162,14 +176,7 @@ class Gap:
         return "Gap(" + ", ".join(str(v) for v in self.vertices) + ")"
 
 
-def _ring_leaves(leaves) -> tuple[int, list[tuple[int, int]]]:
-    """The leaves on the ring of their endpoints (see ``circle._ring``): N
-    and the (a, b) ints of each leaf."""
-    N, xs = _ring([e for c in leaves for e in (c.a, c.b)])
-    return N, list(zip(xs[::2], xs[1::2]))
-
-
-def _nest(leaves):
+def _nest(lam: FiniteLamination):
     """Non-crossing sweep over the leaf endpoints in circle order, O(N log N).
 
     Pairwise unlinked leaves nest like parentheses.  At each endpoint the
@@ -179,16 +186,15 @@ def _nest(leaves):
     top crosses the top.  A stack frame is (leaf, the leaves directly inside
     it in circle order), over the root frame (None, the top-level leaves).
 
-    The sweep runs on the ring of the endpoints (see ``circle._ring``),
-    where circle order is int order: an event is (position, 0 to close or
-    1 to open, minus the other end, leaf index), and the stack top is
-    matched by leaf index.
+    The sweep runs on the lamination's ring, where circle order is int
+    order: an event is (position, 0 to close or 1 to open, minus the other
+    end, leaf index), and the stack top is matched by leaf index.
 
     Returns (the frames in closing order with the root last, None, the
     leaf index of each frame but the root), or (None, (c1, c2), None) with
     c1 < c2 a crossing pair.
     """
-    _, ring = _ring_leaves(leaves)
+    leaves, (_, ring) = lam.leaves, lam.ring
     events = sorted(
         [(b, 0, -a, i) for i, (a, b) in enumerate(ring)]
         + [(a, 1, -b, i) for i, (a, b) in enumerate(ring)]
@@ -214,7 +220,7 @@ def check_unlinked(lam: FiniteLamination):
     """(True, None) if the leaves are pairwise unlinked, else (False, (c1, c2))
     with c1 < c2 a crossing pair, not necessarily the lexicographically
     first one; see :func:`_nest`."""
-    frames, pair, _ = _nest(lam.leaves)
+    frames, pair, _ = _nest(lam)
     return frames is not None, pair
 
 
@@ -246,7 +252,7 @@ def gaps(lam: FiniteLamination) -> list[Gap]:
     leaves = lam.leaves
     if not leaves:
         return [Gap.whole_disk()]
-    frames, pair, ids = _nest(leaves)
+    frames, pair, ids = _nest(lam)
     if pair is not None:
         raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
     # The vertices of a face run in circle order from the first end of its
@@ -381,9 +387,10 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
             f"critical chords do not form a full collection: {list(map(str, critical_chords))}"
         )
     mini = FiniteLamination(d, critical_chords)
-    if not check_unlinked(mini)[0]:
-        raise InconsistentPortrait("critical chords of the portrait cross each other")
-    faces = gaps(mini)
+    try:
+        faces = gaps(mini)
+    except ValueError:  # the sweep found crossing chords
+        raise InconsistentPortrait("critical chords of the portrait cross each other") from None
     sectors = []
     for g in faces:
         arcs = [(a.start, a.end) for a in g.arcs]
@@ -460,7 +467,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                 f"depth {depth} could build {at_least}{bound} leaves from {len(gen0)} "
                 f"generation-0 leaves; the limit is {MAX_PULLBACK_LEAVES}"
             )
-    ok, pair = check_unlinked(FiniteLamination(d, gen0 + sector_chords))
+    base = FiniteLamination(d, gen0 + sector_chords)
+    ok, pair = check_unlinked(base)
     if not ok:
         raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
     if not gen0:
@@ -468,11 +476,11 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         # be too large to form d**depth
         return FiniteLamination(d, (), generations=generations)
 
-    ends = [e for c in gen0 + sector_chords for e in c.endpoints]
-    N, xs = _ring(ends)
+    # every sector arc end and corner is an end of a sector chord
+    N, pairs = base.ring
     scale = d**depth
     N *= scale
-    on_ring = {a: x * scale for a, x in zip(ends, xs)}
+    on_ring = {e: x * scale for c, p in zip(base.leaves, pairs) for e, x in zip(c, p)}
     step = N // d
     # the half-open sector arcs tile the circle: the arc starting at
     # starts[i] belongs to sector owner[i], and the last one wraps past 0
@@ -488,10 +496,6 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 
     def sector_of(q: int) -> int:
         return owner[bisect_right(starts, q) - 1]
-
-    def chord_at(x, y) -> Chord:
-        g, h = gcd(x, N), gcd(y, N)
-        return Chord(_angle(x // g, N // g), _angle(y // h, N // h))
 
     def candidates(X: int, k: int) -> list[int]:
         """Preimages of X in the closed sector k, half-open-assigned ones first."""
@@ -509,10 +513,11 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         by_image.setdefault(_ring_image(d, N, p), []).append(p)
         current.append(p)
 
-    def record(p, chord, generation: int, new: list):
+    def record(p, generation: int, new: list):
         if p not in leaves:
-            chord = chord or chord_at(*p)
-            leaves[p] = chord
+            x, y = p
+            g, h = gcd(x, N), gcd(y, N)
+            chord = leaves[p] = Chord(_angle(x // g, N // g), _angle(y // h, N // h))
             generations[chord] = generation
             by_image.setdefault(_ring_image(d, N, p), []).append(p)
             new.append(p)
@@ -528,7 +533,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             for q in range(b // d, N, step):
                 ys[sector_of(q)] = q
             for x, y in zip(xs, ys):
-                record((x, y) if x < y else (y, x), None, generation, new)
+                record((x, y) if x < y else (y, x), generation, new)
             return
         # an endpoint is the image of a critical chord, so several chord
         # ends qualify in the adjacent sectors; search the d sector choices
@@ -544,14 +549,13 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     if x == y:
                         continue
                     p = (x, y) if x < y else (y, x)
-                    cand = leaves.get(p) or chord_at(*p)
-                    if not any(linked(cand, m) for m in leaves.values()):
-                        cands.append((p, cand))
+                    if not any(_ring_linked(p, m) for m in leaves):
+                        cands.append(p)
             if not cands:
                 raise InconsistentPortrait(
                     f"no unlinked pullback of {leaves[leaf]} in sector {sector.arcs}"
                 )
-            cands.sort(key=lambda pc: pc[0] not in existing)
+            cands.sort(key=lambda p: p not in existing)
             options.append(cands)
 
         # exhaustive over the tiny option product: prefer assignments
@@ -567,10 +571,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     best_score = score
                     chosen = list(picked)
                 return
-            for p, cand in options[idx]:
+            for p in options[idx]:
                 if p[0] in used or p[1] in used:
                     continue
-                picked.append((p, cand))
+                picked.append(p)
                 used |= {p[0], p[1]}
                 search(idx + 1, picked, used, score + (p in existing))
                 used -= {p[0], p[1]}
@@ -579,8 +583,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         search(0, [], set(), 0)
         if chosen is None:
             raise InconsistentPortrait(f"no disjoint pullback collection for {leaves[leaf]}")
-        for p, cand in chosen:
-            record(p, cand, generation, new)
+        for p in chosen:
+            record(p, generation, new)
 
     for g in range(1, depth + 1):
         new: list[tuple] = []
@@ -626,7 +630,7 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
     gens = lam.generations or {}
     report.exempt = sum(g >= boundary_depth for g in gens.values())
 
-    N, pairs = _ring_leaves(lam.leaves)
+    N, pairs = lam.ring
     leaf_pairs = set(pairs)
     images = [_ring_image(d, N, p) for p in pairs]
     by_image: dict[tuple, list] = {}
@@ -703,7 +707,7 @@ def critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
 def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     d = lam.degree
     # a leaf is critical when its ends share an image, d*x_a == d*x_b mod N
-    N, pairs = _ring_leaves(lam.leaves)
+    N, pairs = lam.ring
     crit_leaves = tuple(c for c, (a, b) in zip(lam.leaves, pairs) if d * a % N == d * b % N)
 
     crit_gaps = []

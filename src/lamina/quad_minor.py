@@ -16,13 +16,7 @@ from fractions import Fraction
 
 from .circle import THIRD, Angle, Arc, ccw_offset, preimages
 from .chords import Chord, chord_image, linked
-from .lamination import (
-    FiniteLamination,
-    _ring_leaves,
-    check_unlinked,
-    orbit_classify,
-    pullback_build,
-)
+from .lamination import FiniteLamination, check_unlinked, orbit_classify, pullback_build
 
 __all__ = [
     "Strip",
@@ -152,8 +146,8 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
         raise ValueError("minors are defined for degree-2 laminations")
     if not lam.leaves:
         raise ValueError("empty lamination has no minor")
-    # on the ring of the endpoints a leaf's length is min(b - a, N - b + a)
-    N, pairs = _ring_leaves(lam.leaves)
+    # on the lamination's ring a leaf's length is min(b - a, N - b + a)
+    N, pairs = lam.ring
     lengths = [min(b - a, N - b + a) for a, b in pairs]
     top = max(lengths)
     majors = tuple(c for c, length in zip(lam.leaves, lengths) if length == top)

@@ -455,8 +455,8 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
         if partner == l2:
             k = orbit_classify(d, l2).orbit.index(other)
             x, y = l2.endpoints
-            separated = _separates(l1, x, sigma_power(d, x, k)) and _separates(
-                l1, y, sigma_power(d, y, k)
+            separated = linked(l1, Chord(x, sigma_power(d, x, k))) and linked(
+                l1, Chord(y, sigma_power(d, y, k))
             )
             fixed = sigma_power(d, x, k) == x and sigma_power(d, y, k) == y
             if not (separated or fixed):
@@ -465,13 +465,6 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
     if len(crossing) == 0:
         return None, "no crossing members"
     return None, f"{len(crossing)} crossing images"
-
-
-def _separates(axis: Chord, u: Angle, v: Angle) -> bool:
-    """Does the chord separate the two circle points in the open disk?"""
-    if u in axis.endpoints or v in axis.endpoints or u == v:
-        return False
-    return (axis.a < u < axis.b) != (axis.a < v < axis.b)
 
 
 def run_compgap(samples: int = 0, seed: int = 1, kmax: int = 4) -> SuiteResult:

@@ -311,3 +311,28 @@ def test_cli_build_refuses_huge_depth(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "limit is 1000000" in captured.err
+
+
+@pytest.mark.parametrize("line", ["poly 0 0 1/2", "poly 1/3 1/3 1/3 2/3", "poly 1/4 1/4 1/4"])
+def test_poly_needs_three_distinct_angles(tmp_path, capsys, line):
+    text = f"degree 2\n{line}\n"
+    with pytest.raises(ValueError, match="three distinct angles"):
+        parse_portrait(text)
+    bad = tmp_path / "thin.portrait"
+    bad.write_text(text)
+    out = tmp_path / "thin.lam"
+    assert main(["build", "--portrait", str(bad), "--depth", "2", "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_non_integer_degree_header_names_the_header(tmp_path, capsys):
+    with pytest.raises(ValueError, match="degree header needs an integer: 'degree x'"):
+        parse_portrait("degree x\nquad 1/14 1/7 4/7 9/14\n")
+    with pytest.raises(ValueError, match="degree header needs an integer: 'degree 2.5'"):
+        parse_lamination("degree 2.5\n1/7 2/7\n")
+    bad = tmp_path / "bad.portrait"
+    bad.write_text("degree x\nquad 1/14 1/7 4/7 9/14\n")
+    assert main(["build", "--portrait", str(bad), "--depth", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: degree header needs an integer: 'degree x'\n"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lamina.lamination as lamination
-from lamina.circle import Angle, Arc, ccw_offset, preimages, sigma
+from lamina.circle import Angle, Arc, _ring, ccw_offset, preimages, sigma
 from lamina.chords import (
     Chord,
     _ring_disjoint,
@@ -21,7 +21,7 @@ from lamina.chords import (
     sibling_collections,
 )
 from lamina.formats import parse_portrait
-from lamina.quad_minor import major_quadrilateral, qml_enumerate
+from lamina.quad_minor import major_quadrilateral, minor_of, qml_enumerate
 from lamina.sampling import Lcg
 from lamina.suites import _quad_portrait, heuristically_dendritic, hexagon_fixtures
 from lamina.lamination import (
@@ -178,7 +178,7 @@ def angle_nest(leaves):
 
 
 def assert_nest_matches_oracle(lam):
-    frames, pair, ids = lamination._nest(lam.leaves)
+    frames, pair, ids = lamination._nest(lam)
     expected_frames, expected_pair = angle_nest(lam.leaves)
     assert pair == expected_pair
     assert frames == expected_frames
@@ -227,13 +227,13 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     assert len(lam) >= 500
     crossing = lam.with_leaves([C(0, 1, 1, 2)])
 
-    def no_pairwise_scan(c1, c2):
-        raise AssertionError("check_unlinked called linked")
+    def no_pairwise_scan(p1, p2):
+        raise AssertionError("check_unlinked called _ring_linked")
 
     def no_rotation_order(a, b):
         raise AssertionError("gaps called ccw_offset")
 
-    monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
+    monkeypatch.setattr(lamination, "_ring_linked", no_pairwise_scan)
     monkeypatch.setattr(lamination, "ccw_offset", no_rotation_order)
     assert check_unlinked(lam) == (True, None)
     ok, pair = check_unlinked(crossing)
@@ -242,6 +242,25 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     assert len(gaps(lam)) == len(lam) + 1
     with pytest.raises(ValueError, match="cross"):
         gaps(crossing)
+
+
+def test_one_ring_conversion_per_lamination(monkeypatch):
+    # the sweep, the gaps, invariance, critical analysis and the minor all
+    # read the lamination's ring, which is formed on first read
+    lam = pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE)
+    calls = []
+
+    def counting_ring(angles):
+        calls.append(None)
+        return _ring(angles)
+
+    monkeypatch.setattr(lamination, "_ring", counting_ring)
+    assert check_unlinked(lam) == (True, None)
+    assert len(gaps(lam)) == len(lam) + 1
+    assert check_invariance(lam, 6).ok
+    assert critical_analysis(lam).critical_sets
+    assert minor_of(lam).minor == C(1, 7, 2, 7)
+    assert len(calls) == 1
 
 
 def test_period_six_orbit_is_unlinked():
@@ -328,7 +347,9 @@ def test_pullback_build_triangle_portrait():
 
 
 def test_pullback_rejects_crossing_portrait():
-    with pytest.raises(InconsistentPortrait):
+    # a full collection of two crossing critical chords: the sector sweep
+    # finds the crossing
+    with pytest.raises(InconsistentPortrait, match="critical chords of the portrait cross each other"):
         pullback_build(3, [C(0, 1, 1, 3), C(1, 6, 1, 2)], 2)
 
 
@@ -470,6 +491,15 @@ def build_outcome(build, *args, **kwargs):
 SHIPPED_PORTRAITS = sorted((Path(__file__).parent.parent / "portraits").glob("*/*.portrait"))
 
 
+@pytest.mark.parametrize("path", SHIPPED_PORTRAITS, ids=lambda p: p.stem)
+def test_ring_is_the_ring_of_the_endpoints(path):
+    lam = parse_portrait(path.read_text()).build(3)
+    N, xs = _ring([e for c in lam.leaves for e in c.endpoints])
+    assert lam.ring == (N, tuple(zip(xs[::2], xs[1::2])))
+    assert all(A(a, N) == c.a and A(b, N) == c.b for c, (a, b) in zip(lam, lam.ring[1]))
+    assert lam.ring is lam.ring
+
+
 def pullback_cases():
     """(d, portrait, sectors, depth) for the shipped portraits at depths
     0-5, every period <= 6 minor at depth 4, and 200 sampled cubic
@@ -506,16 +536,18 @@ def test_pullback_build_agrees_with_chord_oracle():
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
     # 1/7 is the image of the rabbit's spike, so the leaves ending there pull
-    # back through the joint search, whose candidates are filtered by linked
+    # back through the joint search, whose candidates are int pairs filtered
+    # by _ring_linked against the pairs recorded so far
     calls = []
 
-    def counting_linked(c1, c2):
-        calls.append((c1, c2))
-        return linked(c1, c2)
+    def counting_ring_linked(p1, p2):
+        calls.append((p1, p2))
+        return _ring_linked(p1, p2)
 
-    monkeypatch.setattr(lamination, "linked", counting_linked)
+    monkeypatch.setattr(lamination, "_ring_linked", counting_ring_linked)
     pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
-    assert calls and all(isinstance(c, Chord) for pair in calls for c in pair)
+    assert calls
+    assert all(type(x) is int for pair in calls for p in pair for x in p)
 
 
 @settings(max_examples=400, deadline=None)
