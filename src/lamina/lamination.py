@@ -1,12 +1,11 @@
 """Finite laminations: unlinkedness, gaps, invariance, pullbacks, criticality.
 
 A FiniteLamination is a canonical finite set of pairwise-unlinked chords of
-fixed degree d (degenerate leaves are implied and not stored).  It carries
-its leaves on the integer ring of their endpoints (``FiniteLamination.ring``),
-formed on first read and kept; every check on the lamination reads that
-ring.  The disk minus the chords decomposes into gaps, read off the same
-nesting sweep that checks the leaves are unlinked.  The sweep sorts its
-events as ints on the ring, where critical leaves are read off too.
+fixed degree d (degenerate leaves are implied and not stored).  The disk
+minus the chords decomposes into gaps, read off the same nesting sweep that
+checks the leaves are unlinked.  The sweep sorts its events as ints on the
+lamination's ring of its leaf endpoints (``FiniteLamination.ring``, formed
+once and read by every check), where critical leaves are read off too.
 Laminations are generated from critical portraits by the standard pullback
 scheme, with branches chosen inside the complementary sectors of a full
 collection of critical chords.
@@ -34,10 +33,10 @@ from .chords import (
     Chord,
     _ring_disjoint,
     _ring_image,
-    _ring_linked,
     chord_image,
     greedy_no_loop,
     is_critical,
+    linked,
     validate_collection,
 )
 
@@ -73,8 +72,7 @@ class FiniteLamination:
     does not enforce unlinkedness; use :func:`check_unlinked`.  The optional
     ``generations`` mapping records the pullback generation of each leaf and
     is metadata: it does not participate in equality.  ``ring`` and
-    :func:`critical_analysis` are computed on first use and kept, since the
-    leaves never change.
+    :func:`critical_analysis` are formed on first use and kept.
     """
 
     __slots__ = ("degree", "leaves", "generations", "_leaf_set", "_analysis", "_on_ring")
@@ -389,7 +387,9 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
     mini = FiniteLamination(d, critical_chords)
     try:
         faces = gaps(mini)
-    except ValueError:  # the sweep found crossing chords
+    except ValueError as e:
+        if not str(e).startswith("leaves cross"):
+            raise
         raise InconsistentPortrait("critical chords of the portrait cross each other") from None
     sectors = []
     for g in faces:
@@ -497,6 +497,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     def sector_of(q: int) -> int:
         return owner[bisect_right(starts, q) - 1]
 
+    def chord_at(x, y) -> Chord:
+        g, h = gcd(x, N), gcd(y, N)
+        return Chord(_angle(x // g, N // g), _angle(y // h, N // h))
+
     def candidates(X: int, k: int) -> list[int]:
         """Preimages of X in the closed sector k, half-open-assigned ones first."""
         pre = range(X // d, N, step)
@@ -513,11 +517,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         by_image.setdefault(_ring_image(d, N, p), []).append(p)
         current.append(p)
 
-    def record(p, generation: int, new: list):
+    def record(p, chord, generation: int, new: list):
         if p not in leaves:
-            x, y = p
-            g, h = gcd(x, N), gcd(y, N)
-            chord = leaves[p] = Chord(_angle(x // g, N // g), _angle(y // h, N // h))
+            chord = chord or chord_at(*p)
+            leaves[p] = chord
             generations[chord] = generation
             by_image.setdefault(_ring_image(d, N, p), []).append(p)
             new.append(p)
@@ -533,7 +536,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             for q in range(b // d, N, step):
                 ys[sector_of(q)] = q
             for x, y in zip(xs, ys):
-                record((x, y) if x < y else (y, x), generation, new)
+                record((x, y) if x < y else (y, x), None, generation, new)
             return
         # an endpoint is the image of a critical chord, so several chord
         # ends qualify in the adjacent sectors; search the d sector choices
@@ -549,13 +552,14 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     if x == y:
                         continue
                     p = (x, y) if x < y else (y, x)
-                    if not any(_ring_linked(p, m) for m in leaves):
-                        cands.append(p)
+                    cand = leaves.get(p) or chord_at(*p)
+                    if not any(linked(cand, m) for m in leaves.values()):
+                        cands.append((p, cand))
             if not cands:
                 raise InconsistentPortrait(
                     f"no unlinked pullback of {leaves[leaf]} in sector {sector.arcs}"
                 )
-            cands.sort(key=lambda p: p not in existing)
+            cands.sort(key=lambda pc: pc[0] not in existing)
             options.append(cands)
 
         # exhaustive over the tiny option product: prefer assignments
@@ -571,10 +575,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     best_score = score
                     chosen = list(picked)
                 return
-            for p in options[idx]:
+            for p, cand in options[idx]:
                 if p[0] in used or p[1] in used:
                     continue
-                picked.append(p)
+                picked.append((p, cand))
                 used |= {p[0], p[1]}
                 search(idx + 1, picked, used, score + (p in existing))
                 used -= {p[0], p[1]}
@@ -583,8 +587,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         search(0, [], set(), 0)
         if chosen is None:
             raise InconsistentPortrait(f"no disjoint pullback collection for {leaves[leaf]}")
-        for p in chosen:
-            record(p, generation, new)
+        for p, cand in chosen:
+            record(p, cand, generation, new)
 
     for g in range(1, depth + 1):
         new: list[tuple] = []

@@ -227,13 +227,13 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     assert len(lam) >= 500
     crossing = lam.with_leaves([C(0, 1, 1, 2)])
 
-    def no_pairwise_scan(p1, p2):
-        raise AssertionError("check_unlinked called _ring_linked")
+    def no_pairwise_scan(c1, c2):
+        raise AssertionError("check_unlinked called linked")
 
     def no_rotation_order(a, b):
         raise AssertionError("gaps called ccw_offset")
 
-    monkeypatch.setattr(lamination, "_ring_linked", no_pairwise_scan)
+    monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
     monkeypatch.setattr(lamination, "ccw_offset", no_rotation_order)
     assert check_unlinked(lam) == (True, None)
     ok, pair = check_unlinked(crossing)
@@ -351,6 +351,15 @@ def test_pullback_rejects_crossing_portrait():
     # finds the crossing
     with pytest.raises(InconsistentPortrait, match="critical chords of the portrait cross each other"):
         pullback_build(3, [C(0, 1, 1, 3), C(1, 6, 1, 2)], 2)
+
+
+def test_sector_partition_reports_only_a_crossing_as_one(monkeypatch):
+    def failing_gaps(lam):
+        raise ValueError("some other fault")
+
+    monkeypatch.setattr(lamination, "gaps", failing_gaps)
+    with pytest.raises(ValueError, match="some other fault"):
+        sector_partition(3, [C(0, 1, 1, 3), C(1, 3, 2, 3)])
 
 
 @pytest.mark.parametrize("depth", [-1, -3, 1.5, "2", None, True])
@@ -536,18 +545,16 @@ def test_pullback_build_agrees_with_chord_oracle():
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
     # 1/7 is the image of the rabbit's spike, so the leaves ending there pull
-    # back through the joint search, whose candidates are int pairs filtered
-    # by _ring_linked against the pairs recorded so far
+    # back through the joint search, whose candidates are filtered by linked
     calls = []
 
-    def counting_ring_linked(p1, p2):
-        calls.append((p1, p2))
-        return _ring_linked(p1, p2)
+    def counting_linked(c1, c2):
+        calls.append((c1, c2))
+        return linked(c1, c2)
 
-    monkeypatch.setattr(lamination, "_ring_linked", counting_ring_linked)
+    monkeypatch.setattr(lamination, "linked", counting_linked)
     pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
-    assert calls
-    assert all(type(x) is int for pair in calls for p in pair for x in p)
+    assert calls and all(isinstance(c, Chord) for pair in calls for c in pair)
 
 
 @settings(max_examples=400, deadline=None)
