@@ -149,8 +149,9 @@ def parse_portrait(text: str) -> PortraitSpec:
                 raise ValueError(f"quad line needs four angles: {line!r}")
             entries.append(("quad", make_quadrilateral([Angle(p) for p in parts[1:]], degree)))
         elif parts[0] == "poly":
-            vertices = tuple(sorted(Angle(p) for p in parts[1:]))
-            if len(set(vertices)) < 3:
+            # a vertex written twice is one vertex of the polygon
+            vertices = tuple(sorted({Angle(p) for p in parts[1:]}))
+            if len(vertices) < 3:
                 raise ValueError(f"poly line needs at least three distinct angles: {line!r}")
             entries.append(("poly", vertices))
         else:

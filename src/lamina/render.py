@@ -2,33 +2,92 @@
 
 Chords are drawn as hyperbolic geodesics of the Poincare disk: circular
 arcs orthogonal to the unit circle, with diameters as straight lines.  All
-geometry is carried as exact rationals until emission, where fixed-precision
-evaluation (mpmath at 30 digits) is rounded to 12 significant digits, so
-identical inputs produce byte-identical SVG on any platform.
+geometry is carried as exact rationals until emission, where each value is
+printed with the 12 significant digits of its 30-digit mpmath evaluation,
+so identical inputs produce byte-identical SVG on any platform.
 
 Each disk of a picture has one ``_Canvas``, which evaluates every distinct
-quantity once: the point (cos 2*pi*a, sin 2*pi*a) and the formatted "x,y"
-string of each endpoint, keyed by Angle, and the formatted arc radius of
-each chord length.  The geodesic joining angles a and b, with shortest
-distance l = shortest_dist(a, b), is the circle orthogonal to the unit
-circle through both points; its radius is tan(pi*l), with no cancellation
-however near l is to 1/2.  The arc bends toward the disk centre, which
-fixes its sweep flag exactly: drawn from a to b it is 1 iff b lies less
-than half a turn counterclockwise of a.  The memo lives and dies with its
-canvas: nothing is cached across calls.
+quantity once: the "x,y" string of each endpoint, keyed by Angle, and the
+formatted arc radius of each chord length.  The geodesic joining angles a
+and b, with shortest distance l = shortest_dist(a, b), is the circle
+orthogonal to the unit circle through both points; its radius is
+tan(pi*l), with no cancellation however near l is to 1/2.  The arc bends
+toward the disk centre, which fixes its sweep flag exactly: drawn from a
+to b it is 1 iff b lies less than half a turn counterclockwise of a.  The
+memo lives and dies with its canvas: nothing is cached across calls.
 
-Each endpoint is evaluated once, on raw mpf values through mpmath's
-``libmp``: ``mpf_cos_sin_pi`` gives cosine and sine together,
-``mpf_mul``/``mpf_add``/``mpf_sub`` the pixel coordinates and ``to_str``
-the 12-digit strings.  These are the functions, in the same order and with
-the same rounding, that the mpf operators, ``cospi``/``sinpi`` and
-``nstr`` call, so the bytes are those of the mpf formula.
+The printed bytes are those of the mpf formula at 30 digits: pixel
+coordinates c + R*cos(2*pi*a) and c - R*sin(2*pi*a), with c = size/2 and
+R = 0.45*size (1.06*R for labels), and arc radii tan(pi*l)*R, each printed
+by mpmath's ``to_str(x, 12)``, which ``nstr(x, 12)`` calls.  The libmp
+path computes exactly that on raw mpf values: ``mpf_cos_sin_pi`` gives
+cosine and sine together, ``mpf_mul``/``mpf_add``/``mpf_sub`` the pixel
+coordinates and ``to_str`` the strings.  These are the functions the mpf
+operators, ``cospi``/``sinpi`` and ``nstr`` call, in the same order and
+with the same rounding.
+
+Most values are printed from a certified binary64 evaluation instead, in
+the manner of Ziv's correctly rounded elementary functions (ACM TOMS,
+1991); the libmp path is the fallback.
+
+* Reduction, exact in integers.  For a = n/q, ``k, r = divmod(8n, q)``
+  writes 2*pi*a = (pi/4)(k + r/q): an octant k and a residual.  Turning
+  by j = round(k/2) quarter turns leaves psi = (pi/4)*r/q for even k and
+  psi = -(pi/4)*(q - r)/q for odd k, so |psi| <= pi/4; the quarter turn
+  only swaps and negates.  A length l = n/q reduces with
+  ``divmod(4n, q)``: tan(pi*l) is sin/cos of psi = (pi/4)*r/q for
+  l < 1/4, and cos/sin of psi = (pi/4)(q - r)/q from 1/4 on, so its
+  relative error stays bounded as l -> 1/2.  In binary64, psi is
+  fl(fl(m/q) * fl(pi/4)): an int true division, which is correctly
+  rounded, and one product, a relative error below 2.93e-16.
+* cos and sin without libm.  The Taylor polynomials of degree 16 and 17,
+  evaluated by Horner's rule in s = psi**2, truncate below 2.1e-18 and
+  8.4e-20 on |psi| <= pi/4.  A running error bound of the evaluation
+  (each coefficient and each operation rounded to nearest) is 4.1e-16
+  for cos and |psi|*2.9e-16 for sin before its last product.  With the
+  error of psi, each of cos and sin is within 5.8e-16 of the exact value.
+  A tangent s/c or c/s is within 1.6e-15 relative, the quotient
+  included: the error of psi enters multiplied by at most
+  psi/(sin(psi)*cos(psi)) <= pi/2.  Only IEEE binary64 arithmetic with
+  round to nearest is involved, so the bounds hold on every platform.
+* The bound e.  A pixel value v = fl(c + fl(R*x)), with R = fl(size*0.45),
+  times 1.06 for labels (relative error below 3.9e-16), is within
+  0.477*size*(5.8e-16 + 3.9e-16 + 1.2e-16) + 1.2e-16*size of the exact
+  value.  The mpf value is within 1e-29*size of it, so v is within
+  6.4e-16*size of the mpf value.  A radius fl(R*tan) is within 1.9e-15
+  relative of the mpf value.  That covers mpmath's rounding of pi*t
+  before it takes tan, which tan near pi/2 amplifies by at most 5e13 for
+  l below ``_STRAIGHT_FROM``: about 2e-17.  The certificate takes
+  e = 1e-15*size for a coordinate and e = 4e-15*v for a radius.
+* The certificate.  ``to_str(x, 12)`` truncates x to at least 15 digits,
+  an error below 1.5e-17*x, and rounds half up on the 13th.  That is the
+  correct rounding of x to 12 digits unless x lies within the truncation
+  error above a tie (a 13-digit decimal ending in 5).  ``"%.11e" % f`` is
+  the correct rounding of the binary value f: CPython formats floats with
+  its own dtoa (``sys.float_repr_style == "short"``).  If
+  ``"%.11e" % (v - e)`` equals ``"%.11e" % (v + e)``, no tie lies strictly
+  between the two ends, and the common string is the one 12-digit number
+  between the ties that enclose that open interval.  e exceeds the error
+  bound plus the truncation error plus the rounding of v -+ e, so the mpf
+  value and its truncation lie strictly inside, and ``to_str`` prints that
+  number too.  The string is then laid out as ``to_str`` lays it out:
+  fixed point for -5 < exponent < 12 with trailing zeros stripped,
+  ``e+N``/``e-N`` otherwise.  When the ends differ, for about one value in
+  two hundred, the libmp path prints the value.
+
+The binary64 path runs for integer sizes 1 <= size <= 2**52, where size/2
+and size*0.45 stay exact or within the bounds above, and for lengths with
+m/q >= 2**-1000, where no product leaves the normal range.  Other sizes,
+and a CPython without its own float formatting, take the libmp path
+throughout.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 from mpmath.libmp import (
@@ -81,14 +140,70 @@ def _fmt(x) -> str:
 # every rounding of the canvas is to nearest, as the mpf operators round
 _RND = "n"
 
+# the certified binary64 path; see the module docstring for the bounds
+_FAST = sys.float_repr_style == "short"
+_MAX_FAST_SIZE = 2**52
+_PIX_ERR = 1e-15  # times size
+_RADIUS_ERR = 4e-15  # times the radius
+_TINY = 2.0**-1000
+_PI_4 = 0.7853981633974483  # fl(pi/4)
+# Taylor coefficients of cos and of sin/psi in s = psi**2, highest first
+_C8, _C7, _C6, _C5, _C4, _C3, _C2, _C1 = ((-1) ** i / factorial(2 * i) for i in range(8, 0, -1))
+_S8, _S7, _S6, _S5, _S4, _S3, _S2, _S1 = ((-1) ** i / factorial(2 * i + 1) for i in range(8, 0, -1))
+
+
+def _cos_sin(m: int, q: int) -> tuple[float, float]:
+    """cos and sin of psi = (pi/4)*m/q, 0 <= m <= q, in binary64 by the
+    Taylor polynomials, with no libm."""
+    psi = m / q * _PI_4
+    s = psi * psi
+    c = _C7 + s * _C8
+    c = _C5 + s * (_C6 + s * c)
+    c = _C3 + s * (_C4 + s * c)
+    c = 1.0 + s * (_C1 + s * (_C2 + s * c))
+    sn = _S7 + s * _S8
+    sn = _S5 + s * (_S6 + s * sn)
+    sn = _S3 + s * (_S4 + s * sn)
+    sn = psi * (1.0 + s * (_S1 + s * (_S2 + s * sn)))
+    return c, sn
+
+
+# to_str prints a value in fixed point when its exponent x has
+# -5 < x < 12; "%.11e" writes that exponent as this suffix
+_FIXED = {f"e{x:+03d}": x for x in range(-4, 12)}
+
+
+def _certified(v: float, e: float):
+    """What ``to_str(x, 12)`` prints for every real x strictly between
+    v - e and v + e, 0 < e < v, or None when a 12-digit rounding boundary
+    may lie in between."""
+    lo = "%.11e" % (v - e)
+    if lo != "%.11e" % (v + e):
+        return None
+    # lo is "d.ddddddddddde+XX"; lay it out as to_str does
+    x = _FIXED.get(lo[13:])
+    if x is None:
+        t = lo[:13].rstrip("0")
+        if t[-1] == ".":
+            t += "0"
+        return f"{t}e{int(lo[14:]):+d}"
+    if x < 0:
+        t = "0." + "0" * (-1 - x) + lo[0] + lo[2:13]
+    else:
+        t = lo[0] + lo[2 : x + 2] + "." + lo[x + 2 : 13]
+    t = t.rstrip("0")
+    return t + "0" if t[-1] == "." else t
+
 
 class _Canvas:
     """Maps the unit disk to SVG pixel coordinates (y axis flipped),
     evaluating each endpoint and each arc radius once.
 
-    Endpoints go through mpmath's low-level ``libmp`` functions on raw mpf
-    values at the context precision, calling the same functions in the
-    same order as the mpf operators, ``cospi``/``sinpi`` and ``nstr`` would.
+    Values are printed from the certified binary64 evaluation when it
+    decides them; otherwise endpoints go through mpmath's low-level
+    ``libmp`` functions on raw mpf values at the context precision, calling
+    the same functions in the same order as the mpf operators,
+    ``cospi``/``sinpi`` and ``nstr`` would.
     """
 
     def __init__(self, size: int):
@@ -96,28 +211,54 @@ class _Canvas:
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
         self._label_radius = (self.radius * mpmath.mpf("1.06"))._mpf_
         self._prec = mpmath.mp.prec
-        self._points: dict = {}
         self._xy: dict = {}
         self._radii: dict = {}
+        # c, R and 1.06*R in binary64 (c exact, the radii within the
+        # module docstring's bounds) and the bound e, for the fast path
+        self._fast = _FAST and type(size) is int and 1 <= size <= _MAX_FAST_SIZE
+        if self._fast:
+            self._c = size / 2
+            self._r = size * 0.45
+            self._label_r = self._r * 1.06
+            self._e = size * _PIX_ERR
 
     def point(self, angle: Fraction):
         """(cos 2*pi*angle, sin 2*pi*angle) as raw mpf values."""
-        p = self._points.get(angle)
-        if p is None:
-            prec = self._prec
-            # 2 * mpf(n) / q
-            t = mpf_mul_int(mpf_pos(from_int(angle.numerator), prec, _RND), 2, prec, _RND)
-            t = mpf_div(t, from_int(angle.denominator), prec, _RND)
-            p = self._points[angle] = mpf_cos_sin_pi(t, prec, _RND)
-        return p
+        prec = self._prec
+        # 2 * mpf(n) / q
+        t = mpf_mul_int(mpf_pos(from_int(angle.numerator), prec, _RND), 2, prec, _RND)
+        t = mpf_div(t, from_int(angle.denominator), prec, _RND)
+        return mpf_cos_sin_pi(t, prec, _RND)
 
-    def pix(self, angle: Fraction, radius=None) -> tuple[str, str]:
-        """The formatted pixel coordinates center + radius*x and
-        center - radius*y of the angle's point (x, y), ``radius`` a raw mpf
-        value (the disk radius by default)."""
+    def pix(self, angle: Fraction, label: bool = False) -> tuple[str, str]:
+        """The formatted pixel coordinates center + R*x and center - R*y of
+        the angle's point (x, y), R the disk radius, or 1.06 times it for a
+        label."""
+        if self._fast:
+            n, q = angle.numerator, angle.denominator
+            k, r = divmod(8 * n, q)
+            if k & 1:
+                c, s = _cos_sin(q - r, q)
+                s = -s
+            else:
+                c, s = _cos_sin(r, q)
+            j = (k + 1) >> 1 & 3
+            if j == 0:
+                x, y = c, s
+            elif j == 1:
+                x, y = -s, c
+            elif j == 2:
+                x, y = -c, -s
+            else:
+                x, y = s, -c
+            R, e = (self._label_r if label else self._r), self._e
+            px = _certified(self._c + R * x, e)
+            py = _certified(self._c - R * y, e)
+            if px is not None and py is not None:
+                return px, py
         x, y = self.point(angle)
         prec, c = self._prec, self.center._mpf_
-        r = self.radius._mpf_ if radius is None else radius
+        r = self._label_radius if label else self.radius._mpf_
         px = mpf_add(c, mpf_mul(r, x, prec, _RND), prec, _RND)
         py = mpf_sub(c, mpf_mul(r, y, prec, _RND), prec, _RND)
         return to_str(px, 12), to_str(py, 12)
@@ -128,16 +269,24 @@ class _Canvas:
             s = self._xy[angle] = ",".join(self.pix(angle))
         return s
 
-    def label_xy(self, angle: Fraction) -> tuple[str, str]:
-        """The formatted position of a label, 1.06 disk radii out."""
-        return self.pix(angle, self._label_radius)
-
     def arc_radius(self, length: Fraction) -> str:
-        """The formatted pixel radius of a geodesic of this shortest length."""
+        """The formatted pixel radius tan(pi*length)*R of a geodesic of this
+        shortest length, below 1/2."""
         r = self._radii.get(length)
         if r is None:
-            t = mpmath.mpf(length.numerator) / length.denominator
-            r = self._radii[length] = _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
+            if self._fast:
+                n, q = length.numerator, length.denominator
+                k, m = divmod(4 * n, q)
+                if k:
+                    m = q - m
+                if m / q >= _TINY:
+                    c, s = _cos_sin(m, q)
+                    v = self._r * (c / s if k else s / c)
+                    r = _certified(v, v * _RADIUS_ERR)
+            if r is None:
+                t = mpmath.mpf(length.numerator) / length.denominator
+                r = _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
+            self._radii[length] = r
         return r
 
 
@@ -234,7 +383,7 @@ def _render(target, spec: RenderSpec, shaded) -> str:
                     if v in seen:
                         continue
                     seen.add(v)
-                    lx, ly = canvas.label_xy(v)
+                    lx, ly = canvas.pix(v, label=True)
                     out.append(f'<text x="{lx}" y="{ly}" text-anchor="middle">{v}</text>')
         out.append("</g>")
     out.append("</svg>")

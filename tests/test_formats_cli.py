@@ -326,6 +326,21 @@ def test_poly_needs_three_distinct_angles(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_repeated_poly_vertex_is_one_vertex(tmp_path):
+    # the all-critical cubic triangle, with 0 written twice
+    spec = parse_portrait("degree 3\npoly 0 0 1/3 2/3\n")
+    assert spec == parse_portrait("degree 3\npoly 0 1/3 2/3\n")
+    assert portrait_text(spec) == "degree 3\npoly 0 1/3 2/3\n"
+    built = []
+    for name, line in (("twice", "poly 0 0 1/3 2/3"), ("once", "poly 0 1/3 2/3")):
+        portrait = tmp_path / f"{name}.portrait"
+        portrait.write_text(f"degree 3\n{line}\n")
+        out = tmp_path / f"{name}.lam"
+        assert main(["build", "--portrait", str(portrait), "--depth", "2", "--out", str(out)]) == 0
+        built.append(out.read_text())
+    assert built[0] == built[1]
+
+
 def test_non_integer_degree_header_names_the_header(tmp_path, capsys):
     with pytest.raises(ValueError, match="degree header needs an integer: 'degree x'"):
         parse_portrait("degree x\nquad 1/14 1/7 4/7 9/14\n")

@@ -11,6 +11,7 @@ import mpmath
 from hypothesis import assume, given, settings, strategies as st
 
 import lamina
+from lamina import render
 from lamina.circle import Angle, shortest_dist
 from lamina.chords import Chord
 from lamina.lamination import FiniteLamination, gaps, orbit_classify, pullback_build
@@ -133,6 +134,173 @@ def test_canvas_points_match_mpf_oracle():
         for a in angles:
             t = 2 * mpmath.mpf(a.numerator) / a.denominator
             assert canvas.point(a) == (mpmath.cospi(t)._mpf_, mpmath.sinpi(t)._mpf_)
+
+
+_SIZES = (1, 7, 333, 800, 1000)
+
+
+def _canvases(size):
+    """A canvas and its libmp twin, the binary64 path switched off."""
+    fast, slow = _Canvas(size), _Canvas(size)
+    assert fast._fast
+    slow._fast = False
+    return fast, slow
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of the render module's function ``name``."""
+    calls = []
+    real = getattr(render, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(render, name, wrapper)
+    return calls
+
+
+def test_binary64_points_match_libmp_path(monkeypatch):
+    rng = random.Random(12)
+    angles = [A(rng.randrange(q), q) for q in (rng.randint(1, 10**6 - 1) for _ in range(100_000))]
+    special = [A(k, 8) for k in range(8)] + [A(k, 12) for k in range(12)]
+    special += [A(rng.randrange(2**130), 2**130 - 1) for _ in range(50)]
+    combos = [(size, label) for size in _SIZES for label in (False, True)]
+    fallbacks = 0
+    with mpmath.workdps(30):
+        # every random angle at one of the ten (size, radius) pairs in turn,
+        # every special angle at all of them
+        for i, (size, label) in enumerate(combos):
+            fast, slow = _canvases(size)
+            share = angles[i :: len(combos)]
+            with monkeypatch.context() as m:
+                calls = _counting(m, "mpf_cos_sin_pi")
+                got = [fast.pix(a, label) for a in share]
+                fallbacks += len(calls)
+                got += [fast.pix(a, label) for a in special]
+            assert got == [slow.pix(a, label) for a in share + special]
+    # the binary64 path decides nearly every value: a path that never ran
+    # would fall back on all of them
+    assert fallbacks < 0.02 * len(angles)
+
+
+def test_binary64_cos_sin_within_stated_bound():
+    # the module docstring bounds each of cos and sin by 5.8e-16 on
+    # |psi| <= pi/4; dropping a Taylor term costs 1e-15 at pi/4
+    rng = random.Random(3)
+    cases = [(m, 64) for m in range(65)] + [(10**6 - 1, 10**6), (1, 10**9)]
+    cases += [(rng.randrange(q + 1), q) for q in (rng.randint(1, 10**12) for _ in range(2000))]
+    with mpmath.workdps(40):
+        for m, q in cases:
+            psi = mpmath.pi / 4 * m / q
+            c, s = render._cos_sin(m, q)
+            assert abs(c - mpmath.cos(psi)) <= 5.8e-16
+            assert abs(s - mpmath.sin(psi)) <= 5.8e-16
+
+
+def _near_tie(rng, lo, hi, spread):
+    """A random value within ``spread`` of a 12-digit rounding boundary (a
+    13-digit decimal ending in 5) in [lo, hi), as an mpf."""
+    x = mpmath.mpf(rng.uniform(lo, hi))
+    exp = int(mpmath.floor(mpmath.log10(x)))
+    digits = int(mpmath.floor(x / mpmath.mpf(10) ** (exp - 11)))
+    return (digits * 10 + 5) * mpmath.mpf(10) ** (exp - 12) + rng.uniform(-spread, spread)
+
+
+# Values this close to a boundary must fall back.  By the module
+# docstring, e less the error bound, the truncation of to_str and the
+# rounding of v -+ e leaves 2.3e-16*size for a coordinate and 1.9e-15
+# relative for a radius.  An e much smaller leaves some of them certified.
+_TIE_PIX, _TIE_RADIUS = 2e-16, 1.5e-15
+
+
+def test_near_ties_fall_back_to_libmp(monkeypatch):
+    rng = random.Random(5)
+    q = 2**64
+    for size in _SIZES:
+        for label in (False, True):
+            fast, slow = _canvases(size)
+            with mpmath.workdps(50):
+                c = mpmath.mpf(size) / 2
+                R = mpmath.mpf(size) * mpmath.mpf("0.45") * (mpmath.mpf("1.06") if label else 1)
+                cases = []
+                for i in range(40):
+                    # angles whose x (even i) or y (odd i) pixel value is t
+                    # to within 1e-17 relative
+                    t = _near_tie(rng, float(c - 0.99 * R), float(c + 0.99 * R), _TIE_PIX * size)
+                    if i % 2 == 0:
+                        turn = mpmath.acos((t - c) / R) / (2 * mpmath.pi)
+                    else:
+                        turn = mpmath.asin((c - t) / R) / (2 * mpmath.pi) % 1
+                    a = A(int(mpmath.nint(turn * q)), q)
+                    x = c + R * mpmath.cospi(2 * mpmath.mpf(a.numerator) / a.denominator)
+                    y = c - R * mpmath.sinpi(2 * mpmath.mpf(a.numerator) / a.denominator)
+                    assert abs((x, y)[i % 2] - t) <= 1e-17 * t
+                    cases.append(a)
+            with mpmath.workdps(30):
+                for a in cases:
+                    with monkeypatch.context() as m:
+                        calls = _counting(m, "mpf_cos_sin_pi")
+                        assert fast.pix(a, label) == slow.pix(a, label)
+                        assert calls  # the libmp path printed it
+
+
+def test_binary64_arc_radii_match_libmp_path(monkeypatch):
+    rng = random.Random(9)
+    top = float(_STRAIGHT_FROM)
+    lengths = [Fraction(rng.uniform(1e-9, top)).limit_denominator(10**12) for _ in range(400)]
+    lengths += [Fraction(10 ** rng.uniform(-9, -1)).limit_denominator(10**15) for _ in range(400)]
+    lengths += [_STRAIGHT_FROM - Fraction(rng.randrange(1, 10**6), 10**22) for _ in range(100)]
+    lengths += [Fraction(1, 10**9), Fraction(1, 12), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(5, 12)]
+    lengths += [Fraction(1, 2) - Fraction(1, 10**13), _STRAIGHT_FROM - Fraction(1, 2**80)]
+    assert all(0 < x < _STRAIGHT_FROM for x in lengths)
+    # lengths whose binary64 ratio underflows take the libmp path
+    tiny = [Fraction(1, 10**400), Fraction(3, 2**1060), Fraction(1, 2**1000)]
+    fallbacks = 0
+    with mpmath.workdps(30):
+        for size in _SIZES:
+            fast, slow = _canvases(size)
+            with monkeypatch.context() as m:
+                calls = _counting(m, "_fmt")
+                got = [fast.arc_radius(x) for x in lengths]
+                fallbacks += len(calls)
+                got += [fast.arc_radius(x) for x in tiny]
+            assert got == [slow.arc_radius(x) for x in lengths + tiny]
+    assert fallbacks < 0.02 * len(lengths) * len(_SIZES)
+    # radii near a boundary take the libmp path
+    q = 2**64
+    for size in _SIZES:
+        fast, slow = _canvases(size)
+        with mpmath.workdps(50):
+            R = mpmath.mpf(size) * mpmath.mpf("0.45")
+            cases = []
+            for _ in range(40):
+                t = _near_tie(rng, 0.2 * size, 40 * size, 0)
+                t *= 1 + rng.uniform(-_TIE_RADIUS, _TIE_RADIUS)
+                x = Fraction(int(mpmath.nint(mpmath.atan(t / R) / mpmath.pi * q)), q)
+                assert abs(mpmath.tan(mpmath.pi * x.numerator / x.denominator) * R - t) <= 1e-17 * t
+                cases.append(x)
+        with mpmath.workdps(30):
+            with monkeypatch.context() as m:
+                calls = _counting(m, "_fmt")
+                got = [fast.arc_radius(x) for x in cases]
+                assert len(calls) == len(cases)
+            assert got == [slow.arc_radius(x) for x in cases]
+
+
+def test_huge_sizes_take_the_libmp_path(monkeypatch):
+    lam = FiniteLamination(2, [C(1, 7, 2, 7), C(2, 7, 4, 7), C(4, 7, 1, 7), C(3, 4, 7, 8)])
+    faces = gaps(lam)
+    for size in (2**53 + 1, 10**400):
+        spec = RenderSpec(size=size, labels=True, highlight=(C(1, 7, 2, 7),))
+        svg = render_svg(lam, spec, shaded=faces)
+        with monkeypatch.context() as m:
+            m.setattr(render, "_FAST", False)
+            assert svg == render_svg(lam, spec, shaded=faces)
+        labels = re.findall(r'<text x="([^"]*)" y="([^"]*)" text-anchor="middle">([^<]*)</text>', svg)
+        assert len(labels) == 5
+        for x, y, v in labels:
+            assert (x, y) == _mpf_pix(A(v), size, "1.06")
 
 
 def test_labelled_render_with_degenerate_chord_matches_mpf_oracle():
