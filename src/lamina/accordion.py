@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
-from .chords import Chord, _ring_linked, is_critical, linked, validate_collection
+from .chords import Chord, is_critical, linked, validate_collection
 from .cubic_tags import ConvexSet
 from .lamination import FiniteLamination, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
@@ -173,7 +173,7 @@ def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
         for ax in axes:
             pts = set(ax)
             for c in others:
-                if _ring_linked(ax, c):
+                if linked(ax, c):
                     pts.update(c)
             pts = sorted(pts)
             if not _positively_ordered_images(pts, [d * p % N for p in pts]):

@@ -1,21 +1,23 @@
 """Chords of the closed disk: linking, criticality, siblings, loop detection.
 
-A chord is an unordered pair of circle angles (possibly degenerate).  Two
-chords are *linked* when they cross inside the open disk; a chord is
-*critical* under sigma_d when its endpoints share an image.  Collections of
-critical chords are validated against loops (closed concatenations or
-repeated chords), and sibling collections enumerate the ways a chord extends
-to d pairwise disjoint chords with a common image.
+A chord is an unordered pair of circle angles (possibly degenerate), stored
+as the sorted pair (a, b): ``Chord`` is a tuple.  Two chords are *linked*
+when they cross inside the open disk; a chord is *critical* under sigma_d
+when its endpoints share an image.  Collections of critical chords are
+validated against loops (closed concatenations or repeated chords), and
+sibling collections enumerate the ways a chord extends to d pairwise
+disjoint chords with a common image.
 
-Code that puts its chords on one integer ring mod N uses the int-pair
-forms ``_ring_image``, ``_ring_linked`` and ``_ring_disjoint`` of the image
-and the two tests: pullbacks, order preservation, and every check on a
-finished lamination, which carries its own ring (``FiniteLamination.ring``).
+``linked`` and ``disjoint`` read only that pair, so they also take sorted
+int pairs on one integer ring mod N, where circle order is int order; with
+``_ring_image`` for the image, pullbacks, order preservation and the checks
+on a lamination's own ring (``FiniteLamination.ring``) run on such pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .circle import Angle, shortest_dist, sigma, preimages
@@ -33,19 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Chord:
-    """Unordered pair of angles, stored canonically as (min, max)."""
+class Chord(namedtuple("Chord", "a b")):
+    """Unordered pair of angles, stored canonically as the tuple (min, max);
+    equality, order and hash are the tuple's."""
 
-    a: Angle
-    b: Angle
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = Angle(self.a), Angle(self.b)
+    def __new__(cls, a, b):
+        a, b = Angle(a), Angle(b)
         if b < a:
             a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return tuple.__new__(cls, (a, b))
 
     @classmethod
     def parse(cls, text: str) -> "Chord":
@@ -79,17 +79,15 @@ class Chord:
     def __str__(self) -> str:
         return f"{self.a} {self.b}"
 
-    def __iter__(self):
-        return iter((self.a, self.b))
 
-
-def linked(c1: Chord, c2: Chord) -> bool:
+def linked(c1, c2) -> bool:
     """True iff the chords strictly cross inside the open disk.
 
-    Degenerate chords never link; chords sharing an endpoint never link.
+    Each chord is a Chord or a sorted int pair on one ring.  Degenerate
+    chords never link; chords sharing an endpoint never link.
     """
-    a, b = c1.a, c1.b
-    x, y = c2.a, c2.b
+    a, b = c1[0], c1[1]
+    x, y = c2[0], c2[1]
     # endpoints interleave iff exactly one endpoint of c2 lies in the open
     # interval (a, b).  Chords are stored with a <= b and x <= y, so that is
     # already False for degenerate chords and when a == y or b == x; equal
@@ -99,34 +97,20 @@ def linked(c1: Chord, c2: Chord) -> bool:
     return (a < x < b) != (a < y < b)
 
 
-def disjoint(c1: Chord, c2: Chord) -> bool:
-    """True iff the chords share no endpoint and do not cross."""
-    return not (c1.a in (c2.a, c2.b) or c1.b in (c2.a, c2.b) or linked(c1, c2))
+def disjoint(c1, c2) -> bool:
+    """True iff the chords (as in :func:`linked`) share no endpoint and do
+    not cross."""
+    a, b = c1[0], c1[1]
+    x, y = c2[0], c2[1]
+    if a == x or a == y or b == x or b == y:
+        return False
+    return (a < x < b) == (a < y < b)
 
 
 def _ring_image(d: int, N: int, c) -> tuple[int, int]:
     """``chord_image`` for a sorted int pair on one ring mod N."""
     x, y = d * c[0] % N, d * c[1] % N
     return (x, y) if x <= y else (y, x)
-
-
-def _ring_linked(c1, c2) -> bool:
-    """``linked`` for chords on one integer ring mod N, each a sorted pair
-    of numerators over N: the circle order is the order of the ints."""
-    a, b = c1
-    x, y = c2
-    if a == x or b == y:
-        return False
-    return (a < x < b) != (a < y < b)
-
-
-def _ring_disjoint(c1, c2) -> bool:
-    """``disjoint`` for sorted int pairs on one ring (see ``_ring_linked``)."""
-    a, b = c1
-    x, y = c2
-    if a == x or a == y or b == x or b == y:
-        return False
-    return (a < x < b) == (a < y < b)
 
 
 def chord_image(d: int, c: Chord) -> Chord:

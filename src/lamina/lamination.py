@@ -17,7 +17,9 @@ denominator of its generation-0 leaves and sector chords, and a finished
 lamination on the common denominator of its endpoints.  There a leaf is a
 sorted pair of ints, sigma_d is ``d*x % N``, the preimages of an endpoint X
 of a leaf still to be pulled back are X//d + k*(N//d), and the circle order
-is the order of the ints.  Chords are built once per leaf, for the result.
+is the order of the ints, so ``linked`` and ``disjoint`` take the pairs as
+they take Chords (a Chord is the sorted pair of its angles).  Chords are
+built once per leaf, for the result.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from math import gcd
 from .circle import Angle, Arc, _angle, _ring, ccw_offset, sigma, shortest_dist
 from .chords import (
     Chord,
-    _ring_disjoint,
     _ring_image,
     chord_image,
+    disjoint,
     greedy_no_loop,
     is_critical,
     linked,
@@ -118,7 +120,7 @@ class FiniteLamination:
         """The leaves on the ring of their endpoints (see ``circle._ring``):
         N and the sorted (a, b) int pair of each leaf, in leaf order."""
         if self._on_ring is None:
-            N, xs = _ring([e for c in self.leaves for e in (c.a, c.b)])
+            N, xs = _ring([e for c in self.leaves for e in c])
             self._on_ring = N, tuple(zip(xs[::2], xs[1::2]))
         return self._on_ring
 
@@ -435,9 +437,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 
     Raises InconsistentPortrait when the forward orbit of a portrait chord
     crosses itself, another portrait chord's orbit or a sector chord, and
-    ValueError when ``depth`` is not a non-negative int or when the leaf
-    bound |gen0| * (d**(depth+1) - 1) / (d - 1) (every leaf pulls back to d
-    leaves per generation) exceeds MAX_PULLBACK_LEAVES.
+    ValueError when ``depth`` is not a non-negative int, when the forward
+    orbits of the portrait chords (gen0) have more than MAX_PULLBACK_LEAVES
+    leaves, or when the leaf bound |gen0| * (d**(depth+1) - 1) / (d - 1)
+    (every leaf pulls back to d leaves per generation) exceeds it.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
@@ -451,11 +454,20 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
     parts = sector_partition(d, sector_chords)
 
+    # generation 0 is the portrait chords' forward orbits: follow each one
+    # until it turns degenerate or meets a leaf whose orbit is already in.
+    # An orbit with a huge denominator may not close for ages, so it is
+    # followed only while the leaf count stays within the limit.
     generations: dict[Chord, int] = {}
     for c in portrait:
-        for leaf in orbit_classify(d, c).orbit:
-            if not leaf.degenerate:
-                generations.setdefault(leaf, 0)
+        while not c.degenerate and c not in generations:
+            if len(generations) == MAX_PULLBACK_LEAVES:
+                raise ValueError(
+                    f"the forward orbits of the portrait chords have more than "
+                    f"{MAX_PULLBACK_LEAVES} generation-0 leaves; the limit is {MAX_PULLBACK_LEAVES}"
+                )
+            generations[c] = 0
+            c = chord_image(d, c)
 
     gen0 = sorted(generations)
     if gen0:
@@ -517,10 +529,9 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         by_image.setdefault(_ring_image(d, N, p), []).append(p)
         current.append(p)
 
-    def record(p, chord, generation: int, new: list):
+    def record(p, generation: int, new: list):
         if p not in leaves:
-            chord = chord or chord_at(*p)
-            leaves[p] = chord
+            chord = leaves[p] = chord_at(*p)
             generations[chord] = generation
             by_image.setdefault(_ring_image(d, N, p), []).append(p)
             new.append(p)
@@ -536,7 +547,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             for q in range(b // d, N, step):
                 ys[sector_of(q)] = q
             for x, y in zip(xs, ys):
-                record((x, y) if x < y else (y, x), None, generation, new)
+                record((x, y) if x < y else (y, x), generation, new)
             return
         # an endpoint is the image of a critical chord, so several chord
         # ends qualify in the adjacent sectors; search the d sector choices
@@ -552,14 +563,13 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     if x == y:
                         continue
                     p = (x, y) if x < y else (y, x)
-                    cand = leaves.get(p) or chord_at(*p)
-                    if not any(linked(cand, m) for m in leaves.values()):
-                        cands.append((p, cand))
+                    if not any(linked(p, m) for m in leaves):
+                        cands.append(p)
             if not cands:
                 raise InconsistentPortrait(
                     f"no unlinked pullback of {leaves[leaf]} in sector {sector.arcs}"
                 )
-            cands.sort(key=lambda pc: pc[0] not in existing)
+            cands.sort(key=lambda p: p not in existing)
             options.append(cands)
 
         # exhaustive over the tiny option product: prefer assignments
@@ -575,10 +585,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     best_score = score
                     chosen = list(picked)
                 return
-            for p, cand in options[idx]:
+            for p in options[idx]:
                 if p[0] in used or p[1] in used:
                     continue
-                picked.append((p, cand))
+                picked.append(p)
                 used |= {p[0], p[1]}
                 search(idx + 1, picked, used, score + (p in existing))
                 used -= {p[0], p[1]}
@@ -587,8 +597,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         search(0, [], set(), 0)
         if chosen is None:
             raise InconsistentPortrait(f"no disjoint pullback collection for {leaves[leaf]}")
-        for p, cand in chosen:
-            record(p, cand, generation, new)
+        for p in chosen:
+            record(p, generation, new)
 
     for g in range(1, depth + 1):
         new: list[tuple] = []
@@ -653,9 +663,9 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
         if not degenerate:
             # a sibling collection is c plus d - 1 leaves with its image, all
             # pairwise disjoint, so matching the image's preimages one to one
-            others = [m for m in by_image[img] if _ring_disjoint(m, p)]
+            others = [m for m in by_image[img] if disjoint(m, p)]
             if not any(
-                all(_ring_disjoint(u, v) for u, v in itertools.combinations(rest, 2))
+                all(disjoint(u, v) for u, v in itertools.combinations(rest, 2))
                 for rest in itertools.combinations(others, d - 1)
             ):
                 report.condition3.append(c)

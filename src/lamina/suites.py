@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import THIRD, Angle, ccw_offset, cyclic_descents, sigma_power
-from .chords import Chord, _ring_linked, chord_image, linked
+from .chords import Chord, chord_image, linked
 from .lamination import (
     FiniteLamination,
     InconsistentPortrait,
@@ -75,7 +75,7 @@ class SuiteResult:
 
 def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
     rng = Lcg(seed)
-    failures = []
+    failures = [] if samples else ["no sample to reconstruct"]
     for i in range(samples):
         # alternate critical leaves and collapsing quadrilaterals
         a = rng.angle()
@@ -404,7 +404,7 @@ def _survivor_pairs(kmax: int):
             if period[a] != period[b]:
                 continue
             o = _ring_orbit(3, N, a, b)
-            if not any(_ring_linked(u, v) for k, u in enumerate(o) for v in o[k + 1 :]):
+            if not any(linked(u, v) for k, u in enumerate(o) for v in o[k + 1 :]):
                 orbit[a, b] = o
     chords = list(orbit)
 
@@ -412,7 +412,7 @@ def _survivor_pairs(kmax: int):
     nlinked = 0
     for i, c1 in enumerate(chords):
         for c2 in chords[i + 1 :]:
-            if not _ring_linked(c1, c2):
+            if not linked(c1, c2):
                 continue
             nlinked += 1
             if _order_preserving_ring(3, N, orbit[c1], orbit[c2]):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from lamina.circle import Angle
 from lamina.chords import (
     Chord,
     chord_image,
+    disjoint,
     is_critical,
     linked,
     sibling_collections,
@@ -25,6 +28,17 @@ def test_chord_canonical_form():
     assert Chord.parse("1/3 2/3") == Chord(A(1, 3), A(2, 3))
     assert str(Chord(A(2, 3), A(0))) == "0 2/3"
     assert Chord(A(1, 5), A(1, 5)).degenerate
+
+
+def test_chord_is_its_sorted_pair():
+    c = Chord(A(2, 3), A(1, 3))
+    assert (c.a, c.b) == tuple(c) == (A(1, 3), A(2, 3))
+    assert hash(c) == hash((c.a, c.b))
+    assert repr(c) == "Chord(a=Angle(1/3), b=Angle(2/3))"
+    for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert other == c and type(other) is Chord
+    with pytest.raises(AttributeError):
+        c.a = A(0)
 
 
 def test_linked_examples():
@@ -58,11 +72,31 @@ _angles = st.builds(lambda q, n: A(n % q, q), st.integers(1, 12), st.integers(0,
 _chords = st.builds(Chord, _angles, _angles)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_angles, _angles), max_size=8))
+def test_chords_sort_by_their_endpoints(pairs):
+    # the order of Chords is that of their (a, b) pairs, a <= b
+    chords = [Chord(x, y) for x, y in pairs]
+    assert [(c.a, c.b) for c in sorted(chords)] == sorted((min(p), max(p)) for p in pairs)
+
+
 @settings(max_examples=600, deadline=None)
 @given(_chords, _chords)
 def test_linked_agrees_with_oracle(c1, c2):
     assert linked(c1, c2) == _linked_oracle(c1, c2)
     assert linked(c1, c1) is False
+
+
+@settings(max_examples=600, deadline=None)
+@given(_chords, _chords)
+def test_disjoint_is_no_shared_endpoint_and_no_crossing(c1, c2):
+    # on Chords and on their int pairs mod lcm(1, ..., 12), a common
+    # denominator of every endpoint _chords draws
+    N = 27720
+    p1, p2 = (tuple(int(e * N) for e in c) for c in (c1, c2))
+    for u, v in ((c1, c2), (p1, p2)):
+        assert disjoint(u, v) == (not set(u) & set(v) and not linked(u, v))
+    assert (linked(p1, p2), disjoint(p1, p2)) == (linked(c1, c2), disjoint(c1, c2))
 
 
 def test_image_and_criticality():

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import lamina.lamination as lamination
 from lamina.circle import Angle
 from lamina.chords import Chord
 from lamina.cli import main
@@ -229,6 +230,12 @@ def test_cli_verify_crifar_fails_without_samples(capsys):
     assert "status: FAIL" in out and "laminations: 0" in out
 
 
+def test_cli_verify_reconstruct_fails_without_samples(capsys):
+    assert main(["verify", "--suite", "reconstruct", "--samples", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "status: FAIL" in out and "reconstructions: 0" in out
+
+
 def test_cli_verify_rejects_negative_samples(capsys):
     assert main(["verify", "--suite", "linkco", "--samples", "-5"]) == 2
     captured = capsys.readouterr()
@@ -311,6 +318,16 @@ def test_cli_build_refuses_huge_depth(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "limit is 1000000" in captured.err
+
+
+def test_cli_build_refuses_long_generation_zero_orbit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 500)
+    portrait = tmp_path / "long.portrait"
+    portrait.write_text("degree 3\nleaf 0 1/3\nleaf 1/2 5/6\nleaf 1/1000003 2/1000003\n")
+    assert main(["build", "--portrait", str(portrait), "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "more than 500 generation-0 leaves" in captured.err
 
 
 @pytest.mark.parametrize("line", ["poly 0 0 1/2", "poly 1/3 1/3 1/3 2/3", "poly 1/4 1/4 1/4"])

@@ -11,8 +11,6 @@ import lamina.lamination as lamination
 from lamina.circle import Angle, Arc, _ring, ccw_offset, preimages, sigma
 from lamina.chords import (
     Chord,
-    _ring_disjoint,
-    _ring_linked,
     chord_image,
     disjoint,
     greedy_no_loop,
@@ -385,6 +383,31 @@ def test_pullback_refuses_depth_over_leaf_bound(monkeypatch):
     assert len(pullback_build(2, [], 10**12, sectors=RABBIT_SPIKE)) == 0
 
 
+def test_pullback_refuses_generation_zero_orbits_over_leaf_bound(monkeypatch):
+    # the orbit of 1/1000003 2/1000003 has hundreds of thousands of leaves;
+    # it is followed only up to the limit, then refused
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 500)
+    portrait = [C(0, 1, 1, 3), C(1, 2, 5, 6), C(1, 1000003, 2, 1000003)]
+    with pytest.raises(ValueError, match="more than 500 generation-0 leaves; the limit is 500"):
+        pullback_build(3, portrait, 1)
+    # exactly at the limit the orbits are kept: 1/7 2/7 has period 3
+    minor, diameter = [C(1, 7, 2, 7)], [C(1, 14, 4, 7)]
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 3)
+    assert len(pullback_build(2, minor, 0, sectors=diameter)) == 3
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 2)
+    with pytest.raises(ValueError, match="generation-0 leaves; the limit is 2"):
+        pullback_build(2, minor, 0, sectors=diameter)
+
+
+def test_pullback_stops_a_critical_orbit_at_its_degenerate_image():
+    # the image of this critical chord is a point whose period is huge: the
+    # orbit ends at the chord, so the build does not follow the point
+    x = Fraction(1, 2) + Fraction(1, 10**30)
+    crit = Chord(A(x), A(x + Fraction(1, 3)))
+    lam = pullback_build(3, [C(0, 1, 1, 3), crit], 0)
+    assert lam.leaves == (C(0, 1, 1, 3), crit)
+
+
 def test_pullback_rejects_incomplete_sectors():
     with pytest.raises(InconsistentPortrait):
         pullback_build(3, [C(0, 1, 1, 3)], 2)
@@ -554,7 +577,13 @@ def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
 
     monkeypatch.setattr(lamination, "linked", counting_linked)
     pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
-    assert calls and all(isinstance(c, Chord) for pair in calls for c in pair)
+    # the search runs on the build's ring: every candidate and leaf is a
+    # sorted pair of ints, and no Chord is built per candidate
+    assert calls and all(
+        type(c) is tuple and len(c) == 2 and all(type(x) is int for x in c) and c[0] <= c[1]
+        for pair in calls
+        for c in pair
+    )
 
 
 @settings(max_examples=400, deadline=None)
@@ -565,8 +594,8 @@ def test_ring_predicates_agree_with_chord_predicates(data):
     p1 = tuple(sorted(data.draw(st.tuples(point, point))))
     p2 = tuple(sorted(data.draw(st.tuples(point, point))))
     c1, c2 = (Chord(A(x, N), A(y, N)) for x, y in (p1, p2))
-    assert _ring_linked(p1, p2) == linked(c1, c2)
-    assert _ring_disjoint(p1, p2) == disjoint(c1, c2)
+    assert linked(p1, p2) == linked(c1, c2)
+    assert disjoint(p1, p2) == disjoint(c1, c2)
 
 
 def sibling_condition_oracle(lam, boundary_depth):
