@@ -60,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path, text, fallback=sys.stdout):
+def _write(path, text):
     if path is None:
-        fallback.write(text)
+        sys.stdout.write(text)  # looked up now, so a redirect of sys.stdout applies
     else:
         Path(path).write_text(text)
 

@@ -3,12 +3,16 @@
 A FiniteLamination is a canonical finite set of pairwise-unlinked chords of
 fixed degree d (degenerate leaves are implied and not stored).  The disk
 minus the chords decomposes into gaps, read off the same nesting sweep that
-checks the leaves are unlinked.  The sweep sorts its events as ints on the
-lamination's ring of its leaf endpoints (``FiniteLamination.ring``, formed
-once and read by every check), where critical leaves are read off too.
-Laminations are generated from critical portraits by the standard pullback
-scheme, with branches chosen inside the complementary sectors of a full
-collection of critical chords.
+checks the leaves are unlinked: the sweep gives each leaf the leaf directly
+around it, and the gap inside a leaf is bounded by the leaves it directly
+surrounds.  The sweep sorts its events as ints on the lamination's ring of
+its leaf endpoints (``FiniteLamination.ring``, formed once and read by every
+check), where critical leaves are read off too.  :func:`critical_analysis`
+walks the gaps once per lamination and keeps the vertices of the
+arc-bearing ones for later readers.  Laminations are generated from
+critical portraits by the standard pullback scheme, with branches chosen
+inside the complementary sectors of a full collection of critical chords,
+which are the arc-bearing gaps of those chords.
 
 Pullbacks and invariance checks run on one integer ring (1/N)Z/Z: sigma_d
 never enlarges a denominator and each pullback generation multiplies it by
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .circle import Angle, Arc, _angle, _ring, ccw_offset, sigma, shortest_dist
+from .circle import Angle, Arc, _angle, _ring, cyclic_descents, sigma, shortest_dist
 from .chords import (
     Chord,
     _ring_image,
@@ -182,46 +186,41 @@ def _nest(lam: FiniteLamination):
     Pairwise unlinked leaves nest like parentheses.  At each endpoint the
     leaves ending there close innermost first (largest ``a``), and each must
     be the top of the stack of open leaves; then the leaves starting there
-    open outermost first (largest ``b``).  A closing leaf that is not the
-    top crosses the top.  A stack frame is (leaf, the leaves directly inside
-    it in circle order), over the root frame (None, the top-level leaves).
+    open outermost first (largest ``b``), each directly inside the top.  A
+    closing leaf that is not the top crosses the top.
 
     The sweep runs on the lamination's ring, where circle order is int
     order: an event is (position, 0 to close or 1 to open, minus the other
-    end, leaf index), and the stack top is matched by leaf index.
+    end, leaf index), and the stack holds leaf indices.
 
-    Returns (the frames in closing order with the root last, None, the
-    leaf index of each frame but the root), or (None, (c1, c2), None) with
-    c1 < c2 a crossing pair.
+    Returns (parent, None), where parent[i] is the index of the leaf
+    directly around leaf i or -1 for a top-level leaf, or (None, (c1, c2))
+    with c1 < c2 a crossing pair.
     """
     leaves, (_, ring) = lam.leaves, lam.ring
     events = sorted(
         [(b, 0, -a, i) for i, (a, b) in enumerate(ring)]
         + [(a, 1, -b, i) for i, (a, b) in enumerate(ring)]
     )
-    stack = [(None, [])]
-    open_ids = [-1]
-    closed, closed_ids = [], []
+    parent = [-1] * len(ring)
+    stack = [-1]
     for _, opens, _, i in events:
         if opens:
-            stack.append((leaves[i], []))
-            open_ids.append(i)
-        elif open_ids[-1] == i:
-            closed_ids.append(open_ids.pop())
-            frame = stack.pop()
-            closed.append(frame)
-            stack[-1][1].append(frame[0])
+            parent[i] = stack[-1]
+            stack.append(i)
+        elif stack[-1] == i:
+            stack.pop()
         else:
-            return None, tuple(sorted((leaves[i], stack[-1][0]))), None
-    return closed + stack, None, closed_ids
+            return None, tuple(sorted((leaves[i], leaves[stack[-1]])))
+    return parent, None
 
 
 def check_unlinked(lam: FiniteLamination):
     """(True, None) if the leaves are pairwise unlinked, else (False, (c1, c2))
     with c1 < c2 a crossing pair, not necessarily the lexicographically
     first one; see :func:`_nest`."""
-    frames, pair, _ = _nest(lam)
-    return frames is not None, pair
+    parent, pair = _nest(lam)
+    return parent is not None, pair
 
 
 def _face(children, start, end, closing) -> Gap:
@@ -243,28 +242,30 @@ def _face(children, start, end, closing) -> Gap:
 
 def gaps(lam: FiniteLamination) -> list[Gap]:
     """All gaps of an unlinked lamination, including arc-bearing ones, sorted
-    by vertices.  They are read off the sweep of :func:`check_unlinked`: the
-    gap just inside each leaf, bounded by it and the leaves directly inside
-    it, and the outer gap, bounded by the top-level leaves.
+    by vertices.  They are read off the parents of :func:`_nest`, the sweep
+    of :func:`check_unlinked`: the gap just inside each leaf, bounded by it
+    and its children, and the outer gap, bounded by the top-level leaves.
+    The children of a leaf do not nest, so leaf order is their circle order.
 
     Raises ValueError naming a crossing pair when the leaves cross.
     """
     leaves = lam.leaves
     if not leaves:
         return [Gap.whole_disk()]
-    frames, pair, ids = _nest(lam)
+    parent, pair = _nest(lam)
     if pair is not None:
         raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
+    children = [[] for _ in range(len(leaves) + 1)]  # the last list is the top level
+    for c, p in zip(leaves, parent):
+        children[p].append(c)
     # The vertices of a face run in circle order from the first end of its
     # leaf, and of two leaves from one point the shorter one's face has the
     # smaller vertices (the longer one's next vertex is the end of a leaf
     # from that point), so the faces inside the leaves sort as the leaves
     # do.  The outer face runs from the first end of the first top-level
     # leaf and sorts after every face from that point.
-    result = [None] * len(leaves)
-    for i, (c, children) in zip(ids, frames):
-        result[i] = _face(children, c.a, c.b, ("chord", c))
-    top = frames[-1][1]
+    result = [_face(inside, c.a, c.b, ("chord", c)) for c, inside in zip(leaves, children)]
+    top = children[-1]
     first, last = top[0].a, top[-1].b
     outer = _face(top, first, last, ("arc", Arc(last, first)))
     result.insert(bisect_right(leaves, first, key=lambda c: c.a), outer)
@@ -276,19 +277,15 @@ def boundary_degree(d: int, vertices) -> int:
 
     ``vertices`` must be listed in circular order.  If the image is a single
     point the degree is the vertex count; otherwise it counts how many times
-    the boundary wraps around the image boundary.
+    the boundary wraps around the image boundary, one descent of the image
+    sequence per wrap.  Raises ValueError on an empty vertex list.
     """
-    vertices = list(vertices)
     imgs = [sigma(d, v) for v in vertices]
-    distinct = sorted(set(imgs))
-    if len(distinct) == 1:
-        return len(vertices)
-    rank = {v: i for i, v in enumerate(distinct)}
-    m = len(distinct)
-    total = sum((rank[imgs[(i + 1) % len(imgs)]] - rank[imgs[i]]) % m for i in range(len(imgs)))
-    if total % m:
-        raise ValueError("boundary map is not a positively oriented covering")
-    return total // m
+    if not imgs:
+        raise ValueError("the boundary degree of an empty vertex set is undefined")
+    if len(set(imgs)) == 1:
+        return len(imgs)
+    return cyclic_descents(imgs)
 
 
 def gap_degree(d: int, g: Gap) -> int:
@@ -345,40 +342,27 @@ def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class _Sector:
     """One complementary component of a full collection of critical chords.
 
-    ``arcs`` are its half-open circle arcs [start, end); ``corners`` are
-    boundary vertices not on any of its arcs (meeting points of two chords),
-    which belong to the closure only.
+    ``arcs`` are its half-open circle arcs [start, end), as (start, end)
+    pairs; ``corners`` are its boundary vertices on no arc (meeting points
+    of two chords), which belong to the closure only.
     """
 
-    __slots__ = ("arcs", "corners", "_spans")
-
-    def __init__(self, arcs, corners=()):
-        self.arcs = tuple(arcs)
-        self.corners = frozenset(corners)
-        self._spans = tuple((s, ccw_offset(s, e)) for s, e in self.arcs)
-
-    def contains_closed(self, p) -> bool:
-        if p in self.corners:
-            return True
-        for s, length in self._spans:
-            if ccw_offset(s, p) <= length:
-                return True
-        return False
-
-    @property
-    def measure(self) -> Fraction:
-        return sum((length for _, length in self._spans), Fraction(0))
+    arcs: tuple
+    corners: frozenset
 
 
 def sector_partition(d: int, critical_chords) -> list[_Sector]:
     """The d complementary components of a full collection of d-1 pairwise
     unlinked critical chords, as half-open circle arc unions.
 
-    A point falling on a component boundary belongs to the component that
-    contains its positively adjacent arc.
+    Each is read off an arc-bearing gap of the chords: its arcs are the
+    gap's arc sides, its corners the gap's vertices between two chord
+    sides.  A point falling on a component boundary belongs to the
+    component that contains its positively adjacent arc.
     """
     critical_chords = list(critical_chords)
     report = validate_collection(d, critical_chords)
@@ -393,15 +377,15 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
         if not str(e).startswith("leaves cross"):
             raise
         raise InconsistentPortrait("critical chords of the portrait cross each other") from None
+    faces = [g for g in faces if not g.finite]
+    if len(faces) != d or any(sum(a.length for a in g.arcs) != Fraction(1, d) for g in faces):
+        raise InconsistentPortrait("critical chords do not cut the circle into d equal parts")
     sectors = []
     for g in faces:
-        arcs = [(a.start, a.end) for a in g.arcs]
-        if arcs:
-            probe = _Sector(arcs)
-            corners = [v for v in g.vertices if not probe.contains_closed(v)]
-            sectors.append(_Sector(arcs, corners))
-    if len(sectors) != d or any(s.measure != Fraction(1, d) for s in sectors):
-        raise InconsistentPortrait("critical chords do not cut the circle into d equal parts")
+        # vertex i is where side i - 1 ends and side i starts
+        kinds = [kind for kind, _ in g.sides]
+        corners = (v for v, k, m in zip(g.vertices, kinds[-1:] + kinds, kinds) if k == m == "chord")
+        sectors.append(_Sector(tuple((a.start, a.end) for a in g.arcs), frozenset(corners)))
     return sectors
 
 
@@ -684,7 +668,11 @@ class CriticalAnalysis:
     all_critical_sets: tuple   # critical leaves and all-critical gaps
     critical_clusters: tuple   # vertex tuples of maximal convex unions of critical leaves
     critical_sets: tuple       # maximal critical sets: gaps plus free critical leaves
-    skipped_infinite_gaps: int = 0
+    arc_gaps: tuple            # vertex tuples of the arc-bearing gaps, which are skipped
+
+    @property
+    def skipped_infinite_gaps(self) -> int:
+        return len(self.arc_gaps)
 
 
 def _cluster_polygons(component_vertices, leaf_set):
@@ -726,12 +714,12 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
 
     crit_gaps = []
     all_crit_gaps = []
-    skipped = 0
+    arc_gaps = []
     for g in gaps(lam):
         if g.is_disk:
             continue
         if not g.finite:
-            skipped += 1
+            arc_gaps.append(g.vertices)
             continue
         if gap_degree(d, g) > 1:
             crit_gaps.append(g)
@@ -776,7 +764,7 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
         all_critical_sets=tuple(crit_leaves) + tuple(all_crit_gaps),
         critical_clusters=tuple(sorted(clusters)),
         critical_sets=tuple(crit_gaps) + free_leaves,
-        skipped_infinite_gaps=skipped,
+        arc_gaps=tuple(arc_gaps),
     )
 
 

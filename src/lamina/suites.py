@@ -232,18 +232,17 @@ def sample_cubic_library(rng: Lcg, count: int, depth: int = 3):
 
 def heuristically_dendritic(lam: FiniteLamination) -> bool:
     """Finite-depth stand-in for dendriticity: no arc-bearing gap whose
-    vertex set recurs (the footprint a Fatou gap would leave).
+    vertex set recurs (the footprint a Fatou gap would leave).  The gaps are
+    read from :func:`critical_analysis`, which walks them once per lamination.
 
     A recurring vertex set is permuted by an iterate of sigma_d, so all its
     vertices are periodic, and n/q is periodic iff q is prime to d; a gap
     with any other vertex is skipped without following its orbit."""
     d = lam.degree
-    for g in gaps(lam):
-        if g.is_disk or g.finite:
+    for vertices in critical_analysis(lam).arc_gaps:
+        if any(math.gcd(v.denominator, d) != 1 for v in vertices):
             continue
-        if any(math.gcd(v.denominator, d) != 1 for v in g.vertices):
-            continue
-        vop = orbit_classify(d, g.vertices, max_steps=16)
+        vop = orbit_classify(d, vertices, max_steps=16)
         if vop is not None and vop.preperiod == 0:
             return False
     return True

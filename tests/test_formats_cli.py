@@ -1,3 +1,5 @@
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -368,3 +370,21 @@ def test_non_integer_degree_header_names_the_header(tmp_path, capsys):
     assert main(["build", "--portrait", str(bad), "--depth", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: degree header needs an integer: 'degree x'\n"
+
+
+def test_cli_stdout_follows_a_redirect(tmp_path):
+    # without --out, build, qml and tags write to sys.stdout as it is at call
+    # time, so contextlib.redirect_stdout captures what --out would write
+    root = Path(__file__).resolve().parent.parent / "portraits"
+    commands = [
+        ["build", "--portrait", str(root / "quadratic" / "rabbit.portrait"), "--depth", "1"],
+        ["qml", "--period", "4"],
+        ["tags", "--portraits", str(root / "cubic"), "--depth", "2"],
+    ]
+    for argv in commands:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(argv) in (0, 1)
+        out = tmp_path / f"{argv[0]}.txt"
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        assert buffer.getvalue() == out.read_text() != ""

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lamina.circle as circle
 import lamina.lamination as lamination
+import lamina.suites as suites
 from lamina.circle import Angle, Arc, _ring, ccw_offset, preimages, sigma
 from lamina.chords import (
     Chord,
@@ -18,7 +20,9 @@ from lamina.chords import (
     linked,
     sibling_collections,
 )
+from lamina.cubic_tags import full_portraits_of
 from lamina.formats import parse_portrait
+from lamina.qc_portrait import CriticalPattern
 from lamina.quad_minor import major_quadrilateral, minor_of, qml_enumerate
 from lamina.sampling import Lcg
 from lamina.suites import _quad_portrait, heuristically_dendritic, hexagon_fixtures
@@ -176,16 +180,20 @@ def angle_nest(leaves):
 
 
 def assert_nest_matches_oracle(lam):
-    frames, pair, ids = lamination._nest(lam)
+    parent, pair = lamination._nest(lam)
     expected_frames, expected_pair = angle_nest(lam.leaves)
     assert pair == expected_pair
-    assert frames == expected_frames
-    if frames is None:
-        assert ids is None
+    if expected_frames is None:
+        assert parent is None
     else:
-        # the frames' leaves, in closing order, are exact leaf objects
-        assert all(lam.leaves[i] is c for i, (c, _) in zip(ids, frames))
-        assert len(ids) == len(lam)
+        # the oracle's frames hold each leaf's children; the root frame's
+        # are the top-level leaves
+        index = {c: i for i, c in enumerate(lam.leaves)}
+        expected = [None] * len(lam)
+        for c, children in expected_frames:
+            for child in children:
+                expected[index[child]] = -1 if c is None else index[c]
+        assert parent == expected
 
 
 @settings(max_examples=400, deadline=None)
@@ -232,7 +240,8 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
         raise AssertionError("gaps called ccw_offset")
 
     monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
-    monkeypatch.setattr(lamination, "ccw_offset", no_rotation_order)
+    # lamination imports no ccw_offset; Arc reads the one in circle
+    monkeypatch.setattr(circle, "ccw_offset", no_rotation_order)
     assert check_unlinked(lam) == (True, None)
     ok, pair = check_unlinked(crossing)
     assert not ok and C(0, 1, 1, 2) in pair
@@ -240,6 +249,25 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     assert len(gaps(lam)) == len(lam) + 1
     with pytest.raises(ValueError, match="cross"):
         gaps(crossing)
+
+
+def test_one_face_walk_per_lamination(monkeypatch):
+    # heuristically_dendritic reads the arc-bearing gaps that critical_analysis
+    # walks, and full_portraits_of reads the same analysis
+    lam = pullback_build(3, [C(0, 1, 1, 3), C(1, 2, 5, 6)], 3)
+    calls = []
+
+    def counting_gaps(lam):
+        calls.append(None)
+        return gaps(lam)
+
+    for module in (lamination, suites):
+        monkeypatch.setattr(module, "gaps", counting_gaps)
+    assert heuristically_dendritic(lam)
+    analysis = critical_analysis(lam)
+    assert analysis.skipped_infinite_gaps == len(analysis.arc_gaps) > 0
+    assert len(full_portraits_of(lam)) == 2
+    assert len(calls) == 1
 
 
 def test_one_ring_conversion_per_lamination(monkeypatch):
@@ -318,6 +346,40 @@ def test_boundary_degree_of_leaves():
     assert boundary_degree(2, [A(1, 7), A(2, 7)]) == 1
 
 
+def rank_sum_degree(d, vertices):
+    """Oracle for boundary_degree: the sum of the forward steps between the
+    ranks of the images, mod their count, over one trip round the boundary."""
+    imgs = [sigma(d, v) for v in vertices]
+    distinct = sorted(set(imgs))
+    if len(distinct) == 1:
+        return len(vertices)
+    rank = {v: i for i, v in enumerate(distinct)}
+    m = len(distinct)
+    total = sum((rank[imgs[(i + 1) % len(imgs)]] - rank[imgs[i]]) % m for i in range(len(imgs)))
+    assert total % m == 0
+    return total // m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 40).flatmap(
+        lambda q: st.sets(st.integers(0, q - 1), min_size=1, max_size=9).map(
+            lambda ps: sorted(A(p, q) for p in ps)
+        )
+    ),
+)
+def test_boundary_degree_matches_rank_sum(d, vertices):
+    assert boundary_degree(d, vertices) == rank_sum_degree(d, vertices)
+
+
+def test_boundary_degree_of_no_vertices_is_a_value_error():
+    with pytest.raises(ValueError, match="empty"):
+        boundary_degree(3, [])
+    with pytest.raises(ValueError, match="empty"):
+        CriticalPattern(3, ((), ()))
+
+
 def test_orbit_classify_examples():
     info = orbit_classify(3, A(342, 728))
     assert (info.preperiod, info.period) == (0, 6)
@@ -358,6 +420,37 @@ def test_sector_partition_reports_only_a_crossing_as_one(monkeypatch):
     monkeypatch.setattr(lamination, "gaps", failing_gaps)
     with pytest.raises(ValueError, match="some other fault"):
         sector_partition(3, [C(0, 1, 1, 3), C(1, 3, 2, 3)])
+
+
+# full collections of d - 1 critical chords, as (d, (p, q, r, s) per chord)
+FULL_COLLECTIONS = [
+    (2, [(0, 1, 1, 2)]),
+    (3, [(0, 1, 1, 3), (1, 2, 5, 6)]),  # disjoint
+    (3, [(0, 1, 1, 3), (1, 3, 2, 3)]),  # two edges of the critical triangle
+    (4, [(0, 1, 1, 4), (1, 3, 7, 12), (2, 3, 11, 12)]),  # disjoint
+    (4, [(0, 1, 1, 4), (1, 4, 1, 2), (1, 2, 3, 4)]),  # a path through 1/4 and 1/2
+    (4, [(0, 1, 1, 4), (0, 1, 1, 2), (0, 1, 3, 4)]),  # a star at 0
+    (4, [(0, 1, 1, 4), (1, 4, 1, 2), (5, 8, 7, 8)]),  # two meet, one apart
+]
+
+
+@pytest.mark.parametrize("d, chords", FULL_COLLECTIONS)
+@pytest.mark.parametrize("turn", [Fraction(0), Fraction(1, 7), Fraction(5, 12)])
+def test_sector_corners_are_the_face_vertices_off_its_arcs(d, chords, turn):
+    # a rotated critical chord is critical: its ends still differ by k/d
+    chords = [Chord(A(Fraction(p, q) + turn), A(Fraction(r, s) + turn)) for p, q, r, s in chords]
+    sectors = sector_partition(d, chords)
+    faces = [g for g in gaps(FiniteLamination(d, chords)) if not g.finite]
+    assert len(sectors) == len(faces) == d
+    for sector, g in zip(sectors, faces):
+        assert sector.arcs == tuple((a.start, a.end) for a in g.arcs)
+        assert sum(ccw_offset(s, e) for s, e in sector.arcs) == Fraction(1, d)
+        off_arcs = {v for v in g.vertices if not any(a.contains(v, closed=True) for a in g.arcs)}
+        assert sector.corners == off_arcs
+    # a chord meeting another shares its end as a corner of the sector between them
+    ends = [e for c in chords for e in c.endpoints]
+    shared = {e for e in ends if ends.count(e) > 1}
+    assert shared <= set().union(*(s.corners for s in sectors))
 
 
 @pytest.mark.parametrize("depth", [-1, -3, 1.5, "2", None, True])
