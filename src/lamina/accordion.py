@@ -6,7 +6,8 @@ linked pairs the possible exact patterns are rigid: one extra crossing leaf
 (periodic flip or four disjoint endpoint orbits), two crossing images, or a
 periodic polygon swept out by the pair's convex hull.  Order preservation
 puts both chords on one integer ring mod N, the common denominator of their
-endpoints, and follows the two orbits there as int pairs; the ``compgap``
+endpoints, and follows the two orbits there as int pairs with
+``lamination._ring_orbit``, the loop behind every orbit; the ``compgap``
 suite calls the same ring primitives.  Smart-criticality
 helpers pick full spike collections unlinked with a given leaf and detect
 collapses around chains of spikes.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
 from .chords import Chord, is_critical, linked, validate_collection
 from .cubic_tags import ConvexSet
-from .lamination import FiniteLamination, orbit_classify
+from .lamination import FiniteLamination, _ring_orbit, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
 
 __all__ = [
@@ -148,23 +149,6 @@ def _positively_ordered_images(points, images) -> bool:
     return n <= 2 or cyclic_descents(images) == 1
 
 
-def _ring_orbit(d: int, N: int, a: int, b: int):
-    """Forward orbit of the chord {a/N, b/N} to closure, as sorted int
-    pairs; None once an image is degenerate, since (pre)critical leaves
-    never have order preserving accordions."""
-    c = (a, b) if a < b else (b, a)
-    orbit = []
-    seen = set()
-    while c not in seen:
-        if c[0] == c[1]:
-            return None
-        seen.add(c)
-        orbit.append(c)
-        x, y = d * c[0] % N, d * c[1] % N
-        c = (x, y) if x < y else (y, x)
-    return orbit
-
-
 def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
     """Mutual order preservation of two chord orbits on the ring mod N:
     sigma_d is injective and positively order preserving on the accordion of
@@ -190,9 +174,13 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     if not linked(l1, l2):
         raise ValueError("order preserving accordions are defined for linked chords")
     N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
-    o1 = _ring_orbit(d, N, a1, b1)
-    o2 = _ring_orbit(d, N, a2, b2)
-    return o1 is not None and o2 is not None and _order_preserving_ring(d, N, o1, o2)
+    _, o1 = _ring_orbit(d, N, (a1, b1))
+    _, o2 = _ring_orbit(d, N, (a2, b2))
+    # (pre)critical leaves never have order preserving accordions, and an
+    # orbit turns degenerate iff its last chord is
+    if o1[-1][0] == o1[-1][1] or o2[-1][0] == o2[-1][1]:
+        return False
+    return _order_preserving_ring(d, N, o1, o2)
 
 
 # ---------------------------------------------------------------------------

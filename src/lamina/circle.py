@@ -10,7 +10,8 @@ value (``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
-angles on one integer ring mod N, where no Angle is built at all.
+angles on one integer ring mod N, where no Angle is built at all, and
+``_at`` reads a ring point back as an Angle.
 """
 
 from __future__ import annotations
@@ -229,6 +230,12 @@ def _ring(angles) -> tuple[int, list[int]]:
     angles = [a if type(a) is Angle else Angle(a) for a in angles]
     N = lcm(*(a._denominator for a in angles))
     return N, [a._numerator * (N // a._denominator) for a in angles]
+
+
+def _at(N: int, x: int) -> Angle:
+    """The Angle x/N of a point 0 <= x < N of the ring mod N, reduced."""
+    g = gcd(x, N)
+    return _angle(x // g, N // g)
 
 
 def ccw_offset(a, b) -> Angle:

@@ -18,7 +18,7 @@ from .formats import lamination_text, parse_lamination, parse_portrait, tag_repo
 from .render import RenderSpec, render_svg
 from .quad_minor import qml_enumerate
 from .lamination import FiniteLamination, InconsistentPortrait, check_unlinked
-from .suites import SUITES, run_suite
+from .suites import MAX_SUITE_SAMPLES, SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -144,6 +144,9 @@ def cmd_verify(args) -> int:
         return 2
     if args.samples is not None and args.samples < 0:
         print(f"error: --samples must be >= 0, got {args.samples}", file=sys.stderr)
+        return 2
+    if args.samples is not None and args.samples > MAX_SUITE_SAMPLES:
+        print(f"error: --samples must be between 0 and {MAX_SUITE_SAMPLES}", file=sys.stderr)
         return 2
     if args.samples is None:
         result = SUITES[args.suite](seed=seed)

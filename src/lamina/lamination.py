@@ -32,9 +32,8 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
-from .circle import Angle, Arc, _angle, _ring, cyclic_descents, sigma, shortest_dist
+from .circle import Arc, _at, _check_degree, _ring, cyclic_descents, sigma, shortest_dist
 from .chords import (
     Chord,
     _ring_image,
@@ -308,33 +307,60 @@ class OrbitInfo:
         return self.preperiod + self.period
 
 
+def _ring_orbit(d: int, N: int, x, max_steps: int | None = None):
+    """The sigma_d orbit of a point of the ring mod N: an int, a sorted int
+    pair (a chord) or a frozenset of ints (a vertex set).
+
+    Returns (preperiod, orbit), the orbit being the preperiodic tail
+    followed by one full cycle, or None when the orbit has not closed
+    within ``max_steps`` images.  A degenerate pair maps to a degenerate
+    pair, so an orbit holds one iff its last element is one.
+    """
+    pair = isinstance(x, tuple)
+    point = not pair and isinstance(x, int)
+    seen = {x}
+    orbit = [x]
+    while max_steps is None or len(orbit) <= max_steps:
+        if pair:
+            a, b = d * x[0] % N, d * x[1] % N
+            x = (a, b) if a <= b else (b, a)
+        elif point:
+            x = d * x % N
+        else:
+            x = frozenset(d * v % N for v in x)
+        if x in seen:
+            return orbit.index(x), orbit
+        seen.add(x)
+        orbit.append(x)
+    return None
+
+
 def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
     """Preperiod and minimal period of an angle, a chord or a vertex set
     under sigma_d.
 
     A vertex set (set, frozenset, tuple or list of angles) is followed as a
     frozenset of its images.  With ``max_steps``, returns None when the orbit
-    has not closed within that many images.
+    has not closed within that many images.  The orbit is followed on the
+    ring of the denominators of ``x`` and read back as Angles at the end.
     """
+    _check_degree(d)
     if isinstance(x, Chord):
-        step = lambda c: chord_image(d, c)
+        N, (a, b) = _ring(x)
+        found = _ring_orbit(d, N, (a, b), max_steps)
+        back = lambda c: Chord(_at(N, c[0]), _at(N, c[1]))
     elif isinstance(x, (set, frozenset, tuple, list)):
-        x = frozenset(Angle(v) for v in x)
-        step = lambda vs: frozenset(sigma(d, v) for v in vs)
+        N, vs = _ring(x)
+        found = _ring_orbit(d, N, frozenset(vs), max_steps)
+        back = lambda vs: frozenset(_at(N, v) for v in vs)
     else:
-        x = Angle(x)
-        step = lambda a: sigma(d, a)
-    seen = {x: 0}
-    orbit = [x]
-    current = x
-    while max_steps is None or len(orbit) <= max_steps:
-        current = step(current)
-        if current in seen:
-            pre = seen[current]
-            return OrbitInfo(preperiod=pre, period=len(orbit) - pre, orbit=tuple(orbit))
-        seen[current] = len(orbit)
-        orbit.append(current)
-    return None
+        N, (a,) = _ring((x,))
+        found = _ring_orbit(d, N, a, max_steps)
+        back = lambda v: _at(N, v)
+    if found is None:
+        return None
+    pre, orbit = found
+    return OrbitInfo(preperiod=pre, period=len(orbit) - pre, orbit=tuple(map(back, orbit)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +520,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         return owner[bisect_right(starts, q) - 1]
 
     def chord_at(x, y) -> Chord:
-        g, h = gcd(x, N), gcd(y, N)
-        return Chord(_angle(x // g, N // g), _angle(y // h, N // h))
+        return Chord(_at(N, x), _at(N, y))
 
     def candidates(X: int, k: int) -> list[int]:
         """Preimages of X in the closed sector k, half-open-assigned ones first."""

@@ -10,7 +10,6 @@ algorithm, and the strip test verifies each chord it draws.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,15 +66,14 @@ class Strip:
     def first_entry(self, c: Chord):
         """(n, sigma_2^n(c)) for the first doubling image of ``c`` meeting
         the open strip, or None once the orbit closes without one."""
-        seen = {c}
-        current = c
-        for n in itertools.count(1):
-            current = chord_image(2, current)
-            if self.meets_open(current):
-                return n, current
-            if current in seen:
-                return None
-            seen.add(current)
+        info = orbit_classify(2, c)
+        pre = info.preperiod
+        # the images 1 .. closes_at; the last one is the first repeat
+        images = info.orbit[1:] + info.orbit[pre : pre + 1]
+        for n, image in enumerate(images, 1):
+            if self.meets_open(image):
+                return n, image
+        return None
 
 
 def strip_between(c1: Chord, c2: Chord) -> Strip:

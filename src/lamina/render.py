@@ -17,18 +17,15 @@ to b it is 1 iff b lies less than half a turn counterclockwise of a.  The
 memo lives and dies with its canvas: nothing is cached across calls.
 
 The printed bytes are those of the mpf formula at 30 digits: pixel
-coordinates c + R*cos(2*pi*a) and c - R*sin(2*pi*a), with c = size/2 and
-R = 0.45*size (1.06*R for labels), and arc radii tan(pi*l)*R, each printed
-by mpmath's ``to_str(x, 12)``, which ``nstr(x, 12)`` calls.  The libmp
-path computes exactly that on raw mpf values: ``mpf_cos_sin_pi`` gives
-cosine and sine together, ``mpf_mul``/``mpf_add``/``mpf_sub`` the pixel
-coordinates and ``to_str`` the strings.  These are the functions the mpf
-operators, ``cospi``/``sinpi`` and ``nstr`` call, in the same order and
-with the same rounding.
+coordinates c + R*cospi(t) and c - R*sinpi(t) of an angle a, with
+t = 2*mpf(n)/q for a = n/q, c = size/2 and R = 0.45*size (1.06*R for
+labels), and arc radii tan(pi*l)*R, each printed by ``nstr(x, 12)``, which
+calls mpmath's ``to_str(x, 12)``.  The fallback evaluates that formula
+with mpf objects at 30 digits.
 
 Most values are printed from a certified binary64 evaluation instead, in
 the manner of Ziv's correctly rounded elementary functions (ACM TOMS,
-1991); the libmp path is the fallback.
+1991); the mpf fallback prints the rest.
 
 * Reduction, exact in integers.  For a = n/q, ``k, r = divmod(8n, q)``
   writes 2*pi*a = (pi/4)(k + r/q): an octant k and a residual.  Turning
@@ -76,12 +73,12 @@ the manner of Ziv's correctly rounded elementary functions (ACM TOMS,
   ``e+N``/``e-N`` otherwise.  Only a bare integer mantissa needs its
   ``.0`` back and the exponent its zero padding dropped.  When the ends
   differ, for well under one value in a hundred (0.2-0.6% in the random
-  oracles of ``tests/test_render.py``), the libmp path prints the value.
+  oracles of ``tests/test_render.py``), the mpf fallback prints the value.
 
 The binary64 path runs for integer sizes 1 <= size <= 2**52, where size/2
 and size*0.45 stay exact or within the bounds above, and for lengths with
 m/q >= 2**-1000, where no product leaves the normal range.  Other sizes,
-and a CPython without its own float formatting, take the libmp path
+and a CPython without its own float formatting, take the mpf fallback
 throughout.
 """
 
@@ -93,17 +90,6 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath
-from mpmath.libmp import (
-    from_int,
-    mpf_add,
-    mpf_cos_sin_pi,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pos,
-    mpf_sub,
-    to_str,
-)
 
 from .chords import Chord
 from .circle import Angle, ccw_offset
@@ -139,9 +125,6 @@ _HALF = Angle(1, 2)
 def _fmt(x) -> str:
     return mpmath.nstr(x, 12)
 
-
-# every rounding of the canvas is to nearest, as the mpf operators round
-_RND = "n"
 
 # the certified binary64 path; see the module docstring for the bounds
 _FAST = sys.float_repr_style == "short"
@@ -191,17 +174,14 @@ class _Canvas:
     evaluating each endpoint and each arc radius once.
 
     Values are printed from the certified binary64 evaluation when it
-    decides them; otherwise endpoints go through mpmath's low-level
-    ``libmp`` functions on raw mpf values at the context precision, calling
-    the same functions in the same order as the mpf operators,
-    ``cospi``/``sinpi`` and ``nstr`` would.
+    decides them, and otherwise by the mpf fallback: the module docstring's
+    formula evaluated with mpf objects at the context precision.
     """
 
     def __init__(self, size: int):
         self.center = mpmath.mpf(size) / 2
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
-        self._label_radius = (self.radius * mpmath.mpf("1.06"))._mpf_
-        self._prec = mpmath.mp.prec
+        self.label_radius = self.radius * mpmath.mpf("1.06")
         self._xy: dict = {}
         self._radii: dict = {}
         # c, R and 1.06*R in binary64 (c exact, the radii within the
@@ -212,14 +192,6 @@ class _Canvas:
             self._r = size * 0.45
             self._label_r = self._r * 1.06
             self._e = size * _PIX_ERR
-
-    def point(self, angle: Fraction):
-        """(cos 2*pi*angle, sin 2*pi*angle) as raw mpf values."""
-        prec = self._prec
-        # 2 * mpf(n) / q
-        t = mpf_mul_int(mpf_pos(from_int(angle.numerator), prec, _RND), 2, prec, _RND)
-        t = mpf_div(t, from_int(angle.denominator), prec, _RND)
-        return mpf_cos_sin_pi(t, prec, _RND)
 
     def pix(self, angle: Fraction, label: bool = False) -> tuple[str, str]:
         """The formatted pixel coordinates center + R*x and center - R*y of
@@ -247,12 +219,9 @@ class _Canvas:
             py = _certified(self._c - R * y, e)
             if px is not None and py is not None:
                 return px, py
-        x, y = self.point(angle)
-        prec, c = self._prec, self.center._mpf_
-        r = self._label_radius if label else self.radius._mpf_
-        px = mpf_add(c, mpf_mul(r, x, prec, _RND), prec, _RND)
-        py = mpf_sub(c, mpf_mul(r, y, prec, _RND), prec, _RND)
-        return to_str(px, 12), to_str(py, 12)
+        t = 2 * mpmath.mpf(angle.numerator) / angle.denominator
+        R = self.label_radius if label else self.radius
+        return _fmt(self.center + R * mpmath.cospi(t)), _fmt(self.center - R * mpmath.sinpi(t))
 
     def svg_xy(self, angle: Fraction) -> str:
         s = self._xy.get(angle)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circle import Angle, shortest_dist
+from .circle import THIRD, Angle, shortest_dist
 from .chords import Chord, linked
 
 __all__ = ["Lcg"]
@@ -39,8 +39,9 @@ class Lcg:
     def choice(self, seq):
         return seq[self.below(len(seq))]
 
-    def angle(self, max_denominator: int = 360) -> Angle:
-        q = self.below(max_denominator - 1) + 2
+    def angle(self) -> Angle:
+        """An angle p/q with 2 <= q <= 360."""
+        q = self.below(359) + 2
         p = self.below(q)
         return Angle(p, q)
 
@@ -55,13 +56,13 @@ class Lcg:
             if a.denominator % 3 == 0:
                 return a
 
-    def chord_in_window(self, length_bound=Fraction(1, 3)) -> Chord:
-        """Nondegenerate chord of length < length_bound."""
+    def chord_in_window(self) -> Chord:
+        """Nondegenerate chord of length < 1/3."""
         while True:
             a = self.angle()
-            span = Fraction(self.below(10**6) + 1, 10**6) * length_bound
+            span = Fraction(self.below(10**6) + 1, 10**6) * THIRD
             b = Angle(a + span * Fraction(self.below(997) + 1, 998))
-            if a != b and shortest_dist(a, b) < length_bound:
+            if a != b and shortest_dist(a, b) < THIRD:
                 return Chord(a, b)
 
     def linked_pair_in_window(self):

@@ -20,17 +20,13 @@ from .lamination import (
     critical_analysis,
     gap_degree,
     gaps,
+    _ring_orbit,
     orbit_classify,
     pullback_build,
 )
 from .quad_minor import build_from_minor, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import (
-    _order_preserving_ring,
-    _ring_orbit,
-    accordion,
-    compgap_analyze,
-)
+from .accordion import _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
     ConvexSet,
     FullPortrait,
@@ -45,6 +41,10 @@ from .cubic_tags import (
 from .sampling import Lcg
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "sample_cubic_library", "hexagon_fixtures"]
+
+# the largest --samples a suite accepts: a bound that refuses absurd
+# requests up front, well above what any suite finishes in minutes
+MAX_SUITE_SAMPLES = 1_000_000
 
 
 @dataclass
@@ -194,9 +194,9 @@ def _quad_portrait(rng: Lcg):
     return None
 
 
-def sample_cubic_library(rng: Lcg, count: int, depth: int = 3):
+def sample_cubic_library(rng: Lcg, count: int):
     """Pullback-built cubic laminations from distinct sampled portraits with
-    two distinct critical sets, heuristically dendritic."""
+    two distinct critical sets, heuristically dendritic, built to depth 3."""
     library = []
     seen = set()
     attempts = 0
@@ -209,7 +209,7 @@ def sample_cubic_library(rng: Lcg, count: int, depth: int = 3):
                 if key in seen:
                     continue
                 seen.add(key)
-                lam = pullback_build(3, [c1, c2], depth)
+                lam = pullback_build(3, [c1, c2], 3)
             else:
                 sampled = _quad_portrait(rng)
                 if sampled is None:
@@ -219,7 +219,7 @@ def sample_cubic_library(rng: Lcg, count: int, depth: int = 3):
                 if key in seen:
                     continue
                 seen.add(key)
-                lam = pullback_build(3, portrait, depth, sectors=sectors)
+                lam = pullback_build(3, portrait, 3, sectors=sectors)
         except (InconsistentPortrait, ValueError):
             continue
         if not heuristically_dendritic(lam):
@@ -386,7 +386,10 @@ def _compgap_universe(kmax: int):
         step = N // q
         pts.update(j * step for j in range(q))
     pts = sorted(pts)
-    period = {p: orbit_classify(3, Angle(p, N)).period for p in pts}
+    period = {}
+    for p in pts:
+        pre, orbit = _ring_orbit(3, N, p)
+        period[p] = len(orbit) - pre
     return N, pts, period
 
 
@@ -402,7 +405,7 @@ def _survivor_pairs(kmax: int):
         for b in pts[i + 1 :]:
             if period[a] != period[b]:
                 continue
-            o = _ring_orbit(3, N, a, b)
+            _, o = _ring_orbit(3, N, (a, b))
             if not any(linked(u, v) for k, u in enumerate(o) for v in o[k + 1 :]):
                 orbit[a, b] = o
     chords = list(orbit)
@@ -466,13 +469,13 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
     return None, f"{len(crossing)} crossing images"
 
 
-def run_compgap(samples: int = 0, seed: int = 1, kmax: int = 4) -> SuiteResult:
+def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
     """Exhaustive: every linked equal-period pair (denominators dividing
-    3^k - 1, k <= kmax) with mutually order preserving accordions falls in
+    3^k - 1, k <= 4) with mutually order preserving accordions falls in
     exactly one case, and its hull orbit closes into a polygon with 2 to 4
     vertex orbits of one period.  ``samples`` > 0 caps the pairs that get
     the full exact treatment (0 = all)."""
-    N, nlinked, survivors = _survivor_pairs(kmax)
+    N, nlinked, survivors = _survivor_pairs(4)
     failures = []
     counts = {"linked_pairs": nlinked, "order_preserving_pairs": len(survivors)}
     case_counts: dict[str, int] = {}
@@ -511,10 +514,10 @@ def run_compgap(samples: int = 0, seed: int = 1, kmax: int = 4) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def run_qml(samples: int = 0, seed: int = 1, period: int = 6) -> SuiteResult:
+def run_qml(samples: int = 0, seed: int = 1) -> SuiteResult:
     failures = []
     try:
-        q = qml_enumerate(period)
+        q = qml_enumerate(6)
     except AssertionError as exc:
         return SuiteResult("qml-unlinked", False, {}, [str(exc)])
     rabbit_minor = Chord(Angle(1, 7), Angle(2, 7))

@@ -113,12 +113,12 @@ def test_cli_exits_cleanly_on_generated_files(portraits, lam_text, depth, to_std
 
 
 # option values: negative, zero, small and 10**30, each within the work
-# bound (depth <= 3 and period <= 7 unless refused, samples <= 3), and one
+# bound (depth <= 3, period <= 7 and samples <= 3 unless refused), and one
 # text argparse must refuse
 _HUGE = 10**30
 _DEPTH = st.sampled_from([-_HUGE, -1, 0, 1, 2, 3, _HUGE, "x"])
 _PERIOD = st.sampled_from([-_HUGE, -1, 0, 1, 3, 6, 7, 13, _HUGE, "1.5"])
-_SAMPLES = st.sampled_from([-_HUGE, -1, 0, 1, 2, 3, ""])
+_SAMPLES = st.sampled_from([-_HUGE, -1, 0, 1, 2, 3, _HUGE, ""])
 _SIZE = st.sampled_from([None, -_HUGE, -1, 0, 1, 64, _HUGE, "1e3"])
 _SEED = st.sampled_from([None, -_HUGE, -1, 0, 1, 7, _HUGE, "0x10"])
 # strings an environment variable can hold

@@ -244,6 +244,25 @@ def test_cli_verify_rejects_negative_samples(capsys):
     assert captured.out == "" and "--samples" in captured.err
 
 
+@pytest.mark.parametrize("suite", ["linkco", "crifar"])
+def test_cli_verify_refuses_samples_over_the_bound(suite, capsys):
+    # without the bound these run until killed
+    assert main(["verify", "--suite", suite, "--samples", str(10**30)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be between 0 and 1000000\n"
+
+
+def test_cli_verify_samples_bound_is_inclusive(monkeypatch, capsys):
+    import lamina.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_SUITE_SAMPLES", 3)
+    assert main(["verify", "--suite", "linkco", "--samples", "3"]) == 0
+    assert "pairs: 3" in capsys.readouterr().out
+    assert main(["verify", "--suite", "linkco", "--samples", "4"]) == 2
+    assert capsys.readouterr().err == "error: --samples must be between 0 and 3\n"
+
+
 def test_cli_render_rejects_crossing_leaves(tmp_path, capsys):
     lam = tmp_path / "crossing.lam"
     lam.write_text("degree 2\n1/3 1/2\n1/4 2/5\n")

@@ -30,6 +30,7 @@ from lamina.lamination import (
     FiniteLamination,
     Gap,
     InconsistentPortrait,
+    OrbitInfo,
     boundary_degree,
     check_invariance,
     check_unlinked,
@@ -391,6 +392,71 @@ def test_orbit_classify_examples():
     assert got == [tuple(sorted(p)) for p in expected]
     half = orbit_classify(2, A(1, 2))
     assert (half.preperiod, half.period) == (1, 1)
+
+
+def _orbit_oracle(d, x, max_steps=None):
+    """orbit_classify's former loop, on Angles and sigma: a step per image,
+    a dict of the images seen so far."""
+    if isinstance(x, Chord):
+        step = lambda c: chord_image(d, c)
+    elif isinstance(x, (set, frozenset, tuple, list)):
+        x = frozenset(Angle(v) for v in x)
+        step = lambda vs: frozenset(sigma(d, v) for v in vs)
+    else:
+        x = Angle(x)
+        step = lambda a: sigma(d, a)
+    seen = {x: 0}
+    orbit = [x]
+    current = x
+    while max_steps is None or len(orbit) <= max_steps:
+        current = step(current)
+        if current in seen:
+            pre = seen[current]
+            return OrbitInfo(preperiod=pre, period=len(orbit) - pre, orbit=tuple(orbit))
+        seen[current] = len(orbit)
+        orbit.append(current)
+    return None
+
+
+@st.composite
+def _orbit_case(draw):
+    """A degree, an angle, chord or vertex set whose denominators may or
+    may not carry factors of d, and a step bound from None through 0 to
+    past the orbit's closing."""
+    d = draw(st.sampled_from([2, 3, 4]))
+
+    def angle():
+        q = draw(st.integers(1, 45)) * d ** draw(st.integers(0, 3))
+        return A(draw(st.integers(0, q - 1)), q)
+
+    kind = draw(st.sampled_from(["angle", "chord", "degenerate", "critical", "set"]))
+    if kind == "angle":
+        x = angle()
+    elif kind == "chord":
+        x = Chord(angle(), angle())
+    elif kind == "degenerate":
+        a = angle()
+        x = Chord(a, a)
+    elif kind == "critical":
+        a = angle()
+        x = Chord(a, a + Fraction(draw(st.integers(1, d - 1)), d))
+    else:
+        vs = [angle() for _ in range(draw(st.integers(0, 4)))]
+        x = draw(st.sampled_from([list(vs), tuple(vs), set(vs), frozenset(vs)]))
+    closes_at = _orbit_oracle(d, x).closes_at
+    max_steps = draw(st.one_of(st.none(), st.integers(0, closes_at + 2)))
+    return d, x, max_steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(_orbit_case())
+def test_orbit_classify_agrees_with_angle_oracle(case):
+    d, x, max_steps = case
+    got = orbit_classify(d, x, max_steps=max_steps)
+    assert got == _orbit_oracle(d, x, max_steps)
+    if got is not None:
+        want = Chord if isinstance(x, Chord) else Angle if isinstance(x, Angle) else frozenset
+        assert all(type(e) is want for e in got.orbit)
 
 
 def test_pullback_build_rabbit_triangle_gap():

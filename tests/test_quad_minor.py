@@ -71,6 +71,37 @@ def test_strip_test_examples():
     assert strip_test(Chord(A(1, 5), A(1, 5))).passes
 
 
+def _first_entry_oracle(strip, c):
+    """Strip.first_entry's former loop: image after image, with a seen set,
+    until one meets the open strip or repeats."""
+    seen = {c}
+    current = c
+    n = 0
+    while True:
+        n += 1
+        current = chord_image(2, current)
+        if strip.meets_open(current):
+            return n, current
+        if current in seen:
+            return None
+        seen.add(current)
+
+
+def test_first_entry_agrees_with_seen_loop_oracle():
+    # every chord, degenerate ones included, with endpoints of period <= 6
+    # under doubling that has a critical strip
+    points = sorted({A(j, 2**k - 1) for k in range(1, 7) for j in range(2**k - 1)})
+    chords = [Chord(a, b) for i, a in enumerate(points) for b in points[i:]]
+    chords = [c for c in chords if c.length < THIRD]
+    hits = 0
+    for c in chords:
+        strip = critical_strip(c)
+        got = strip.first_entry(c)
+        assert got == _first_entry_oracle(strip, c), c
+        hits += got is not None
+    assert 0 < hits < len(chords)
+
+
 def test_minor_of_examples():
     rabbit = build_from_minor(C(1, 7, 2, 7), 4)
     rep = minor_of(rabbit)

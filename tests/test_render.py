@@ -103,7 +103,7 @@ def _paths(svg: str, cls: str):
 
 
 def _mpf_pix(x, size, scale=None):
-    """Oracle for the canvas's libmp pipeline: the pixel strings of angle x,
+    """Oracle for the canvas's mpf fallback: the pixel strings of angle x,
     ``scale`` disk radii out, by the mpf-object formula at 30 digits."""
     with mpmath.workdps(30):
         c = mpmath.mpf(size) / 2
@@ -129,34 +129,29 @@ def test_canvas_points_match_mpf_oracle():
             canvas = _Canvas(size)
             got = [canvas.svg_xy(a) for a in angles]
         assert got == [_svg_xy_uncached(a, size) for a in angles]
-    # the raw cosine and sine, bit for bit, which 12 printed digits hide
-    with mpmath.workdps(30):
-        for a in angles:
-            t = 2 * mpmath.mpf(a.numerator) / a.denominator
-            assert canvas.point(a) == (mpmath.cospi(t)._mpf_, mpmath.sinpi(t)._mpf_)
 
 
 _SIZES = (1, 7, 333, 800, 1000)
 
 
 def _canvases(size):
-    """A canvas and its libmp twin, the binary64 path switched off."""
+    """A canvas and its mpf twin, the binary64 path switched off."""
     fast, slow = _Canvas(size), _Canvas(size)
     assert fast._fast
     slow._fast = False
     return fast, slow
 
 
-def _counting(monkeypatch, name):
-    """Count the calls of the render module's function ``name``."""
+def _counting(monkeypatch, owner, name):
+    """Count the calls of the function ``name`` of module ``owner``."""
     calls = []
-    real = getattr(render, name)
+    real = getattr(owner, name)
 
     def wrapper(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(render, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -174,7 +169,7 @@ def test_binary64_points_match_libmp_path(monkeypatch):
             fast, slow = _canvases(size)
             share = angles[i :: len(combos)]
             with monkeypatch.context() as m:
-                calls = _counting(m, "mpf_cos_sin_pi")
+                calls = _counting(m, mpmath, "cospi")
                 got = [fast.pix(a, label) for a in share]
                 fallbacks += len(calls)
                 got += [fast.pix(a, label) for a in special]
@@ -240,9 +235,9 @@ def test_near_ties_fall_back_to_libmp(monkeypatch):
             with mpmath.workdps(30):
                 for a in cases:
                     with monkeypatch.context() as m:
-                        calls = _counting(m, "mpf_cos_sin_pi")
+                        calls = _counting(m, mpmath, "cospi")
                         assert fast.pix(a, label) == slow.pix(a, label)
-                        assert calls  # the libmp path printed it
+                        assert calls  # the mpf fallback printed it
 
 
 def test_binary64_arc_radii_match_libmp_path(monkeypatch):
@@ -254,20 +249,20 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
     lengths += [Fraction(1, 10**9), Fraction(1, 12), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(5, 12)]
     lengths += [Fraction(1, 2) - Fraction(1, 10**13), _STRAIGHT_FROM - Fraction(1, 2**80)]
     assert all(0 < x < _STRAIGHT_FROM for x in lengths)
-    # lengths whose binary64 ratio underflows take the libmp path
+    # lengths whose binary64 ratio underflows take the mpf fallback
     tiny = [Fraction(1, 10**400), Fraction(3, 2**1060), Fraction(1, 2**1000)]
     fallbacks = 0
     with mpmath.workdps(30):
         for size in _SIZES:
             fast, slow = _canvases(size)
             with monkeypatch.context() as m:
-                calls = _counting(m, "_fmt")
+                calls = _counting(m, render, "_fmt")
                 got = [fast.arc_radius(x) for x in lengths]
                 fallbacks += len(calls)
                 got += [fast.arc_radius(x) for x in tiny]
             assert got == [slow.arc_radius(x) for x in lengths + tiny]
     assert fallbacks < 0.02 * len(lengths) * len(_SIZES)
-    # radii near a boundary take the libmp path
+    # radii near a boundary take the mpf fallback
     q = 2**64
     for size in _SIZES:
         fast, slow = _canvases(size)
@@ -282,7 +277,7 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
                 cases.append(x)
         with mpmath.workdps(30):
             with monkeypatch.context() as m:
-                calls = _counting(m, "_fmt")
+                calls = _counting(m, render, "_fmt")
                 got = [fast.arc_radius(x) for x in cases]
                 assert len(calls) == len(cases)
             assert got == [slow.arc_radius(x) for x in cases]
