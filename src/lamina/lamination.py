@@ -14,16 +14,19 @@ critical portraits by the standard pullback scheme, with branches chosen
 inside the complementary sectors of a full collection of critical chords,
 which are the arc-bearing gaps of those chords.
 
-Pullbacks and invariance checks run on one integer ring (1/N)Z/Z: sigma_d
-never enlarges a denominator and each pullback generation multiplies it by
-at most d, so a depth-k build lives on N = N0 * d**k, N0 the common
-denominator of its generation-0 leaves and sector chords, and a finished
+Orbits, pullbacks and invariance checks run on one integer ring (1/N)Z/Z:
+sigma_d never enlarges a denominator and each pullback generation
+multiplies it by at most d, so a depth-k build lives on N = N0 * d**k, N0
+the common denominator of its portrait and sector chords, and a finished
 lamination on the common denominator of its endpoints.  There a leaf is a
 sorted pair of ints, sigma_d is ``d*x % N``, the preimages of an endpoint X
 of a leaf still to be pulled back are X//d + k*(N//d), and the circle order
 is the order of the ints, so ``linked`` and ``disjoint`` take the pairs as
-they take Chords (a Chord is the sorted pair of its angles).  Chords are
-built once per leaf, for the result.
+they take Chords (a Chord is the sorted pair of its angles).  One loop,
+:func:`_ring_orbit`, follows every orbit; a build's generation 0 is the
+portrait chords' orbits, each stopped before its first degenerate image,
+and is refused by one bound while it is followed (see
+:func:`pullback_build`).  Chords are built once per leaf, for the result.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .circle import Arc, _at, _check_degree, _ring, cyclic_descents, sigma, shor
 from .chords import (
     Chord,
     _ring_image,
-    chord_image,
     disjoint,
     greedy_no_loop,
     is_critical,
@@ -307,14 +309,16 @@ class OrbitInfo:
         return self.preperiod + self.period
 
 
-def _ring_orbit(d: int, N: int, x, max_steps: int | None = None):
+def _ring_orbit(d: int, N: int, x, max_steps: int | None = None, stop_degenerate: bool = False):
     """The sigma_d orbit of a point of the ring mod N: an int, a sorted int
     pair (a chord) or a frozenset of ints (a vertex set).
 
     Returns (preperiod, orbit), the orbit being the preperiodic tail
     followed by one full cycle, or None when the orbit has not closed
     within ``max_steps`` images.  A degenerate pair maps to a degenerate
-    pair, so an orbit holds one iff its last element is one.
+    pair, so an orbit holds one iff its last element is one; with
+    ``stop_degenerate`` the orbit ends before that first degenerate pair
+    instead, all tail, and n chords fit in n ``max_steps`` either way.
     """
     pair = isinstance(x, tuple)
     point = not pair and isinstance(x, int)
@@ -323,6 +327,8 @@ def _ring_orbit(d: int, N: int, x, max_steps: int | None = None):
     while max_steps is None or len(orbit) <= max_steps:
         if pair:
             a, b = d * x[0] % N, d * x[1] % N
+            if a == b and stop_degenerate:
+                return len(orbit), orbit
             x = (a, b) if a <= b else (b, a)
         elif point:
             x = d * x % N
@@ -438,19 +444,20 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     other sector preimages, preferring the end whose positively adjacent
     arc lies in the sector.
 
-    The pullbacks run on one integer ring mod N = N0 * d**depth, where N0
-    is the common denominator of the generation-0 leaves and the sector
-    chords: the preimages of X/N are (X + kN)/(dN), and a generation-g leaf
-    has numerators divisible by d**(depth - g), so every leaf the build can
-    reach is a pair of ints mod N.  Each leaf's Chord is built once, when
-    the leaf is recorded.
+    Generation 0 (gen0) is the forward orbits of the portrait chords, each
+    up to its first degenerate image, followed as int pairs on the ring mod
+    N0 of the portrait and sector chords.  The pullbacks run on the ring mod
+    N = N0 * d**depth: the preimages of X/N are (X + kN)/(dN), and a
+    generation-g leaf has numerators divisible by d**(depth - g), so every
+    leaf the build can reach is a pair of ints mod N.  Each leaf's Chord is
+    built once, when the leaf is recorded.
 
-    Raises InconsistentPortrait when the forward orbit of a portrait chord
-    crosses itself, another portrait chord's orbit or a sector chord, and
-    ValueError when ``depth`` is not a non-negative int, when the forward
-    orbits of the portrait chords (gen0) have more than MAX_PULLBACK_LEAVES
-    leaves, or when the leaf bound |gen0| * (d**(depth+1) - 1) / (d - 1)
-    (every leaf pulls back to d leaves per generation) exceeds it.
+    Every leaf pulls back to d leaves a generation, so the build has at most
+    |gen0| * g leaves, g = (d**(depth+1) - 1) // (d - 1).  Raises ValueError
+    when |gen0| > MAX_PULLBACK_LEAVES // g, as soon as the orbits show it,
+    and when ``depth`` is not a non-negative int; and InconsistentPortrait
+    when the forward orbit of a portrait chord crosses itself, another one's
+    orbit or a sector chord.
     """
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
@@ -464,45 +471,41 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
     parts = sector_partition(d, sector_chords)
 
-    # generation 0 is the portrait chords' forward orbits: follow each one
-    # until it turns degenerate or meets a leaf whose orbit is already in.
-    # An orbit with a huge denominator may not close for ages, so it is
-    # followed only while the leaf count stays within the limit.
-    generations: dict[Chord, int] = {}
-    for c in portrait:
-        while not c.degenerate and c not in generations:
-            if len(generations) == MAX_PULLBACK_LEAVES:
-                raise ValueError(
-                    f"the forward orbits of the portrait chords have more than "
-                    f"{MAX_PULLBACK_LEAVES} generation-0 leaves; the limit is {MAX_PULLBACK_LEAVES}"
-                )
-            generations[c] = 0
-            c = chord_image(d, c)
-
-    gen0 = sorted(generations)
-    if gen0:
-        # past depth 64 d**depth alone is over the limit; do not form it
-        bound = len(gen0) * (d ** (min(depth, 64) + 1) - 1) // (d - 1)
-        if bound > MAX_PULLBACK_LEAVES:
-            at_least = "" if depth <= 64 else "at least "
+    # the most gen0 leaves depth can pull back within the limit; past depth
+    # 64 it is 0, so d**depth is not formed
+    cap = MAX_PULLBACK_LEAVES // ((d ** (min(depth, 64) + 1) - 1) // (d - 1))
+    ends = [e for c in portrait + sector_chords for e in c]
+    N, xs = _ring(ends)
+    pairs = list(zip(xs[::2], xs[1::2]))
+    gen0: set[tuple] = set()
+    for p in pairs[: len(portrait)]:
+        if p in gen0:
+            continue
+        found = _ring_orbit(d, N, p, cap, stop_degenerate=True)
+        gen0.update(found[1] if found else ())
+        if found is None or len(gen0) > cap:
             raise ValueError(
-                f"depth {depth} could build {at_least}{bound} leaves from {len(gen0)} "
-                f"generation-0 leaves; the limit is {MAX_PULLBACK_LEAVES}"
+                f"the forward orbits of the portrait chords have more than {cap} generation-0 "
+                f"leaves, the most depth {depth} can pull back; the limit is "
+                f"{MAX_PULLBACK_LEAVES} leaves"
             )
-    base = FiniteLamination(d, gen0 + sector_chords)
+
+    # ring order is circle order, so the pairs sort as their Chords do
+    on_base = sorted(gen0.union(pairs[len(portrait) :]))
+    base = FiniteLamination(d, [Chord(_at(N, a), _at(N, b)) for a, b in on_base])
+    base._on_ring = N, tuple(on_base)
     ok, pair = check_unlinked(base)
     if not ok:
         raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
     if not gen0:
         # nothing to pull back (an empty portrait, say), and the depth may
         # be too large to form d**depth
-        return FiniteLamination(d, (), generations=generations)
+        return FiniteLamination(d, ())
 
     # every sector arc end and corner is an end of a sector chord
-    N, pairs = base.ring
     scale = d**depth
+    on_ring = {e: x * scale for e, x in zip(ends, xs)}
     N *= scale
-    on_ring = {e: x * scale for c, p in zip(base.leaves, pairs) for e, x in zip(c, p)}
     step = N // d
     # the half-open sector arcs tile the circle: the arc starting at
     # starts[i] belongs to sector owner[i], and the last one wraps past 0
@@ -519,9 +522,6 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     def sector_of(q: int) -> int:
         return owner[bisect_right(starts, q) - 1]
 
-    def chord_at(x, y) -> Chord:
-        return Chord(_at(N, x), _at(N, y))
-
     def candidates(X: int, k: int) -> list[int]:
         """Preimages of X in the closed sector k, half-open-assigned ones first."""
         pre = range(X // d, N, step)
@@ -529,18 +529,21 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             q for q in pre if sector_of(q) != k and q in closure[k]
         ]
 
+    generations: dict[Chord, int] = {}
     leaves: dict[tuple, Chord] = {}  # int pair -> its Chord, in record order
     by_image: dict[tuple, list] = {}
     current = []
-    for c in gen0:
-        p = (on_ring[c.a], on_ring[c.b])
-        leaves[p] = c
-        by_image.setdefault(_ring_image(d, N, p), []).append(p)
-        current.append(p)
+    for c, (a, b) in zip(base.leaves, on_base):
+        if (a, b) in gen0:
+            p = (a * scale, b * scale)
+            leaves[p] = c
+            generations[c] = 0
+            by_image.setdefault(_ring_image(d, N, p), []).append(p)
+            current.append(p)
 
     def record(p, generation: int, new: list):
         if p not in leaves:
-            chord = leaves[p] = chord_at(*p)
+            chord = leaves[p] = Chord(_at(N, p[0]), _at(N, p[1]))
             generations[chord] = generation
             by_image.setdefault(_ring_image(d, N, p), []).append(p)
             new.append(p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import THIRD, Angle, ccw_offset, cyclic_descents, sigma_power
-from .chords import Chord, chord_image, linked
+from .chords import Chord, linked
 from .lamination import (
     FiniteLamination,
     InconsistentPortrait,
@@ -396,7 +396,8 @@ def _compgap_universe(kmax: int):
 def _survivor_pairs(kmax: int):
     """All linked pairs of equal-endpoint-period chords (denominators
     dividing 3^k - 1, k <= kmax) with mutually order preserving accordions,
-    via integer arithmetic modulo the common denominator."""
+    via integer arithmetic modulo the common denominator: N, the linked pair
+    count, and each surviving pair mapped to its two (preperiod, orbit)s."""
     N, pts, period = _compgap_universe(kmax)
     # leaf-eligible chords: equal endpoint periods and a pairwise unlinked
     # forward orbit (leaves of an invariant lamination satisfy both)
@@ -405,20 +406,20 @@ def _survivor_pairs(kmax: int):
         for b in pts[i + 1 :]:
             if period[a] != period[b]:
                 continue
-            _, o = _ring_orbit(3, N, (a, b))
+            pre, o = _ring_orbit(3, N, (a, b))
             if not any(linked(u, v) for k, u in enumerate(o) for v in o[k + 1 :]):
-                orbit[a, b] = o
+                orbit[a, b] = pre, o
     chords = list(orbit)
 
-    survivors = []
+    survivors = {}
     nlinked = 0
     for i, c1 in enumerate(chords):
         for c2 in chords[i + 1 :]:
             if not linked(c1, c2):
                 continue
             nlinked += 1
-            if _order_preserving_ring(3, N, orbit[c1], orbit[c2]):
-                survivors.append((c1, c2))
+            if _order_preserving_ring(3, N, orbit[c1][1], orbit[c2][1]):
+                survivors[c1, c2] = orbit[c1], orbit[c2]
     return N, nlinked, survivors
 
 
@@ -479,17 +480,17 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
     failures = []
     counts = {"linked_pairs": nlinked, "order_preserving_pairs": len(survivors)}
     case_counts: dict[str, int] = {}
-    chosen = survivors if samples in (0, None) else survivors[: samples]
-    for (a1, b1), (a2, b2) in chosen:
-        l1 = Chord(Angle(a1, N), Angle(b1, N))
-        l2 = Chord(Angle(a2, N), Angle(b2, N))
-        # order preservation forces images of crossing leaves to keep crossing
-        img1, img2 = l1, l2
-        closure = orbit_classify(3, l1).closes_at * orbit_classify(3, l2).closes_at
-        for _ in range(min(closure, 24)):
-            img1, img2 = chord_image(3, img1), chord_image(3, img2)
+    chosen = list(survivors.items())[: samples or None]
+    at = lambda p: Chord(Angle(p[0], N), Angle(p[1], N))
+    for (c1, c2), ((pre1, o1), (pre2, o2)) in chosen:
+        l1, l2 = at(c1), at(c2)
+        # order preservation forces images of crossing leaves to keep crossing;
+        # the k-th image is read off the orbit, past its end round its cycle
+        for k in range(1, min(len(o1) * len(o2), 24) + 1):
+            img1 = o1[k if k < pre1 else pre1 + (k - pre1) % (len(o1) - pre1)]
+            img2 = o2[k if k < pre2 else pre2 + (k - pre2) % (len(o2) - pre2)]
             if not linked(img1, img2):
-                failures.append(f"{l1} / {l2}: images {img1} / {img2} no longer cross")
+                failures.append(f"{l1} / {l2}: images {at(img1)} / {at(img2)} no longer cross")
                 break
         case, detail = _classify_case(3, l1, l2)
         if case is None:
@@ -633,7 +634,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
+def run_suite(name: str, samples: int | None, seed: int) -> SuiteResult:
+    """Run one suite; ``samples`` None takes the suite's default."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](samples, seed)
+    return SUITES[name](seed=seed) if samples is None else SUITES[name](samples, seed)

@@ -348,7 +348,10 @@ def test_cli_build_refuses_long_generation_zero_orbit(tmp_path, capsys, monkeypa
     assert main(["build", "--portrait", str(portrait), "--depth", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "more than 500 generation-0 leaves" in captured.err
+    assert captured.err == (
+        "error: the forward orbits of the portrait chords have more than 125 generation-0 "
+        "leaves, the most depth 1 can pull back; the limit is 500 leaves\n"
+    )
 
 
 @pytest.mark.parametrize("line", ["poly 0 0 1/2", "poly 1/3 1/3 1/3 2/3", "poly 1/4 1/4 1/4"])

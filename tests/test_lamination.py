@@ -525,37 +525,64 @@ def test_pullback_rejects_bad_depth(depth):
         pullback_build(3, TRIANGLE, depth)
 
 
+def refusal(cap, depth, limit):
+    """The one text pullback_build refuses a portrait with."""
+    return (
+        f"the forward orbits of the portrait chords have more than {cap} generation-0 "
+        f"leaves, the most depth {depth} can pull back; the limit is {limit} leaves"
+    )
+
+
+def assert_refused(text, *args, **kwargs):
+    with pytest.raises(ValueError) as exc:
+        pullback_build(*args, **kwargs)
+    assert str(exc.value) == text
+
+
 def test_pullback_refuses_depth_over_leaf_bound(monkeypatch):
     n0 = len(pullback_build(2, RABBIT_QUAD, 0, sectors=RABBIT_SPIKE))
-    # n0 * (2**(depth+1) - 1): every leaf has two pullbacks per generation
-    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", n0 * (2**4 - 1))
-    assert len(pullback_build(2, RABBIT_QUAD, 3, sectors=RABBIT_SPIKE)) <= n0 * (2**4 - 1)
-    with pytest.raises(ValueError, match=f"could build {n0 * (2**5 - 1)} leaves"):
-        pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
+    # n0 * (2**(depth+1) - 1): every leaf has two pullbacks per generation,
+    # so depth 4 pulls back at most limit // 31 generation-0 leaves
+    limit = n0 * (2**4 - 1)
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", limit)
+    assert len(pullback_build(2, RABBIT_QUAD, 3, sectors=RABBIT_SPIKE)) <= limit
+    assert limit // 31 < n0
+    assert_refused(refusal(limit // 31, 4, limit), 2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
     monkeypatch.undo()
-    with pytest.raises(ValueError, match=f"could build {n0 * (2**41 - 1)} leaves"):
-        pullback_build(2, RABBIT_QUAD, 40, sectors=RABBIT_SPIKE)
+    # 10**6 // (2**41 - 1) == 0
+    assert_refused(refusal(0, 40, 10**6), 2, RABBIT_QUAD, 40, sectors=RABBIT_SPIKE)
     # no d**depth is formed for an absurd depth
-    with pytest.raises(ValueError, match="at least"):
-        pullback_build(2, RABBIT_QUAD, 10**12, sectors=RABBIT_SPIKE)
+    assert_refused(refusal(0, 10**12, 10**6), 2, RABBIT_QUAD, 10**12, sectors=RABBIT_SPIKE)
     # the bound of an empty portrait is 0, and its generations end at once
     assert len(pullback_build(2, [], 10**12, sectors=RABBIT_SPIKE)) == 0
 
 
 def test_pullback_refuses_generation_zero_orbits_over_leaf_bound(monkeypatch):
     # the orbit of 1/1000003 2/1000003 has hundreds of thousands of leaves;
-    # it is followed only up to the limit, then refused
+    # at depth 1 it is followed only up to 500 // (1 + 3) leaves, then refused
     monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 500)
     portrait = [C(0, 1, 1, 3), C(1, 2, 5, 6), C(1, 1000003, 2, 1000003)]
-    with pytest.raises(ValueError, match="more than 500 generation-0 leaves; the limit is 500"):
-        pullback_build(3, portrait, 1)
-    # exactly at the limit the orbits are kept: 1/7 2/7 has period 3
+    assert_refused(refusal(125, 1, 500), 3, portrait, 1)
+    # exactly at the limit the orbits are kept: 1/7 2/7 has period 3, and at
+    # depth 1 the bound counts two pullbacks per leaf, 3 * (1 + 2) leaves (the
+    # build finds 6: each orbit leaf is already a pullback of its image)
     minor, diameter = [C(1, 7, 2, 7)], [C(1, 14, 4, 7)]
     monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 3)
     assert len(pullback_build(2, minor, 0, sectors=diameter)) == 3
     monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 2)
-    with pytest.raises(ValueError, match="generation-0 leaves; the limit is 2"):
-        pullback_build(2, minor, 0, sectors=diameter)
+    assert_refused(refusal(2, 0, 2), 2, minor, 0, sectors=diameter)
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 9)
+    assert len(pullback_build(2, minor, 1, sectors=diameter)) == 6
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 8)
+    assert_refused(refusal(2, 1, 8), 2, minor, 1, sectors=diameter)
+    # a critical chord's orbit ends at the chord: its degenerate image, a
+    # point of huge period, is not followed and takes no room under the limit
+    x = Fraction(1, 2) + Fraction(1, 10**30)
+    crit = Chord(A(x), A(x + Fraction(1, 3)))
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 1)
+    assert pullback_build(3, [crit], 0, sectors=[C(0, 1, 1, 3), crit]).leaves == (crit,)
+    monkeypatch.setattr(lamination, "MAX_PULLBACK_LEAVES", 0)
+    assert_refused(refusal(0, 0, 0), 3, [crit], 0, sectors=[C(0, 1, 1, 3), crit])
 
 
 def test_pullback_stops_a_critical_orbit_at_its_degenerate_image():
