@@ -75,40 +75,27 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     classification is ``single`` or undetermined (None).
     """
     if isinstance(other, FiniteLamination):
-        members = [axis] + [c for c in other if linked(c, axis)]
-        touching = [
-            c
-            for c in other
-            if c != axis and not linked(c, axis) and set(c.endpoints) & set(axis.endpoints)
-        ]
-        classification = SINGLE if len(members) == 1 else None
-        return AccordionReport(
-            axis=axis,
-            members=tuple(members),
-            touching=tuple(touching),
-            horizon=0,
-            exact=True,
-            order_preserving=None,
-            classification=classification,
-        )
-
-    if d is None:
+        chords, steps, exact, op = other.leaves, 0, True, None
+    elif d is None:
         raise ValueError("chord-orbit accordions need the degree d")
-    info = orbit_classify(d, other)
-    steps = info.closes_at if horizon is None else min(horizon, info.closes_at)
-    exact = steps >= info.closes_at
-    orbit = [c for c in info.orbit[:steps] if isinstance(c, Chord) and not c.degenerate]
-    members = [axis] + [c for c in orbit if linked(c, axis)]
+    else:
+        info = orbit_classify(d, other)
+        steps = info.closes_at if horizon is None else min(horizon, info.closes_at)
+        exact = steps >= info.closes_at
+        chords = [c for c in info.orbit[:steps] if isinstance(c, Chord) and not c.degenerate]
+        op = order_preserving_accordions(d, axis, other) if linked(axis, other) else None
+    members = [axis] + [c for c in chords if linked(c, axis)]
     touching = [
         c
-        for c in orbit
+        for c in chords
         if c != axis and not linked(c, axis) and set(c.endpoints) & set(axis.endpoints)
     ]
-    op = order_preserving_accordions(d, axis, other) if linked(axis, other) else None
 
     crossing = len(members) - 1
     if crossing == 0:
         classification = SINGLE
+    elif isinstance(other, FiniteLamination):
+        classification = None
     elif not exact:
         classification = WANDERING
     elif crossing == 1:

@@ -5,14 +5,14 @@ fixed degree d (degenerate leaves are implied and not stored).  The disk
 minus the chords decomposes into gaps, read off the same nesting sweep that
 checks the leaves are unlinked: the sweep gives each leaf the leaf directly
 around it, and the gap inside a leaf is bounded by the leaves it directly
-surrounds.  The sweep sorts its events as ints on the lamination's ring of
-its leaf endpoints (``FiniteLamination.ring``, formed once and read by every
-check), where critical leaves are read off too.  :func:`critical_analysis`
-walks the gaps once per lamination and keeps the vertices of the
-arc-bearing ones for later readers.  Laminations are generated from
-critical portraits by the standard pullback scheme, with branches chosen
-inside the complementary sectors of a full collection of critical chords,
-which are the arc-bearing gaps of those chords.
+surrounds.  The sweep sorts its events as ints on the ring of the leaf
+endpoints (``FiniteLamination.ring``, the lamination's stored form), where
+every check reads the leaves and critical leaves are read off too.
+:func:`critical_analysis` walks the gaps once per lamination and keeps the
+vertices of the arc-bearing ones for later readers.  Laminations are
+generated from critical portraits by the standard pullback scheme, with
+branches chosen inside the complementary sectors of a full collection of
+critical chords, which are the arc-bearing gaps of those chords.
 
 Orbits, pullbacks and invariance checks run on one integer ring (1/N)Z/Z:
 sigma_d never enlarges a denominator and each pullback generation
@@ -26,7 +26,8 @@ they take Chords (a Chord is the sorted pair of its angles).  One loop,
 :func:`_ring_orbit`, follows every orbit; a build's generation 0 is the
 portrait chords' orbits, each stopped before its first degenerate image,
 and is refused by one bound while it is followed (see
-:func:`pullback_build`).  Chords are built once per leaf, for the result.
+:func:`pullback_build`).  Chords are a view of the ring, formed on first
+read; a check builds Chords only for the leaves it returns.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .circle import Arc, _at, _check_degree, _ring, cyclic_descents, sigma, shortest_dist
 from .chords import (
@@ -73,61 +75,82 @@ class InconsistentPortrait(ValueError):
 
 
 class FiniteLamination:
-    """Degree d plus a canonically sorted set of nondegenerate chords.
-
-    Construction canonicalizes (sorts, dedupes, drops degenerate chords) but
-    does not enforce unlinkedness; use :func:`check_unlinked`.  The optional
-    ``generations`` mapping records the pullback generation of each leaf and
-    is metadata: it does not participate in equality.  ``ring`` and
-    :func:`critical_analysis` are formed on first use and kept.
+    """Degree d plus a canonically sorted set of nondegenerate chords, stored
+    as its ring (see ``circle._ring``): N, the lcm of the reduced endpoint
+    denominators, and the sorted int pair of each leaf, so equal laminations
+    have equal rings.  Construction canonicalizes (sorts, dedupes, drops
+    degenerate chords) but does not enforce unlinkedness; use
+    :func:`check_unlinked`.  The optional ``generations`` mapping records the
+    pullback generation of each leaf and is metadata: it does not participate
+    in equality.  That mapping, the Chords (``leaves``) and
+    :func:`critical_analysis` are formed on first read and kept.
     """
 
-    __slots__ = ("degree", "leaves", "generations", "_leaf_set", "_analysis", "_on_ring")
+    __slots__ = ("degree", "ring", "_gens", "_leaves", "_leaf_set", "_generations", "_analysis")
 
     def __init__(self, degree: int, leaves=(), generations=None):
         if not isinstance(degree, int) or degree < 2:
             raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
-        # dict.fromkeys keeps input order, so sorted input sorts in one pass
-        canon = sorted(dict.fromkeys(c for c in leaves if not c.degenerate))
+        leaves = [c for c in leaves if not c.degenerate]
+        N, xs = _ring([e for c in leaves for e in c])
+        # ring order is circle order, so sorting the pairs sorts the Chords
+        canon = sorted(dict(zip(zip(xs[::2], xs[1::2]), leaves)).items())
         self.degree = degree
-        self.leaves = tuple(canon)
-        self._leaf_set = frozenset(canon)
-        self.generations = dict(generations) if generations else None
-        self._analysis = None
-        self._on_ring = None
+        self.ring = N, tuple(p for p, _ in canon)
+        self._leaves = tuple(c for _, c in canon)
+        self._gens = tuple(generations.get(c) for c in self._leaves) if generations else None
+        self._leaf_set = self._generations = self._analysis = None
+
+    @classmethod
+    def _from_ring(cls, degree: int, N: int, pairs, generations=None) -> "FiniteLamination":
+        """The lamination of sorted, distinct, nondegenerate int pairs mod N
+        and their generations; dividing out gcd(N, *ints) makes N canonical."""
+        g = gcd(N, *(x for p in pairs for x in p))
+        lam = cls.__new__(cls)
+        lam.degree = degree
+        lam.ring = N // g, tuple((a // g, b // g) for a, b in pairs)
+        lam._gens = None if generations is None else tuple(generations)
+        lam._leaves = lam._leaf_set = lam._generations = lam._analysis = None
+        return lam
 
     def __eq__(self, other):
         if not isinstance(other, FiniteLamination):
             return NotImplemented
-        return self.degree == other.degree and self.leaves == other.leaves
+        return self.degree == other.degree and self.ring == other.ring
 
     def __hash__(self):
-        return hash((self.degree, self.leaves))
+        return hash((self.degree, self.ring))
 
     def __len__(self):
-        return len(self.leaves)
+        return len(self.ring[1])
 
     def __iter__(self):
         return iter(self.leaves)
 
     def __contains__(self, chord):
-        return chord in self._leaf_set
+        return chord in self.leaf_set
 
     def __repr__(self):
-        return f"FiniteLamination(degree={self.degree}, leaves={len(self.leaves)})"
+        return f"FiniteLamination(degree={self.degree}, leaves={len(self)})"
+
+    @property
+    def leaves(self) -> tuple:
+        if self._leaves is None:
+            N, pairs = self.ring
+            self._leaves = tuple(_chord(N, p) for p in pairs)
+        return self._leaves
 
     @property
     def leaf_set(self) -> frozenset:
+        if self._leaf_set is None:
+            self._leaf_set = frozenset(self.leaves)
         return self._leaf_set
 
     @property
-    def ring(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The leaves on the ring of their endpoints (see ``circle._ring``):
-        N and the sorted (a, b) int pair of each leaf, in leaf order."""
-        if self._on_ring is None:
-            N, xs = _ring([e for c in self.leaves for e in c])
-            self._on_ring = N, tuple(zip(xs[::2], xs[1::2]))
-        return self._on_ring
+    def generations(self) -> dict | None:
+        if self._gens is not None and self._generations is None:
+            self._generations = {c: g for c, g in zip(self.leaves, self._gens) if g is not None}
+        return self._generations
 
     @property
     def max_generation(self) -> int:
@@ -138,11 +161,16 @@ class FiniteLamination:
     def leaves_up_to(self, generation: int) -> frozenset:
         """Leaves of pullback generation <= generation (all, if untracked)."""
         if not self.generations:
-            return self._leaf_set
+            return self.leaf_set
         return frozenset(c for c in self.leaves if self.generations.get(c, 0) <= generation)
 
     def with_leaves(self, extra) -> "FiniteLamination":
         return FiniteLamination(self.degree, list(self.leaves) + list(extra))
+
+
+def _chord(N: int, pair) -> Chord:
+    """The Chord of a sorted int pair on the ring mod N."""
+    return Chord(_at(N, pair[0]), _at(N, pair[1]))
 
 
 @dataclass(frozen=True)
@@ -196,9 +224,9 @@ def _nest(lam: FiniteLamination):
 
     Returns (parent, None), where parent[i] is the index of the leaf
     directly around leaf i or -1 for a top-level leaf, or (None, (c1, c2))
-    with c1 < c2 a crossing pair.
+    with c1 < c2 a crossing pair, the only Chords it builds.
     """
-    leaves, (_, ring) = lam.leaves, lam.ring
+    N, ring = lam.ring
     events = sorted(
         [(b, 0, -a, i) for i, (a, b) in enumerate(ring)]
         + [(a, 1, -b, i) for i, (a, b) in enumerate(ring)]
@@ -212,7 +240,7 @@ def _nest(lam: FiniteLamination):
         elif stack[-1] == i:
             stack.pop()
         else:
-            return None, tuple(sorted((leaves[i], leaves[stack[-1]])))
+            return None, tuple(_chord(N, p) for p in sorted((ring[i], ring[stack[-1]])))
     return parent, None
 
 
@@ -354,7 +382,7 @@ def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
     if isinstance(x, Chord):
         N, (a, b) = _ring(x)
         found = _ring_orbit(d, N, (a, b), max_steps)
-        back = lambda c: Chord(_at(N, c[0]), _at(N, c[1]))
+        back = lambda c: _chord(N, c)
     elif isinstance(x, (set, frozenset, tuple, list)):
         N, vs = _ring(x)
         found = _ring_orbit(d, N, frozenset(vs), max_steps)
@@ -449,8 +477,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     N0 of the portrait and sector chords.  The pullbacks run on the ring mod
     N = N0 * d**depth: the preimages of X/N are (X + kN)/(dN), and a
     generation-g leaf has numerators divisible by d**(depth - g), so every
-    leaf the build can reach is a pair of ints mod N.  Each leaf's Chord is
-    built once, when the leaf is recorded.
+    leaf the build can reach is a pair of ints mod N.  The result is handed
+    over as those pairs, so the build makes no Chord.
 
     Every leaf pulls back to d leaves a generation, so the build has at most
     |gen0| * g leaves, g = (d**(depth+1) - 1) // (d - 1).  Raises ValueError
@@ -490,10 +518,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                 f"{MAX_PULLBACK_LEAVES} leaves"
             )
 
-    # ring order is circle order, so the pairs sort as their Chords do
-    on_base = sorted(gen0.union(pairs[len(portrait) :]))
-    base = FiniteLamination(d, [Chord(_at(N, a), _at(N, b)) for a, b in on_base])
-    base._on_ring = N, tuple(on_base)
+    base = FiniteLamination._from_ring(d, N, sorted(gen0.union(pairs[len(portrait) :])))
     ok, pair = check_unlinked(base)
     if not ok:
         raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
@@ -529,24 +554,18 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             q for q in pre if sector_of(q) != k and q in closure[k]
         ]
 
-    generations: dict[Chord, int] = {}
-    leaves: dict[tuple, Chord] = {}  # int pair -> its Chord, in record order
+    generations: dict[tuple, int] = {}  # int pair -> its generation, in record order
     by_image: dict[tuple, list] = {}
-    current = []
-    for c, (a, b) in zip(base.leaves, on_base):
-        if (a, b) in gen0:
-            p = (a * scale, b * scale)
-            leaves[p] = c
-            generations[c] = 0
-            by_image.setdefault(_ring_image(d, N, p), []).append(p)
-            current.append(p)
 
     def record(p, generation: int, new: list):
-        if p not in leaves:
-            chord = leaves[p] = Chord(_at(N, p[0]), _at(N, p[1]))
-            generations[chord] = generation
+        if p not in generations:
+            generations[p] = generation
             by_image.setdefault(_ring_image(d, N, p), []).append(p)
             new.append(p)
+
+    current = []
+    for a, b in sorted(gen0):
+        record((a * scale, b * scale), 0, current)
 
     def pull_leaf(leaf, generation: int, new: list):
         a, b = leaf
@@ -575,11 +594,11 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     if x == y:
                         continue
                     p = (x, y) if x < y else (y, x)
-                    if not any(linked(p, m) for m in leaves):
+                    if not any(linked(p, m) for m in generations):
                         cands.append(p)
             if not cands:
                 raise InconsistentPortrait(
-                    f"no unlinked pullback of {leaves[leaf]} in sector {sector.arcs}"
+                    f"no unlinked pullback of {_chord(N, leaf)} in sector {sector.arcs}"
                 )
             cands.sort(key=lambda p: p not in existing)
             options.append(cands)
@@ -608,7 +627,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 
         search(0, [], set(), 0)
         if chosen is None:
-            raise InconsistentPortrait(f"no disjoint pullback collection for {leaves[leaf]}")
+            raise InconsistentPortrait(f"no disjoint pullback collection for {_chord(N, leaf)}")
         for p in chosen:
             record(p, generation, new)
 
@@ -617,8 +636,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         for leaf in current:
             pull_leaf(leaf, g, new)
         current = new
-    # ring order is circle order, so the leaves arrive sorted
-    return FiniteLamination(d, [leaves[p] for p in sorted(leaves)], generations=generations)
+    leaves = sorted(generations)
+    return FiniteLamination._from_ring(d, N, leaves, [generations[p] for p in leaves])
 
 
 # ---------------------------------------------------------------------------
@@ -653,25 +672,24 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
     their endpoints; sigma_d maps the ring into itself."""
     d = lam.degree
     report = InvarianceReport()
-    gens = lam.generations or {}
-    report.exempt = sum(g >= boundary_depth for g in gens.values())
-
     N, pairs = lam.ring
+    gens = lam._gens or [None] * len(pairs)
+    report.exempt = sum(g is not None and g >= boundary_depth for g in gens)
+
     leaf_pairs = set(pairs)
     images = [_ring_image(d, N, p) for p in pairs]
     by_image: dict[tuple, list] = {}
     for p, img in zip(pairs, images):
         by_image.setdefault(img, []).append(p)
 
-    for c, p, img in zip(lam.leaves, pairs, images):
+    for p, img, g in zip(pairs, images, gens):
         degenerate = img[0] == img[1]
         if not degenerate and img not in leaf_pairs:
-            report.condition1.append(c)
-        g = gens.get(c)
+            report.condition1.append(_chord(N, p))
         if g is not None and g >= boundary_depth:
             continue
         if p not in by_image:
-            report.condition2.append(c)
+            report.condition2.append(_chord(N, p))
         if not degenerate:
             # a sibling collection is c plus d - 1 leaves with its image, all
             # pairwise disjoint, so matching the image's preimages one to one
@@ -680,7 +698,7 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
                 all(disjoint(u, v) for u, v in itertools.combinations(rest, 2))
                 for rest in itertools.combinations(others, d - 1)
             ):
-                report.condition3.append(c)
+                report.condition3.append(_chord(N, p))
     return report
 
 

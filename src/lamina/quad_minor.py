@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .circle import THIRD, Angle, Arc, ccw_offset, preimages
 from .chords import Chord, chord_image, linked
-from .lamination import FiniteLamination, check_unlinked, orbit_classify, pullback_build
+from .lamination import FiniteLamination, _chord, check_unlinked, orbit_classify, pullback_build
 
 __all__ = [
     "Strip",
@@ -142,13 +142,13 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
     major).  Raises when two longest leaves disagree about their image."""
     if lam.degree != 2:
         raise ValueError("minors are defined for degree-2 laminations")
-    if not lam.leaves:
+    if not lam:
         raise ValueError("empty lamination has no minor")
     # on the lamination's ring a leaf's length is min(b - a, N - b + a)
     N, pairs = lam.ring
     lengths = [min(b - a, N - b + a) for a, b in pairs]
     top = max(lengths)
-    majors = tuple(c for c, length in zip(lam.leaves, lengths) if length == top)
+    majors = tuple(_chord(N, p) for p, length in zip(pairs, lengths) if length == top)
     images = {chord_image(2, c) for c in majors}
     if len(images) != 1:
         raise ValueError(f"longest leaves have distinct images: {sorted(map(str, images))}")

@@ -17,6 +17,7 @@ from .chords import Chord, linked
 from .lamination import (
     FiniteLamination,
     InconsistentPortrait,
+    _chord,
     critical_analysis,
     gap_degree,
     gaps,
@@ -89,12 +90,10 @@ def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
             continue
         if reconstruct(quad) != quad:
             failures.append(f"collapsing quadrilateral {quad} fails reconstruction")
-    dual_fail = 0
     for i in range(samples):
         c = rng.chord_in_window()
         S = ConvexSet.of(c.endpoints)
         if cocritical_set(cocritical_set(S)) != S:
-            dual_fail += 1
             failures.append(f"coc o coc != id on {c}")
     return SuiteResult(
         "reconstruct",
@@ -298,17 +297,14 @@ def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
                 tagged.append((idx, fp, mixed_tag(lam, fp)))
             except ValueError as exc:
                 failures.append(f"lamination {idx}: tag failure {exc}")
-    overlap = equal_distinct = 0
     for i in range(len(tagged)):
         for j in range(i + 1, len(tagged)):
             rel = tags_relation(tagged[i][2], tagged[j][2])
             if rel == "properly_overlapping":
-                overlap += 1
                 failures.append(
                     f"tags overlap: {tagged[i][2]} (lam {tagged[i][0]}) vs {tagged[j][2]} (lam {tagged[j][0]})"
                 )
             elif rel == "equal" and tagged[i][0] != tagged[j][0]:
-                equal_distinct += 1
                 failures.append(
                     f"equal tags from distinct laminations {tagged[i][0]} / {tagged[j][0]}"
                 )
@@ -481,16 +477,15 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
     counts = {"linked_pairs": nlinked, "order_preserving_pairs": len(survivors)}
     case_counts: dict[str, int] = {}
     chosen = list(survivors.items())[: samples or None]
-    at = lambda p: Chord(Angle(p[0], N), Angle(p[1], N))
     for (c1, c2), ((pre1, o1), (pre2, o2)) in chosen:
-        l1, l2 = at(c1), at(c2)
+        l1, l2 = _chord(N, c1), _chord(N, c2)
         # order preservation forces images of crossing leaves to keep crossing;
         # the k-th image is read off the orbit, past its end round its cycle
         for k in range(1, min(len(o1) * len(o2), 24) + 1):
             img1 = o1[k if k < pre1 else pre1 + (k - pre1) % (len(o1) - pre1)]
             img2 = o2[k if k < pre2 else pre2 + (k - pre2) % (len(o2) - pre2)]
             if not linked(img1, img2):
-                failures.append(f"{l1} / {l2}: images {at(img1)} / {at(img2)} no longer cross")
+                failures.append(f"{l1} / {l2}: images {_chord(N, img1)} / {_chord(N, img2)} no longer cross")
                 break
         case, detail = _classify_case(3, l1, l2)
         if case is None:

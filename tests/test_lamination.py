@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import lamina.circle as circle
 import lamina.lamination as lamination
+import lamina.quad_minor as quad_minor
 import lamina.suites as suites
 from lamina.circle import Angle, Arc, _ring, ccw_offset, preimages, sigma
 from lamina.chords import (
@@ -273,21 +274,47 @@ def test_one_face_walk_per_lamination(monkeypatch):
 
 def test_one_ring_conversion_per_lamination(monkeypatch):
     # the sweep, the gaps, invariance, critical analysis and the minor all
-    # read the lamination's ring, which is formed on first read
-    lam = pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE)
+    # read the lamination's ring: a build hands its ring over, and the
+    # constructor forms it once from the Chords it is given
+    built = pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE)
     calls = []
 
     def counting_ring(angles):
         calls.append(None)
         return _ring(angles)
 
+    def read(lam):
+        assert check_unlinked(lam) == (True, None)
+        assert len(gaps(lam)) == len(lam) + 1
+        report = check_invariance(lam, 6)
+        assert critical_analysis(lam).critical_sets
+        assert minor_of(lam).minor == C(1, 7, 2, 7)
+        return report
+
     monkeypatch.setattr(lamination, "_ring", counting_ring)
-    assert check_unlinked(lam) == (True, None)
-    assert len(gaps(lam)) == len(lam) + 1
-    assert check_invariance(lam, 6).ok
-    assert critical_analysis(lam).critical_sets
-    assert minor_of(lam).minor == C(1, 7, 2, 7)
+    assert read(built).ok
+    assert len(calls) == 0
+    read(FiniteLamination(2, built.leaves))
     assert len(calls) == 1
+
+
+def test_chords_are_built_only_for_what_is_returned(monkeypatch):
+    # a build, the sweep and invariance run on the ring alone; the minor
+    # builds the Chords of its majors
+    calls, chord = [], lamination._chord
+
+    def counting_chord(N, pair):
+        calls.append(pair)
+        return chord(N, pair)
+
+    for module in (lamination, quad_minor):
+        monkeypatch.setattr(module, "_chord", counting_chord)
+    lam = pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE)
+    assert check_unlinked(lam) == (True, None)
+    assert check_invariance(lam, 6).ok
+    assert calls == []
+    majors = minor_of(lam).majors
+    assert len(calls) == len(majors) == 2
 
 
 def test_period_six_orbit_is_unlinked():
@@ -632,14 +659,13 @@ def chord_pullback_build(d, portrait, depth, sectors=None):
             if not leaf.degenerate:
                 generations.setdefault(leaf, 0)
     gen0 = sorted(generations)
-    if gen0:
-        bound = len(gen0) * (d ** (min(depth, 64) + 1) - 1) // (d - 1)
-        if bound > lamination.MAX_PULLBACK_LEAVES:
-            at_least = "" if depth <= 64 else "at least "
-            raise ValueError(
-                f"depth {depth} could build {at_least}{bound} leaves from {len(gen0)} "
-                f"generation-0 leaves; the limit is {lamination.MAX_PULLBACK_LEAVES}"
-            )
+    limit = lamination.MAX_PULLBACK_LEAVES
+    cap = limit // ((d ** (min(depth, 64) + 1) - 1) // (d - 1))
+    if len(gen0) > cap:
+        raise ValueError(
+            f"the forward orbits of the portrait chords have more than {cap} generation-0 "
+            f"leaves, the most depth {depth} can pull back; the limit is {limit} leaves"
+        )
     ok, pair = check_unlinked(FiniteLamination(d, gen0 + sector_chords))
     if not ok:
         raise InconsistentPortrait(f"portrait chords or their orbits cross: {pair[0]} x {pair[1]}")
@@ -716,16 +742,32 @@ def test_ring_is_the_ring_of_the_endpoints(path):
     assert lam.ring == (N, tuple(zip(xs[::2], xs[1::2])))
     assert all(A(a, N) == c.a and A(b, N) == c.b for c, (a, b) in zip(lam, lam.ring[1]))
     assert lam.ring is lam.ring
+    # the ring a build hands over is the one the constructor forms
+    again = FiniteLamination(lam.degree, lam.leaves, lam.generations)
+    assert again == lam and hash(again) == hash(lam)
+    assert again.ring == lam.ring and again.generations == lam.generations
+
+
+def test_a_build_ring_drops_denominators_no_leaf_has():
+    # the sector chord 1/2 5/6 puts the build on the ring mod 6 * 3**depth,
+    # but no leaf has an even denominator
+    for depth in range(3):
+        lam = pullback_build(3, [C(0, 1, 1, 3)], depth, sectors=[C(0, 1, 1, 3), C(1, 2, 5, 6)])
+        assert lam.ring[0] == 3 ** (depth + 1)
+        assert lam.ring == FiniteLamination(3, lam.leaves).ring
 
 
 def pullback_cases():
     """(d, portrait, sectors, depth) for the shipped portraits at depths
-    0-5, every period <= 6 minor at depth 4, and 200 sampled cubic
-    portraits at depth 3 (some of them inconsistent)."""
+    0-5, the quadratic ones also at depths 17 and 20 (refused: there the
+    depth can pull back 3 and 0 generation-0 leaves), every period <= 6
+    minor at depth 4, and 200 sampled cubic portraits at depth 3 (some of
+    them inconsistent)."""
     cases = []
     for path in SHIPPED_PORTRAITS:
         spec = parse_portrait(path.read_text())
-        for depth in range(6):
+        depths = [*range(6), 17, 20] if spec.degree == 2 else range(6)
+        for depth in depths:
             cases.append((spec.degree, spec.initial_chords(), spec.sector_chords(), depth))
     for minor in qml_enumerate(6):
         verts, edges, _ = major_quadrilateral(minor)
@@ -744,12 +786,13 @@ def pullback_cases():
 
 def test_pullback_build_agrees_with_chord_oracle():
     assert len(SHIPPED_PORTRAITS) == 6
-    inconsistent = 0
+    inconsistent = refused = 0
     for d, portrait, sectors, depth in pullback_cases():
         got = build_outcome(pullback_build, d, portrait, depth, sectors=sectors)
         assert got == build_outcome(chord_pullback_build, d, portrait, depth, sectors=sectors)
         inconsistent += got[0] is InconsistentPortrait
-    assert inconsistent > 0
+        refused += got[0] is ValueError
+    assert inconsistent > 0 and refused > 0
 
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
