@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import THIRD, Angle, ccw_offset, shortest_dist, sigma, preimages
-from .chords import Chord, is_critical, linked
+from .chords import Chord, linked
 from .lamination import (
     FiniteLamination,
     Gap,
@@ -254,15 +254,6 @@ class TagCaseReport:
     caveats: tuple
 
 
-def _all_critical_triangle_gaps(lam: FiniteLamination):
-    analysis = critical_analysis(lam)
-    return [
-        g
-        for g in analysis.critical_gaps
-        if len(g.vertices) == 3 and all(is_critical(3, e) for e in g.edges)
-    ]
-
-
 def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> TagCaseReport:
     """Decide which side of the tag-intersection dichotomy holds for a
     dendritic-candidate lamination against another tagged lamination.
@@ -287,12 +278,13 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
     leavesA = lamA.leaves_up_to(common) if common is not None else lamA.leaf_set
     leavesX = lamX.leaves_up_to(common) if common is not None else lamX.leaf_set
 
-    triangles = _all_critical_triangle_gaps(lamA)
+    # a cubic all-critical polygon is a triangle
+    triangles = [v for v in critical_analysis(lamA).critical_clusters if len(v) == 3]
     triangle_case = False
     if triangles:
         same = leavesA == leavesX
         if same:
-            T = set(triangles[0].vertices)
+            T = set(triangles[0])
             first_edges_distinct = (
                 len(fpA.first.vertices) == 2
                 and len(fpX.first.vertices) == 2
@@ -394,24 +386,21 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
             coc = cocritical_set(C)
         except ValueError:
             continue
+        if len(coc.vertices) == 1:
+            continue  # its one hole is the whole circle, behind no edge
         cset = set(C.vertices)
-        for e in coc.edges:
-            a, b = e.a, e.b
-            for (s, t) in ((a, b), (b, a)):
-                arc_len = ccw_offset(s, t)
-                others = set(coc.vertices) - {s, t}
-                if any(0 < ccw_offset(s, p) < arc_len for p in others):
-                    continue  # not the hole behind this edge
-                if any(0 < ccw_offset(s, p) < arc_len for p in cset):
-                    continue  # hole meets the critical set
-                if arc_len > THIRD:
-                    report.colocation_failures.append((str(C), str(e), "arc longer than 1/3"))
-                img_span = ccw_offset(sigma(3, t), sigma(3, s))
-                for w in D.image(3).vertices:
-                    if ccw_offset(sigma(3, t), w) > img_span:
-                        report.colocation_failures.append(
-                            (str(C), str(e), f"minor vertex {w} escapes the image arc")
-                        )
+        for s, t, arc_len in coc.holes():
+            if any(0 < ccw_offset(s, p) < arc_len for p in cset):
+                continue  # hole meets the critical set
+            e = str(Chord(s, t))
+            if arc_len > THIRD:
+                report.colocation_failures.append((str(C), e, "arc longer than 1/3"))
+            img_span = ccw_offset(sigma(3, t), sigma(3, s))
+            for w in D.image(3).vertices:
+                if ccw_offset(sigma(3, t), w) > img_span:
+                    report.colocation_failures.append(
+                        (str(C), e, f"minor vertex {w} escapes the image arc")
+                    )
 
     for l1, l2 in linked_samples:
         quad1, quad2, rep = linked_pair_cocritical_quads(l1, l2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .circle import Angle
 from .chords import Chord, greedy_no_loop, is_critical
-from .lamination import FiniteLamination, pullback_build
+from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
 from .cubic_tags import ConvexSet
 
@@ -100,7 +100,8 @@ class PortraitSpec:
                     for j in range(i + 1, len(v))
                     if is_critical(d, Chord(v[i], v[j]))
                 ]
-                candidates.extend(diagonals[:1] if len(v) > 3 else diagonals)
+                # a polygon of boundary degree m gives m - 1 branch cuts
+                candidates.extend(greedy_no_loop(d, diagonals)[: boundary_degree(d, v) - 1])
             elif is_critical(d, obj):
                 candidates.append(obj)
         chosen = greedy_no_loop(d, candidates)

@@ -9,7 +9,9 @@ surrounds.  The sweep sorts its events as ints on the ring of the leaf
 endpoints (``FiniteLamination.ring``, the lamination's stored form), where
 every check reads the leaves and critical leaves are read off too.
 :func:`critical_analysis` walks the gaps once per lamination and keeps the
-vertices of the arc-bearing ones for later readers.  Laminations are
+vertices of the arc-bearing ones for later readers.  Its critical clusters
+are the all-critical gaps of that walk, merged where they share an edge,
+plus each critical leaf that lies in no merged polygon.  Laminations are
 generated from critical portraits by the standard pullback scheme, with
 branches chosen inside the complementary sectors of a full collection of
 critical chords, which are the arc-bearing gaps of those chords.
@@ -711,7 +713,6 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
 class CriticalAnalysis:
     critical_leaves: tuple
     critical_gaps: tuple       # finite gaps of degree > 1
-    all_critical_sets: tuple   # critical leaves and all-critical gaps
     critical_clusters: tuple   # vertex tuples of maximal convex unions of critical leaves
     critical_sets: tuple       # maximal critical sets: gaps plus free critical leaves
     arc_gaps: tuple            # vertex tuples of the arc-bearing gaps, which are skipped
@@ -719,29 +720,6 @@ class CriticalAnalysis:
     @property
     def skipped_infinite_gaps(self) -> int:
         return len(self.arc_gaps)
-
-
-def _cluster_polygons(component_vertices, leaf_set):
-    """Inclusion-maximal convex polygons whose hull edges are all critical
-    leaves of the component.  Brute force; components are tiny."""
-    verts = sorted(component_vertices)
-    if len(verts) < 3 or len(verts) > 14:
-        polys = []
-        if len(verts) >= 3:
-            hull_ok = all(
-                Chord(verts[i], verts[(i + 1) % len(verts)]) in leaf_set for i in range(len(verts))
-            )
-            if hull_ok:
-                polys.append(tuple(verts))
-        return polys
-    found = []
-    for size in range(len(verts), 2, -1):
-        for subset in itertools.combinations(verts, size):
-            if any(set(subset) < set(p) for p in found):
-                continue
-            if all(Chord(subset[i], subset[(i + 1) % size]) in leaf_set for i in range(size)):
-                found.append(tuple(subset))
-    return [p for p in found if not any(set(p) < set(q) for q in found)]
 
 
 def critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
@@ -759,8 +737,15 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     crit_leaves = tuple(c for c, (a, b) in zip(lam.leaves, pairs) if d * a % N == d * b % N)
 
     crit_gaps = []
-    all_crit_gaps = []
     arc_gaps = []
+    # Clusters: the vertices joined by critical leaves share one image, so
+    # every chord between them is critical, and a leaf inside a polygon of
+    # critical sides joins two of its vertices.  The faces inside it are
+    # all-critical gaps, and a maximal such polygon is the union of the
+    # all-critical gaps that share edges.  A gap shares an edge with a
+    # polygon exactly when it shares two vertices with it: a chord between
+    # two vertices that is no side runs through the polygon's inside.
+    polygons = []
     for g in gaps(lam):
         if g.is_disk:
             continue
@@ -770,44 +755,20 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
         if gap_degree(d, g) > 1:
             crit_gaps.append(g)
             if all(is_critical(d, e) for e in g.edges):
-                all_crit_gaps.append(g)
-
-    # clusters: group critical leaves by shared endpoints, then extract
-    # maximal convex polygons with all hull edges present
-    leaf_set = set(crit_leaves)
-    adjacency: dict = {}
-    for c in crit_leaves:
-        adjacency.setdefault(c.a, set()).add(c)
-        adjacency.setdefault(c.b, set()).add(c)
-    unvisited = set(crit_leaves)
-    clusters = []
-    while unvisited:
-        stack = [unvisited.pop()]
-        component = set(stack)
-        while stack:
-            c = stack.pop()
-            for v in c.endpoints:
-                for m in adjacency[v]:
-                    if m not in component:
-                        component.add(m)
-                        unvisited.discard(m)
-                        stack.append(m)
-        vertices = {v for c in component for v in c.endpoints}
-        polygons = _cluster_polygons(vertices, leaf_set)
-        covered = set()
-        for poly in polygons:
-            clusters.append(poly)
-            pset = set(poly)
-            covered |= {c for c in component if c.a in pset and c.b in pset}
-        for c in sorted(component - covered):
-            clusters.append((c.a, c.b))
+                merged = set(g.vertices)
+                touching = [p for p in polygons if len(p & merged) >= 2]
+                polygons = [p for p in polygons if len(p & merged) < 2]
+                polygons.append(merged.union(*touching))
+    clusters = [tuple(sorted(p)) for p in polygons]
+    clusters += [
+        (c.a, c.b) for c in crit_leaves if not any(c.a in p and c.b in p for p in polygons)
+    ]
 
     gap_edges = {e for g in crit_gaps for e in g.edges}
     free_leaves = tuple(c for c in crit_leaves if c not in gap_edges)
     return CriticalAnalysis(
         critical_leaves=crit_leaves,
         critical_gaps=tuple(crit_gaps),
-        all_critical_sets=tuple(crit_leaves) + tuple(all_crit_gaps),
         critical_clusters=tuple(sorted(clusters)),
         critical_sets=tuple(crit_gaps) + free_leaves,
         arc_gaps=tuple(arc_gaps),

@@ -14,7 +14,7 @@ from lamina.formats import (
     parse_portrait,
     portrait_text,
 )
-from lamina.lamination import FiniteLamination, gaps, pullback_build
+from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, pullback_build
 
 A = Angle
 
@@ -202,6 +202,39 @@ def test_shipped_portraits_build():
         spec = parse_portrait(f.read_text())
         lam = spec.build(2)
         assert len(lam) > 0
+
+
+def test_shipped_portraits_sector_chords():
+    root = Path(__file__).resolve().parent.parent / "portraits"
+    chords = {
+        f.stem: [str(c) for c in parse_portrait(f.read_text()).sector_chords()]
+        for f in root.rglob("*.portrait")
+    }
+    assert chords == {
+        "hexagon": ["2/39 28/39", "16/117 55/117"],
+        "leafpair": ["0 1/3", "1/2 5/6"],
+        "quadleaf": ["1/4 7/12", "1/9 7/9"],
+        "triangle": ["0 1/3", "0 2/3"],
+        "basilica": ["1/6 2/3"],
+        "rabbit": ["1/14 4/7"],
+    }
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_all_critical_polygon_gives_one_cut_per_degree_but_one(tmp_path, degree):
+    # the square over 0 in degree 4 and the pentagon over 0 in degree 5
+    text = f"degree {degree}\npoly " + " ".join(str(A(k, degree)) for k in range(degree)) + "\n"
+    spec = parse_portrait(text)
+    assert spec.sector_chords() == [Chord(A(0), A(k, degree)) for k in range(1, degree)]
+    for depth in range(4):
+        lam = spec.build(depth)
+        assert check_unlinked(lam)[0]
+        assert check_invariance(lam, depth).ok
+    portrait = tmp_path / "polygon.portrait"
+    portrait.write_text(text)
+    out = tmp_path / "polygon.lam"
+    assert main(["build", "--portrait", str(portrait), "--depth", "2", "--out", str(out)]) == 0
+    assert out.read_text().startswith(f"degree {degree}\n0 1/")
 
 
 def test_degree_header_without_value_is_a_value_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -134,14 +135,21 @@ def face_walk_gaps(lam):
     return result
 
 
+# Strategies for the Hypothesis oracle tests, built once per denominator
+# rather than once per example: the points p/q, the chords between them and
+# lists of those chords.
+POINTS = {q: st.integers(min_value=0, max_value=q - 1).map(lambda p, q=q: A(p, q)) for q in range(2, 13)}
+CHORDS = {q: st.builds(Chord, point, point) for q, point in POINTS.items()}
+CHORD_LISTS = {q: st.lists(chord, max_size=12) for q, chord in CHORDS.items()}
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_check_unlinked_agrees_with_pairwise_oracle(data):
     # small denominators, so endpoints are often shared
     q = data.draw(st.integers(min_value=2, max_value=12))
-    point = st.integers(min_value=0, max_value=q - 1).map(lambda p: A(p, q))
-    chord = st.builds(Chord, point, point)
-    chords = data.draw(st.lists(chord, max_size=12))
+    chord = CHORDS[q]
+    chords = data.draw(CHORD_LISTS[q])
     if data.draw(st.booleans()):
         # a laminar set plus one extra chord
         laminar = []
@@ -198,20 +206,28 @@ def assert_nest_matches_oracle(lam):
         assert parent == expected
 
 
+@functools.cache
+def mixed_chords(qs):
+    """Chords between points p/q, q drawn from ``qs`` for each point; built
+    once per tuple of denominators."""
+    point = st.sampled_from(qs).flatmap(POINTS.__getitem__)
+    return st.builds(Chord, point, point)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_ring_nest_agrees_with_angle_oracle(data):
     # small denominators share endpoints; mixed ones put the leaves on a
     # ring whose N is a proper multiple of most denominators
     qs = data.draw(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=3))
-    point = st.sampled_from(qs).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: A(p, q)))
-    chords = data.draw(st.lists(st.builds(Chord, point, point), max_size=14))
+    mixed_chord = mixed_chords(tuple(qs))
+    chords = data.draw(st.lists(mixed_chord, max_size=14))
     if data.draw(st.booleans()):
         laminar = []
         for c in chords:
             if not any(linked(c, m) for m in laminar):
                 laminar.append(c)
-        chords = laminar + data.draw(st.lists(st.builds(Chord, point, point), max_size=2))
+        chords = laminar + data.draw(st.lists(mixed_chord, max_size=2))
     assert_nest_matches_oracle(FiniteLamination(2, chords))
 
 
@@ -943,6 +959,81 @@ def test_critical_analysis_is_computed_once_and_frozen():
     assert critical_analysis(FiniteLamination(3, lam.leaves)) == an
     with pytest.raises(dataclasses.FrozenInstanceError):
         an.critical_sets = ()
+
+
+def cluster_oracle(lam):
+    """Oracle for ``critical_clusters``: group the critical leaves by shared
+    endpoints, keep the inclusion-maximal vertex subsets of each group whose
+    hull sides are all critical leaves, and let each leaf in no such polygon
+    stand alone.  Brute force over every subset of every group."""
+    crit = [c for c in lam.leaves if is_critical(lam.degree, c)]
+    leaf_set = set(crit)
+    unvisited, clusters = set(crit), []
+    while unvisited:
+        component, stack = set(), [unvisited.pop()]
+        while stack:
+            c = stack.pop()
+            component.add(c)
+            for m in [m for m in unvisited if set(m.endpoints) & set(c.endpoints)]:
+                unvisited.discard(m)
+                stack.append(m)
+        verts = sorted({v for c in component for v in c.endpoints})
+        found = []
+        for size in range(len(verts), 2, -1):
+            for subset in itertools.combinations(verts, size):
+                if any(set(subset) < set(p) for p in found):
+                    continue
+                if all(Chord(subset[i], subset[(i + 1) % size]) in leaf_set for i in range(size)):
+                    found.append(subset)
+        clusters += found
+        clusters += [
+            (c.a, c.b) for c in component if not any({c.a, c.b} <= set(p) for p in found)
+        ]
+    return tuple(sorted(clusters))
+
+
+def critical_union(rng, d):
+    """Unlinked union of all-critical polygons and critical leaves of degree
+    d, drawn from one or two fibers of sigma_d so that the polygons often
+    share edges or vertices; a chord crossing an earlier one is dropped."""
+    m = rng.choice([1, 2, 3, 5])
+    bases = [Fraction(rng.randrange(m), m * d) for _ in range(rng.randint(1, 2))]
+    leaves = []
+    for _ in range(rng.randint(1, 5)):
+        x = rng.choice(bases)
+        fiber = [A(x + Fraction(k, d)) for k in range(d)]
+        vs = sorted(rng.sample(fiber, rng.randint(2, d)))
+        chords = [Chord(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+        if len(vs) > 3 and rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(len(vs)), 2))
+            chords.append(Chord(vs[i], vs[j]))
+        for c in chords:
+            if not (c.degenerate or c in leaves or any(linked(c, e) for e in leaves)):
+                leaves.append(c)
+    return FiniteLamination(d, leaves)
+
+
+def test_critical_clusters_agree_with_subset_oracle():
+    rng = random.Random(18)
+    sizes = set()
+    for d in range(2, 9):
+        for _ in range(120):
+            lam = critical_union(rng, d)
+            clusters = critical_analysis(lam).critical_clusters
+            assert clusters == cluster_oracle(lam), lam
+            sizes |= {len(c) for c in clusters}
+    assert sizes == set(range(2, 9))
+
+
+def test_critical_clusters_of_two_octagons_meeting_at_a_vertex():
+    # one group of 15 vertices joined by critical leaves holds two
+    # all-critical octagons that meet at 7/16, each cut by a diagonal
+    v = [A(k, 16) for k in range(15)]
+    first, second = v[:8], v[7:]
+    leaves = [Chord(p[i], p[(i + 1) % 8]) for p in (first, second) for i in range(8)]
+    lam = FiniteLamination(16, leaves + [Chord(v[0], v[4]), Chord(v[9], v[13])])
+    expected = (tuple(first), tuple(second))
+    assert critical_analysis(lam).critical_clusters == expected == cluster_oracle(lam)
 
 
 def test_vertex_orbit_period():
