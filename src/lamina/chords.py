@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 
+def _chord_tokens(text: str) -> list[str]:
+    """The two angle tokens of a chord's text form "a b"."""
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError(f"chord text must be two angle tokens: {text!r}")
+    return parts
+
+
 class Chord(namedtuple("Chord", "a b")):
     """Unordered pair of angles, stored canonically as the tuple (min, max);
     equality, order and hash are the tuple's."""
@@ -49,10 +57,8 @@ class Chord(namedtuple("Chord", "a b")):
 
     @classmethod
     def parse(cls, text: str) -> "Chord":
-        parts = text.split()
-        if len(parts) != 2:
-            raise ValueError(f"chord text must be two angle tokens: {text!r}")
-        return cls(Angle(parts[0]), Angle(parts[1]))
+        s, t = _chord_tokens(text)
+        return cls(Angle(s), Angle(t))
 
     @property
     def degenerate(self) -> bool:

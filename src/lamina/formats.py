@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle import Angle
-from .chords import Chord, greedy_no_loop, is_critical
+from .circle import Angle, _check_degree, _ring
+from .chords import Chord, _chord_tokens, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
 from .cubic_tags import ConvexSet
@@ -48,21 +48,34 @@ def _degree(line: str, seen) -> int:
 
 
 def parse_lamination(text: str) -> FiniteLamination:
+    """The lamination of a lamination file.  Each distinct angle token is
+    read once; the chords go straight onto the ring of their endpoints,
+    where they are sorted and deduped and degenerate ones dropped."""
     degree = None
-    leaves = []
+    angles = {}  # token -> its Angle
+    chords = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("degree"):
+        if line.split(None, 1)[0] == "degree":
             degree = _degree(line, degree)
             continue
         if degree is None:
             raise ValueError("lamination file must start with a degree header")
-        leaves.append(Chord.parse(line))
+        s, t = tokens = _chord_tokens(line)
+        if s not in angles:
+            angles[s] = Angle(s)
+        if t not in angles:
+            angles[t] = Angle(t)
+        chords.append(tokens)
     if degree is None:
         raise ValueError("missing degree header")
-    return FiniteLamination(degree, leaves)
+    _check_degree(degree)
+    N, xs = _ring(angles.values())
+    at = dict(zip(angles, xs))
+    pairs = {(a, b) if a < b else (b, a) for a, b in ((at[s], at[t]) for s, t in chords) if a != b}
+    return FiniteLamination._from_ring(degree, N, sorted(pairs))
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ around it, and the gap inside a leaf is bounded by the leaves it directly
 surrounds.  The sweep sorts its events as ints on the ring of the leaf
 endpoints (``FiniteLamination.ring``, the lamination's stored form), where
 every check reads the leaves and critical leaves are read off too.
-:func:`critical_analysis` walks the gaps once per lamination and keeps the
-vertices of the arc-bearing ones for later readers.  Its critical clusters
-are the all-critical gaps of that walk, merged where they share an edge,
-plus each critical leaf that lies in no merged polygon.  Laminations are
-generated from critical portraits by the standard pullback scheme, with
-branches chosen inside the complementary sectors of a full collection of
-critical chords, which are the arc-bearing gaps of those chords.
+:func:`gaps` walks each face on those ints and takes its vertices from the
+leaves' own endpoint Angles; no Gap list is kept on the lamination, since
+callers that keep many laminations would pay for it in memory.
+:func:`critical_analysis` reads the gaps once per lamination, takes the
+boundary degree of each finite one on the ring (sigma_d is ``d*x % N``)
+and keeps the vertices of the arc-bearing ones for later readers.  Its
+critical clusters are the all-critical gaps, merged where they share an
+edge, plus each critical leaf that lies in no merged polygon.  Laminations
+are generated from critical portraits by the standard pullback scheme,
+with branches chosen inside the complementary sectors of a full collection
+of critical chords, which are the arc-bearing gaps of those chords.
 
 Orbits, pullbacks and invariance checks run on one integer ring (1/N)Z/Z:
 sigma_d never enlarges a denominator and each pullback generation
@@ -107,10 +111,10 @@ class FiniteLamination:
     def _from_ring(cls, degree: int, N: int, pairs, generations=None) -> "FiniteLamination":
         """The lamination of sorted, distinct, nondegenerate int pairs mod N
         and their generations; dividing out gcd(N, *ints) makes N canonical."""
-        g = gcd(N, *(x for p in pairs for x in p))
+        g = gcd(N, *itertools.chain.from_iterable(pairs))
         lam = cls.__new__(cls)
         lam.degree = degree
-        lam.ring = N // g, tuple((a // g, b // g) for a, b in pairs)
+        lam.ring = N // g, tuple(pairs if g == 1 else [(a // g, b // g) for a, b in pairs])
         lam._gens = None if generations is None else tuple(generations)
         lam._leaves = lam._leaf_set = lam._generations = lam._analysis = None
         return lam
@@ -139,7 +143,9 @@ class FiniteLamination:
     def leaves(self) -> tuple:
         if self._leaves is None:
             N, pairs = self.ring
-            self._leaves = tuple(_chord(N, p) for p in pairs)
+            at = {x: _at(N, x) for x in set(itertools.chain.from_iterable(pairs))}
+            # a ring pair is sorted, so it is a Chord as it stands
+            self._leaves = tuple(tuple.__new__(Chord, (at[a], at[b])) for a, b in pairs)
         return self._leaves
 
     @property
@@ -172,7 +178,7 @@ class FiniteLamination:
 
 def _chord(N: int, pair) -> Chord:
     """The Chord of a sorted int pair on the ring mod N."""
-    return Chord(_at(N, pair[0]), _at(N, pair[1]))
+    return tuple.__new__(Chord, (_at(N, pair[0]), _at(N, pair[1])))
 
 
 @dataclass(frozen=True)
@@ -254,53 +260,70 @@ def check_unlinked(lam: FiniteLamination):
     return parent is not None, pair
 
 
-def _face(children, start, end, closing) -> Gap:
-    """The gap whose boundary runs from ``start`` through ``children``
-    (leaves in circle order, joined by circle arcs) to ``end``, then back
-    along the side ``closing``."""
-    sides, p = [], start
-    for c in children:
-        if p != c.a:
-            sides.append((p, ("arc", Arc(p, c.a))))
-        sides.append((c.a, ("chord", c)))
-        p = c.b
-    if p != end:
-        sides.append((p, ("arc", Arc(p, end))))
-    sides.append((end, closing))
-    verts, sides = zip(*sides)
-    return Gap(vertices=verts, sides=sides)
-
-
 def gaps(lam: FiniteLamination) -> list[Gap]:
     """All gaps of an unlinked lamination, including arc-bearing ones, sorted
     by vertices.  They are read off the parents of :func:`_nest`, the sweep
     of :func:`check_unlinked`: the gap just inside each leaf, bounded by it
     and its children, and the outer gap, bounded by the top-level leaves.
     The children of a leaf do not nest, so leaf order is their circle order.
+    The walk compares the leaves' ring ints and takes each vertex from the
+    leaves' own endpoint Angles.
 
     Raises ValueError naming a crossing pair when the leaves cross.
     """
-    leaves = lam.leaves
-    if not leaves:
+    N, pairs = lam.ring
+    if not pairs:
         return [Gap.whole_disk()]
     parent, pair = _nest(lam)
     if pair is not None:
         raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
-    children = [[] for _ in range(len(leaves) + 1)]  # the last list is the top level
-    for c, p in zip(leaves, parent):
-        children[p].append(c)
+    leaves = lam.leaves
+    chord_sides = [("chord", c) for c in leaves]
+    children = [[] for _ in range(len(pairs) + 1)]  # the last list is the top level
+    for i, p in enumerate(parent):
+        children[p].append(i)
+    top = children[-1]
+    # the outer gap runs from the first end of the first top-level leaf to
+    # the last end of the last one, and back along the arc between them
+    first, last = leaves[top[0]].a, leaves[top[-1]].b
+    bounds = zip(
+        [*pairs, (pairs[top[0]][0], pairs[top[-1]][1])],
+        [*leaves, (first, last)],
+        [*chord_sides, ("arc", Arc(last, first))],
+    )
+    result = []
+    for ((x, y), (start, end), closing), inside in zip(bounds, children):
+        # p is the ring int of the last vertex so far; an arc of length 0
+        # between two children that share an end is left out
+        p, verts, sides = x, [start], []
+        for j in inside:
+            (a, b), c = pairs[j], leaves[j]
+            if p != a:
+                sides.append(("arc", Arc(verts[-1], c.a)))
+                verts.append(c.a)
+            sides.append(chord_sides[j])
+            verts.append(c.b)
+            p = b
+        if p != y:
+            sides.append(("arc", Arc(verts[-1], end)))
+            verts.append(end)
+        sides.append(closing)
+        result.append(Gap(tuple(verts), tuple(sides)))
     # The vertices of a face run in circle order from the first end of its
     # leaf, and of two leaves from one point the shorter one's face has the
     # smaller vertices (the longer one's next vertex is the end of a leaf
     # from that point), so the faces inside the leaves sort as the leaves
-    # do.  The outer face runs from the first end of the first top-level
-    # leaf and sorts after every face from that point.
-    result = [_face(inside, c.a, c.b, ("chord", c)) for c, inside in zip(leaves, children)]
-    top = children[-1]
-    first, last = top[0].a, top[-1].b
-    outer = _face(top, first, last, ("arc", Arc(last, first)))
-    result.insert(bisect_right(leaves, first, key=lambda c: c.a), outer)
+    # do.  The outer face sorts after every face from its first vertex.
+    result.insert(bisect_right(pairs, (pairs[top[0]][0], N)), result.pop())
     return result
+
+
+def _image_degree(images) -> int:
+    """The boundary degree of a hull whose vertex images, in the vertices'
+    circular order, are ``images``; see :func:`boundary_degree`."""
+    if len(set(images)) == 1:
+        return len(images)
+    return cyclic_descents(images)
 
 
 def boundary_degree(d: int, vertices) -> int:
@@ -314,9 +337,7 @@ def boundary_degree(d: int, vertices) -> int:
     imgs = [sigma(d, v) for v in vertices]
     if not imgs:
         raise ValueError("the boundary degree of an empty vertex set is undefined")
-    if len(set(imgs)) == 1:
-        return len(imgs)
-    return cyclic_descents(imgs)
+    return _image_degree(imgs)
 
 
 def gap_degree(d: int, g: Gap) -> int:
@@ -752,9 +773,12 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
         if not g.finite:
             arc_gaps.append(g.vertices)
             continue
-        if gap_degree(d, g) > 1:
+        # the vertex images on the ring, where the vertex n/q is n*(N//q)
+        images = [d * v.numerator * (N // v.denominator) % N for v in g.vertices]
+        if _image_degree(images) > 1:
             crit_gaps.append(g)
-            if all(is_critical(d, e) for e in g.edges):
+            # every side is critical exactly when all vertices share one image
+            if len(set(images)) == 1:
                 merged = set(g.vertices)
                 touching = [p for p in polygons if len(p & merged) >= 2]
                 polygons = [p for p in polygons if len(p & merged) < 2]

@@ -6,15 +6,21 @@ geometry is carried as exact rationals until emission, where each value is
 printed with the 12 significant digits of its 30-digit mpmath evaluation,
 so identical inputs produce byte-identical SVG on any platform.
 
-Each disk of a picture has one ``_Canvas``, which evaluates every distinct
-quantity once: the "x,y" string of each endpoint, keyed by Angle, and the
-formatted arc radius of each chord length.  The geodesic joining angles a
-and b, with shortest distance l = shortest_dist(a, b), is the circle
-orthogonal to the unit circle through both points; its radius is
-tan(pi*l), with no cancellation however near l is to 1/2.  The arc bends
-toward the disk centre, which fixes its sweep flag exactly: drawn from a
-to b it is 1 iff b lies less than half a turn counterclockwise of a.  The
-memo lives and dies with its canvas: nothing is cached across calls.
+Every disk of a picture draws its chords through one path on integers:
+the points of the disk lie on one ring mod N (``circle._ring``), a
+lamination's own ``ring`` or the ring of a chord list's endpoints (and
+of the shaded gaps' vertices), where a chord is a sorted int pair, circle
+order is int order and a degenerate pair is drawn as a point.  Each disk
+has one ``_Canvas``, which evaluates every distinct quantity once: the
+"x,y" string of each ring point and the formatted arc radius of each
+chord length, both keyed by their ints.  The geodesic joining ring
+points a and b, with shortest distance l (``b - a`` or ``N - b + a``,
+over N), is the circle orthogonal to the unit circle through both
+points; its radius is tan(pi*l), with no cancellation however near l is
+to 1/2.  The arc bends toward the disk centre, which fixes its sweep flag
+exactly: drawn from a to b it is 1 iff b lies less than half a turn
+counterclockwise of a.  The memo lives and dies with its canvas: nothing
+is cached across calls.
 
 The printed bytes are those of the mpf formula at 30 digits: pixel
 coordinates c + R*cospi(t) and c - R*sinpi(t) of an angle a, with
@@ -84,15 +90,16 @@ throughout.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 import mpmath
 
 from .chords import Chord
-from .circle import Angle, ccw_offset
+from .circle import Angle, _at, _ring
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -119,6 +126,7 @@ class RenderSpec:
 # the 12 significant digits of an emitted coordinate can show; it is drawn
 # straight.
 _STRAIGHT_FROM = Angle(Fraction(1, 2) - Fraction(1, 10**14))
+_STRAIGHT_N, _STRAIGHT_Q = _STRAIGHT_FROM.numerator, _STRAIGHT_FROM.denominator
 _HALF = Angle(1, 2)
 
 
@@ -171,21 +179,27 @@ def _certified(v: float, e: float):
 
 class _Canvas:
     """Maps the unit disk to SVG pixel coordinates (y axis flipped),
-    evaluating each endpoint and each arc radius once.
+    evaluating each point and each arc radius of its ring mod N once.
 
-    Values are printed from the certified binary64 evaluation when it
-    decides them, and otherwise by the mpf fallback: the module docstring's
-    formula evaluated with mpf objects at the context precision.
+    ``pix`` and ``geodesic_radius`` take a fraction n/q that need not be
+    reduced; ``svg_xy`` and ``arc_radius`` take ints on the ring and keep
+    their strings keyed by them.  Values are printed from the certified
+    binary64 evaluation when it decides them, and otherwise by the mpf
+    fallback: the module docstring's formula evaluated with mpf objects at
+    the context precision, from the reduced fraction.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, N: int):
+        self.N = N
         self.center = mpmath.mpf(size) / 2
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
         self.label_radius = self.radius * mpmath.mpf("1.06")
         self._xy: dict = {}
         self._radii: dict = {}
         # c, R and 1.06*R in binary64 (c exact, the radii within the
-        # module docstring's bounds) and the bound e, for the fast path
+        # module docstring's bounds) and the bound e, for the fast path;
+        # its int divisions are correctly rounded, so n/q need not be
+        # reduced there
         self._fast = _FAST and type(size) is int and 1 <= size <= _MAX_FAST_SIZE
         if self._fast:
             self._c = size / 2
@@ -193,12 +207,11 @@ class _Canvas:
             self._label_r = self._r * 1.06
             self._e = size * _PIX_ERR
 
-    def pix(self, angle: Fraction, label: bool = False) -> tuple[str, str]:
+    def pix(self, n: int, q: int, label: bool = False) -> tuple[str, str]:
         """The formatted pixel coordinates center + R*x and center - R*y of
-        the angle's point (x, y), R the disk radius, or 1.06 times it for a
-        label."""
+        the point (x, y) at angle n/q, 0 <= n < q, R the disk radius, or
+        1.06 times it for a label."""
         if self._fast:
-            n, q = angle.numerator, angle.denominator
             k, r = divmod(8 * n, q)
             if k & 1:
                 c, s = _cos_sin(q - r, q)
@@ -219,62 +232,76 @@ class _Canvas:
             py = _certified(self._c - R * y, e)
             if px is not None and py is not None:
                 return px, py
-        t = 2 * mpmath.mpf(angle.numerator) / angle.denominator
+        g = gcd(n, q)
+        t = 2 * mpmath.mpf(n // g) / (q // g)
         R = self.label_radius if label else self.radius
         return _fmt(self.center + R * mpmath.cospi(t)), _fmt(self.center - R * mpmath.sinpi(t))
 
-    def svg_xy(self, angle: Fraction) -> str:
-        s = self._xy.get(angle)
+    def svg_xy(self, x: int) -> str:
+        """The "x,y" string of the ring point x."""
+        s = self._xy.get(x)
         if s is None:
-            s = self._xy[angle] = ",".join(self.pix(angle))
+            s = self._xy[x] = ",".join(self.pix(x, self.N))
         return s
 
-    def arc_radius(self, length: Fraction) -> str:
-        """The formatted pixel radius tan(pi*length)*R of a geodesic of this
-        shortest length, below 1/2."""
+    def geodesic_radius(self, n: int, q: int) -> str:
+        """The formatted pixel radius tan(pi*n/q)*R of a geodesic of
+        shortest length n/q, below 1/2."""
+        if self._fast:
+            k, m = divmod(4 * n, q)
+            if k:
+                m = q - m
+            if m / q >= _TINY:
+                c, s = _cos_sin(m, q)
+                v = self._r * (c / s if k else s / c)
+                r = _certified(v, v * _RADIUS_ERR)
+                if r is not None:
+                    return r
+        g = gcd(n, q)
+        t = mpmath.mpf(n // g) / (q // g)
+        return _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
+
+    def arc_radius(self, length: int) -> str:
+        """``geodesic_radius`` of a shortest length on the ring."""
         r = self._radii.get(length)
         if r is None:
-            if self._fast:
-                n, q = length.numerator, length.denominator
-                k, m = divmod(4 * n, q)
-                if k:
-                    m = q - m
-                if m / q >= _TINY:
-                    c, s = _cos_sin(m, q)
-                    v = self._r * (c / s if k else s / c)
-                    r = _certified(v, v * _RADIUS_ERR)
-            if r is None:
-                t = mpmath.mpf(length.numerator) / length.denominator
-                r = _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
-            self._radii[length] = r
+            r = self._radii[length] = self.geodesic_radius(length, self.N)
         return r
 
 
-def _geodesic_to(canvas: _Canvas, start: Angle, end: Angle, straight: bool) -> str:
-    """Path data drawing the geodesic from ``start`` (the current point) to ``end``."""
+def _geodesic_to(canvas: _Canvas, start: int, end: int, straight: bool) -> str:
+    """Path data drawing the geodesic from the ring point ``start`` (the
+    current point) to ``end``."""
     if not straight:
-        t = ccw_offset(start, end)
+        N = canvas.N
+        t = (end - start) % N
         # the geodesic is the minor arc bending toward the disk centre, so
         # the sweep flag is the sign of sin 2pi(end - start), decided exactly
-        sweep = 1 if t < _HALF else 0
-        length = t if sweep else 1 - t  # shortest_dist(start, end)
-        if length < _STRAIGHT_FROM:
+        sweep = 1 if 2 * t < N else 0
+        length = t if sweep else N - t  # the shortest distance, times N
+        if length * _STRAIGHT_Q < N * _STRAIGHT_N:
             r = canvas.arc_radius(length)
             return f"A {r} {r} 0 0 {sweep} {canvas.svg_xy(end)}"
     return f"L {canvas.svg_xy(end)}"
 
 
-def _geodesic_path(canvas: _Canvas, chord: Chord, straight: bool) -> str:
-    return f"M {canvas.svg_xy(chord.a)} {_geodesic_to(canvas, chord.a, chord.b, straight)}"
+def _geodesic_path(canvas: _Canvas, a: int, b: int, straight: bool) -> str:
+    return f"M {canvas.svg_xy(a)} {_geodesic_to(canvas, a, b, straight)}"
+
+
+def _on_ring(N: int, a) -> int | None:
+    """The int of angle ``a`` on the ring mod N, or None off the ring."""
+    q = a.denominator
+    return a.numerator * (N // q) if N % q == 0 else None
 
 
 def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
     r = _fmt(canvas.radius)
     if gap.is_disk:
         # the whole disk: two counterclockwise half circles
-        zero, half = canvas.svg_xy(Angle(0)), canvas.svg_xy(_HALF)
+        zero, half = canvas.svg_xy(0), canvas.svg_xy(canvas.N // 2)
         return f"M {zero} A {r} {r} 0 1 0 {half} A {r} {r} 0 1 0 {zero} Z"
-    verts = gap.vertices
+    verts = [_on_ring(canvas.N, v) for v in gap.vertices]
     parts = [f"M {canvas.svg_xy(verts[0])}"]
     for i, (kind, side) in enumerate(gap.sides):
         start, end = verts[i], verts[(i + 1) % len(verts)]
@@ -295,29 +322,40 @@ def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
         return _render(target, spec, shaded)
 
 
+def _chord_ring(chords) -> tuple[int, list]:
+    """The ring of the chords' endpoints and each chord's sorted int pair
+    on it, in list order."""
+    N, xs = _ring([e for c in chords for e in c])
+    return N, list(zip(xs[::2], xs[1::2]))
+
+
 def _render(target, spec: RenderSpec, shaded) -> str:
     if isinstance(target, FiniteLamination):
-        chords = list(target.leaves)
-        disks = [chords]
-    elif isinstance(target, (list, tuple)) and target and isinstance(target[0], Chord):
-        chords = list(target)
-        disks = [chords]
+        rings = [target.ring]
+    elif isinstance(target, (list, tuple)) and (not target or isinstance(target[0], Chord)):
+        rings = [_chord_ring(target)]
     else:
         # tag factors: two convex sets rendered side by side, a point as a
         # degenerate chord
-        disks = [list(f.edges) or [Chord(f.vertices[0], f.vertices[0])] for f in target]
+        rings = [_chord_ring(f.edges or [Chord(f.vertices[0], f.vertices[0])]) for f in target]
 
     size = spec.size
-    width = size * len(disks)
+    width = size * len(rings)
     straight = spec.geodesic_style == "straight"
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{size}" '
         f'viewBox="0 0 {width} {size}">',
         f"<style>{_STYLE}</style>",
     ]
-    highlight = set(spec.highlight)
-    for idx, chord_list in enumerate(disks):
-        canvas = _Canvas(size)
+    # the shaded gaps are drawn on every disk, so their points join its ring
+    shaded = tuple(shaded)
+    shade_q = [v.denominator for g in shaded for v in g.vertices] + [2 for g in shaded if g.is_disk]
+    for idx, (N, pairs) in enumerate(rings):
+        M = lcm(N, *shade_q)
+        if M != N:
+            pairs = [(a * (M // N), b * (M // N)) for a, b in pairs]
+            N = M
+        canvas = _Canvas(size, N)
         offset = idx * size
         out.append(f'<g transform="translate({offset},0)">')
         out.append(
@@ -326,25 +364,25 @@ def _render(target, spec: RenderSpec, shaded) -> str:
         )
         for g in shaded:
             out.append(f'<path class="shade" d="{_gap_shade_path(canvas, g, straight)}"/>')
-        plain = [c for c in chord_list if c not in highlight]
-        strong = [c for c in chord_list if c in highlight]
-        for c in sorted(dict.fromkeys(plain)):
-            if c.degenerate:
-                px, py = canvas.pix(c.a)
+        highlight = {(_on_ring(N, a), _on_ring(N, b)) for a, b in spec.highlight}
+        drawn = sorted(set(pairs))
+        for p in drawn:
+            if p in highlight:
+                continue
+            a, b = p
+            if a == b:
+                px, py = canvas.pix(a, N)
                 out.append(f'<circle class="leaf" cx="{px}" cy="{py}" r="2"/>')
             else:
-                out.append(f'<path class="leaf" d="{_geodesic_path(canvas, c, straight)}"/>')
-        for c in sorted(dict.fromkeys(strong)):
-            out.append(f'<path class="hl" d="{_geodesic_path(canvas, c, straight)}"/>')
+                out.append(f'<path class="leaf" d="{_geodesic_path(canvas, a, b, straight)}"/>')
+        for a, b in drawn:
+            if (a, b) in highlight:
+                out.append(f'<path class="hl" d="{_geodesic_path(canvas, a, b, straight)}"/>')
         if spec.labels:
-            seen = set()
-            for c in chord_list:
-                for v in c.endpoints:
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    lx, ly = canvas.pix(v, label=True)
-                    out.append(f'<text x="{lx}" y="{ly}" text-anchor="middle">{v}</text>')
+            # each endpoint once, in the order the chords list them
+            for x in dict.fromkeys(itertools.chain.from_iterable(pairs)):
+                lx, ly = canvas.pix(x, N, label=True)
+                out.append(f'<text x="{lx}" y="{ly}" text-anchor="middle">{_at(N, x)}</text>')
         out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"

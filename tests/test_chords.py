@@ -180,14 +180,23 @@ def _cycle_oracle(chords):
     return False
 
 
+# the denominators, numerators and steps of n chords for the loop oracle,
+# built once per n (at most 5 + 2) rather than once per example
+LOOP_LISTS = {
+    n: tuple(
+        st.lists(values, min_size=n, max_size=n)
+        for values in (st.integers(1, 60), st.integers(0, 59), st.integers(1, 4))
+    )
+    for n in range(1, 8)
+}
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_loop_detection_agrees_with_graph_oracle(data):
     d = data.draw(st.integers(min_value=2, max_value=5))
     n = data.draw(st.integers(min_value=1, max_value=d + 2))
-    qs = data.draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
-    ps = data.draw(st.lists(st.integers(0, 59), min_size=n, max_size=n))
-    ks = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    qs, ps, ks = (data.draw(lists) for lists in LOOP_LISTS[n])
     chords = []
     for q, p, k in zip(qs, ps, ks):
         a = Angle(p, q)

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,108 @@ def test_lamination_parse_comments_and_errors():
     assert lam.leaves == (C(1, 7, 2, 7),)
     with pytest.raises(ValueError):
         parse_lamination("1/7 2/7\n")
+
+
+def _token(rng, x: Fraction) -> str:
+    """An angle token for x: reduced or not (2/14 for 1/7), or a whole
+    turn off, and 0 now and then written as 0/q."""
+    k = rng.choice([1, 1, 2, 7])
+    n, q = x.numerator * k, x.denominator * k
+    n += rng.choice([0, 0, 0, q, -q])
+    return str(n) if q == 1 and rng.random() < 0.5 else f"{n}/{q}"
+
+
+def _lamination_file(rng):
+    """Seeded lamination text and its chord lines: chords written reversed,
+    repeated, degenerate and with unreduced tokens, among comments and blank
+    lines."""
+    d = rng.randint(2, 5)
+    lines, chord_lines = [f"degree {d}"], []
+    for _ in range(rng.randint(0, 12)):
+        q = rng.randint(1, 14)
+        a, b = Fraction(rng.randrange(q), q), Fraction(rng.randrange(q), q)
+        if rng.random() < 0.2:
+            b = a
+        for _ in range(rng.choice([1, 1, 2])):
+            ends = [a, b] if rng.random() < 0.5 else [b, a]
+            line = " ".join(_token(rng, x) for x in ends)
+            chord_lines.append(line)
+            lines.append(rng.choice(["", "  "]) + line + rng.choice(["", "  # a chord"]))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "# a comment", "   "]))
+    rng.shuffle(lines[1:])
+    return "\n".join(lines) + "\n", d, chord_lines
+
+
+def test_parse_lamination_agrees_with_chord_oracle():
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(400):
+        text, d, chord_lines = _lamination_file(rng)
+        expected = FiniteLamination(d, [Chord.parse(line) for line in chord_lines])
+        lam = parse_lamination(text)
+        assert lam == expected, text
+        assert lam.leaves == expected.leaves and lamination_text(lam) == lamination_text(expected)
+        chords = [Chord.parse(line) for line in chord_lines]
+        kinds |= {"degenerate" for c in chords if c.degenerate}
+        kinds |= {"repeated" for c in chords if chords.count(c) > 1}
+        kinds |= {"reversed" for line, c in zip(chord_lines, chords) if Angle(line.split()[0]) > c.a}
+        kinds |= {"unreduced" for line in chord_lines for t in line.split() if str(Angle(t)) != t}
+    assert kinds == {"degenerate", "repeated", "reversed", "unreduced"}
+    assert parse_lamination("degree 2\n2/14 4/14\n1/7 2/7\n") == FiniteLamination(2, [C(1, 7, 2, 7)])
+
+
+# every refusal of parse_lamination, byte for byte, and the first one wins
+PARSE_ERRORS = [
+    ("", "missing degree header"),
+    ("# only a comment\n\n", "missing degree header"),
+    ("1/3 2/3\n", "lamination file must start with a degree header"),
+    ("degreefoo 2\n0 1/2\n", "lamination file must start with a degree header"),
+    ("degree 2\ndegree 3\n", "duplicate degree header 'degree 3' after degree 2"),
+    ("degree\n1/7 2/7\n", "degree header needs exactly one value: 'degree'"),
+    ("degree 2 3\n", "degree header needs exactly one value: 'degree 2 3'"),
+    ("degree two\n", "degree header needs an integer: 'degree two'"),
+    ("degree 1\n0 1/2\n", "degree must be an integer >= 2, got 1"),
+    ("degree -3\n", "degree must be an integer >= 2, got -3"),
+    ("degree 2\n0 1/3 2/3\n", "chord text must be two angle tokens: '0 1/3 2/3'"),
+    ("degree 2\n  1/7   # one angle\n", "chord text must be two angle tokens: '1/7'"),
+    ("degree 2\n1/7 2/ 7\n", "chord text must be two angle tokens: '1/7 2/ 7'"),
+    ("degree 2\n0 1/0\n", "angle must be an integer or p/q with q > 0: '1/0'"),
+    ("degree 2\n0 0.5\n", "angle must be an integer or p/q with q > 0: '0.5'"),
+    ("degree 2\n1e3 0\n", "angle must be an integer or p/q with q > 0: '1e3'"),
+    ("degree 2\n1/7 1/-7\n", "angle must be an integer or p/q with q > 0: '1/-7'"),
+    ("degree 2\n1/7 2/7\nx 1/3\n", "angle must be an integer or p/q with q > 0: 'x'"),
+    ("degree 2\ndegreefoo 2\n", "angle must be an integer or p/q with q > 0: 'degreefoo'"),
+    ("degree 2\n1/0 0.5\n", "angle must be an integer or p/q with q > 0: '1/0'"),
+    ("degree 1\n1/0 1/2\n", "angle must be an integer or p/q with q > 0: '1/0'"),
+    ("degree 2\n1/3 2/3 4/5\n1/0 1/2\n", "chord text must be two angle tokens: '1/3 2/3 4/5'"),
+    ("degree 2\n1/0 1/2\n1/3 2/3 4/5\n", "angle must be an integer or p/q with q > 0: '1/0'"),
+    ("degree 2\n1/7 2/7\ndegree 3\n1/0 1/2\n", "duplicate degree header 'degree 3' after degree 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_lamination_error_messages_are_pinned(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_lamination(text)
+    assert str(info.value) == message
+
+
+def test_degree_header_is_the_whole_first_token(tmp_path, capsys):
+    # a line that only starts with "degree" is no header in either parser
+    with pytest.raises(ValueError, match="must start with a degree header"):
+        parse_lamination("degreefoo 2\n1/7 2/7\n")
+    with pytest.raises(ValueError, match="must start with a degree header"):
+        parse_portrait("degreefoo 2\nquad 1/14 1/7 4/7 9/14\n")
+    with pytest.raises(ValueError, match="angle must be"):
+        parse_lamination("degree 2\ndegreefoo 2\n1/7 2/7\n")
+    with pytest.raises(ValueError, match="unknown portrait line"):
+        parse_portrait("degree 2\ndegreefoo 2\nquad 1/14 1/7 4/7 9/14\n")
+    for text in ("degreefoo 2\n1/7 2/7\n", "degree 2\ndegreefoo 2\n1/7 2/7\n"):
+        lam = tmp_path / "foo.lam"
+        lam.write_text(text)
+        assert main(["render", "--lamination", str(lam), "--out", str(tmp_path / "x.svg")]) == 2
+        assert _one_error_line(capsys)
 
 
 def test_portrait_roundtrip():

@@ -1052,9 +1052,12 @@ def test_prune_isolated_drops_lonely_diameter():
     assert C(1, 14, 4, 7) not in pruned
 
 
-def test_gap_count_oracle():
-    # each non-crossing chord splits exactly one region: n leaves, n+1 gaps
-    builds = [
+@functools.cache
+def face_walk_cases():
+    """Laminations and their face-walk gaps: the fixtures below, the shipped
+    portraits at depths 0-5, sampled cubic libraries (seeds 1-5) and the
+    period-5 QML minors at depth 4."""
+    lams = [
         FiniteLamination(3, TRIANGLE),
         pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE),
         pullback_build(3, [C(0, 1, 1, 3), C(1, 2, 5, 6)], 3),
@@ -1062,9 +1065,44 @@ def test_gap_count_oracle():
         pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE),
         figure_orbit_lamination(),
     ]
-    for lam in builds:
+    lams += [parse_portrait(p.read_text()).build(d) for p in SHIPPED_PORTRAITS for d in range(6)]
+    lams += [lam for seed in range(1, 6) for lam in suites.sample_cubic_library(Lcg(seed), 4)]
+    lams += [quad_minor.build_from_minor(m, 4) for m in qml_enumerate(5)]
+    return [(lam, face_walk_gaps(lam)) for lam in lams]
+
+
+def test_gap_count_oracle():
+    # each non-crossing chord splits exactly one region: n leaves, n+1 gaps
+    for lam, faces in face_walk_cases():
         assert len(gaps(lam)) == len(lam) + 1
-        assert gaps(lam) == face_walk_gaps(lam)
+        assert gaps(lam) == faces
+
+
+def critical_analysis_oracle(lam, faces):
+    """Oracle for critical_analysis from the face-walk gaps, their Angle
+    degrees (``gap_degree``) and ``is_critical`` on their edges, with the
+    clusters of the subset search."""
+    d = lam.degree
+    crit_leaves = tuple(c for c in lam.leaves if is_critical(d, c))
+    finite = [g for g in faces if not g.is_disk and g.finite]
+    crit_gaps = tuple(g for g in finite if gap_degree(d, g) > 1)
+    edges = {e for g in crit_gaps for e in g.edges}
+    return lamination.CriticalAnalysis(
+        critical_leaves=crit_leaves,
+        critical_gaps=crit_gaps,
+        critical_clusters=cluster_oracle(lam),
+        critical_sets=crit_gaps + tuple(c for c in crit_leaves if c not in edges),
+        arc_gaps=tuple(g.vertices for g in faces if not g.is_disk and not g.finite),
+    )
+
+
+def test_critical_analysis_agrees_with_face_walk_oracle():
+    kinds = set()
+    for lam, faces in face_walk_cases():
+        analysis = critical_analysis(FiniteLamination._from_ring(lam.degree, *lam.ring))
+        assert analysis == critical_analysis_oracle(lam, faces), lam
+        kinds |= {name for name, value in vars(analysis).items() if value}
+    assert kinds == {field.name for field in dataclasses.fields(lamination.CriticalAnalysis)}
 
 
 def orbit_dendritic(lam):

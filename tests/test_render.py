@@ -38,9 +38,12 @@ def orbit_figure():
 
 
 def test_empty_lamination_renders_circle_only():
-    svg = render_svg(FiniteLamination(2, []))
-    assert svg.count("<circle") == 1
-    assert "<path" not in svg
+    # an empty chord list is one empty disk, like the empty lamination
+    for target in (FiniteLamination(2, []), [], ()):
+        svg = render_svg(target)
+        assert svg.count("<circle") == 1
+        assert "<path" not in svg
+        assert svg == render_svg(FiniteLamination(2, []))
 
 
 def test_deterministic_output():
@@ -125,10 +128,14 @@ def test_canvas_points_match_mpf_oracle():
     # exact quarter turns, and numerators wider than the 103-bit precision
     angles += [A(k, 4) for k in range(4)] + [A(rng.randrange(2**130), 2**130 - 1) for _ in range(50)]
     for size in (1, 7, 800, 1000):
-        with mpmath.workdps(30):
-            canvas = _Canvas(size)
-            got = [canvas.svg_xy(a) for a in angles]
-        assert got == [_svg_xy_uncached(a, size) for a in angles]
+        expected = [_svg_xy_uncached(a, size) for a in angles]
+        # each angle as a point of its own ring and of one three times finer
+        for scale in (1, 3):
+            with mpmath.workdps(30):
+                got = [
+                    _Canvas(size, scale * a.denominator).svg_xy(scale * a.numerator) for a in angles
+                ]
+            assert got == expected
 
 
 _SIZES = (1, 7, 333, 800, 1000)
@@ -136,7 +143,7 @@ _SIZES = (1, 7, 333, 800, 1000)
 
 def _canvases(size):
     """A canvas and its mpf twin, the binary64 path switched off."""
-    fast, slow = _Canvas(size), _Canvas(size)
+    fast, slow = _Canvas(size, 1), _Canvas(size, 1)
     assert fast._fast
     slow._fast = False
     return fast, slow
@@ -170,10 +177,10 @@ def test_binary64_points_match_libmp_path(monkeypatch):
             share = angles[i :: len(combos)]
             with monkeypatch.context() as m:
                 calls = _counting(m, mpmath, "cospi")
-                got = [fast.pix(a, label) for a in share]
+                got = [fast.pix(a.numerator, a.denominator, label) for a in share]
                 fallbacks += len(calls)
-                got += [fast.pix(a, label) for a in special]
-            assert got == [slow.pix(a, label) for a in share + special]
+                got += [fast.pix(a.numerator, a.denominator, label) for a in special]
+            assert got == [slow.pix(a.numerator, a.denominator, label) for a in share + special]
     # the binary64 path decides nearly every value: a path that never ran
     # would fall back on all of them
     assert fallbacks < 0.02 * len(angles)
@@ -236,7 +243,8 @@ def test_near_ties_fall_back_to_libmp(monkeypatch):
                 for a in cases:
                     with monkeypatch.context() as m:
                         calls = _counting(m, mpmath, "cospi")
-                        assert fast.pix(a, label) == slow.pix(a, label)
+                        num, den = a.numerator, a.denominator
+                        assert fast.pix(num, den, label) == slow.pix(num, den, label)
                         assert calls  # the mpf fallback printed it
 
 
@@ -257,10 +265,10 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
             fast, slow = _canvases(size)
             with monkeypatch.context() as m:
                 calls = _counting(m, render, "_fmt")
-                got = [fast.arc_radius(x) for x in lengths]
+                got = [fast.geodesic_radius(x.numerator, x.denominator) for x in lengths]
                 fallbacks += len(calls)
-                got += [fast.arc_radius(x) for x in tiny]
-            assert got == [slow.arc_radius(x) for x in lengths + tiny]
+                got += [fast.geodesic_radius(x.numerator, x.denominator) for x in tiny]
+            assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in lengths + tiny]
     assert fallbacks < 0.02 * len(lengths) * len(_SIZES)
     # radii near a boundary take the mpf fallback
     q = 2**64
@@ -278,9 +286,9 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
         with mpmath.workdps(30):
             with monkeypatch.context() as m:
                 calls = _counting(m, render, "_fmt")
-                got = [fast.arc_radius(x) for x in cases]
+                got = [fast.geodesic_radius(x.numerator, x.denominator) for x in cases]
                 assert len(calls) == len(cases)
-            assert got == [slow.arc_radius(x) for x in cases]
+            assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in cases]
 
 
 def test_huge_sizes_take_the_libmp_path(monkeypatch):
