@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
-from .chords import Chord, is_critical, linked, validate_collection
+from .chords import Chord, disjoint, is_critical, linked, validate_collection
 from .cubic_tags import ConvexSet
 from .lamination import FiniteLamination, _ring_orbit, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
@@ -282,7 +282,7 @@ def detect_collapse(
     reported as that case instead.
     """
     d = qcp1.degree
-    if l1 == l2 or (not linked(l1, l2) and not set(l1.endpoints) & set(l2.endpoints)):
+    if l1 == l2 or disjoint(l1, l2):
         raise ValueError("collapse detection needs non-disjoint distinct leaves")
     for cluster in special_clusters:
         cset = set(cluster)

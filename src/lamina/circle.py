@@ -11,7 +11,8 @@ counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
 angles on one integer ring mod N, where no Angle is built at all, and
-``_at`` reads a ring point back as an Angle.
+``_at`` reads a ring point back as an Angle and ``_on_ring`` puts one
+angle on a given ring.
 """
 
 from __future__ import annotations
@@ -236,6 +237,12 @@ def _at(N: int, x: int) -> Angle:
     """The Angle x/N of a point 0 <= x < N of the ring mod N, reduced."""
     g = gcd(x, N)
     return _angle(x // g, N // g)
+
+
+def _on_ring(N: int, a) -> int | None:
+    """The int of angle ``a`` on the ring mod N, or None off the ring."""
+    q = a.denominator
+    return a.numerator * (N // q) if N % q == 0 else None
 
 
 def ccw_offset(a, b) -> Angle:

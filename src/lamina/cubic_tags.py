@@ -269,33 +269,31 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
     relation = tags_relation(tagA, tagX)
 
     caveats = ["dendritic filtering is heuristic at finite depth"]
-    if lamA.generations and lamX.generations:
-        common = min(lamA.max_generation, lamX.max_generation)
-        caveats.append(f"leaf containment checked at common depth {common}")
-    else:
+    depthA, depthX = lamA.max_generation, lamX.max_generation
+    if depthA is None or depthX is None:
         common = None
-
-    leavesA = lamA.leaves_up_to(common) if common is not None else lamA.leaf_set
-    leavesX = lamX.leaves_up_to(common) if common is not None else lamX.leaf_set
+        truncA, truncX = lamA, lamX
+    else:
+        common = min(depthA, depthX)
+        caveats.append(f"leaf containment checked at common depth {common}")
+        truncA, truncX = lamA.up_to(common), lamX.up_to(common)
 
     # a cubic all-critical polygon is a triangle
     triangles = [v for v in critical_analysis(lamA).critical_clusters if len(v) == 3]
     triangle_case = False
-    if triangles:
-        same = leavesA == leavesX
-        if same:
-            T = set(triangles[0])
-            first_edges_distinct = (
-                len(fpA.first.vertices) == 2
-                and len(fpX.first.vertices) == 2
-                and set(fpA.first.vertices) <= T
-                and set(fpX.first.vertices) <= T
-                and fpA.first != fpX.first
-            )
-            triangle_case = not first_edges_distinct
+    if triangles and truncA == truncX:
+        T = set(triangles[0])
+        first_edges_distinct = (
+            len(fpA.first.vertices) == 2
+            and len(fpX.first.vertices) == 2
+            and set(fpA.first.vertices) <= T
+            and set(fpX.first.vertices) <= T
+            and fpA.first != fpX.first
+        )
+        triangle_case = not first_edges_distinct
     containment_case = False
     if not triangles:
-        containment_case = leavesA <= lamX.leaf_set and fpX.refines(fpA)
+        containment_case = truncA.issubset(lamX) and fpX.refines(fpA)
     consistent = (relation != "disjoint") == (triangle_case or containment_case)
     return TagCaseReport(
         relation=relation,

@@ -128,7 +128,7 @@ class PortraitSpec:
         out = []
         for kind, obj in self.entries:
             if kind == "leaf":
-                out.append(ConvexSet.of(obj.endpoints))
+                out.append(ConvexSet.hull_of(obj))
             elif kind == "quad":
                 out.append(ConvexSet.of(obj.hull))
             else:

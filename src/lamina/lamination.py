@@ -33,18 +33,19 @@ they take Chords (a Chord is the sorted pair of its angles).  One loop,
 portrait chords' orbits, each stopped before its first degenerate image,
 and is refused by one bound while it is followed (see
 :func:`pullback_build`).  Chords are a view of the ring, formed on first
-read; a check builds Chords only for the leaves it returns.
+read; a check builds Chords only for the leaves it returns, and membership
+and truncation by pullback generation build none.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .circle import Arc, _at, _check_degree, _ring, cyclic_descents, sigma, shortest_dist
+from .circle import Arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma, shortest_dist
 from .chords import (
     Chord,
     _ring_image,
@@ -92,7 +93,7 @@ class FiniteLamination:
     :func:`critical_analysis` are formed on first read and kept.
     """
 
-    __slots__ = ("degree", "ring", "_gens", "_leaves", "_leaf_set", "_generations", "_analysis")
+    __slots__ = ("degree", "ring", "_gens", "_leaves", "_generations", "_analysis")
 
     def __init__(self, degree: int, leaves=(), generations=None):
         if not isinstance(degree, int) or degree < 2:
@@ -105,7 +106,7 @@ class FiniteLamination:
         self.ring = N, tuple(p for p, _ in canon)
         self._leaves = tuple(c for _, c in canon)
         self._gens = tuple(generations.get(c) for c in self._leaves) if generations else None
-        self._leaf_set = self._generations = self._analysis = None
+        self._generations = self._analysis = None
 
     @classmethod
     def _from_ring(cls, degree: int, N: int, pairs, generations=None) -> "FiniteLamination":
@@ -116,7 +117,7 @@ class FiniteLamination:
         lam.degree = degree
         lam.ring = N // g, tuple(pairs if g == 1 else [(a // g, b // g) for a, b in pairs])
         lam._gens = None if generations is None else tuple(generations)
-        lam._leaves = lam._leaf_set = lam._generations = lam._analysis = None
+        lam._leaves = lam._generations = lam._analysis = None
         return lam
 
     def __eq__(self, other):
@@ -134,7 +135,16 @@ class FiniteLamination:
         return iter(self.leaves)
 
     def __contains__(self, chord):
-        return chord in self.leaf_set
+        """Whether a sorted pair of angles is a leaf, looked up among the
+        sorted ring pairs; an end off the ring is the end of no leaf."""
+        if not isinstance(chord, tuple) or len(chord) != 2:
+            return False
+        N, pairs = self.ring
+        p = (_on_ring(N, chord[0]), _on_ring(N, chord[1]))
+        if None in p:
+            return False
+        i = bisect_left(pairs, p)
+        return i < len(pairs) and pairs[i] == p
 
     def __repr__(self):
         return f"FiniteLamination(degree={self.degree}, leaves={len(self)})"
@@ -149,28 +159,35 @@ class FiniteLamination:
         return self._leaves
 
     @property
-    def leaf_set(self) -> frozenset:
-        if self._leaf_set is None:
-            self._leaf_set = frozenset(self.leaves)
-        return self._leaf_set
-
-    @property
     def generations(self) -> dict | None:
         if self._gens is not None and self._generations is None:
             self._generations = {c: g for c, g in zip(self.leaves, self._gens) if g is not None}
         return self._generations
 
     @property
-    def max_generation(self) -> int:
-        if not self.generations:
-            return 0
-        return max(self.generations.values())
+    def max_generation(self) -> int | None:
+        """The deepest recorded pullback generation, None when none is."""
+        gens = self._gens or ()
+        if None in gens:
+            gens = [g for g in gens if g is not None]
+        return max(gens, default=None)
 
-    def leaves_up_to(self, generation: int) -> frozenset:
-        """Leaves of pullback generation <= generation (all, if untracked)."""
-        if not self.generations:
-            return self.leaf_set
-        return frozenset(c for c in self.leaves if self.generations.get(c, 0) <= generation)
+    def up_to(self, generation: int) -> "FiniteLamination":
+        """The leaves of pullback generation <= ``generation``, a leaf with no
+        recorded generation counting as 0; an untracked lamination, or one
+        with no leaf past ``generation``, is all of itself."""
+        if self._gens is None or generation >= (self.max_generation or 0):
+            return self
+        N, pairs = self.ring
+        kept = [(p, g) for p, g in zip(pairs, self._gens) if (g or 0) <= generation]
+        return self._from_ring(self.degree, N, [p for p, _ in kept], [g for _, g in kept])
+
+    def issubset(self, other: "FiniteLamination") -> bool:
+        """Whether every leaf is a leaf of ``other``; N is canonical, so the
+        leaves' ends all lie on the ring of ``other`` iff N divides its."""
+        (N, pairs), (M, others) = self.ring, other.ring
+        k, r = divmod(M, N)
+        return not r and set(others).issuperset((a * k, b * k) for a, b in pairs)
 
     def with_leaves(self, extra) -> "FiniteLamination":
         return FiniteLamination(self.degree, list(self.leaves) + list(extra))
@@ -626,29 +643,14 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             cands.sort(key=lambda p: p not in existing)
             options.append(cands)
 
-        # exhaustive over the tiny option product: prefer assignments
-        # containing as many already-present same-image leaves as possible,
-        # then the first in preference order
-        chosen = None
-        best_score = -1
-
-        def search(idx, picked, used, score):
-            nonlocal chosen, best_score
-            if idx == len(options):
-                if score > best_score:
-                    best_score = score
-                    chosen = list(picked)
-                return
-            for p in options[idx]:
-                if p[0] in used or p[1] in used:
-                    continue
-                picked.append(p)
-                used |= {p[0], p[1]}
-                search(idx + 1, picked, used, score + (p in existing))
-                used -= {p[0], p[1]}
-                picked.pop()
-
-        search(0, [], set(), 0)
+        # exhaustive over the tiny option product: the assignments with 2d
+        # distinct ends, most already-present same-image leaves first, then
+        # the first in preference order (max keeps the first maximum)
+        chosen = max(
+            (ps for ps in itertools.product(*options) if len({e for p in ps for e in p}) == 2 * d),
+            key=lambda ps: sum(p in existing for p in ps),
+            default=None,
+        )
         if chosen is None:
             raise InconsistentPortrait(f"no disjoint pullback collection for {_chord(N, leaf)}")
         for p in chosen:
@@ -773,8 +775,7 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
         if not g.finite:
             arc_gaps.append(g.vertices)
             continue
-        # the vertex images on the ring, where the vertex n/q is n*(N//q)
-        images = [d * v.numerator * (N // v.denominator) % N for v in g.vertices]
+        images = [d * _on_ring(N, v) % N for v in g.vertices]
         if _image_degree(images) > 1:
             crit_gaps.append(g)
             # every side is critical exactly when all vertices share one image

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circle import THIRD, Angle, Arc, ccw_offset, preimages
-from .chords import Chord, chord_image, linked
+from .chords import Chord, chord_image, disjoint, linked
 from .lamination import FiniteLamination, _chord, check_unlinked, orbit_classify, pullback_build
 
 __all__ = [
@@ -81,7 +81,7 @@ def strip_between(c1: Chord, c2: Chord) -> Strip:
     endpoints, no crossing)."""
     if c1.degenerate or c2.degenerate:
         raise ValueError("strip_between needs nondegenerate chords")
-    if linked(c1, c2) or set(c1.endpoints) & set(c2.endpoints):
+    if not disjoint(c1, c2):
         raise ValueError("strip_between needs disjoint chords")
     # both endpoints of c2 lie in one arc of c1; walk that arc positively
     # from its start and meet the nearer endpoint of c2 first

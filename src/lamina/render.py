@@ -99,7 +99,7 @@ from math import factorial, gcd, lcm
 import mpmath
 
 from .chords import Chord
-from .circle import Angle, _at, _ring
+from .circle import Angle, _at, _on_ring, _ring
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -287,12 +287,6 @@ def _geodesic_to(canvas: _Canvas, start: int, end: int, straight: bool) -> str:
 
 def _geodesic_path(canvas: _Canvas, a: int, b: int, straight: bool) -> str:
     return f"M {canvas.svg_xy(a)} {_geodesic_to(canvas, a, b, straight)}"
-
-
-def _on_ring(N: int, a) -> int | None:
-    """The int of angle ``a`` on the ring mod N, or None off the ring."""
-    q = a.denominator
-    return a.numerator * (N // q) if N % q == 0 else None
 
 
 def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:

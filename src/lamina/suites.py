@@ -25,12 +25,13 @@ from .lamination import (
     orbit_classify,
     pullback_build,
 )
-from .quad_minor import build_from_minor, minor_of, qml_enumerate, strip_between
+from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
 from .accordion import _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
     ConvexSet,
     FullPortrait,
+    classify_tag_relation,
     cocritical_set,
     full_portraits_of,
     linked_pair_cocritical_quads,
@@ -84,7 +85,7 @@ def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
         if reconstruct(leaf) != leaf:
             failures.append(f"critical leaf {leaf} fails reconstruction")
         base = rng.chord_in_window()
-        quad = cocritical_set(ConvexSet.of(base.endpoints))
+        quad = cocritical_set(ConvexSet.hull_of(base))
         if len(quad.vertices) != 4:
             failures.append(f"co-critical set of {base} is not a quadrilateral")
             continue
@@ -92,7 +93,7 @@ def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
             failures.append(f"collapsing quadrilateral {quad} fails reconstruction")
     for i in range(samples):
         c = rng.chord_in_window()
-        S = ConvexSet.of(c.endpoints)
+        S = ConvexSet.hull_of(c)
         if cocritical_set(cocritical_set(S)) != S:
             failures.append(f"coc o coc != id on {c}")
     return SuiteResult(
@@ -311,8 +312,6 @@ def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
 
     # the intersection dichotomy must agree with the containment cases on a
     # slice of pairs (including same-lamination opposite orderings)
-    from .cubic_tags import classify_tag_relation
-
     checked_cases = 0
     for i in range(0, min(len(tagged), 24)):
         for j in range(i + 1, min(len(tagged), 24)):
@@ -338,7 +337,7 @@ def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
                 lam2, quad = tune_insert(lam, g)
             except ValueError:
                 continue
-            coarse = ConvexSet.of(g.vertices)
+            coarse = ConvexSet.hull_of(g)
             fine = ConvexSet.of(quad.vertices)
             other = sets[0] if sets[1] == coarse else sets[1]
             for fp_coarse, fp_fine in (
@@ -522,8 +521,6 @@ def run_qml(samples: int = 0, seed: int = 1) -> SuiteResult:
         failures.append("enumeration misses 1/7 2/7")
     if bad_minor in q:
         failures.append("enumeration contains 2/7 4/7")
-    from .quad_minor import major_quadrilateral
-
     cross = strips = 0
     for m in q:
         lam = build_from_minor(m, depth=4)

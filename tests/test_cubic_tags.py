@@ -9,6 +9,7 @@ from lamina.lamination import pullback_build
 from lamina.cubic_tags import (
     ConvexSet,
     FullPortrait,
+    TagCaseReport,
     classify_tag_relation,
     cocritical_set,
     full_portraits_of,
@@ -207,3 +208,83 @@ def test_tuned_refinement_gives_nested_tags():
 
     rep = classify_tag_relation(lam, coarse, lam_tuned, fine)
     assert rep.containment_case and rep.consistent
+
+
+def classify_tag_relation_oracle(lamA, fpA, lamX, fpX):
+    """The tag dichotomy on Chord sets: leaves of generation <= the common
+    depth, compared and contained as frozensets."""
+    from lamina.lamination import critical_analysis
+
+    def up_to(lam, g):
+        gens = lam.generations
+        return frozenset(c for c in lam.leaves if not gens or gens.get(c, 0) <= g)
+
+    relation = tags_relation(mixed_tag(lamA, fpA), mixed_tag(lamX, fpX))
+    caveats = ["dendritic filtering is heuristic at finite depth"]
+    common = None
+    if lamA.generations and lamX.generations:
+        common = min(max(lamA.generations.values()), max(lamX.generations.values()))
+        caveats.append(f"leaf containment checked at common depth {common}")
+    leavesA = up_to(lamA, common) if common is not None else frozenset(lamA.leaves)
+    leavesX = up_to(lamX, common) if common is not None else frozenset(lamX.leaves)
+    triangles = [v for v in critical_analysis(lamA).critical_clusters if len(v) == 3]
+    triangle_case = containment_case = False
+    if triangles and leavesA == leavesX:
+        T = set(triangles[0])
+        triangle_case = not (
+            len(fpA.first.vertices) == len(fpX.first.vertices) == 2
+            and set(fpA.first.vertices) <= T
+            and set(fpX.first.vertices) <= T
+            and fpA.first != fpX.first
+        )
+    if not triangles:
+        containment_case = leavesA <= frozenset(lamX.leaves) and fpX.refines(fpA)
+    return TagCaseReport(
+        relation=relation,
+        triangle_case=triangle_case,
+        containment_case=containment_case,
+        consistent=(relation != "disjoint") == (triangle_case or containment_case),
+        common_depth=common,
+        caveats=tuple(caveats),
+    )
+
+
+def test_classify_tag_relation_agrees_with_chord_set_oracle():
+    from lamina.lamination import FiniteLamination, critical_analysis, gap_degree
+    from lamina.qc_portrait import tune_insert
+    from lamina.suites import hexagon_fixtures
+
+    def tagged(lam, extra=()):
+        return lam, full_portraits_of(lam) + list(extra)
+
+    pairs = [
+        (tagged(lam_bicritical(2)), tagged(lam_bicritical(3))),
+        (tagged(lam_triangle(2)), tagged(lam_triangle(3))),
+    ]
+    pairs += [
+        (tagged(lo), tagged(hi)) for lo, hi in zip(hexagon_fixtures(2), hexagon_fixtures(3))
+    ]
+    for lam in hexagon_fixtures(3):
+        analysis = critical_analysis(lam)
+        hex_gap = [g for g in analysis.critical_gaps if len(g.vertices) == 6][0]
+        assert gap_degree(3, hex_gap) == 2
+        leaf = [s for s in analysis.critical_sets if isinstance(s, Chord)][0]
+        # tuning drops the generations
+        lam_tuned, quad = tune_insert(lam, hex_gap)
+        assert lam_tuned.max_generation is None
+        fine = FullPortrait(ConvexSet.of(quad.hull), ConvexSet.hull_of(leaf))
+        pairs.append((tagged(lam), tagged(lam_tuned, [fine])))
+    lam = lam_bicritical(3)
+    pairs.append((tagged(FiniteLamination(3, lam.leaves)), tagged(lam_bicritical(2))))
+
+    reports = []
+    for one, other in pairs:
+        for (lamA, fpsA), (lamX, fpsX) in ((one, other), (other, one)):
+            for fpA in fpsA:
+                for fpX in fpsX:
+                    rep = classify_tag_relation(lamA, fpA, lamX, fpX)
+                    assert rep == classify_tag_relation_oracle(lamA, fpA, lamX, fpX)
+                    reports.append(rep)
+    assert {r.common_depth for r in reports} == {None, 2}
+    assert any(r.triangle_case for r in reports) and any(r.containment_case for r in reports)
+    assert any(r.relation == "disjoint" for r in reports)

@@ -1123,3 +1123,93 @@ def test_heuristically_dendritic_agrees_with_orbit_oracle():
     verdicts = [heuristically_dendritic(lam) for lam in lams]
     assert verdicts == [orbit_dendritic(lam) for lam in lams]
     assert True in verdicts and False in verdicts
+
+
+@functools.cache
+def membership_cases():
+    """The shipped portraits at depths 0-4, sampled cubic libraries (seeds
+    1-3) and the period-5 QML minors at depth 4."""
+    lams = [parse_portrait(p.read_text()).build(d) for p in SHIPPED_PORTRAITS for d in range(5)]
+    lams += [lam for seed in range(1, 4) for lam in suites.sample_cubic_library(Lcg(seed), 4)]
+    lams += [quad_minor.build_from_minor(m, 4) for m in qml_enumerate(5)]
+    return lams
+
+
+def test_membership_agrees_with_chord_set_oracle():
+    seen = set()
+    for lam in membership_cases():
+        d, (N, _) = lam.degree, lam.ring
+        oracle = frozenset(lam.leaves)
+        off = A(1, 2 * N + 1)  # 2N + 1 does not divide N
+        probes = []
+        for c in lam.leaves:
+            probes += [
+                c,
+                (c.b, c.a),
+                (Fraction(c.a), Fraction(c.b)),
+                (c.a, c.b + 1),
+                Chord(c.a, c.a),
+                (c.b, c.b),
+                Chord(c.a, off),
+                (off, c.b),
+            ]
+            # the chords with the leaf's image, leaves or not
+            u, v = chord_image(d, c)
+            probes += [Chord(x, y) for x in preimages(d, u) for y in preimages(d, v)]
+        for probe in probes:
+            assert (probe in lam) == (probe in oracle), (lam, probe)
+            seen.add(probe in oracle)
+    assert seen == {True, False}
+
+
+def assert_up_to_matches_oracle(lam, depth):
+    gens = lam.generations or {}
+    for g in range(depth + 2):
+        cut = lam.up_to(g)
+        want = FiniteLamination(lam.degree, [c for c in lam if gens.get(c, 0) <= g])
+        assert cut == want and cut.ring == want.ring, (lam, g)
+        assert (cut.generations or {}) == {c: gens[c] for c in want if c in gens}
+
+
+def test_up_to_agrees_with_generation_filter():
+    for depth in range(5):
+        for p in SHIPPED_PORTRAITS:
+            lam = parse_portrait(p.read_text()).build(depth)
+            assert lam.max_generation == depth
+            assert_up_to_matches_oracle(lam, depth)
+    for lam in membership_cases():
+        assert_up_to_matches_oracle(lam, lam.max_generation)
+    # a partial generations dict: unrecorded leaves count as generation 0
+    built = pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
+    partial = {c: g for c, g in built.generations.items() if g % 2}
+    lam = FiniteLamination(2, built.leaves, partial)
+    assert lam.max_generation == 3
+    assert_up_to_matches_oracle(lam, 4)
+    assert lam.up_to(0) == FiniteLamination(2, [c for c in built if c not in partial])
+    # an untracked lamination, or one whose dict names no leaf, is all of itself
+    untracked = FiniteLamination(2, built.leaves)
+    assert untracked.max_generation is None and untracked.up_to(0) is untracked
+    unnamed = FiniteLamination(2, built.leaves, {C(1, 3, 2, 3): 5})
+    assert unnamed.max_generation is None and unnamed.up_to(0) == untracked
+
+
+def test_issubset_agrees_with_chord_set_oracle():
+    def check(lam, other):
+        want = frozenset(lam.leaves) <= frozenset(other.leaves)
+        assert lam.issubset(other) == want, (lam, other)
+        return want
+
+    cases = membership_cases()
+    seen = set()
+    for lam in cases:
+        for g in range(lam.max_generation + 1):
+            seen.add(check(lam.up_to(g), lam))
+            seen.add(check(lam, lam.up_to(g)))
+    for lam, other in itertools.product(cases[::7], repeat=2):
+        seen.add(check(lam, other))
+    assert seen == {True, False}
+    # 1/3 and 1/4 share a numerator over their own denominators: ring ints
+    # alone would match them
+    third, quarter = FiniteLamination(3, [C(0, 1, 1, 3)]), FiniteLamination(3, [C(0, 1, 1, 4)])
+    assert not check(third, quarter) and not check(quarter, third)
+    assert check(FiniteLamination(3, []), third)
