@@ -327,11 +327,8 @@ def _interiors_intersect(u, v) -> bool:
         return False
     if set(u) <= set(v) or set(v) <= set(u):
         return True
-    for e1 in ConvexSet(u).edges:
-        for e2 in ConvexSet(v).edges:
-            if linked(e1, e2):
-                return True
-    return False
+    edges = ConvexSet(v).edges
+    return any(linked(e1, e2) for e1 in ConvexSet(u).edges for e2 in edges)
 
 
 @dataclass(frozen=True)

@@ -65,24 +65,20 @@ class Angle(Fraction):
 
     def __new__(cls, numerator=0, denominator=None):
         if denominator is None:
-            if type(numerator) is cls:
+            t = type(numerator)
+            if t is cls:
                 return numerator  # already reduced; immutable, so safe to share
-            if type(numerator) is Fraction:
+            if t is str:  # a parsed token, the commonest input after an Angle
+                return _parse(numerator)
+            if t is Fraction:
                 q = numerator._denominator
                 return _angle(numerator._numerator % q, q)
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
         if isinstance(numerator, str):
-            text = numerator.strip()
-            if not _RATIONAL.fullmatch(text):
-                raise ValueError(f"angle must be an integer or p/q with q > 0: {numerator!r}")
             if denominator is None:
-                # the match leaves only "p" or "p/q" with q > 0 for int()
-                p, _, q = text.partition("/")
-                q = int(q) if q else 1
-                n = int(p) % q
-                g = gcd(n, q)
-                return _angle(n // g, q // g)
+                return _parse(numerator)
+            _parse(numerator)  # a bad string is a ValueError; Fraction refuses the rest
         value = Fraction(numerator, denominator)
         q = value._denominator
         return _angle(value._numerator % q, q)
@@ -143,6 +139,20 @@ def _angle(n: int, q: int) -> Angle:
     return self
 
 
+def _parse(text: str) -> Angle:
+    """The Angle of an integer or "p/q" string with q > 0, blanks around it
+    allowed; anything else is a ValueError."""
+    digits = text.strip()
+    if not _RATIONAL.fullmatch(digits):
+        raise ValueError(f"angle must be an integer or p/q with q > 0: {text!r}")
+    # the match leaves only "p" or "p/q" with q > 0 for int()
+    p, _, q = digits.partition("/")
+    q = int(q) if q else 1
+    n = int(p) % q
+    g = gcd(n, q)
+    return _angle(n // g, q // g)
+
+
 THIRD = Angle(1, 3)
 
 
@@ -177,6 +187,17 @@ class Arc:
 
     def __str__(self) -> str:
         return f"({self.start}, {self.end})"
+
+
+def _arc(start: Angle, end: Angle) -> Arc:
+    """The Arc from ``start`` to ``end``, two distinct Angles, built without
+    the checks of ``Arc(...)`` (the fields are set as a frozen dataclass's
+    ``__init__`` sets them)."""
+    arc = object.__new__(Arc)
+    fields = arc.__dict__
+    fields["start"] = start
+    fields["end"] = end
+    return arc
 
 
 def _check_degree(d) -> None:
@@ -240,9 +261,12 @@ def _at(N: int, x: int) -> Angle:
 
 
 def _on_ring(N: int, a) -> int | None:
-    """The int of angle ``a`` on the ring mod N, or None off the ring."""
-    q = a.denominator
-    return a.numerator * (N // q) if N % q == 0 else None
+    """The int of a rational ``a`` on the ring mod N, or None off the ring."""
+    if type(a) is Angle:  # its slots, not Fraction's properties
+        n, q = a._numerator, a._denominator
+    else:
+        n, q = a.numerator, a.denominator
+    return n * (N // q) if N % q == 0 else None
 
 
 def ccw_offset(a, b) -> Angle:

@@ -10,15 +10,18 @@ refining a portrait inside its critical sets shrinks the tag.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from .circle import THIRD, Angle, ccw_offset, shortest_dist, sigma, preimages
-from .chords import Chord, linked
+from .circle import Angle, _at, _ring, shortest_dist
+from .chords import Chord
 from .lamination import (
     FiniteLamination,
     Gap,
-    boundary_degree,
+    _image_degree,
     critical_analysis,
 )
 from .qc_portrait import make_quadrilateral, strongly_linked, COLLAPSING
@@ -43,16 +46,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexSet:
     """Convex hull of finitely many circle points: a point, chord or polygon.
 
     Vertices are stored ascending (positive circular order from the
-    smallest).  Closed-disk intersection with another such set is decided by
-    shared vertices and edge crossings.
+    smallest); that tuple of Angles is the public view.  The hull also puts
+    them on one ring (see ``circle._ring``): ``ring`` is (N, xs), N the lcm
+    of the vertex denominators and xs their ascending numerators over N, so
+    equal sets have equal rings and every question below is asked of ints.
+    Its co-critical set and its text are formed on first use and kept.
     """
 
     vertices: tuple
+    ring: tuple = field(init=False, repr=False)
+    _cocritical: "ConvexSet | None" = field(init=False, repr=False, default=None)
+    _text: "str | None" = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        N, xs = _ring(self.vertices)
+        object.__setattr__(self, "ring", (N, tuple(xs)))
 
     @classmethod
     def of(cls, points) -> "ConvexSet":
@@ -66,6 +79,24 @@ class ConvexSet:
         """The hull of a chord or of a finite gap, e.g. a critical set."""
         return cls.of(s.endpoints if isinstance(s, Chord) else s.vertices)
 
+    @classmethod
+    def _of_ring(cls, N: int, xs) -> "ConvexSet":
+        """The hull of the ring points xs mod N, in any order, with repeats."""
+        xs = sorted(set(xs))
+        g = gcd(N, *xs)
+        hull = cls.__new__(cls)
+        fields = hull.__dict__
+        fields["vertices"] = tuple(_at(N, x) for x in xs)
+        fields["ring"] = (N // g, tuple(x // g for x in xs))
+        fields["_cocritical"] = fields["_text"] = None
+        return hull
+
+    def __eq__(self, other):
+        return isinstance(other, ConvexSet) and self.ring == other.ring
+
+    def __hash__(self):
+        return hash(self.ring)
+
     @property
     def edges(self) -> tuple:
         v = self.vertices
@@ -76,47 +107,58 @@ class ConvexSet:
         return tuple(Chord(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
 
     def holes(self):
-        """Positive arcs between consecutive vertices as (start, end, length);
-        a single point has the full circle as its one hole."""
-        v = self.vertices
-        if len(v) == 1:
-            return [(v[0], v[0], Fraction(1))]
-        out = []
-        for i in range(len(v)):
-            s, e = v[i], v[(i + 1) % len(v)]
-            out.append((s, e, ccw_offset(s, e)))
-        return out
+        """Positive arcs between consecutive vertices as (start, end, length)
+        on the ring: ints mod N, a length N for the one hole of a point, the
+        full circle."""
+        N, xs = self.ring
+        return [(s, e, (e - s) % N or N) for s, e in zip(xs, xs[1:] + xs[:1])]
 
     def intersects(self, other: "ConvexSet") -> bool:
-        if set(self.vertices) & set(other.vertices):
-            return True
-        for e1 in self.edges:
-            for e2 in other.edges:
-                if linked(e1, e2):
-                    return True
+        """Whether the closed hulls meet: they share a vertex, or the vertices
+        of ``other`` lie in two or more holes of this set, so that an edge of
+        each crosses.  Each vertex of ``other`` finds its hole by bisection,
+        both sets put on the ring mod N*M by cross-multiplying."""
+        (N, xs), (M, ys) = self.ring, other.ring
+        n = len(xs)
+        if n == len(ys) == 1:  # the commonest case, two points
+            return xs[0] * M == ys[0] * N
+        if N != M:
+            xs, ys = [x * M for x in xs], [y * N for y in ys]
+        hole = None
+        for y in ys:
+            i = bisect_left(xs, y)
+            if i < n and xs[i] == y:
+                return True
+            # hole i runs from xs[i - 1] to xs[i]; past the last vertex is hole 0
+            i %= n
+            if hole is None:
+                hole = i
+            elif hole != i:
+                return True
         return False
 
     def contains(self, other: "ConvexSet") -> bool:
-        return set(other.vertices) <= set(self.vertices)
+        (N, xs), (M, ys) = self.ring, other.ring
+        # a vertex of self lies on the ring mod N, so M divides N
+        return not N % M and set(xs).issuperset(y * (N // M) for y in ys)
 
     def image(self, d: int) -> "ConvexSet":
-        return ConvexSet.of(sigma(d, v) for v in self.vertices)
+        N, xs = self.ring
+        return ConvexSet._of_ring(N, [d * x % N for x in xs])
 
     def degree(self, d: int) -> int:
-        return boundary_degree(d, self.vertices)
+        N, xs = self.ring
+        return _image_degree([d * x % N for x in xs])
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(v) for v in self.vertices) + "}"
-
-
-def _in_closed_arc(p, start, end, length) -> bool:
-    if length >= 1:
-        return True
-    return ccw_offset(start, p) <= length
+        if self._text is None:
+            object.__setattr__(self, "_text", "{" + ", ".join(map(str, self.vertices)) + "}")
+        return self._text
 
 
 def cocritical_set(C: ConvexSet) -> ConvexSet:
-    """Co-critical set of a cubic critical leaf or gap.
+    """Co-critical set of a cubic critical leaf or gap, computed once per set
+    and kept on it.
 
     Degree-3 sets are their own co-critical set.  Otherwise the unique hole
     of length > 1/3 is selected (a tied length-1/3 hole loses); the result
@@ -124,31 +166,44 @@ def cocritical_set(C: ConvexSet) -> ConvexSet:
     set itself, whose tripling image lies in the image of the set.
 
     Rejects sets with two holes of length > 1/3 (they separate the two
-    critical sets and carry no co-critical data).
+    critical sets and carry no co-critical data); a rejection is not kept.
+    No other set is rejected.  Holes all shorter than 1/3 would wind the
+    image boundary around three times, so a set of another degree has a
+    hole of length >= 1/3.  The chosen hole (s, e) holds a point to keep:
+    s + 1/3 when it is longer than 1/3, and otherwise a preimage of a
+    vertex off its ends, which exists since the set is no triangle.
+
+    The work is on ints: the tripling preimages of a point w of the ring
+    mod N are w, w + N and w + 2N on the ring mod 3N, where a vertex x of
+    the set sits at 3x and its hole (s, e) of length l becomes (3s, 3e) of
+    length 3l.
     """
-    if C.degree(3) == 3:
+    if C._cocritical is None:
+        object.__setattr__(C, "_cocritical", _cocritical_set(C))
+    return C._cocritical
+
+
+def _cocritical_set(C: ConvexSet) -> ConvexSet:
+    N, xs = C.ring
+    images = [3 * x % N for x in xs]
+    if _image_degree(images) == 3:
         return C
-    long_holes = [h for h in C.holes() if h[2] >= THIRD]
-    if not long_holes:
-        raise ValueError(f"{C} has no hole of length >= 1/3")
+    # a hole of length l is at least a third of the circle iff 3l >= N
+    long_holes = [h for h in C.holes() if 3 * h[2] >= N]
     if len(long_holes) > 1:
-        strict = [h for h in long_holes if h[2] > THIRD]
-        if len(strict) != 1:
+        long_holes = [h for h in long_holes if 3 * h[2] > N]
+        if len(long_holes) != 1:
             raise ValueError(f"{C} has several long holes; co-critical set undefined")
-        hole = strict[0]
-    else:
-        hole = long_holes[0]
-    start, end, length = hole
-    image_points = {sigma(3, v) for v in C.vertices}
-    points = set()
-    for w in image_points:
-        for q in preimages(3, w):
-            if _in_closed_arc(q, start, end, length):
-                points.add(q)
-    points -= set(C.vertices)
-    if not points:
-        raise ValueError(f"{C} has an empty co-critical set")
-    return ConvexSet.of(points)
+    start, _, length = long_holes[0]
+    M, s, l = 3 * N, 3 * start, 3 * length
+    own = {3 * x for x in xs}
+    points = [
+        p
+        for w in set(images)
+        for p in (w, w + N, w + 2 * N)
+        if (p - s) % M <= l and p not in own
+    ]
+    return ConvexSet._of_ring(M, points)
 
 
 @dataclass(frozen=True)
@@ -197,14 +252,17 @@ class MixedTag:
 
 
 def _validate_portrait_sets(lam: FiniteLamination, fp: FullPortrait):
+    # the sides of a hull, as sorted pairs of Angles in the order of
+    # ConvexSet.edges, are looked up on the lamination's ring by `in`
     for S in fp:
-        if len(S.vertices) == 2:
-            if Chord(S.vertices[0], S.vertices[1]) not in lam:
+        v = S.vertices
+        if len(v) == 2:
+            if v not in lam:
                 raise ValueError(f"{S} is not a leaf of the lamination")
-        elif len(S.vertices) >= 3:
-            for e in S.edges:
+        elif len(v) >= 3:
+            for e in [*zip(v, v[1:]), (v[0], v[-1])]:
                 if e not in lam:
-                    raise ValueError(f"{S} is not a gap of the lamination (missing edge {e})")
+                    raise ValueError(f"{S} is not a gap of the lamination (missing edge {Chord(*e)})")
 
 
 def mixed_tag(lam: FiniteLamination | None, fp: FullPortrait) -> MixedTag:
@@ -224,6 +282,63 @@ def tags_relation(t1: MixedTag, t2: MixedTag) -> str:
     if not t1.intersects(t2):
         return "disjoint"
     return "properly_overlapping"
+
+
+def _meeting_pairs(hulls):
+    """Yield the index pairs (i, j), i < j, of the hulls that meet, in
+    ascending order.
+
+    Two hulls meet iff they share a vertex or an edge of one crosses an edge
+    of the other (see :meth:`ConvexSet.intersects`).  Shared vertices come
+    from bucketing the hulls by vertex.  Crossings come from one sweep over
+    all edges (a, b), a < b, as ranks in the circle order of all vertices:
+    the edges from a ascend by start, and the open edges (c, d), c < a < d,
+    sit in a heap by end d.  An open edge crosses (a, b) iff d < b, and those
+    are read off the top of the heap.  For M vertices and edges and K pairs
+    yielded that is O(M log M + K), where comparing every pair is O(n^2) for
+    n hulls.  The pairs of hull i are formed when i is reached, so only the
+    crossings are held at once.
+    """
+    rank = {v: r for r, v in enumerate(sorted({v for h in hulls for v in h.vertices}))}
+    corners = [[rank[v] for v in h.vertices] for h in hulls]
+    through = {}  # vertex rank -> the hulls through it, ascending
+    edges = []
+    for i, vs in enumerate(corners):
+        for v in vs:
+            through.setdefault(v, []).append(i)
+        if len(vs) > 1:
+            edges += [(a, b, i) for a, b in zip(vs, vs[1:])]
+        if len(vs) > 2:
+            edges.append((vs[0], vs[-1], i))
+    crossing = {}  # i -> the hulls j > i with an edge crossing one of i
+    edges.sort()
+    open_edges = []  # a heap of (end, hull)
+    k = 0
+    while k < len(edges):
+        a = edges[k][0]
+        while open_edges and open_edges[0][0] <= a:
+            heapq.heappop(open_edges)  # ends before a or at it: crosses nothing from a on
+        start = k
+        while k < len(edges) and edges[k][0] == a:
+            _, b, i = edges[k]
+            k += 1
+            # the entries below b form a subtree at the top of the heap
+            stack = [0]
+            while stack:
+                n = stack.pop()
+                if n < len(open_edges) and open_edges[n][0] < b:
+                    j = open_edges[n][1]  # edges of one convex hull never cross
+                    crossing.setdefault(min(i, j), set()).add(max(i, j))
+                    stack += (2 * n + 1, 2 * n + 2)
+        for _, b, i in edges[start:k]:
+            heapq.heappush(open_edges, (b, i))
+    for i, vs in enumerate(corners):
+        partners = crossing.pop(i, set())
+        for v in vs:
+            owners = through[v]
+            partners.update(owners[bisect_right(owners, i):])
+        for j in sorted(partners):
+            yield i, j
 
 
 def full_portraits_of(lam: FiniteLamination):
@@ -276,7 +391,9 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
     else:
         common = min(depthA, depthX)
         caveats.append(f"leaf containment checked at common depth {common}")
-        truncA, truncX = lamA.up_to(common), lamX.up_to(common)
+        # only the deeper lamination is cut
+        truncA = lamA if depthA == common else lamA.up_to(common)
+        truncX = lamX if depthX == common else lamX.up_to(common)
 
     # a cubic all-critical polygon is a triangle
     triangles = [v for v in critical_analysis(lamA).critical_clusters if len(v) == 3]
@@ -293,7 +410,7 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
         triangle_case = not first_edges_distinct
     containment_case = False
     if not triangles:
-        containment_case = truncA.issubset(lamX) and fpX.refines(fpA)
+        containment_case = fpX.refines(fpA) and truncA.issubset(lamX)
     consistent = (relation != "disjoint") == (triangle_case or containment_case)
     return TagCaseReport(
         relation=relation,
@@ -344,10 +461,9 @@ class GeometryReport:
 def reconstruct(C: ConvexSet) -> ConvexSet:
     """Hull of the thirds-translates of the co-critical set; equals the
     original set for critical leaves and collapsing quadrilaterals."""
-    coc = cocritical_set(C)
-    pts = [Angle(v + THIRD) for v in coc.vertices]
-    pts += [Angle(v + 2 * THIRD) for v in coc.vertices]
-    return ConvexSet.of(pts)
+    N, xs = cocritical_set(C).ring
+    # x/N + k/3 is (3x + kN)/3N
+    return ConvexSet._of_ring(3 * N, [(3 * x + k * N) % (3 * N) for k in (1, 2) for x in xs])
 
 
 def linked_pair_cocritical_quads(l1: Chord, l2: Chord):
@@ -386,18 +502,24 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
             continue
         if len(coc.vertices) == 1:
             continue  # its one hole is the whole circle, behind no edge
-        cset = set(C.vertices)
+        # the three sets on one ring mod L
+        minor = D.image(3)
+        L = lcm(coc.ring[0], C.ring[0], minor.ring[0])
+        crit, ends = ([x * (L // S.ring[0]) for x in S.ring[1]] for S in (C, minor))
+        k = L // coc.ring[0]
         for s, t, arc_len in coc.holes():
-            if any(0 < ccw_offset(s, p) < arc_len for p in cset):
+            s, t, arc_len = s * k, t * k, arc_len * k
+            if any(0 < (p - s) % L < arc_len for p in crit):
                 continue  # hole meets the critical set
-            e = str(Chord(s, t))
-            if arc_len > THIRD:
+            e = str(Chord(_at(L, s), _at(L, t)))
+            if 3 * arc_len > L:
                 report.colocation_failures.append((str(C), e, "arc longer than 1/3"))
-            img_span = ccw_offset(sigma(3, t), sigma(3, s))
-            for w in D.image(3).vertices:
-                if ccw_offset(sigma(3, t), w) > img_span:
+            # the image arc runs from sigma3(t) to sigma3(s)
+            img_span = 3 * (s - t) % L
+            for w in ends:
+                if (w - 3 * t) % L > img_span:
                     report.colocation_failures.append(
-                        (str(C), e, f"minor vertex {w} escapes the image arc")
+                        (str(C), e, f"minor vertex {_at(L, w)} escapes the image arc")
                     )
 
     for l1, l2 in linked_samples:

@@ -44,8 +44,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 
-from .circle import Arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma, shortest_dist
+from .circle import _arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma, shortest_dist
 from .chords import (
     Chord,
     _ring_image,
@@ -81,6 +82,9 @@ class InconsistentPortrait(ValueError):
     """Raised when a pullback portrait crosses itself or its critical chords."""
 
 
+_UNREAD = object()  # a slot not yet filled on first read
+
+
 class FiniteLamination:
     """Degree d plus a canonically sorted set of nondegenerate chords, stored
     as its ring (see ``circle._ring``): N, the lcm of the reduced endpoint
@@ -89,11 +93,12 @@ class FiniteLamination:
     degenerate chords) but does not enforce unlinkedness; use
     :func:`check_unlinked`.  The optional ``generations`` mapping records the
     pullback generation of each leaf and is metadata: it does not participate
-    in equality.  That mapping, the Chords (``leaves``) and
-    :func:`critical_analysis` are formed on first read and kept.
+    in equality.  That mapping, its ``max_generation``, the Chords
+    (``leaves``) and :func:`critical_analysis` are formed on first read and
+    kept.
     """
 
-    __slots__ = ("degree", "ring", "_gens", "_leaves", "_generations", "_analysis")
+    __slots__ = ("degree", "ring", "_gens", "_leaves", "_generations", "_analysis", "_depth")
 
     def __init__(self, degree: int, leaves=(), generations=None):
         if not isinstance(degree, int) or degree < 2:
@@ -107,6 +112,7 @@ class FiniteLamination:
         self._leaves = tuple(c for _, c in canon)
         self._gens = tuple(generations.get(c) for c in self._leaves) if generations else None
         self._generations = self._analysis = None
+        self._depth = _UNREAD
 
     @classmethod
     def _from_ring(cls, degree: int, N: int, pairs, generations=None) -> "FiniteLamination":
@@ -118,6 +124,7 @@ class FiniteLamination:
         lam.ring = N // g, tuple(pairs if g == 1 else [(a // g, b // g) for a, b in pairs])
         lam._gens = None if generations is None else tuple(generations)
         lam._leaves = lam._generations = lam._analysis = None
+        lam._depth = _UNREAD
         return lam
 
     def __eq__(self, other):
@@ -136,11 +143,16 @@ class FiniteLamination:
 
     def __contains__(self, chord):
         """Whether a sorted pair of angles is a leaf, looked up among the
-        sorted ring pairs; an end off the ring is the end of no leaf."""
+        sorted ring pairs.  Anything else is no leaf: a pair whose ends are
+        not both rationals (floats, strings, None), a pair out of order, and
+        a pair with an end off the ring."""
         if not isinstance(chord, tuple) or len(chord) != 2:
             return False
+        a, b = chord
+        if not (isinstance(a, Rational) and isinstance(b, Rational)):
+            return False
         N, pairs = self.ring
-        p = (_on_ring(N, chord[0]), _on_ring(N, chord[1]))
+        p = (_on_ring(N, a), _on_ring(N, b))
         if None in p:
             return False
         i = bisect_left(pairs, p)
@@ -166,11 +178,11 @@ class FiniteLamination:
 
     @property
     def max_generation(self) -> int | None:
-        """The deepest recorded pullback generation, None when none is."""
-        gens = self._gens or ()
-        if None in gens:
-            gens = [g for g in gens if g is not None]
-        return max(gens, default=None)
+        """The deepest recorded pullback generation, None when none is;
+        found on first read and kept."""
+        if self._depth is _UNREAD:
+            self._depth = max((g for g in self._gens or () if g is not None), default=None)
+        return self._depth
 
     def up_to(self, generation: int) -> "FiniteLamination":
         """The leaves of pullback generation <= ``generation``, a leaf with no
@@ -306,23 +318,24 @@ def gaps(lam: FiniteLamination) -> list[Gap]:
     bounds = zip(
         [*pairs, (pairs[top[0]][0], pairs[top[-1]][1])],
         [*leaves, (first, last)],
-        [*chord_sides, ("arc", Arc(last, first))],
+        [*chord_sides, ("arc", _arc(last, first))],
     )
     result = []
     for ((x, y), (start, end), closing), inside in zip(bounds, children):
         # p is the ring int of the last vertex so far; an arc of length 0
-        # between two children that share an end is left out
+        # between two children that share an end is left out, so each arc
+        # joins two distinct ring ints and needs no check
         p, verts, sides = x, [start], []
         for j in inside:
             (a, b), c = pairs[j], leaves[j]
             if p != a:
-                sides.append(("arc", Arc(verts[-1], c.a)))
+                sides.append(("arc", _arc(verts[-1], c.a)))
                 verts.append(c.a)
             sides.append(chord_sides[j])
             verts.append(c.b)
             p = b
         if p != y:
-            sides.append(("arc", Arc(verts[-1], end)))
+            sides.append(("arc", _arc(verts[-1], end)))
             verts.append(end)
         sides.append(closing)
         result.append(Gap(tuple(verts), tuple(sides)))

@@ -29,6 +29,7 @@ from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enu
 from .qc_portrait import tune_insert, COLLAPSING
 from .accordion import _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
+    _meeting_pairs,
     ConvexSet,
     FullPortrait,
     classify_tag_relation,
@@ -287,6 +288,25 @@ def run_crifar(samples: int = 100, seed: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _tag_pair_failures(tagged) -> list[str]:
+    """The failure line of each pair of ``tagged`` (lamination index,
+    portrait, tag) triples whose tags overlap, or are equal and come from
+    distinct laminations, in the order of a scan over all pairs.
+
+    Tags whose minor factors miss each other are disjoint, so only the pairs
+    whose minor factors meet are related: the scan is output-sensitive (see
+    ``cubic_tags._meeting_pairs``)."""
+    failures = []
+    for i, j in _meeting_pairs([tag.minor_factor for _, _, tag in tagged]):
+        (lam_i, _, tag_i), (lam_j, _, tag_j) = tagged[i], tagged[j]
+        rel = tags_relation(tag_i, tag_j)
+        if rel == "properly_overlapping":
+            failures.append(f"tags overlap: {tag_i} (lam {lam_i}) vs {tag_j} (lam {lam_j})")
+        elif rel == "equal" and lam_i != lam_j:
+            failures.append(f"equal tags from distinct laminations {lam_i} / {lam_j}")
+    return failures
+
+
 def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
     library = sample_cubic_library(Lcg(seed), samples)
     failures = _short_library(library, samples)
@@ -298,17 +318,7 @@ def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
                 tagged.append((idx, fp, mixed_tag(lam, fp)))
             except ValueError as exc:
                 failures.append(f"lamination {idx}: tag failure {exc}")
-    for i in range(len(tagged)):
-        for j in range(i + 1, len(tagged)):
-            rel = tags_relation(tagged[i][2], tagged[j][2])
-            if rel == "properly_overlapping":
-                failures.append(
-                    f"tags overlap: {tagged[i][2]} (lam {tagged[i][0]}) vs {tagged[j][2]} (lam {tagged[j][0]})"
-                )
-            elif rel == "equal" and tagged[i][0] != tagged[j][0]:
-                failures.append(
-                    f"equal tags from distinct laminations {tagged[i][0]} / {tagged[j][0]}"
-                )
+    failures += _tag_pair_failures(tagged)
 
     # the intersection dichotomy must agree with the containment cases on a
     # slice of pairs (including same-lamination opposite orderings)

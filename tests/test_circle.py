@@ -52,6 +52,37 @@ def test_angle_rejects_decimal_and_exponent_strings(text):
         Angle(text)
 
 
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        ("0", Angle(0)),
+        ("-1/3", Angle(2, 3)),
+        (" 2/6 ", Angle(1, 3)),
+        ("1/007", Angle(1, 7)),
+        ("0.5", None),
+        ("1e-1", None),
+        ("1/0", None),
+        ("1/-3", None),
+        ("", None),
+    ],
+)
+def test_angle_string_table(text, accepted):
+    if accepted is None:
+        with pytest.raises(ValueError):
+            Angle(text)
+    else:
+        angle = Angle(text)
+        assert type(angle) is Angle and angle == accepted
+
+
+def test_angle_string_with_a_denominator_is_refused():
+    # a string is checked first, then Fraction refuses a string numerator
+    with pytest.raises(ValueError):
+        Angle("1/0", 2)
+    with pytest.raises(TypeError):
+        Angle("1/3", 2)
+
+
 _blanks = st.text(alphabet=" \t\n", max_size=2)
 _digits = st.builds(
     lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**30)

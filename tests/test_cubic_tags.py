@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from lamina.lamination import pullback_build
 from lamina.cubic_tags import (
     ConvexSet,
     FullPortrait,
+    MixedTag,
     TagCaseReport,
     classify_tag_relation,
     cocritical_set,
@@ -288,3 +290,274 @@ def test_classify_tag_relation_agrees_with_chord_set_oracle():
     assert {r.common_depth for r in reports} == {None, 2}
     assert any(r.triangle_case for r in reports) and any(r.containment_case for r in reports)
     assert any(r.relation == "disjoint" for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the ring hulls, the kept co-critical sets and the maintag sweep
+# ---------------------------------------------------------------------------
+
+
+def cocritical_set_oracle(C):
+    """The co-critical set on Angles and Fraction lengths, hole by hole."""
+    from lamina.circle import THIRD, ccw_offset, preimages, sigma
+    from lamina.lamination import boundary_degree
+
+    v = C.vertices
+    if boundary_degree(3, v) == 3:
+        return C
+    if len(v) == 1:
+        holes = [(v[0], v[0], Fraction(1))]
+    else:
+        holes = [(s, e, ccw_offset(s, e)) for s, e in zip(v, v[1:] + v[:1])]
+    long_holes = [h for h in holes if h[2] >= THIRD]
+    if not long_holes:
+        raise ValueError(f"{C} has no hole of length >= 1/3")
+    if len(long_holes) > 1:
+        strict = [h for h in long_holes if h[2] > THIRD]
+        if len(strict) != 1:
+            raise ValueError(f"{C} has several long holes; co-critical set undefined")
+        long_holes = strict
+    start, _, length = long_holes[0]
+    points = {
+        q
+        for w in {sigma(3, x) for x in v}
+        for q in preimages(3, w)
+        if length >= 1 or ccw_offset(start, q) <= length
+    } - set(v)
+    if not points:
+        raise ValueError(f"{C} has an empty co-critical set")
+    return ConvexSet.of(points)
+
+
+def intersects_oracle(P, Q):
+    """Closed hulls meet: a shared vertex or two linked edges."""
+    from lamina.chords import linked
+
+    return bool(set(P.vertices) & set(Q.vertices)) or any(
+        linked(e1, e2) for e1 in P.edges for e2 in Q.edges
+    )
+
+
+def check_cocritical(vertices):
+    """Compare ``cocritical_set`` with the oracle on a fresh hull: the same
+    set, or a ValueError with the same message.  Returns the outcome."""
+    try:
+        want = cocritical_set_oracle(ConvexSet.of(vertices))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            cocritical_set(ConvexSet.of(vertices))
+        assert str(info.value) == str(exc)
+        return str(exc).split(" has ")[1]
+    got = cocritical_set(ConvexSet.of(vertices))
+    assert got == want and got.vertices == want.vertices and got.ring == want.ring
+    return "set"
+
+
+def random_hulls(seed, count, max_vertices=6):
+    """Seeded hulls of 1 to ``max_vertices`` points with small mixed
+    denominators, so that shared vertices, crossings and ties are common."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        points = {
+            A(rng.randrange(q), q)
+            for q in (rng.choice((2, 3, 4, 6, 9, 12, 18, 24, 27, 36)) for _ in range(rng.randrange(1, max_vertices + 1)))
+        }
+        out.append(ConvexSet.of(points))
+    return out
+
+
+@functools.cache
+def cubic_libraries():
+    """The maintag libraries of seeds 1-5 at 100 samples."""
+    from lamina.sampling import Lcg
+    from lamina.suites import sample_cubic_library
+
+    return {seed: sample_cubic_library(Lcg(seed), 100) for seed in range(1, 6)}
+
+
+def hexagon_tagged():
+    """Tagged hexagon fixtures at depths 2 and 3: one portrait at two depths
+    gives equal tags from distinct laminations."""
+    from lamina.suites import hexagon_fixtures
+
+    return tagged_library(hexagon_fixtures(2) + hexagon_fixtures(3))
+
+
+def tagged_library(library):
+    return [(idx, fp, mixed_tag(lam, fp)) for idx, lam in enumerate(library) for fp in full_portraits_of(lam)]
+
+
+def test_ring_cocritical_set_agrees_with_fraction_oracle():
+    outcomes = set()
+    for library in cubic_libraries().values():
+        for lam in library:
+            for fp in full_portraits_of(lam):
+                for S in (fp.first, fp.second, minor_set(fp)):
+                    outcomes.add(check_cocritical(S.vertices))
+    assert "set" in outcomes
+    for hull in random_hulls(2014, 3000):
+        outcomes.add(check_cocritical(hull.vertices))
+    # the oracle's other two rejections cannot fire (see cocritical_set)
+    assert outcomes == {"set", "several long holes; co-critical set undefined"}
+
+
+def test_ring_hull_questions_agree_with_angle_views():
+    from lamina.lamination import boundary_degree
+
+    hulls = random_hulls(7, 400)
+    for h in hulls:
+        N, xs = h.ring
+        assert tuple(A(x, N) for x in xs) == h.vertices
+        assert h.image(3) == ConvexSet.of(3 * v for v in h.vertices)
+        assert h.degree(3) == boundary_degree(3, h.vertices)
+        assert h == ConvexSet.of(h.vertices) and hash(h) == hash(ConvexSet.of(h.vertices))
+    for P, Q in zip(hulls, hulls[1:]):
+        assert P.contains(Q) == (set(Q.vertices) <= set(P.vertices))
+        assert (P == Q) == (P.vertices == Q.vertices)
+
+
+def test_ring_intersects_agrees_with_linked_edges():
+    hulls = random_hulls(3, 300)
+    kinds = set()
+    for i, P in enumerate(hulls):
+        for Q in hulls[i:i + 40]:
+            want = intersects_oracle(P, Q)
+            assert P.intersects(Q) == want == Q.intersects(P), (P, Q)
+            kinds.add((want, bool(set(P.vertices) & set(Q.vertices))))
+    # disjoint, meeting at a vertex, and crossing without a shared vertex
+    assert kinds == {(False, False), (True, True), (True, False)}
+
+
+def all_pairs_meeting(hulls):
+    return [
+        (i, j) for i in range(len(hulls)) for j in range(i + 1, len(hulls)) if intersects_oracle(hulls[i], hulls[j])
+    ]
+
+
+def all_pairs_tag_failures(tagged):
+    """The maintag pair scan over all pairs of tags."""
+    failures = []
+    for i in range(len(tagged)):
+        for j in range(i + 1, len(tagged)):
+            rel = tags_relation(tagged[i][2], tagged[j][2])
+            if rel == "properly_overlapping":
+                failures.append(
+                    f"tags overlap: {tagged[i][2]} (lam {tagged[i][0]}) vs {tagged[j][2]} (lam {tagged[j][0]})"
+                )
+            elif rel == "equal" and tagged[i][0] != tagged[j][0]:
+                failures.append(f"equal tags from distinct laminations {tagged[i][0]} / {tagged[j][0]}")
+    return failures
+
+
+def test_meeting_pairs_agrees_with_all_pairs_scan():
+    from lamina.cubic_tags import _meeting_pairs
+    from lamina.suites import _tag_pair_failures, hexagon_fixtures
+
+    cases = [hexagon_tagged()]
+    cases += [tagged_library(library + hexagon_fixtures()) for library in cubic_libraries().values()]
+    for tagged in cases:
+        minors = [tag.minor_factor for _, _, tag in tagged]
+        assert list(_meeting_pairs(minors)) == all_pairs_meeting(minors)
+        assert _tag_pair_failures(tagged) == all_pairs_tag_failures(tagged)
+    lines = _tag_pair_failures(cases[0])
+    assert lines and all(line.startswith("equal tags from distinct laminations") for line in lines)
+    # polygons and chords that cross without sharing a vertex, and made-up
+    # tags of random hulls, which overlap
+    hulls = random_hulls(11, 250)
+    assert list(_meeting_pairs(hulls)) == all_pairs_meeting(hulls)
+    assert list(_meeting_pairs([])) == [] == list(_meeting_pairs(hulls[:1]))
+    fake = [(k % 7, None, MixedTag(P, Q)) for k, (P, Q) in enumerate(zip(hulls, random_hulls(12, 250)))]
+    fake += [(idx + 1, fp, tag) for idx, fp, tag in fake[:20]]
+    lines = _tag_pair_failures(fake)
+    assert lines == all_pairs_tag_failures(fake)
+    assert {line.split(" ")[0] for line in lines} == {"tags", "equal"}
+
+
+def test_cocritical_set_is_kept_and_a_rejection_is_not(monkeypatch):
+    import lamina.cubic_tags as cubic_tags
+
+    computed = []
+    original = cubic_tags._cocritical_set
+
+    def counting(C):
+        computed.append(C)
+        return original(C)
+
+    monkeypatch.setattr(cubic_tags, "_cocritical_set", counting)
+    held = [(lam, fp) for lam in cubic_libraries()[1][:12] for fp in full_portraits_of(lam)]
+    tags = [mixed_tag(lam, fp) for lam, fp in held]
+    assert len(computed) == len(held)
+    computed.clear()
+    for (lamA, fpA), (lamX, fpX) in zip(held, held[1:]):
+        classify_tag_relation(lamA, fpA, lamX, fpX)
+    assert [mixed_tag(lam, fp) for lam, fp in held] == tags
+    assert computed == []
+    separating = S(0, F(1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cocritical_set(separating)
+    assert computed == [separating, separating]
+
+
+def colocation_oracle(lam):
+    """The colocation check of geometry_checks on Angles."""
+    from lamina.circle import THIRD, ccw_offset, sigma
+
+    failures = []
+    for fp in full_portraits_of(lam):
+        C, D = fp.first, fp.second
+        try:
+            coc = cocritical_set_oracle(C)
+        except ValueError:
+            continue
+        v = coc.vertices
+        if len(v) == 1:
+            continue
+        for s, t in zip(v, v[1:] + v[:1]):
+            arc_len = ccw_offset(s, t)
+            if any(0 < ccw_offset(s, p) < arc_len for p in C.vertices):
+                continue
+            e = str(Chord(s, t))
+            if arc_len > THIRD:
+                failures.append((str(C), e, "arc longer than 1/3"))
+            img_span = ccw_offset(sigma(3, t), sigma(3, s))
+            for w in sorted({sigma(3, x) for x in D.vertices}):
+                if ccw_offset(sigma(3, t), w) > img_span:
+                    failures.append((str(C), e, f"minor vertex {w} escapes the image arc"))
+    return failures
+
+
+def test_geometry_colocation_agrees_with_angle_oracle():
+    # random cubic laminations with critical chords and a random triangle,
+    # which is often a critical gap whose companion minor escapes
+    import random
+
+    from lamina.chords import linked
+    from lamina.lamination import FiniteLamination
+
+    rng = random.Random(5)
+    denominators = (3, 6, 9, 12, 18, 24, 27, 36, 54)
+    checked = failed = 0
+    for _ in range(800):
+        leaves = []
+        for _ in range(rng.randrange(2, 10)):
+            q = rng.choice(denominators)
+            a = rng.randrange(q)
+            b = (a + q // 3) % q if rng.random() < 0.5 else rng.randrange(q)
+            c = Chord(A(a, q), A(b, q))
+            if a != b and not any(linked(c, m) for m in leaves):
+                leaves.append(c)
+        q = rng.choice(denominators)
+        x, y, z = (A(rng.randrange(q), q) for _ in range(3))
+        if len({x, y, z}) == 3:
+            triangle = [Chord(x, y), Chord(y, z), Chord(z, x)]
+            leaves = [c for c in leaves if not any(linked(c, m) for m in triangle)] + triangle
+        lam = FiniteLamination(3, leaves)
+        want = colocation_oracle(lam)
+        assert geometry_checks(lam).colocation_failures == want, lam.leaves
+        checked += bool(full_portraits_of(lam))
+        failed += bool(want)
+    assert checked > 200 and failed > 5

@@ -269,6 +269,19 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
         gaps(crossing)
 
 
+def test_face_walk_builds_no_checked_arc(monkeypatch):
+    # an arc side joins two distinct ring ints, so the walk skips Arc's check
+    lam = pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
+    want = gaps(lam)
+    assert all(arc.start != arc.end for g in want for arc in g.arcs) and any(g.arcs for g in want)
+
+    def no_check(arc):
+        raise AssertionError("gaps checked an Arc")
+
+    monkeypatch.setattr(circle.Arc, "__post_init__", no_check)
+    assert gaps(lam) == want
+
+
 def test_one_face_walk_per_lamination(monkeypatch):
     # heuristically_dendritic reads the arc-bearing gaps that critical_analysis
     # walks, and full_portraits_of reads the same analysis
@@ -1160,6 +1173,23 @@ def test_membership_agrees_with_chord_set_oracle():
             assert (probe in lam) == (probe in oracle), (lam, probe)
             seen.add(probe in oracle)
     assert seen == {True, False}
+
+
+def test_membership_of_non_rational_or_reversed_pairs_is_false():
+    lam = pullback_build(2, RABBIT_QUAD, 3, sectors=RABBIT_SPIKE)
+    assert (A(1, 7), A(2, 7)) in lam and (Fraction(1, 7), Fraction(2, 7)) in lam
+    for probe in [
+        (0.5, 0.25),
+        (1 / 7, 2 / 7),
+        (A(1, 7), 2 / 7),
+        ("1/7", "2/7"),
+        (A(1, 7), "2/7"),
+        (None, None),
+        (A(1, 7), None),
+        (A(2, 7), A(1, 7)),
+        (Fraction(2, 7), Fraction(1, 7)),
+    ]:
+        assert probe not in lam, probe
 
 
 def assert_up_to_matches_oracle(lam, depth):
