@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
-from .chords import Chord, disjoint, is_critical, linked, validate_collection
-from .cubic_tags import ConvexSet
+from .chords import Chord, _sides, disjoint, is_critical, linked, validate_collection
 from .lamination import FiniteLamination, _ring_orbit, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
 
@@ -82,7 +81,7 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
         info = orbit_classify(d, other)
         steps = info.closes_at if horizon is None else min(horizon, info.closes_at)
         exact = steps >= info.closes_at
-        chords = [c for c in info.orbit[:steps] if isinstance(c, Chord) and not c.degenerate]
+        chords = [c for c in info.orbit[:steps] if not c.degenerate]
         op = order_preserving_accordions(d, axis, other) if linked(axis, other) else None
     members = [axis] + [c for c in chords if linked(c, axis)]
     touching = [
@@ -204,28 +203,21 @@ def choose_unlinked_spikes(
         if not unlinked:
             raise ValueError(f"every spike of {quad} crosses {l1}")
         options.append(unlinked)
-    avoided = True
-    chosen = []
-    if avoid is not None:
-        for opts in options:
-            clean = [s for s in opts if not s.has_endpoint(avoid)]
-            if clean:
-                chosen.append(clean[0])
-            else:
-                chosen.append(opts[0])
-                avoided = False
-    else:
-        chosen = [opts[0] for opts in options]
+    # the first spike of each quadrilateral, clear of ``avoid`` where one is
+    chosen = tuple(
+        next((s for s in opts if avoid is None or not s.has_endpoint(avoid)), opts[0])
+        for opts in options
+    )
     if not validate_collection(d, chosen).is_full_collection:
         # fall back to any full collection among the unlinked choices
-        for combo in itertools.product(*options):
-            if validate_collection(d, combo).is_full_collection:
-                chosen = list(combo)
-                avoided = avoid is not None and not any(s.has_endpoint(avoid) for s in combo)
-                break
-        else:
+        chosen = next(
+            (c for c in itertools.product(*options) if validate_collection(d, c).is_full_collection),
+            None,
+        )
+        if chosen is None:
             raise ValueError("no unlinked complete sample forms a full collection")
-    return SpikeChoice(spikes=tuple(chosen), avoided=avoided if avoid is not None else True)
+    avoided = avoid is None or not any(s.has_endpoint(avoid) for s in chosen)
+    return SpikeChoice(spikes=chosen, avoided=avoided)
 
 
 @dataclass(frozen=True)
@@ -302,15 +294,10 @@ def detect_collapse(
             arc_len = ccw_offset(start, end)
             if any(0 < ccw_offset(start, p) < arc_len for p in others - {start, end}):
                 continue  # not the adjacent side
-            chain1 = chain2 = None
-            for sample in complete_samples(qcp1):
-                chain1 = _chain_between(sample, start, end)
-                if chain1:
-                    break
-            for sample in complete_samples(qcp2):
-                chain2 = _chain_between(sample, start, end)
-                if chain2:
-                    break
+            chain1, chain2 = (
+                next(filter(None, (_chain_between(s, start, end) for s in complete_samples(q))), None)
+                for q in (qcp1, qcp2)
+            )
             if chain1 and chain2:
                 return CollapseReport("chains", (start, end), chain1, chain2)
     return CollapseReport("none", None, None, None)
@@ -327,8 +314,8 @@ def _interiors_intersect(u, v) -> bool:
         return False
     if set(u) <= set(v) or set(v) <= set(u):
         return True
-    edges = ConvexSet(v).edges
-    return any(linked(e1, e2) for e1 in ConvexSet(u).edges for e2 in edges)
+    sides = _sides(v)
+    return any(linked(e1, e2) for e1 in _sides(u) for e2 in sides)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,16 @@ def disjoint(c1, c2) -> bool:
     return (a < x < b) == (a < y < b)
 
 
+def _sides(vertices) -> list:
+    """The sides of the hull of circularly ordered points (Angles or ring
+    ints): consecutive pairs, then the first with the last point.  Two points
+    give one side, one none; ascending points give sorted pairs."""
+    sides = list(zip(vertices, vertices[1:]))
+    if len(vertices) > 2:
+        sides.append((vertices[0], vertices[-1]))
+    return sides
+
+
 def _ring_image(d: int, N: int, c) -> tuple[int, int]:
     """``chord_image`` for a sorted int pair on one ring mod N."""
     x, y = d * c[0] % N, d * c[1] % N

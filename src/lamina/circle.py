@@ -299,10 +299,12 @@ def circular_order(points) -> str:
         raise ValueError("circular order needs at least three points")
     if len(set(pts)) != len(pts):
         raise ValueError("circular order needs pairwise distinct points")
-    offsets = [ccw_offset(pts[0], p) for p in pts[1:]]
-    if all(offsets[i] < offsets[i + 1] for i in range(len(offsets) - 1)):
+    # a positive cycle of distinct points descends once, where it wraps
+    # past 0, and a negative one at every step but that one
+    descents = cyclic_descents(pts)
+    if descents == 1:
         return POSITIVE
-    if all(offsets[i] > offsets[i + 1] for i in range(len(offsets) - 1)):
+    if descents == len(pts) - 1:
         return NEGATIVE
     return NEITHER
 

@@ -98,34 +98,20 @@ def cmd_tags(args) -> int:
         print(f"error: no .portrait files in {directory}", file=sys.stderr)
         return 2
     blocks = []
-    failures = 0
     for f in files:
         try:
             spec = parse_portrait(f.read_text())
             lam = spec.build(args.depth)
             sets = spec.convex_sets()
-            if len(sets) == 1:
-                fp = FullPortrait(sets[0], sets[0])
-            elif len(sets) == 2:
-                fp = FullPortrait(sets[0], sets[1])
-            else:
+            if len(sets) not in (1, 2):
                 raise ValueError(f"{f.name}: a tag needs one or two critical sets")
-            blocks.append((f.name, mixed_tag(lam, fp)))
+            blocks.append((f.name, mixed_tag(lam, FullPortrait(sets[0], sets[-1]))))
         except (ValueError, InconsistentPortrait) as exc:
             print(f"error: {f.name}: {exc}", file=sys.stderr)
             return 2
-    matrix = []
-    for i in range(len(blocks)):
-        row = []
-        for j in range(len(blocks)):
-            if i == j:
-                row.append("equal")
-            else:
-                rel = tags_relation(blocks[i][1], blocks[j][1])
-                row.append(rel)
-                if i < j and rel == "properly_overlapping":
-                    failures += 1
-        matrix.append(row)
+    # tags_relation(t, t) is "equal", so the diagonal needs no case
+    matrix = [[tags_relation(s, t) for _, t in blocks] for _, s in blocks]
+    failures = sum(row[i + 1 :].count("properly_overlapping") for i, row in enumerate(matrix))
     _write(args.out, tag_report(blocks, matrix))
     if args.figures:
         figdir = Path(args.figures)
@@ -145,7 +131,11 @@ def cmd_verify(args) -> int:
     if args.samples is not None and not 0 <= args.samples <= MAX_SUITE_SAMPLES:
         print(f"error: --samples must be between 0 and {MAX_SUITE_SAMPLES}", file=sys.stderr)
         return 2
-    result = run_suite(args.suite, args.samples, seed)
+    try:
+        result = run_suite(args.suite, args.samples, seed)
+    except ValueError as exc:  # a sample count the suite does not read
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(result.text())
     return 0 if result.passed else 1
 

@@ -11,13 +11,14 @@ refining a portrait inside its critical sets shrinks the tag.
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .circle import Angle, _at, _ring, shortest_dist
-from .chords import Chord
+from .chords import Chord, _sides
 from .lamination import (
     FiniteLamination,
     Gap,
@@ -99,12 +100,7 @@ class ConvexSet:
 
     @property
     def edges(self) -> tuple:
-        v = self.vertices
-        if len(v) < 2:
-            return ()
-        if len(v) == 2:
-            return (Chord(v[0], v[1]),)
-        return tuple(Chord(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+        return tuple(Chord(a, b) for a, b in _sides(self.vertices))
 
     def holes(self):
         """Positive arcs between consecutive vertices as (start, end, length)
@@ -252,17 +248,15 @@ class MixedTag:
 
 
 def _validate_portrait_sets(lam: FiniteLamination, fp: FullPortrait):
-    # the sides of a hull, as sorted pairs of Angles in the order of
+    # the sides of a hull, sorted pairs of Angles in the order of
     # ConvexSet.edges, are looked up on the lamination's ring by `in`
     for S in fp:
-        v = S.vertices
-        if len(v) == 2:
-            if v not in lam:
-                raise ValueError(f"{S} is not a leaf of the lamination")
-        elif len(v) >= 3:
-            for e in [*zip(v, v[1:]), (v[0], v[-1])]:
-                if e not in lam:
-                    raise ValueError(f"{S} is not a gap of the lamination (missing edge {Chord(*e)})")
+        missing = next((e for e in _sides(S.vertices) if e not in lam), None)
+        if missing is None:
+            continue
+        if len(S.vertices) == 2:
+            raise ValueError(f"{S} is not a leaf of the lamination")
+        raise ValueError(f"{S} is not a gap of the lamination (missing edge {Chord(*missing)})")
 
 
 def mixed_tag(lam: FiniteLamination | None, fp: FullPortrait) -> MixedTag:
@@ -306,10 +300,7 @@ def _meeting_pairs(hulls):
     for i, vs in enumerate(corners):
         for v in vs:
             through.setdefault(v, []).append(i)
-        if len(vs) > 1:
-            edges += [(a, b, i) for a, b in zip(vs, vs[1:])]
-        if len(vs) > 2:
-            edges.append((vs[0], vs[-1], i))
+        edges += [(a, b, i) for a, b in _sides(vs)]
     crossing = {}  # i -> the hulls j > i with an edge crossing one of i
     edges.sort()
     open_edges = []  # a heap of (end, hull)
@@ -391,9 +382,8 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
     else:
         common = min(depthA, depthX)
         caveats.append(f"leaf containment checked at common depth {common}")
-        # only the deeper lamination is cut
-        truncA = lamA if depthA == common else lamA.up_to(common)
-        truncX = lamX if depthX == common else lamX.up_to(common)
+        # up_to is the lamination itself at or past its depth
+        truncA, truncX = lamA.up_to(common), lamX.up_to(common)
 
     # a cubic all-critical polygon is a triangle
     triangles = [v for v in critical_analysis(lamA).critical_clusters if len(v) == 3]
@@ -547,10 +537,9 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
 
     sets = [ConvexSet.hull_of(s) for s in analysis.critical_sets]
     if len(sets) >= 2:
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                gap = separation_check(sets[i], sets[j])
-                if gap < Fraction(1, 12):
-                    report.separation_failures.append((str(sets[i]), str(sets[j]), str(gap)))
+        for A, B in itertools.combinations(sets, 2):
+            gap = separation_check(A, B)
+            if gap < Fraction(1, 12):
+                report.separation_failures.append((str(A), str(B), str(gap)))
         report.checked["separations"] = len(sets) * (len(sets) - 1) // 2
     return report

@@ -9,10 +9,11 @@ bit-exact because angles serialize as reduced fractions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring
-from .chords import Chord, _chord_tokens, greedy_no_loop, is_critical
+from .chords import Chord, _chord_tokens, _sides, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
 from .cubic_tags import ConvexSet
@@ -93,8 +94,7 @@ class PortraitSpec:
             elif kind == "quad":
                 chords.extend(obj.edges)
             else:
-                v = obj
-                chords.extend(Chord(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+                chords.extend(Chord(*e) for e in _sides(obj))
         return chords
 
     def sector_chords(self) -> list:
@@ -106,15 +106,10 @@ class PortraitSpec:
             if kind == "quad":
                 candidates.append(obj.spikes[0])
             elif kind == "poly":
-                v = obj
-                diagonals = [
-                    Chord(v[i], v[j])
-                    for i in range(len(v))
-                    for j in range(i + 1, len(v))
-                    if is_critical(d, Chord(v[i], v[j]))
-                ]
+                pairs = (Chord(*e) for e in itertools.combinations(obj, 2))
+                diagonals = [c for c in pairs if is_critical(d, c)]
                 # a polygon of boundary degree m gives m - 1 branch cuts
-                candidates.extend(greedy_no_loop(d, diagonals)[: boundary_degree(d, v) - 1])
+                candidates.extend(greedy_no_loop(d, diagonals)[: boundary_degree(d, obj) - 1])
             elif is_critical(d, obj):
                 candidates.append(obj)
         chosen = greedy_no_loop(d, candidates)

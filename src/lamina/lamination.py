@@ -478,8 +478,7 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
     component that contains its positively adjacent arc.
     """
     critical_chords = list(critical_chords)
-    report = validate_collection(d, critical_chords)
-    if not report.is_full_collection:
+    if not validate_collection(d, critical_chords).is_full_collection:
         raise InconsistentPortrait(
             f"critical chords do not form a full collection: {list(map(str, critical_chords))}"
         )
@@ -490,10 +489,9 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
         if not str(e).startswith("leaves cross"):
             raise
         raise InconsistentPortrait("critical chords of the portrait cross each other") from None
-    faces = [g for g in faces if not g.finite]
-    if len(faces) != d or any(sum(a.length for a in g.arcs) != Fraction(1, d) for g in faces):
-        raise InconsistentPortrait("critical chords do not cut the circle into d equal parts")
     sectors = []
+    # d - 1 unlinked critical chords with no loop close no polygon, so all
+    # their faces bear arcs: d of them, each with arcs of total length 1/d
     for g in faces:
         # vertex i is where side i - 1 ends and side i starts
         kinds = [kind for kind, _ in g.sides]
@@ -813,6 +811,15 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     )
 
 
+def _close(m: Chord, c: Chord, tol) -> bool:
+    """Whether the ends of ``m`` lie within ``tol`` of those of ``c``, in
+    either pairing."""
+    return (
+        max(shortest_dist(m.a, c.a), shortest_dist(m.b, c.b)) <= tol
+        or max(shortest_dist(m.a, c.b), shortest_dist(m.b, c.a)) <= tol
+    )
+
+
 def prune_isolated(lam: FiniteLamination, tol, rounds: int = 8) -> FiniteLamination:
     """Finite-depth approximation of dropping isolated leaves.
 
@@ -823,20 +830,7 @@ def prune_isolated(lam: FiniteLamination, tol, rounds: int = 8) -> FiniteLaminat
     tol = Fraction(tol)
     leaves = list(lam.leaves)
     for _ in range(rounds):
-        kept = []
-        for c in leaves:
-            close = False
-            for m in leaves:
-                if m == c:
-                    continue
-                if (
-                    max(shortest_dist(m.a, c.a), shortest_dist(m.b, c.b)) <= tol
-                    or max(shortest_dist(m.a, c.b), shortest_dist(m.b, c.a)) <= tol
-                ):
-                    close = True
-                    break
-            if close:
-                kept.append(c)
+        kept = [c for c in leaves if any(m != c and _close(m, c, tol) for m in leaves)]
         if len(kept) == len(leaves):
             break
         leaves = kept

@@ -139,15 +139,11 @@ def strongly_linked(A: CriticalQuadrilateral, B: CriticalQuadrilateral) -> Stron
     """Search for vertex numberings a0 <= b0 <= a1 <= b1 <= ... <= a0 around
     the circle (non-strict).  All-critical triangles are tried in all their
     quadrilateral presentations."""
-    for pa in A.presentations():
-        for i in range(4):
-            ra = pa[i:] + pa[:i]
-            for pb in B.presentations():
-                for j in range(4):
-                    rb = pb[j:] + pb[:j]
-                    merged = [ra[0], rb[0], ra[1], rb[1], ra[2], rb[2], ra[3], rb[3]]
-                    if _cyclically_ordered(merged):
-                        return StrongLinkReport(True, (ra, rb))
+    for pa, i, pb, j in itertools.product(A.presentations(), range(4), B.presentations(), range(4)):
+        ra, rb = pa[i:] + pa[:i], pb[j:] + pb[:j]
+        merged = [ra[0], rb[0], ra[1], rb[1], ra[2], rb[2], ra[3], rb[3]]
+        if _cyclically_ordered(merged):
+            return StrongLinkReport(True, (ra, rb))
     return StrongLinkReport(False, None)
 
 

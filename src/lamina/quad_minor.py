@@ -11,10 +11,9 @@ algorithm, and the strip test verifies each chord it draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .circle import THIRD, Angle, Arc, ccw_offset, preimages
-from .chords import Chord, chord_image, disjoint, linked
+from .chords import Chord, _sides, chord_image, disjoint, linked
 from .lamination import FiniteLamination, _chord, check_unlinked, orbit_classify, pullback_build
 
 __all__ = [
@@ -56,12 +55,11 @@ class Strip:
             return True
         if c == self.bound1 or c == self.bound2:
             return False
-        on_arcs = all(
-            (self.arc1 is not None and self.arc1.contains(p, closed=True))
-            or (self.arc2 is not None and self.arc2.contains(p, closed=True))
+        # a strip with no arcs is degenerate and has returned above
+        return all(
+            self.arc1.contains(p, closed=True) or self.arc2.contains(p, closed=True)
             for p in c.endpoints
         )
-        return on_arcs
 
     def first_entry(self, c: Chord):
         """(n, sigma_2^n(c)) for the first doubling image of ``c`` meeting
@@ -96,16 +94,14 @@ def critical_strip(c: Chord) -> Strip:
     chord of length < 1/3 (strict); a degenerate chord collapses the strip
     to a diameter with empty interior."""
     if c.degenerate:
-        half = Chord(Angle(c.a / 2), Angle(c.a / 2 + Fraction(1, 2)))
+        half = Chord(*preimages(2, c.a))
         return Strip(half, half, None, None, True)
     if c.length >= THIRD:
         raise ValueError(f"critical strip needs length < 1/3, got {c.length}")
-    if ccw_offset(c.a, c.b) <= Fraction(1, 2):
-        u, v = c.a, c.b
-    else:
-        u, v = c.b, c.a
-    u2, v2 = Angle(u / 2), Angle(v / 2)
-    u2h, v2h = Angle(u2 + Fraction(1, 2)), Angle(v2 + Fraction(1, 2))
+    # the short arc runs positively from u to v
+    u, v = (c.a, c.b) if ccw_offset(c.a, c.b) == c.length else (c.b, c.a)
+    # the halving preimages x/2 and x/2 + 1/2 of each end
+    (u2, u2h), (v2, v2h) = preimages(2, u), preimages(2, v)
     return Strip(
         bound1=Chord(v2, u2h),
         bound2=Chord(v2h, u2),
@@ -207,7 +203,7 @@ def major_quadrilateral(minor: Chord):
         raise ValueError("degenerate minor has a critical major, not a quadrilateral")
     verts = sorted(set(preimages(2, minor.a)) | set(preimages(2, minor.b)))
     assert len(verts) == 4
-    edges = [Chord(verts[i], verts[(i + 1) % 4]) for i in range(4)]
+    edges = [Chord(*e) for e in _sides(verts)]
     pair_a = (edges[0], edges[2])
     pair_b = (edges[1], edges[3])
     majors = pair_a if edges[0].length >= edges[1].length else pair_b
@@ -217,8 +213,7 @@ def major_quadrilateral(minor: Chord):
 def build_from_minor(minor: Chord, depth: int) -> FiniteLamination:
     """Pullback lamination generated by the major data of a minor chord."""
     if minor.degenerate:
-        diameter = Chord(Angle(minor.a / 2), Angle(minor.a / 2 + Fraction(1, 2)))
-        return pullback_build(2, [diameter], depth)
+        return pullback_build(2, [critical_strip(minor).bound1], depth)
     verts, edges, _ = major_quadrilateral(minor)
     spike = Chord(verts[0], verts[2])
     return pullback_build(2, edges, depth, sectors=[spike])

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circle import THIRD, Angle, shortest_dist
-from .chords import Chord, linked
+from .chords import Chord, disjoint, linked
 
 __all__ = ["Lcg"]
 
@@ -87,8 +87,5 @@ class Lcg:
         while True:
             c1 = self.critical_cubic_chord()
             c2 = self.critical_cubic_chord()
-            if set(c1.endpoints) & set(c2.endpoints):
-                continue
-            if linked(c1, c2):
-                continue
-            return c1, c2
+            if disjoint(c1, c2):
+                return c1, c2

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lamina.circle import Angle
 from lamina.chords import (
     Chord,
+    _sides,
     chord_image,
     disjoint,
     is_critical,
@@ -21,6 +22,33 @@ A = Angle
 
 def C(p, q, r, s):
     return Chord(A(p, q), A(r, s))
+
+
+SIDES_TABLE = [
+    ([], []),
+    ([5], []),
+    ([1, 4], [(1, 4)]),
+    ([0, 2, 7], [(0, 2), (2, 7), (0, 7)]),
+    ([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
+]
+
+
+@pytest.mark.parametrize("points, sides", SIDES_TABLE)
+@pytest.mark.parametrize("q", [None, 8])
+def test_sides_table(points, sides, q):
+    # the same table on ring ints and on the Angles n/8
+    at = (lambda n: n) if q is None else (lambda n: A(n, q))
+    assert _sides([at(n) for n in points]) == [(at(x), at(y)) for x, y in sides]
+    assert _sides(tuple(at(n) for n in points)) == _sides([at(n) for n in points])
+
+
+def test_sides_of_a_rotated_hexagon():
+    # the first hexagon fixture lists its vertices from 19/39, so one side
+    # wraps past 0 and the pairs are sorted by Chord
+    verts = [A(n, 39) for n in (19, 28, 31, 32 + 39, 2 + 39, 5 + 39)]
+    assert [str(Chord(*e)) for e in _sides(verts)] == [
+        "19/39 28/39", "28/39 31/39", "31/39 32/39", "2/39 32/39", "2/39 5/39", "5/39 19/39",
+    ]
 
 
 def test_chord_canonical_form():

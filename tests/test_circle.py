@@ -1,6 +1,7 @@
 import copy
 import operator
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -159,6 +160,36 @@ def test_circular_order_examples():
         circular_order([Angle(0), Angle(1, 2)])
     with pytest.raises(ValueError):
         circular_order([Angle(0), Angle(0), Angle(1, 2)])
+
+
+def _circular_order_by_offsets(points):
+    """The offsets-based classification circular_order used before it read
+    cyclic_descents: the offsets from the first point must all rise (or all
+    fall)."""
+    offsets = [ccw_offset(points[0], p) for p in points[1:]]
+    if all(offsets[i] < offsets[i + 1] for i in range(len(offsets) - 1)):
+        return POSITIVE
+    if all(offsets[i] > offsets[i + 1] for i in range(len(offsets) - 1)):
+        return NEGATIVE
+    return NEITHER
+
+
+def test_circular_order_agrees_with_offsets_oracle():
+    rng = random.Random(20140517)
+    verdicts = set()
+    for _ in range(3000):
+        q = rng.randint(3, 40)
+        n = rng.randint(3, min(q, 7))
+        points = [Angle(j, q) for j in rng.sample(range(q), n)]
+        if rng.random() < 0.5:
+            # a rotated ascending or descending run, so that both orders show up
+            points.sort(reverse=rng.random() < 0.5)
+            k = rng.randrange(n)
+            points = points[k:] + points[:k]
+        verdict = circular_order(points)
+        assert verdict == _circular_order_by_offsets(points), points
+        verdicts.add(verdict)
+    assert verdicts == {POSITIVE, NEGATIVE, NEITHER}
 
 
 def test_arc_membership():

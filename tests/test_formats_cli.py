@@ -400,6 +400,17 @@ def test_cli_verify_samples_bound_is_inclusive(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: --samples must be between 0 and 3\n"
 
 
+def test_cli_verify_qml_refuses_a_sample_count(capsys):
+    # the suite is exhaustive at period 6: a count it would ignore is refused
+    assert main(["verify", "--suite", "qml-unlinked", "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "qml-unlinked" in captured.err
+    assert main(["verify", "--suite", "qml-unlinked", "--samples", "0"]) == 0
+    assert "status: pass" in capsys.readouterr().out
+
+
 def test_cli_render_rejects_crossing_leaves(tmp_path, capsys):
     lam = tmp_path / "crossing.lam"
     lam.write_text("degree 2\n1/3 1/2\n1/4 2/5\n")

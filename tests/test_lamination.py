@@ -21,6 +21,7 @@ from lamina.chords import (
     is_critical,
     linked,
     sibling_collections,
+    validate_collection,
 )
 from lamina.cubic_tags import full_portraits_of
 from lamina.formats import parse_portrait
@@ -573,6 +574,36 @@ def test_sector_corners_are_the_face_vertices_off_its_arcs(d, chords, turn):
     ends = [e for c in chords for e in c.endpoints]
     shared = {e for e in ends if ends.count(e) > 1}
     assert shared <= set().union(*(s.corners for s in sectors))
+
+
+def _full_unlinked_collections(d, q):
+    """Every full collection of pairwise unlinked critical chords with ends
+    in (1/q)Z/Z."""
+    points = [A(j, q) for j in range(q)]
+    pairs = (Chord(a, b) for a, b in itertools.combinations(points, 2))
+    critical = [c for c in pairs if is_critical(d, c)]
+    for coll in itertools.combinations(critical, d - 1):
+        if not any(linked(u, v) for u, v in itertools.combinations(coll, 2)):
+            if validate_collection(d, coll).is_full_collection:
+                yield coll
+
+
+def test_every_full_collection_cuts_d_equal_sectors():
+    # sector_partition keeps no runtime check of this: d - 1 unlinked
+    # critical chords with no loop always leave d faces, each bearing arcs
+    # of total length 1/d; here on every such collection with d <= 5 and
+    # ends of denominator d to 4d (5 and 10 for d = 5)
+    count = 0
+    for d in range(2, 6):
+        for q in (5, 10) if d == 5 else range(d, 4 * d + 1):
+            for coll in _full_unlinked_collections(d, q):
+                sectors = sector_partition(d, coll)
+                assert len(sectors) == d
+                for sector in sectors:
+                    assert sector.arcs  # no face is a polygon of the chords alone
+                    assert sum(ccw_offset(s, e) for s, e in sector.arcs) == Fraction(1, d)
+                count += 1
+    assert count == 945
 
 
 @pytest.mark.parametrize("depth", [-1, -3, 1.5, "2", None, True])

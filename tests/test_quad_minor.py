@@ -54,6 +54,20 @@ def test_critical_strip_degenerate_and_boundary():
         critical_strip(C(1, 3, 2, 3))
 
 
+@pytest.mark.parametrize("a", [A(0), A(1, 3), A(2, 7), A(5, 12)])
+def test_degenerate_strip_is_a_diameter_with_no_arcs_that_meets_nothing(a):
+    # only a degenerate strip has no arcs, and meets_open returns before it
+    # would read them
+    s = critical_strip(Chord(a, a))
+    assert s.degenerate and s.arc1 is None and s.arc2 is None
+    assert s.bound1 == s.bound2 == Chord(A(a / 2), A(a / 2 + Fraction(1, 2)))
+    for c in (C(1, 4, 3, 4), s.bound1, C(1, 9, 2, 9), Chord(A(a / 2), A(a / 2 + Fraction(1, 3)))):
+        assert not s.meets_open(c)
+    # strips with interior have both arcs
+    for strip in (critical_strip(C(1, 7, 2, 7)), strip_between(C(0, 1, 1, 2), C(1, 8, 3, 8))):
+        assert not strip.degenerate and strip.arc1 is not None and strip.arc2 is not None
+
+
 def test_strip_membership():
     s = critical_strip(C(1, 7, 2, 7))
     assert s.meets_open(C(1, 14, 4, 7))  # strip diagonal
