@@ -1116,10 +1116,67 @@ def face_walk_cases():
 
 
 def test_gap_count_oracle():
-    # each non-crossing chord splits exactly one region: n leaves, n+1 gaps
+    # each non-crossing chord splits exactly one region: n leaves, n+1 gaps;
+    # the faces of the first walk, the kept ones and the ones walked again
+    # once critical_analysis has dropped them are all the oracle's
     for lam, faces in face_walk_cases():
-        assert len(gaps(lam)) == len(lam) + 1
+        first = gaps(lam)
+        assert len(first) == len(lam) + 1
+        assert first == faces
+        first.clear()
         assert gaps(lam) == faces
+        critical_analysis(lam)
+        assert gaps(lam) == faces
+
+
+def test_crossing_lamination_keeps_its_pair_and_no_faces(monkeypatch):
+    sweeps = []
+
+    def counting_sweep(N, ring):
+        sweeps.append(None)
+        return sweep(N, ring)
+
+    sweep = lamination._sweep
+    lam = pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE).with_leaves([C(0, 1, 1, 2)])
+    monkeypatch.setattr(lamination, "_sweep", counting_sweep)
+    ok, pair = check_unlinked(lam)
+    assert not ok and linked(*pair)
+    for _ in range(3):
+        with pytest.raises(ValueError, match=f"{pair[0]} x {pair[1]}"):
+            gaps(lam)
+        assert check_unlinked(lam) == (False, pair)
+    assert lam._faces is None
+    assert len(sweeps) == 1
+
+
+def test_one_sweep_and_one_walk_per_lamination(monkeypatch):
+    # check_unlinked, gaps and critical_analysis share one sweep and one
+    # face walk, and the analysis drops the faces it has read
+    calls = {"sweep": 0, "walk": 0}
+    sweep, walk = lamination._sweep, lamination._walk
+
+    def counting_sweep(N, ring):
+        calls["sweep"] += 1
+        return sweep(N, ring)
+
+    def counting_walk(lam):
+        calls["walk"] += 1
+        return walk(lam)
+
+    built = pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE)
+    monkeypatch.setattr(lamination, "_sweep", counting_sweep)
+    monkeypatch.setattr(lamination, "_walk", counting_walk)
+    for lam in (built, FiniteLamination(3, TRIANGLE), FiniteLamination(2, [])):
+        calls.update(sweep=0, walk=0)
+        assert check_unlinked(lam) == (True, None)
+        faces = gaps(lam)
+        analysis = critical_analysis(lam)
+        assert calls == {"sweep": 1, "walk": 1}
+        assert lam._faces is None
+        # a later reader walks again from the kept sweep, and keeps nothing
+        assert gaps(lam) == faces and critical_analysis(lam) is analysis
+        assert calls == {"sweep": 1, "walk": 2}
+        assert lam._faces is None
 
 
 def critical_analysis_oracle(lam, faces):

@@ -3,7 +3,9 @@
 import pytest
 
 import lamina.suites as suites
-from lamina.suites import SUITES, run_suite
+from lamina.lamination import critical_analysis
+from lamina.sampling import Lcg
+from lamina.suites import SUITES, hexagon_fixtures, run_suite, sample_cubic_library
 
 
 def test_suites_are_deterministic_under_fixed_seed():
@@ -62,3 +64,12 @@ def test_gaptrans_fails_without_samples():
     res = run_suite("gaptrans", 0, 1)
     assert not res.passed
     assert "no sampled lamination to check" in res.failures
+
+
+def test_sampled_and_hexagon_laminations_have_two_critical_sets():
+    # crifar and maintag read exactly two critical sets off every lamination
+    # they check, and neither suite tests for it: the sampler keeps no other
+    lams = [lam for seed in range(1, 6) for lam in sample_cubic_library(Lcg(seed), 20)]
+    assert len(lams) == 100
+    for lam in lams + hexagon_fixtures(3):
+        assert len(critical_analysis(lam).critical_sets) == 2
