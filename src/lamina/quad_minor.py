@@ -1,20 +1,23 @@
 """Quadratic machinery: critical strips, the minor test, QML enumeration.
 
-A chord of length < 1/3 determines a *critical strip*, the hull of the two
-halving preimages of its short arc.  A chord belongs to the quadratic minor
-lamination exactly when no forward image under angle doubling meets the open
-strip.  The finite approximations of QML used by the CLI and suites (all
-chords with periodic endpoints up to a period bound) are built by Lavaurs'
-algorithm, and the strip test verifies each chord it draws.
+A chord of length < 1/3 determines a *critical strip*, the region between
+its two majors.  A strip is its two bounding chords: whether a chord meets
+its interior is decided by comparing the ends of sorted pairs, as
+:func:`linked` decides a crossing.  A chord belongs to the quadratic minor
+lamination exactly when no forward image under angle doubling meets the
+open strip; that orbit is followed on a ring of ints.  The finite
+approximations of QML used by the CLI and suites (all chords with periodic
+endpoints up to a period bound) are built by Lavaurs' algorithm, and the
+strip test verifies each chord it draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle import THIRD, Angle, Arc, ccw_offset, preimages
+from .circle import THIRD, Angle, _ring, preimages
 from .chords import Chord, _sides, chord_image, disjoint, linked
-from .lamination import FiniteLamination, _chord, check_unlinked, orbit_classify, pullback_build
+from .lamination import FiniteLamination, _chord, _ring_orbit, check_unlinked, pullback_build
 
 __all__ = [
     "Strip",
@@ -30,6 +33,28 @@ __all__ = [
 ]
 
 
+def _meets_open(s, t, c) -> bool:
+    """Does the sorted pair ``c`` meet the open strip between the disjoint
+    sorted pairs ``s`` and ``t`` (Chords, or ints on one ring, as in
+    :func:`linked`)?  Yes when it crosses a bound, or when it is no bound
+    and both its ends lie on the closed strip arcs: each is an end of a
+    bound, or on the side of each bound that faces the other.  Circle
+    points never lie in the interior, so a degenerate ``c`` never meets it.
+    """
+    if c[0] == c[1] or c == s or c == t:
+        return False
+    if linked(c, s) or linked(c, t):
+        return True
+    s0, s1, t0, t1 = s[0], s[1], t[0], t[1]
+    # the side of s facing t is the one holding t's ends, and vice versa
+    t_in_s, s_in_t = s0 < t0 < s1, t0 < s0 < t1
+    return all(
+        p == s0 or p == s1 or p == t0 or p == t1
+        or ((s0 < p < s1) == t_in_s and (t0 < p < t1) == s_in_t)
+        for p in c
+    )
+
+
 @dataclass(frozen=True)
 class Strip:
     """Closed region bounded by two disjoint chords and the two circle arcs
@@ -37,40 +62,24 @@ class Strip:
 
     bound1: Chord
     bound2: Chord
-    arc1: Arc | None
-    arc2: Arc | None
     degenerate: bool = False
 
     def meets_open(self, c: Chord) -> bool:
-        """Does the chord meet the interior of the strip?
-
-        True when it crosses a boundary chord, or when both endpoints lie on
-        the closed strip arcs and the chord is not a boundary chord itself.
-        Circle points never lie in the interior, so degenerate chords never
-        meet it.
-        """
-        if self.degenerate or c.degenerate:
-            return False
-        if linked(c, self.bound1) or linked(c, self.bound2):
-            return True
-        if c == self.bound1 or c == self.bound2:
-            return False
-        # a strip with no arcs is degenerate and has returned above
-        return all(
-            self.arc1.contains(p, closed=True) or self.arc2.contains(p, closed=True)
-            for p in c.endpoints
-        )
+        """Does the chord meet the interior of the strip?"""
+        return not self.degenerate and _meets_open(self.bound1, self.bound2, c)
 
     def first_entry(self, c: Chord):
         """(n, sigma_2^n(c)) for the first doubling image of ``c`` meeting
-        the open strip, or None once the orbit closes without one."""
-        info = orbit_classify(2, c)
-        pre = info.preperiod
+        the open strip, or None once the orbit closes without one.  The
+        orbit is followed on the ring of the chord and both bounds."""
+        if self.degenerate:
+            return None
+        N, (a, b, s0, s1, t0, t1) = _ring(c + self.bound1 + self.bound2)
+        pre, orbit = _ring_orbit(2, N, (a, b))
         # the images 1 .. closes_at; the last one is the first repeat
-        images = info.orbit[1:] + info.orbit[pre : pre + 1]
-        for n, image in enumerate(images, 1):
-            if self.meets_open(image):
-                return n, image
+        for n, image in enumerate(orbit[1:] + orbit[pre : pre + 1], 1):
+            if _meets_open((s0, s1), (t0, t1), image):
+                return n, _chord(N, image)
         return None
 
 
@@ -81,34 +90,20 @@ def strip_between(c1: Chord, c2: Chord) -> Strip:
         raise ValueError("strip_between needs nondegenerate chords")
     if not disjoint(c1, c2):
         raise ValueError("strip_between needs disjoint chords")
-    # both endpoints of c2 lie in one arc of c1; walk that arc positively
-    # from its start and meet the nearer endpoint of c2 first
-    start = c1.a if c1.a < c2.a < c1.b else c1.b
-    end = c1.b if start == c1.a else c1.a
-    x, y = sorted(c2.endpoints, key=lambda p: ccw_offset(start, p))
-    return Strip(c1, c2, Arc(start, x), Arc(y, end), False)
+    return Strip(c1, c2)
 
 
 def critical_strip(c: Chord) -> Strip:
-    """The hull of the two halving preimages of the short closed arc of a
-    chord of length < 1/3 (strict); a degenerate chord collapses the strip
-    to a diameter with empty interior."""
+    """The strip between the two majors of a chord of length < 1/3 (strict):
+    the hull of the two halving preimages of its short closed arc.  A
+    degenerate chord collapses the strip to a diameter with empty
+    interior."""
     if c.degenerate:
         half = Chord(*preimages(2, c.a))
-        return Strip(half, half, None, None, True)
+        return Strip(half, half, True)
     if c.length >= THIRD:
         raise ValueError(f"critical strip needs length < 1/3, got {c.length}")
-    # the short arc runs positively from u to v
-    u, v = (c.a, c.b) if ccw_offset(c.a, c.b) == c.length else (c.b, c.a)
-    # the halving preimages x/2 and x/2 + 1/2 of each end
-    (u2, u2h), (v2, v2h) = preimages(2, u), preimages(2, v)
-    return Strip(
-        bound1=Chord(v2, u2h),
-        bound2=Chord(v2h, u2),
-        arc1=Arc(u2, v2),
-        arc2=Arc(u2h, v2h),
-        degenerate=False,
-    )
+    return strip_between(*major_quadrilateral(c)[2])
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,8 @@ def qml_enumerate(period_bound: int) -> list[Chord]:
     drawn = []
     for k in range(2, period_bound + 1):
         q = 2**k - 1
-        new = [a for a in (Angle(j, q) for j in range(q)) if orbit_classify(2, a).period == k]
+        # doubling permutes the ring mod odd q, so an orbit there is a cycle
+        new = [Angle(j, q) for j in range(q) if len(_ring_orbit(2, q, j)[1]) == k]
         events = sorted(
             [(c.a, c) for c in drawn] + [(c.b, c) for c in drawn] + [(a, None) for a in new],
             key=lambda e: e[0],

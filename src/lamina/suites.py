@@ -28,7 +28,7 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import _order_preserving_ring, accordion, compgap_analyze
+from .accordion import TWO_LEAF_FLIP, WANDERING, _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -419,22 +419,21 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
     """Crossing-pattern case of a linked, mutually order preserving periodic
     pair; returns (case name, detail) or (None, reason)."""
     rep = accordion(l1, l2, d=d)
-    crossing = [c for c in rep.members[1:]]
+    crossing = rep.members[1:]
     if len(crossing) == 1:
-        partner = crossing[0]
-        pinfo = orbit_classify(d, partner)
-        if pinfo.preperiod != 0:
+        # the orbit is followed to closure, so a wandering partner is a
+        # preperiodic one
+        if rep.classification == WANDERING:
             return None, "single crossing with preperiodic partner"
-        endpoints = [orbit_classify(d, p) for p in list(l1.endpoints) + list(l2.endpoints)]
+        endpoints = [orbit_classify(d, p) for p in l1.endpoints + l2.endpoints]
         if any(e.preperiod for e in endpoints):
             return None, "non-periodic endpoint"
         periods = {e.period for e in endpoints}
-        # flip: the periodic partner returns after its period with its
-        # endpoints swapped
-        if sigma_power(d, partner.a, pinfo.period) == partner.b:
-            if any(e.period != 2 * pinfo.period for e in endpoints):
+        if rep.classification == TWO_LEAF_FLIP:
+            period = orbit_classify(d, crossing[0]).period
+            if any(e.period != 2 * period for e in endpoints):
                 return None, "flip with wrong endpoint periods"
-            return "two_leaf_periodic_flip", f"flip power {pinfo.period}"
+            return TWO_LEAF_FLIP, f"flip power {period}"
         if len(periods) != 1:
             return None, f"mixed endpoint periods {sorted(periods)}"
         orbits = [frozenset(orbit_classify(d, p).orbit) for p in l2.endpoints]

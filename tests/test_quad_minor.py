@@ -1,12 +1,15 @@
+import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 import lamina.quad_minor as quad_minor
-from lamina.circle import THIRD, Angle, shortest_dist
-from lamina.chords import Chord, chord_image, linked
+from lamina.circle import THIRD, Angle, Arc, ccw_offset, preimages, shortest_dist
+from lamina.chords import Chord, chord_image, disjoint, linked
 from lamina.lamination import FiniteLamination, check_unlinked
 from lamina.quad_minor import (
+    Strip,
     StripVerdict,
     build_from_minor,
     critical_strip,
@@ -25,25 +28,126 @@ def C(p, q, r, s):
     return Chord(A(p, q), A(r, s))
 
 
+class _OracleStrip:
+    """A strip as two bounding chords plus a second copy of the region, its
+    two closed between-arcs, tested with ``Arc.contains``: the independent
+    oracle for ``Strip.meets_open``, which only compares endpoints."""
+
+    def __init__(self, bounds, arcs):
+        self.bounds, self.arcs = bounds, arcs
+
+    @classmethod
+    def between(cls, c1, c2):
+        # both endpoints of c2 lie in one arc of c1; walk that arc positively
+        # from its start and meet the nearer endpoint of c2 first
+        start = c1.a if c1.a < c2.a < c1.b else c1.b
+        end = c1.b if start == c1.a else c1.a
+        x, y = sorted(c2.endpoints, key=lambda p: ccw_offset(start, p))
+        return cls((c1, c2), (Arc(start, x), Arc(y, end)))
+
+    @classmethod
+    def critical(cls, c):
+        """The halving preimages of the short arc u -> v of ``c``; a
+        degenerate chord gives a diameter with no arcs."""
+        if c.degenerate:
+            half = Chord(*preimages(2, c.a))
+            return cls((half,), None)
+        u, v = (c.a, c.b) if ccw_offset(c.a, c.b) == c.length else (c.b, c.a)
+        (u2, u2h), (v2, v2h) = preimages(2, u), preimages(2, v)
+        if v < u:
+            # the short arc passes 0: u/2 runs to (v + 1)/2, not to v/2
+            v2, v2h = v2h, v2
+        return cls((Chord(v2, u2h), Chord(v2h, u2)), (Arc(u2, v2), Arc(u2h, v2h)))
+
+    def meets_open(self, c):
+        if self.arcs is None or c.degenerate:
+            return False
+        if any(linked(c, b) for b in self.bounds):
+            return True
+        if c in self.bounds:
+            return False
+        return all(any(arc.contains(p, closed=True) for arc in self.arcs) for p in c.endpoints)
+
+
+def _first_entry_oracle(strip, c):
+    """Strip.first_entry's former loop: image after image, with a seen set,
+    until one meets the open oracle strip or repeats."""
+    seen = {c}
+    current = c
+    n = 0
+    while True:
+        n += 1
+        current = chord_image(2, current)
+        if strip.meets_open(current):
+            return n, current
+        if current in seen:
+            return None
+        seen.add(current)
+
+
 def strip_test_enumeration(period_bound):
     """Oracle for qml_enumerate: every pair of angles of period <=
-    period_bound at distance in (0, 1/3) that passes the strip test.
+    period_bound at distance in (0, 1/3) that passes the oracle strip test.
     Tests O(A^2) pairs, so it is only run at small bounds."""
     angles = sorted({A(j, 2**k - 1) for k in range(1, period_bound + 1) for j in range(2**k - 1)})
     return sorted(
         Chord(a, b)
         for i, a in enumerate(angles)
         for b in angles[i + 1 :]
-        if 0 < shortest_dist(a, b) < THIRD and strip_test(Chord(a, b)).passes
+        if 0 < shortest_dist(a, b) < THIRD
+        and _first_entry_oracle(_OracleStrip.critical(Chord(a, b)), Chord(a, b)) is None
     )
+
+
+def _periodic_points(max_period):
+    return sorted({A(j, 2**k - 1) for k in range(1, max_period + 1) for j in range(2**k - 1)})
 
 
 def test_critical_strip_construction():
     s = critical_strip(C(1, 7, 2, 7))
+    assert [f.name for f in fields(Strip)] == ["bound1", "bound2", "degenerate"]
     assert {s.bound1, s.bound2} == {C(1, 7, 4, 7), C(1, 14, 9, 14)}
     assert s.bound1.length == s.bound2.length
-    arcs = {(a.start, a.end) for a in (s.arc1, s.arc2)}
-    assert arcs == {(A(1, 14), A(1, 7)), (A(4, 7), A(9, 14))}
+    # inside each between-arc, 1/14 .. 1/7 and 4/7 .. 9/14
+    assert s.meets_open(C(1, 12, 1, 8)) and s.meets_open(C(3, 5, 5, 8))
+    # behind each bound
+    assert not s.meets_open(C(1, 5, 1, 2)) and not s.meets_open(C(3, 4, 1, 20))
+
+
+def _wrapping_chords():
+    # the three chords whose short arc passes 0, then every chord of length
+    # < 1/3 on the points of period <= 6
+    points = _periodic_points(6)
+    chords = [Chord(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
+    named = [C(1, 31, 30, 31), C(1, 7, 6, 7), C(0, 1, 21, 31)]
+    return named + [c for c in chords if c.length < THIRD]
+
+
+def test_critical_strip_is_bounded_by_the_majors():
+    # a chord whose short arc passes 0 must not get the two short sides of
+    # its preimage quadrilateral as bounds
+    for c in _wrapping_chords():
+        s = critical_strip(c)
+        assert {s.bound1, s.bound2} == set(major_quadrilateral(c)[2]), c
+        for bound in (s.bound1, s.bound2):
+            assert chord_image(2, bound) == c
+            assert bound.length == (1 - c.length) / 2, c
+
+
+def test_meets_open_agrees_with_arc_oracle():
+    # every strip between two disjoint chords on the points of period <= 3,
+    # in both orders, against every chord on the points of period <= 4,
+    # degenerate ones included
+    small = list(itertools.combinations(_periodic_points(3), 2))
+    small = [Chord(a, b) for a, b in small]
+    points = _periodic_points(4)
+    probes = [Chord(a, b) for i, a in enumerate(points) for b in points[i:]]
+    pairs = [(s, t) for s, t in itertools.permutations(small, 2) if disjoint(s, t)]
+    assert len(pairs) > 100
+    for s, t in pairs:
+        strip, oracle = strip_between(s, t), _OracleStrip.between(s, t)
+        for c in probes:
+            assert strip.meets_open(c) == oracle.meets_open(c), (s, t, c)
 
 
 def test_critical_strip_degenerate_and_boundary():
@@ -56,16 +160,24 @@ def test_critical_strip_degenerate_and_boundary():
 
 @pytest.mark.parametrize("a", [A(0), A(1, 3), A(2, 7), A(5, 12)])
 def test_degenerate_strip_is_a_diameter_with_no_arcs_that_meets_nothing(a):
-    # only a degenerate strip has no arcs, and meets_open returns before it
-    # would read them
+    # a degenerate strip is one diameter twice, and meets nothing
     s = critical_strip(Chord(a, a))
-    assert s.degenerate and s.arc1 is None and s.arc2 is None
+    assert s.degenerate
     assert s.bound1 == s.bound2 == Chord(A(a / 2), A(a / 2 + Fraction(1, 2)))
     for c in (C(1, 4, 3, 4), s.bound1, C(1, 9, 2, 9), Chord(A(a / 2), A(a / 2 + Fraction(1, 3)))):
         assert not s.meets_open(c)
-    # strips with interior have both arcs
-    for strip in (critical_strip(C(1, 7, 2, 7)), strip_between(C(0, 1, 1, 2), C(1, 8, 3, 8))):
-        assert not strip.degenerate and strip.arc1 is not None and strip.arc2 is not None
+    assert s.first_entry(C(1, 7, 2, 7)) is None
+    # strips with interior meet chords inside each between-arc, and not
+    # those behind each bound
+    strip = critical_strip(C(1, 7, 2, 7))
+    assert not strip.degenerate
+    assert strip.meets_open(C(1, 12, 1, 8)) and strip.meets_open(C(3, 5, 5, 8))
+    assert not strip.meets_open(C(1, 5, 1, 2)) and not strip.meets_open(C(3, 4, 1, 20))
+    # between 0 1/2 and 1/8 3/8 the arcs are 0 .. 1/8 and 3/8 .. 1/2
+    strip = strip_between(C(0, 1, 1, 2), C(1, 8, 3, 8))
+    assert not strip.degenerate
+    assert strip.meets_open(C(1, 20, 1, 10)) and strip.meets_open(C(2, 5, 9, 20))
+    assert not strip.meets_open(C(1, 5, 3, 10)) and not strip.meets_open(C(3, 5, 4, 5))
 
 
 def test_strip_membership():
@@ -85,35 +197,25 @@ def test_strip_test_examples():
     assert strip_test(Chord(A(1, 5), A(1, 5))).passes
 
 
-def _first_entry_oracle(strip, c):
-    """Strip.first_entry's former loop: image after image, with a seen set,
-    until one meets the open strip or repeats."""
-    seen = {c}
-    current = c
-    n = 0
-    while True:
-        n += 1
-        current = chord_image(2, current)
-        if strip.meets_open(current):
-            return n, current
-        if current in seen:
-            return None
-        seen.add(current)
-
-
 def test_first_entry_agrees_with_seen_loop_oracle():
     # every chord, degenerate ones included, with endpoints of period <= 6
     # under doubling that has a critical strip
-    points = sorted({A(j, 2**k - 1) for k in range(1, 7) for j in range(2**k - 1)})
+    points = _periodic_points(6)
     chords = [Chord(a, b) for i, a in enumerate(points) for b in points[i:]]
     chords = [c for c in chords if c.length < THIRD]
     hits = 0
     for c in chords:
-        strip = critical_strip(c)
-        got = strip.first_entry(c)
-        assert got == _first_entry_oracle(strip, c), c
+        got = critical_strip(c).first_entry(c)
+        assert got == _first_entry_oracle(_OracleStrip.critical(c), c), c
         hits += got is not None
     assert 0 < hits < len(chords)
+    # the strips between two majors, as the qml-unlinked suite reads them,
+    # against the first image of each major and of every chord above
+    for m in qml_enumerate(5):
+        majors = major_quadrilateral(m)[2]
+        strip, oracle = strip_between(*majors), _OracleStrip.between(*majors)
+        for c in majors + tuple(chords[::7]):
+            assert strip.first_entry(c) == _first_entry_oracle(oracle, c), (m, c)
 
 
 def test_minor_of_examples():
@@ -214,10 +316,10 @@ def test_strip_between_wrapping_chord():
     inner = C(2, 5, 3, 5)
     outer = C(1, 10, 9, 10)
     strip = strip_between(inner, outer)
-    arcs = {(a.start, a.end) for a in (strip.arc1, strip.arc2)}
-    assert arcs == {(A(3, 5), A(9, 10)), (A(1, 10), A(2, 5))}
     assert strip.meets_open(C(1, 2, 19, 20))   # crosses both chords
-    assert strip.meets_open(C(1, 8, 3, 10))    # inside one between-arc
+    assert strip.meets_open(C(1, 8, 3, 10))    # inside 1/10 .. 2/5
+    assert strip.meets_open(C(13, 20, 17, 20))  # inside 3/5 .. 9/10
+    assert strip.meets_open(C(1, 10, 2, 5))    # joining the ends of one arc
     assert not strip.meets_open(C(12, 25, 14, 25))  # behind the inner chord
     assert not strip.meets_open(C(19, 20, 1, 20))   # behind the outer chord
 
