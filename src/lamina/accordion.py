@@ -6,7 +6,11 @@ linked pairs the possible exact patterns are rigid: one extra crossing leaf
 (periodic flip or four disjoint endpoint orbits), two crossing images, or a
 periodic polygon swept out by the pair's convex hull.  Order preservation
 puts both chords on one integer ring mod N, the common denominator of their
-endpoints, and follows the two orbits there as int pairs with
+endpoints.  It first asks whether sigma_d keeps the circular order of the
+pair's four ends: the second chord lies in the accordion of the first, so
+those ends are part of the first set the full check tests, and sigma_d
+keeps the order of every part of a set whose order it keeps.  Only a pair
+that passes follows the two orbits as int pairs with
 ``lamination._ring_orbit``, the loop behind every orbit; the ``compgap``
 suite calls the same ring primitives.  Smart-criticality
 helpers pick full spike collections unlinked with a given leaf and detect
@@ -71,8 +75,11 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     With a chord, the orbit is followed to closure (exact) or to the horizon
     (flagged non-exact); classification labels the crossing pattern.  With a
     lamination, the members are its leaves crossing the axis and the
-    classification is ``single`` or undetermined (None).
+    classification is ``single`` or undetermined (None).  A ``horizon`` must
+    be an int >= 0 when given.
     """
+    if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0):
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     if isinstance(other, FiniteLamination):
         chords, steps, exact, op = other.leaves, 0, True, None
     elif d is None:
@@ -155,11 +162,20 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     """Mutual order preservation: at every step, sigma_d is injective and
     positively order preserving on the accordion of each chord's image with
     respect to the other's forward orbit.  Exact for rational data (orbits
-    close); both orbits are followed on one integer ring."""
+    close); both orbits are followed on one integer ring.
+
+    ``l2`` lies in the accordion of ``l1``, so a pair whose four ends sigma_d
+    does not keep in positive circular order (or maps two of them to one
+    point) fails that accordion, whatever else it holds.  That pair is
+    refused before either orbit is followed, with the verdict the full
+    check would give; every other pair gets the full check."""
     _check_degree(d)
     if not linked(l1, l2):
         raise ValueError("order preserving accordions are defined for linked chords")
     N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
+    ends = sorted((a1, b1, a2, b2))
+    if not _positively_ordered_images(ends, [d * p % N for p in ends]):
+        return False
     _, o1 = _ring_orbit(d, N, (a1, b1))
     _, o2 = _ring_orbit(d, N, (a2, b2))
     # (pre)critical leaves never have order preserving accordions, and an

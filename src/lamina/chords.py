@@ -89,18 +89,20 @@ class Chord(namedtuple("Chord", "a b")):
 def linked(c1, c2) -> bool:
     """True iff the chords strictly cross inside the open disk.
 
-    Each chord is a Chord or a sorted int pair on one ring.  Degenerate
-    chords never link; chords sharing an endpoint never link.
+    Each chord is a Chord or a sorted int pair on one ring: both pairs must
+    be sorted, a <= b and x <= y.  Degenerate chords never link; chords
+    sharing an endpoint never link.
     """
     a, b = c1[0], c1[1]
     x, y = c2[0], c2[1]
-    # endpoints interleave iff exactly one endpoint of c2 lies in the open
-    # interval (a, b).  Chords are stored with a <= b and x <= y, so that is
-    # already False for degenerate chords and when a == y or b == x; equal
-    # chords and the other touching ones share a first or a second endpoint.
-    if a == x or b == y:
-        return False
-    return (a < x < b) != (a < y < b)
+    # sorted pairs interleave iff a < x < b < y or x < a < y < b; a shared
+    # first endpoint, a degenerate chord and every shared or touching end
+    # break the strict chain, so no equality test is needed
+    if a < x:
+        return x < b < y
+    if x < a:
+        return a < y < b
+    return False
 
 
 def disjoint(c1, c2) -> bool:

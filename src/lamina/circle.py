@@ -311,8 +311,12 @@ def circular_order(points) -> str:
 
 def cyclic_descents(values) -> int:
     """Number of cyclic positions i with values[i] > values[i + 1]."""
-    n = len(values)
-    return sum(1 for i in range(n) if values[i] > values[(i + 1) % n])
+    # one pass over adjacent pairs; a plain loop beats sum() over a generator
+    descents = 0
+    for u, v in zip(values, [*values[1:], *values[:1]]):
+        if u > v:
+            descents += 1
+    return descents
 
 
 def in_arc(x, arc: Arc, closed: bool = False) -> bool:

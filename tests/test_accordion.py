@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -74,6 +75,34 @@ def test_accordion_wandering_cutoff():
     rep = accordion(C(1, 8, 3, 8), C(1, 26, 7, 26), d=3, horizon=1)
     assert not rep.exact
     assert rep.classification == WANDERING
+
+
+@pytest.mark.parametrize("horizon", [-1, -3, 2.5, Fraction(1), True, "1"])
+def test_accordion_refuses_a_horizon_that_is_not_a_nonnegative_int(horizon):
+    # a negative horizon would slice the orbit from its end, and report this
+    # flip pair as SINGLE; a float one would pass whenever the orbit closes first
+    with pytest.raises(ValueError, match="horizon"):
+        accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3, horizon=horizon)
+    assert accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3, horizon=0).horizon == 0
+
+
+def test_order_preserving_follows_orbits_only_past_the_four_ends(monkeypatch):
+    # the package's ``accordion`` attribute is the function of that name
+    accordion_module = importlib.import_module("lamina.accordion")
+    calls = []
+    ring_orbit = accordion_module._ring_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ring_orbit(*args, **kwargs)
+
+    monkeypatch.setattr(accordion_module, "_ring_orbit", counted)
+    # the ends 0 < 1/8 < 3/8 < 1/2 triple to 0, 3/8, 1/8, 1/2: out of order
+    assert not order_preserving_accordions(3, C(0, 1, 3, 8), C(1, 8, 1, 2))
+    assert len(calls) == 0
+    # the ends 1/8 < 1/4 < 3/8 < 3/4 triple to 3/8, 3/4, 1/8, 1/4: in order
+    assert order_preserving_accordions(3, C(1, 8, 3, 8), C(1, 4, 3, 4))
+    assert len(calls) == 2
 
 
 def test_order_preserving_examples():

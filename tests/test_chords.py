@@ -111,8 +111,11 @@ def test_chords_sort_by_their_endpoints(pairs):
 @settings(max_examples=600, deadline=None)
 @given(_chords, _chords)
 def test_linked_agrees_with_oracle(c1, c2):
-    assert linked(c1, c2) == _linked_oracle(c1, c2)
-    assert linked(c1, c1) is False
+    # on Chords and on the same two chords as int pairs mod 27720
+    p1, p2 = (tuple(int(e * 27720) for e in c) for c in (c1, c2))
+    for u, v in ((c1, c2), (p1, p2)):
+        assert linked(u, v) == _linked_oracle(c1, c2)
+        assert linked(u, u) is False
 
 
 @settings(max_examples=600, deadline=None)

@@ -16,6 +16,7 @@ from lamina.circle import (
     POSITIVE,
     ccw_offset,
     circular_order,
+    cyclic_descents,
     in_arc,
     preimages,
     shortest_dist,
@@ -190,6 +191,20 @@ def test_circular_order_agrees_with_offsets_oracle():
         assert verdict == _circular_order_by_offsets(points), points
         verdicts.add(verdict)
     assert verdicts == {POSITIVE, NEGATIVE, NEITHER}
+
+
+def test_cyclic_descents_agrees_with_index_formula():
+    # seeded int lists with ties, every length 0-3 included; tuples too
+    rng = random.Random(20140517)
+    lengths = set()
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        values = [rng.randint(0, 4) for _ in range(n)]
+        expected = sum(1 for i in range(n) if values[i] > values[(i + 1) % n])
+        assert cyclic_descents(values) == cyclic_descents(tuple(values)) == expected, values
+        lengths.add(n)
+    assert lengths == set(range(9))
+    assert [cyclic_descents(v) for v in ([], [3], [3, 3], [1, 2], [2, 1], [0, 2, 1])] == [0, 0, 0, 1, 1, 2]
 
 
 def test_arc_membership():
