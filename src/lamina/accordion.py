@@ -142,6 +142,12 @@ def _positively_ordered_images(points, images) -> bool:
     return n <= 2 or cyclic_descents(images) == 1
 
 
+def _ends_kept(d: int, N: int, c1, c2) -> bool:
+    """Whether sigma_d keeps the four ends of linked pairs mod N apart and in order."""
+    ends = sorted((*c1, *c2))
+    return _positively_ordered_images(ends, [d * p % N for p in ends])
+
+
 def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
     """Mutual order preservation of two chord orbits on the ring mod N:
     sigma_d is injective and positively order preserving on the accordion of
@@ -164,17 +170,13 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     respect to the other's forward orbit.  Exact for rational data (orbits
     close); both orbits are followed on one integer ring.
 
-    ``l2`` lies in the accordion of ``l1``, so a pair whose four ends sigma_d
-    does not keep in positive circular order (or maps two of them to one
-    point) fails that accordion, whatever else it holds.  That pair is
-    refused before either orbit is followed, with the verdict the full
-    check would give; every other pair gets the full check."""
+    A pair that fails ``_ends_kept`` is refused before either orbit is
+    followed, with the verdict the full check would give."""
     _check_degree(d)
     if not linked(l1, l2):
         raise ValueError("order preserving accordions are defined for linked chords")
     N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
-    ends = sorted((a1, b1, a2, b2))
-    if not _positively_ordered_images(ends, [d * p % N for p in ends]):
+    if not _ends_kept(d, N, (a1, b1), (a2, b2)):
         return False
     _, o1 = _ring_orbit(d, N, (a1, b1))
     _, o2 = _ring_orbit(d, N, (a2, b2))

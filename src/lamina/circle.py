@@ -189,17 +189,6 @@ class Arc:
         return f"({self.start}, {self.end})"
 
 
-def _arc(start: Angle, end: Angle) -> Arc:
-    """The Arc from ``start`` to ``end``, two distinct Angles, built without
-    the checks of ``Arc(...)`` (the fields are set as a frozen dataclass's
-    ``__init__`` sets them)."""
-    arc = object.__new__(Arc)
-    fields = arc.__dict__
-    fields["start"] = start
-    fields["end"] = end
-    return arc
-
-
 def _check_degree(d) -> None:
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"degree must be an integer >= 2, got {d!r}")

@@ -156,6 +156,10 @@ def cmd_render(args) -> int:
     if not ok:
         print(f"error: {args.lamination}: leaves cross: {pair[0]} x {pair[1]}", file=sys.stderr)
         return 2
+    missing = next((c for c in highlight if c not in lam), None)
+    if missing is not None:
+        print(f"error: {args.lamination}: highlighted chord {missing} is not a leaf", file=sys.stderr)
+        return 2
     spec = RenderSpec(
         size=args.size,
         geodesic_style=args.style,

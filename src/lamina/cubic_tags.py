@@ -78,7 +78,7 @@ class ConvexSet:
     @classmethod
     def hull_of(cls, s: Chord | Gap) -> "ConvexSet":
         """The hull of a chord or of a finite gap, e.g. a critical set."""
-        return cls.of(s.endpoints if isinstance(s, Chord) else s.vertices)
+        return cls.of(s.endpoints) if isinstance(s, Chord) else cls._of_ring(*s.ring)
 
     @classmethod
     def _of_ring(cls, N: int, xs) -> "ConvexSet":

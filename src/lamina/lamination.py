@@ -8,17 +8,14 @@ around it, and the gap inside a leaf is bounded by the leaves it directly
 surrounds.  The sweep sorts its events as ints on the ring of the leaf
 endpoints (``FiniteLamination.ring``, the lamination's stored form), where
 every check reads the leaves and critical leaves are read off too.
-:func:`check_unlinked` and :func:`gaps` share that one sweep, kept on the
-lamination.  :func:`gaps` walks each face on those ints once, takes its
-vertices from the leaves' own endpoint Angles, and keeps the faces until
-the critical analysis reads them: a Gap list kept for good would grow the
-memory of callers that keep many laminations (0.8-1.3 MB more peak RSS on
-the cubic-tags benchmark, about 29.4 MB, on x86-64 CPython 3.11).
-:func:`critical_analysis` reads the gaps once per lamination, takes the
-boundary degree of each finite one on the ring (sigma_d is ``d*x % N``)
-and keeps the vertices of the arc-bearing ones for later readers.  Its
-critical clusters are the all-critical gaps, merged where they share an
-edge, plus each critical leaf that lies in no merged polygon.  Laminations
+:func:`check_unlinked` and :func:`gaps` share that one sweep, and a face
+is its ring too: the ints of its vertices and the indices of its arc
+sides, walked once and kept like the sweep.  :func:`critical_analysis`
+reads the faces once per lamination, takes the boundary degree of each
+finite one on the ring (sigma_d is ``d*x % N``) and keeps the arc-bearing
+ones for later readers.  Its critical clusters are the all-critical gaps,
+merged where they share an edge, plus each critical leaf that lies in no
+merged polygon.  Laminations
 are generated from critical portraits by the standard pullback scheme,
 with branches chosen inside the complementary sectors of a full collection
 of critical chords, which are the arc-bearing gaps of those chords.
@@ -49,10 +46,11 @@ from fractions import Fraction
 from math import gcd
 from numbers import Rational
 
-from .circle import _arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma, shortest_dist
+from .circle import Arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma, shortest_dist
 from .chords import (
     Chord,
     _ring_image,
+    _sides,
     disjoint,
     greedy_no_loop,
     is_critical,
@@ -97,9 +95,8 @@ class FiniteLamination:
     :func:`check_unlinked`.  The optional ``generations`` mapping records the
     pullback generation of each leaf and is metadata: it does not participate
     in equality.  That mapping, its ``max_generation``, the Chords
-    (``leaves``), the nesting sweep and :func:`critical_analysis` are formed
-    on first read and kept; the faces of :func:`gaps` are kept until the
-    critical analysis has read them.
+    (``leaves``), the nesting sweep, the faces of :func:`gaps` and
+    :func:`critical_analysis` are formed on first read and kept.
     """
 
     __slots__ = (
@@ -217,27 +214,54 @@ def _chord(N: int, pair) -> Chord:
     return tuple.__new__(Chord, (_at(N, pair[0]), _at(N, pair[1])))
 
 
-@dataclass(frozen=True)
 class Gap:
-    """Closure of one complementary component of the disk minus the leaves.
+    """Closure of one complementary component of the disk minus the leaves,
+    kept on its lamination's ring: ``ring`` is (N, xs), xs the ascending ints
+    of its boundary points, and ``arc_sides`` the indices i of the sides from
+    xs[i] to xs[i + 1] (cyclically) that are circle arcs, not leaves.  The
+    whole disk has no points.  Equality and hash divide gcd(N, *xs) out."""
 
-    ``vertices`` lists the boundary circle points in positive circular order
-    starting from the smallest; ``sides[i]`` joins vertices[i] to
-    vertices[i+1] (cyclically) and is ("chord", Chord) or ("arc", Arc).  The
-    gap of the empty lamination is the whole disk (no vertices).
-    """
+    __slots__ = ("ring", "arc_sides")
 
-    vertices: tuple
-    sides: tuple
-    is_disk: bool = False
+    def __init__(self, N: int, xs, arc_sides=()):
+        self.ring = N, tuple(xs)
+        self.arc_sides = tuple(arc_sides)
 
     @classmethod
     def whole_disk(cls) -> "Gap":
-        return cls(vertices=(), sides=(), is_disk=True)
+        return cls(1, ())
+
+    def _reduced(self) -> tuple:
+        N, xs = self.ring
+        g = gcd(N, *xs)
+        return N // g, tuple(x // g for x in xs), self.arc_sides
+
+    def __eq__(self, other):
+        return isinstance(other, Gap) and self._reduced() == other._reduced()
+
+    def __hash__(self):
+        return hash(self._reduced())
+
+    def __repr__(self):
+        return f"Gap({self.ring[0]}, {self.ring[1]}, {self.arc_sides})"
+
+    @property
+    def is_disk(self) -> bool:
+        return not self.ring[1]
 
     @property
     def finite(self) -> bool:
-        return not self.is_disk and all(kind == "chord" for kind, _ in self.sides)
+        return bool(self.ring[1]) and not self.arc_sides
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(_at(self.ring[0], x) for x in self.ring[1])
+
+    @property
+    def sides(self) -> tuple:
+        vs = self.vertices
+        pairs = enumerate(zip(vs, vs[1:] + vs[:1]))
+        return tuple(("arc", Arc(*p)) if i in self.arc_sides else ("chord", Chord(*p)) for i, p in pairs)
 
     @property
     def edges(self) -> tuple:
@@ -248,9 +272,7 @@ class Gap:
         return tuple(obj for kind, obj in self.sides if kind == "arc")
 
     def __str__(self):
-        if self.is_disk:
-            return "Gap(disk)"
-        return "Gap(" + ", ".join(str(v) for v in self.vertices) + ")"
+        return f"Gap({', '.join(map(str, self.vertices)) or 'disk'})"
 
 
 def _nest(lam: FiniteLamination):
@@ -310,64 +332,47 @@ def gaps(lam: FiniteLamination) -> list[Gap]:
     of :func:`check_unlinked`: the gap just inside each leaf, bounded by it
     and its children, and the outer gap, bounded by the top-level leaves.
     The children of a leaf do not nest, so leaf order is their circle order.
-    The faces are walked once and kept on the lamination until
-    :func:`critical_analysis` has read them, and not kept once it has; each
-    call returns a fresh list.
+    They are walked once and kept, like the sweep; each call returns a copy.
 
     Raises ValueError naming a crossing pair when the leaves cross, on every
     call, since a crossing lamination keeps no faces.
     """
-    faces = lam._faces
-    if faces is None:
-        faces = _walk(lam)
-        if lam._analysis is None:
-            lam._faces = faces
-    return list(faces)
+    if lam._faces is None:
+        lam._faces = _walk(lam)
+    return list(lam._faces)
 
 
 def _walk(lam: FiniteLamination) -> tuple:
-    """The faces of :func:`gaps`, in its order.  The walk compares the
-    leaves' ring ints and takes each vertex from the leaves' own endpoint
-    Angles."""
+    """The faces of :func:`gaps`, in its order, on the lamination's ring."""
     N, pairs = lam.ring
     if not pairs:
         return (Gap.whole_disk(),)
     parent, pair = _nest(lam)
     if pair is not None:
         raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
-    leaves = lam.leaves
-    chord_sides = [("chord", c) for c in leaves]
     children = [[] for _ in range(len(pairs) + 1)]  # the last list is the top level
     for i, p in enumerate(parent):
         children[p].append(i)
     top = children[-1]
     # the outer gap runs from the first end of the first top-level leaf to
     # the last end of the last one, and back along the arc between them
-    first, last = leaves[top[0]].a, leaves[top[-1]].b
-    bounds = zip(
-        [*pairs, (pairs[top[0]][0], pairs[top[-1]][1])],
-        [*leaves, (first, last)],
-        [*chord_sides, ("arc", _arc(last, first))],
-    )
+    bounds = [*pairs, (pairs[top[0]][0], pairs[top[-1]][1])]
     result = []
-    for ((x, y), (start, end), closing), inside in zip(bounds, children):
-        # p is the ring int of the last vertex so far; an arc of length 0
-        # between two children that share an end is left out, so each arc
-        # joins two distinct ring ints and needs no check
-        p, verts, sides = x, [start], []
+    for k, ((x, y), inside) in enumerate(zip(bounds, children)):
+        # an arc of length 0 between two children that share an end is left out
+        xs, arcs = [x], []
         for j in inside:
-            (a, b), c = pairs[j], leaves[j]
-            if p != a:
-                sides.append(("arc", _arc(verts[-1], c.a)))
-                verts.append(c.a)
-            sides.append(chord_sides[j])
-            verts.append(c.b)
-            p = b
-        if p != y:
-            sides.append(("arc", _arc(verts[-1], end)))
-            verts.append(end)
-        sides.append(closing)
-        result.append(Gap(tuple(verts), tuple(sides)))
+            a, b = pairs[j]
+            if xs[-1] != a:
+                arcs.append(len(xs) - 1)
+                xs.append(a)
+            xs.append(b)
+        if xs[-1] != y:
+            arcs.append(len(xs) - 1)
+            xs.append(y)
+        if k == len(pairs):  # the outer gap closes along an arc, the others along their leaf
+            arcs.append(len(xs) - 1)
+        result.append(Gap(N, xs, arcs))
     # The vertices of a face run in circle order from the first end of its
     # leaf, and of two leaves from one point the shorter one's face has the
     # smaller vertices (the longer one's next vertex is the end of a leaf
@@ -401,9 +406,14 @@ def boundary_degree(d: int, vertices) -> int:
 
 def gap_degree(d: int, g: Gap) -> int:
     """Degree of a finite gap; > 1 means critical."""
-    if g.is_disk or not g.finite:
+    if not g.finite:
         raise ValueError("degree of an arc-bearing gap is unsupported")
-    return boundary_degree(d, g.vertices)
+    return _image_degree([d * x % g.ring[0] for x in g.ring[1]])
+
+
+def _all_critical(d: int, g: Gap) -> bool:
+    """Whether every side of a finite gap is critical: its vertices share one image."""
+    return len({d * x % g.ring[0] for x in g.ring[1]}) == 1
 
 
 @dataclass(frozen=True)
@@ -523,9 +533,9 @@ def sector_partition(d: int, critical_chords) -> list[_Sector]:
     # their faces bear arcs: d of them, each with arcs of total length 1/d
     for g in faces:
         # vertex i is where side i - 1 ends and side i starts
-        kinds = [kind for kind, _ in g.sides]
-        corners = (v for v, k, m in zip(g.vertices, kinds[-1:] + kinds, kinds) if k == m == "chord")
-        sectors.append(_Sector(tuple((a.start, a.end) for a in g.arcs), frozenset(corners)))
+        vs, arcs = g.vertices, g.arc_sides
+        corners = (v for i, v in enumerate(vs) if i not in arcs and (i - 1) % len(vs) not in arcs)
+        sectors.append(_Sector(tuple((vs[i], vs[(i + 1) % len(vs)]) for i in arcs), frozenset(corners)))
     return sectors
 
 
@@ -778,7 +788,7 @@ class CriticalAnalysis:
     critical_gaps: tuple       # finite gaps of degree > 1
     critical_clusters: tuple   # vertex tuples of maximal convex unions of critical leaves
     critical_sets: tuple       # maximal critical sets: gaps plus free critical leaves
-    arc_gaps: tuple            # vertex tuples of the arc-bearing gaps, which are skipped
+    arc_gaps: tuple            # the arc-bearing gaps, which are skipped
 
     @property
     def skipped_infinite_gaps(self) -> int:
@@ -787,11 +797,9 @@ class CriticalAnalysis:
 
 def critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     """Critical leaves, gaps, clusters and sets of ``lam``, computed on first
-    use and kept on the lamination (whose leaves never change).  It is the
-    last reader of the kept faces of :func:`gaps`, so it drops them."""
+    use and kept on the lamination (whose leaves never change)."""
     if lam._analysis is None:
         lam._analysis = _critical_analysis(lam)
-        lam._faces = None
     return lam._analysis
 
 
@@ -799,7 +807,7 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     d = lam.degree
     # a leaf is critical when its ends share an image, d*x_a == d*x_b mod N
     N, pairs = lam.ring
-    crit_leaves = tuple(c for c, (a, b) in zip(lam.leaves, pairs) if d * a % N == d * b % N)
+    crit = [(c, p) for c, p in zip(lam.leaves, pairs) if d * p[0] % N == d * p[1] % N]
 
     crit_gaps = []
     arc_gaps = []
@@ -814,30 +822,28 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     for g in gaps(lam):
         if g.is_disk:
             continue
-        if not g.finite:
-            arc_gaps.append(g.vertices)
+        if g.arc_sides:
+            arc_gaps.append(g)
             continue
-        images = [d * _on_ring(N, v) % N for v in g.vertices]
+        xs = g.ring[1]
+        images = [d * x % N for x in xs]
         if _image_degree(images) > 1:
             crit_gaps.append(g)
             # every side is critical exactly when all vertices share one image
             if len(set(images)) == 1:
-                merged = set(g.vertices)
+                merged = set(xs)
                 touching = [p for p in polygons if len(p & merged) >= 2]
                 polygons = [p for p in polygons if len(p & merged) < 2]
                 polygons.append(merged.union(*touching))
     clusters = [tuple(sorted(p)) for p in polygons]
-    clusters += [
-        (c.a, c.b) for c in crit_leaves if not any(c.a in p and c.b in p for p in polygons)
-    ]
+    clusters += [(a, b) for _, (a, b) in crit if not any(a in p and b in p for p in polygons)]
 
-    gap_edges = {e for g in crit_gaps for e in g.edges}
-    free_leaves = tuple(c for c in crit_leaves if c not in gap_edges)
+    gap_edges = {e for g in crit_gaps for e in _sides(g.ring[1])}
     return CriticalAnalysis(
-        critical_leaves=crit_leaves,
+        critical_leaves=tuple(c for c, _ in crit),
         critical_gaps=tuple(crit_gaps),
-        critical_clusters=tuple(sorted(clusters)),
-        critical_sets=tuple(crit_gaps) + free_leaves,
+        critical_clusters=tuple(tuple(_at(N, x) for x in c) for c in sorted(clusters)),
+        critical_sets=tuple(crit_gaps) + tuple(c for c, p in crit if p not in gap_edges),
         arc_gaps=tuple(arc_gaps),
     )
 

@@ -18,6 +18,7 @@ from .chords import Chord, chord_image, greedy_no_loop, is_critical, validate_co
 from .lamination import (
     FiniteLamination,
     Gap,
+    _all_critical,
     boundary_degree,
     critical_analysis,
     gap_degree,
@@ -180,7 +181,7 @@ def qc_portrait_exists(lam: FiniteLamination) -> bool:
     frontier artifacts of finite truncation and are ignored."""
     analysis = critical_analysis(lam)
     for g in analysis.critical_gaps:
-        if all(is_critical(lam.degree, e) for e in g.edges):
+        if _all_critical(lam.degree, g):
             continue
         if len(g.vertices) != 4 or gap_degree(lam.degree, g) != 2:
             return False
@@ -201,7 +202,7 @@ def derive_qc_portrait(lam: FiniteLamination) -> QcPortrait:
     analysis = critical_analysis(lam)
     quads = []
     for g in analysis.critical_gaps:
-        if len(g.vertices) == 4 and not all(is_critical(d, e) for e in g.edges):
+        if len(g.vertices) == 4 and not _all_critical(d, g):
             quads.append(make_quadrilateral(g.vertices, d))
     for c in greedy_no_loop(d, analysis.critical_leaves):
         quads.append(make_quadrilateral((c.a, c.a, c.b, c.b), d))
@@ -221,11 +222,10 @@ def tune_insert(lam: FiniteLamination, critical_set: Gap, choice: Chord | None =
     degree-1 gaps are rejected.
     """
     d = lam.degree
-    if critical_set.is_disk or not critical_set.finite:
+    if not critical_set.finite:
         raise ValueError("tuning needs a finite gap")
     deg = gap_degree(d, critical_set)
-    edges = list(critical_set.edges)
-    if all(is_critical(d, e) for e in edges):
+    if _all_critical(d, critical_set):
         raise ValueError("all-critical sets need no quadrilateral insertion")
     if deg != 2 or len(critical_set.vertices) < 4:
         raise ValueError("tuning needs a degree-2 gap with at least four vertices")
@@ -233,6 +233,7 @@ def tune_insert(lam: FiniteLamination, critical_set: Gap, choice: Chord | None =
         quad = make_quadrilateral(critical_set.vertices, d)
         if quad.classification == COLLAPSING:
             return lam, quad
+    edges = critical_set.edges
     candidates = [choice] if choice is not None else edges
     for e in candidates:
         if e not in edges or chord_image(d, e).degenerate:

@@ -127,7 +127,6 @@ class RenderSpec:
 # straight.
 _STRAIGHT_FROM = Angle(Fraction(1, 2) - Fraction(1, 10**14))
 _STRAIGHT_N, _STRAIGHT_Q = _STRAIGHT_FROM.numerator, _STRAIGHT_FROM.denominator
-_HALF = Angle(1, 2)
 
 
 def _fmt(x) -> str:
@@ -295,13 +294,14 @@ def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
         # the whole disk: two counterclockwise half circles
         zero, half = canvas.svg_xy(0), canvas.svg_xy(canvas.N // 2)
         return f"M {zero} A {r} {r} 0 1 0 {half} A {r} {r} 0 1 0 {zero} Z"
-    verts = [_on_ring(canvas.N, v) for v in gap.vertices]
+    # the canvas ring is a multiple of the gap's reduced ring
+    (n, xs, _), N = gap._reduced(), canvas.N
+    verts = [x * (N // n) for x in xs]
     parts = [f"M {canvas.svg_xy(verts[0])}"]
-    for i, (kind, side) in enumerate(gap.sides):
-        start, end = verts[i], verts[(i + 1) % len(verts)]
-        if kind == "arc":
+    for i, (start, end) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        if i in gap.arc_sides:
             # the boundary runs counterclockwise, which is sweep 0 with y flipped
-            large = 1 if side.length > _HALF else 0
+            large = 1 if 2 * ((end - start) % N) > N else 0
             parts.append(f"A {r} {r} 0 {large} 0 {canvas.svg_xy(end)}")
         else:
             parts.append(_geodesic_to(canvas, start, end, straight))
@@ -343,7 +343,7 @@ def _render(target, spec: RenderSpec, shaded) -> str:
     ]
     # the shaded gaps are drawn on every disk, so their points join its ring
     shaded = tuple(shaded)
-    shade_q = [v.denominator for g in shaded for v in g.vertices] + [2 for g in shaded if g.is_disk]
+    shade_q = [g._reduced()[0] for g in shaded] + [2 for g in shaded if g.is_disk]
     for idx, (N, pairs) in enumerate(rings):
         M = lcm(N, *shade_q)
         if M != N:

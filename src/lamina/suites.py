@@ -28,7 +28,7 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between
 from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import TWO_LEAF_FLIP, WANDERING, _order_preserving_ring, accordion, compgap_analyze
+from .accordion import TWO_LEAF_FLIP, WANDERING, _ends_kept, _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -234,13 +234,14 @@ def heuristically_dendritic(lam: FiniteLamination) -> bool:
 
     A recurring vertex set is permuted by an iterate of sigma_d, so all its
     vertices are periodic, and n/q is periodic iff q is prime to d; a gap
-    with any other vertex is skipped without following its orbit."""
+    is skipped unfollowed when the lcm of its q, its reduced N, is not."""
     d = lam.degree
-    for vertices in critical_analysis(lam).arc_gaps:
-        if any(math.gcd(v.denominator, d) != 1 for v in vertices):
+    for g in critical_analysis(lam).arc_gaps:
+        N, xs, _ = g._reduced()
+        if math.gcd(N, d) != 1:
             continue
-        vop = orbit_classify(d, vertices, max_steps=16)
-        if vop is not None and vop.preperiod == 0:
+        found = _ring_orbit(d, N, frozenset(xs), 16)
+        if found is not None and found[0] == 0:
             return False
     return True
 
@@ -410,7 +411,7 @@ def _survivor_pairs(kmax: int):
             if not linked(c1, c2):
                 continue
             nlinked += 1
-            if _order_preserving_ring(3, N, orbit[c1][1], orbit[c2][1]):
+            if _ends_kept(3, N, c1, c2) and _order_preserving_ring(3, N, orbit[c1][1], orbit[c2][1]):
                 survivors[c1, c2] = orbit[c1], orbit[c2]
     return N, nlinked, survivors
 
@@ -571,11 +572,6 @@ def _fixture_laminations():
     return fixtures
 
 
-def _remap_orbits(d: int, vertices, k: int):
-    """The cycles of sigma_d^k = sigma_{d^k} on a vertex set it maps onto itself."""
-    return {frozenset(orbit_classify(d**k, v).orbit) for v in vertices}
-
-
 def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:
     library = sample_cubic_library(Lcg(seed), samples)
     fixtures = _fixture_laminations() + library
@@ -593,14 +589,16 @@ def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:
                         f"{this.period} but companion period {other.period}"
                     )
         for g in gaps(lam):
-            if g.is_disk or not g.finite:
+            if not g.finite:
                 continue
-            vop = orbit_classify(d, g.vertices, max_steps=64)
-            if vop is None or vop.preperiod != 0:
+            N, xs = g.ring
+            found = _ring_orbit(d, N, frozenset(xs), 64)
+            if found is None or found[0] != 0:
                 continue
             counts["periodic_gaps"] += 1
-            orbits = _remap_orbits(d, g.vertices, vop.period)
-            is_dgon_fixed = len(g.vertices) == d and all(len(o) == 1 for o in orbits)
+            # the cycles of sigma_d^k = sigma_{d^k}, k the gap's period, on its vertices
+            orbits = {frozenset(_ring_orbit(d ** len(found[1]), N, x)[1]) for x in xs}
+            is_dgon_fixed = len(xs) == d and all(len(o) == 1 for o in orbits)
             if not (is_dgon_fixed or len(orbits) <= d - 1):
                 failures.append(
                     f"lam {idx}: periodic gap {g} has {len(orbits)} vertex orbits under the remap"

@@ -106,6 +106,9 @@ def test_cli_exits_cleanly_on_generated_files(portraits, lam_text, depth, to_std
                 built.write_text(text)
             _run("render", "--lamination", built, "--out", tmp / "built.svg", "--size", 64)
         random_lam.write_text(lam_text)
+        # a highlight that is no leaf of the file is refused, so the file is
+        # also drawn without one
+        _run("render", "--lamination", random_lam, "--out", tmp / "random.svg", "--size", 64)
         _run("render", "--lamination", random_lam, "--out", tmp / "random.svg", "--size", 64,
              "--labels", "--highlight", "1/7 2/7")
         out = [] if to_stdout else ["--out", tmp / "tags.txt"]

@@ -459,6 +459,24 @@ def test_cli_tags_unwritable_out_and_figures(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
+def test_cli_render_rejects_highlight_that_is_no_leaf(tmp_path, capsys):
+    # 1/5 2/5 is a chord of no rabbit leaf, so nothing could be highlighted
+    portrait = tmp_path / "rabbit.portrait"
+    portrait.write_text(RABBIT)
+    lam = tmp_path / "rabbit.lam"
+    assert main(["build", "--portrait", str(portrait), "--depth", "3", "--out", str(lam)]) == 0
+    out = tmp_path / "x.svg"
+    argv = ["render", "--lamination", str(lam), "--out", str(out), "--highlight", "1/7 2/7;1/5 2/5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1/5 2/5" in err and str(lam) in err
+    assert not out.exists()
+    # a leaf alone is drawn in the highlight class
+    assert main(argv[:-1] + ["1/7 2/7"]) == 0
+    assert 'class="hl"' in out.read_text()
+
+
 @pytest.mark.parametrize("size", ["-5", "0"])
 def test_cli_render_rejects_nonpositive_size(tmp_path, capsys, size):
     lam = tmp_path / "rabbit.lam"

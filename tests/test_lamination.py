@@ -12,7 +12,7 @@ import lamina.circle as circle
 import lamina.lamination as lamination
 import lamina.quad_minor as quad_minor
 import lamina.suites as suites
-from lamina.circle import Angle, Arc, _ring, ccw_offset, preimages, sigma
+from lamina.circle import Angle, _ring, ccw_offset, preimages, sigma
 from lamina.chords import (
     Chord,
     chord_image,
@@ -129,9 +129,10 @@ def face_walk_gaps(lam):
             seen.add(edge)
             edge = next_edge(edge)
         verts = [u for _, u, _ in face]
-        sides = [(kind, Chord(u, v) if kind == "chord" else Arc(u, v)) for kind, u, v in face]
         k = verts.index(min(verts))
-        result.append(Gap(vertices=tuple(verts[k:] + verts[:k]), sides=tuple(sides[k:] + sides[:k])))
+        N, xs = _ring(verts[k:] + verts[:k])
+        arcs = sorted((i - k) % len(face) for i, (kind, _, _) in enumerate(face) if kind == "arc")
+        result.append(Gap(N, xs, arcs))
     result.sort(key=lambda g: g.vertices)
     return result
 
@@ -271,7 +272,8 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
 
 
 def test_face_walk_builds_no_checked_arc(monkeypatch):
-    # an arc side joins two distinct ring ints, so the walk skips Arc's check
+    # the walk records ring ints and arc side indices and builds no Arc; the
+    # checked Arc views, formed on read, join two distinct points
     lam = pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
     want = gaps(lam)
     assert all(arc.start != arc.end for g in want for arc in g.arcs) and any(g.arcs for g in want)
@@ -363,6 +365,30 @@ def test_gaps_of_triangle():
     assert finite[0].vertices == (A(0), A(1, 3), A(2, 3))
     arcy = [g for g in gs if not g.finite]
     assert all(len(g.arcs) == 1 and len(g.edges) == 1 for g in arcy)
+
+
+def test_one_face_on_two_rings_is_one_gap():
+    # the triangle on the ring mod 3, and on the ring mod 9 once a leaf of
+    # denominator 9 joins it
+    alone = [g for g in gaps(FiniteLamination(3, TRIANGLE)) if g.finite]
+    joined = [g for g in gaps(FiniteLamination(3, TRIANGLE + [C(1, 9, 2, 9)])) if g.finite]
+    assert [g.ring for g in alone] == [(3, (0, 1, 2))]
+    assert [g.ring for g in joined] == [(9, (0, 3, 6))]
+    assert alone == joined and hash(alone[0]) == hash(joined[0])
+    assert str(alone[0]) == str(joined[0]) == "Gap(0, 1/3, 2/3)"
+    assert alone[0].sides == joined[0].sides
+
+
+def test_all_critical_rule_agrees_with_critical_edges():
+    # a finite gap's sides are all critical iff its vertices share one image
+    seen = set()
+    for lam, faces in face_walk_cases():
+        for g in faces:
+            if g.finite:
+                rule = lamination._all_critical(lam.degree, g)
+                assert rule == all(is_critical(lam.degree, e) for e in g.edges), (lam, g)
+                seen.add(rule)
+    assert seen == {True, False}
 
 
 def test_gaps_trivial_cases():
@@ -1117,8 +1143,8 @@ def face_walk_cases():
 
 def test_gap_count_oracle():
     # each non-crossing chord splits exactly one region: n leaves, n+1 gaps;
-    # the faces of the first walk, the kept ones and the ones walked again
-    # once critical_analysis has dropped them are all the oracle's
+    # the faces of the first walk and the kept ones, before and after
+    # critical_analysis, are all the oracle's
     for lam, faces in face_walk_cases():
         first = gaps(lam)
         assert len(first) == len(lam) + 1
@@ -1151,7 +1177,7 @@ def test_crossing_lamination_keeps_its_pair_and_no_faces(monkeypatch):
 
 def test_one_sweep_and_one_walk_per_lamination(monkeypatch):
     # check_unlinked, gaps and critical_analysis share one sweep and one
-    # face walk, and the analysis drops the faces it has read
+    # face walk, and the faces are kept like the sweep
     calls = {"sweep": 0, "walk": 0}
     sweep, walk = lamination._sweep, lamination._walk
 
@@ -1171,12 +1197,9 @@ def test_one_sweep_and_one_walk_per_lamination(monkeypatch):
         assert check_unlinked(lam) == (True, None)
         faces = gaps(lam)
         analysis = critical_analysis(lam)
-        assert calls == {"sweep": 1, "walk": 1}
-        assert lam._faces is None
-        # a later reader walks again from the kept sweep, and keeps nothing
+        # a reader after the analysis reads the kept faces
         assert gaps(lam) == faces and critical_analysis(lam) is analysis
-        assert calls == {"sweep": 1, "walk": 2}
-        assert lam._faces is None
+        assert calls == {"sweep": 1, "walk": 1}
 
 
 def critical_analysis_oracle(lam, faces):
@@ -1193,7 +1216,7 @@ def critical_analysis_oracle(lam, faces):
         critical_gaps=crit_gaps,
         critical_clusters=cluster_oracle(lam),
         critical_sets=crit_gaps + tuple(c for c in crit_leaves if c not in edges),
-        arc_gaps=tuple(g.vertices for g in faces if not g.is_disk and not g.finite),
+        arc_gaps=tuple(g for g in faces if not g.is_disk and not g.finite),
     )
 
 

@@ -14,10 +14,11 @@ import lamina
 from lamina import render
 from lamina.circle import Angle, shortest_dist
 from lamina.chords import Chord
-from lamina.lamination import FiniteLamination, gaps, orbit_classify, pullback_build
+from lamina.lamination import FiniteLamination, critical_analysis, gaps, orbit_classify, pullback_build
 from lamina.cubic_tags import ConvexSet
 from lamina.formats import parse_portrait
 from lamina.render import _STRAIGHT_FROM, RenderSpec, _Canvas, render_svg
+from lamina.suites import hexagon_fixtures
 
 A = Angle
 
@@ -86,6 +87,45 @@ def test_rabbit_depth_six_hash_pinned():
     svg = render_svg(lam, RenderSpec(labels=True))
     digest = hashlib.sha256(svg.encode()).hexdigest()
     assert digest == "8cac8100246986082a281fb637ba98a1bdd0e79448912b44395723a75e227a99"
+
+
+def test_shaded_renders_hash_pinned():
+    # every face of the rabbit at depth 4, with labels, in both styles, and
+    # the critical gap of a hexagon fixture
+    lam = parse_portrait("degree 2\nquad 1/14 1/7 4/7 9/14\n").build(4)
+    digests = [
+        hashlib.sha256(
+            render_svg(lam, RenderSpec(labels=True, geodesic_style=style), shaded=gaps(lam)).encode()
+        ).hexdigest()
+        for style in ("hyperbolic", "straight")
+    ]
+    assert digests == [
+        "326db7cb689753e00e28ab863bbedd5ea3bff107f1899b5523479db6abb73606",
+        "f07589bac784b5da751ce7d359548d455d7707c3d298221dd8fc19fc4f0bfc91",
+    ]
+    hexagon = hexagon_fixtures()[1]
+    svg = render_svg(hexagon, RenderSpec(), shaded=critical_analysis(hexagon).critical_gaps)
+    digest = hashlib.sha256(svg.encode()).hexdigest()
+    assert digest == "4f4555736f253a6d528119c6055ea0e5c761ce9205d868265280a82a4ef30435"
+
+
+def test_a_face_shades_alike_from_every_ring():
+    # the triangle face on the ring mod 3 and on the ring mod 9, shaded on a
+    # rabbit whose ring holds neither, goes onto the canvas ring as 0, 1/3, 2/3
+    tri = [C(0, 1, 1, 3), C(1, 3, 2, 3), C(0, 1, 2, 3)]
+    faces = [
+        [g for g in gaps(FiniteLamination(3, chords)) if len(g.vertices) == 3]
+        for chords in (tri, tri + [C(1, 9, 2, 9)])
+    ]
+    assert faces[0][0].ring[0] == 3 and faces[1][0].ring[0] == 9
+    lam = parse_portrait("degree 2\nquad 1/14 1/7 4/7 9/14\n").build(2)
+    svg, svg9 = (render_svg(lam, RenderSpec(labels=True), shaded=f) for f in faces)
+    assert svg == svg9
+    [path] = _paths(svg, "shade")
+    assert [args[-1] for _, args in _segments(path)] == [
+        _svg_xy_uncached(A(0), 800), _svg_xy_uncached(A(1, 3), 800),
+        _svg_xy_uncached(A(2, 3), 800), _svg_xy_uncached(A(0), 800),
+    ]
 
 
 def test_gap_shading():
