@@ -5,7 +5,8 @@ that closed hole (off the set itself) mapping into the set's image span the
 *co-critical set*.  An ordered pair of critical sets tags a lamination by
 the product coc(first) x sigma3(second) in the bidisk; tags of distinct
 dendritic-style laminations are expected to be disjoint or equal, and
-refining a portrait inside its critical sets shrinks the tag.
+refining a portrait inside its critical sets shrinks the tag.  A set is a
+``ConvexSet``, kept as its ring ints like a lamination and its faces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .circle import Angle, _at, _ring, shortest_dist
+from .circle import _at, _ring, shortest_dist
 from .chords import Chord, _sides
 from .lamination import (
     FiniteLamination,
@@ -47,56 +48,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class ConvexSet:
     """Convex hull of finitely many circle points: a point, chord or polygon.
 
-    Vertices are stored ascending (positive circular order from the
-    smallest); that tuple of Angles is the public view.  The hull also puts
-    them on one ring (see ``circle._ring``): ``ring`` is (N, xs), N the lcm
-    of the vertex denominators and xs their ascending numerators over N, so
-    equal sets have equal rings and every question below is asked of ints.
-    Its co-critical set and its text are formed on first use and kept.
+    ``ConvexSet(N, xs)`` takes ring points mod N (see ``circle._ring``) in
+    any order, with repeats, and keeps ``ring`` = (N, ascending xs) with
+    gcd(N, *xs) divided out, so equal sets have equal rings and every
+    question below is asked of ints; ``vertices`` is an Angle view.  Its
+    co-critical set and its text are formed on first use and kept.
     """
 
-    vertices: tuple
-    ring: tuple = field(init=False, repr=False)
-    _cocritical: "ConvexSet | None" = field(init=False, repr=False, default=None)
-    _text: "str | None" = field(init=False, repr=False, default=None)
+    __slots__ = ("ring", "_cocritical", "_text")
 
-    def __post_init__(self):
-        N, xs = _ring(self.vertices)
-        object.__setattr__(self, "ring", (N, tuple(xs)))
+    def __init__(self, N: int, xs):
+        xs = sorted(set(xs))
+        if not xs:
+            raise ValueError("a convex set needs at least one vertex")
+        g = gcd(N, *xs)
+        self.ring = N // g, tuple(x // g for x in xs)
+        self._cocritical = self._text = None
 
     @classmethod
     def of(cls, points) -> "ConvexSet":
-        vs = tuple(sorted({Angle(p) for p in points}))
-        if not vs:
-            raise ValueError("a convex set needs at least one vertex")
-        return cls(vs)
+        return cls(*_ring(points))
 
     @classmethod
     def hull_of(cls, s: Chord | Gap) -> "ConvexSet":
         """The hull of a chord or of a finite gap, e.g. a critical set."""
-        return cls.of(s.endpoints) if isinstance(s, Chord) else cls._of_ring(*s.ring)
-
-    @classmethod
-    def _of_ring(cls, N: int, xs) -> "ConvexSet":
-        """The hull of the ring points xs mod N, in any order, with repeats."""
-        xs = sorted(set(xs))
-        g = gcd(N, *xs)
-        hull = cls.__new__(cls)
-        fields = hull.__dict__
-        fields["vertices"] = tuple(_at(N, x) for x in xs)
-        fields["ring"] = (N // g, tuple(x // g for x in xs))
-        fields["_cocritical"] = fields["_text"] = None
-        return hull
+        return cls(*_ring(s)) if isinstance(s, Chord) else cls(*s.ring)
 
     def __eq__(self, other):
         return isinstance(other, ConvexSet) and self.ring == other.ring
 
     def __hash__(self):
         return hash(self.ring)
+
+    def __repr__(self):
+        return f"ConvexSet({self})"
+
+    @property
+    def vertices(self) -> tuple:
+        N, xs = self.ring
+        return tuple(_at(N, x) for x in xs)
 
     @property
     def edges(self) -> tuple:
@@ -140,7 +133,7 @@ class ConvexSet:
 
     def image(self, d: int) -> "ConvexSet":
         N, xs = self.ring
-        return ConvexSet._of_ring(N, [d * x % N for x in xs])
+        return ConvexSet(N, [d * x % N for x in xs])
 
     def degree(self, d: int) -> int:
         N, xs = self.ring
@@ -148,7 +141,7 @@ class ConvexSet:
 
     def __str__(self) -> str:
         if self._text is None:
-            object.__setattr__(self, "_text", "{" + ", ".join(map(str, self.vertices)) + "}")
+            self._text = "{" + ", ".join(map(str, self.vertices)) + "}"
         return self._text
 
 
@@ -175,7 +168,7 @@ def cocritical_set(C: ConvexSet) -> ConvexSet:
     length 3l.
     """
     if C._cocritical is None:
-        object.__setattr__(C, "_cocritical", _cocritical_set(C))
+        C._cocritical = _cocritical_set(C)
     return C._cocritical
 
 
@@ -199,7 +192,7 @@ def _cocritical_set(C: ConvexSet) -> ConvexSet:
         for p in (w, w + N, w + 2 * N)
         if (p - s) % M <= l and p not in own
     ]
-    return ConvexSet._of_ring(M, points)
+    return ConvexSet(M, points)
 
 
 @dataclass(frozen=True)
@@ -249,12 +242,14 @@ class MixedTag:
 
 def _validate_portrait_sets(lam: FiniteLamination, fp: FullPortrait):
     # the sides of a hull, sorted pairs of Angles in the order of
-    # ConvexSet.edges, are looked up on the lamination's ring by `in`
+    # ConvexSet.edges, are looked up on the lamination's ring by `in`; a
+    # point has no sides and is no critical set
     for S in fp:
-        missing = next((e for e in _sides(S.vertices) if e not in lam), None)
-        if missing is None:
+        vs = S.vertices
+        missing = next((e for e in _sides(vs) if e not in lam), None)
+        if missing is None and len(vs) > 1:
             continue
-        if len(S.vertices) == 2:
+        if len(vs) <= 2:
             raise ValueError(f"{S} is not a leaf of the lamination")
         raise ValueError(f"{S} is not a gap of the lamination (missing edge {Chord(*missing)})")
 
@@ -285,17 +280,17 @@ def _meeting_pairs(hulls):
     Two hulls meet iff they share a vertex or an edge of one crosses an edge
     of the other (see :meth:`ConvexSet.intersects`).  Shared vertices come
     from bucketing the hulls by vertex.  Crossings come from one sweep over
-    all edges (a, b), a < b, as ranks in the circle order of all vertices:
-    the edges from a ascend by start, and the open edges (c, d), c < a < d,
-    sit in a heap by end d.  An open edge crosses (a, b) iff d < b, and those
-    are read off the top of the heap.  For M vertices and edges and K pairs
-    yielded that is O(M log M + K), where comparing every pair is O(n^2) for
-    n hulls.  The pairs of hull i are formed when i is reached, so only the
-    crossings are held at once.
+    all edges (a, b), a < b, on the ring mod L, the lcm of the hulls' rings,
+    where circle order is int order: the edges from a ascend by start, and
+    the open edges (c, d), c < a < d, sit in a heap by end d.  An open edge
+    crosses (a, b) iff d < b, and those are read off the top of the heap.
+    For M vertices and edges and K pairs yielded that is O(M log M + K),
+    where comparing every pair is O(n^2) for n hulls.  The pairs of hull i
+    are formed when i is reached, so only the crossings are held at once.
     """
-    rank = {v: r for r, v in enumerate(sorted({v for h in hulls for v in h.vertices}))}
-    corners = [[rank[v] for v in h.vertices] for h in hulls]
-    through = {}  # vertex rank -> the hulls through it, ascending
+    L = lcm(*(h.ring[0] for h in hulls))
+    corners = [[x * (L // N) for x in xs] for N, xs in (h.ring for h in hulls)]
+    through = {}  # vertex -> the hulls through it, ascending
     edges = []
     for i, vs in enumerate(corners):
         for v in vs:
@@ -391,8 +386,8 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
     if triangles and truncA == truncX:
         T = set(triangles[0])
         first_edges_distinct = (
-            len(fpA.first.vertices) == 2
-            and len(fpX.first.vertices) == 2
+            len(fpA.first.ring[1]) == 2
+            and len(fpX.first.ring[1]) == 2
             and set(fpA.first.vertices) <= T
             and set(fpX.first.vertices) <= T
             and fpA.first != fpX.first
@@ -453,7 +448,7 @@ def reconstruct(C: ConvexSet) -> ConvexSet:
     original set for critical leaves and collapsing quadrilaterals."""
     N, xs = cocritical_set(C).ring
     # x/N + k/3 is (3x + kN)/3N
-    return ConvexSet._of_ring(3 * N, [(3 * x + k * N) % (3 * N) for k in (1, 2) for x in xs])
+    return ConvexSet(3 * N, [(3 * x + k * N) % (3 * N) for k in (1, 2) for x in xs])
 
 
 def linked_pair_cocritical_quads(l1: Chord, l2: Chord):
@@ -490,7 +485,7 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
             coc = cocritical_set(C)
         except ValueError:
             continue
-        if len(coc.vertices) == 1:
+        if len(coc.ring[1]) == 1:
             continue  # its one hole is the whole circle, behind no edge
         # the three sets on one ring mod L
         minor = D.image(3)

@@ -18,7 +18,8 @@ merged where they share an edge, plus each critical leaf that lies in no
 merged polygon.  Laminations
 are generated from critical portraits by the standard pullback scheme,
 with branches chosen inside the complementary sectors of a full collection
-of critical chords, which are the arc-bearing gaps of those chords.
+of critical chords: :func:`sector_partition` returns the faces of those
+chords, all arc-bearing, and the build reads their ring ints.
 
 Orbits, pullbacks and invariance checks run on one integer ring (1/N)Z/Z:
 sigma_d never enlarges a denominator and each pullback generation
@@ -494,49 +495,28 @@ def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Sector:
-    """One complementary component of a full collection of critical chords.
-
-    ``arcs`` are its half-open circle arcs [start, end), as (start, end)
-    pairs; ``corners`` are its boundary vertices on no arc (meeting points
-    of two chords), which belong to the closure only.
-    """
-
-    arcs: tuple
-    corners: frozenset
-
-
-def sector_partition(d: int, critical_chords) -> list[_Sector]:
+def sector_partition(d: int, critical_chords) -> list[Gap]:
     """The d complementary components of a full collection of d-1 pairwise
-    unlinked critical chords, as half-open circle arc unions.
+    unlinked critical chords, as the faces of the chords' lamination.
 
-    Each is read off an arc-bearing gap of the chords: its arcs are the
-    gap's arc sides, its corners the gap's vertices between two chord
-    sides.  A point falling on a component boundary belongs to the
-    component that contains its positively adjacent arc.
+    A component is the union of its face's half-open arc sides; a vertex
+    that starts no arc belongs to its closure only.  So a point falling on
+    a component boundary belongs to the component that contains its
+    positively adjacent arc.
     """
     critical_chords = list(critical_chords)
     if not validate_collection(d, critical_chords).is_full_collection:
         raise InconsistentPortrait(
             f"critical chords do not form a full collection: {list(map(str, critical_chords))}"
         )
-    mini = FiniteLamination(d, critical_chords)
     try:
-        faces = gaps(mini)
+        # d - 1 unlinked critical chords with no loop close no polygon, so all
+        # their faces bear arcs: d of them, each with arcs of total length 1/d
+        return gaps(FiniteLamination(d, critical_chords))
     except ValueError as e:
         if not str(e).startswith("leaves cross"):
             raise
         raise InconsistentPortrait("critical chords of the portrait cross each other") from None
-    sectors = []
-    # d - 1 unlinked critical chords with no loop close no polygon, so all
-    # their faces bear arcs: d of them, each with arcs of total length 1/d
-    for g in faces:
-        # vertex i is where side i - 1 ends and side i starts
-        vs, arcs = g.vertices, g.arc_sides
-        corners = (v for i, v in enumerate(vs) if i not in arcs and (i - 1) % len(vs) not in arcs)
-        sectors.append(_Sector(tuple((vs[i], vs[(i + 1) % len(vs)]) for i in arcs), frozenset(corners)))
-    return sectors
 
 
 # pullback_build refuses a depth at which the leaf count could pass this
@@ -617,22 +597,19 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         # be too large to form d**depth
         return FiniteLamination(d, ())
 
-    # every sector arc end and corner is an end of a sector chord
     scale = d**depth
-    on_ring = {e: x * scale for e, x in zip(ends, xs)}
     N *= scale
     step = N // d
-    # the half-open sector arcs tile the circle: the arc starting at
-    # starts[i] belongs to sector owner[i], and the last one wraps past 0
-    tiles = sorted((on_ring[s], k) for k, sector in enumerate(parts) for s, _ in sector.arcs)
+    # each face's ring, of sector chord ends, scaled onto N; the half-open
+    # sector arcs tile the circle: the arc starting at starts[i] belongs to
+    # sector owner[i], and the last one wraps past 0
+    faces = [(g.arc_sides, [x * (N // g.ring[0]) for x in g.ring[1]]) for g in parts]
+    tiles = sorted((xs[i], k) for k, (arcs, xs) in enumerate(faces) for i in arcs)
     starts = [s for s, _ in tiles]
     owner = [k for _, k in tiles]
-    # the points of each closed sector outside its half-open arcs: the arc
-    # ends and the corners
-    closure = [
-        {on_ring[p] for p in sector.corners.union(e for _, e in sector.arcs)} for sector in parts
-    ]
-    ambiguous_values = {d * on_ring[e] % N for c in sector_chords for e in c.endpoints}
+    # the points of each closed sector outside its half-open arcs
+    closure = [{x for i, x in enumerate(xs) if i not in arcs} for arcs, xs in faces]
+    ambiguous_values = {d * x * scale % N for p in pairs[len(portrait) :] for x in p}
 
     def sector_of(q: int) -> int:
         return owner[bisect_right(starts, q) - 1]
@@ -677,7 +654,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         # appear in its own sibling collection)
         existing = set(by_image.get(leaf, ()))
         options = []
-        for k, sector in enumerate(parts):
+        for k, face in enumerate(parts):
             cands = []
             for x in candidates(a, k):
                 for y in candidates(b, k):
@@ -688,7 +665,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                         cands.append(p)
             if not cands:
                 raise InconsistentPortrait(
-                    f"no unlinked pullback of {_chord(N, leaf)} in sector {sector.arcs}"
+                    f"no unlinked pullback of {_chord(N, leaf)} in sector {face}"
                 )
             cands.sort(key=lambda p: p not in existing)
             options.append(cands)
@@ -807,7 +784,7 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     d = lam.degree
     # a leaf is critical when its ends share an image, d*x_a == d*x_b mod N
     N, pairs = lam.ring
-    crit = [(c, p) for c, p in zip(lam.leaves, pairs) if d * p[0] % N == d * p[1] % N]
+    crit = [p for p in pairs if d * p[0] % N == d * p[1] % N]
 
     crit_gaps = []
     arc_gaps = []
@@ -836,14 +813,15 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
                 polygons = [p for p in polygons if len(p & merged) < 2]
                 polygons.append(merged.union(*touching))
     clusters = [tuple(sorted(p)) for p in polygons]
-    clusters += [(a, b) for _, (a, b) in crit if not any(a in p and b in p for p in polygons)]
+    clusters += [(a, b) for a, b in crit if not any(a in p and b in p for p in polygons)]
 
     gap_edges = {e for g in crit_gaps for e in _sides(g.ring[1])}
+    leaves = {p: _chord(N, p) for p in crit}
     return CriticalAnalysis(
-        critical_leaves=tuple(c for c, _ in crit),
+        critical_leaves=tuple(leaves.values()),
         critical_gaps=tuple(crit_gaps),
         critical_clusters=tuple(tuple(_at(N, x) for x in c) for c in sorted(clusters)),
-        critical_sets=tuple(crit_gaps) + tuple(c for c, p in crit if p not in gap_edges),
+        critical_sets=tuple(crit_gaps) + tuple(leaves[p] for p in crit if p not in gap_edges),
         arc_gaps=tuple(arc_gaps),
     )
 

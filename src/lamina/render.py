@@ -98,7 +98,7 @@ from math import factorial, gcd, lcm
 
 import mpmath
 
-from .chords import Chord
+from .chords import Chord, _sides
 from .circle import Angle, _at, _on_ring, _ring
 from .lamination import FiniteLamination, Gap
 
@@ -329,9 +329,9 @@ def _render(target, spec: RenderSpec, shaded) -> str:
     elif isinstance(target, (list, tuple)) and (not target or isinstance(target[0], Chord)):
         rings = [_chord_ring(target)]
     else:
-        # tag factors: two convex sets rendered side by side, a point as a
-        # degenerate chord
-        rings = [_chord_ring(f.edges or [Chord(f.vertices[0], f.vertices[0])]) for f in target]
+        # tag factors: two convex sets rendered side by side, each its own
+        # ring's sides, a point as a degenerate chord
+        rings = [(N, _sides(xs) or [(xs[0], xs[0])]) for N, xs in (f.ring for f in target)]
 
     size = spec.size
     width = size * len(rings)

@@ -88,7 +88,7 @@ def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
             failures.append(f"critical leaf {leaf} fails reconstruction")
         base = rng.chord_in_window()
         quad = cocritical_set(ConvexSet.hull_of(base))
-        if len(quad.vertices) != 4:
+        if len(quad.ring[1]) != 4:
             failures.append(f"co-critical set of {base} is not a quadrilateral")
             continue
         if reconstruct(quad) != quad:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lamina.circle import Angle
 from lamina.chords import Chord
-from lamina.lamination import pullback_build
+from lamina.lamination import Gap, pullback_build
 from lamina.cubic_tags import (
     ConvexSet,
     FullPortrait,
@@ -87,6 +87,62 @@ def test_mixed_tag_validates_membership():
     lam = lam_bicritical()
     with pytest.raises(ValueError):
         mixed_tag(lam, FullPortrait(S(0, F(1, 3)), S(F(1, 8), F(11, 24))))
+
+
+def test_mixed_tag_refuses_a_point_as_a_critical_set():
+    # a point has no sides to look up, and is neither a leaf nor a gap
+    leaf, point = ConvexSet.hull_of(C(0, 1, 1, 3)), S(F(1, 5))
+    for lam, fp in (
+        (lam_bicritical(), FullPortrait(leaf, point)),
+        (lam_bicritical(), FullPortrait(point, leaf)),
+        (lam_triangle(), FullPortrait(TRIANGLE_SET, point)),
+    ):
+        with pytest.raises(ValueError) as exc:
+            mixed_tag(lam, fp)
+        assert str(exc.value) == "{1/5} is not a leaf of the lamination"
+    # with no lamination to check against the tag is formed
+    assert str(mixed_tag(None, FullPortrait(leaf, point))) == "{2/3} x {3/5}"
+
+
+def test_convex_set_is_one_ring_from_every_constructor():
+    # each set from two rings, with repeats and out of order: equal, equal
+    # hashes, ints only on the ring, and the Angle views and texts as before
+    cases = [
+        (
+            [
+                S(0, F(1, 3), F(2, 3)),
+                S(F(2, 3), 1, F(1, 3), F(4, 3)),
+                ConvexSet.hull_of(Gap(3, (0, 1, 2))),
+                ConvexSet.hull_of(Gap(9, (0, 3, 6))),
+                ConvexSet(3, [2, 0, 1, 1]),
+                ConvexSet(12, [8, 4, 0]),
+            ],
+            (3, (0, 1, 2)),
+            "{0, 1/3, 2/3}",
+        ),
+        (
+            [
+                S(F(1, 12), 0),
+                ConvexSet.hull_of(C(0, 1, 1, 12)),
+                ConvexSet.hull_of(Gap(24, (0, 2))),
+                ConvexSet(12, [1, 0, 1]),
+                ConvexSet(36, [3, 0]),
+            ],
+            (12, (0, 1)),
+            "{0, 1/12}",
+        ),
+        ([S(F(6, 5)), ConvexSet(5, [1]), ConvexSet(10, [2, 2])], (5, (1,)), "{1/5}"),
+    ]
+    for made, ring, text in cases:
+        vertices = tuple(A(x, ring[0]) for x in ring[1])
+        for h in made:
+            assert h == made[0] and hash(h) == hash(made[0])
+            assert h.ring == ring and all(type(x) is int for x in h.ring[1])
+            assert h.vertices == vertices
+            assert str(h) == text and repr(h) == f"ConvexSet({text})"
+    for empty in (lambda: S(), lambda: ConvexSet(7, [])):
+        with pytest.raises(ValueError, match="a convex set needs at least one vertex"):
+            empty()
 
 
 def test_tags_relation():

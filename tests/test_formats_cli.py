@@ -250,6 +250,16 @@ def test_cli_tags(tmp_path):
     assert sorted(p.name for p in figs.iterdir()) == ["a.svg", "b.svg"]
 
 
+def test_cli_tags_refuses_a_point_as_a_critical_set(tmp_path, capsys):
+    d = tmp_path / "portraits"
+    d.mkdir()
+    (d / "point.portrait").write_text("degree 3\npoly 0 1/3 2/3\nleaf 1/5 1/5\n")
+    assert main(["tags", "--portraits", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point.portrait: {1/5} is not a leaf of the lamination\n"
+
+
 def test_cli_tags_empty_dir(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()

@@ -588,18 +588,24 @@ FULL_COLLECTIONS = [
 def test_sector_corners_are_the_face_vertices_off_its_arcs(d, chords, turn):
     # a rotated critical chord is critical: its ends still differ by k/d
     chords = [Chord(A(Fraction(p, q) + turn), A(Fraction(r, s) + turn)) for p, q, r, s in chords]
-    sectors = sector_partition(d, chords)
-    faces = [g for g in gaps(FiniteLamination(d, chords)) if not g.finite]
-    assert len(sectors) == len(faces) == d
-    for sector, g in zip(sectors, faces):
-        assert sector.arcs == tuple((a.start, a.end) for a in g.arcs)
-        assert sum(ccw_offset(s, e) for s, e in sector.arcs) == Fraction(1, d)
-        off_arcs = {v for v in g.vertices if not any(a.contains(v, closed=True) for a in g.arcs)}
-        assert sector.corners == off_arcs
-    # a chord meeting another shares its end as a corner of the sector between them
+    faces = sector_partition(d, chords)
+    assert len(faces) == d
+    starts = []
+    for g in faces:
+        assert g.arcs and not g.finite
+        assert sum(ccw_offset(a.start, a.end) for a in g.arcs) == Fraction(1, d)
+        starts += [a.start for a in g.arcs]
+    # the half-open arcs tile the circle, each starting at its own point
+    assert len(set(starts)) == len(starts)
+    # a chord meeting another shares its end as a corner of the face between
+    # them: a vertex on none of its arcs, which starts no arc and so lies in
+    # the face's closure only
     ends = [e for c in chords for e in c.endpoints]
+    corners = set()
+    for g in faces:
+        corners |= {v for v in g.vertices if not any(a.contains(v, closed=True) for a in g.arcs)}
     shared = {e for e in ends if ends.count(e) > 1}
-    assert shared <= set().union(*(s.corners for s in sectors))
+    assert shared <= corners
 
 
 def _full_unlinked_collections(d, q):
@@ -623,11 +629,11 @@ def test_every_full_collection_cuts_d_equal_sectors():
     for d in range(2, 6):
         for q in (5, 10) if d == 5 else range(d, 4 * d + 1):
             for coll in _full_unlinked_collections(d, q):
-                sectors = sector_partition(d, coll)
-                assert len(sectors) == d
-                for sector in sectors:
-                    assert sector.arcs  # no face is a polygon of the chords alone
-                    assert sum(ccw_offset(s, e) for s, e in sector.arcs) == Fraction(1, d)
+                faces = sector_partition(d, coll)
+                assert len(faces) == d
+                for g in faces:
+                    assert g.arcs  # no face is a polygon of the chords alone
+                    assert sum(ccw_offset(a.start, a.end) for a in g.arcs) == Fraction(1, d)
                 count += 1
     assert count == 945
 
@@ -720,15 +726,20 @@ def chord_pullback_build(d, portrait, depth, sectors=None):
         sector_chords = list(sectors)
     else:
         sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
-    parts = sector_partition(d, sector_chords)
+    # each sector is a face read as Angles: its half-open arcs [start, end),
+    # and its vertices, which its closure adds (the arc ends and the points
+    # where two chords meet)
+    parts = [
+        (g, [(a.start, a.end) for a in g.arcs], set(g.vertices))
+        for g in sector_partition(d, sector_chords)
+    ]
     ambiguous_values = {sigma(d, e) for c in sector_chords for e in c.endpoints}
 
     def contains(sector, p, closed=False):
-        for s, e in sector.arcs:
-            t, length = ccw_offset(s, p), ccw_offset(s, e)
-            if t < length or (closed and t == length):
-                return True
-        return closed and p in sector.corners
+        _, arcs, vertices = sector
+        if any(ccw_offset(s, p) < ccw_offset(s, e) for s, e in arcs):
+            return True
+        return closed and p in vertices
 
     def preimage_candidates(p, sector):
         preferred, closure_only = [], []
@@ -785,7 +796,7 @@ def chord_pullback_build(d, portrait, depth, sectors=None):
                     if pa != pb and not any(linked(Chord(pa, pb), m) for m in generations)
                 ]
                 if not cands:
-                    raise InconsistentPortrait(f"no unlinked pullback of {leaf} in sector {sector.arcs}")
+                    raise InconsistentPortrait(f"no unlinked pullback of {leaf} in sector {sector[0]}")
                 cands.sort(key=lambda c: c not in existing)
                 options.append(cands)
             chosen, best = None, -1
@@ -879,6 +890,18 @@ def test_pullback_build_agrees_with_chord_oracle():
         inconsistent += got[0] is InconsistentPortrait
         refused += got[0] is ValueError
     assert inconsistent > 0 and refused > 0
+
+
+def test_pullback_refusal_names_the_sector_face(monkeypatch):
+    # with every candidate linked, the rabbit's first leaf ending at 1/7, the
+    # image of its spike, has no pullback in the first sector's face
+    monkeypatch.setattr(lamination, "linked", lambda p, m: True)
+    monkeypatch.setitem(globals(), "linked", lambda p, m: True)
+    face = sector_partition(2, RABBIT_SPIKE)[0]
+    text = f"no unlinked pullback of 1/14 1/7 in sector {face}"
+    assert text == "no unlinked pullback of 1/14 1/7 in sector Gap(1/14, 4/7)"
+    for build in (pullback_build, chord_pullback_build):
+        assert build_outcome(build, 2, RABBIT_QUAD, 1, sectors=RABBIT_SPIKE) == (InconsistentPortrait, text)
 
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
@@ -1200,6 +1223,19 @@ def test_one_sweep_and_one_walk_per_lamination(monkeypatch):
         # a reader after the analysis reads the kept faces
         assert gaps(lam) == faces and critical_analysis(lam) is analysis
         assert calls == {"sweep": 1, "walk": 1}
+
+
+def test_critical_analysis_forms_chords_of_critical_leaves_only():
+    # the critical leaves are read off the ring pairs, and the Chords of the
+    # other leaves are never formed
+    for lam in (
+        pullback_build(2, RABBIT_QUAD, 6, sectors=RABBIT_SPIKE),
+        pullback_build(3, TRIANGLE, 3),
+        pullback_build(3, [C(0, 1, 1, 3), C(1, 2, 5, 6)], 3),
+    ):
+        analysis = critical_analysis(lam)
+        assert lam._leaves is None
+        assert analysis.critical_leaves == tuple(c for c in lam.leaves if is_critical(lam.degree, c))
 
 
 def critical_analysis_oracle(lam, faces):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lamina
@@ -15,7 +16,7 @@ from lamina import render
 from lamina.circle import Angle, shortest_dist
 from lamina.chords import Chord
 from lamina.lamination import FiniteLamination, critical_analysis, gaps, orbit_classify, pullback_build
-from lamina.cubic_tags import ConvexSet
+from lamina.cubic_tags import ConvexSet, FullPortrait, mixed_tag
 from lamina.formats import parse_portrait
 from lamina.render import _STRAIGHT_FROM, RenderSpec, _Canvas, render_svg
 from lamina.suites import hexagon_fixtures
@@ -473,6 +474,27 @@ def test_tag_factor_rendering():
     assert svg.count("<circle class=\"boundary\"") == 2
     digest = hashlib.sha256(svg.encode()).hexdigest()
     assert digest == "71c2ef6ec4455e1cec8af9c39cc9d4f5c82e171070abfac20eb786aad3da59d2"
+
+
+# SHA-256 of the tag factors of each shipped cubic portrait as `lamina tags
+# --figures` draws them, taken when a ConvexSet still kept Angle vertices;
+# each has a one-point factor, drawn as a dot
+TAG_FIGURES = {
+    "hexagon": "71c2ef6ec4455e1cec8af9c39cc9d4f5c82e171070abfac20eb786aad3da59d2",
+    "leafpair": "3f3bc9dbef81e1bc8eeb84735e217d8effc1a22d2b19f1dc1976c80428cc5b25",
+    "quadleaf": "56d86c79498c3e46c2f5b47be13f74a0c53ac42fd377ad53a00ac12cd9e6133e",
+    "triangle": "ccdafd9d51cb464c108504d1fb3e5d47789afa528e89b3774c1871608533f63b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAG_FIGURES))
+def test_shipped_tag_figures_hash_pinned(name):
+    root = Path(__file__).resolve().parent.parent / "portraits" / "cubic"
+    spec = parse_portrait((root / f"{name}.portrait").read_text())
+    sets = spec.convex_sets()
+    tag = mixed_tag(spec.build(3), FullPortrait(sets[0], sets[-1]))
+    svg = render_svg((tag.cocritical_factor, tag.minor_factor), RenderSpec(size=400))
+    assert hashlib.sha256(svg.encode()).hexdigest() == TAG_FIGURES[name]
 
 
 def test_import_leaves_mpmath_precision():
