@@ -130,22 +130,18 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     )
 
 
-def _positively_ordered_images(points, images) -> bool:
-    """Is the image sequence positively circularly ordered along the sources?
-
-    ``points`` ascending and pairwise distinct; the images must be pairwise
-    distinct and wrap around the circle exactly once.
-    """
-    n = len(points)
-    if len(set(images)) != n:
+def _order_kept(d: int, N: int, points) -> bool:
+    """Does sigma_d keep the ascending, pairwise distinct ring points mod N
+    distinct and in positive circular order, the images wrapping once?"""
+    images = [d * p % N for p in points]
+    if len(set(images)) != len(points):
         return False
-    return n <= 2 or cyclic_descents(images) == 1
+    return len(points) <= 2 or cyclic_descents(images) == 1
 
 
 def _ends_kept(d: int, N: int, c1, c2) -> bool:
     """Whether sigma_d keeps the four ends of linked pairs mod N apart and in order."""
-    ends = sorted((*c1, *c2))
-    return _positively_ordered_images(ends, [d * p % N for p in ends])
+    return _order_kept(d, N, sorted((*c1, *c2)))
 
 
 def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
@@ -158,8 +154,7 @@ def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
             for c in others:
                 if linked(ax, c):
                     pts.update(c)
-            pts = sorted(pts)
-            if not _positively_ordered_images(pts, [d * p % N for p in pts]):
+            if not _order_kept(d, N, sorted(pts)):
                 return False
     return True
 

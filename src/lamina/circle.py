@@ -76,9 +76,7 @@ class Angle(Fraction):
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
         if isinstance(numerator, str):
-            if denominator is None:
-                return _parse(numerator)
-            _parse(numerator)  # a bad string is a ValueError; Fraction refuses the rest
+            _parse(numerator)  # a bad string is a ValueError; Fraction does the rest
         value = Fraction(numerator, denominator)
         q = value._denominator
         return _angle(value._numerator % q, q)

@@ -654,7 +654,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         # appear in its own sibling collection)
         existing = set(by_image.get(leaf, ()))
         options = []
-        for k, face in enumerate(parts):
+        for k, (arcs, xs) in enumerate(faces):
             cands = []
             for x in candidates(a, k):
                 for y in candidates(b, k):
@@ -664,9 +664,9 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                     if not any(linked(p, m) for m in generations):
                         cands.append(p)
             if not cands:
-                raise InconsistentPortrait(
-                    f"no unlinked pullback of {_chord(N, leaf)} in sector {face}"
-                )
+                # the sectors' arcs tile the circle, so they name the sector
+                sector = " ".join(f"({_at(N, xs[i])}, {_at(N, xs[(i + 1) % len(xs)])})" for i in arcs)
+                raise InconsistentPortrait(f"no unlinked pullback of {_chord(N, leaf)} in sector {sector}")
             cands.sort(key=lambda p: p not in existing)
             options.append(cands)
 

@@ -47,11 +47,6 @@ ALL_CRITICAL_TRIANGLE = "all_critical_triangle"
 ALL_CRITICAL_QUADRILATERAL = "all_critical_quadrilateral"
 
 
-def _cyclically_ordered(values) -> bool:
-    """Weakly increasing around the circle: at most one strict descent."""
-    return cyclic_descents(values) <= 1
-
-
 @dataclass(frozen=True)
 class CriticalQuadrilateral:
     """Circular 4-tuple [a0, a1, a2, a3] with critical diagonals.
@@ -121,7 +116,8 @@ def make_quadrilateral(vertices, d: int) -> CriticalQuadrilateral:
     vs = tuple(Angle(v) for v in vertices)
     if len(vs) != 4:
         raise ValueError("a quadrilateral needs four vertices")
-    if not _cyclically_ordered(vs):
+    # weakly increasing around the circle: at most one strict descent
+    if cyclic_descents(vs) > 1:
         raise ValueError(f"vertices are not in circular order: {vs}")
     for diag in (Chord(vs[0], vs[2]), Chord(vs[1], vs[3])):
         if not is_critical(d, diag):
@@ -143,7 +139,7 @@ def strongly_linked(A: CriticalQuadrilateral, B: CriticalQuadrilateral) -> Stron
     for pa, i, pb, j in itertools.product(A.presentations(), range(4), B.presentations(), range(4)):
         ra, rb = pa[i:] + pa[:i], pb[j:] + pb[:j]
         merged = [ra[0], rb[0], ra[1], rb[1], ra[2], rb[2], ra[3], rb[3]]
-        if _cyclically_ordered(merged):
+        if cyclic_descents(merged) <= 1:
             return StrongLinkReport(True, (ra, rb))
     return StrongLinkReport(False, None)
 

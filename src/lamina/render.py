@@ -316,18 +316,13 @@ def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
         return _render(target, spec, shaded)
 
 
-def _chord_ring(chords) -> tuple[int, list]:
-    """The ring of the chords' endpoints and each chord's sorted int pair
-    on it, in list order."""
-    N, xs = _ring([e for c in chords for e in c])
-    return N, list(zip(xs[::2], xs[1::2]))
-
-
 def _render(target, spec: RenderSpec, shaded) -> str:
     if isinstance(target, FiniteLamination):
         rings = [target.ring]
     elif isinstance(target, (list, tuple)) and (not target or isinstance(target[0], Chord)):
-        rings = [_chord_ring(target)]
+        # the chords' endpoints on one ring, each chord its sorted int pair
+        N, xs = _ring([e for c in target for e in c])
+        rings = [(N, list(zip(xs[::2], xs[1::2])))]
     else:
         # tag factors: two convex sets rendered side by side, each its own
         # ring's sides, a point as a degenerate chord

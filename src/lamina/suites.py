@@ -19,6 +19,7 @@ from .lamination import (
     FiniteLamination,
     InconsistentPortrait,
     _chord,
+    check_unlinked,
     critical_analysis,
     gap_degree,
     gaps,
@@ -26,7 +27,7 @@ from .lamination import (
     orbit_classify,
     pullback_build,
 )
-from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between
+from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between, strip_test
 from .qc_portrait import tune_insert, COLLAPSING
 from .accordion import TWO_LEAF_FLIP, WANDERING, _ends_kept, _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
@@ -502,7 +503,7 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# qml-unlinked: quadratic minor enumeration agrees with built minors
+# qml-unlinked: Lavaurs' chords pass the strip test and agree with built minors
 # ---------------------------------------------------------------------------
 
 
@@ -511,11 +512,12 @@ def run_qml(samples: int = 0, seed: int = 1) -> SuiteResult:
     ``samples`` is refused."""
     if samples:
         raise ValueError(f"suite qml-unlinked is exhaustive and reads no sample count, got {samples}")
-    failures = []
-    try:
-        q = qml_enumerate(6)
-    except AssertionError as exc:
-        return SuiteResult("qml-unlinked", False, {}, [str(exc)])
+    q = qml_enumerate(6)
+    # Lavaurs' algorithm drew these chords; the strip test and the sweep check them
+    failures = [f"Lavaurs chord {c} fails the strip test" for c in q if not strip_test(c).passes]
+    ok, pair = check_unlinked(FiniteLamination(2, q))
+    if not ok:
+        failures.append(f"enumerated chords cross: {pair[0]} x {pair[1]}")
     rabbit_minor = Chord(Angle(1, 7), Angle(2, 7))
     bad_minor = Chord(Angle(2, 7), Angle(4, 7))
     if rabbit_minor not in q:

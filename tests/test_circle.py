@@ -85,6 +85,16 @@ def test_angle_string_with_a_denominator_is_refused():
         Angle("1/3", 2)
 
 
+def test_angle_of_a_str_subclass_is_parsed_like_a_str():
+    class S(str):
+        pass
+
+    assert Angle(S("3/9")) == Angle(1, 3)
+    assert type(Angle(S("3/9"))) is Angle
+    with pytest.raises(ValueError):
+        Angle(S("1.5"))
+
+
 _blanks = st.text(alphabet=" \t\n", max_size=2)
 _digits = st.builds(
     lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**30)

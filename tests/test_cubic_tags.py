@@ -1,11 +1,13 @@
 import functools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamina.circle import Angle
 from lamina.chords import Chord
+from lamina.formats import parse_portrait
 from lamina.lamination import Gap, pullback_build
 from lamina.cubic_tags import (
     ConvexSet,
@@ -206,6 +208,15 @@ def test_geometry_checks_pass_on_fixtures():
         report.reconstruction_failures,
         report.separation_failures,
     )
+
+
+def test_geometry_checks_reconstruct_a_collapsing_quadrilateral_gap():
+    # the shipped quadleaf portrait: one critical leaf and one collapsing
+    # all-critical quadrilateral gap, each rebuilt from its co-critical set
+    text = (Path(__file__).parent.parent / "portraits" / "cubic" / "quadleaf.portrait").read_text()
+    report = geometry_checks(parse_portrait(text).build(3))
+    assert report.checked["reconstructions"] == 2
+    assert report.ok
 
 
 def test_geometry_checks_counts_generator_samples():

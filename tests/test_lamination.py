@@ -796,7 +796,8 @@ def chord_pullback_build(d, portrait, depth, sectors=None):
                     if pa != pb and not any(linked(Chord(pa, pb), m) for m in generations)
                 ]
                 if not cands:
-                    raise InconsistentPortrait(f"no unlinked pullback of {leaf} in sector {sector[0]}")
+                    name = " ".join(f"({s}, {e})" for s, e in sector[1])
+                    raise InconsistentPortrait(f"no unlinked pullback of {leaf} in sector {name}")
                 cands.sort(key=lambda c: c not in existing)
                 options.append(cands)
             chosen, best = None, -1
@@ -893,15 +894,36 @@ def test_pullback_build_agrees_with_chord_oracle():
 
 
 def test_pullback_refusal_names_the_sector_face(monkeypatch):
-    # with every candidate linked, the rabbit's first leaf ending at 1/7, the
-    # image of its spike, has no pullback in the first sector's face
-    monkeypatch.setattr(lamination, "linked", lambda p, m: True)
-    monkeypatch.setitem(globals(), "linked", lambda p, m: True)
-    face = sector_partition(2, RABBIT_SPIKE)[0]
-    text = f"no unlinked pullback of 1/14 1/7 in sector {face}"
-    assert text == "no unlinked pullback of 1/14 1/7 in sector Gap(1/14, 4/7)"
-    for build in (pullback_build, chord_pullback_build):
-        assert build_outcome(build, 2, RABBIT_QUAD, 1, sectors=RABBIT_SPIKE) == (InconsistentPortrait, text)
+    # the rabbit's two sectors share both vertices, so only their arcs, which
+    # tile the circle, tell them apart
+    faces = sector_partition(2, RABBIT_SPIKE)
+    assert str(faces[0]) == str(faces[1]) == "Gap(1/14, 4/7)"
+    assert [" ".join(map(str, f.arcs)) for f in faces] == ["(1/14, 4/7)", "(4/7, 1/14)"]
+
+    def rigged_linked(k):
+        """Every candidate pullback is linked, except, for k = 1, the first
+        one asked about, so the search refuses in face k."""
+        first = []
+
+        def rigged(p, m):
+            first[:] = first or [p]
+            return k == 0 or p != first[0]
+
+        return rigged
+
+    outcomes = []
+    # the rabbit's first leaf ending at 1/7, the image of its spike, has no
+    # pullback in the refusing face
+    for k, sector in enumerate(["(1/14, 4/7)", "(4/7, 1/14)"]):
+        text = f"no unlinked pullback of 1/14 1/7 in sector {sector}"
+        for build in (pullback_build, chord_pullback_build):
+            rigged = rigged_linked(k)
+            monkeypatch.setattr(lamination, "linked", rigged)
+            monkeypatch.setitem(globals(), "linked", rigged)
+            outcome = build_outcome(build, 2, RABBIT_QUAD, 1, sectors=RABBIT_SPIKE)
+            assert outcome == (InconsistentPortrait, text), build
+        outcomes.append(outcome)
+    assert outcomes[0] != outcomes[1]
 
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):

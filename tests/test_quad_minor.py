@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import fields
 from fractions import Fraction
@@ -5,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 import lamina.quad_minor as quad_minor
+import lamina.suites as suites
 from lamina.circle import THIRD, Angle, Arc, ccw_offset, preimages, shortest_dist
 from lamina.chords import Chord, chord_image, disjoint, linked
-from lamina.lamination import FiniteLamination, check_unlinked
+from lamina.formats import lamination_text
+from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, orbit_classify, pullback_build
 from lamina.quad_minor import (
     Strip,
     StripVerdict,
@@ -259,12 +262,43 @@ def test_lavaurs_matches_strip_test_enumeration(n):
 def test_strip_test_failure_raises(monkeypatch):
     real = quad_minor.strip_test
     rigged = lambda c: StripVerdict(False, 1, c) if c == C(1, 7, 2, 7) else real(c)
-    monkeypatch.setattr(quad_minor, "strip_test", rigged)
-    with pytest.raises(AssertionError, match="1/7 2/7"):
-        qml_enumerate(3)
+    monkeypatch.setattr(suites, "strip_test", rigged)
     res = run_suite("qml-unlinked", 0, 1)
     assert not res.passed
+    assert "Lavaurs chord 1/7 2/7 fails the strip test" in res.failures
     assert any("1/7 2/7" in f for f in res.failures)
+
+
+def test_crossing_enumeration_fails_the_suite(monkeypatch):
+    pair = (C(1, 7, 2, 7), C(3, 15, 4, 15))
+    monkeypatch.setattr(suites, "check_unlinked", lambda lam: (False, pair))
+    res = run_suite("qml-unlinked", 0, 1)
+    assert not res.passed
+    assert res.failures == ["enumerated chords cross: 1/7 2/7 x 1/5 4/15"]
+
+
+def test_every_lavaurs_chord_passes_the_strip_test():
+    # qml_enumerate draws by Lavaurs' algorithm alone and refuses periods
+    # above 12; every smaller bound returns a subset (see the next test),
+    # so this covers every chord it can return
+    q = qml_enumerate(12)
+    assert len(q) == 4014
+    failing = [c for c in q if not strip_test(c).passes]
+    assert failing == []
+    assert check_unlinked(FiniteLamination(2, q)) == (True, None)
+
+
+def test_smaller_bounds_are_the_short_period_chords_of_period_twelve():
+    q12 = qml_enumerate(12)
+    period = {c: orbit_classify(2, c.a).period for c in q12}
+    for n in range(1, 12):
+        assert qml_enumerate(n) == [c for c in q12 if period[c] <= n], n
+
+
+def test_period_twelve_enumeration_is_pinned():
+    text = lamination_text(FiniteLamination(2, qml_enumerate(12)))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "07efd11d1e478a128e3f2e987cc88cfd78d0c21ac16ec6e0e46998cba4185129"
 
 
 def test_major_quadrilateral():
@@ -287,6 +321,14 @@ def test_strip_between_and_central_strip_property():
             seen.add(img)
             img = chord_image(2, img)
             assert not strip.meets_open(img)
+
+
+def test_degenerate_minor_builds_from_its_critical_diameter():
+    lam = build_from_minor(Chord(A(1, 3), A(1, 3)), 4)
+    assert lam == pullback_build(2, [C(1, 6, 2, 3)], 4)
+    assert len(lam) == 31
+    assert check_unlinked(lam) == (True, None)
+    assert check_invariance(lam, 4).ok
 
 
 def test_builds_are_unlinked():
