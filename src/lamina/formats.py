@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .circle import Angle, _check_degree, _ring
 from .chords import Chord, _chord_tokens, _sides, greedy_no_loop, is_critical
@@ -29,8 +30,15 @@ __all__ = [
 
 
 def lamination_text(lam: FiniteLamination) -> str:
+    """The lamination file of ``lam``, written from its ring: each distinct
+    endpoint x mod N is formatted once, as the reduced fraction x/N."""
+    N, pairs = lam.ring
+    text = {}
+    for x in set(itertools.chain.from_iterable(pairs)):
+        g = gcd(x, N)
+        text[x] = f"{x // g}/{N // g}" if x else "0"
     lines = [f"degree {lam.degree}"]
-    lines += [str(c) for c in lam.leaves]
+    lines += [f"{text[a]} {text[b]}" for a, b in pairs]
     return "\n".join(lines) + "\n"
 
 

@@ -540,7 +540,12 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     which case both chord ends qualify; the choice is then filtered by
     unlinkedness against everything built so far and against the leaf's
     other sector preimages, preferring the end whose positively adjacent
-    arc lies in the sector.
+    arc lies in the sector, and then the leaves already present with the
+    leaf's image.  Only generation-0 leaves are indexed by image: a
+    pullback's image is the leaf it came from, and each leaf is pulled back
+    once, so no later leaf has the image of a leaf still to be pulled back.
+    The other leaves pull back inline, one bisection of the sector arcs per
+    endpoint preimage.
 
     Generation 0 (gen0) is the forward orbits of the portrait chords, each
     up to its first degenerate image, followed as int pairs on the ring mod
@@ -621,37 +626,22 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             q for q in pre if sector_of(q) != k and q in closure[k]
         ]
 
-    generations: dict[tuple, int] = {}  # int pair -> its generation, in record order
+    # int pair -> its generation, in record order
+    generations: dict[tuple, int] = {(a * scale, b * scale): 0 for a, b in sorted(gen0)}
+    # before a leaf is pulled back, the leaves with its image are of
+    # generation 0 (see above), so only those are indexed by image
     by_image: dict[tuple, list] = {}
+    for p in generations:
+        by_image.setdefault(_ring_image(d, N, p), []).append(p)
 
-    def record(p, generation: int, new: list):
-        if p not in generations:
-            generations[p] = generation
-            by_image.setdefault(_ring_image(d, N, p), []).append(p)
-            new.append(p)
-
-    current = []
-    for a, b in sorted(gen0):
-        record((a * scale, b * scale), 0, current)
-
-    def pull_leaf(leaf, generation: int, new: list):
+    def pull_leaf(leaf) -> tuple:
+        """The d pullbacks of a leaf with an end that is the image of a
+        critical chord: several chord ends qualify in the adjacent sectors,
+        so the d sector choices are searched jointly for a pairwise
+        disjoint, non-crossing set, preferring leaves already present with
+        this image (a periodic leaf must appear in its own sibling
+        collection)."""
         a, b = leaf
-        if a not in ambiguous_values and b not in ambiguous_values:
-            # interior preimages: each sector holds exactly one preimage of
-            # each endpoint
-            xs, ys = [0] * d, [0] * d
-            for q in range(a // d, N, step):
-                xs[sector_of(q)] = q
-            for q in range(b // d, N, step):
-                ys[sector_of(q)] = q
-            for x, y in zip(xs, ys):
-                record((x, y) if x < y else (y, x), generation, new)
-            return
-        # an endpoint is the image of a critical chord, so several chord
-        # ends qualify in the adjacent sectors; search the d sector choices
-        # jointly for a pairwise disjoint, non-crossing set, preferring
-        # leaves already present with this image (a periodic leaf must
-        # appear in its own sibling collection)
         existing = set(by_image.get(leaf, ()))
         options = []
         for k, (arcs, xs) in enumerate(faces):
@@ -680,13 +670,28 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         )
         if chosen is None:
             raise InconsistentPortrait(f"no disjoint pullback collection for {_chord(N, leaf)}")
-        for p in chosen:
-            record(p, generation, new)
+        return chosen
 
+    current = list(generations)
     for g in range(1, depth + 1):
         new: list[tuple] = []
         for leaf in current:
-            pull_leaf(leaf, g, new)
+            a, b = leaf
+            if a in ambiguous_values or b in ambiguous_values:
+                pulled = pull_leaf(leaf)
+            else:
+                # interior preimages: each sector holds exactly one preimage
+                # of each end, found by its half-open arc (as in sector_of)
+                xs, ys = [0] * d, [0] * d
+                for q in range(a // d, N, step):
+                    xs[owner[bisect_right(starts, q) - 1]] = q
+                for q in range(b // d, N, step):
+                    ys[owner[bisect_right(starts, q) - 1]] = q
+                pulled = [(x, y) if x < y else (y, x) for x, y in zip(xs, ys)]
+            for p in pulled:
+                if p not in generations:
+                    generations[p] = g
+                    new.append(p)
         current = new
     leaves = sorted(generations)
     return FiniteLamination._from_ring(d, N, leaves, [generations[p] for p in leaves])
@@ -721,37 +726,54 @@ class InvarianceReport:
 def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceReport:
     """Sibling invariance of ``lam`` (see :class:`InvarianceReport`), checked
     with the leaves on one integer ring mod N, the common denominator of
-    their endpoints; sigma_d maps the ring into itself."""
+    their endpoints; sigma_d maps the ring into itself.
+
+    Condition 3 is decided once per image group, the leaves with one image,
+    and only for a group with a leaf that is not exempt: a leaf has a
+    sibling collection among the leaves iff it lies in d pairwise disjoint
+    leaves of its group.  Raises ValueError unless ``boundary_depth`` is an
+    int >= 0.
+    """
+    if not isinstance(boundary_depth, int) or isinstance(boundary_depth, bool) or boundary_depth < 0:
+        raise ValueError(f"boundary_depth must be an integer >= 0, got {boundary_depth!r}")
     d = lam.degree
     report = InvarianceReport()
     N, pairs = lam.ring
     gens = lam._gens or [None] * len(pairs)
-    report.exempt = sum(g is not None and g >= boundary_depth for g in gens)
 
     leaf_pairs = set(pairs)
     images = [_ring_image(d, N, p) for p in pairs]
     by_image: dict[tuple, list] = {}
     for p, img in zip(pairs, images):
         by_image.setdefault(img, []).append(p)
+    siblings: dict[tuple, set] = {}  # image -> the leaves of its group in a sibling collection
 
     for p, img, g in zip(pairs, images, gens):
         degenerate = img[0] == img[1]
         if not degenerate and img not in leaf_pairs:
             report.condition1.append(_chord(N, p))
         if g is not None and g >= boundary_depth:
+            report.exempt += 1
             continue
         if p not in by_image:
             report.condition2.append(_chord(N, p))
         if not degenerate:
-            # a sibling collection is c plus d - 1 leaves with its image, all
-            # pairwise disjoint, so matching the image's preimages one to one
-            others = [m for m in by_image[img] if disjoint(m, p)]
-            if not any(
-                all(disjoint(u, v) for u, v in itertools.combinations(rest, 2))
-                for rest in itertools.combinations(others, d - 1)
-            ):
+            if img not in siblings:
+                siblings[img] = _in_sibling_collection(d, by_image[img])
+            if p not in siblings[img]:
                 report.condition3.append(_chord(N, p))
     return report
+
+
+def _in_sibling_collection(d: int, group) -> set:
+    """The leaves of an image group that lie in d pairwise disjoint leaves
+    of the group, a sibling collection; a group of d leaves is one
+    collection or none."""
+    found = set()
+    for ps in itertools.combinations(group, d):
+        if all(disjoint(u, v) for u, v in itertools.combinations(ps, 2)):
+            found.update(ps)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle import THIRD, Angle, _ring, preimages
+from .circle import THIRD, Angle, _at, _ring, preimages
 from .chords import Chord, _sides, chord_image, disjoint, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit, pullback_build
 
@@ -190,19 +190,26 @@ def major_quadrilateral(minor: Chord):
     long opposite edges)."""
     if minor.degenerate:
         raise ValueError("degenerate minor has a critical major, not a quadrilateral")
-    # the halving preimages of two distinct points are four distinct points
-    verts = sorted(preimages(2, minor.a) + preimages(2, minor.b))
-    edges = [Chord(*e) for e in _sides(verts)]
-    pair_a = (edges[0], edges[2])
-    pair_b = (edges[1], edges[3])
-    majors = pair_a if edges[0].length >= edges[1].length else pair_b
+    # the halving preimages of x/N are x and x + N on the ring mod 2N, and
+    # those of two distinct points are four distinct points
+    N, (a, b) = _ring(minor)
+    xs = sorted((a, a + N, b, b + N))
+    M = 2 * N
+    # a side's length on the ring is the shorter way round
+    lengths = [min(y - x, M - y + x) for x, y in _sides(xs)]
+    verts = [_at(M, x) for x in xs]
+    edges = [tuple.__new__(Chord, e) for e in _sides(verts)]  # ascending vertices give sorted sides
+    majors = (edges[0], edges[2]) if lengths[0] >= lengths[1] else (edges[1], edges[3])
     return verts, edges, majors
 
 
 def build_from_minor(minor: Chord, depth: int) -> FiniteLamination:
-    """Pullback lamination generated by the major data of a minor chord."""
+    """Pullback lamination generated by the major data of a minor chord.
+    Raises ValueError for a minor longer than 1/3, which is no QML minor."""
     if minor.degenerate:
         return pullback_build(2, [critical_strip(minor).bound1], depth)
+    if minor.length > THIRD:
+        raise ValueError(f"a quadratic minor is at most 1/3 long, got length {minor.length}")
     verts, edges, _ = major_quadrilateral(minor)
     spike = Chord(verts[0], verts[2])
     return pullback_build(2, edges, depth, sectors=[spike])

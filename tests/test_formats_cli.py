@@ -17,6 +17,7 @@ from lamina.formats import (
     portrait_text,
 )
 from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, pullback_build
+from lamina.quad_minor import qml_enumerate
 
 A = Angle
 
@@ -34,6 +35,18 @@ def test_lamination_roundtrip_bit_exact():
     again = parse_lamination(text)
     assert again == lam
     assert lamination_text(again) == text
+
+
+def test_lamination_text_from_the_ring_matches_the_chord_text():
+    # the text from ring ints equals the Chords' own text, 0 endpoints and
+    # shared endpoints included
+    root = Path(__file__).resolve().parent.parent / "portraits"
+    lams = [parse_portrait(p.read_text()).build(4) for p in sorted(root.glob("*/*.portrait"))]
+    lams += [FiniteLamination(2, [C(0, 1, 1, 2), C(0, 1, 1, 4)]), FiniteLamination(3, [])]
+    lams.append(FiniteLamination(2, qml_enumerate(8)))
+    for lam in lams:
+        expected = f"degree {lam.degree}\n" + "".join(f"{c.a} {c.b}\n" for c in lam.leaves)
+        assert lamination_text(lam) == expected
 
 
 def test_lamination_parse_comments_and_errors():

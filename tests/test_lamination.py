@@ -1034,6 +1034,80 @@ def test_invariance_examples():
     assert check_invariance(fig, 3).ok
 
 
+def test_check_invariance_refuses_a_bad_boundary_depth():
+    # the rabbit minor's depth-3 build with every other leaf dropped: a
+    # boundary depth of -1 would exempt every leaf and hide its violations
+    lam = quad_minor.build_from_minor(C(1, 7, 2, 7), 3)
+    kept = lam.leaves[::2]
+    cut = FiniteLamination(2, kept, generations={c: lam.generations[c] for c in kept})
+    report = check_invariance(cut, 3)
+    assert (len(report.condition2), len(report.condition3)) == (5, 8)
+    assert report == chord_check_invariance(cut, 3)
+    for bad in (-1, 2.5, None, True):
+        with pytest.raises(ValueError, match=f"boundary_depth must be an integer >= 0, got {bad!r}$"):
+            check_invariance(cut, bad)
+
+
+def _image_group_cases():
+    """(lamination, boundary depth) pairs whose image groups hold more than
+    d leaves.  Degree 3: the six preimages of the ends of 1/8 3/8 (a fixed
+    leaf), a0 < b0 < a1 < b1 < a2 < b2, carry the two sibling collections
+    s1 = a0b0, a1b1, a2b2 and s2 = b0a1, b1a2, a0b2, and the leaves a0b1 and
+    a1b2, which cross each other: a0b1 lies only in the collection a0b1,
+    b0a1, a2b2 and a1b2 only in a1b2, a0b0, b1a2.  Degree 2: the basilica's
+    depth-3 build plus leaves with the image of its leaf 1/12 1/6, which
+    cross leaves of the build."""
+    a0, b0, a1, b1, a2, b2 = (A(n, 24) for n in (1, 3, 9, 11, 17, 19))
+    s1 = [Chord(a0, b0), Chord(a1, b1), Chord(a2, b2)]
+    s2 = [Chord(b0, a1), Chord(b1, a2), Chord(a0, b2)]
+    crossing = [Chord(a0, b1), Chord(a1, b2)]
+    cubic = [
+        s1 + s2,
+        s1 + crossing,
+        s2 + crossing[:1],
+        s1[:2] + s2[1:] + crossing,
+        s1 + s2 + crossing,
+    ]
+    cases = []
+    for leaves in cubic:
+        cases.append((FiniteLamination(3, leaves), 0))
+        # exempt every other leaf, so some leaves go unchecked
+        gens = {c: i % 2 for i, c in enumerate(leaves)}
+        cases.append((FiniteLamination(3, leaves, generations=gens), 1))
+    basilica = parse_portrait("degree 2\nquad 1/6 1/3 2/3 5/6\n").build(3)
+    for extra in ([C(1, 12, 2, 3)], [C(1, 12, 2, 3), C(1, 6, 7, 12)]):
+        gens = {**basilica.generations, **{c: 1 for c in extra}}
+        cases.append((FiniteLamination(2, [*basilica, *extra], generations=gens), 3))
+    return cases
+
+
+def test_invariance_of_image_groups_larger_than_the_degree():
+    cond3 = []
+    for lam, depth in _image_group_cases():
+        d = lam.degree
+        groups = {}
+        for c in lam.leaves:
+            groups.setdefault(chord_image(d, c), []).append(c)
+        assert max(map(len, groups.values())) > d
+        report = check_invariance(lam, depth)
+        assert report == chord_check_invariance(lam, depth)
+        assert report.condition3 == sibling_condition_oracle(lam, depth)
+        cond3.append(report.condition3)
+    a0, a1, b1, b2 = (A(n, 24) for n in (1, 9, 11, 19))
+    # both collections present: every leaf passes, though the group has six
+    assert cond3[0] == []
+    # beside s1 the crossing leaves fail, and an exempt one is not reported
+    assert cond3[2] == [Chord(a0, b1), Chord(a1, b2)]
+    assert cond3[3] == [Chord(a1, b2)]
+    assert cond3[4] == [Chord(a0, b1)]
+    # a1b2, a0b0 and b1a2 are a third collection, from neither s1 nor s2
+    assert cond3[6] == [Chord(a0, b1), Chord(a0, b2), Chord(a1, b1)]
+    assert cond3[8] == []
+    # the basilica's extra leaf 1/12 2/3 needs its sibling 1/6 7/12
+    assert cond3[10] == [C(1, 12, 2, 3)]
+    assert cond3[11] == []
+
+
 def test_leaf_endpoints_share_eventual_period():
     lam = figure_orbit_lamination()
     for leaf in lam.leaves:

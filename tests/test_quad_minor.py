@@ -308,6 +308,41 @@ def test_major_quadrilateral():
     assert all(chord_image(2, m) == C(1, 7, 2, 7) for m in majors)
 
 
+def _major_quadrilateral_oracle(minor):
+    """major_quadrilateral on Angles: the four halving preimages, sorted,
+    their sides in circular order, and the pair of opposite sides whose
+    first is at least as long as the side after it."""
+    verts = sorted(preimages(2, minor.a) + preimages(2, minor.b))
+    edges = [Chord(verts[i], verts[(i + 1) % 4]) for i in range(4)]
+    majors = (edges[0], edges[2]) if edges[0].length >= edges[1].length else (edges[1], edges[3])
+    return verts, edges, majors
+
+
+def test_major_quadrilateral_agrees_with_preimage_oracle():
+    # the chords whose short arc passes 0, every chord of length < 1/3 on
+    # the points of period <= 6, every chord on the points of period <= 4
+    # of any length, 1/3 and over included, and two diameters, whose four
+    # sides tie
+    points = _periodic_points(4)
+    chords = _wrapping_chords() + [Chord(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
+    chords += [C(0, 1, 1, 2), C(1, 6, 2, 3)]
+    for c in chords:
+        got = major_quadrilateral(c)
+        assert got == _major_quadrilateral_oracle(c), c
+        assert all(type(v) is A for v in got[0])
+        assert all(type(e) is Chord for e in [*got[1], *got[2]])
+
+
+def test_build_from_minor_refuses_a_minor_longer_than_a_third():
+    # no QML minor is longer than 1/3, whether or not its short arc passes 0
+    for minor, length in ((C(0, 1, 1, 2), "1/2"), (C(0, 1, 2, 5), "2/5"), (C(1, 10, 7, 10), "2/5")):
+        with pytest.raises(ValueError, match=f"^a quadratic minor is at most 1/3 long, got length {length}$"):
+            build_from_minor(minor, 3)
+    # the period-2 minor is exactly 1/3 long and stays allowed
+    lam = build_from_minor(C(1, 3, 2, 3), 3)
+    assert minor_of(lam).minor == C(1, 3, 2, 3)
+
+
 def test_strip_between_and_central_strip_property():
     for m in qml_enumerate(4):
         lam = build_from_minor(m, 3)
