@@ -20,7 +20,6 @@ collapses around chains of spikes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
@@ -57,15 +56,6 @@ class AccordionReport:
     exact: bool               # orbit closed within the horizon
     order_preserving: bool | None
     classification: str | None
-
-
-def _default_horizon(d: int, chords) -> int:
-    pre, per = 0, 1
-    for c in chords:
-        info = orbit_classify(d, c)
-        pre = max(pre, info.preperiod)
-        per = math.lcm(per, info.period)
-    return pre + 2 * per
 
 
 def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = None) -> AccordionReport:
@@ -333,29 +323,27 @@ def _interiors_intersect(u, v) -> bool:
 
 @dataclass(frozen=True)
 class CompgapReport:
-    classification: str        # PERIODIC_GAP or WANDERING
-    r: int | None              # first index whose image hull recurs
-    step: int | None           # return time of the hull at index r
+    classification: str        # PERIODIC_GAP
+    r: int                     # first index whose image hull recurs
+    step: int                  # return time of the hull at index r
     vertices: tuple            # the periodic polygon's vertex set
     orbit_groups: tuple        # vertices grouped by sigma_d-orbit
     periods: tuple             # period of each group
     remap_is_identity: bool | None
-    horizon: int
 
 
 def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
     """Follow the convex hull of two linked, mutually order-preserving
     chords; locate the first recurring image and the periodic polygon its
-    orbit sweeps out, reporting vertex orbits and the return behavior."""
+    orbit sweeps out, reporting vertex orbits and the return behavior.
+    Order preservation keeps the four ends distinct, so the hull at the
+    preperiod meets itself one period later: ``r`` and ``step`` exist."""
     if not linked(l1, l2):
         raise ValueError("hull analysis needs linked chords")
     if not order_preserving_accordions(d, l1, l2):
         raise ValueError("hull analysis needs mutually order preserving accordions")
-    horizon = _default_horizon(d, (l1, l2))
 
-    info = orbit_classify(d, l1.endpoints + l2.endpoints, max_steps=horizon)
-    if info is None:
-        return CompgapReport(WANDERING, None, None, (), (), (), None, horizon)
+    info = orbit_classify(d, l1.endpoints + l2.endpoints)
     hulls = [tuple(sorted(h)) for h in info.orbit]
     preperiod, period = info.preperiod, info.period
     total = preperiod + 2 * period
@@ -365,13 +353,11 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
             return hulls[i]
         return hulls[preperiod + (i - preperiod) % period]
 
-    r = None
-    for i in range(preperiod + period):
-        if any(_interiors_intersect(hull_at(i), hull_at(j)) for j in range(i + 1, total + 1)):
-            r = i
-            break
-    if r is None:
-        return CompgapReport(WANDERING, None, None, (), (), (), None, horizon)
+    r = next(
+        i
+        for i in range(preperiod + period)
+        if any(_interiors_intersect(hull_at(i), hull_at(j)) for j in range(i + 1, total + 1))
+    )
     base = hull_at(r)
     step = next(
         t for t in range(1, total + 1) if _interiors_intersect(base, hull_at(r + t))
@@ -405,6 +391,5 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
         orbit_groups=tuple(groups),
         periods=periods,
         remap_is_identity=remap_identity,
-        horizon=horizon,
     )
 

@@ -4,9 +4,10 @@ A chord is an unordered pair of circle angles (possibly degenerate), stored
 as the sorted pair (a, b): ``Chord`` is a tuple.  Two chords are *linked*
 when they cross inside the open disk; a chord is *critical* under sigma_d
 when its endpoints share an image.  Collections of critical chords are
-validated against loops (closed concatenations or repeated chords), and
-sibling collections enumerate the ways a chord extends to d pairwise
-disjoint chords with a common image.
+validated against loops (closed concatenations or repeated chords) by
+the one union-find pass of ``greedy_no_loop``, and sibling collections
+enumerate the ways a chord extends to d pairwise disjoint chords with a
+common image.
 
 ``linked`` and ``disjoint`` read only that pair, so they also take sorted
 int pairs on one integer ring mod N, where circle order is int order; with
@@ -177,31 +178,12 @@ class CollectionReport:
 def validate_collection(d: int, chords) -> CollectionReport:
     """Loop detection and full-collection test for an ordered chord list.
 
-    A loop is a subset concatenating into a closed curve, or two equal
-    chords.  A full collection is exactly d-1 critical chords with no loop.
+    A loop (a closed concatenation or two equal chords) makes
+    :func:`greedy_no_loop` drop a chord.  A full collection is exactly d-1
+    critical chords with no loop.
     """
     chords = list(chords)
-    has_loop = len(set(chords)) != len(chords)
-    if not has_loop:
-        # union-find on endpoint angles; an edge joining an already
-        # connected pair closes a curve
-        parent: dict[Angle, Angle] = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ch in chords:
-            if ch.degenerate:
-                continue
-            ra, rb = find(ch.a), find(ch.b)
-            if ra == rb:
-                has_loop = True
-                break
-            parent[ra] = rb
+    has_loop = len(greedy_no_loop(d, chords)) != len(chords)
     full = (
         not has_loop
         and len(chords) == d - 1
@@ -211,9 +193,22 @@ def validate_collection(d: int, chords) -> CollectionReport:
 
 
 def greedy_no_loop(d: int, chords) -> list[Chord]:
-    """The chords, in order, that do not close a loop with those kept before."""
+    """The chords, in order, that repeat no kept chord and join no two
+    endpoints the kept ones connect: one union-find pass on the endpoints."""
     chosen: list[Chord] = []
+    parent: dict[Angle, Angle] = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for c in chords:
-        if not validate_collection(d, chosen + [c]).has_loop:
+        ra, rb = find(c.a), find(c.b)
+        # ra == rb for a degenerate chord, so joining them is a no-op
+        if ra != rb or (c.degenerate and c not in chosen):
+            parent[ra] = rb
             chosen.append(c)
     return chosen

@@ -17,7 +17,7 @@ from .cubic_tags import FullPortrait, mixed_tag, tags_relation
 from .formats import lamination_text, parse_lamination, parse_portrait, tag_report
 from .render import RenderSpec, render_svg
 from .quad_minor import qml_enumerate
-from .lamination import FiniteLamination, InconsistentPortrait, check_unlinked
+from .lamination import FiniteLamination, check_unlinked
 from .suites import MAX_SUITE_SAMPLES, SUITES, run_suite
 
 __all__ = ["main"]
@@ -71,7 +71,7 @@ def cmd_build(args) -> int:
     try:
         spec = parse_portrait(Path(args.portrait).read_text())
         lam = spec.build(args.depth)
-    except (ValueError, InconsistentPortrait) as exc:
+    except ValueError as exc:  # InconsistentPortrait is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write(args.out, lamination_text(lam))
@@ -106,7 +106,7 @@ def cmd_tags(args) -> int:
             if len(sets) not in (1, 2):
                 raise ValueError(f"{f.name}: a tag needs one or two critical sets")
             blocks.append((f.name, mixed_tag(lam, FullPortrait(sets[0], sets[-1]))))
-        except (ValueError, InconsistentPortrait) as exc:
+        except ValueError as exc:
             print(f"error: {f.name}: {exc}", file=sys.stderr)
             return 2
     # tags_relation(t, t) is "equal", so the diagonal needs no case

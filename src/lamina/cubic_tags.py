@@ -261,7 +261,7 @@ def mixed_tag(lam: FiniteLamination | None, fp: FullPortrait) -> MixedTag:
         if lam.degree != 3:
             raise ValueError("mixed tags are cubic")
         _validate_portrait_sets(lam, fp)
-    return MixedTag(cocritical_set(fp.first), fp.second.image(3))
+    return MixedTag(cocritical_set(fp.first), minor_set(fp))
 
 
 def tags_relation(t1: MixedTag, t2: MixedTag) -> str:
@@ -481,10 +481,8 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
 
     for fp in portraits:
         C, D = fp.first, fp.second
-        try:
-            coc = cocritical_set(C)
-        except ValueError:
-            continue
+        # a critical set has degree 2 (one long hole) or 3: never refused
+        coc = cocritical_set(C)
         if len(coc.ring[1]) == 1:
             continue  # its one hole is the whole circle, behind no edge
         # the three sets on one ring mod L

@@ -175,6 +175,7 @@ def parse_portrait(text: str) -> PortraitSpec:
             raise ValueError(f"unknown portrait line: {line!r}")
     if degree is None:
         raise ValueError("missing degree header")
+    _check_degree(degree)
     return PortraitSpec(degree=degree, entries=tuple(entries))
 
 

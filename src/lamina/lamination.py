@@ -19,7 +19,8 @@ merged polygon.  Laminations
 are generated from critical portraits by the standard pullback scheme,
 with branches chosen inside the complementary sectors of a full collection
 of critical chords: :func:`sector_partition` returns the faces of those
-chords, all arc-bearing, and the build reads their ring ints.
+chords, all arc-bearing, whose ring ints the build reads through one rule:
+an end's preimage in each sector's half-open arcs.
 
 Orbits, pullbacks and invariance checks run on one integer ring (1/N)Z/Z:
 sigma_d never enlarges a denominator and each pullback generation
@@ -106,16 +107,21 @@ class FiniteLamination:
     )
 
     def __init__(self, degree: int, leaves=(), generations=None):
-        if not isinstance(degree, int) or degree < 2:
-            raise ValueError(f"degree must be an integer >= 2, got {degree!r}")
+        _check_degree(degree)
         leaves = [c for c in leaves if not c.degenerate]
         N, xs = _ring([e for c in leaves for e in c])
         # ring order is circle order, so sorting the pairs sorts the Chords
         canon = sorted(dict(zip(zip(xs[::2], xs[1::2]), leaves)).items())
+        chords = tuple(c for _, c in canon)
+        gens = tuple(generations.get(c) for c in chords) if generations else None
+        self._init(degree, (N, tuple(p for p, _ in canon)), gens, chords)
+
+    def _init(self, degree: int, ring, gens, leaves=None) -> None:
+        """Set every slot; those not given are formed on first read."""
         self.degree = degree
-        self.ring = N, tuple(p for p, _ in canon)
-        self._leaves = tuple(c for _, c in canon)
-        self._gens = tuple(generations.get(c) for c in self._leaves) if generations else None
+        self.ring = ring
+        self._gens = gens
+        self._leaves = leaves
         self._generations = self._analysis = self._nested = self._faces = None
         self._depth = _UNREAD
 
@@ -125,11 +131,8 @@ class FiniteLamination:
         and their generations; dividing out gcd(N, *ints) makes N canonical."""
         g = gcd(N, *itertools.chain.from_iterable(pairs))
         lam = cls.__new__(cls)
-        lam.degree = degree
-        lam.ring = N // g, tuple(pairs if g == 1 else [(a // g, b // g) for a, b in pairs])
-        lam._gens = None if generations is None else tuple(generations)
-        lam._leaves = lam._generations = lam._analysis = lam._nested = lam._faces = None
-        lam._depth = _UNREAD
+        ring = N // g, tuple(pairs if g == 1 else [(a // g, b // g) for a, b in pairs])
+        lam._init(degree, ring, None if generations is None else tuple(generations))
         return lam
 
     def __eq__(self, other):
@@ -509,14 +512,13 @@ def sector_partition(d: int, critical_chords) -> list[Gap]:
         raise InconsistentPortrait(
             f"critical chords do not form a full collection: {list(map(str, critical_chords))}"
         )
-    try:
-        # d - 1 unlinked critical chords with no loop close no polygon, so all
-        # their faces bear arcs: d of them, each with arcs of total length 1/d
-        return gaps(FiniteLamination(d, critical_chords))
-    except ValueError as e:
-        if not str(e).startswith("leaves cross"):
-            raise
-        raise InconsistentPortrait("critical chords of the portrait cross each other") from None
+    lam = FiniteLamination(d, critical_chords)
+    if not check_unlinked(lam)[0]:
+        raise InconsistentPortrait("critical chords of the portrait cross each other")
+    # d - 1 unlinked critical chords with no loop close no polygon, so all
+    # their faces bear arcs: d of them, each with arcs of total length 1/d;
+    # gaps reads the sweep that check_unlinked kept
+    return gaps(lam)
 
 
 # pullback_build refuses a depth at which the leaf count could pass this
@@ -544,8 +546,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     leaf's image.  Only generation-0 leaves are indexed by image: a
     pullback's image is the leaf it came from, and each leaf is pulled back
     once, so no later leaf has the image of a leaf still to be pulled back.
-    The other leaves pull back inline, one bisection of the sector arcs per
-    endpoint preimage.
+    The other leaves pull back inline to the preimage of each end in each
+    sector's half-open arcs, which the ambiguous search also tries first.
 
     Generation 0 (gen0) is the forward orbits of the portrait chords, each
     up to its first degenerate image, followed as int pairs on the ring mod
@@ -616,15 +618,13 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     closure = [{x for i, x in enumerate(xs) if i not in arcs} for arcs, xs in faces]
     ambiguous_values = {d * x * scale % N for p in pairs[len(portrait) :] for x in p}
 
-    def sector_of(q: int) -> int:
-        return owner[bisect_right(starts, q) - 1]
-
-    def candidates(X: int, k: int) -> list[int]:
-        """Preimages of X in the closed sector k, half-open-assigned ones first."""
-        pre = range(X // d, N, step)
-        return [q for q in pre if sector_of(q) == k] + [
-            q for q in pre if sector_of(q) != k and q in closure[k]
-        ]
+    def own(X: int) -> list[int]:
+        """The preimage of X in each sector's half-open arcs, by sector: they
+        have length 1/d in all and sigma_d maps them onto the circle 1-to-1."""
+        found = [0] * d
+        for q in range(X // d, N, step):
+            found[owner[bisect_right(starts, q) - 1]] = q
+        return found
 
     # int pair -> its generation, in record order
     generations: dict[tuple, int] = {(a * scale, b * scale): 0 for a, b in sorted(gen0)}
@@ -641,13 +641,16 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         disjoint, non-crossing set, preferring leaves already present with
         this image (a periodic leaf must appear in its own sibling
         collection)."""
-        a, b = leaf
         existing = set(by_image.get(leaf, ()))
+        ends = []
+        for X in leaf:  # the preimages of X in each closed sector, its own one first
+            pre = range(X // d, N, step)
+            ends.append([[q] + [x for x in pre if x != q and x in closure[k]] for k, q in enumerate(own(X))])
         options = []
         for k, (arcs, xs) in enumerate(faces):
             cands = []
-            for x in candidates(a, k):
-                for y in candidates(b, k):
+            for x in ends[0][k]:
+                for y in ends[1][k]:
                     if x == y:
                         continue
                     p = (x, y) if x < y else (y, x)
@@ -680,14 +683,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             if a in ambiguous_values or b in ambiguous_values:
                 pulled = pull_leaf(leaf)
             else:
-                # interior preimages: each sector holds exactly one preimage
-                # of each end, found by its half-open arc (as in sector_of)
-                xs, ys = [0] * d, [0] * d
-                for q in range(a // d, N, step):
-                    xs[owner[bisect_right(starts, q) - 1]] = q
-                for q in range(b // d, N, step):
-                    ys[owner[bisect_right(starts, q) - 1]] = q
-                pulled = [(x, y) if x < y else (y, x) for x, y in zip(xs, ys)]
+                # interior preimages: the one of each end in each sector
+                pulled = [(x, y) if x < y else (y, x) for x, y in zip(own(a), own(b))]
             for p in pulled:
                 if p not in generations:
                     generations[p] = g

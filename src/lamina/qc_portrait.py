@@ -270,8 +270,22 @@ class PairReport:
     detail: tuple                # per-index status for the winning alignment
 
 
+def _pair_verdict(status, clustered) -> PairReport:
+    """The verdict on the per-index statuses and common-cluster flags:
+    essentially equal with k the first status that is not "shares_spike",
+    when every pair from k on is clustered; else linked with k the first
+    "none", on the same condition; else neither."""
+    n = len(status)
+    for verdict, k in (
+        ("essentially_equal", next((i for i, s in enumerate(status) if s != "shares_spike"), n)),
+        ("linked", status.index("none") if "none" in status else n),
+    ):
+        if all(clustered[k:]):
+            return PairReport(verdict, k, tuple(status[:k]) + ("common_cluster",) * (n - k))
+    return PairReport("neither", None, tuple(status))
+
+
 def _classify_fixed(qcp1: QcPortrait, qcp2: QcPortrait, common_clusters) -> PairReport:
-    n = qcp1.degree - 1
     status = []
     for q1, q2 in zip(qcp1.quads, qcp2.quads):
         if _shares_spike(q1, q2):
@@ -280,22 +294,8 @@ def _classify_fixed(qcp1: QcPortrait, qcp2: QcPortrait, common_clusters) -> Pair
             status.append("strongly_linked")
         else:
             status.append("none")
-    cluster_ok = [
-        _in_common_cluster(q1, q2, common_clusters)
-        for q1, q2 in zip(qcp1.quads, qcp2.quads)
-    ]
-    best = None
-    for k in range(n, -1, -1):
-        if any(status[i] == "none" for i in range(k)):
-            continue
-        if not all(cluster_ok[i] for i in range(k, n)):
-            continue
-        detail = tuple(status[:k]) + tuple("common_cluster" for _ in range(k, n))
-        if all(s == "shares_spike" for s in status[:k]):
-            return PairReport("essentially_equal", k, detail)
-        if best is None:
-            best = PairReport("linked", k, detail)
-    return best if best is not None else PairReport("neither", None, tuple(status))
+    clustered = [_in_common_cluster(q1, q2, common_clusters) for q1, q2 in zip(qcp1.quads, qcp2.quads)]
+    return _pair_verdict(status, clustered)
 
 
 def classify_pair(

@@ -294,8 +294,8 @@ def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
         # the whole disk: two counterclockwise half circles
         zero, half = canvas.svg_xy(0), canvas.svg_xy(canvas.N // 2)
         return f"M {zero} A {r} {r} 0 1 0 {half} A {r} {r} 0 1 0 {zero} Z"
-    # the canvas ring is a multiple of the gap's reduced ring
-    (n, xs, _), N = gap._reduced(), canvas.N
+    # the canvas ring is a multiple of the gap's ring
+    (n, xs), N = gap.ring, canvas.N
     verts = [x * (N // n) for x in xs]
     parts = [f"M {canvas.svg_xy(verts[0])}"]
     for i, (start, end) in enumerate(zip(verts, verts[1:] + verts[:1])):
@@ -338,7 +338,7 @@ def _render(target, spec: RenderSpec, shaded) -> str:
     ]
     # the shaded gaps are drawn on every disk, so their points join its ring
     shaded = tuple(shaded)
-    shade_q = [g._reduced()[0] for g in shaded] + [2 for g in shaded if g.is_disk]
+    shade_q = [g.ring[0] for g in shaded] + [2 for g in shaded if g.is_disk]
     for idx, (N, pairs) in enumerate(rings):
         M = lcm(N, *shade_q)
         if M != N:

@@ -17,7 +17,6 @@ from .circle import THIRD, Angle, ccw_offset, cyclic_descents, sigma_power
 from .chords import Chord, _sides, linked
 from .lamination import (
     FiniteLamination,
-    InconsistentPortrait,
     _chord,
     check_unlinked,
     critical_analysis,
@@ -218,7 +217,7 @@ def sample_cubic_library(rng: Lcg, count: int):
         seen.add(key)
         try:
             lam = pullback_build(3, portrait, 3, sectors=sectors)
-        except (InconsistentPortrait, ValueError):
+        except ValueError:  # an InconsistentPortrait among them
             continue
         if not heuristically_dendritic(lam):
             continue
@@ -235,11 +234,12 @@ def heuristically_dendritic(lam: FiniteLamination) -> bool:
 
     A recurring vertex set is permuted by an iterate of sigma_d, so all its
     vertices are periodic, and n/q is periodic iff q is prime to d; a gap
-    is skipped unfollowed when the lcm of its q, its reduced N, is not."""
+    is skipped unfollowed when the lcm of its q, N // gcd(N, *xs) on the
+    lamination's ring, is not; on that ring the orbit is as on the reduced one."""
     d = lam.degree
     for g in critical_analysis(lam).arc_gaps:
-        N, xs, _ = g._reduced()
-        if math.gcd(N, d) != 1:
+        N, xs = g.ring
+        if math.gcd(N // math.gcd(N, *xs), d) != 1:
             continue
         found = _ring_orbit(d, N, frozenset(xs), 16)
         if found is not None and found[0] == 0:
@@ -438,8 +438,8 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
             return TWO_LEAF_FLIP, f"flip power {period}"
         if len(periods) != 1:
             return None, f"mixed endpoint periods {sorted(periods)}"
-        orbits = [frozenset(orbit_classify(d, p).orbit) for p in l2.endpoints]
-        orbits += [frozenset(orbit_classify(d, p).orbit) for p in l1.endpoints]
+        # l1's ends, then l2's: the test is symmetric in the two chords
+        orbits = [frozenset(e.orbit) for e in endpoints]
         if orbits[0] == orbits[1] or orbits[2] == orbits[3]:
             return None, "shared endpoint orbit without flip"
         return "two_leaf_periodic_disjoint_orbits", "four orbit check"
@@ -458,8 +458,7 @@ def _classify_case(d: int, l1: Chord, l2: Chord):
             if not (separated or fixed):
                 return None, "recrossing image neither separated nor fixed"
         return "three_leaf", "two crossing images"
-    if len(crossing) == 0:
-        return None, "no crossing members"
+    # l2 crosses l1 and begins its own orbit, so it is always a member
     return None, f"{len(crossing)} crossing images"
 
 

@@ -11,6 +11,7 @@ from lamina.chords import (
     _sides,
     chord_image,
     disjoint,
+    greedy_no_loop,
     is_critical,
     linked,
     sibling_collections,
@@ -233,6 +234,13 @@ def test_loop_detection_agrees_with_graph_oracle(data):
         a = Angle(p, q)
         chords.append(Chord(a, Angle(a + Fraction(k % d or 1, d))))
     assert validate_collection(d, chords).has_loop == _cycle_oracle(chords)
+    # the greedy pass keeps a chord iff it repeats no kept chord and closes
+    # no cycle with the kept ones
+    kept = []
+    for c in chords:
+        if not _cycle_oracle(kept + [c]):
+            kept.append(c)
+    assert greedy_no_loop(d, chords) == kept
 
 
 @settings(max_examples=200, deadline=None)

@@ -628,3 +628,26 @@ def test_geometry_colocation_agrees_with_angle_oracle():
         checked += bool(full_portraits_of(lam))
         failed += bool(want)
     assert checked > 200 and failed > 5
+
+
+def test_cocritical_set_is_defined_on_every_critical_set():
+    # a cubic critical set of degree 2 has exactly one hole of length
+    # >= 1/3 (a critical leaf has two, 1/3 and 2/3, and the strict test
+    # keeps 2/3), and one of degree 3 is its own co-critical set, so
+    # geometry_checks needs no guard around cocritical_set
+    from lamina.lamination import critical_analysis
+    from lamina.sampling import Lcg
+    from lamina.suites import hexagon_fixtures, sample_cubic_library
+
+    cubic = sorted((Path(__file__).parent.parent / "portraits" / "cubic").glob("*.portrait"))
+    library = sample_cubic_library(Lcg(7), 60) + hexagon_fixtures()
+    library += [parse_portrait(path.read_text()).build(3) for path in cubic]
+    assert len(library) == 60 + 3 + 4
+    checked = 0
+    for lam in library:
+        for s in critical_analysis(lam).critical_sets:
+            C = ConvexSet.hull_of(s)
+            assert C.degree(3) in (2, 3)
+            assert isinstance(cocritical_set(C), ConvexSet)
+            checked += 1
+    assert checked >= len(library)

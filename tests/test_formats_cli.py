@@ -227,6 +227,22 @@ def test_cli_rejects_negative_depth(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "depth" in captured.err
 
 
+@pytest.mark.parametrize("command", ["build", "tags"])
+@pytest.mark.parametrize("degree", [0, -3])
+def test_cli_refuses_a_portrait_degree_below_two(tmp_path, capsys, command, degree):
+    # the degree is checked after the lines are read, as for lamination files
+    (tmp_path / "low.portrait").write_text(f"degree {degree}\n")
+    if command == "build":
+        argv = ["build", "--portrait", str(tmp_path / "low.portrait"), "--depth", "2"]
+    else:
+        argv = ["tags", "--portraits", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert f"degree must be an integer >= 2, got {degree}" in captured.err
+
+
 def test_cli_qml(tmp_path):
     out = tmp_path / "qml.lam"
     svg = tmp_path / "qml.svg"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -891,6 +892,34 @@ def test_pullback_build_agrees_with_chord_oracle():
         inconsistent += got[0] is InconsistentPortrait
         refused += got[0] is ValueError
     assert inconsistent > 0 and refused > 0
+
+
+def _dendritic_oracle(lam) -> bool:
+    """heuristically_dendritic with each arc face followed as Angles, on the
+    ring of its reduced vertex denominators."""
+    d = lam.degree
+    for g in critical_analysis(lam).arc_gaps:
+        if math.gcd(math.lcm(*(v.denominator for v in g.vertices)), d) != 1:
+            continue
+        info = orbit_classify(d, g.vertices, max_steps=16)
+        if info is not None and info.preperiod == 0:
+            return False
+    return True
+
+
+def test_heuristically_dendritic_agrees_with_the_reduced_ring_oracle():
+    # heuristically_dendritic follows each face on the lamination's ring
+    verdicts = []
+    for d, portrait, sectors, depth in pullback_cases():
+        if d != 3:
+            continue
+        try:
+            lam = pullback_build(d, portrait, depth, sectors=sectors)
+        except ValueError:
+            continue
+        verdicts.append(heuristically_dendritic(lam))
+        assert verdicts[-1] == _dendritic_oracle(lam)
+    assert True in verdicts and False in verdicts
 
 
 def test_pullback_refusal_names_the_sector_face(monkeypatch):

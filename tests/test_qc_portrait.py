@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from lamina.qc_portrait import (
     COLLAPSING,
     CRITICAL_LEAF,
     CriticalPattern,
+    PairReport,
     QcPortrait,
+    _pair_verdict,
     classify_pair,
     complete_samples,
     derive_qc_portrait,
@@ -304,3 +307,31 @@ def test_tuned_lamination_stays_unlinked():
     gap = [g for g in critical_analysis(lam).critical_gaps if len(g.vertices) == 6][0]
     lam2, _ = tune_insert(lam, gap)
     assert check_unlinked(lam2)[0]
+
+
+def _descending_k_verdict(status, clustered) -> PairReport:
+    """Oracle: try every k from n down, keeping the first essentially equal
+    alignment and else the largest linked one."""
+    n = len(status)
+    best = None
+    for k in range(n, -1, -1):
+        if any(status[i] == "none" for i in range(k)):
+            continue
+        if not all(clustered[i] for i in range(k, n)):
+            continue
+        detail = tuple(status[:k]) + tuple("common_cluster" for _ in range(k, n))
+        if all(s == "shares_spike" for s in status[:k]):
+            return PairReport("essentially_equal", k, detail)
+        if best is None:
+            best = PairReport("linked", k, detail)
+    return best if best is not None else PairReport("neither", None, tuple(status))
+
+
+def test_pair_verdict_agrees_with_the_descending_k_loop():
+    checked = 0
+    for n in range(6):
+        for status in itertools.product(("shares_spike", "strongly_linked", "none"), repeat=n):
+            for clustered in itertools.product((False, True), repeat=n):
+                assert _pair_verdict(list(status), list(clustered)) == _descending_k_verdict(status, clustered)
+                checked += 1
+    assert checked == 9331
