@@ -14,8 +14,9 @@ endpoints up to a period bound) are drawn by Lavaurs' algorithm alone: the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .circle import THIRD, Angle, _at, _ring, preimages
+from .circle import THIRD, _at, _ring, preimages
 from .chords import Chord, _sides, chord_image, disjoint, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit, pullback_build
 
@@ -147,6 +148,15 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
     return MinorReport(minor=next(iter(images)), majors=majors)
 
 
+def _period_points(k: int) -> list[int]:
+    """The j mod q = 2^k - 1, ascending, whose angle j/q has exact period k
+    under doubling: j*2^m != j (mod q) for each proper divisor m of k (the
+    necklace rule), that is, q/(2^m - 1) does not divide j."""
+    q = 2**k - 1
+    short = {j for m in range(1, k) if k % m == 0 for j in range(0, q, q // (2**m - 1))}
+    return [j for j in range(q) if j not in short]
+
+
 def qml_enumerate(period_bound: int) -> list[Chord]:
     """The chords of QML with both endpoints of period <= period_bound and
     length < 1/3, canonically sorted.
@@ -160,28 +170,27 @@ def qml_enumerate(period_bound: int) -> list[Chord]:
     at the end with every other chord of length >= 1/3.  Nothing is checked
     here: the ``qml-unlinked`` suite and the tests strip-test the chords.
     """
-    if not 1 <= period_bound <= 12:
-        raise ValueError("period bound must be between 1 and 12")
-    drawn = []
+    if not isinstance(period_bound, int) or isinstance(period_bound, bool) or not 1 <= period_bound <= 12:
+        raise ValueError(f"period bound must be an integer between 1 and 12, got {period_bound!r}")
+    L = lcm(*(2**k - 1 for k in range(1, period_bound + 1)))
+    drawn = {}  # a -> b for each drawn chord, its sorted pair on the ring mod L
     for k in range(2, period_bound + 1):
-        q = 2**k - 1
-        # doubling permutes the ring mod odd q, so an orbit there is a cycle
-        new = [Angle(j, q) for j in range(q) if len(_ring_orbit(2, q, j)[1]) == k]
-        events = sorted(
-            [(c.a, c) for c in drawn] + [(c.b, c) for c in drawn] + [(a, None) for a in new],
-            key=lambda e: e[0],
-        )
+        step = L // (2**k - 1)
+        new = {j * step for j in _period_points(k)}
         stack, regions = [], {}
-        for x, c in events:
-            if c is None:
+        # every endpoint is a distinct point: each angle is drawn at most once
+        for x in sorted([*drawn, *drawn.values(), *new]):
+            if x in new:
                 regions.setdefault(stack[-1] if stack else None, []).append(x)
-            elif x == c.a:
-                stack.append(c)
+            elif x in drawn:
+                stack.append(x)
             else:
                 stack.pop()
         for xs in regions.values():
-            drawn += [Chord(a, b) for a, b in zip(xs[::2], xs[1::2])]
-    return sorted(c for c in drawn if c.length < THIRD)
+            drawn.update(zip(xs[::2], xs[1::2]))
+    # a chord's length is min(b - a, L - b + a), and a sorted pair is a Chord as it stands
+    pairs = sorted((a, b) for a, b in drawn.items() if 3 * min(b - a, L - b + a) < L)
+    return [tuple.__new__(Chord, (_at(L, a), _at(L, b))) for a, b in pairs]
 
 
 def major_quadrilateral(minor: Chord):

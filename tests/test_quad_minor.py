@@ -2,6 +2,7 @@ import hashlib
 import itertools
 from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,14 @@ import lamina.suites as suites
 from lamina.circle import THIRD, Angle, Arc, ccw_offset, preimages, shortest_dist
 from lamina.chords import Chord, chord_image, disjoint, linked
 from lamina.formats import lamination_text
-from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, orbit_classify, pullback_build
+from lamina.lamination import (
+    FiniteLamination,
+    _ring_orbit,
+    check_invariance,
+    check_unlinked,
+    orbit_classify,
+    pullback_build,
+)
 from lamina.quad_minor import (
     Strip,
     StripVerdict,
@@ -299,6 +307,33 @@ def test_period_twelve_enumeration_is_pinned():
     text = lamination_text(FiniteLamination(2, qml_enumerate(12)))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "07efd11d1e478a128e3f2e987cc88cfd78d0c21ac16ec6e0e46998cba4185129"
+
+
+def test_period_points_agree_with_the_ring_orbit():
+    # the necklace rule against the cycle length of each j's doubling orbit
+    for k in range(1, 13):
+        q = 2**k - 1
+        cycle = {}
+        for j in range(q):
+            pre, orbit = _ring_orbit(2, q, j)
+            cycle[j] = len(orbit) - pre
+        assert quad_minor._period_points(k) == [j for j in range(q) if cycle[j] == k], k
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lavaurs_chords_are_the_checked_chords(n):
+    # the sweep forms its Chords unchecked, from sorted ring pairs
+    for c in qml_enumerate(n):
+        assert type(c) is Chord and c == Chord(c.a, c.b)
+        for x in c:
+            assert type(x) is Angle and gcd(x.numerator, x.denominator) == 1
+        assert Chord.parse(str(c)) == c
+
+
+@pytest.mark.parametrize("bound", [True, False, 7.0, Fraction(7), "7", None, 0, 13, -1])
+def test_qml_enumerate_refuses_a_bound_that_is_not_an_int_from_1_to_12(bound):
+    with pytest.raises(ValueError, match="period bound must be an integer between 1 and 12"):
+        qml_enumerate(bound)
 
 
 def test_major_quadrilateral():
