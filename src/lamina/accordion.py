@@ -6,13 +6,14 @@ linked pairs the possible exact patterns are rigid: one extra crossing leaf
 (periodic flip or four disjoint endpoint orbits), two crossing images, or a
 periodic polygon swept out by the pair's convex hull.  Order preservation
 puts both chords on one integer ring mod N, the common denominator of their
-endpoints.  It first asks whether sigma_d keeps the circular order of the
-pair's four ends: the second chord lies in the accordion of the first, so
-those ends are part of the first set the full check tests, and sigma_d
-keeps the order of every part of a set whose order it keeps.  Only a pair
-that passes follows the two orbits as int pairs with
+endpoints.  It first follows the pair's four ends in lockstep, asking at
+each step whether sigma_d keeps their circular order: while it does, the
+images stay linked, so each image of the second chord lies in the
+accordion of the matching image of the first, and sigma_d keeps the order
+of every part of a set whose order it keeps.  Only a pair whose four ends
+come back in order follows the two orbits as int pairs with
 ``lamination._ring_orbit``, the loop behind every orbit; the ``compgap``
-suite calls the same ring primitives.  Smart-criticality
+suite calls the same ring entry point.  Smart-criticality
 helpers pick full spike collections unlinked with a given leaf and detect
 collapses around chains of spikes.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circle import Angle, _check_degree, _ring, ccw_offset, cyclic_descents, sigma, sigma_power
+from .circle import Angle, _check_degree, _ring, ccw_offset, sigma, sigma_power
 from .chords import Chord, _sides, disjoint, is_critical, linked, validate_collection
 from .lamination import FiniteLamination, _ring_orbit, orbit_classify
 from .qc_portrait import QcPortrait, complete_samples
@@ -63,8 +64,9 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     orbit of a second chord.
 
     With a chord, the orbit is followed to closure (exact) or to the horizon
-    (flagged non-exact); classification labels the crossing pattern.  With a
-    lamination, the members are its leaves crossing the axis and the
+    (flagged non-exact and classified ``wandering_up_to_horizon``, since a
+    crossing may lie past it); classification labels the crossing pattern.
+    With a lamination, the members are its leaves crossing the axis and the
     classification is ``single`` or undetermined (None).  A ``horizon`` must
     be an int >= 0 when given.
     """
@@ -88,12 +90,13 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     ]
 
     crossing = len(members) - 1
-    if crossing == 0:
+    if not exact:
+        # a crossing may fall in the part of the orbit past the horizon
+        classification = WANDERING
+    elif crossing == 0:
         classification = SINGLE
     elif isinstance(other, FiniteLamination):
         classification = None
-    elif not exact:
-        classification = WANDERING
     elif crossing == 1:
         partner = members[1]
         pinfo = orbit_classify(d, partner)
@@ -122,22 +125,36 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
 
 def _order_kept(d: int, N: int, points) -> bool:
     """Does sigma_d keep the ascending, pairwise distinct ring points mod N
-    distinct and in positive circular order, the images wrapping once?"""
-    images = [d * p % N for p in points]
-    if len(set(images)) != len(points):
-        return False
-    return len(points) <= 2 or cyclic_descents(images) == 1
+    distinct and in positive circular order?  Exactly when one cyclic step
+    of the images fails to ascend."""
+    turns, prev = 0, d * points[-1] % N
+    for p in points:
+        x = d * p % N
+        if prev >= x:
+            turns += 1
+        prev = x
+    return turns == 1
 
 
-def _ends_kept(d: int, N: int, c1, c2) -> bool:
-    """Whether sigma_d keeps the four ends of linked pairs mod N apart and in order."""
-    return _order_kept(d, N, sorted((*c1, *c2)))
+def _order_preserving_ring(d: int, N: int, c1, c2) -> bool:
+    """Mutual order preservation of the orbits of two linked sorted int pairs
+    on the ring mod N: sigma_d is injective and positively order preserving
+    on the accordion of each chord of either orbit with respect to the other
+    orbit.
 
-
-def _order_preserving_ring(d: int, N: int, o1, o2) -> bool:
-    """Mutual order preservation of two chord orbits on the ring mod N:
-    sigma_d is injective and positively order preserving on the accordion of
-    each chord of either orbit with respect to the other orbit."""
+    The pair's four ends are followed in lockstep first: while sigma_d keeps
+    them in order the images stay linked, so each image of c2 lies in the
+    accordion of the matching image of c1, and a step that breaks their
+    order refuses the pair with the verdict of the full check.  Only a pair
+    whose four ends come back follows both chord orbits; every chord of
+    them has then passed the distinctness test, so none is critical."""
+    ends, seen = tuple(sorted((*c1, *c2))), set()
+    while ends not in seen:
+        if not _order_kept(d, N, ends):
+            return False
+        seen.add(ends)
+        ends = tuple(sorted(d * p % N for p in ends))
+    o1, o2 = _ring_orbit(d, N, c1)[1], _ring_orbit(d, N, c2)[1]
     for axes, others in ((o1, o2), (o2, o1)):
         for ax in axes:
             pts = set(ax)
@@ -153,23 +170,13 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     """Mutual order preservation: at every step, sigma_d is injective and
     positively order preserving on the accordion of each chord's image with
     respect to the other's forward orbit.  Exact for rational data (orbits
-    close); both orbits are followed on one integer ring.
-
-    A pair that fails ``_ends_kept`` is refused before either orbit is
-    followed, with the verdict the full check would give."""
+    close); both chords are followed on one integer ring, their four ends in
+    lockstep before either full orbit."""
     _check_degree(d)
     if not linked(l1, l2):
         raise ValueError("order preserving accordions are defined for linked chords")
     N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
-    if not _ends_kept(d, N, (a1, b1), (a2, b2)):
-        return False
-    _, o1 = _ring_orbit(d, N, (a1, b1))
-    _, o2 = _ring_orbit(d, N, (a2, b2))
-    # (pre)critical leaves never have order preserving accordions, and an
-    # orbit turns degenerate iff its last chord is
-    if o1[-1][0] == o1[-1][1] or o2[-1][0] == o2[-1][1]:
-        return False
-    return _order_preserving_ring(d, N, o1, o2)
+    return _order_preserving_ring(d, N, (a1, b1), (a2, b2))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between, strip_test
 from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import TWO_LEAF_FLIP, WANDERING, _ends_kept, _order_preserving_ring, accordion, compgap_analyze
+from .accordion import TWO_LEAF_FLIP, WANDERING, _order_preserving_ring, accordion, compgap_analyze
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -412,7 +412,7 @@ def _survivor_pairs(kmax: int):
             if not linked(c1, c2):
                 continue
             nlinked += 1
-            if _ends_kept(3, N, c1, c2) and _order_preserving_ring(3, N, orbit[c1][1], orbit[c2][1]):
+            if _order_preserving_ring(3, N, c1, c2):
                 survivors[c1, c2] = orbit[c1], orbit[c2]
     return N, nlinked, survivors
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina.circle import POSITIVE, Angle, circular_order, sigma
+from lamina.circle import POSITIVE, Angle, circular_order, cyclic_descents, sigma
 from lamina.chords import Chord, chord_image, linked, validate_collection
 from lamina.lamination import FiniteLamination, orbit_classify, pullback_build
 from lamina.qc_portrait import QcPortrait, make_quadrilateral
@@ -18,6 +18,7 @@ from lamina.accordion import (
     TWO_LEAF_DISJOINT,
     TWO_LEAF_FLIP,
     WANDERING,
+    _order_kept,
     accordion,
     choose_unlinked_spikes,
     compgap_analyze,
@@ -86,6 +87,17 @@ def test_accordion_refuses_a_horizon_that_is_not_a_nonnegative_int(horizon):
     assert accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3, horizon=0).horizon == 0
 
 
+def test_accordion_cut_off_before_any_crossing_is_wandering():
+    # the flip partner's orbit is the one chord 1/4 3/4, which crosses the
+    # axis; a horizon of 0 follows none of it, and a crossing seen nowhere
+    # in a cut-off orbit says nothing about the rest of it
+    axis, partner = C(1, 8, 3, 8), C(1, 4, 3, 4)
+    rep = accordion(axis, partner, d=3, horizon=0)
+    assert not rep.exact and rep.members == (axis,)
+    assert rep.classification == WANDERING
+    assert accordion(axis, partner, d=3).classification == TWO_LEAF_FLIP
+
+
 def test_order_preserving_follows_orbits_only_past_the_four_ends(monkeypatch):
     # the package's ``accordion`` attribute is the function of that name
     accordion_module = importlib.import_module("lamina.accordion")
@@ -103,6 +115,16 @@ def test_order_preserving_follows_orbits_only_past_the_four_ends(monkeypatch):
     # the ends 1/8 < 1/4 < 3/8 < 3/4 triple to 3/8, 3/4, 1/8, 1/4: in order
     assert order_preserving_accordions(3, C(1, 8, 3, 8), C(1, 4, 3, 4))
     assert len(calls) == 2
+    # the ends 0 < 1/13 < 10/13 < 11/13 triple to 0 < 3/13 < 4/13 < 7/13, in
+    # order, but those triple to 0, 9/13, 12/13, 8/13: the lockstep's second
+    # step refuses the pair before either orbit is followed
+    calls.clear()
+    assert not order_preserving_accordions(3, C(0, 1, 10, 13), C(1, 13, 11, 13))
+    assert len(calls) == 0
+    # these four ends come back in order, so both orbits are followed, and
+    # the full check refuses the pair
+    assert not order_preserving_accordions(3, C(0, 1, 1, 2), C(1, 8, 5, 8))
+    assert len(calls) == 2
 
 
 def test_order_preserving_examples():
@@ -111,6 +133,17 @@ def test_order_preserving_examples():
     assert not order_preserving_accordions(3, C(0, 1, 1, 3), C(1, 4, 2, 4))
     with pytest.raises(ValueError):
         order_preserving_accordions(3, C(0, 1, 1, 8), C(1, 2, 3, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_order_kept_is_distinct_images_in_circular_order(d, data):
+    # on a ring mod a multiple of d, sigma_d is not one-to-one
+    N = d * data.draw(st.integers(4, 12))
+    points = sorted(data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=8, unique=True)))
+    images = [d * p % N for p in points]
+    expected = len(set(images)) == len(points) and (len(points) <= 2 or cyclic_descents(images) == 1)
+    assert _order_kept(d, N, points) == expected
 
 
 def _one_sided_oracle(d, axis, other):
@@ -168,7 +201,7 @@ def test_order_preserving_accordions_agrees_with_chord_oracle(d, data):
 
 @pytest.mark.parametrize(
     "d, denominators, survivors",
-    [(3, (2, 8), 6), (3, (2, 8, 6, 24), 34), (4, (3, 15), 135), (2, (3, 7, 15), 2)],
+    [(3, (2, 8), 6), (3, (2, 8, 6, 24), 34), (4, (3, 15), 135), (2, (3, 7, 15), 2), (3, (2, 8, 13), 6)],
 )
 def test_order_preserving_accordions_exhaustive(d, denominators, survivors):
     pts = sorted({Angle(n, q) for q in denominators for n in range(q)})

@@ -205,26 +205,33 @@ def _counting(monkeypatch, owner, name):
 
 def test_binary64_points_match_libmp_path(monkeypatch):
     rng = random.Random(12)
-    angles = [A(rng.randrange(q), q) for q in (rng.randint(1, 10**6 - 1) for _ in range(100_000))]
+    angles = [A(rng.randrange(q), q) for q in (rng.randint(1, 10**6 - 1) for _ in range(12_000))]
     special = [A(k, 8) for k in range(8)] + [A(k, 12) for k in range(12)]
     special += [A(rng.randrange(2**130), 2**130 - 1) for _ in range(50)]
+    points = angles + special
     combos = [(size, label) for size in _SIZES for label in (False, True)]
     fallbacks = 0
     with mpmath.workdps(30):
-        # every random angle at one of the ten (size, radius) pairs in turn,
-        # every special angle at all of them
+        # the mpf fallback's cos and sin of each (reduced) angle, once
+        turns = (2 * mpmath.mpf(a.numerator) / a.denominator for a in points)
+        trig = [(mpmath.cospi(t), mpmath.sinpi(t)) for t in turns]
         for i, (size, label) in enumerate(combos):
             fast, slow = _canvases(size)
-            share = angles[i :: len(combos)]
+            c, R = slow.center, (slow.label_radius if label else slow.radius)
+            want = [(render._fmt(c + R * x), render._fmt(c - R * y)) for x, y in trig]
+            # one share of the points through the fallback itself, every
+            # point of both lists on the binary64 path at all ten pairs
+            share = points[i :: len(combos)]
+            assert want[i :: len(combos)] == [slow.pix(a.numerator, a.denominator, label) for a in share]
             with monkeypatch.context() as m:
                 calls = _counting(m, mpmath, "cospi")
-                got = [fast.pix(a.numerator, a.denominator, label) for a in share]
+                got = [fast.pix(a.numerator, a.denominator, label) for a in angles]
                 fallbacks += len(calls)
                 got += [fast.pix(a.numerator, a.denominator, label) for a in special]
-            assert got == [slow.pix(a.numerator, a.denominator, label) for a in share + special]
+            assert got == want
     # the binary64 path decides nearly every value: a path that never ran
     # would fall back on all of them
-    assert fallbacks < 0.02 * len(angles)
+    assert fallbacks < 0.02 * len(angles) * len(combos)
 
 
 def test_binary64_cos_sin_within_stated_bound():
