@@ -67,12 +67,17 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     (flagged non-exact and classified ``wandering_up_to_horizon``, since a
     crossing may lie past it); classification labels the crossing pattern.
     With a lamination, the members are its leaves crossing the axis and the
-    classification is ``single`` or undetermined (None).  A ``horizon`` must
-    be an int >= 0 when given.
+    classification is ``single`` or undetermined (None); it takes no
+    ``horizon``, and a ``d`` must be its degree.  A ``horizon`` must be an
+    int >= 0 when given.
     """
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0):
         raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     if isinstance(other, FiniteLamination):
+        if horizon is not None:
+            raise ValueError("a lamination accordion takes no horizon")
+        if d is not None and d != other.degree:
+            raise ValueError(f"d={d!r} differs from the lamination's degree {other.degree}")
         chords, steps, exact, op = other.leaves, 0, True, None
     elif d is None:
         raise ValueError("chord-orbit accordions need the degree d")

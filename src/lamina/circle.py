@@ -5,8 +5,9 @@ laminations, tags) is built on top of them.  No floating point enters any
 computation here.
 
 The hot operations run on the integers n, q of an angle n/q rather than
-through Fraction's generic arithmetic: construction of a known-reduced
-value (``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
+through Fraction's generic arithmetic: reading an angle token as its
+reduced ints (``_ratio``), construction of a known-reduced value
+(``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
@@ -69,14 +70,14 @@ class Angle(Fraction):
             if t is cls:
                 return numerator  # already reduced; immutable, so safe to share
             if t is str:  # a parsed token, the commonest input after an Angle
-                return _parse(numerator)
+                return _angle(*_ratio(numerator))
             if t is Fraction:
                 q = numerator._denominator
                 return _angle(numerator._numerator % q, q)
         if isinstance(numerator, float) or isinstance(denominator, float):
             raise TypeError("Angle is exact: floats are not accepted")
         if isinstance(numerator, str):
-            _parse(numerator)  # a bad string is a ValueError; Fraction does the rest
+            _ratio(numerator)  # a bad string is a ValueError; Fraction does the rest
         value = Fraction(numerator, denominator)
         q = value._denominator
         return _angle(value._numerator % q, q)
@@ -137,9 +138,10 @@ def _angle(n: int, q: int) -> Angle:
     return self
 
 
-def _parse(text: str) -> Angle:
-    """The Angle of an integer or "p/q" string with q > 0, blanks around it
-    allowed; anything else is a ValueError."""
+def _ratio(text: str) -> tuple[int, int]:
+    """The reduced ints n, q of the angle n/q, 0 <= n < q, of an integer or
+    "p/q" string with q > 0, blanks around it allowed; anything else is a
+    ValueError."""
     digits = text.strip()
     if not _RATIONAL.fullmatch(digits):
         raise ValueError(f"angle must be an integer or p/q with q > 0: {text!r}")
@@ -148,7 +150,7 @@ def _parse(text: str) -> Angle:
     q = int(q) if q else 1
     n = int(p) % q
     g = gcd(n, q)
-    return _angle(n // g, q // g)
+    return n // g, q // g
 
 
 THIRD = Angle(1, 3)

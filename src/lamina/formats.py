@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
-from .circle import Angle, _check_degree, _ring
+from .circle import Angle, _check_degree, _ratio
 from .chords import Chord, _chord_tokens, _sides, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
@@ -58,11 +58,12 @@ def _degree(line: str, seen) -> int:
 
 def parse_lamination(text: str) -> FiniteLamination:
     """The lamination of a lamination file.  Each distinct angle token is
-    read once; the chords go straight onto the ring of their endpoints,
-    where they are sorted and deduped and degenerate ones dropped."""
+    read once, as its reduced ints n, q; the chords go straight onto the
+    ring mod N, N the lcm of the q's, where they are sorted and deduped and
+    degenerate ones dropped."""
     degree = None
-    angles = {}  # token -> its Angle
-    chords = []
+    ratios = {}  # token -> its reduced (n, q)
+    tokens = []  # the two tokens of each chord line, in turn
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,18 +73,19 @@ def parse_lamination(text: str) -> FiniteLamination:
             continue
         if degree is None:
             raise ValueError("lamination file must start with a degree header")
-        s, t = tokens = _chord_tokens(line)
-        if s not in angles:
-            angles[s] = Angle(s)
-        if t not in angles:
-            angles[t] = Angle(t)
-        chords.append(tokens)
+        s, t = chord = _chord_tokens(line)
+        if s not in ratios:
+            ratios[s] = _ratio(s)
+        if t not in ratios:
+            ratios[t] = _ratio(t)
+        tokens += chord
     if degree is None:
         raise ValueError("missing degree header")
     _check_degree(degree)
-    N, xs = _ring(angles.values())
-    at = dict(zip(angles, xs))
-    pairs = {(a, b) if a < b else (b, a) for a, b in ((at[s], at[t]) for s, t in chords) if a != b}
+    N = lcm(*{q for _, q in ratios.values()})
+    at = {token: n * (N // q) for token, (n, q) in ratios.items()}
+    xs = list(map(at.__getitem__, tokens))
+    pairs = {(a, b) if a < b else (b, a) for a, b in zip(xs[::2], xs[1::2]) if a != b}
     return FiniteLamination._from_ring(degree, N, sorted(pairs))
 
 

@@ -11,16 +11,18 @@ the points of the disk lie on one ring mod N (``circle._ring``), a
 lamination's own ``ring`` or the ring of a chord list's endpoints (and
 of the shaded gaps' vertices), where a chord is a sorted int pair, circle
 order is int order and a degenerate pair is drawn as a point.  Each disk
-has one ``_Canvas``, which evaluates every distinct quantity once: the
-"x,y" string of each ring point and the formatted arc radius of each
-chord length, both keyed by their ints.  The geodesic joining ring
-points a and b, with shortest distance l (``b - a`` or ``N - b + a``,
-over N), is the circle orthogonal to the unit circle through both
-points; its radius is tan(pi*l), with no cancellation however near l is
-to 1/2.  The arc bends toward the disk centre, which fixes its sweep flag
-exactly: drawn from a to b it is 1 iff b lies less than half a turn
-counterclockwise of a.  The memo lives and dies with its canvas: nothing
-is cached across calls.
+has one ``_Canvas`` and evaluates every distinct quantity once: one loop
+(``_Canvas.xy``) prints the "x,y" string of every ring point of the
+disk's paths, and one loop (``_geodesics``) builds the path data of all
+its chords, printing the arc radius of each chord length the first time
+it occurs; both are kept in dicts keyed by their ints.  The geodesic
+joining ring points a and b, with shortest distance l (``b - a`` or
+``N - b + a``, over N), is the circle orthogonal to the unit circle
+through both points; its radius is tan(pi*l), with no cancellation
+however near l is to 1/2.  The arc bends toward the disk centre, which
+fixes its sweep flag exactly: drawn from a to b it is 1 iff b lies less
+than half a turn counterclockwise of a.  The dicts live and die with
+their disk: nothing is cached across calls.
 
 The printed bytes are those of the mpf formula at 30 digits: pixel
 coordinates c + R*cospi(t) and c - R*sinpi(t) of an angle a, with
@@ -177,15 +179,15 @@ def _certified(v: float, e: float):
 
 
 class _Canvas:
-    """Maps the unit disk to SVG pixel coordinates (y axis flipped),
-    evaluating each point and each arc radius of its ring mod N once.
+    """Maps the unit disk to SVG pixel coordinates (y axis flipped) for the
+    points of its ring mod N, and keeps the arc radius of each chord length
+    of that ring.
 
-    ``pix`` and ``geodesic_radius`` take a fraction n/q that need not be
-    reduced; ``svg_xy`` and ``arc_radius`` take ints on the ring and keep
-    their strings keyed by them.  Values are printed from the certified
-    binary64 evaluation when it decides them, and otherwise by the mpf
-    fallback: the module docstring's formula evaluated with mpf objects at
-    the context precision, from the reduced fraction.
+    ``xy``, ``pix`` and ``geodesic_radius`` take fractions n/q that need not
+    be reduced.  Values are printed from the certified binary64 evaluation
+    when it decides them, and otherwise by the mpf fallback: the module
+    docstring's formula evaluated with mpf objects at the context
+    precision, from the reduced fraction.
     """
 
     def __init__(self, size: int, N: int):
@@ -193,8 +195,7 @@ class _Canvas:
         self.center = mpmath.mpf(size) / 2
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
         self.label_radius = self.radius * mpmath.mpf("1.06")
-        self._xy: dict = {}
-        self._radii: dict = {}
+        self.radii: dict = {}  # chord length on the ring -> its arc radius
         # c, R and 1.06*R in binary64 (c exact, the radii within the
         # module docstring's bounds) and the bound e, for the fast path;
         # its int divisions are correctly rounded, so n/q need not be
@@ -206,42 +207,46 @@ class _Canvas:
             self._label_r = self._r * 1.06
             self._e = size * _PIX_ERR
 
-    def pix(self, n: int, q: int, label: bool = False) -> tuple[str, str]:
-        """The formatted pixel coordinates center + R*x and center - R*y of
-        the point (x, y) at angle n/q, 0 <= n < q, R the disk radius, or
-        1.06 times it for a label."""
-        if self._fast:
+    def xy(self, q: int, ns, label: bool = False) -> list[str]:
+        """The "x,y" strings of the points n/q for n in ns, 0 <= n < q: the
+        formatted pixel coordinates center + R*x and center - R*y of the
+        point (x, y) at angle n/q, R the disk radius, or 1.06 times it for a
+        label."""
+        if not self._fast:
+            return [self._mpf_xy(n, q, label) for n in ns]
+        c, R, e = self._c, (self._label_r if label else self._r), self._e
+        out = []
+        for n in ns:
             k, r = divmod(8 * n, q)
             if k & 1:
-                c, s = _cos_sin(q - r, q)
-                s = -s
+                cos, sin = _cos_sin(q - r, q)
+                sin = -sin
             else:
-                c, s = _cos_sin(r, q)
+                cos, sin = _cos_sin(r, q)
             j = (k + 1) >> 1 & 3
             if j == 0:
-                x, y = c, s
+                x, y = cos, sin
             elif j == 1:
-                x, y = -s, c
+                x, y = -sin, cos
             elif j == 2:
-                x, y = -c, -s
+                x, y = -cos, -sin
             else:
-                x, y = s, -c
-            R, e = (self._label_r if label else self._r), self._e
-            px = _certified(self._c + R * x, e)
-            py = _certified(self._c - R * y, e)
-            if px is not None and py is not None:
-                return px, py
+                x, y = sin, -cos
+            px = _certified(c + R * x, e)
+            py = _certified(c - R * y, e)
+            out.append(f"{px},{py}" if px is not None and py is not None else self._mpf_xy(n, q, label))
+        return out
+
+    def _mpf_xy(self, n: int, q: int, label: bool) -> str:
         g = gcd(n, q)
         t = 2 * mpmath.mpf(n // g) / (q // g)
         R = self.label_radius if label else self.radius
-        return _fmt(self.center + R * mpmath.cospi(t)), _fmt(self.center - R * mpmath.sinpi(t))
+        return f"{_fmt(self.center + R * mpmath.cospi(t))},{_fmt(self.center - R * mpmath.sinpi(t))}"
 
-    def svg_xy(self, x: int) -> str:
-        """The "x,y" string of the ring point x."""
-        s = self._xy.get(x)
-        if s is None:
-            s = self._xy[x] = ",".join(self.pix(x, self.N))
-        return s
+    def pix(self, n: int, q: int, label: bool = False) -> tuple[str, str]:
+        """The formatted pixel coordinates of the one point n/q of ``xy``."""
+        px, py = self.xy(q, (n,), label)[0].split(",")
+        return px, py
 
     def geodesic_radius(self, n: int, q: int) -> str:
         """The formatted pixel radius tan(pi*n/q)*R of a geodesic of
@@ -260,53 +265,53 @@ class _Canvas:
         t = mpmath.mpf(n // g) / (q // g)
         return _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
 
-    def arc_radius(self, length: int) -> str:
-        """``geodesic_radius`` of a shortest length on the ring."""
-        r = self._radii.get(length)
-        if r is None:
-            r = self._radii[length] = self.geodesic_radius(length, self.N)
-        return r
 
-
-def _geodesic_to(canvas: _Canvas, start: int, end: int, straight: bool) -> str:
-    """Path data drawing the geodesic from the ring point ``start`` (the
-    current point) to ``end``."""
-    if not straight:
-        N = canvas.N
-        t = (end - start) % N
+def _geodesics(canvas: _Canvas, xy: dict, pairs, straight: bool) -> list[str]:
+    """Path data drawing the geodesic from a (the current point) to b, for
+    each pair (a, b) of ring points; ``xy`` holds the "x,y" string of each
+    b."""
+    if straight:
+        return [f"L {xy[b]}" for _, b in pairs]
+    N, radii, out = canvas.N, canvas.radii, []
+    bound = N * _STRAIGHT_N
+    for a, b in pairs:
+        t = (b - a) % N
         # the geodesic is the minor arc bending toward the disk centre, so
-        # the sweep flag is the sign of sin 2pi(end - start), decided exactly
+        # the sweep flag is the sign of sin 2pi(b - a), decided exactly
         sweep = 1 if 2 * t < N else 0
         length = t if sweep else N - t  # the shortest distance, times N
-        if length * _STRAIGHT_Q < N * _STRAIGHT_N:
-            r = canvas.arc_radius(length)
-            return f"A {r} {r} 0 0 {sweep} {canvas.svg_xy(end)}"
-    return f"L {canvas.svg_xy(end)}"
+        if length * _STRAIGHT_Q < bound:
+            r = radii.get(length)
+            if r is None:
+                r = radii[length] = canvas.geodesic_radius(length, N)
+            out.append(f"A {r} {r} 0 0 {sweep} {xy[b]}")
+        else:
+            out.append(f"L {xy[b]}")
+    return out
 
 
-def _geodesic_path(canvas: _Canvas, a: int, b: int, straight: bool) -> str:
-    return f"M {canvas.svg_xy(a)} {_geodesic_to(canvas, a, b, straight)}"
+def _shade_vertices(gap: Gap, N: int) -> list[int]:
+    """The vertices of a shaded gap on the ring mod N, a multiple of the
+    gap's ring, or 0 and 1/2 for the whole disk."""
+    n, xs = gap.ring
+    return [0, N // 2] if gap.is_disk else [x * (N // n) for x in xs]
 
 
-def _gap_shade_path(canvas: _Canvas, gap: Gap, straight: bool) -> str:
-    r = _fmt(canvas.radius)
+def _gap_shade_path(canvas: _Canvas, xy: dict, gap: Gap, straight: bool) -> str:
+    r, N = _fmt(canvas.radius), canvas.N
+    verts = _shade_vertices(gap, N)
     if gap.is_disk:
         # the whole disk: two counterclockwise half circles
-        zero, half = canvas.svg_xy(0), canvas.svg_xy(canvas.N // 2)
+        zero, half = xy[verts[0]], xy[verts[1]]
         return f"M {zero} A {r} {r} 0 1 0 {half} A {r} {r} 0 1 0 {zero} Z"
-    # the canvas ring is a multiple of the gap's ring
-    (n, xs), N = gap.ring, canvas.N
-    verts = [x * (N // n) for x in xs]
-    parts = [f"M {canvas.svg_xy(verts[0])}"]
-    for i, (start, end) in enumerate(zip(verts, verts[1:] + verts[:1])):
-        if i in gap.arc_sides:
-            # the boundary runs counterclockwise, which is sweep 0 with y flipped
-            large = 1 if 2 * ((end - start) % N) > N else 0
-            parts.append(f"A {r} {r} 0 {large} 0 {canvas.svg_xy(end)}")
-        else:
-            parts.append(_geodesic_to(canvas, start, end, straight))
-    parts.append("Z")
-    return " ".join(parts)
+    sides, arcs = list(zip(verts, verts[1:] + verts[:1])), gap.arc_sides
+    chords = iter(_geodesics(canvas, xy, [s for i, s in enumerate(sides) if i not in arcs], straight))
+    # an arc side runs counterclockwise, which is sweep 0 with y flipped
+    parts = [
+        next(chords) if i not in arcs else f"A {r} {r} 0 {1 if 2 * ((b - a) % N) > N else 0} 0 {xy[b]}"
+        for i, (a, b) in enumerate(sides)
+    ]
+    return f"M {xy[verts[0]]} {' '.join(parts)} Z"
 
 
 def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
@@ -317,7 +322,8 @@ def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
 
 
 def _render(target, spec: RenderSpec, shaded) -> str:
-    if isinstance(target, FiniteLamination):
+    canonical = isinstance(target, FiniteLamination)  # its ring pairs are sorted and distinct
+    if canonical:
         rings = [target.ring]
     elif isinstance(target, (list, tuple)) and (not target or isinstance(target[0], Chord)):
         # the chords' endpoints on one ring, each chord its sorted int pair
@@ -345,6 +351,12 @@ def _render(target, spec: RenderSpec, shaded) -> str:
             pairs = [(a * (M // N), b * (M // N)) for a, b in pairs]
             N = M
         canvas = _Canvas(size, N)
+        drawn = pairs if canonical else sorted(set(pairs))
+        # every point of the disk's paths, each evaluated once
+        points = {x for p in drawn for x in p}
+        for g in shaded:
+            points.update(_shade_vertices(g, N))
+        xy = dict(zip(points, canvas.xy(N, points)))
         offset = idx * size
         out.append(f'<g transform="translate({offset},0)">')
         out.append(
@@ -352,25 +364,24 @@ def _render(target, spec: RenderSpec, shaded) -> str:
             f'r="{_fmt(canvas.radius)}"/>'
         )
         for g in shaded:
-            out.append(f'<path class="shade" d="{_gap_shade_path(canvas, g, straight)}"/>')
+            out.append(f'<path class="shade" d="{_gap_shade_path(canvas, xy, g, straight)}"/>')
         highlight = {(_on_ring(N, a), _on_ring(N, b)) for a, b in spec.highlight}
-        drawn = sorted(set(pairs))
-        for p in drawn:
-            if p in highlight:
-                continue
+        lit = []
+        for p, path in zip(drawn, _geodesics(canvas, xy, drawn, straight)):
             a, b = p
-            if a == b:
-                px, py = canvas.pix(a, N)
+            if p in highlight:
+                lit.append(f'<path class="hl" d="M {xy[a]} {path}"/>')
+            elif a == b:
+                px, py = xy[a].split(",")
                 out.append(f'<circle class="leaf" cx="{px}" cy="{py}" r="2"/>')
             else:
-                out.append(f'<path class="leaf" d="{_geodesic_path(canvas, a, b, straight)}"/>')
-        for a, b in drawn:
-            if (a, b) in highlight:
-                out.append(f'<path class="hl" d="{_geodesic_path(canvas, a, b, straight)}"/>')
+                out.append(f'<path class="leaf" d="M {xy[a]} {path}"/>')
+        out += lit
         if spec.labels:
             # each endpoint once, in the order the chords list them
-            for x in dict.fromkeys(itertools.chain.from_iterable(pairs)):
-                lx, ly = canvas.pix(x, N, label=True)
+            ends = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
+            for x, s in zip(ends, canvas.xy(N, ends, label=True)):
+                lx, ly = s.split(",")
                 out.append(f'<text x="{lx}" y="{ly}" text-anchor="middle">{_at(N, x)}</text>')
         out.append("</g>")
     out.append("</svg>")

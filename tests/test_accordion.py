@@ -50,6 +50,21 @@ def test_accordion_against_lamination():
     assert rep2.members == (C(0, 1, 1, 2),) and rep2.classification == SINGLE
 
 
+def test_accordion_against_lamination_refuses_a_horizon_and_a_foreign_degree():
+    # a lamination accordion follows no orbit, so a horizon would be reported
+    # as horizon 0 and ignored, and a d other than the degree silently dropped
+    lam = FiniteLamination(2, [C(1, 7, 2, 7), C(2, 7, 4, 7), C(1, 7, 4, 7)])
+    axis = C(0, 1, 1, 2)
+    with pytest.raises(ValueError, match="horizon"):
+        accordion(axis, lam, horizon=5, d=3)
+    for horizon in (0, 5):
+        with pytest.raises(ValueError, match="horizon"):
+            accordion(axis, lam, horizon=horizon)
+    with pytest.raises(ValueError, match="degree 2"):
+        accordion(axis, lam, d=3)
+    assert accordion(axis, lam, d=2) == accordion(axis, lam)
+
+
 def test_accordion_of_triangle_edge_orbit():
     rep = accordion(C(1, 7, 2, 7), C(1, 7, 2, 7), d=2)
     assert rep.classification == SINGLE and rep.exact

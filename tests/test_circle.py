@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lamina.circle import (
+    _RATIONAL,
     Angle,
     Arc,
     NEGATIVE,
     NEITHER,
     POSITIVE,
+    _ratio,
     ccw_offset,
     circular_order,
     cyclic_descents,
@@ -131,6 +133,46 @@ def test_angle_text_matches_fraction(lead, sign, p, q, trail):
 def test_angle_text_rejects_non_rationals(p, form, q):
     with pytest.raises(ValueError):
         Angle(form.format(p, q))
+
+
+_tokens = st.builds(
+    lambda lead, sign, p, slash, zeros, q, trail: lead + sign + p + slash + "0" * zeros + q + trail,
+    _blanks,
+    st.sampled_from(["", "+", "-", "--", "+-"]),
+    st.sampled_from(["", "0", "00"]).flatmap(lambda z: st.integers(0, 10**30).map(lambda n: z + str(n)))
+    | st.sampled_from(["", "x", "0.5", "1e3", "degree"]),
+    st.sampled_from(["", "/", "/", "/", "//", " / "]),
+    st.integers(0, 3),
+    st.integers(0, 10**30).map(str) | st.sampled_from(["", "-7", "7.0", "1e3", "7/3", "0x7"]),
+    _blanks,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tokens | st.text(alphabet="0123456789+-/.e_ \t", max_size=12))
+@example("1/007")
+@example(" -14/21\t")
+@example("+22/7")
+@example("0/5")
+@example("1/0")
+@example("1/00")
+@example("0.5")
+@example("1e3")
+@example("1/-7")
+@example("")
+def test_ratio_accepts_exactly_the_rational_tokens(text):
+    # the token rule parse_lamination reads every angle with: the strings
+    # _RATIONAL accepts once blanks are stripped, as the reduced ints of
+    # their value mod 1, which Fraction computes independently
+    if _RATIONAL.fullmatch(text.strip()) is None:
+        with pytest.raises(ValueError, match="angle must be an integer or p/q with q > 0"):
+            _ratio(text)
+        with pytest.raises(ValueError):
+            Angle(text)
+        return
+    expected = Fraction(text.strip()) % 1
+    a = Angle(text)
+    assert _ratio(text) == (a.numerator, a.denominator) == (expected.numerator, expected.denominator)
 
 
 def test_sigma_power_matches_iterated_sigma():

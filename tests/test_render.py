@@ -173,9 +173,8 @@ def test_canvas_points_match_mpf_oracle():
         # each angle as a point of its own ring and of one three times finer
         for scale in (1, 3):
             with mpmath.workdps(30):
-                got = [
-                    _Canvas(size, scale * a.denominator).svg_xy(scale * a.numerator) for a in angles
-                ]
+                canvas = _Canvas(size, 1)
+                got = [canvas.xy(scale * a.denominator, [scale * a.numerator])[0] for a in angles]
             assert got == expected
 
 
@@ -264,29 +263,35 @@ def _near_tie(rng, lo, hi, spread):
 _TIE_PIX, _TIE_RADIUS = 2e-16, 1.5e-15
 
 
+def _tie_points(rng, size, label, count=40):
+    """Angles on the ring mod 2**64 whose x (even index) or y (odd index)
+    pixel value lies within ``_TIE_PIX`` of a 12-digit rounding boundary,
+    to within 1e-17 relative."""
+    q = 2**64
+    with mpmath.workdps(50):
+        c = mpmath.mpf(size) / 2
+        R = mpmath.mpf(size) * mpmath.mpf("0.45") * (mpmath.mpf("1.06") if label else 1)
+        cases = []
+        for i in range(count):
+            t = _near_tie(rng, float(c - 0.99 * R), float(c + 0.99 * R), _TIE_PIX * size)
+            if i % 2 == 0:
+                turn = mpmath.acos((t - c) / R) / (2 * mpmath.pi)
+            else:
+                turn = mpmath.asin((c - t) / R) / (2 * mpmath.pi) % 1
+            a = A(int(mpmath.nint(turn * q)), q)
+            x = c + R * mpmath.cospi(2 * mpmath.mpf(a.numerator) / a.denominator)
+            y = c - R * mpmath.sinpi(2 * mpmath.mpf(a.numerator) / a.denominator)
+            assert abs((x, y)[i % 2] - t) <= 1e-17 * t
+            cases.append(a)
+    return cases
+
+
 def test_near_ties_fall_back_to_libmp(monkeypatch):
     rng = random.Random(5)
-    q = 2**64
     for size in _SIZES:
         for label in (False, True):
             fast, slow = _canvases(size)
-            with mpmath.workdps(50):
-                c = mpmath.mpf(size) / 2
-                R = mpmath.mpf(size) * mpmath.mpf("0.45") * (mpmath.mpf("1.06") if label else 1)
-                cases = []
-                for i in range(40):
-                    # angles whose x (even i) or y (odd i) pixel value is t
-                    # to within 1e-17 relative
-                    t = _near_tie(rng, float(c - 0.99 * R), float(c + 0.99 * R), _TIE_PIX * size)
-                    if i % 2 == 0:
-                        turn = mpmath.acos((t - c) / R) / (2 * mpmath.pi)
-                    else:
-                        turn = mpmath.asin((c - t) / R) / (2 * mpmath.pi) % 1
-                    a = A(int(mpmath.nint(turn * q)), q)
-                    x = c + R * mpmath.cospi(2 * mpmath.mpf(a.numerator) / a.denominator)
-                    y = c - R * mpmath.sinpi(2 * mpmath.mpf(a.numerator) / a.denominator)
-                    assert abs((x, y)[i % 2] - t) <= 1e-17 * t
-                    cases.append(a)
+            cases = _tie_points(rng, size, label)
             with mpmath.workdps(30):
                 for a in cases:
                     with monkeypatch.context() as m:
@@ -294,6 +299,34 @@ def test_near_ties_fall_back_to_libmp(monkeypatch):
                         num, den = a.numerator, a.denominator
                         assert fast.pix(num, den, label) == slow.pix(num, den, label)
                         assert calls  # the mpf fallback printed it
+
+
+def test_batched_points_match_pix_and_mpf_oracle(monkeypatch):
+    # every point of rings mod N, N a multiple of 4, so the quarter points
+    # print bare-integer mantissas such as 760.0, and near-tie points on
+    # the ring mod 2**64 that the batch must hand to the mpf fallback; at
+    # size 2**52 + 1 every point takes the fallback
+    rng = random.Random(33)
+    rings = [(N, range(N)) for N in (4, 12, 60, 840)]
+    values = []
+    for size in (1, 800, 2**52 + 1):
+        for label in (False, True):
+            ties = [a.numerator * (2**64 // a.denominator) for a in _tie_points(rng, size, label, 10)]
+            with mpmath.workdps(30):
+                canvas = _Canvas(size, 1)
+                assert canvas._fast == (size < 2**52)
+                for N, xs in rings + [(2**64, [k << 62 for k in range(4)] + ties)]:
+                    with monkeypatch.context() as m:
+                        calls = _counting(m, mpmath, "cospi")
+                        got = canvas.xy(N, xs, label)
+                    if N == 2**64 and canvas._fast:
+                        assert len(calls) >= len(ties)  # the near ties fell back
+                    assert got == [",".join(canvas.pix(x, N, label)) for x in xs]
+                    scale = "1.06" if label else None
+                    assert got == [",".join(_mpf_pix(Fraction(x, N), size, scale)) for x in xs]
+                    values += (v for s in got for v in s.split(","))
+    # to_str's layout: never a bare integer, and 760.0 among the values
+    assert all("." in v or "e" in v for v in values) and "760.0" in values
 
 
 def test_binary64_arc_radii_match_libmp_path(monkeypatch):
