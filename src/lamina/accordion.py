@@ -12,8 +12,9 @@ images stay linked, so each image of the second chord lies in the
 accordion of the matching image of the first, and sigma_d keeps the order
 of every part of a set whose order it keeps.  Only a pair whose four ends
 come back in order follows the two orbits as int pairs with
-``lamination._ring_orbit``, the loop behind every orbit; the ``compgap``
-suite calls the same ring entry point.  Smart-criticality
+``lamination._ring_orbit``, the loop behind every orbit here: an accordion
+follows its chord's orbit once on the ring, and so does the hull analysis
+``_compgap_ring``, which the ``compgap`` suite calls.  Smart-criticality
 helpers pick full spike collections unlinked with a given leaf and detect
 collapses around chains of spikes.
 """
@@ -23,9 +24,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circle import Angle, _check_degree, _ring, ccw_offset, sigma, sigma_power
+from .circle import Angle, _at, _check_degree, _ring, ccw_offset, sigma
 from .chords import Chord, _sides, disjoint, is_critical, linked, validate_collection
-from .lamination import FiniteLamination, _ring_orbit, orbit_classify
+from .lamination import FiniteLamination, _chord, _ring_orbit
 from .qc_portrait import QcPortrait, complete_samples
 
 __all__ = [
@@ -55,7 +56,6 @@ class AccordionReport:
     touching: tuple           # leaves sharing an endpoint with the axis only
     horizon: int
     exact: bool               # orbit closed within the horizon
-    order_preserving: bool | None
     classification: str | None
 
 
@@ -69,7 +69,8 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     With a lamination, the members are its leaves crossing the axis and the
     classification is ``single`` or undetermined (None); it takes no
     ``horizon``, and a ``d`` must be its degree.  A ``horizon`` must be an
-    int >= 0 when given.
+    int >= 0 when given.  The axis and the leaves or the orbit share one
+    ring; order preservation is :func:`order_preserving_accordions`'s.
     """
     if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0):
         raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
@@ -78,54 +79,48 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
             raise ValueError("a lamination accordion takes no horizon")
         if d is not None and d != other.degree:
             raise ValueError(f"d={d!r} differs from the lamination's degree {other.degree}")
-        chords, steps, exact, op = other.leaves, 0, True, None
+        N, xs = _ring((*axis, *itertools.chain.from_iterable(other.leaves)))
+        chords, steps, exact, pre = list(zip(xs[2::2], xs[3::2])), 0, True, None
     elif d is None:
         raise ValueError("chord-orbit accordions need the degree d")
     else:
-        info = orbit_classify(d, other)
-        steps = info.closes_at if horizon is None else min(horizon, info.closes_at)
-        exact = steps >= info.closes_at
-        chords = [c for c in info.orbit[:steps] if not c.degenerate]
-        op = order_preserving_accordions(d, axis, other) if linked(axis, other) else None
-    members = [axis] + [c for c in chords if linked(c, axis)]
-    touching = [
-        c
-        for c in chords
-        if c != axis and not linked(c, axis) and set(c.endpoints) & set(axis.endpoints)
-    ]
+        _check_degree(d)
+        N, xs = _ring((*axis, *other))
+        pre, chords = _ring_orbit(d, N, (xs[2], xs[3]))
+        steps = len(chords) if horizon is None else min(horizon, len(chords))
+        exact = steps == len(chords)
+        chords = chords[:steps]
+    # the orbit index k of each crossing chord; a degenerate one touches nothing
+    ax = (xs[0], xs[1])
+    crossing = [k for k, c in enumerate(chords) if linked(c, ax)]
+    members = (axis, *(_chord(N, chords[k]) for k in crossing))
+    touching = tuple(_chord(N, c) for c in chords if c != ax and c[0] != c[1] and set(c) & set(ax))
 
-    crossing = len(members) - 1
     if not exact:
         # a crossing may fall in the part of the orbit past the horizon
         classification = WANDERING
-    elif crossing == 0:
+    elif not crossing:
         classification = SINGLE
-    elif isinstance(other, FiniteLamination):
+    elif pre is None:
         classification = None
-    elif crossing == 1:
-        partner = members[1]
-        pinfo = orbit_classify(d, partner)
-        if pinfo.preperiod > 0:
+    elif len(crossing) == 1:
+        # exact, so chords is the whole orbit: its k-th chord, the partner, is
+        # preperiodic iff k < pre and periodic of the orbit's period
+        k = crossing[0]
+        x, y = chords[k]
+        if k < pre:
             # crosses once and the closed orbit never returns to the axis
             classification = WANDERING
-        elif sigma_power(d, partner.a, pinfo.period) == partner.b:
+        elif pow(d, len(chords) - pre, N) * x % N == y:
             # the chord returns after its period, endpoints swapped or fixed
             classification = TWO_LEAF_FLIP
         else:
             classification = TWO_LEAF_DISJOINT
-    elif crossing == 2:
+    elif len(crossing) == 2:
         classification = THREE_LEAF
     else:
         classification = PERIODIC_GAP
-    return AccordionReport(
-        axis=axis,
-        members=tuple(members),
-        touching=tuple(touching),
-        horizon=steps,
-        exact=exact,
-        order_preserving=op,
-        classification=classification,
-    )
+    return AccordionReport(axis, members, touching, steps, exact, classification)
 
 
 def _order_kept(d: int, N: int, points) -> bool:
@@ -348,22 +343,29 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
     """Follow the convex hull of two linked, mutually order-preserving
     chords; locate the first recurring image and the periodic polygon its
     orbit sweeps out, reporting vertex orbits and the return behavior.
-    Order preservation keeps the four ends distinct, so the hull at the
-    preperiod meets itself one period later: ``r`` and ``step`` exist."""
-    if not linked(l1, l2):
+    Both checks and the analysis run on the ring of the four ends."""
+    N, (a1, b1, a2, b2) = _ring((*l1, *l2))
+    c1, c2 = (a1, b1), (a2, b2)
+    if not linked(c1, c2):
         raise ValueError("hull analysis needs linked chords")
-    if not order_preserving_accordions(d, l1, l2):
+    _check_degree(d)
+    if not _order_preserving_ring(d, N, c1, c2):
         raise ValueError("hull analysis needs mutually order preserving accordions")
+    return _compgap_ring(d, N, c1, c2)
 
-    info = orbit_classify(d, l1.endpoints + l2.endpoints)
-    hulls = [tuple(sorted(h)) for h in info.orbit]
-    preperiod, period = info.preperiod, info.period
+
+def _compgap_ring(d: int, N: int, c1, c2) -> CompgapReport:
+    """:func:`compgap_analyze` on linked, mutually order-preserving sorted int
+    pairs mod N, Angles formed only for the report.  Order preservation keeps
+    the four ends distinct, so the hull at the preperiod meets itself one
+    period later: ``r`` and ``step`` exist."""
+    preperiod, hulls = _ring_orbit(d, N, frozenset((*c1, *c2)))
+    hulls = [tuple(sorted(h)) for h in hulls]
+    period = len(hulls) - preperiod
     total = preperiod + 2 * period
 
     def hull_at(i):
-        if i < len(hulls):
-            return hulls[i]
-        return hulls[preperiod + (i - preperiod) % period]
+        return hulls[i if i < len(hulls) else preperiod + (i - preperiod) % period]
 
     r = next(
         i
@@ -371,37 +373,33 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
         if any(_interiors_intersect(hull_at(i), hull_at(j)) for j in range(i + 1, total + 1))
     )
     base = hull_at(r)
-    step = next(
-        t for t in range(1, total + 1) if _interiors_intersect(base, hull_at(r + t))
-    )
+    step = next(t for t in range(1, total + 1) if _interiors_intersect(base, hull_at(r + t)))
     # the hulls the base sweeps out under sigma_d^step = sigma_{d^step}
-    vertices = tuple(sorted(set().union(*orbit_classify(d**step, base).orbit)))
-    infos = {v: orbit_classify(d, v) for v in vertices}
+    vertices = sorted(set().union(*_ring_orbit(d**step, N, frozenset(base))[1]))
+    orbits = {v: _ring_orbit(d, N, v) for v in vertices}
 
-    groups = []
+    groups, periods = [], []
     remaining = set(vertices)
     while remaining:
         v = min(remaining)
-        info = infos[v]
-        cycle = set(info.orbit[info.preperiod :])
-        members = sorted((cycle & remaining) | {v})
-        groups.append(tuple(members))
+        pre, orbit = orbits[v]
+        members = sorted((set(orbit[pre:]) & remaining) | {v})
+        groups.append(tuple(_at(N, x) for x in members))
+        periods.append(len(orbit) - pre)
         remaining -= set(members)
-    periods = tuple(infos[g[0]].period for g in groups)
-    vop = orbit_classify(d, vertices, max_steps=256)
+    vop = _ring_orbit(d, N, frozenset(vertices), 256)
     remap_identity = None
-    if vop is not None and vop.preperiod == 0:
+    if vop is not None and vop[0] == 0:
         # a periodic vertex whose period divides the gap's is fixed by it
         remap_identity = all(
-            info.preperiod == 0 and vop.period % info.period == 0 for info in infos.values()
+            pre == 0 and len(vop[1]) % (len(orbit) - pre) == 0 for pre, orbit in orbits.values()
         )
     return CompgapReport(
         classification=PERIODIC_GAP,
         r=r,
         step=step,
-        vertices=vertices,
+        vertices=tuple(_at(N, v) for v in vertices),
         orbit_groups=tuple(groups),
-        periods=periods,
+        periods=tuple(periods),
         remap_is_identity=remap_identity,
     )
-

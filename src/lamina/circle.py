@@ -46,7 +46,9 @@ NEGATIVE = "negatively_ordered"
 NEITHER = "neither"
 
 _HASH_MODULUS = sys.hash_info.modulus
-_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")
+# ASCII digits only: \d and int() also take other scripts' digits and "_"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/0*[1-9][0-9]*)?")
 
 
 class Angle(Fraction):
@@ -151,6 +153,14 @@ def _ratio(text: str) -> tuple[int, int]:
     n = int(p) % q
     g = gcd(n, q)
     return n // g, q // g
+
+
+def _integer(text: str) -> int:
+    """The int of a decimal integer string, blanks around it allowed, else a
+    ValueError: the one rule for degree headers, LAMINA_SEED and CLI numbers."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 THIRD = Angle(1, 3)

@@ -12,6 +12,7 @@ import os
 import sys
 from pathlib import Path
 
+from .circle import _integer
 from .chords import Chord
 from .cubic_tags import FullPortrait, mixed_tag, tags_relation
 from .formats import lamination_text, parse_lamination, parse_portrait, tag_report
@@ -29,30 +30,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="pullback lamination from a portrait file")
     p_build.add_argument("--portrait", required=True)
-    p_build.add_argument("--depth", type=int, required=True)
+    p_build.add_argument("--depth", type=_integer, required=True)
     p_build.add_argument("--out", default=None)
 
     p_qml = sub.add_parser("qml", help="enumerate the quadratic minor chords")
-    p_qml.add_argument("--period", type=int, required=True)
+    p_qml.add_argument("--period", type=_integer, required=True)
     p_qml.add_argument("--out", default=None)
     p_qml.add_argument("--svg", default=None)
 
     p_tags = sub.add_parser("tags", help="mixed tags for a directory of portraits")
     p_tags.add_argument("--portraits", required=True, help="directory of .portrait files")
-    p_tags.add_argument("--depth", type=int, default=3)
+    p_tags.add_argument("--depth", type=_integer, default=3)
     p_tags.add_argument("--out", default=None)
     p_tags.add_argument("--figures", default=None, help="directory for per-tag SVG figures")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_verify.add_argument("--samples", type=int, default=None,
+    p_verify.add_argument("--samples", type=_integer, default=None,
                           help="sample count (default: the suite's own default)")
-    p_verify.add_argument("--seed", type=int, default=1)
+    p_verify.add_argument("--seed", type=_integer, default=1)
 
     p_render = sub.add_parser("render", help="render a lamination file to SVG")
     p_render.add_argument("--lamination", required=True)
     p_render.add_argument("--out", required=True)
-    p_render.add_argument("--size", type=int, default=800)
+    p_render.add_argument("--size", type=_integer, default=800)
     p_render.add_argument("--style", choices=["hyperbolic", "straight"], default="hyperbolic")
     p_render.add_argument("--labels", action="store_true")
     p_render.add_argument("--highlight", default="",
@@ -124,7 +125,7 @@ def cmd_tags(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        seed = int(os.environ.get("LAMINA_SEED", args.seed))
+        seed = _integer(os.environ.get("LAMINA_SEED", str(args.seed)))
     except ValueError:
         print(f"error: LAMINA_SEED is not an integer: {os.environ['LAMINA_SEED']!r}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .lamination import (
     _image_degree,
     critical_analysis,
 )
-from .qc_portrait import make_quadrilateral, strongly_linked, COLLAPSING
+from .qc_portrait import _collapsing_quad, make_quadrilateral, strongly_linked, COLLAPSING
 
 __all__ = [
     "ConvexSet",
@@ -515,14 +515,9 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
 
     analysis = critical_analysis(lam)
     recon_targets = [ConvexSet.hull_of(c) for c in analysis.critical_leaves]
-    for g in analysis.critical_gaps:
-        if len(g.vertices) == 4:
-            try:
-                quad = make_quadrilateral(g.vertices, 3)
-            except ValueError:
-                continue
-            if quad.classification == COLLAPSING:
-                recon_targets.append(ConvexSet.hull_of(g))
+    recon_targets += [
+        ConvexSet.hull_of(g) for g in analysis.critical_gaps if _collapsing_quad(3, g) is not None
+    ]
     for C in recon_targets:
         if reconstruct(C) != C:
             report.reconstruction_failures.append(str(C))

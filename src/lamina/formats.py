@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .circle import Angle, _check_degree, _ratio
+from .circle import Angle, _check_degree, _integer, _ratio
 from .chords import Chord, _chord_tokens, _sides, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
@@ -51,7 +51,7 @@ def _degree(line: str, seen) -> int:
     if len(parts) != 2:
         raise ValueError(f"degree header needs exactly one value: {line!r}")
     try:
-        return int(parts[1])
+        return _integer(parts[1])
     except ValueError:
         raise ValueError(f"degree header needs an integer: {line!r}") from None
 

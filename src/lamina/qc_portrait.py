@@ -171,23 +171,26 @@ def validate_qc_portrait(p: QcPortrait) -> bool:
     return True
 
 
+def _collapsing_quad(d: int, g: Gap) -> CriticalQuadrilateral | None:
+    """The collapsing quadrilateral of a finite gap, or None: the one rule for
+    which gap is one.  It has four vertices, critical diagonals and sides not
+    all critical (so degree 2); its ascending vertices are the least rotation."""
+    N, xs = g.ring
+    images = [d * x % N for x in xs]
+    if len(xs) != 4 or images[0] != images[2] or images[1] != images[3] or images[0] == images[1]:
+        return None
+    return CriticalQuadrilateral(degree=d, vertices=g.vertices)
+
+
 def qc_portrait_exists(lam: FiniteLamination) -> bool:
     """A lamination admits a qc-portrait iff every critical set is a
     collapsing quadrilateral or an all-critical set.  Arc-bearing gaps are
     frontier artifacts of finite truncation and are ignored."""
-    analysis = critical_analysis(lam)
-    for g in analysis.critical_gaps:
-        if _all_critical(lam.degree, g):
-            continue
-        if len(g.vertices) != 4 or gap_degree(lam.degree, g) != 2:
-            return False
-        try:
-            quad = make_quadrilateral(g.vertices, lam.degree)
-        except ValueError:
-            return False
-        if quad.classification != COLLAPSING:
-            return False
-    return True
+    d = lam.degree
+    return all(
+        _all_critical(d, g) or _collapsing_quad(d, g) is not None
+        for g in critical_analysis(lam).critical_gaps
+    )
 
 
 def derive_qc_portrait(lam: FiniteLamination) -> QcPortrait:
@@ -196,10 +199,8 @@ def derive_qc_portrait(lam: FiniteLamination) -> QcPortrait:
     critical leaves presented as degenerate quadrilaterals."""
     d = lam.degree
     analysis = critical_analysis(lam)
-    quads = []
-    for g in analysis.critical_gaps:
-        if len(g.vertices) == 4 and not _all_critical(d, g):
-            quads.append(make_quadrilateral(g.vertices, d))
+    quads = [_collapsing_quad(d, g) for g in analysis.critical_gaps]
+    quads = [q for q in quads if q is not None]
     for c in greedy_no_loop(d, analysis.critical_leaves):
         quads.append(make_quadrilateral((c.a, c.a, c.b, c.b), d))
     quads.sort(key=lambda q: q.vertices)
@@ -220,15 +221,13 @@ def tune_insert(lam: FiniteLamination, critical_set: Gap, choice: Chord | None =
     d = lam.degree
     if not critical_set.finite:
         raise ValueError("tuning needs a finite gap")
-    deg = gap_degree(d, critical_set)
     if _all_critical(d, critical_set):
         raise ValueError("all-critical sets need no quadrilateral insertion")
-    if deg != 2 or len(critical_set.vertices) < 4:
+    if gap_degree(d, critical_set) != 2 or len(critical_set.vertices) < 4:
         raise ValueError("tuning needs a degree-2 gap with at least four vertices")
-    if len(critical_set.vertices) == 4:
-        quad = make_quadrilateral(critical_set.vertices, d)
-        if quad.classification == COLLAPSING:
-            return lam, quad
+    quad = _collapsing_quad(d, critical_set)
+    if quad is not None:
+        return lam, quad
     edges = critical_set.edges
     candidates = [choice] if choice is not None else edges
     for e in candidates:

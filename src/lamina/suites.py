@@ -20,7 +20,6 @@ from .lamination import (
     _chord,
     check_unlinked,
     critical_analysis,
-    gap_degree,
     gaps,
     _ring_orbit,
     orbit_classify,
@@ -28,7 +27,7 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between, strip_test
 from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import TWO_LEAF_FLIP, WANDERING, _order_preserving_ring, accordion, compgap_analyze
+from .accordion import TWO_LEAF_FLIP, WANDERING, _compgap_ring, _order_preserving_ring, accordion
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -177,9 +176,7 @@ def _quad_portrait(rng: Lcg):
         y = rng.preperiodic_cubic_angle()
         if not 0 < ccw_offset(x, y) < THIRD:
             continue
-        quad = ConvexSet.of(
-            [Angle(x + THIRD), Angle(y + THIRD), Angle(x + 2 * THIRD), Angle(y + 2 * THIRD)]
-        )
+        quad = cocritical_set(ConvexSet.of([x, y]))
         edges = list(quad.edges)
         spike = Chord(Angle(x + THIRD), Angle(x + 2 * THIRD))
         # second critical chord inside the hole (y + 2/3, x + 1/3)
@@ -330,9 +327,7 @@ def run_maintag(samples: int = 100, seed: int = 1) -> SuiteResult:
         analysis = critical_analysis(lam)
         sets = [ConvexSet.hull_of(s) for s in analysis.critical_sets]
         for g in analysis.critical_gaps:
-            if len(g.vertices) < 4 or gap_degree(3, g) != 2:
-                continue
-            try:
+            try:  # tune_insert refuses what is no degree-2 gap of four or more vertices
                 lam2, quad = tune_insert(lam, g)
             except ValueError:
                 continue
@@ -488,7 +483,7 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
             failures.append(f"unclassified pair {l1} / {l2}: {detail}")
             continue
         case_counts[case] = case_counts.get(case, 0) + 1
-        cg = compgap_analyze(3, l1, l2)
+        cg = _compgap_ring(3, N, c1, c2)
         if cg.classification != "periodic_gap":
             failures.append(f"{l1} / {l2}: hull orbit did not close ({cg.classification})")
             continue

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina.circle import POSITIVE, Angle, circular_order, cyclic_descents, sigma
+from lamina.circle import POSITIVE, Angle, circular_order, cyclic_descents, sigma, sigma_power
 from lamina.chords import Chord, chord_image, linked, validate_collection
-from lamina.lamination import FiniteLamination, orbit_classify, pullback_build
+from lamina.lamination import FiniteLamination, _chord, orbit_classify, pullback_build
 from lamina.qc_portrait import QcPortrait, make_quadrilateral
 from lamina.accordion import (
     PERIODIC_GAP,
@@ -18,6 +18,8 @@ from lamina.accordion import (
     TWO_LEAF_DISJOINT,
     TWO_LEAF_FLIP,
     WANDERING,
+    _compgap_ring,
+    _interiors_intersect,
     _order_kept,
     accordion,
     choose_unlinked_spikes,
@@ -25,7 +27,7 @@ from lamina.accordion import (
     detect_collapse,
     order_preserving_accordions,
 )
-from lamina.suites import _compgap_universe, _survivor_pairs
+from lamina.suites import _compgap_universe, _fixture_laminations, _survivor_pairs
 
 A = Angle
 
@@ -82,7 +84,7 @@ def test_accordion_period_six_sibling_orbit():
 def test_accordion_flip_classification():
     rep = accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3)
     assert rep.classification == TWO_LEAF_FLIP
-    assert rep.order_preserving
+    assert order_preserving_accordions(3, C(1, 8, 3, 8), C(1, 4, 3, 4))
 
 
 def test_accordion_wandering_cutoff():
@@ -450,7 +452,7 @@ def test_accordion_disjoint_orbit_label():
     axis, partner = C(1, 8, 3, 4), C(1, 4, 7, 8)
     rep = accordion(axis, partner, d=3)
     assert rep.classification == TWO_LEAF_DISJOINT
-    assert rep.order_preserving is False
+    assert order_preserving_accordions(3, axis, partner) is False
 
 
 def test_period_six_strip_pair_is_unlinked():
@@ -461,3 +463,132 @@ def test_period_six_strip_pair_is_unlinked():
     assert not linked(M, Nprime)
     with pytest.raises(ValueError):
         order_preserving_accordions(3, M, Nprime)
+
+
+def _accordion_oracle(axis, other, horizon=None, d=None):
+    """``accordion`` as it read following orbits as Angles, with
+    ``orbit_classify`` and ``sigma_power`` (arguments assumed valid), as
+    the tuple of its report's fields."""
+    if isinstance(other, FiniteLamination):
+        chords, steps, exact = other.leaves, 0, True
+    else:
+        info = orbit_classify(d, other)
+        steps = info.closes_at if horizon is None else min(horizon, info.closes_at)
+        exact = steps >= info.closes_at
+        chords = [c for c in info.orbit[:steps] if not c.degenerate]
+    members = [axis] + [c for c in chords if linked(c, axis)]
+    touching = [
+        c
+        for c in chords
+        if c != axis and not linked(c, axis) and set(c.endpoints) & set(axis.endpoints)
+    ]
+    crossing = len(members) - 1
+    if not exact:
+        classification = WANDERING
+    elif crossing == 0:
+        classification = SINGLE
+    elif isinstance(other, FiniteLamination):
+        classification = None
+    elif crossing == 1:
+        partner = members[1]
+        pinfo = orbit_classify(d, partner)
+        if pinfo.preperiod > 0:
+            classification = WANDERING
+        elif sigma_power(d, partner.a, pinfo.period) == partner.b:
+            classification = TWO_LEAF_FLIP
+        else:
+            classification = TWO_LEAF_DISJOINT
+    elif crossing == 2:
+        classification = THREE_LEAF
+    else:
+        classification = PERIODIC_GAP
+    return tuple(members), tuple(touching), steps, exact, classification
+
+
+def _fields(rep):
+    return rep.members, rep.touching, rep.horizon, rep.exact, rep.classification
+
+
+def _compgap_oracle(d, l1, l2):
+    """``compgap_analyze`` past its checks as it read following the hull,
+    vertex and vertex-set orbits as Angles with ``orbit_classify``."""
+    info = orbit_classify(d, l1.endpoints + l2.endpoints)
+    hulls = [tuple(sorted(h)) for h in info.orbit]
+    preperiod, period = info.preperiod, info.period
+    total = preperiod + 2 * period
+
+    def hull_at(i):
+        if i < len(hulls):
+            return hulls[i]
+        return hulls[preperiod + (i - preperiod) % period]
+
+    r = next(
+        i
+        for i in range(preperiod + period)
+        if any(_interiors_intersect(hull_at(i), hull_at(j)) for j in range(i + 1, total + 1))
+    )
+    base = hull_at(r)
+    step = next(t for t in range(1, total + 1) if _interiors_intersect(base, hull_at(r + t)))
+    vertices = tuple(sorted(set().union(*orbit_classify(d**step, base).orbit)))
+    infos = {v: orbit_classify(d, v) for v in vertices}
+    groups = []
+    remaining = set(vertices)
+    while remaining:
+        v = min(remaining)
+        info = infos[v]
+        members = sorted((set(info.orbit[info.preperiod :]) & remaining) | {v})
+        groups.append(tuple(members))
+        remaining -= set(members)
+    periods = tuple(infos[g[0]].period for g in groups)
+    vop = orbit_classify(d, vertices, max_steps=256)
+    remap_identity = None
+    if vop is not None and vop.preperiod == 0:
+        remap_identity = all(
+            info.preperiod == 0 and vop.period % info.period == 0 for info in infos.values()
+        )
+    return PERIODIC_GAP, r, step, vertices, tuple(groups), periods, remap_identity
+
+
+def _compgap_fields(rep):
+    fields = ("classification", "r", "step", "vertices", "orbit_groups", "periods", "remap_is_identity")
+    return tuple(getattr(rep, f) for f in fields)
+
+
+# small universes with periodic, preperiodic and critical chords for each degree
+_SMALL = {2: (5, 6), 3: (8, 3), 4: (5, 3, 6)}
+
+
+@pytest.mark.parametrize("d", sorted(_SMALL))
+def test_accordion_on_the_ring_agrees_with_the_angle_oracle(d):
+    pts = sorted({A(n, q) for q in _SMALL[d] for n in range(q)})
+    chords = [Chord(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
+    seen = set()
+    for axis, other in itertools.product(chords, repeat=2):
+        for horizon in (None, 0, 1, 2, 5):
+            got = _fields(accordion(axis, other, horizon=horizon, d=d))
+            assert got == _accordion_oracle(axis, other, horizon, d), (axis, other, horizon)
+            seen.add(got[4])
+    lams = [lam for lam in _fixture_laminations() if lam.degree == d]
+    lams.append(FiniteLamination(d, chords[::7]))
+    for lam, axis in itertools.product(lams, chords):
+        got = _fields(accordion(axis, lam))
+        assert got == _accordion_oracle(axis, lam), (axis, lam)
+        seen.add(got[4])
+    assert {SINGLE, WANDERING, TWO_LEAF_FLIP, TWO_LEAF_DISJOINT, THREE_LEAF, None} <= seen
+
+
+def test_compgap_survivors_agree_with_the_angle_oracles():
+    # the accordions both ways and the hull analysis of every compgap
+    # survivor, on the ring and through the public entry point
+    N, _, survivors = _survivor_pairs(4)
+    cases = set()
+    for c1, c2 in survivors:
+        l1, l2 = _chord(N, c1), _chord(N, c2)
+        for axis, other in ((l1, l2), (l2, l1)):
+            got = _fields(accordion(axis, other, d=3))
+            assert got == _accordion_oracle(axis, other, d=3)
+            cases.add(got[4])
+        expected = _compgap_oracle(3, l1, l2)
+        assert _compgap_fields(_compgap_ring(3, N, c1, c2)) == expected
+        assert _compgap_fields(compgap_analyze(3, l1, l2)) == expected
+    assert len(survivors) == 122 and {TWO_LEAF_FLIP, THREE_LEAF} <= cases

@@ -15,6 +15,7 @@ from lamina.circle import (
     NEGATIVE,
     NEITHER,
     POSITIVE,
+    _integer,
     _ratio,
     ccw_offset,
     circular_order,
@@ -173,6 +174,35 @@ def test_ratio_accepts_exactly_the_rational_tokens(text):
     expected = Fraction(text.strip()) % 1
     a = Angle(text)
     assert _ratio(text) == (a.numerator, a.denominator) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("text", ["\u0661", "1/1\u0661", "\u0661/7", "1/\u0661", "\uff13/4", "1_0", "1/1_0"])
+def test_ratio_reads_ascii_digits_only(text):
+    # Arabic-Indic and fullwidth digits are Unicode digits that \d and int() take
+    with pytest.raises(ValueError, match="angle must be an integer or p/q with q > 0"):
+        _ratio(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="0123456789+-_ \t\u0661\u0662\uff13x", max_size=8)
+    | st.integers(-(10**30), 10**30).map(str)
+)
+@example("1_0")
+@example("\u0662")
+@example(" +7\t")
+@example("-0")
+@example("")
+def test_integer_reads_exactly_the_ascii_decimal_integers(text):
+    # the rule for integers from outside: an optional sign and ASCII digits,
+    # blanks around them allowed, read as int() reads them
+    core = text.strip()
+    digits = core[1:] if core.startswith(("+", "-")) else core
+    if digits and all(c in "0123456789" for c in digits):
+        assert _integer(text) == int(core)
+    else:
+        with pytest.raises(ValueError, match="not an integer"):
+            _integer(text)
 
 
 def test_sigma_power_matches_iterated_sigma():

@@ -395,6 +395,46 @@ def test_degree_header_without_value_is_a_value_error(tmp_path, capsys):
     assert err.count("\n") == 2 and "Traceback" not in err
 
 
+def test_integers_and_angles_from_outside_are_ascii_digits_only(tmp_path, monkeypatch, capsys):
+    # int() and \d also take other scripts' digits, and int() reads "1_0" as 10
+    with pytest.raises(ValueError, match="angle must be"):
+        parse_lamination("degree 2\n\u0661/7 1/1\u0664\n")
+    for header in ("degree \u0662", "degree 1_0", "degree \uff13"):
+        with pytest.raises(ValueError, match="degree header needs an integer"):
+            parse_lamination(f"{header}\n1/7 2/7\n")
+        with pytest.raises(ValueError, match="degree header needs an integer"):
+            parse_portrait(f"{header}\nleaf 0 1/2\n")
+    bad_lam = tmp_path / "bad.lam"
+    bad_lam.write_text("degree 2\n\u0661/7 1/1\u0664\n")
+    bad_portrait = tmp_path / "bad.portrait"
+    bad_portrait.write_text("degree 1_0\nleaf 0 1/10\n")
+    assert main(["render", "--lamination", str(bad_lam), "--out", str(tmp_path / "x.svg")]) == 2
+    assert main(["build", "--portrait", str(bad_portrait), "--depth", "1"]) == 2
+    monkeypatch.setenv("LAMINA_SEED", "1_0")
+    assert main(["verify", "--suite", "reconstruct", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 3 and all(line.startswith("error: ") for line in lines)
+    monkeypatch.delenv("LAMINA_SEED")
+    # the command line's numbers: argparse refuses them
+    lam = tmp_path / "rabbit.lam"
+    lam.write_text("degree 2\n1/7 2/7\n")
+    portrait = tmp_path / "rabbit.portrait"
+    portrait.write_text(RABBIT)
+    for argv in (
+        ["render", "--lamination", str(lam), "--out", str(tmp_path / "y.svg"), "--size", "\u0668\u0660"],
+        ["qml", "--period", "\u0663"],
+        ["build", "--portrait", str(portrait), "--depth", "1_0"],
+        ["tags", "--portraits", str(tmp_path), "--depth", "\uff13"],
+        ["verify", "--suite", "reconstruct", "--samples", "1_0"],
+        ["verify", "--suite", "reconstruct", "--samples", "1", "--seed", "\u0663"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert not (tmp_path / "y.svg").exists()
+
+
 def test_cli_verify_rejects_bad_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("LAMINA_SEED", "abc")
     assert main(["verify", "--suite", "linkco", "--samples", "1"]) == 2

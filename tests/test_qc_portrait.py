@@ -5,7 +5,15 @@ import pytest
 
 from lamina.circle import Angle
 from lamina.chords import Chord, is_critical
-from lamina.lamination import FiniteLamination, critical_analysis, gap_degree, gaps, pullback_build
+from lamina.lamination import (
+    FiniteLamination,
+    Gap,
+    _all_critical,
+    critical_analysis,
+    gap_degree,
+    gaps,
+    pullback_build,
+)
 from lamina.qc_portrait import (
     ALL_CRITICAL_QUADRILATERAL,
     ALL_CRITICAL_TRIANGLE,
@@ -14,6 +22,7 @@ from lamina.qc_portrait import (
     CriticalPattern,
     PairReport,
     QcPortrait,
+    _collapsing_quad,
     _pair_verdict,
     classify_pair,
     complete_samples,
@@ -335,3 +344,31 @@ def test_pair_verdict_agrees_with_the_descending_k_loop():
                 assert _pair_verdict(list(status), list(clustered)) == _descending_k_verdict(status, clustered)
                 checked += 1
     assert checked == 9331
+
+
+def _collapsing_quad_oracle(d, g):
+    """The rule four functions each restated: a four-vertex gap, not all
+    critical, that ``make_quadrilateral`` accepts as collapsing."""
+    if len(g.vertices) != 4 or _all_critical(d, g):
+        return None
+    try:
+        quad = make_quadrilateral(g.vertices, d)
+    except ValueError:
+        return None
+    return quad if quad.classification == COLLAPSING else None
+
+
+def test_collapsing_quad_agrees_with_the_restated_rule():
+    # every 4-subset of a few rings, as a finite gap; 13,942 gaps in all
+    found = total = 0
+    for d, N in ((3, 12), (3, 24), (4, 16), (2, 14)):
+        for xs in itertools.combinations(range(N), 4):
+            g = Gap(N, xs)
+            quad = _collapsing_quad(d, g)
+            assert quad == _collapsing_quad_oracle(d, g), (d, N, xs)
+            total += 1
+            found += quad is not None
+    assert (total, found) == (13942, 345)
+    # a gap of another size is never one
+    assert _collapsing_quad(2, Gap(4, (0, 1, 2))) is None
+    assert _collapsing_quad(2, Gap(8, (0, 1, 2, 4, 5, 6))) is None
