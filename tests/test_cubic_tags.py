@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina.circle import Angle
+from lamina.circle import THIRD, Angle
 from lamina.chords import Chord
 from lamina.formats import parse_portrait
 from lamina.lamination import Gap, pullback_build
+from lamina.qc_portrait import COLLAPSING, _collapsing_quad, make_quadrilateral
+from lamina.sampling import Lcg
 from lamina.cubic_tags import (
     ConvexSet,
     FullPortrait,
@@ -195,6 +197,33 @@ def test_linked_pair_cocritical_quads_fixture():
     assert q1.classification == "collapsing" and q2.classification == "collapsing"
     merged = [v for pair in zip(rep.witness[0], rep.witness[1]) for v in pair]
     assert merged == [A(n, 24) for n in (8, 9, 10, 11, 16, 17, 18, 19)]
+
+
+def test_cocritical_set_of_a_short_chord_is_a_collapsing_quadrilateral():
+    # why linked_pair_cocritical_quads and its callers test no classification:
+    # the co-critical set of a chord x y shorter than a third is x+1/3, y+1/3,
+    # x+2/3, y+2/3, which the one rule takes as make_quadrilateral does
+    checked = 0
+    for seed in range(1, 5):
+        rng = Lcg(seed)
+        for _ in range(150):
+            for c in (rng.chord_in_window(), *rng.linked_pair_in_window()):
+                coc = cocritical_set(ConvexSet.hull_of(c))
+                assert set(coc.vertices) == {Angle(p + k * THIRD) for p in c for k in (1, 2)}, c
+                quad = _collapsing_quad(3, coc)
+                assert quad == make_quadrilateral(coc.vertices, 3), c
+                assert quad.classification == COLLAPSING, c
+                checked += 1
+    assert checked == 1800
+
+
+@pytest.mark.parametrize("chord", ["0 1/3", "1/5 1/5"])
+def test_linked_pair_cocritical_quads_refuses_a_chord_with_no_quadrilateral(chord):
+    # a critical chord's co-critical set is one point, a degenerate one's two
+    c, other = Chord.parse(chord), C(1, 24, 1, 8)
+    for pair in ((c, other), (other, c)):
+        with pytest.raises(ValueError, match=f"co-critical set of {chord} is no collapsing quadrilateral"):
+            linked_pair_cocritical_quads(*pair)
 
 
 def test_geometry_checks_pass_on_fixtures():

@@ -309,6 +309,30 @@ def test_cli_argparse_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["qml", "--period", "x"], "error: argument --period: invalid integer value: 'x'"),
+        (
+            ["render", "--lamination", "a.lam", "--out", "a.svg", "--size", "\u0668\u0660\u0660"],
+            "error: argument --size: invalid integer value: '\u0668\u0660\u0660'",
+        ),
+        (["verify", "--suite", "nonsense"], "error: argument --suite: invalid choice: 'nonsense' "),
+        (["build", "--portrait", "rabbit.portrait"], "error: the following arguments are required: --depth"),
+    ],
+)
+def test_cli_argparse_refusal_is_one_error_line(argv, line, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if "invalid choice" in line:  # the list of choices reads differently across Pythons
+        assert captured.err.startswith(line) and captured.err.count("\n") == 1
+    else:
+        assert captured.err == line + "\n"
+
+
 def test_cli_render_missing_file(tmp_path):
     assert main(["render", "--lamination", str(tmp_path / "nope.lam"), "--out", str(tmp_path / "x.svg")]) == 2
 
@@ -466,17 +490,17 @@ def test_cli_verify_refuses_samples_over_the_bound(suite, capsys):
     assert main(["verify", "--suite", suite, "--samples", str(10**30)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --samples must be between 0 and 1000000\n"
+    assert captured.err == f"error: --samples must be an integer between 0 and 1000000, got {10**30}\n"
 
 
 def test_cli_verify_samples_bound_is_inclusive(monkeypatch, capsys):
-    import lamina.cli as cli
+    import lamina.suites as suites_mod
 
-    monkeypatch.setattr(cli, "MAX_SUITE_SAMPLES", 3)
+    monkeypatch.setattr(suites_mod, "MAX_SUITE_SAMPLES", 3)
     assert main(["verify", "--suite", "linkco", "--samples", "3"]) == 0
     assert "pairs: 3" in capsys.readouterr().out
     assert main(["verify", "--suite", "linkco", "--samples", "4"]) == 2
-    assert capsys.readouterr().err == "error: --samples must be between 0 and 3\n"
+    assert capsys.readouterr().err == "error: --samples must be an integer between 0 and 3, got 4\n"
 
 
 def test_cli_verify_qml_refuses_a_sample_count(capsys):
