@@ -14,7 +14,6 @@ from .lamination import (
     orbit_classify,
     pullback_build,
     critical_analysis,
-    prune_isolated,
 )
 from .quad_minor import critical_strip, strip_test, minor_of, qml_enumerate
 from .qc_portrait import (
@@ -27,7 +26,7 @@ from .qc_portrait import (
     tune_insert,
     classify_pair,
 )
-from .accordion import accordion, order_preserving_accordions, choose_unlinked_spikes, detect_collapse, compgap_analyze
+from .accordion import accordion, order_preserving_accordions, compgap_analyze
 from .cubic_tags import ConvexSet, FullPortrait, MixedTag, cocritical_set, mixed_tag, tags_relation
 
 __version__ = "0.1.0"

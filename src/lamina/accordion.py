@@ -14,9 +14,7 @@ of every part of a set whose order it keeps.  Only a pair whose four ends
 come back in order follows the two orbits as int pairs with
 ``lamination._ring_orbit``, the loop behind every orbit here: an accordion
 follows its chord's orbit once on the ring, and so does the hull analysis
-``_compgap_ring``, which the ``compgap`` suite calls.  Smart-criticality
-helpers pick full spike collections unlinked with a given leaf and detect
-collapses around chains of spikes.
+``_compgap_ring``, which the ``compgap`` suite calls.
 """
 
 from __future__ import annotations
@@ -24,19 +22,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circle import Angle, _at, _check_degree, _ring, ccw_offset, sigma
-from .chords import Chord, _sides, disjoint, is_critical, linked, validate_collection
+from .circle import _at, _check_degree, _ring
+from .chords import Chord, _sides, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit
-from .qc_portrait import QcPortrait, complete_samples
 
 __all__ = [
     "AccordionReport",
     "accordion",
     "order_preserving_accordions",
-    "SpikeChoice",
-    "choose_unlinked_spikes",
-    "CollapseReport",
-    "detect_collapse",
     "CompgapReport",
     "compgap_analyze",
 ]
@@ -177,140 +170,6 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
         raise ValueError("order preserving accordions are defined for linked chords")
     N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
     return _order_preserving_ring(d, N, (a1, b1), (a2, b2))
-
-
-# ---------------------------------------------------------------------------
-# Smart criticality
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpikeChoice:
-    spikes: tuple
-    avoided: bool  # True when no chosen spike has the avoided endpoint
-
-
-def choose_unlinked_spikes(
-    qcp: QcPortrait,
-    l1: Chord,
-    avoid: Angle | None = None,
-    special_clusters=(),
-) -> SpikeChoice:
-    """One spike per portrait quadrilateral, each unlinked with ``l1``;
-    optionally avoiding a named endpoint when possible.
-
-    Fails when ``l1`` is a special critical leaf (inside a special cluster),
-    for which no unlinked full collection needs to exist.
-    """
-    d = qcp.degree
-    if is_critical(d, l1):
-        for cluster in special_clusters:
-            if set(l1.endpoints) <= set(cluster):
-                raise ValueError("special critical leaves admit no unlinked spike choice")
-    options = []
-    for quad in qcp.quads:
-        unlinked = [s for s in quad.spike_set if not linked(s, l1)]
-        if not unlinked:
-            raise ValueError(f"every spike of {quad} crosses {l1}")
-        options.append(unlinked)
-    # the first spike of each quadrilateral, clear of ``avoid`` where one is
-    chosen = tuple(
-        next((s for s in opts if avoid is None or not s.has_endpoint(avoid)), opts[0])
-        for opts in options
-    )
-    if not validate_collection(d, chosen).is_full_collection:
-        # fall back to any full collection among the unlinked choices
-        chosen = next(
-            (c for c in itertools.product(*options) if validate_collection(d, c).is_full_collection),
-            None,
-        )
-        if chosen is None:
-            raise ValueError("no unlinked complete sample forms a full collection")
-    avoided = avoid is None or not any(s.has_endpoint(avoid) for s in chosen)
-    return SpikeChoice(spikes=chosen, avoided=avoided)
-
-
-@dataclass(frozen=True)
-class CollapseReport:
-    kind: str                  # "chains" | "special_cluster" | "none"
-    junction: tuple | None     # the adjacent endpoints (a, x) with equal image
-    chain1: tuple | None
-    chain2: tuple | None
-
-
-def _chain_between(sample, start: Angle, end: Angle):
-    """Concatenation of sample spikes from start to end whose junction
-    points move monotonically along the positive arc [start, end]."""
-    span = ccw_offset(start, end)
-
-    def pos(p):
-        return ccw_offset(start, p)
-
-    best = None
-
-    def dfs(point, used, chain):
-        nonlocal best
-        if best is not None:
-            return
-        if point == end:
-            best = tuple(chain)
-            return
-        for s in sample:
-            if s in used or not s.has_endpoint(point):
-                continue
-            nxt = s.other_endpoint(point)
-            if pos(nxt) <= pos(point) and nxt != end:
-                continue
-            if pos(nxt) > span:
-                continue
-            dfs(nxt, used | {s}, chain + [s])
-
-    dfs(start, frozenset(), [])
-    return best
-
-
-def detect_collapse(
-    l1: Chord,
-    l2: Chord,
-    qcp1: QcPortrait,
-    qcp2: QcPortrait,
-    special_clusters=(),
-) -> CollapseReport:
-    """Do the two leaves collapse around chains of spikes?
-
-    Requires non-disjoint leaves with a pair of adjacent endpoints sharing a
-    sigma_d-image; searches both portraits for spike chains joining those
-    endpoints monotonically.  Leaves inside a common special cluster are
-    reported as that case instead.
-    """
-    d = qcp1.degree
-    if l1 == l2 or disjoint(l1, l2):
-        raise ValueError("collapse detection needs non-disjoint distinct leaves")
-    for cluster in special_clusters:
-        cset = set(cluster)
-        if set(l1.endpoints) <= cset and set(l2.endpoints) <= cset:
-            return CollapseReport("special_cluster", None, None, None)
-    pairs = [
-        (u, v)
-        for u in l1.endpoints
-        for v in l2.endpoints
-        if u != v and sigma(d, u) == sigma(d, v)
-    ]
-    if not pairs:
-        raise ValueError("no adjacent endpoints with a common image")
-    others = set(l1.endpoints) | set(l2.endpoints)
-    for u, v in pairs:
-        for start, end in ((u, v), (v, u)):
-            arc_len = ccw_offset(start, end)
-            if any(0 < ccw_offset(start, p) < arc_len for p in others - {start, end}):
-                continue  # not the adjacent side
-            chain1, chain2 = (
-                next(filter(None, (_chain_between(s, start, end) for s in complete_samples(q))), None)
-                for q in (qcp1, qcp2)
-            )
-            if chain1 and chain2:
-                return CollapseReport("chains", (start, end), chain1, chain2)
-    return CollapseReport("none", None, None, None)
 
 
 # ---------------------------------------------------------------------------

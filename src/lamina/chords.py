@@ -73,16 +73,6 @@ class Chord(namedtuple("Chord", "a b")):
     def endpoints(self) -> tuple[Angle, Angle]:
         return (self.a, self.b)
 
-    def has_endpoint(self, x) -> bool:
-        return self.a == x or self.b == x
-
-    def other_endpoint(self, x) -> Angle:
-        if self.a == x:
-            return self.b
-        if self.b == x:
-            return self.a
-        raise ValueError(f"{x} is not an endpoint of {self}")
-
     def __str__(self) -> str:
         return f"{self.a} {self.b}"
 

@@ -110,14 +110,19 @@ def cmd_tags(args) -> int:
     if not files:
         print(f"error: no .portrait files in {directory}", file=sys.stderr)
         return 2
+    if args.depth < 0:  # the argument is refused before any portrait is read
+        print(f"error: depth must be an integer >= 0, got {args.depth!r}", file=sys.stderr)
+        return 2
     blocks = []
     for f in files:
         try:
             spec = parse_portrait(f.read_text())
+            if spec.degree != 3:
+                raise ValueError(f"mixed tags are cubic, not of degree {spec.degree}")
             lam = spec.build(args.depth)
             sets = spec.convex_sets()
             if len(sets) not in (1, 2):
-                raise ValueError(f"{f.name}: a tag needs one or two critical sets")
+                raise ValueError("a tag needs one or two critical sets")
             blocks.append((f.name, mixed_tag(lam, FullPortrait(sets[0], sets[-1]))))
         except ValueError as exc:
             print(f"error: {f.name}: {exc}", file=sys.stderr)

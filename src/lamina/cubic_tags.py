@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .circle import _at, _ring, shortest_dist
+from .circle import _at, _ring
 from .chords import Chord, _sides
 from .lamination import (
     FiniteLamination,
@@ -413,10 +413,18 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
 
 def separation_check(C1: ConvexSet, C2: ConvexSet) -> Fraction:
     """Largest circle distance from a vertex of one set to the nearest vertex
-    of the other; distinct cubic critical sets should give at least 1/12."""
-    return max(
-        min(shortest_dist(p, v) for v in B.vertices) for A, B in ((C1, C2), (C2, C1)) for p in A.vertices
-    )
+    of the other; distinct cubic critical sets should give at least 1/12.
+    Both sets' ring points go on the ring mod L, the lcm of theirs, where the
+    distance of x and y is the shorter of (x - y) % L and its complement."""
+    (N, xs), (M, ys) = C1.ring, C2.ring
+    L = lcm(N, M)
+    xs, ys = [x * (L // N) for x in xs], [y * (L // M) for y in ys]
+
+    def dist(x, y):
+        r = (x - y) % L
+        return min(r, L - r)
+
+    return Fraction(max(min(dist(p, v) for v in B) for A, B in ((xs, ys), (ys, xs)) for p in A), L)
 
 
 @dataclass

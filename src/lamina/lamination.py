@@ -44,11 +44,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from numbers import Rational
 
-from .circle import Arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma, shortest_dist
+from .circle import Arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma
 from .chords import (
     Chord,
     _ring_image,
@@ -76,7 +75,6 @@ __all__ = [
     "pullback_build",
     "sector_partition",
     "critical_analysis",
-    "prune_isolated",
     "MAX_PULLBACK_LEAVES",
 ]
 
@@ -843,29 +841,3 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
         critical_sets=tuple(crit_gaps) + tuple(leaves[p] for p in crit if p not in gap_edges),
         arc_gaps=tuple(arc_gaps),
     )
-
-
-def _close(m: Chord, c: Chord, tol) -> bool:
-    """Whether the ends of ``m`` lie within ``tol`` of those of ``c``, in
-    either pairing."""
-    return (
-        max(shortest_dist(m.a, c.a), shortest_dist(m.b, c.b)) <= tol
-        or max(shortest_dist(m.a, c.b), shortest_dist(m.b, c.a)) <= tol
-    )
-
-
-def prune_isolated(lam: FiniteLamination, tol, rounds: int = 8) -> FiniteLamination:
-    """Finite-depth approximation of dropping isolated leaves.
-
-    A leaf survives a round when some other leaf approximates it within
-    circle distance ``tol`` at both endpoints.  This is a desk-scale stand-in
-    for extracting the perfect sublamination and is label-approximate only.
-    """
-    tol = Fraction(tol)
-    leaves = list(lam.leaves)
-    for _ in range(rounds):
-        kept = [c for c in leaves if any(m != c and _close(m, c, tol) for m in leaves)]
-        if len(kept) == len(leaves):
-            break
-        leaves = kept
-    return FiniteLamination(lam.degree, leaves)

@@ -19,7 +19,6 @@ from .lamination import (
     FiniteLamination,
     Gap,
     _all_critical,
-    boundary_degree,
     critical_analysis,
     gap_degree,
 )
@@ -37,8 +36,6 @@ __all__ = [
     "tune_insert",
     "classify_pair",
     "PairReport",
-    "CriticalPattern",
-    "pattern_refines",
 ]
 
 COLLAPSING = "collapsing"
@@ -96,9 +93,10 @@ class CriticalQuadrilateral:
         """All vertex 4-tuples presenting the same convex hull.
 
         An all-critical triangle {x, y, z} admits three: one doubled vertex
-        each; other hulls determine the tuple uniquely.
+        each; other hulls determine the tuple uniquely.  Three distinct
+        vertices are exactly that triangle, so no image is taken.
         """
-        if self.classification == ALL_CRITICAL_TRIANGLE:
+        if len(self.hull) == 3:
             x, y, z = self.hull
             return [(x, x, y, z), (x, y, y, z), (x, y, z, z)]
         return [self.vertices]
@@ -318,35 +316,3 @@ def classify_pair(
     clusters1 = set(critical_analysis(lam1).critical_clusters)
     clusters2 = set(critical_analysis(lam2).critical_clusters)
     return _classify_fixed(qcp1, qcp2, sorted(clusters1 & clusters2))
-
-
-# ---------------------------------------------------------------------------
-# Critical patterns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalPattern:
-    """Ordered (d-1)-tuple of critical sets (as vertex tuples) where a set
-    of degree m appears exactly m-1 times."""
-
-    degree: int
-    sets: tuple
-
-    def __post_init__(self):
-        if len(self.sets) != self.degree - 1:
-            raise ValueError(f"a degree-{self.degree} pattern needs {self.degree - 1} sets")
-        for s in set(self.sets):
-            m = boundary_degree(self.degree, s)
-            count = sum(1 for t in self.sets if t == s)
-            if count != m - 1:
-                raise ValueError(
-                    f"set {s} has degree {m} and must appear {m - 1} times, appears {count}"
-                )
-
-
-def pattern_refines(finer, coarser) -> bool:
-    """Componentwise containment of vertex sets: finer <= coarser."""
-    if len(finer.sets) != len(coarser.sets):
-        return False
-    return all(set(f) <= set(c) for f, c in zip(finer.sets, coarser.sets))

@@ -1,19 +1,16 @@
 import importlib
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lamina.circle import POSITIVE, Angle, circular_order, cyclic_descents, sigma, sigma_power
-from lamina.chords import Chord, chord_image, linked, validate_collection
+from lamina.chords import Chord, chord_image, linked
 from lamina.lamination import FiniteLamination, _chord, orbit_classify, pullback_build
-from lamina.qc_portrait import QcPortrait, make_quadrilateral
 from lamina.accordion import (
     PERIODIC_GAP,
     SINGLE,
-    SpikeChoice,
     THREE_LEAF,
     TWO_LEAF_DISJOINT,
     TWO_LEAF_FLIP,
@@ -22,9 +19,7 @@ from lamina.accordion import (
     _interiors_intersect,
     _order_kept,
     accordion,
-    choose_unlinked_spikes,
     compgap_analyze,
-    detect_collapse,
     order_preserving_accordions,
 )
 from lamina.suites import _compgap_universe, _fixture_laminations, _survivor_pairs
@@ -36,10 +31,6 @@ def C(*args):
     if len(args) == 4:
         return Chord(A(args[0], args[1]), A(args[2], args[3]))
     return Chord(A(args[0]), A(args[1]))
-
-
-def leaf_quad(a, b, d=3):
-    return make_quadrilateral([a, a, b, b], d)
 
 
 def test_accordion_against_lamination():
@@ -256,127 +247,6 @@ def test_compgap_survivors_on_small_universe_match_oracle():
 def test_order_preserving_accordions_rejects_bad_degree(d):
     with pytest.raises(ValueError):
         order_preserving_accordions(d, C(1, 8, 3, 8), C(1, 4, 3, 4))
-
-
-def test_choose_unlinked_spikes():
-    qcp = QcPortrait(3, (
-        make_quadrilateral([Fraction(1, 3), Fraction(5, 12), Fraction(2, 3), Fraction(3, 4)], 3),
-        leaf_quad(A(5, 6), A(1, 6)),
-    ))
-    # a leaf crossing the spike 5/12 3/4 forces the other diagonal
-    axis = C(3, 8, 1, 2)
-    assert linked(axis, C(5, 12, 3, 4)) and not linked(axis, C(1, 3, 2, 3))
-    choice = choose_unlinked_spikes(qcp, axis)
-    assert choice.spikes[0] == C(1, 3, 2, 3)
-    assert all(not linked(s, axis) for s in choice.spikes)
-    # avoidance of a named endpoint that is not forced
-    choice2 = choose_unlinked_spikes(qcp, C(1, 48, 5, 48), avoid=A(3, 4))
-    assert choice2.avoided
-    assert all(not s.has_endpoint(A(3, 4)) for s in choice2.spikes)
-
-
-def test_choose_unlinked_spikes_flags_forced_endpoint():
-    qcp = QcPortrait(3, (leaf_quad(A(0), A(1, 3)), leaf_quad(A(1, 2), A(5, 6))))
-    choice = choose_unlinked_spikes(qcp, C(1, 24, 2, 24), avoid=A(0))
-    assert not choice.avoided  # the only spike of the first leaf uses 0
-
-
-def _choose_unlinked_spikes_oracle(qcp, l1, avoid=None):
-    """choose_unlinked_spikes as it read with three places setting
-    ``avoided``, kept to check the one-place version (no special clusters)."""
-    d = qcp.degree
-    options = []
-    for quad in qcp.quads:
-        unlinked = [s for s in quad.spike_set if not linked(s, l1)]
-        if not unlinked:
-            raise ValueError(f"every spike of {quad} crosses {l1}")
-        options.append(unlinked)
-    avoided = True
-    chosen = []
-    if avoid is not None:
-        for opts in options:
-            clean = [s for s in opts if not s.has_endpoint(avoid)]
-            if clean:
-                chosen.append(clean[0])
-            else:
-                chosen.append(opts[0])
-                avoided = False
-    else:
-        chosen = [opts[0] for opts in options]
-    if not validate_collection(d, chosen).is_full_collection:
-        for combo in itertools.product(*options):
-            if validate_collection(d, combo).is_full_collection:
-                chosen = list(combo)
-                avoided = avoid is not None and not any(s.has_endpoint(avoid) for s in combo)
-                break
-        else:
-            raise ValueError("no unlinked complete sample forms a full collection")
-    return SpikeChoice(spikes=tuple(chosen), avoided=avoided if avoid is not None else True)
-
-
-def _outcome(f, *args, **kwargs):
-    try:
-        return f(*args, **kwargs)
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_choose_unlinked_spikes_agrees_with_oracle():
-    # cubic qc-portraits of two quadrilaterals on (1/12)Z/Z: critical leaves
-    # x x+1/3 and collapsing quadrilaterals x y x+1/3 y+1/3, so that spikes
-    # are often shared (a loop, which sends the choice to its fallback)
-    rng = random.Random(2014)
-    third = Fraction(1, 3)
-    quads = [leaf_quad(A(x, 12), A(Fraction(x, 12) + third)) for x in range(4)]
-    quads += [
-        make_quadrilateral([A(x, 12), A(y, 12), A(Fraction(x, 12) + third), A(Fraction(y, 12) + third)], 3)
-        for x in range(12)
-        for y in range(x + 1, x + 4)
-    ]
-    seen = {"avoided": 0, "forced": 0, "fallback": 0, "refused": 0}
-    for _ in range(150):
-        qcp = QcPortrait(3, (rng.choice(quads), rng.choice(quads)))
-        a, b = rng.sample(range(24), 2)
-        axis = C(a, 24, b, 24)
-        vertices = sorted({v for q in qcp.quads for v in q.vertices})
-        for avoid in [None] + vertices:
-            got = _outcome(choose_unlinked_spikes, qcp, axis, avoid=avoid)
-            assert got == _outcome(_choose_unlinked_spikes_oracle, qcp, axis, avoid=avoid)
-            if isinstance(got, str):
-                seen["refused"] += 1
-                continue
-            seen["avoided" if got.avoided else "forced"] += 1
-            first = [next(s for s in q.spike_set if not linked(s, axis)) for q in qcp.quads]
-            seen["fallback"] += avoid is None and list(got.spikes) != first
-    assert all(seen.values()), seen
-
-
-def test_detect_collapse_chain():
-    # leaves whose shared-image endpoints are joined by spike chains in both
-    # portraits
-    qcp1 = QcPortrait(3, (leaf_quad(A(0), A(1, 3)), leaf_quad(A(1, 3), A(2, 3))))
-    qcp2 = QcPortrait(3, (leaf_quad(A(0), A(1, 3)), leaf_quad(A(1, 3), A(2, 3))))
-    l1 = C(0, 1, 7, 9)
-    l2 = C(2, 3, 8, 9)
-    assert sigma(3, A(0)) == sigma(3, A(2, 3))
-    rep = detect_collapse(l1, l2, qcp1, qcp2)
-    assert rep.kind == "chains"
-    assert rep.junction == (A(0), A(2, 3))
-    assert rep.chain1 == (C(0, 1, 1, 3), C(1, 3, 2, 3))
-
-
-def test_detect_collapse_negative_and_special():
-    qcp = QcPortrait(3, (leaf_quad(A(0), A(1, 3)), leaf_quad(A(1, 2), A(5, 6))))
-    # endpoints with a common image but no chain through the spikes
-    l1 = C(1, 12, 2, 3)
-    l2 = C(5, 12, 3, 4)
-    rep = detect_collapse(l1, l2, qcp, qcp)
-    assert rep.kind == "none"
-    special = [(A(0), A(1, 3), A(2, 3))]
-    rep2 = detect_collapse(C(0, 1, 1, 3), C(1, 3, 2, 3), qcp, qcp, special_clusters=special)
-    assert rep2.kind == "special_cluster"
-    with pytest.raises(ValueError):
-        detect_collapse(C(0, 1, 1, 8), C(1, 2, 5, 8), qcp, qcp)
 
 
 def test_compgap_flip_case():

@@ -191,6 +191,25 @@ def test_separation_example():
     assert separation_check(S(0, F(1, 3)), S(F(1, 2), F(5, 6))) == F(1, 6)
 
 
+def _separation_oracle(C1, C2):
+    """separation_check as it read on Angle views, through shortest_dist."""
+    from lamina.circle import shortest_dist
+
+    return max(
+        min(shortest_dist(p, v) for v in B.vertices) for A, B in ((C1, C2), (C2, C1)) for p in A.vertices
+    )
+
+
+def test_separation_on_the_ring_agrees_with_the_angle_oracle():
+    hulls = random_hulls(36, 2400)
+    pairs = list(zip(hulls[::2], hulls[1::2]))
+    assert len(pairs) == 1200
+    for C1, C2 in pairs:
+        got, want = separation_check(C1, C2), _separation_oracle(C1, C2)
+        assert got == want and str(got) == str(want)
+    assert any(separation_check(C1, C2) == 0 for C1, C2 in pairs)
+
+
 def test_linked_pair_cocritical_quads_fixture():
     q1, q2, rep = linked_pair_cocritical_quads(C(0, 1, 1, 12), C(1, 24, 1, 8))
     assert rep.linked

@@ -356,11 +356,36 @@ def test_readme_snippets_execute():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_cli_tags_rejects_non_cubic(tmp_path):
+def test_cli_tags_rejects_non_cubic(tmp_path, capsys):
     d = tmp_path / "portraits"
     d.mkdir()
     (d / "quad.portrait").write_text(RABBIT)
     assert main(["tags", "--portraits", str(d), "--depth", "2"]) == 2
+    assert capsys.readouterr().err == "error: quad.portrait: mixed tags are cubic, not of degree 2\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, reason",
+    [
+        ("a.portrait", "degree 4\nleaf 0 1/4\nleaf 1/4 1/2\nleaf 1/2 3/4\n", "mixed tags are cubic, not of degree 4"),
+        ("three.portrait", "degree 3\nleaf 0 1/3\nleaf 1/2 5/6\nleaf 1/3 1/2\n", "a tag needs one or two critical sets"),
+    ],
+)
+def test_cli_tags_refusal_names_the_file_once(tmp_path, capsys, name, text, reason):
+    d = tmp_path / "portraits"
+    d.mkdir()
+    (d / name).write_text(text)
+    assert main(["tags", "--portraits", str(d), "--depth", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name}: {reason}\n"
+
+
+def test_cli_tags_refuses_the_shipped_quadratic_portraits_as_non_cubic(capsys):
+    root = Path(__file__).resolve().parent.parent / "portraits" / "quadratic"
+    assert main(["tags", "--portraits", str(root), "--depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: basilica.portrait: mixed tags are cubic, not of degree 2\n"
 
 
 def test_shipped_portraits_build():

@@ -26,7 +26,6 @@ from lamina.chords import (
 )
 from lamina.cubic_tags import full_portraits_of
 from lamina.formats import parse_portrait
-from lamina.qc_portrait import CriticalPattern
 from lamina.quad_minor import major_quadrilateral, minor_of, qml_enumerate
 from lamina.sampling import Lcg
 from lamina.suites import _quad_portrait, heuristically_dendritic, hexagon_fixtures
@@ -42,7 +41,6 @@ from lamina.lamination import (
     gap_degree,
     gaps,
     orbit_classify,
-    prune_isolated,
     pullback_build,
     sector_partition,
 )
@@ -461,8 +459,6 @@ def test_boundary_degree_matches_rank_sum(d, vertices):
 def test_boundary_degree_of_no_vertices_is_a_value_error():
     with pytest.raises(ValueError, match="empty"):
         boundary_degree(3, [])
-    with pytest.raises(ValueError, match="empty"):
-        CriticalPattern(3, ((), ()))
 
 
 def test_orbit_classify_examples():
@@ -1261,13 +1257,6 @@ def test_vertex_orbit_period():
     assert (info.preperiod, info.period) == (0, 3)
     assert orbit_classify(2, [A(1, 7), A(2, 7)], max_steps=2) is None
     assert orbit_classify(2, [A(1, 7), A(2, 7)], max_steps=3).period == 3
-
-
-def test_prune_isolated_drops_lonely_diameter():
-    lam = pullback_build(2, [C(1, 14, 4, 7)], 5)
-    pruned = prune_isolated(lam, Fraction(1, 64), rounds=2)
-    assert C(1, 14, 4, 7) in lam
-    assert C(1, 14, 4, 7) not in pruned
 
 
 @functools.cache

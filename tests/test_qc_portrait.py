@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import lamina.qc_portrait as qc_portrait
 from lamina.circle import Angle
 from lamina.chords import Chord, is_critical
 from lamina.lamination import (
@@ -19,7 +20,6 @@ from lamina.qc_portrait import (
     ALL_CRITICAL_TRIANGLE,
     COLLAPSING,
     CRITICAL_LEAF,
-    CriticalPattern,
     PairReport,
     QcPortrait,
     _collapsing_quad,
@@ -28,7 +28,6 @@ from lamina.qc_portrait import (
     complete_samples,
     derive_qc_portrait,
     make_quadrilateral,
-    pattern_refines,
     qc_portrait_exists,
     strongly_linked,
     tune_insert,
@@ -93,6 +92,24 @@ def test_strongly_linked_witness_chain():
         (A(1, 3), A(5, 12), A(2, 3), A(3, 4)),
         (A(3, 8), A(11, 24), A(17, 24), A(19, 24)),
     )
+
+
+def test_strongly_linked_takes_no_images(monkeypatch):
+    # presentations tell a triangle by its three distinct vertices, so no
+    # quadrilateral is asked for its image
+    q1 = make_quadrilateral([F(1, 3), F(5, 12), F(2, 3), F(3, 4)], 3)
+    q2 = make_quadrilateral([F(3, 8), F(11, 24), F(17, 24), F(19, 24)], 3)
+    tri = make_quadrilateral([0, F(1, 3), F(1, 3), F(2, 3)], 3)
+    edge = leaf_quad(A(1, 3), A(2, 3))
+    assert q1.classification == q2.classification == COLLAPSING
+    calls = []
+    sigma = qc_portrait.sigma
+    monkeypatch.setattr(qc_portrait, "sigma", lambda *args: calls.append(args) or sigma(*args))
+    assert strongly_linked(q1, q2).linked
+    x, y, z = A(0), A(1, 3), A(2, 3)
+    assert tri.presentations() == [(x, x, y, z), (x, y, y, z), (x, y, z, z)]
+    assert strongly_linked(tri, edge).linked
+    assert calls == []
 
 
 def test_strong_linkage_closed_under_limits_desk_scale():
@@ -238,26 +255,10 @@ def test_derived_portraits_validate():
             assert validate_qc_portrait(derive_qc_portrait(lam))
 
 
-def test_critical_pattern_multiplicity():
-    with pytest.raises(ValueError):
-        CriticalPattern(3, ((A(0), A(1, 3)),))  # wrong arity handled by degree
-    pat = CriticalPattern(3, ((A(0), A(1, 3)), (A(1, 2), A(5, 6))))
-    fine = CriticalPattern(3, ((A(0), A(1, 3)), (A(1, 2), A(5, 6))))
-    assert pattern_refines(fine, pat)
-    tri = (A(0), A(1, 3), A(2, 3))
-    uni = CriticalPattern(3, (tri, tri))
-    assert pattern_refines(pat, uni) == (
-        set(pat.sets[0]) <= set(tri) and set(pat.sets[1]) <= set(tri)
-    )
-
-
 def test_essentially_equal_builds_stay_compatible():
     # the same quadratic data built from the quadrilateral and from its
     # spike alone: portraits share a spike, so the builds must never cross
-    # and pruning drops the isolated spike orbit
-    from fractions import Fraction as Fr
     from lamina.chords import linked
-    from lamina.lamination import prune_isolated, pullback_build
 
     quad_edges = [C(1, 14, 1, 7), C(1, 7, 4, 7), C(4, 7, 9, 14), C(9, 14, 1, 14)]
     spike = C(1, 14, 4, 7)
@@ -270,8 +271,6 @@ def test_essentially_equal_builds_stay_compatible():
     for c1 in lam_quad.leaves:
         for c2 in lam_spike.leaves:
             assert not linked(c1, c2)
-    pruned = prune_isolated(lam_spike, Fr(1, 64), rounds=2)
-    assert spike not in pruned
 
 
 def test_classify_pair_through_common_cluster():
