@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for invariant laminations of the circle under
 angle d-tupling, with quadratic minor enumeration and cubic mixed tags."""
 
-from .circle import Angle, Arc, sigma, preimages, shortest_dist, circular_order, in_arc
+from .circle import Angle, Arc, sigma, preimages, shortest_dist, circular_order
 from .chords import Chord, linked, chord_image, is_critical, sibling_collections, validate_collection
 from .lamination import (
     FiniteLamination,

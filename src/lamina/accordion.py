@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circle import _at, _check_degree, _ring
+from .circle import _at, _check_degree, _check_int, _ring
 from .chords import Chord, _sides, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit
 
@@ -65,8 +65,8 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     int >= 0 when given.  The axis and the leaves or the orbit share one
     ring; order preservation is :func:`order_preserving_accordions`'s.
     """
-    if horizon is not None and (not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0):
-        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
+    if horizon is not None:
+        _check_int("horizon", horizon)
     if isinstance(other, FiniteLamination):
         if horizon is not None:
             raise ValueError("a lamination accordion takes no horizon")
@@ -178,10 +178,9 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
 
 
 def _interiors_intersect(u, v) -> bool:
-    """Interiors of convex hulls of circle points (sorted tuples)."""
-    if len(u) < 2 or len(v) < 2:
-        return False
-    if set(u) <= set(v) or set(v) <= set(u):
+    """Interiors of the convex hulls of two sorted tuples of four distinct
+    circle points each, so one hull holds the other only when they are equal."""
+    if u == v:
         return True
     sides = _sides(v)
     return any(linked(e1, e2) for e1 in _sides(u) for e2 in sides)

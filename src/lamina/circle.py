@@ -34,7 +34,6 @@ __all__ = [
     "ccw_offset",
     "shortest_dist",
     "circular_order",
-    "in_arc",
     "cyclic_descents",
     "POSITIVE",
     "NEGATIVE",
@@ -199,6 +198,13 @@ class Arc:
         return f"({self.start}, {self.end})"
 
 
+def _check_int(name: str, value, low: int = 0, high: int | None = None) -> None:
+    """Refuse an int argument that is not an int, is a bool, or lies outside low..high."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"between {low} and {high}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def _check_degree(d) -> None:
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"degree must be an integer >= 2, got {d!r}")
@@ -316,8 +322,3 @@ def cyclic_descents(values) -> int:
         if u > v:
             descents += 1
     return descents
-
-
-def in_arc(x, arc: Arc, closed: bool = False) -> bool:
-    """Strict membership of x in the open positive arc (closed on request)."""
-    return arc.contains(x, closed=closed)

@@ -1,8 +1,10 @@
 """Command line surface: build, qml, tags, verify, render.
 
 Exit codes: 0 success, 1 suite failure, 2 argument or input errors,
-including a file that cannot be read or written.  The environment variable
-LAMINA_SEED overrides --seed for the verify command.
+including a file that cannot be read or written.  Every refusal is one
+``error:`` line on stderr: argparse's through ``_Parser.error``, and the
+library's ValueError and the OSError of a file through ``main``.  The
+environment variable LAMINA_SEED overrides --seed for the verify command.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .circle import _integer
+from .circle import _check_int, _integer
 from .chords import Chord
 from .cubic_tags import FullPortrait, mixed_tag, tags_relation
 from .formats import lamination_text, parse_lamination, parse_portrait, tag_report
@@ -81,23 +83,13 @@ def _write(path, text):
 
 
 def cmd_build(args) -> int:
-    try:
-        spec = parse_portrait(Path(args.portrait).read_text())
-        lam = spec.build(args.depth)
-    except ValueError as exc:  # InconsistentPortrait is one
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lam = parse_portrait(Path(args.portrait).read_text()).build(args.depth)
     _write(args.out, lamination_text(lam))
     return 0
 
 
 def cmd_qml(args) -> int:
-    try:
-        chords = qml_enumerate(args.period)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    lam = FiniteLamination(2, chords)
+    lam = FiniteLamination(2, qml_enumerate(args.period))
     _write(args.out, lamination_text(lam))
     if args.svg:
         Path(args.svg).write_text(render_svg(lam, RenderSpec()))
@@ -110,9 +102,7 @@ def cmd_tags(args) -> int:
     if not files:
         print(f"error: no .portrait files in {directory}", file=sys.stderr)
         return 2
-    if args.depth < 0:  # the argument is refused before any portrait is read
-        print(f"error: depth must be an integer >= 0, got {args.depth!r}", file=sys.stderr)
-        return 2
+    _check_int("depth", args.depth)  # refused before any portrait is read
     blocks = []
     for f in files:
         try:
@@ -146,11 +136,7 @@ def cmd_verify(args) -> int:
     except ValueError:
         print(f"error: LAMINA_SEED is not an integer: {os.environ['LAMINA_SEED']!r}", file=sys.stderr)
         return 2
-    try:
-        result = run_suite(args.suite, args.samples, seed)
-    except ValueError as exc:  # a sample count out of range, or one the suite does not read
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_suite(args.suite, args.samples, seed)
     sys.stdout.write(result.text())
     return 0 if result.passed else 1
 
@@ -159,14 +145,8 @@ def cmd_render(args) -> int:
     if args.size <= 0:
         print(f"error: --size must be > 0, got {args.size}", file=sys.stderr)
         return 2
-    try:
-        lam = parse_lamination(Path(args.lamination).read_text())
-        highlight = tuple(
-            Chord.parse(tok) for tok in args.highlight.split(";") if tok.strip()
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lam = parse_lamination(Path(args.lamination).read_text())
+    highlight = tuple(Chord.parse(tok) for tok in args.highlight.split(";") if tok.strip())
     ok, pair = check_unlinked(lam)
     if not ok:
         print(f"error: {args.lamination}: leaves cross: {pair[0]} x {pair[1]}", file=sys.stderr)
@@ -199,7 +179,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:  # an input file that cannot be read, an output that cannot be written
+    # an input file that cannot be read, an output that cannot be written, or
+    # input the library refuses (InconsistentPortrait is a ValueError)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

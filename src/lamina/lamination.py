@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from numbers import Rational
 
-from .circle import Arc, _at, _check_degree, _on_ring, _ring, cyclic_descents, sigma
+from .circle import Arc, _at, _check_degree, _check_int, _on_ring, _ring, cyclic_descents, sigma
 from .chords import (
     Chord,
     _ring_image,
@@ -562,8 +562,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     when the forward orbit of a portrait chord crosses itself, another one's
     orbit or a sector chord.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
+    _check_int("depth", depth)
     portrait = [c for c in portrait if not c.degenerate]
     if sectors is not None:
         sector_chords = list(sectors)
@@ -648,9 +647,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         for k, (arcs, xs) in enumerate(faces):
             cands = []
             for x in ends[0][k]:
-                for y in ends[1][k]:
-                    if x == y:
-                        continue
+                for y in ends[1][k]:  # preimages of distinct ends differ
                     p = (x, y) if x < y else (y, x)
                     if not any(linked(p, m) for m in generations):
                         cands.append(p)
@@ -729,8 +726,7 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
     leaves of its group.  Raises ValueError unless ``boundary_depth`` is an
     int >= 0.
     """
-    if not isinstance(boundary_depth, int) or isinstance(boundary_depth, bool) or boundary_depth < 0:
-        raise ValueError(f"boundary_depth must be an integer >= 0, got {boundary_depth!r}")
+    _check_int("boundary_depth", boundary_depth)
     d = lam.degree
     report = InvarianceReport()
     N, pairs = lam.ring

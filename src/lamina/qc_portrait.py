@@ -208,7 +208,7 @@ def derive_qc_portrait(lam: FiniteLamination) -> QcPortrait:
     return portrait
 
 
-def tune_insert(lam: FiniteLamination, critical_set: Gap, choice: Chord | None = None):
+def tune_insert(lam: FiniteLamination, critical_set: Gap):
     """Insert a collapsing quadrilateral sharing a pair of opposite edges
     with a degree-2 critical gap.
 
@@ -227,9 +227,8 @@ def tune_insert(lam: FiniteLamination, critical_set: Gap, choice: Chord | None =
     if quad is not None:
         return lam, quad
     edges = critical_set.edges
-    candidates = [choice] if choice is not None else edges
-    for e in candidates:
-        if e not in edges or chord_image(d, e).degenerate:
+    for e in edges:
+        if chord_image(d, e).degenerate:
             continue
         for e2 in edges:
             if e2 == e or set(e.endpoints) & set(e2.endpoints):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .circle import THIRD, _at, _ring, preimages
+from .circle import THIRD, _at, _check_int, _ring, preimages
 from .chords import Chord, _sides, chord_image, disjoint, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit, pullback_build
 
@@ -170,8 +170,7 @@ def qml_enumerate(period_bound: int) -> list[Chord]:
     at the end with every other chord of length >= 1/3.  Nothing is checked
     here: the ``qml-unlinked`` suite and the tests strip-test the chords.
     """
-    if not isinstance(period_bound, int) or isinstance(period_bound, bool) or not 1 <= period_bound <= 12:
-        raise ValueError(f"period bound must be an integer between 1 and 12, got {period_bound!r}")
+    _check_int("period bound", period_bound, 1, 12)
     L = lcm(*(2**k - 1 for k in range(1, period_bound + 1)))
     drawn = {}  # a -> b for each drawn chord, its sorted pair on the ring mod L
     for k in range(2, period_bound + 1):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import THIRD, Angle, ccw_offset, cyclic_descents
+from .circle import THIRD, Angle, _check_int, ccw_offset, cyclic_descents
 from .chords import Chord, _sides, linked
 from .lamination import (
     FiniteLamination,
@@ -26,7 +26,7 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between, strip_test
 from .qc_portrait import tune_insert
-from .accordion import TWO_LEAF_FLIP, _compgap_ring, _order_preserving_ring
+from .accordion import THREE_LEAF, TWO_LEAF_DISJOINT, TWO_LEAF_FLIP, _compgap_ring, _order_preserving_ring
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -430,7 +430,7 @@ def _classify_case(d: int, N: int, axis, partner):
         orbits = [frozenset(o) for _, o in ends]
         if orbits[0] == orbits[1] or orbits[2] == orbits[3]:
             return None, "shared endpoint orbit without flip"
-        return "two_leaf_periodic_disjoint_orbits", "four orbit check"
+        return TWO_LEAF_DISJOINT, "four orbit check"
     if len(crossing) == 2:
         # the recrossing image, orbit[k] for k = crossing[1], must either be
         # separated from its source by the axis or fix the other chord's ends
@@ -439,7 +439,7 @@ def _classify_case(d: int, N: int, axis, partner):
         separated = linked(axis, sorted((x, u))) and linked(axis, sorted((y, v)))
         if not (separated or (u, v) == (x, y)):
             return None, "recrossing image neither separated nor fixed"
-        return "three_leaf", "two crossing images"
+        return THREE_LEAF, "two crossing images"
     return None, f"{len(crossing)} crossing images"
 
 
@@ -613,6 +613,5 @@ def run_suite(name: str, samples: int | None, seed: int) -> SuiteResult:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if samples is None:
         return SUITES[name](seed=seed)
-    if not isinstance(samples, int) or isinstance(samples, bool) or not 0 <= samples <= MAX_SUITE_SAMPLES:
-        raise ValueError(f"--samples must be an integer between 0 and {MAX_SUITE_SAMPLES}, got {samples!r}")
+    _check_int("--samples", samples, 0, MAX_SUITE_SAMPLES)
     return SUITES[name](samples, seed)

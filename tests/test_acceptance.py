@@ -6,9 +6,8 @@ asserts the stated budget.  Run with ``pytest tests/test_acceptance.py -v``.
 """
 
 import time
-from fractions import Fraction
 
-from lamina.circle import Angle, Arc, in_arc
+from lamina.circle import Angle, Arc
 from lamina.chords import Chord, chord_image, linked, sibling_collections
 from lamina.lamination import check_unlinked, FiniteLamination, orbit_classify
 from lamina.quad_minor import qml_enumerate
@@ -48,7 +47,7 @@ def test_criterion_1_period_six_orbit_fixture():
     image_of_M = chord_image(3, M)
     ok = ok and image_of_M == C(894, 2184, 843, 2184)
     wide_arc = Arc(A(842, 2184), A(921, 2184))
-    ok = ok and all(in_arc(p, wide_arc) for p in image_of_M.endpoints)
+    ok = ok and all(wide_arc.contains(p) for p in image_of_M.endpoints)
     _report(1, "period-six cubic orbit fixture", ok, time.time() - start, 1.0)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lamina.circle import POSITIVE, Angle, circular_order, cyclic_descents, sigma, sigma_power
 from lamina.chords import Chord, chord_image, linked
-from lamina.lamination import FiniteLamination, _chord, orbit_classify, pullback_build
+from lamina.lamination import FiniteLamination, _chord, _ring_orbit, orbit_classify
 from lamina.accordion import (
     PERIODIC_GAP,
     SINGLE,
@@ -462,3 +462,11 @@ def test_compgap_survivors_agree_with_the_angle_oracles():
         assert _compgap_fields(_compgap_ring(3, N, c1, c2)) == expected
         assert _compgap_fields(compgap_analyze(3, l1, l2)) == expected
     assert len(survivors) == 122 and {TWO_LEAF_FLIP, THREE_LEAF} <= cases
+
+
+def test_compgap_hulls_have_four_points():
+    # _interiors_intersect reads a hull holding another as the two being
+    # equal: order preservation keeps the four ends of a survivor distinct
+    N, _, survivors = _survivor_pairs(4)
+    sizes = {len(h) for c1, c2 in survivors for h in _ring_orbit(3, N, frozenset((*c1, *c2)))[1]}
+    assert len(survivors) == 122 and sizes == {4}

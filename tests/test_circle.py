@@ -20,7 +20,6 @@ from lamina.circle import (
     ccw_offset,
     circular_order,
     cyclic_descents,
-    in_arc,
     preimages,
     shortest_dist,
     sigma,
@@ -291,10 +290,10 @@ def test_cyclic_descents_agrees_with_index_formula():
 
 def test_arc_membership():
     arc = Arc(Angle(1, 3), Angle(2, 3))
-    assert in_arc(Angle(1, 2), arc)
-    assert not in_arc(Angle(1, 3), arc)
-    assert in_arc(Angle(1, 3), arc, closed=True)
-    assert not in_arc(Angle(3, 4), arc)
+    assert arc.contains(Angle(1, 2))
+    assert not arc.contains(Angle(1, 3))
+    assert arc.contains(Angle(1, 3), closed=True)
+    assert not arc.contains(Angle(3, 4))
     with pytest.raises(ValueError):
         Arc(Angle(1, 3), Angle(1, 3))
 
@@ -302,8 +301,8 @@ def test_arc_membership():
 def test_arc_wraps_zero():
     arc = Arc(Angle(3, 4), Angle(1, 4))
     assert arc.length == Fraction(1, 2)
-    assert in_arc(Angle(0), arc)
-    assert not in_arc(Angle(1, 2), arc)
+    assert arc.contains(Angle(0))
+    assert not arc.contains(Angle(1, 2))
 
 
 angles = st.builds(

@@ -56,3 +56,10 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = {p.name: _unused_imports(p.read_text()) for p in paths if p.name != "__init__.py"}
     assert len(unused) >= 12
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_no_test_module_imports_a_name_it_does_not_use():
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    unused = {p.name: _unused_imports(p.read_text()) for p in paths}
+    assert len(unused) >= 13
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import random
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import lamina.cli as cli
 import lamina.lamination as lamination
 from lamina.circle import Angle
 from lamina.chords import Chord
@@ -17,7 +19,9 @@ from lamina.formats import (
     portrait_text,
 )
 from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, pullback_build
+from lamina.accordion import accordion
 from lamina.quad_minor import qml_enumerate
+from lamina.suites import run_suite
 
 A = Angle
 
@@ -704,3 +708,47 @@ def test_cli_stdout_follows_a_redirect(tmp_path):
         out = tmp_path / f"{argv[0]}.txt"
         assert main(argv + ["--out", str(out)]) in (0, 1)
         assert buffer.getvalue() == out.read_text() != ""
+
+
+_CUBIC = Path(__file__).resolve().parent.parent / "portraits" / "cubic"
+
+
+def _tags_at_depth(depth):
+    """``lamina tags`` on the shipped cubic portraits with ``depth`` put past argparse."""
+    args = argparse.Namespace(portraits=str(_CUBIC), depth=depth, out=None, figures=None)
+    return cli.cmd_tags(args)
+
+
+# each int argument's caller, its message up to the value, and the values it
+# refuses besides True, 2.0, "3" and -1: None where None is no default, and
+# values past the upper bound where there is one
+_INT_ARGUMENTS = [
+    ("pullback_build", lambda v: pullback_build(2, [C(1, 3, 2, 3)], v), "depth must be an integer >= 0, got ", (None,)),
+    ("check_invariance", lambda v: check_invariance(FiniteLamination(2, [C(1, 3, 2, 3)]), v),
+     "boundary_depth must be an integer >= 0, got ", (None,)),
+    ("accordion", lambda v: accordion(C(0, 1, 1, 2), C(1, 4, 3, 4), horizon=v, d=2),
+     "horizon must be an integer >= 0, got ", ()),
+    ("qml_enumerate", qml_enumerate, "period bound must be an integer between 1 and 12, got ", (None, 13, 10**7)),
+    ("run_suite", lambda v: run_suite("linkco", v, 1),
+     "--samples must be an integer between 0 and 1000000, got ", (10**7,)),
+    ("cmd_tags", _tags_at_depth, "depth must be an integer >= 0, got ", (None,)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message, value",
+    [
+        pytest.param(call, message, value, id=f"{name}-{value!r}")
+        for name, call, message, more in _INT_ARGUMENTS
+        for value in (True, 2.0, "3", -1, *more)
+    ],
+)
+def test_int_arguments_refuse_with_their_messages(call, message, value, monkeypatch, capsys):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == message + repr(value)
+    if call is _tags_at_depth:  # main prints the refusal as one line, before any portrait is read
+        monkeypatch.setitem(cli._COMMANDS, "tags", lambda args: _tags_at_depth(value))
+        monkeypatch.setattr(cli, "parse_portrait", None)
+        assert main(["tags", "--portraits", str(_CUBIC)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}{value!r}\n")

@@ -641,6 +641,18 @@ def test_pullback_rejects_bad_depth(depth):
         pullback_build(3, TRIANGLE, depth)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pullback_preimages_of_distinct_ends_are_disjoint(d):
+    # pull_leaf pairs a preimage of one end with one of the other and tests
+    # no pair for a repeated end: every end it pulls back is a multiple of d
+    # on the ring mod N, whose preimages are range(X // d, N, N // d)
+    for N in range(d, 30 * d + 1, d):
+        pre = {X: range(X // d, N, N // d) for X in range(0, N, d)}
+        for X, xs in pre.items():
+            assert len(xs) == d and all(d * x % N == X for x in xs)
+        assert len(set().union(*map(set, pre.values()))) == d * len(pre)
+
+
 def refusal(cap, depth, limit):
     """The one text pullback_build refuses a portrait with."""
     return (

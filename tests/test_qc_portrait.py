@@ -5,7 +5,7 @@ import pytest
 
 import lamina.qc_portrait as qc_portrait
 from lamina.circle import Angle
-from lamina.chords import Chord, is_critical
+from lamina.chords import Chord
 from lamina.lamination import (
     FiniteLamination,
     Gap,
