@@ -142,25 +142,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.size <= 0:
-        print(f"error: --size must be > 0, got {args.size}", file=sys.stderr)
-        return 2
-    lam = parse_lamination(Path(args.lamination).read_text())
-    highlight = tuple(Chord.parse(tok) for tok in args.highlight.split(";") if tok.strip())
-    ok, pair = check_unlinked(lam)
-    if not ok:
-        print(f"error: {args.lamination}: leaves cross: {pair[0]} x {pair[1]}", file=sys.stderr)
-        return 2
-    missing = next((c for c in highlight if c not in lam), None)
-    if missing is not None:
-        print(f"error: {args.lamination}: highlighted chord {missing} is not a leaf", file=sys.stderr)
-        return 2
+    # the spec refuses a bad --size or --highlight before any file is read
     spec = RenderSpec(
         size=args.size,
         geodesic_style=args.style,
         labels=args.labels,
-        highlight=highlight,
+        highlight=tuple(Chord.parse(tok) for tok in args.highlight.split(";") if tok.strip()),
     )
+    lam = parse_lamination(Path(args.lamination).read_text())
+    ok, pair = check_unlinked(lam)
+    if not ok:
+        print(f"error: {args.lamination}: leaves cross: {pair[0]} x {pair[1]}", file=sys.stderr)
+        return 2
+    missing = next((c for c in spec.highlight if c not in lam), None)
+    if missing is not None:
+        print(f"error: {args.lamination}: highlighted chord {missing} is not a leaf", file=sys.stderr)
+        return 2
     Path(args.out).write_text(render_svg(lam, spec))
     return 0
 

@@ -4,7 +4,9 @@ Chords are drawn as hyperbolic geodesics of the Poincare disk: circular
 arcs orthogonal to the unit circle, with diameters as straight lines.  All
 geometry is carried as exact rationals until emission, where each value is
 printed with the 12 significant digits of its 30-digit mpmath evaluation,
-so identical inputs produce byte-identical SVG on any platform.
+so identical inputs produce byte-identical SVG on any platform.  mpmath is
+imported on the first render, inside the functions that evaluate with it,
+so ``import lamina`` and every command that draws nothing run without it.
 
 Every disk of a picture draws its chords through one path on integers:
 the points of the disk lie on one ring mod N (``circle._ring``), a
@@ -98,10 +100,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-import mpmath
-
 from .chords import Chord, _sides
-from .circle import Angle, _at, _on_ring, _ring
+from .circle import Angle, _at, _check_int, _on_ring, _ring
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -115,12 +115,29 @@ _STYLE = (
 )
 
 
+def _highlight_chord(entry) -> Chord:
+    """A highlight entry as a Chord, so a pair in either order is drawn
+    highlighted."""
+    if not isinstance(entry, str):  # a string would unpack into its characters
+        try:
+            return Chord(*entry)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"highlight entry {entry!r} is not a pair of angles")
+
+
 @dataclass(frozen=True)
 class RenderSpec:
     size: int = 800
     geodesic_style: str = "hyperbolic"  # or "straight"
     labels: bool = False
     highlight: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        _check_int("size", self.size, 1)
+        if self.geodesic_style not in ("hyperbolic", "straight"):
+            raise ValueError(f"geodesic_style must be 'hyperbolic' or 'straight', got {self.geodesic_style!r}")
+        object.__setattr__(self, "highlight", tuple(map(_highlight_chord, self.highlight)))
 
 
 # A chord at least this long, within 1e-14 of a diameter, bows away from
@@ -132,6 +149,8 @@ _STRAIGHT_N, _STRAIGHT_Q = _STRAIGHT_FROM.numerator, _STRAIGHT_FROM.denominator
 
 
 def _fmt(x) -> str:
+    import mpmath
+
     return mpmath.nstr(x, 12)
 
 
@@ -191,6 +210,8 @@ class _Canvas:
     """
 
     def __init__(self, size: int, N: int):
+        import mpmath
+
         self.N = N
         self.center = mpmath.mpf(size) / 2
         self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
@@ -238,6 +259,8 @@ class _Canvas:
         return out
 
     def _mpf_xy(self, n: int, q: int, label: bool) -> str:
+        import mpmath
+
         g = gcd(n, q)
         t = 2 * mpmath.mpf(n // g) / (q // g)
         R = self.label_radius if label else self.radius
@@ -261,6 +284,8 @@ class _Canvas:
                 r = _certified(v, v * _RADIUS_ERR)
                 if r is not None:
                     return r
+        import mpmath
+
         g = gcd(n, q)
         t = mpmath.mpf(n // g) / (q // g)
         return _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
@@ -317,6 +342,8 @@ def _gap_shade_path(canvas: _Canvas, xy: dict, gap: Gap, straight: bool) -> str:
 def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
     """Render a lamination, a list of chords, or a pair of tag factors
     (``ConvexSet``s) to an SVG document string."""
+    import mpmath
+
     with mpmath.workdps(30):
         return _render(target, spec, shaded)
 

@@ -619,6 +619,13 @@ def test_cli_render_rejects_nonpositive_size(tmp_path, capsys, size):
     assert not out.exists()
 
 
+def test_cli_render_refuses_the_size_before_reading_the_file(tmp_path, capsys):
+    missing, out = tmp_path / "missing.lam", tmp_path / "x.svg"
+    assert main(["render", "--lamination", str(missing), "--out", str(out), "--size", "0"]) == 2
+    assert capsys.readouterr().err == "error: size must be an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_duplicate_degree_header_is_a_value_error(tmp_path, capsys):
     with pytest.raises(ValueError, match="duplicate degree header"):
         parse_lamination("degree 2\n1/3 2/3\ndegree 3\n")

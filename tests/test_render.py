@@ -18,6 +18,7 @@ from lamina.chords import Chord
 from lamina.lamination import FiniteLamination, critical_analysis, gaps, orbit_classify, pullback_build
 from lamina.cubic_tags import ConvexSet, FullPortrait, mixed_tag
 from lamina.formats import parse_portrait
+from lamina.quad_minor import qml_enumerate
 from lamina.render import _STRAIGHT_FROM, RenderSpec, _Canvas, render_svg
 from lamina.suites import hexagon_fixtures
 
@@ -83,11 +84,14 @@ def test_orbit_figure_hash_pinned():
     assert digest2 == "19c73b7dc43ab38c5472a7bbc82c2cf82175830ab8e6acf13fb36a6186684c17"
 
 
+RABBIT_SIX_DIGEST = "8cac8100246986082a281fb637ba98a1bdd0e79448912b44395723a75e227a99"
+
+
 def test_rabbit_depth_six_hash_pinned():
     lam = parse_portrait("degree 2\nquad 1/14 1/7 4/7 9/14\n").build(6)
     svg = render_svg(lam, RenderSpec(labels=True))
     digest = hashlib.sha256(svg.encode()).hexdigest()
-    assert digest == "8cac8100246986082a281fb637ba98a1bdd0e79448912b44395723a75e227a99"
+    assert digest == RABBIT_SIX_DIGEST
 
 
 def test_shaded_renders_hash_pinned():
@@ -491,21 +495,28 @@ def test_geodesic_matches_centre_formula_oracle(a, b, size):
     assert args[2:5] == ["0", "0", str(sweep)]
 
 
+def _fresh(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports lamina from this checkout."""
+    src = Path(lamina.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_canvas_memo_does_not_outlive_its_render():
     lam = pullback_build(2, [C(1, 14, 4, 7)], 4)
     render_svg(lam, RenderSpec(size=400, labels=True))
     after = render_svg(lam, RenderSpec(size=800, labels=True))
-    src = Path(lamina.__file__).resolve().parent.parent
-    code = (
+    fresh = _fresh(
         "import sys; from lamina.chords import Chord; from lamina.circle import Angle as A; "
         "from lamina.lamination import pullback_build; "
         "from lamina.render import RenderSpec, render_svg; "
         "lam = pullback_build(2, [Chord(A(1, 14), A(4, 7))], 4); "
         "sys.stdout.write(render_svg(lam, RenderSpec(size=800, labels=True)))"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    fresh = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
-    assert after == fresh.stdout
+    assert after == fresh
 
 
 def test_tag_factor_rendering():
@@ -538,11 +549,86 @@ def test_shipped_tag_figures_hash_pinned(name):
 
 
 def test_import_leaves_mpmath_precision():
-    src = Path(lamina.__file__).resolve().parent.parent
-    code = (
+    _fresh(
         "import mpmath; before = mpmath.mp.dps; "
         "import lamina, lamina.render, lamina.cli; "
         "assert mpmath.mp.dps == before, (before, mpmath.mp.dps)"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# mpmath draws pictures only: it loads on the first render, and a process
+# that draws nothing never loads it (pytest's own process has it loaded, so
+# each check runs in a fresh interpreter)
+
+
+def test_importing_lamina_leaves_mpmath_unloaded():
+    _fresh(
+        "import importlib, pkgutil, sys; "
+        "import lamina, lamina.cli, lamina.formats, lamina.suites, lamina.sampling, lamina.render; "
+        "[importlib.import_module(m.name) for m in pkgutil.iter_modules(lamina.__path__, 'lamina.')]; "
+        "assert 'mpmath' not in sys.modules"
+    )
+
+
+_RABBIT_PORTRAIT = Path(__file__).resolve().parent.parent / "portraits" / "quadratic" / "rabbit.portrait"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qml", "--period", "6"],
+        ["build", "--portrait", str(_RABBIT_PORTRAIT), "--depth", "3"],
+        ["verify", "--suite", "compgap", "--samples", "20"],
+    ],
+)
+def test_commands_that_draw_nothing_leave_mpmath_unloaded(argv):
+    _fresh(f"import sys; from lamina.cli import main; assert main({argv!r}) == 0; assert 'mpmath' not in sys.modules")
+
+
+def test_drawing_loads_mpmath(tmp_path):
+    svg = tmp_path / "qml6.svg"
+    _fresh(
+        "import sys; from lamina.cli import main; "
+        f"assert main(['qml', '--period', '6', '--svg', {str(svg)!r}]) == 0; "
+        "assert 'mpmath' in sys.modules"
+    )
+    assert svg.read_text() == render_svg(FiniteLamination(2, qml_enumerate(6)), RenderSpec())
+    drawn = _fresh(
+        "import sys; from lamina.formats import parse_portrait; "
+        "from lamina.render import RenderSpec, render_svg; "
+        "lam = parse_portrait('degree 2\\nquad 1/14 1/7 4/7 9/14\\n').build(6); "
+        "assert 'mpmath' not in sys.modules; "
+        "sys.stdout.write(render_svg(lam, RenderSpec(labels=True))); "
+        "assert 'mpmath' in sys.modules"
+    )
+    assert hashlib.sha256(drawn.encode()).hexdigest() == RABBIT_SIX_DIGEST
+
+
+@pytest.mark.parametrize("size", [True, False, -800, 0, 800.0, "800", None])
+def test_spec_refuses_a_size_it_cannot_draw(size):
+    with pytest.raises(ValueError, match=re.escape(f"size must be an integer >= 1, got {size!r}")):
+        RenderSpec(size=size)
+
+
+def test_spec_refuses_an_unknown_style():
+    with pytest.raises(ValueError, match="'hyperbolic' or 'straight', got 'straigth'"):
+        RenderSpec(geodesic_style="straigth")
+
+
+def test_spec_highlights_an_unsorted_pair():
+    lam = FiniteLamination(2, [C(1, 7, 2, 7), C(2, 7, 4, 7)])
+    spec = RenderSpec(highlight=((A(2, 7), A(1, 7)), ("2/7", "4/7")))
+    assert spec.highlight == (C(1, 7, 2, 7), C(2, 7, 4, 7))
+    assert all(type(c) is Chord for c in spec.highlight)
+    svg = render_svg(lam, spec)
+    assert svg.count('class="hl"') == 2
+    assert svg == render_svg(lam, RenderSpec(highlight=(C(1, 7, 2, 7), C(2, 7, 4, 7))))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["1/7 2/7", "12", (A(1, 7),), (A(1, 7), A(2, 7), A(4, 7)), (0.25, 0.5), ("1/7", "x"), A(1, 7), None],
+)
+def test_spec_refuses_a_highlight_that_is_not_a_pair_of_angles(entry):
+    with pytest.raises(ValueError, match=re.escape(f"highlight entry {entry!r} is not a pair of angles")):
+        RenderSpec(highlight=(C(1, 7, 2, 7), entry))
