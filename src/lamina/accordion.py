@@ -6,15 +6,16 @@ linked pairs the possible exact patterns are rigid: one extra crossing leaf
 (periodic flip or four disjoint endpoint orbits), two crossing images, or a
 periodic polygon swept out by the pair's convex hull.  Order preservation
 puts both chords on one integer ring mod N, the common denominator of their
-endpoints.  It first follows the pair's four ends in lockstep, asking at
-each step whether sigma_d keeps their circular order: while it does, the
-images stay linked, so each image of the second chord lies in the
-accordion of the matching image of the first, and sigma_d keeps the order
-of every part of a set whose order it keeps.  Only a pair whose four ends
-come back in order follows the two orbits as int pairs with
-``lamination._ring_orbit``, the loop behind every orbit here: an accordion
-follows its chord's orbit once on the ring, and so does the hull analysis
-``_compgap_ring``, which the ``compgap`` suite calls.
+endpoints, by the one pair-ring rule ``circle._pair_ring``, and decides
+linkage on its ints, as the hull analysis does.  It then follows the pair's
+four ends in lockstep, asking at each step whether sigma_d keeps their
+circular order: while it does, the images stay linked, so each image of the
+second chord lies in the accordion of the matching image of the first, and
+sigma_d keeps the order of every part of a set whose order it keeps.  Only
+a pair whose four ends come back in order follows the two orbits as int
+pairs with ``lamination._ring_orbit``, the loop behind every orbit here: an
+accordion follows its chord's orbit once on the ring, and so does the hull
+analysis ``_compgap_ring``, which the ``compgap`` suite calls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circle import _at, _check_degree, _check_int, _ring
+from .circle import _at, _check_degree, _check_int, _pair_ring, _ring
 from .chords import Chord, _sides, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit
 
@@ -78,7 +79,7 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
         raise ValueError("chord-orbit accordions need the degree d")
     else:
         _check_degree(d)
-        N, xs = _ring((*axis, *other))
+        N, xs = _pair_ring(axis, other)
         pre, chords = _ring_orbit(d, N, (xs[2], xs[3]))
         steps = len(chords) if horizon is None else min(horizon, len(chords))
         exact = steps == len(chords)
@@ -163,13 +164,14 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     """Mutual order preservation: at every step, sigma_d is injective and
     positively order preserving on the accordion of each chord's image with
     respect to the other's forward orbit.  Exact for rational data (orbits
-    close); both chords are followed on one integer ring, their four ends in
-    lockstep before either full orbit."""
+    close); after ``d``, linkage is checked on the ints of ``_pair_ring``,
+    and the four ends are followed in lockstep before either full orbit."""
     _check_degree(d)
-    if not linked(l1, l2):
+    N, (a1, b1, a2, b2) = _pair_ring(l1, l2)
+    c1, c2 = (a1, b1), (a2, b2)
+    if not linked(c1, c2):
         raise ValueError("order preserving accordions are defined for linked chords")
-    N, (a1, b1, a2, b2) = _ring((l1.a, l1.b, l2.a, l2.b))
-    return _order_preserving_ring(d, N, (a1, b1), (a2, b2))
+    return _order_preserving_ring(d, N, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +203,13 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
     """Follow the convex hull of two linked, mutually order-preserving
     chords; locate the first recurring image and the periodic polygon its
     orbit sweeps out, reporting vertex orbits and the return behavior.
-    Both checks and the analysis run on the ring of the four ends."""
-    N, (a1, b1, a2, b2) = _ring((*l1, *l2))
+    After ``d``, both checks and the analysis run on the ring ints of the
+    four ends from ``_pair_ring``."""
+    _check_degree(d)
+    N, (a1, b1, a2, b2) = _pair_ring(l1, l2)
     c1, c2 = (a1, b1), (a2, b2)
     if not linked(c1, c2):
         raise ValueError("hull analysis needs linked chords")
-    _check_degree(d)
     if not _order_preserving_ring(d, N, c1, c2):
         raise ValueError("hull analysis needs mutually order preserving accordions")
     return _compgap_ring(d, N, c1, c2)

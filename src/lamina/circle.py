@@ -11,9 +11,9 @@ reduced ints (``_ratio``), construction of a known-reduced value
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
-angles on one integer ring mod N, where no Angle is built at all, and
-``_at`` reads a ring point back as an Angle and ``_on_ring`` puts one
-angle on a given ring.
+angles on one integer ring mod N, where no Angle is built at all, as
+``_pair_ring`` does for two pairs in one step; ``_at`` reads a ring point
+back as an Angle and ``_on_ring`` puts one angle on a given ring.
 """
 
 from __future__ import annotations
@@ -221,10 +221,9 @@ def sigma(d: int, a) -> Angle:
 
 
 def sigma_power(d: int, a, n: int) -> Angle:
-    """The n-th iterate of sigma(d, .), in closed form d**n * a mod 1."""
+    """The n-th iterate of sigma(d, .), int n >= 0, in closed form d**n * a mod 1."""
     _check_degree(d)
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n!r}")
+    _check_int("iterate count", n)
     a = Angle(a)
     q = a._denominator
     m = a._numerator * pow(d, n, q) % q
@@ -257,6 +256,19 @@ def _ring(angles) -> tuple[int, list[int]]:
     angles = [a if type(a) is Angle else Angle(a) for a in angles]
     N = lcm(*(a._denominator for a in angles))
     return N, [a._numerator * (N // a._denominator) for a in angles]
+
+
+def _pair_ring(p, q) -> tuple[int, list[int]]:
+    """``_ring((*p, *q))`` for two pairs of angles, each end read once: the
+    entry cost of the linked-pair checks, which mostly refuse at once."""
+    (a, b), (x, y) = p, q
+    a = a if type(a) is Angle else Angle(a)
+    b = b if type(b) is Angle else Angle(b)
+    x = x if type(x) is Angle else Angle(x)
+    y = y if type(y) is Angle else Angle(y)
+    qa, qb, qx, qy = a._denominator, b._denominator, x._denominator, y._denominator
+    N = lcm(qa, qb, qx, qy)
+    return N, [a._numerator * (N // qa), b._numerator * (N // qb), x._numerator * (N // qx), y._numerator * (N // qy)]
 
 
 def _at(N: int, x: int) -> Angle:

@@ -468,11 +468,13 @@ def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
     under sigma_d.
 
     A vertex set (set, frozenset, tuple or list of angles) is followed as a
-    frozenset of its images.  With ``max_steps``, returns None when the orbit
-    has not closed within that many images.  The orbit is followed on the
-    ring of the denominators of ``x`` and read back as Angles at the end.
+    frozenset of its images.  With ``max_steps``, an int >= 0, returns None
+    when the orbit has not closed within that many images.  It is followed
+    on the ring of the denominators of ``x``, read back as Angles at the end.
     """
     _check_degree(d)
+    if max_steps is not None:
+        _check_int("max_steps", max_steps)
     if isinstance(x, Chord):
         N, (a, b) = _ring(x)
         found = _ring_orbit(d, N, (a, b), max_steps)

@@ -243,6 +243,49 @@ def test_compgap_survivors_on_small_universe_match_oracle():
     assert found
 
 
+def test_order_preserving_accordions_on_chords_of_the_whole_compgap_universe():
+    # every linked pair of the 694 leaf-eligible chords with denominators
+    # 2, 8, 26 and 80, through the public entry on Chords, both ways round
+    N, nlinked, survivors = _survivor_pairs(4)
+    _, pts, period = _compgap_universe(4)
+    chords = []
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            if period[a] != period[b]:
+                continue
+            orbit = _ring_orbit(3, N, (a, b))[1]
+            if not any(linked(u, v) for k, u in enumerate(orbit) for v in orbit[k + 1 :]):
+                chords.append(_chord(N, (a, b)))
+    pairs = [(u, v) for i, u in enumerate(chords) for v in chords[i + 1 :] if linked(u, v)]
+    found = [(u, v) for u, v in pairs if order_preserving_accordions(3, u, v)]
+    assert found == [(u, v) for u, v in pairs if order_preserving_accordions(3, v, u)]
+    assert found == [(_chord(N, c1), _chord(N, c2)) for c1, c2 in survivors]
+    assert (len(chords), len(pairs), nlinked, len(found)) == (694, 47103, 47103, 122)
+
+
+# unlinked pairs: sharing an endpoint, one degenerate chord, equal chords
+_UNLINKED = [(C(1, 8, 3, 8), C(1, 8, 3, 4)), (C(1, 4, 1, 4), C(1, 8, 3, 8)), (C(1, 8, 3, 8), C(1, 8, 3, 8))]
+
+
+@pytest.mark.parametrize("l1, l2", _UNLINKED)
+def test_an_unlinked_pair_is_refused_with_its_message(l1, l2):
+    for a, b in ((l1, l2), (l2, l1)):
+        with pytest.raises(ValueError) as info:
+            order_preserving_accordions(3, a, b)
+        assert str(info.value) == "order preserving accordions are defined for linked chords"
+        with pytest.raises(ValueError) as info:
+            compgap_analyze(3, a, b)
+        assert str(info.value) == "hull analysis needs linked chords"
+
+
+@pytest.mark.parametrize("l1, l2", _UNLINKED)
+def test_a_bad_degree_is_refused_before_linkage(l1, l2):
+    for check in (order_preserving_accordions, compgap_analyze):
+        with pytest.raises(ValueError) as info:
+            check(1, l1, l2)
+        assert str(info.value) == "degree must be an integer >= 2, got 1"
+
+
 @pytest.mark.parametrize("d", [1, 0, 2.0])
 def test_order_preserving_accordions_rejects_bad_degree(d):
     with pytest.raises(ValueError):

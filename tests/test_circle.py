@@ -16,7 +16,9 @@ from lamina.circle import (
     NEITHER,
     POSITIVE,
     _integer,
+    _pair_ring,
     _ratio,
+    _ring,
     ccw_offset,
     circular_order,
     cyclic_descents,
@@ -422,6 +424,27 @@ def test_angle_pickle_and_copy_round_trip(a):
 def test_fraction_slot_layout():
     # _angle and the comparisons read and write these slots directly
     assert "_numerator" in Fraction.__slots__ and "_denominator" in Fraction.__slots__
+
+
+# each angle-like an Angle takes, for n/q with 0 <= n <= 90 and 1 <= q <= 30,
+# so past 1 too: an Angle, a Fraction, a "p/q" string or the int n
+_ANGLE_LIKE = st.builds(
+    lambda n, q, form: form(n, q),
+    st.integers(0, 90),
+    st.integers(1, 30),
+    st.sampled_from((Angle, Fraction, lambda n, q: f"{n}/{q}", lambda n, q: n)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANGLE_LIKE, min_size=4, max_size=4))
+def test_pair_ring_is_the_ring_of_the_four_ends(ends):
+    # in their given order, so unsorted pairs too: the same N and ints
+    a, b, x, y = ends
+    N, xs = _pair_ring((a, b), (x, y))
+    assert (N, xs) == _ring(ends)
+    assert type(xs) is list and all(type(v) is int for v in xs)
+    assert [Angle(v, N) for v in xs] == [Angle(e) for e in ends]
 
 
 def test_sigma_power_rejects_negative_count():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import lamina
@@ -63,3 +64,11 @@ def test_no_test_module_imports_a_name_it_does_not_use():
     unused = {p.name: _unused_imports(p.read_text()) for p in paths}
     assert len(unused) >= 13
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_only_circle_reads_fraction_slots():
+    # Fraction's private slots are an interpreter detail that circle.py
+    # pins (test_circle.test_fraction_slot_layout); no other module names them
+    paths = sorted(Path(lamina.__path__[0]).glob("*.py"))
+    naming = [p.name for p in paths if re.search(r"_numerator|_denominator", p.read_text())]
+    assert len(paths) >= 13 and naming == ["circle.py"]

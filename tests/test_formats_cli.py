@@ -9,7 +9,7 @@ import pytest
 
 import lamina.cli as cli
 import lamina.lamination as lamination
-from lamina.circle import Angle
+from lamina.circle import Angle, sigma_power
 from lamina.chords import Chord
 from lamina.cli import main
 from lamina.formats import (
@@ -18,7 +18,7 @@ from lamina.formats import (
     parse_portrait,
     portrait_text,
 )
-from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, pullback_build
+from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, orbit_classify, pullback_build
 from lamina.accordion import accordion
 from lamina.quad_minor import qml_enumerate
 from lamina.suites import run_suite
@@ -739,6 +739,8 @@ _INT_ARGUMENTS = [
     ("run_suite", lambda v: run_suite("linkco", v, 1),
      "--samples must be an integer between 0 and 1000000, got ", (10**7,)),
     ("cmd_tags", _tags_at_depth, "depth must be an integer >= 0, got ", (None,)),
+    ("orbit_classify", lambda v: orbit_classify(2, Angle(1, 7), v), "max_steps must be an integer >= 0, got ", ()),
+    ("sigma_power", lambda v: sigma_power(2, Angle(1, 7), v), "iterate count must be an integer >= 0, got ", (None,)),
 ]
 
 
