@@ -13,6 +13,9 @@ common image.
 int pairs on one integer ring mod N, where circle order is int order; with
 ``_ring_image`` for the image, pullbacks, order preservation and the checks
 on a lamination's own ring (``FiniteLamination.ring``) run on such pairs.
+On Chords of Angles, ``linked`` and ``chord_image`` read the ends' ints in
+``lamina.circle``, the one module that names Fraction's slots; ``linked``
+lives there and is exported here.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .circle import Angle, shortest_dist, sigma, preimages
+from .circle import Angle, _sigma_pair, linked, shortest_dist, sigma, preimages
 
 __all__ = [
     "Chord",
@@ -77,25 +80,6 @@ class Chord(namedtuple("Chord", "a b")):
         return f"{self.a} {self.b}"
 
 
-def linked(c1, c2) -> bool:
-    """True iff the chords strictly cross inside the open disk.
-
-    Each chord is a Chord or a sorted int pair on one ring: both pairs must
-    be sorted, a <= b and x <= y.  Degenerate chords never link; chords
-    sharing an endpoint never link.
-    """
-    a, b = c1[0], c1[1]
-    x, y = c2[0], c2[1]
-    # sorted pairs interleave iff a < x < b < y or x < a < y < b; a shared
-    # first endpoint, a degenerate chord and every shared or touching end
-    # break the strict chain, so no equality test is needed
-    if a < x:
-        return x < b < y
-    if x < a:
-        return a < y < b
-    return False
-
-
 def disjoint(c1, c2) -> bool:
     """True iff the chords (as in :func:`linked`) share no endpoint and do
     not cross."""
@@ -124,7 +108,7 @@ def _ring_image(d: int, N: int, c) -> tuple[int, int]:
 
 def chord_image(d: int, c: Chord) -> Chord:
     """Apply sigma_d to both endpoints; the image may be degenerate."""
-    return Chord(sigma(d, c.a), sigma(d, c.b))
+    return tuple.__new__(Chord, _sigma_pair(d, c[0], c[1]))
 
 
 def is_critical(d: int, c: Chord) -> bool:

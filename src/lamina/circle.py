@@ -10,6 +10,9 @@ reduced ints (``_ratio``), construction of a known-reduced value
 (``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
+``linked``, the crossing test that ``lamina.chords`` exports, lives here
+to compare two Chords of Angles on their ends' ints in one frame, and
+``_sigma_pair`` forms ``chord_image``'s two images at once.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
 angles on one integer ring mod N, where no Angle is built at all, as
 ``_pair_ring`` does for two pairs in one step; ``_at`` reads a ring point
@@ -242,6 +245,52 @@ def preimages(d: int, a) -> list[Angle]:
         g = gcd(m, d)
         out.append(_angle(m // g, d * q // g))
     return out
+
+
+def _sigma_pair(d: int, a, b) -> tuple[Angle, Angle]:
+    """``sorted((sigma(d, a), sigma(d, b)))`` with the degree checked once
+    and the images built and ordered on their ints."""
+    _check_degree(d)
+    a, b = Angle(a), Angle(b)
+    q, r = a._denominator, b._denominator
+    n, m = d * a._numerator % q, d * b._numerator % r
+    g, h = gcd(n, q), gcd(m, r)
+    n, q, m, r = n // g, q // g, m // h, r // h
+    if m * q < n * r:
+        return _angle(m, r), _angle(n, q)
+    return _angle(n, q), _angle(m, r)
+
+
+def linked(c1, c2) -> bool:
+    """True iff the chords strictly cross inside the open disk.
+
+    Each chord is a Chord, a sorted pair of rationals or a sorted int pair
+    on one ring: both pairs must be sorted, a <= b and x <= y, and a pair
+    that starts with an Angle holds Angles or Fractions.  Degenerate chords
+    never link; chords sharing an endpoint never link.  ``lamina.chords``
+    exports it; it lives here to compare Angles on their slots.
+    """
+    a, b = c1[0], c1[1]
+    x, y = c2[0], c2[1]
+    # sorted pairs interleave iff a < x < b < y or x < a < y < b; a shared
+    # first endpoint, a degenerate chord and every shared or touching end
+    # break the strict chain, so no equality test is needed
+    if type(a) is Angle is type(x):
+        # Angle.__lt__ inline, n/q < m/r iff n*r < m*q for reduced ends;
+        # each end's ints are read once, and only as far as the chain gets
+        an, aq, xn, xq = a._numerator, a._denominator, x._numerator, x._denominator
+        if an * xq < xn * aq:
+            bn, bq = b._numerator, b._denominator
+            return xn * bq < bn * xq and bn * y._denominator < y._numerator * bq
+        if xn * aq < an * xq:
+            yn, yq = y._numerator, y._denominator
+            return an * yq < yn * aq and yn * b._denominator < b._numerator * yq
+        return False
+    if a < x:
+        return x < b < y
+    if x < a:
+        return a < y < b
+    return False
 
 
 def _ring(angles) -> tuple[int, list[int]]:

@@ -194,6 +194,7 @@ class FiniteLamination:
         """The leaves of pullback generation <= ``generation``, a leaf with no
         recorded generation counting as 0; an untracked lamination, or one
         with no leaf past ``generation``, is all of itself."""
+        _check_int("generation", generation)
         if self._gens is None or generation >= (self.max_generation or 0):
             return self
         N, pairs = self.ring

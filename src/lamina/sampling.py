@@ -4,16 +4,17 @@ The generator is a 64-bit linear congruential generator,
 
     state_{n+1} = (6364136223846793005 * state_n + 1442695040888963407) mod 2^64,
 
-seeded directly with the user seed and emitting the top 32 bits of each new
-state.  It is fully specified here so independent implementations can
-reproduce every suite sample from the seed alone.
+seeded directly with the user seed, an int from 0 to 2^64 - 1, and
+emitting the top 32 bits of each new state.  It is fully specified here so
+independent implementations can reproduce every suite sample from the seed
+alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .circle import THIRD, Angle, shortest_dist
+from .circle import THIRD, Angle, _check_int, shortest_dist
 from .chords import Chord, disjoint, linked
 
 __all__ = ["Lcg"]
@@ -24,8 +25,13 @@ _INC = 1442695040888963407
 
 
 class Lcg:
+    """The suites' generator at state ``seed``, an int from 0 to 2^64 - 1,
+    else a ValueError: a seed outside that range would repeat the samples
+    of one inside it."""
+
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        _check_int("seed", seed, 0, _MASK)
+        self.state = seed
 
     def next_u32(self) -> int:
         self.state = (_MULT * self.state + _INC) & _MASK

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina.circle import Angle
+import lamina
+from lamina.circle import Angle, _ring, sigma
 from lamina.chords import (
     Chord,
     _sides,
@@ -129,6 +130,63 @@ def test_disjoint_is_no_shared_endpoint_and_no_crossing(c1, c2):
     for u, v in ((c1, c2), (p1, p2)):
         assert disjoint(u, v) == (not set(u) & set(v) and not linked(u, v))
     assert (linked(p1, p2), disjoint(p1, p2)) == (linked(c1, c2), disjoint(c1, c2))
+
+
+def _chain(c1, c2):
+    """``linked`` through the ends' own comparisons: the reference for its
+    slot path on Angles, and what every other kind of end goes through."""
+    (a, b), (x, y) = c1, c2
+    if a < x:
+        return x < b < y
+    if x < a:
+        return a < y < b
+    return False
+
+
+# every angle with denominator up to 40, 0 included
+_points40 = st.sampled_from(sorted({A(n, q) for q in range(1, 41) for n in range(q)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_points40, min_size=4, max_size=4, unique=True))
+def test_linked_on_angle_slots_agrees_with_ring_ints(ends):
+    # four distinct ends give crossing and disjoint pairs; the chords on
+    # them share ends, repeat, degenerate and end at 0
+    a, b, x, y = ends
+    chords = [Chord(a, b), Chord(x, y), Chord(a, x), Chord(b, y), Chord(a, a), Chord(A(0), y)]
+    _, ring = _ring([e for c in chords for e in c])
+    pairs = [tuple(ring[2 * i:2 * i + 2]) for i in range(len(chords))]
+    for c1, p1 in zip(chords, pairs):
+        for c2, p2 in zip(chords, pairs):
+            assert linked(c1, c2) == linked(p1, p2) == _chain(c1, c2), (c1, c2)
+            # a plain tuple of Angles, a sorted Fraction pair and an int pair
+            # against a Chord each return what the comparison chain returns
+            f1, f2 = tuple(map(Fraction, c1)), tuple(map(Fraction, c2))
+            for u, v in ((tuple(c1), tuple(c2)), (c1, f2), (f1, c2), (f1, f2), (c1, p2), (p1, c2)):
+                assert linked(u, v) == _chain(u, v), (u, v)
+
+
+def test_linked_is_one_object_under_every_name():
+    assert lamina.linked is lamina.chords.linked is lamina.circle.linked is linked
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), _angles, st.integers(0, 5), st.booleans(), _chords)
+def test_chord_image_is_the_chord_of_the_sigma_images(d, a, k, critical, c):
+    # a critical chord, an end and that end plus k/d, has a degenerate image
+    if critical:
+        c = Chord(a, a + Fraction(k % d, d))
+    img = chord_image(d, c)
+    assert img == Chord(sigma(d, c.a), sigma(d, c.b))
+    assert type(img) is Chord and type(img.a) is Angle is type(img.b)
+    assert img.degenerate or not critical
+
+
+@pytest.mark.parametrize("d", [1, True, 2.0])
+def test_chord_image_refuses_a_degree_below_two(d):
+    with pytest.raises(ValueError) as info:
+        chord_image(d, C(1, 7, 2, 7))
+    assert str(info.value) == f"degree must be an integer >= 2, got {d!r}"
 
 
 def test_image_and_criticality():

@@ -21,6 +21,7 @@ from lamina.formats import (
 from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, orbit_classify, pullback_build
 from lamina.accordion import accordion
 from lamina.quad_minor import qml_enumerate
+from lamina.sampling import Lcg
 from lamina.suites import run_suite
 
 A = Angle
@@ -493,6 +494,18 @@ def test_cli_verify_rejects_bad_seed_env(monkeypatch, capsys):
     assert main(["verify", "--suite", "linkco", "--samples", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "LAMINA_SEED" in captured.err
+    # a seed outside 0..2^64 - 1 would repeat another seed's samples
+    monkeypatch.setenv("LAMINA_SEED", str(2**64))
+    assert main(["verify", "--suite", "reconstruct", "--samples", "1"]) == 2
+    monkeypatch.delenv("LAMINA_SEED")
+    assert main(["verify", "--suite", "reconstruct", "--samples", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: seed must be an integer between 0 and {2**64 - 1}, got {2**64}\n"
+        f"error: seed must be an integer between 0 and {2**64 - 1}, got -1\n"
+    )
+    # an exhaustive suite draws no sample, so it reads no seed
+    assert main(["verify", "--suite", "compgap", "--samples", "1", "--seed", "-1"]) == 0
 
 
 def test_cli_verify_crifar_fails_without_samples(capsys):
@@ -741,6 +754,8 @@ _INT_ARGUMENTS = [
     ("cmd_tags", _tags_at_depth, "depth must be an integer >= 0, got ", (None,)),
     ("orbit_classify", lambda v: orbit_classify(2, Angle(1, 7), v), "max_steps must be an integer >= 0, got ", ()),
     ("sigma_power", lambda v: sigma_power(2, Angle(1, 7), v), "iterate count must be an integer >= 0, got ", (None,)),
+    ("up_to", lambda v: parse_portrait(RABBIT).build(3).up_to(v), "generation must be an integer >= 0, got ", (None,)),
+    ("Lcg", Lcg, "seed must be an integer between 0 and 18446744073709551615, got ", (2**64,)),
 ]
 
 
