@@ -3,10 +3,9 @@
 Chords are drawn as hyperbolic geodesics of the Poincare disk: circular
 arcs orthogonal to the unit circle, with diameters as straight lines.  All
 geometry is carried as exact rationals until emission, where each value is
-printed with the 12 significant digits of its 30-digit mpmath evaluation,
-so identical inputs produce byte-identical SVG on any platform.  mpmath is
-imported on the first render, inside the functions that evaluate with it,
-so ``import lamina`` and every command that draws nothing run without it.
+printed as the 12-digit rounding, half up, of its exact value, so identical
+inputs produce byte-identical SVG on any platform.  Rendering needs the
+standard library alone.
 
 Every disk of a picture draws its chords through one path on integers:
 the points of the disk lie on one ring mod N (``circle._ring``), a
@@ -26,16 +25,16 @@ fixes its sweep flag exactly: drawn from a to b it is 1 iff b lies less
 than half a turn counterclockwise of a.  The dicts live and die with
 their disk: nothing is cached across calls.
 
-The printed bytes are those of the mpf formula at 30 digits: pixel
-coordinates c + R*cospi(t) and c - R*sinpi(t) of an angle a, with
-t = 2*mpf(n)/q for a = n/q, c = size/2 and R = 0.45*size (1.06*R for
-labels), and arc radii tan(pi*l)*R, each printed by ``nstr(x, 12)``, which
-calls mpmath's ``to_str(x, 12)``.  The fallback evaluates that formula
-with mpf objects at 30 digits.
+The printed values are the pixel coordinates c + R*cos(2*pi*a) and
+c - R*sin(2*pi*a) of an angle a, with c = size/2 and R = 0.45*size
+(0.477*size for labels), and the arc radii tan(pi*l)*R, each rounded to 12
+significant digits, half up, in the layout of mpmath's ``to_str(x, 12)``:
+fixed point for -5 < exponent < 12, with trailing zeros stripped down to
+one after the point, ``e+N``/``e-N`` otherwise.
 
-Most values are printed from a certified binary64 evaluation instead, in
-the manner of Ziv's correctly rounded elementary functions (ACM TOMS,
-1991); the mpf fallback prints the rest.
+Most values are printed from a certified binary64 evaluation, in the
+manner of Ziv's correctly rounded elementary functions (ACM TOMS, 1991);
+an exact evaluator in ``decimal`` prints the rest.
 
 * Reduction, exact in integers.  For a = n/q, ``k, r = divmod(8n, q)``
   writes 2*pi*a = (pi/4)(k + r/q): an octant k and a residual.  Turning
@@ -59,36 +58,37 @@ the manner of Ziv's correctly rounded elementary functions (ACM TOMS,
   round to nearest is involved, so the bounds hold on every platform.
 * The bound e.  A pixel value v = fl(c + fl(R*x)), with R = fl(size*0.45),
   times 1.06 for labels (relative error below 3.9e-16), is within
-  0.477*size*(5.8e-16 + 3.9e-16 + 1.2e-16) + 1.2e-16*size of the exact
-  value.  The mpf value is within 1e-29*size of it, so v is within
-  6.4e-16*size of the mpf value.  A radius fl(R*tan) is within 1.9e-15
-  relative of the mpf value.  That covers mpmath's rounding of pi*t
-  before it takes tan, which tan near pi/2 amplifies by at most 5e13 for
-  l below ``_STRAIGHT_FROM``: about 2e-17.  The certificate takes
-  e = 1e-15*size for a coordinate and e = 4e-15*v for a radius.
-* The certificate.  ``to_str(x, 12)`` truncates x to at least 15 digits,
-  an error below 1.5e-17*x, and rounds half up on the 13th.  That is the
-  correct rounding of x to 12 digits unless x lies within the truncation
-  error above a tie (a 13-digit decimal ending in 5).  ``"%.11e" % f`` is
-  the correct rounding of the binary value f: CPython formats floats with
-  its own dtoa (``sys.float_repr_style == "short"``).  If
-  ``"%.11e" % (v - e)`` equals ``"%.11e" % (v + e)``, no tie lies strictly
-  between the two ends, and the common string is the one 12-digit number
-  between the ties that enclose that open interval.  e exceeds the error
-  bound plus the truncation error plus the rounding of v -+ e, so the mpf
-  value and its truncation lie strictly inside, and ``to_str`` prints that
-  number too.  ``"%.12g"`` rounds to the same 12 digits as ``"%.11e"``, so
-  the check compares ``"%.12g"`` strings, which are already in ``to_str``'s
-  layout: fixed point for -5 < exponent < 12 with trailing zeros stripped,
-  ``e+N``/``e-N`` otherwise.  Only a bare integer mantissa needs its
-  ``.0`` back and the exponent its zero padding dropped.  When the ends
-  differ, for well under one value in a hundred (0.2-0.6% in the random
-  oracles of ``tests/test_render.py``), the mpf fallback prints the value.
+  0.477*size*(5.8e-16 + 3.9e-16 + 1.2e-16) + 1.2e-16*size, below
+  6.4e-16*size, of the exact value.  A radius fl(R*tan) is within 1.9e-15
+  relative of it.  The certificate takes e = 1e-15*size for a coordinate
+  and e = 4e-15*v for a radius.
+* The certificate.  CPython formats floats with its own dtoa
+  (``sys.float_repr_style == "short"``), so ``"%.12g" % f`` is the correct
+  12-digit rounding of the binary value f.  If it is the same string for
+  v - e and v + e, no rounding boundary (a 13-digit decimal ending in 5)
+  lies between them, and e exceeds the error bound plus the rounding of
+  v -+ e, so that string is the rounding of the exact value, in
+  ``to_str``'s layout but for the ``.0`` of a bare integer mantissa and
+  the exponent's zero padding.  When the ends differ, for well under one
+  value in a hundred (0.2-0.6% in the random oracles of
+  ``tests/test_render.py``), the exact evaluator prints the value.
+* The exact evaluator takes m/q from the same reduction and works in
+  ``decimal`` at p >= 20 digits, u = 10**(1 - p).  With pi/4 from Machin's
+  formula in integers, psi and psi**2 are within 1.5u and 3.5u relative.
+  The Taylor polynomials of cos and sin(psi)/psi in psi**2 up to the first
+  k with (2k)! > 10**p (k <= p/2 + 1), by Horner's rule with fused
+  multiply-adds, are within (k/2 + 2.5)*u.  So cos and sin are within p*u
+  relative, a coordinate c + R*x (R*|x| <= 21*v) within 22*p*u*v and a
+  radius within 3*p*u*v.  It prints once v -+ e, e = 100*p*u*v, round
+  alike to 12 digits, half up, and otherwise doubles p; no irrational
+  value is a tie, so the loop ends.  By Niven's theorem, only cos 0, sin 0,
+  sin(pi/6) = 1/2 and tan(pi/4) = 1 are rational on [0, pi/4]; they are
+  exact, e = 0, as are c, R and c + R*x then: p exceeds size's digits + 4.
 
 The binary64 path runs for integer sizes 1 <= size <= 2**52, where size/2
 and size*0.45 stay exact or within the bounds above, and for lengths with
 m/q >= 2**-1000, where no product leaves the normal range.  Other sizes,
-and a CPython without its own float formatting, take the mpf fallback
+and a CPython without its own float formatting, take the exact evaluator
 throughout.
 """
 
@@ -97,8 +97,10 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from functools import cache
+from math import factorial, lcm
 
 from .chords import Chord, _sides
 from .circle import Angle, _at, _check_int, _on_ring, _ring
@@ -148,12 +150,6 @@ _STRAIGHT_FROM = Angle(Fraction(1, 2) - Fraction(1, 10**14))
 _STRAIGHT_N, _STRAIGHT_Q = _STRAIGHT_FROM.numerator, _STRAIGHT_FROM.denominator
 
 
-def _fmt(x) -> str:
-    import mpmath
-
-    return mpmath.nstr(x, 12)
-
-
 # the certified binary64 path; see the module docstring for the bounds
 _FAST = sys.float_repr_style == "short"
 _MAX_FAST_SIZE = 2**52
@@ -197,6 +193,54 @@ def _certified(v: float, e: float):
     return f"{m if '.' in m else m + '.0'}e{int(x):+d}"
 
 
+# the exact evaluator; see the module docstring for the bounds
+_TWELVE = Context(prec=12, rounding=ROUND_HALF_UP, Emin=MIN_EMIN, Emax=MAX_EMAX)
+
+
+@cache
+def _series(p: int) -> tuple[Context, Decimal, list[tuple[Decimal, Decimal]]]:
+    """A context of p digits, pi/4 = 4*atan(1/5) - atan(1/239) in it, and the
+    Taylor coefficients of cos and sin(psi)/psi in psi**2, highest first."""
+    ctx, one, quarter_pi = Context(prec=p, Emin=MIN_EMIN, Emax=MAX_EMAX), 10 ** (2 * p), 0
+    for c, x in ((4, 5), (-1, 239)):
+        power, k = one // x, 1
+        while power:
+            quarter_pi += c * (-(power // k) if k & 2 else power // k)
+            power, k = power // (x * x), k + 2
+    top = next(k for k in itertools.count(1) if factorial(2 * k) > 10**p)
+    coefs = [(ctx.divide((-1) ** k, factorial(2 * k)), ctx.divide((-1) ** k, factorial(2 * k + 1))) for k in range(top, -1, -1)]
+    return ctx, ctx.divide(quarter_pi, one), coefs
+
+
+def _cos_sin_exact(m: int, q: int, p: int) -> tuple[Context, Decimal, Decimal]:
+    """The context of p digits, and cos and sin of psi = (pi/4)*m/q,
+    0 <= m <= q, by Horner's rule in it; exact where they are rational."""
+    ctx, quarter_pi, coefs = _series(p)
+    if m == 0:
+        return ctx, Decimal(1), Decimal(0)
+    psi = ctx.divide(ctx.multiply(quarter_pi, m), q)
+    s = ctx.multiply(psi, psi)
+    c = sn = Decimal(0)
+    for a, b in coefs:
+        c, sn = ctx.fma(c, s, a), ctx.fma(sn, s, b)
+    return ctx, c, (Decimal("0.5") if 3 * m == 2 * q else ctx.multiply(psi, sn))
+
+
+def _round12(v: Decimal, ctx: Context | None = None) -> str | None:
+    """The 12-digit rounding of v >= 0, half up, in ``to_str``'s layout; given
+    ``ctx``, that of all reals in the evaluator's bound of v, or None."""
+    err = ctx.multiply(v, ctx.scaleb(ctx.prec, 3 - ctx.prec)) if ctx else 0
+    d = _TWELVE.plus((ctx or _TWELVE).subtract(v, err))
+    if ctx and d != _TWELVE.plus(ctx.add(v, err)):
+        return None
+    m, x = f"{d:.11e}".split("e")
+    e, digits = (int(x) if d else 0), (m[0] + m[2:]).rstrip("0") or "0"
+    if not -5 < e < 12:
+        return f"{digits[0]}.{digits[1:] or '0'}e{e:+d}"
+    digits, point = ("0" * -e + digits, 1) if e < 0 else (digits.ljust(e + 1, "0"), e + 1)
+    return f"{digits[:point]}.{digits[point:] or '0'}"
+
+
 class _Canvas:
     """Maps the unit disk to SVG pixel coordinates (y axis flipped) for the
     points of its ring mod N, and keeps the arc radius of each chord length
@@ -204,18 +248,15 @@ class _Canvas:
 
     ``xy``, ``pix`` and ``geodesic_radius`` take fractions n/q that need not
     be reduced.  Values are printed from the certified binary64 evaluation
-    when it decides them, and otherwise by the mpf fallback: the module
-    docstring's formula evaluated with mpf objects at the context
-    precision, from the reduced fraction.
+    when it decides them, and otherwise by the exact evaluator, which
+    doubles its precision from ``_p`` digits until the value is decided.
     """
 
     def __init__(self, size: int, N: int):
-        import mpmath
-
         self.N = N
-        self.center = mpmath.mpf(size) / 2
-        self.radius = mpmath.mpf(size) * mpmath.mpf("0.45")
-        self.label_radius = self.radius * mpmath.mpf("1.06")
+        self._p = 20 + size.bit_length() // 3
+        exact = _series(self._p)[0]  # c, R and 1.06*R exact: p exceeds size's digits
+        self.center, self.radius, self.label_radius = (exact.multiply(size, Decimal(f)) for f in ("0.5", "0.45", "0.477"))
         self.radii: dict = {}  # chord length on the ring -> its arc radius
         # c, R and 1.06*R in binary64 (c exact, the radii within the
         # module docstring's bounds) and the bound e, for the fast path;
@@ -234,7 +275,7 @@ class _Canvas:
         point (x, y) at angle n/q, R the disk radius, or 1.06 times it for a
         label."""
         if not self._fast:
-            return [self._mpf_xy(n, q, label) for n in ns]
+            return [self._exact_xy(n, q, label) for n in ns]
         c, R, e = self._c, (self._label_r if label else self._r), self._e
         out = []
         for n in ns:
@@ -255,16 +296,24 @@ class _Canvas:
                 x, y = sin, -cos
             px = _certified(c + R * x, e)
             py = _certified(c - R * y, e)
-            out.append(f"{px},{py}" if px is not None and py is not None else self._mpf_xy(n, q, label))
+            out.append(f"{px},{py}" if px is not None and py is not None else self._exact_xy(n, q, label))
         return out
 
-    def _mpf_xy(self, n: int, q: int, label: bool) -> str:
-        import mpmath
-
-        g = gcd(n, q)
-        t = 2 * mpmath.mpf(n // g) / (q // g)
-        R = self.label_radius if label else self.radius
-        return f"{_fmt(self.center + R * mpmath.cospi(t))},{_fmt(self.center - R * mpmath.sinpi(t))}"
+    def _exact_xy(self, n: int, q: int, label: bool) -> str:
+        """The "x,y" string of the point n/q from the exact evaluator."""
+        k, r = divmod(8 * n, q)
+        m, j, neg = (q - r if k & 1 else r), (k + 1) >> 1 & 3, Decimal.copy_negate
+        # whether x and y are rational: cos and sin, swapped for odd j
+        exact_x, exact_y = (m == 0, m == 0 or 3 * m == 2 * q)[:: -1 if j & 1 else 1]
+        c, R = self.center, (self.label_radius if label else self.radius)
+        for p in (self._p << i for i in itertools.count()):  # Ziv's loop
+            ctx, cos, sin = _cos_sin_exact(m, q, p)
+            sin = neg(sin) if k & 1 else sin
+            x, y = ((cos, sin), (neg(sin), cos), (neg(cos), neg(sin)), (sin, neg(cos)))[j]
+            px = _round12(ctx.fma(R, x, c), None if exact_x else ctx)
+            py = _round12(ctx.fma(R, neg(y), c), None if exact_y else ctx)
+            if px and py:
+                return f"{px},{py}"
 
     def pix(self, n: int, q: int, label: bool = False) -> tuple[str, str]:
         """The formatted pixel coordinates of the one point n/q of ``xy``."""
@@ -284,11 +333,19 @@ class _Canvas:
                 r = _certified(v, v * _RADIUS_ERR)
                 if r is not None:
                     return r
-        import mpmath
+        return self._exact_radius(n, q)
 
-        g = gcd(n, q)
-        t = mpmath.mpf(n // g) / (q // g)
-        return _fmt(mpmath.tan(mpmath.pi * t) * self.radius)
+    def _exact_radius(self, n: int, q: int) -> str:
+        """``geodesic_radius`` from the exact evaluator."""
+        k, m = divmod(4 * n, q)
+        m = q - m if k else m
+        if m == q:  # tan(pi/4) = 1
+            return _round12(self.radius)
+        for p in (self._p << i for i in itertools.count()):
+            ctx, c, s = _cos_sin_exact(m, q, p)
+            r = _round12(ctx.multiply(self.radius, ctx.divide(c, s) if k else ctx.divide(s, c)), ctx)
+            if r:
+                return r
 
 
 def _geodesics(canvas: _Canvas, xy: dict, pairs, straight: bool) -> list[str]:
@@ -323,7 +380,7 @@ def _shade_vertices(gap: Gap, N: int) -> list[int]:
 
 
 def _gap_shade_path(canvas: _Canvas, xy: dict, gap: Gap, straight: bool) -> str:
-    r, N = _fmt(canvas.radius), canvas.N
+    r, N = _round12(canvas.radius), canvas.N
     verts = _shade_vertices(gap, N)
     if gap.is_disk:
         # the whole disk: two counterclockwise half circles
@@ -342,13 +399,6 @@ def _gap_shade_path(canvas: _Canvas, xy: dict, gap: Gap, straight: bool) -> str:
 def render_svg(target, spec: RenderSpec = RenderSpec(), shaded=()) -> str:
     """Render a lamination, a list of chords, or a pair of tag factors
     (``ConvexSet``s) to an SVG document string."""
-    import mpmath
-
-    with mpmath.workdps(30):
-        return _render(target, spec, shaded)
-
-
-def _render(target, spec: RenderSpec, shaded) -> str:
     canonical = isinstance(target, FiniteLamination)  # its ring pairs are sorted and distinct
     if canonical:
         rings = [target.ring]
@@ -387,8 +437,8 @@ def _render(target, spec: RenderSpec, shaded) -> str:
         offset = idx * size
         out.append(f'<g transform="translate({offset},0)">')
         out.append(
-            f'<circle class="boundary" cx="{_fmt(canvas.center)}" cy="{_fmt(canvas.center)}" '
-            f'r="{_fmt(canvas.radius)}"/>'
+            f'<circle class="boundary" cx="{_round12(canvas.center)}" cy="{_round12(canvas.center)}" '
+            f'r="{_round12(canvas.radius)}"/>'
         )
         for g in shaded:
             out.append(f'<path class="shade" d="{_gap_shade_path(canvas, xy, g, straight)}"/>')

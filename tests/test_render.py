@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import os
 import random
 import re
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from lamina.chords import Chord
 from lamina.lamination import FiniteLamination, critical_analysis, gaps, orbit_classify, pullback_build
 from lamina.cubic_tags import ConvexSet, FullPortrait, mixed_tag
 from lamina.formats import parse_portrait
-from lamina.quad_minor import qml_enumerate
+from lamina.quad_minor import build_from_minor, qml_enumerate
 from lamina.render import _STRAIGHT_FROM, RenderSpec, _Canvas, render_svg
 from lamina.suites import hexagon_fixtures
 
@@ -150,17 +152,34 @@ def _paths(svg: str, cls: str):
     return re.findall(rf'<path class="{cls}" d="([^"]*)"/>', svg)
 
 
-def _mpf_pix(x, size, scale=None):
-    """Oracle for the canvas's mpf fallback: the pixel strings of angle x,
-    ``scale`` disk radii out, by the mpf-object formula at 30 digits."""
+_HALF_UP_12 = Context(prec=12, rounding=ROUND_HALF_UP)
+
+
+def _nstr(x):
+    """The 12-digit rounding of the mpf x, half up, laid out by
+    ``mpmath.nstr(x, 12)``.  nstr itself floors x to 59 bits before it
+    rounds, so it rounds down an x less than 2**-58 relative above a
+    rounding boundary."""
+    s, r = mpmath.nstr(x, 12), _HALF_UP_12.plus(Decimal(mpmath.nstr(x, 40)))
+    return s if Decimal(s) == r else mpmath.nstr(mpmath.mpf(str(r)), 12)
+
+
+@functools.cache
+def _mpf_frame(size, scale=None):
+    """The disk centre and radius ``scale`` times 0.45*size, as mpf numbers
+    at 30 digits."""
     with mpmath.workdps(30):
-        c = mpmath.mpf(size) / 2
         R = mpmath.mpf(size) * mpmath.mpf("0.45")
-        if scale is not None:
-            R = R * mpmath.mpf(scale)
+        return mpmath.mpf(size) / 2, (R if scale is None else R * mpmath.mpf(scale))
+
+
+def _mpf_pix(x, size, scale=None):
+    """mpmath oracle for the canvas: the pixel strings of angle x, ``scale``
+    disk radii out, by the mpf-object formula at 30 digits."""
+    with mpmath.workdps(30):
+        c, R = _mpf_frame(size, scale)
         t = 2 * mpmath.mpf(x.numerator) / x.denominator
-        px, py = c + R * mpmath.cospi(t), c - R * mpmath.sinpi(t)
-        return mpmath.nstr(px, 12), mpmath.nstr(py, 12)
+        return _nstr(c + R * mpmath.cospi(t)), _nstr(c - R * mpmath.sinpi(t))
 
 
 def _svg_xy_uncached(x, size):
@@ -176,9 +195,8 @@ def test_canvas_points_match_mpf_oracle():
         expected = [_svg_xy_uncached(a, size) for a in angles]
         # each angle as a point of its own ring and of one three times finer
         for scale in (1, 3):
-            with mpmath.workdps(30):
-                canvas = _Canvas(size, 1)
-                got = [canvas.xy(scale * a.denominator, [scale * a.numerator])[0] for a in angles]
+            canvas = _Canvas(size, 1)
+            got = [canvas.xy(scale * a.denominator, [scale * a.numerator])[0] for a in angles]
             assert got == expected
 
 
@@ -186,7 +204,8 @@ _SIZES = (1, 7, 333, 800, 1000)
 
 
 def _canvases(size):
-    """A canvas and its mpf twin, the binary64 path switched off."""
+    """A canvas and its twin with the binary64 path switched off, which
+    prints every value from the exact evaluator."""
     fast, slow = _Canvas(size, 1), _Canvas(size, 1)
     assert fast._fast
     slow._fast = False
@@ -194,7 +213,8 @@ def _canvases(size):
 
 
 def _counting(monkeypatch, owner, name):
-    """Count the calls of the function ``name`` of module ``owner``."""
+    """Count the calls of the function ``name`` of ``owner``, a module or a
+    class, keeping the arguments of each."""
     calls = []
     real = getattr(owner, name)
 
@@ -215,19 +235,19 @@ def test_binary64_points_match_libmp_path(monkeypatch):
     combos = [(size, label) for size in _SIZES for label in (False, True)]
     fallbacks = 0
     with mpmath.workdps(30):
-        # the mpf fallback's cos and sin of each (reduced) angle, once
+        # mpmath's cos and sin of each angle, once
         turns = (2 * mpmath.mpf(a.numerator) / a.denominator for a in points)
         trig = [(mpmath.cospi(t), mpmath.sinpi(t)) for t in turns]
         for i, (size, label) in enumerate(combos):
             fast, slow = _canvases(size)
-            c, R = slow.center, (slow.label_radius if label else slow.radius)
-            want = [(render._fmt(c + R * x), render._fmt(c - R * y)) for x, y in trig]
-            # one share of the points through the fallback itself, every
-            # point of both lists on the binary64 path at all ten pairs
+            c, R = _mpf_frame(size, "1.06" if label else None)
+            want = [(_nstr(c + R * x), _nstr(c - R * y)) for x, y in trig]
+            # one share of the points through the exact evaluator itself,
+            # every point of both lists on the binary64 path at all ten pairs
             share = points[i :: len(combos)]
             assert want[i :: len(combos)] == [slow.pix(a.numerator, a.denominator, label) for a in share]
             with monkeypatch.context() as m:
-                calls = _counting(m, mpmath, "cospi")
+                calls = _counting(m, _Canvas, "_exact_xy")
                 got = [fast.pix(a.numerator, a.denominator, label) for a in angles]
                 fallbacks += len(calls)
                 got += [fast.pix(a.numerator, a.denominator, label) for a in special]
@@ -295,40 +315,38 @@ def test_near_ties_fall_back_to_libmp(monkeypatch):
     for size in _SIZES:
         for label in (False, True):
             fast, slow = _canvases(size)
-            cases = _tie_points(rng, size, label)
-            with mpmath.workdps(30):
-                for a in cases:
-                    with monkeypatch.context() as m:
-                        calls = _counting(m, mpmath, "cospi")
-                        num, den = a.numerator, a.denominator
-                        assert fast.pix(num, den, label) == slow.pix(num, den, label)
-                        assert calls  # the mpf fallback printed it
+            for a in _tie_points(rng, size, label):
+                num, den = a.numerator, a.denominator
+                with monkeypatch.context() as m:
+                    calls = _counting(m, _Canvas, "_exact_xy")
+                    got = fast.pix(num, den, label)
+                assert calls  # the exact evaluator printed it
+                assert got == slow.pix(num, den, label)
 
 
 def test_batched_points_match_pix_and_mpf_oracle(monkeypatch):
     # every point of rings mod N, N a multiple of 4, so the quarter points
     # print bare-integer mantissas such as 760.0, and near-tie points on
-    # the ring mod 2**64 that the batch must hand to the mpf fallback; at
-    # size 2**52 + 1 every point takes the fallback
+    # the ring mod 2**64 that the batch must hand to the exact evaluator;
+    # at size 2**52 + 1 every point takes it
     rng = random.Random(33)
     rings = [(N, range(N)) for N in (4, 12, 60, 840)]
     values = []
     for size in (1, 800, 2**52 + 1):
         for label in (False, True):
             ties = [a.numerator * (2**64 // a.denominator) for a in _tie_points(rng, size, label, 10)]
-            with mpmath.workdps(30):
-                canvas = _Canvas(size, 1)
-                assert canvas._fast == (size < 2**52)
-                for N, xs in rings + [(2**64, [k << 62 for k in range(4)] + ties)]:
-                    with monkeypatch.context() as m:
-                        calls = _counting(m, mpmath, "cospi")
-                        got = canvas.xy(N, xs, label)
-                    if N == 2**64 and canvas._fast:
-                        assert len(calls) >= len(ties)  # the near ties fell back
-                    assert got == [",".join(canvas.pix(x, N, label)) for x in xs]
-                    scale = "1.06" if label else None
-                    assert got == [",".join(_mpf_pix(Fraction(x, N), size, scale)) for x in xs]
-                    values += (v for s in got for v in s.split(","))
+            canvas = _Canvas(size, 1)
+            assert canvas._fast == (size < 2**52)
+            for N, xs in rings + [(2**64, [k << 62 for k in range(4)] + ties)]:
+                with monkeypatch.context() as m:
+                    calls = _counting(m, _Canvas, "_exact_xy")
+                    got = canvas.xy(N, xs, label)
+                if N == 2**64 and canvas._fast:
+                    assert len(calls) >= len(ties)  # the near ties fell back
+                assert got == [",".join(canvas.pix(x, N, label)) for x in xs]
+                scale = "1.06" if label else None
+                assert got == [",".join(_mpf_pix(Fraction(x, N), size, scale)) for x in xs]
+                values += (v for s in got for v in s.split(","))
     # to_str's layout: never a bare integer, and 760.0 among the values
     assert all("." in v or "e" in v for v in values) and "760.0" in values
 
@@ -342,20 +360,19 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
     lengths += [Fraction(1, 10**9), Fraction(1, 12), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(5, 12)]
     lengths += [Fraction(1, 2) - Fraction(1, 10**13), _STRAIGHT_FROM - Fraction(1, 2**80)]
     assert all(0 < x < _STRAIGHT_FROM for x in lengths)
-    # lengths whose binary64 ratio underflows take the mpf fallback
+    # lengths whose binary64 ratio underflows take the exact evaluator
     tiny = [Fraction(1, 10**400), Fraction(3, 2**1060), Fraction(1, 2**1000)]
     fallbacks = 0
-    with mpmath.workdps(30):
-        for size in _SIZES:
-            fast, slow = _canvases(size)
-            with monkeypatch.context() as m:
-                calls = _counting(m, render, "_fmt")
-                got = [fast.geodesic_radius(x.numerator, x.denominator) for x in lengths]
-                fallbacks += len(calls)
-                got += [fast.geodesic_radius(x.numerator, x.denominator) for x in tiny]
-            assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in lengths + tiny]
+    for size in _SIZES:
+        fast, slow = _canvases(size)
+        with monkeypatch.context() as m:
+            calls = _counting(m, _Canvas, "_exact_radius")
+            got = [fast.geodesic_radius(x.numerator, x.denominator) for x in lengths]
+            fallbacks += len(calls)
+            got += [fast.geodesic_radius(x.numerator, x.denominator) for x in tiny]
+        assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in lengths + tiny]
     assert fallbacks < 0.02 * len(lengths) * len(_SIZES)
-    # radii near a boundary take the mpf fallback
+    # radii near a boundary take the exact evaluator
     q = 2**64
     for size in _SIZES:
         fast, slow = _canvases(size)
@@ -368,12 +385,11 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
                 x = Fraction(int(mpmath.nint(mpmath.atan(t / R) / mpmath.pi * q)), q)
                 assert abs(mpmath.tan(mpmath.pi * x.numerator / x.denominator) * R - t) <= 1e-17 * t
                 cases.append(x)
-        with mpmath.workdps(30):
-            with monkeypatch.context() as m:
-                calls = _counting(m, render, "_fmt")
-                got = [fast.geodesic_radius(x.numerator, x.denominator) for x in cases]
-                assert len(calls) == len(cases)
-            assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in cases]
+        with monkeypatch.context() as m:
+            calls = _counting(m, _Canvas, "_exact_radius")
+            got = [fast.geodesic_radius(x.numerator, x.denominator) for x in cases]
+            assert len(calls) == len(cases)
+        assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in cases]
 
 
 def test_huge_sizes_take_the_libmp_path(monkeypatch):
@@ -495,12 +511,12 @@ def test_geodesic_matches_centre_formula_oracle(a, b, size):
     assert args[2:5] == ["0", "0", str(sweep)]
 
 
-def _fresh(code: str) -> str:
+def _fresh(code: str, timeout=None) -> str:
     """The standard output of ``code`` run in a fresh interpreter that
     imports lamina from this checkout."""
     src = Path(lamina.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -548,60 +564,132 @@ def test_shipped_tag_figures_hash_pinned(name):
     assert hashlib.sha256(svg.encode()).hexdigest() == TAG_FIGURES[name]
 
 
-def test_import_leaves_mpmath_precision():
-    _fresh(
-        "import mpmath; before = mpmath.mp.dps; "
-        "import lamina, lamina.render, lamina.cli; "
-        "assert mpmath.mp.dps == before, (before, mpmath.mp.dps)"
-    )
+_ROOT = Path(__file__).resolve().parent.parent
 
 
-# mpmath draws pictures only: it loads on the first render, and a process
-# that draws nothing never loads it (pytest's own process has it loaded, so
-# each check runs in a fresh interpreter)
-
-
-def test_importing_lamina_leaves_mpmath_unloaded():
-    _fresh(
-        "import importlib, pkgutil, sys; "
-        "import lamina, lamina.cli, lamina.formats, lamina.suites, lamina.sampling, lamina.render; "
-        "[importlib.import_module(m.name) for m in pkgutil.iter_modules(lamina.__path__, 'lamina.')]; "
-        "assert 'mpmath' not in sys.modules"
-    )
-
-
-_RABBIT_PORTRAIT = Path(__file__).resolve().parent.parent / "portraits" / "quadratic" / "rabbit.portrait"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["qml", "--period", "6"],
-        ["build", "--portrait", str(_RABBIT_PORTRAIT), "--depth", "3"],
+def test_importing_lamina_leaves_mpmath_unloaded(tmp_path):
+    # rendering needs the standard library alone: a process that imports
+    # every module of lamina and runs every command, the drawing ones with
+    # their figures, never loads mpmath (pytest's own process has it loaded,
+    # so the check runs in a fresh interpreter), and draws the pinned bytes
+    rabbit = _ROOT / "portraits" / "quadratic" / "rabbit.portrait"
+    lam, svg, qml, figs = (tmp_path / name for name in ("rabbit6.lam", "rabbit6.svg", "qml6.svg", "figs"))
+    commands = [
+        ["build", "--portrait", str(rabbit), "--depth", "6", "--out", str(lam)],
+        ["render", "--lamination", str(lam), "--out", str(svg), "--labels"],
+        ["qml", "--period", "6", "--svg", str(qml)],
+        ["tags", "--portraits", str(_ROOT / "portraits" / "cubic"), "--depth", "3", "--figures", str(figs)],
         ["verify", "--suite", "compgap", "--samples", "20"],
-    ],
-)
-def test_commands_that_draw_nothing_leave_mpmath_unloaded(argv):
-    _fresh(f"import sys; from lamina.cli import main; assert main({argv!r}) == 0; assert 'mpmath' not in sys.modules")
-
-
-def test_drawing_loads_mpmath(tmp_path):
-    svg = tmp_path / "qml6.svg"
+    ]
     _fresh(
-        "import sys; from lamina.cli import main; "
-        f"assert main(['qml', '--period', '6', '--svg', {str(svg)!r}]) == 0; "
-        "assert 'mpmath' in sys.modules"
+        "import contextlib, importlib, io, pkgutil, sys\n"
+        "import lamina\n"
+        "for m in pkgutil.iter_modules(lamina.__path__, 'lamina.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "from lamina.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'mpmath' not in sys.modules\n"
     )
-    assert svg.read_text() == render_svg(FiniteLamination(2, qml_enumerate(6)), RenderSpec())
-    drawn = _fresh(
-        "import sys; from lamina.formats import parse_portrait; "
-        "from lamina.render import RenderSpec, render_svg; "
-        "lam = parse_portrait('degree 2\\nquad 1/14 1/7 4/7 9/14\\n').build(6); "
-        "assert 'mpmath' not in sys.modules; "
-        "sys.stdout.write(render_svg(lam, RenderSpec(labels=True))); "
-        "assert 'mpmath' in sys.modules"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == RABBIT_SIX_DIGEST
+    assert qml.read_text() == render_svg(FiniteLamination(2, qml_enumerate(6)), RenderSpec())
+    for name, digest in TAG_FIGURES.items():
+        assert hashlib.sha256((figs / f"{name}.svg").read_bytes()).hexdigest() == digest
+
+
+def test_exact_ties_print_half_up_and_end():
+    # at size 222222222230, R = 100000000003.5 exactly: the boundary circle
+    # and the arc of 0 1/4, tan(pi/4)*R = R, print it alike, half up; at
+    # size 363636363660 the y of 1/12, c - R/2 = 100000000006.5, is an exact
+    # tie too.  No precision decides a tie, so the evaluator takes these
+    # values exactly, and each render ends at once
+    out = _fresh(
+        "import sys\n"
+        "from lamina.chords import Chord\n"
+        "from lamina.render import RenderSpec, render_svg\n"
+        "for size in (222222222230, 363636363660):\n"
+        "    sys.stdout.write(render_svg([Chord('0', '1/4'), Chord('1/12', '1/2')], RenderSpec(size=size)))\n",
+        timeout=20,
     )
-    assert hashlib.sha256(drawn.encode()).hexdigest() == RABBIT_SIX_DIGEST
+    first, second = out.split("</svg>")[:2]
+    assert 'r="100000000004.0"' in first
+    assert re.search(r'<path class="leaf" d="M [0-9.]+,[0-9.]+ A 100000000004\.0 100000000004\.0 0 0 1 ', first)
+    assert re.search(r'<path class="leaf" d="M [0-9.]+,100000000007\.0 A ', second)
+
+
+def test_a_value_just_above_a_rounding_boundary_rounds_up():
+    # the label x of 2929490776165885393/2**63 at size 7 is
+    # 2.123735400585000001255..., 1.3e-18 above a rounding boundary: the
+    # binary64 path hands it over and the exact evaluator rounds it up,
+    # where mpmath's nstr, which floors to 59 bits first, printed ...058
+    assert _Canvas(7, 1).pix(2929490776165885393, 2**63, label=True) == ("2.12373540059", "0.457826968695")
+
+
+def test_the_exact_evaluator_doubles_its_precision_until_it_decides(monkeypatch):
+    # values within 1e-100 of a rounding boundary, on the ring mod 2**400:
+    # coordinates below and above a boundary, and an arc radius
+    q = 2**400
+    cases = [
+        ("412.3456789015", "412.345678901", "412.345678902"),
+        ("700.0000000005", "700.0", "700.000000001"),
+        ("123.4567890125", "123.456789012", "123.456789013"),
+        ("1234.567890125", "1234.56789012", "1234.56789013"),
+    ]
+    with mpmath.workdps(300):
+        c, R = mpmath.mpf(400), mpmath.mpf(360)
+        for tie, below, above in cases:
+            t = mpmath.mpf(tie)
+            if t < 800:
+                n = int(mpmath.nint(mpmath.acos((t - c) / R) / (2 * mpmath.pi) * q))
+                value = c + R * mpmath.cospi(2 * mpmath.mpf(n) / q)
+            else:
+                n = int(mpmath.nint(mpmath.atan(t / R) / mpmath.pi * q))
+                value = R * mpmath.tan(mpmath.pi * mpmath.mpf(n) / q)
+            assert 0 < abs(value - t) < 1e-100
+            with monkeypatch.context() as m:
+                calls = _counting(m, render, "_cos_sin_exact")
+                canvas = _Canvas(800, 1)
+                got = canvas.pix(n, q)[0] if t < 800 else canvas.geodesic_radius(n, q)
+            assert got == (above if value > t else below)
+            assert len(calls) > 2
+
+
+def _mpf_radius(x, size):
+    """mpmath oracle for an arc radius: tan(pi*x)*R at 30 digits."""
+    with mpmath.workdps(30):
+        return _nstr(mpmath.tan(mpmath.pi * x.numerator / x.denominator) * _mpf_frame(size)[1])
+
+
+def test_exact_evaluator_matches_mpmath_oracle(monkeypatch):
+    # every point and radius the binary64 path hands over while the 114
+    # minors of qml_enumerate(7) are drawn at depths 3 and 6 with labels,
+    # then random points and radii, each printed by the exact evaluator
+    # alone (a canvas with the binary64 path off) and by mpmath at 30 digits
+    with monkeypatch.context() as m:
+        points, radii = _counting(m, _Canvas, "_exact_xy"), _counting(m, _Canvas, "_exact_radius")
+        for lam in (build_from_minor(c, depth) for c in qml_enumerate(7) for depth in (3, 6)):
+            render_svg(lam, RenderSpec(labels=True))
+    assert len(points) > 2000 and radii
+    cases = [(800, Fraction(n, q), label) for _, n, q, label in points]
+    rng = random.Random(41)
+    while len(cases) < 100_000:
+        q = rng.choice((rng.randint(1, 10**6), rng.randint(1, 10**12), 2**64))
+        cases.append((rng.choice(_SIZES), Fraction(rng.randrange(q), q), rng.random() < 0.5))
+    slow = {}
+    for size in _SIZES + (2**53 + 1, 10**400):
+        slow[size] = _Canvas(size, 1)
+        slow[size]._fast = False
+    for size, x, label in cases:
+        assert slow[size].pix(x.numerator, x.denominator, label) == _mpf_pix(x, size, "1.06" if label else None)
+    lengths = [(800, Fraction(n, q)) for _, n, q in radii]
+    for size, count in zip(_SIZES + (2**53 + 1, 10**400), (6600,) * 6 + (500,)):
+        for _ in range(count):
+            q = rng.choice((rng.randint(2, 10**6), rng.randint(2, 10**12)))
+            lengths.append((size, Fraction(rng.randint(1, (q - 1) // 2), q)))
+    assert len(lengths) >= 40_000
+    for size, x in lengths:
+        assert slow[size].geodesic_radius(x.numerator, x.denominator) == _mpf_radius(x, size)
 
 
 @pytest.mark.parametrize("size", [True, False, -800, 0, 800.0, "800", None])
