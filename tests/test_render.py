@@ -598,6 +598,19 @@ def test_importing_lamina_leaves_mpmath_unloaded(tmp_path):
         assert hashlib.sha256((figs / f"{name}.svg").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qml", "--period", "6"],
+        ["build", "--portrait", str(_ROOT / "portraits" / "quadratic" / "rabbit.portrait"), "--depth", "3"],
+        ["verify", "--suite", "compgap", "--samples", "20"],
+    ],
+)
+def test_commands_that_draw_nothing_leave_mpmath_unloaded(argv):
+    # each command alone in its own interpreter, so none rides on another's imports
+    _fresh(f"import sys; from lamina.cli import main; assert main({argv!r}) == 0; assert 'mpmath' not in sys.modules")
+
+
 def test_exact_ties_print_half_up_and_end():
     # at size 222222222230, R = 100000000003.5 exactly: the boundary circle
     # and the arc of 0 1/4, tan(pi/4)*R = R, print it alike, half up; at
