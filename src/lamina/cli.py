@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 suite failure, 2 argument or input errors,
 including a file that cannot be read or written.  Every refusal is one
 ``error:`` line on stderr: argparse's through ``_Parser.error``, and the
-library's ValueError and the OSError of a file through ``main``.  The
-environment variable LAMINA_SEED overrides --seed for the verify command.
+ValueError of the library or a command and the OSError of a file through
+``main``.  The environment variable LAMINA_SEED overrides --seed for the
+verify command.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ def cmd_tags(args) -> int:
     directory = Path(args.portraits)
     files = sorted(directory.glob("*.portrait"))
     if not files:
-        print(f"error: no .portrait files in {directory}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no .portrait files in {directory}")
     _check_int("depth", args.depth)  # refused before any portrait is read
     blocks = []
     for f in files:
@@ -115,8 +115,7 @@ def cmd_tags(args) -> int:
                 raise ValueError("a tag needs one or two critical sets")
             blocks.append((f.name, mixed_tag(lam, FullPortrait(sets[0], sets[-1]))))
         except ValueError as exc:
-            print(f"error: {f.name}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{f.name}: {exc}") from exc
     # tags_relation(t, t) is "equal", so the diagonal needs no case
     matrix = [[tags_relation(s, t) for _, t in blocks] for _, s in blocks]
     failures = sum(row[i + 1 :].count("properly_overlapping") for i, row in enumerate(matrix))
@@ -134,8 +133,7 @@ def cmd_verify(args) -> int:
     try:
         seed = _integer(os.environ.get("LAMINA_SEED", str(args.seed)))
     except ValueError:
-        print(f"error: LAMINA_SEED is not an integer: {os.environ['LAMINA_SEED']!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"LAMINA_SEED is not an integer: {os.environ['LAMINA_SEED']!r}") from None
     result = run_suite(args.suite, args.samples, seed)
     sys.stdout.write(result.text())
     return 0 if result.passed else 1
@@ -152,12 +150,10 @@ def cmd_render(args) -> int:
     lam = parse_lamination(Path(args.lamination).read_text())
     ok, pair = check_unlinked(lam)
     if not ok:
-        print(f"error: {args.lamination}: leaves cross: {pair[0]} x {pair[1]}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.lamination}: leaves cross: {pair[0]} x {pair[1]}")
     missing = next((c for c in spec.highlight if c not in lam), None)
     if missing is not None:
-        print(f"error: {args.lamination}: highlighted chord {missing} is not a leaf", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.lamination}: highlighted chord {missing} is not a leaf")
     Path(args.out).write_text(render_svg(lam, spec))
     return 0
 

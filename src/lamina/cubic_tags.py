@@ -351,7 +351,6 @@ class TagCaseReport:
     containment_case: bool     # lamination containment with portrait refinement
     consistent: bool           # (non-disjoint) == (triangle_case or containment_case)
     common_depth: int | None
-    caveats: tuple
 
 
 def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> TagCaseReport:
@@ -368,14 +367,12 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
     tagX = mixed_tag(lamX, fpX)
     relation = tags_relation(tagA, tagX)
 
-    caveats = ["dendritic filtering is heuristic at finite depth"]
     depthA, depthX = lamA.max_generation, lamX.max_generation
     if depthA is None or depthX is None:
         common = None
         truncA, truncX = lamA, lamX
     else:
         common = min(depthA, depthX)
-        caveats.append(f"leaf containment checked at common depth {common}")
         # up_to is the lamination itself at or past its depth
         truncA, truncX = lamA.up_to(common), lamX.up_to(common)
 
@@ -402,7 +399,6 @@ def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> T
         containment_case=containment_case,
         consistent=consistent,
         common_depth=common,
-        caveats=tuple(caveats),
     )
 
 

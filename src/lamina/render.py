@@ -72,18 +72,22 @@ an exact evaluator in ``decimal`` prints the rest.
   the exponent's zero padding.  When the ends differ, for well under one
   value in a hundred (0.2-0.6% in the random oracles of
   ``tests/test_render.py``), the exact evaluator prints the value.
-* The exact evaluator takes m/q from the same reduction and works in
-  ``decimal`` at p >= 20 digits, u = 10**(1 - p).  With pi/4 from Machin's
-  formula in integers, psi and psi**2 are within 1.5u and 3.5u relative.
-  The Taylor polynomials of cos and sin(psi)/psi in psi**2 up to the first
-  k with (2k)! > 10**p (k <= p/2 + 1), by Horner's rule with fused
-  multiply-adds, are within (k/2 + 2.5)*u.  So cos and sin are within p*u
-  relative, a coordinate c + R*x (R*|x| <= 21*v) within 22*p*u*v and a
-  radius within 3*p*u*v.  It prints once v -+ e, e = 100*p*u*v, round
-  alike to 12 digits, half up, and otherwise doubles p; no irrational
-  value is a tie, so the loop ends.  By Niven's theorem, only cos 0, sin 0,
-  sin(pi/6) = 1/2 and tan(pi/4) = 1 are rational on [0, pi/4]; they are
-  exact, e = 0, as are c, R and c + R*x then: p exceeds size's digits + 4.
+* The exact evaluator takes m/q from the same reduction, ``divmod(t, q)``
+  with t = 8n for a point and 4n for a length, and works in ``decimal`` at
+  p = 20, 40, 80, ... digits whatever the size, u = 10**(1 - p).  With pi/4
+  from Machin's formula in integers, psi and psi**2 are within 1.5u and
+  3.5u relative.  The Taylor polynomials of cos and sin(psi)/psi in psi**2
+  up to the first k with (2k)! > 10**p (k <= p/2 + 1), by Horner's rule
+  with fused multiply-adds, are within (k/2 + 2.5)*u.  So cos and sin are
+  within p*u relative, and a radius, the exact R times the p-digit tan, is
+  within 3*p*u*v.  Only c + R*x is formed wide: c, R and 1.06*R are exact
+  in w >= 3 + size's digits, and one fused multiply-add at p + w digits puts
+  c + R*x (R*|x| <= 21*v) within 21*p*u*v + 10**(1 - p - w)*v < 22*p*u*v.
+  The value prints once v -+ e, e = 100*p*u*v, round alike to 12 digits,
+  half up, and otherwise p doubles; no irrational value is a tie, so the
+  loop ends.  By Niven's theorem, only cos 0, sin 0, sin(pi/6) = 1/2,
+  tan 0 = 0 and tan(pi/4) = 1 are rational on [0, pi/4]: they are exact,
+  e = 0, as is c + R*x then; tan 0 and tan(pi/4) run no series.
 
 The binary64 path runs for integer sizes 1 <= size <= 2**52, where size/2
 and size*0.45 stay exact or within the bounds above, and for lengths with
@@ -198,10 +202,16 @@ _TWELVE = Context(prec=12, rounding=ROUND_HALF_UP, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
 @cache
+def _context(p: int) -> Context:
+    """A context of p digits, with no exponent limit in practice."""
+    return Context(prec=p, Emin=MIN_EMIN, Emax=MAX_EMAX)
+
+
+@cache
 def _series(p: int) -> tuple[Context, Decimal, list[tuple[Decimal, Decimal]]]:
     """A context of p digits, pi/4 = 4*atan(1/5) - atan(1/239) in it, and the
     Taylor coefficients of cos and sin(psi)/psi in psi**2, highest first."""
-    ctx, one, quarter_pi = Context(prec=p, Emin=MIN_EMIN, Emax=MAX_EMAX), 10 ** (2 * p), 0
+    ctx, one, quarter_pi = _context(p), 10 ** (2 * p), 0
     for c, x in ((4, 5), (-1, 239)):
         power, k = one // x, 1
         while power:
@@ -249,13 +259,13 @@ class _Canvas:
     ``xy``, ``pix`` and ``geodesic_radius`` take fractions n/q that need not
     be reduced.  Values are printed from the certified binary64 evaluation
     when it decides them, and otherwise by the exact evaluator, which
-    doubles its precision from ``_p`` digits until the value is decided.
+    doubles its precision from 20 digits until the value is decided.
     """
 
     def __init__(self, size: int, N: int):
         self.N = N
-        self._p = 20 + size.bit_length() // 3
-        exact = _series(self._p)[0]  # c, R and 1.06*R exact: p exceeds size's digits
+        self._wide = size.bit_length() // 3 + 4  # digits enough for 0.477*size exact
+        exact = _context(self._wide)
         self.center, self.radius, self.label_radius = (exact.multiply(size, Decimal(f)) for f in ("0.5", "0.45", "0.477"))
         self.radii: dict = {}  # chord length on the ring -> its arc radius
         # c, R and 1.06*R in binary64 (c exact, the radii within the
@@ -275,7 +285,7 @@ class _Canvas:
         point (x, y) at angle n/q, R the disk radius, or 1.06 times it for a
         label."""
         if not self._fast:
-            return [self._exact_xy(n, q, label) for n in ns]
+            return [self._exact(8 * n, q, label) for n in ns]
         c, R, e = self._c, (self._label_r if label else self._r), self._e
         out = []
         for n in ns:
@@ -296,24 +306,8 @@ class _Canvas:
                 x, y = sin, -cos
             px = _certified(c + R * x, e)
             py = _certified(c - R * y, e)
-            out.append(f"{px},{py}" if px is not None and py is not None else self._exact_xy(n, q, label))
+            out.append(f"{px},{py}" if px is not None and py is not None else self._exact(8 * n, q, label))
         return out
-
-    def _exact_xy(self, n: int, q: int, label: bool) -> str:
-        """The "x,y" string of the point n/q from the exact evaluator."""
-        k, r = divmod(8 * n, q)
-        m, j, neg = (q - r if k & 1 else r), (k + 1) >> 1 & 3, Decimal.copy_negate
-        # whether x and y are rational: cos and sin, swapped for odd j
-        exact_x, exact_y = (m == 0, m == 0 or 3 * m == 2 * q)[:: -1 if j & 1 else 1]
-        c, R = self.center, (self.label_radius if label else self.radius)
-        for p in (self._p << i for i in itertools.count()):  # Ziv's loop
-            ctx, cos, sin = _cos_sin_exact(m, q, p)
-            sin = neg(sin) if k & 1 else sin
-            x, y = ((cos, sin), (neg(sin), cos), (neg(cos), neg(sin)), (sin, neg(cos)))[j]
-            px = _round12(ctx.fma(R, x, c), None if exact_x else ctx)
-            py = _round12(ctx.fma(R, neg(y), c), None if exact_y else ctx)
-            if px and py:
-                return f"{px},{py}"
 
     def pix(self, n: int, q: int, label: bool = False) -> tuple[str, str]:
         """The formatted pixel coordinates of the one point n/q of ``xy``."""
@@ -333,19 +327,31 @@ class _Canvas:
                 r = _certified(v, v * _RADIUS_ERR)
                 if r is not None:
                     return r
-        return self._exact_radius(n, q)
+        return self._exact(4 * n, q, None)
 
-    def _exact_radius(self, n: int, q: int) -> str:
-        """``geodesic_radius`` from the exact evaluator."""
-        k, m = divmod(4 * n, q)
-        m = q - m if k else m
-        if m == q:  # tan(pi/4) = 1
-            return _round12(self.radius)
-        for p in (self._p << i for i in itertools.count()):
-            ctx, c, s = _cos_sin_exact(m, q, p)
-            r = _round12(ctx.multiply(self.radius, ctx.divide(c, s) if k else ctx.divide(s, c)), ctx)
-            if r:
-                return r
+    def _exact(self, t: int, q: int, label: bool | None) -> str:
+        """From the exact evaluator, the "x,y" string of the point t/(8q)
+        (1.06 disk radii out for a label), or for ``label=None`` the arc
+        radius of the length t/(4q), below 1/2."""
+        k, r = divmod(t, q)
+        m = q - r if k & 1 else r
+        neg, R = Decimal.copy_negate, (self.label_radius if label else self.radius)
+        if label is None and m in (0, q):  # Niven: tan 0 = 0 and tan(pi/4) = 1
+            return _round12(R if m else Decimal(0))
+        j = (k + 1) >> 1 & 3
+        # whether x and y are rational: cos and sin, swapped for odd j
+        exact_x, exact_y = (m == 0, m == 0 or 3 * m == 2 * q)[:: -1 if j & 1 else 1]
+        for p in (20 << i for i in itertools.count()):  # Ziv's loop
+            ctx, cos, sin = _cos_sin_exact(m, q, p)
+            if label is None:
+                out = [_round12(ctx.multiply(R, ctx.divide(cos, sin) if k else ctx.divide(sin, cos)), ctx)]
+            else:
+                wide, c, sin = _context(p + self._wide), self.center, (neg(sin) if k & 1 else sin)
+                x, y = ((cos, sin), (neg(sin), cos), (neg(cos), neg(sin)), (sin, neg(cos)))[j]
+                px = _round12(wide.fma(R, x, c), None if exact_x else ctx)
+                out = [px, _round12(wide.fma(R, neg(y), c), None if exact_y else ctx)]
+            if all(out):
+                return ",".join(out)
 
 
 def _geodesics(canvas: _Canvas, xy: dict, pairs, straight: bool) -> list[str]:

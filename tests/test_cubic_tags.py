@@ -337,11 +337,9 @@ def classify_tag_relation_oracle(lamA, fpA, lamX, fpX):
         return frozenset(c for c in lam.leaves if not gens or gens.get(c, 0) <= g)
 
     relation = tags_relation(mixed_tag(lamA, fpA), mixed_tag(lamX, fpX))
-    caveats = ["dendritic filtering is heuristic at finite depth"]
     common = None
     if lamA.generations and lamX.generations:
         common = min(max(lamA.generations.values()), max(lamX.generations.values()))
-        caveats.append(f"leaf containment checked at common depth {common}")
     leavesA = up_to(lamA, common) if common is not None else frozenset(lamA.leaves)
     leavesX = up_to(lamX, common) if common is not None else frozenset(lamX.leaves)
     triangles = [v for v in critical_analysis(lamA).critical_clusters if len(v) == 3]
@@ -362,7 +360,6 @@ def classify_tag_relation_oracle(lamA, fpA, lamX, fpX):
         containment_case=containment_case,
         consistent=(relation != "disjoint") == (triangle_case or containment_case),
         common_depth=common,
-        caveats=tuple(caveats),
     )
 
 

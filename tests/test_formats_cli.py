@@ -565,6 +565,35 @@ def test_cli_render_rejects_crossing_leaves(tmp_path, capsys):
     assert "1/4 2/5 x 1/3 1/2" in capsys.readouterr().err
 
 
+def test_cli_command_refusals_print_their_exact_line(tmp_path, monkeypatch, capsys):
+    # each refusal a command finds itself reaches main as a ValueError and
+    # is printed there: one line on stderr, nothing on stdout, exit 2
+    empty, point = tmp_path / "empty", tmp_path / "point"
+    empty.mkdir()
+    point.mkdir()
+    (point / "point.portrait").write_text("degree 3\npoly 0 1/3 2/3\nleaf 1/5 1/5\n")
+    crossing, rabbit = tmp_path / "crossing.lam", tmp_path / "rabbit.lam"
+    crossing.write_text("degree 2\n1/3 1/2\n1/4 2/5\n")
+    rabbit.write_text("degree 2\n1/7 2/7\n2/7 4/7\n")
+    cases = [
+        (["tags", "--portraits", str(empty)], f"no .portrait files in {empty}"),
+        (["tags", "--portraits", str(point)], "point.portrait: {1/5} is not a leaf of the lamination"),
+        (["verify", "--suite", "linkco", "--samples", "1"], "LAMINA_SEED is not an integer: ' 1x'"),
+        (["render", "--lamination", str(crossing), "--out", str(tmp_path / "c.svg")], f"{crossing}: leaves cross: 1/4 2/5 x 1/3 1/2"),
+        (
+            ["render", "--lamination", str(rabbit), "--out", str(tmp_path / "r.svg"), "--highlight", "1/7 4/7"],
+            f"{rabbit}: highlighted chord 1/7 4/7 is not a leaf",
+        ),
+    ]
+    for argv, line in cases:
+        with monkeypatch.context() as m:
+            if argv[0] == "verify":
+                m.setenv("LAMINA_SEED", " 1x")
+            assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not (tmp_path / "c.svg").exists() and not (tmp_path / "r.svg").exists()
+
+
 def _one_error_line(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("\n") == 1

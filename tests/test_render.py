@@ -247,7 +247,7 @@ def test_binary64_points_match_libmp_path(monkeypatch):
             share = points[i :: len(combos)]
             assert want[i :: len(combos)] == [slow.pix(a.numerator, a.denominator, label) for a in share]
             with monkeypatch.context() as m:
-                calls = _counting(m, _Canvas, "_exact_xy")
+                calls = _counting(m, _Canvas, "_exact")
                 got = [fast.pix(a.numerator, a.denominator, label) for a in angles]
                 fallbacks += len(calls)
                 got += [fast.pix(a.numerator, a.denominator, label) for a in special]
@@ -318,7 +318,7 @@ def test_near_ties_fall_back_to_libmp(monkeypatch):
             for a in _tie_points(rng, size, label):
                 num, den = a.numerator, a.denominator
                 with monkeypatch.context() as m:
-                    calls = _counting(m, _Canvas, "_exact_xy")
+                    calls = _counting(m, _Canvas, "_exact")
                     got = fast.pix(num, den, label)
                 assert calls  # the exact evaluator printed it
                 assert got == slow.pix(num, den, label)
@@ -339,7 +339,7 @@ def test_batched_points_match_pix_and_mpf_oracle(monkeypatch):
             assert canvas._fast == (size < 2**52)
             for N, xs in rings + [(2**64, [k << 62 for k in range(4)] + ties)]:
                 with monkeypatch.context() as m:
-                    calls = _counting(m, _Canvas, "_exact_xy")
+                    calls = _counting(m, _Canvas, "_exact")
                     got = canvas.xy(N, xs, label)
                 if N == 2**64 and canvas._fast:
                     assert len(calls) >= len(ties)  # the near ties fell back
@@ -366,7 +366,7 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
     for size in _SIZES:
         fast, slow = _canvases(size)
         with monkeypatch.context() as m:
-            calls = _counting(m, _Canvas, "_exact_radius")
+            calls = _counting(m, _Canvas, "_exact")
             got = [fast.geodesic_radius(x.numerator, x.denominator) for x in lengths]
             fallbacks += len(calls)
             got += [fast.geodesic_radius(x.numerator, x.denominator) for x in tiny]
@@ -386,7 +386,7 @@ def test_binary64_arc_radii_match_libmp_path(monkeypatch):
                 assert abs(mpmath.tan(mpmath.pi * x.numerator / x.denominator) * R - t) <= 1e-17 * t
                 cases.append(x)
         with monkeypatch.context() as m:
-            calls = _counting(m, _Canvas, "_exact_radius")
+            calls = _counting(m, _Canvas, "_exact")
             got = [fast.geodesic_radius(x.numerator, x.denominator) for x in cases]
             assert len(calls) == len(cases)
         assert got == [slow.geodesic_radius(x.numerator, x.denominator) for x in cases]
@@ -668,6 +668,36 @@ def test_the_exact_evaluator_doubles_its_precision_until_it_decides(monkeypatch)
             assert len(calls) > 2
 
 
+def test_the_exact_evaluator_starts_at_20_digits_whatever_the_size(monkeypatch):
+    # the series runs at 20, 40, 80, ... digits at every size; only the
+    # final c + R*x is formed wider
+    rng = random.Random(20)
+    for size in (1, 800, 2**53 + 1, 10**400):
+        canvas = _Canvas(size, 1)
+        canvas._fast = False
+        with monkeypatch.context() as m:
+            calls = _counting(m, render, "_cos_sin_exact")
+            for _ in range(100):
+                q = rng.choice((rng.randint(3, 10**6), rng.randint(3, 10**12), 2**64))
+                canvas.pix(rng.randrange(q), q, rng.random() < 0.5)
+                canvas.geodesic_radius(rng.randint(1, (q - 1) // 2), q)
+        # each value's first call is at 20 digits, and each retry doubles
+        digits = [p for _, _, p in calls]
+        assert digits[0] == 20 and digits.count(20) >= 190
+        assert all(p == 20 or p == 2 * before for before, p in zip(digits, digits[1:]))
+
+
+def test_a_degenerate_length_takes_no_series(monkeypatch):
+    # a degenerate pair's arc is never drawn: tan 0 = 0 is exact, like
+    # tan(pi/4) = 1, so neither runs the series
+    with monkeypatch.context() as m:
+        calls = _counting(m, render, "_cos_sin_exact")
+        for N in (1, 7, 2**64):
+            assert _Canvas(400, N).geodesic_radius(0, N) == "0.0"
+            assert _Canvas(400, N).geodesic_radius(N, 4 * N) == "180.0"
+    assert calls == []
+
+
 def _mpf_radius(x, size):
     """mpmath oracle for an arc radius: tan(pi*x)*R at 30 digits."""
     with mpmath.workdps(30):
@@ -680,11 +710,15 @@ def test_exact_evaluator_matches_mpmath_oracle(monkeypatch):
     # then random points and radii, each printed by the exact evaluator
     # alone (a canvas with the binary64 path off) and by mpmath at 30 digits
     with monkeypatch.context() as m:
-        points, radii = _counting(m, _Canvas, "_exact_xy"), _counting(m, _Canvas, "_exact_radius")
+        calls = _counting(m, _Canvas, "_exact")
         for lam in (build_from_minor(c, depth) for c in qml_enumerate(7) for depth in (3, 6)):
             render_svg(lam, RenderSpec(labels=True))
+    # a point n/q passes t = 8n and its label flag, a radius of length n/q
+    # passes t = 4n and None
+    points = [(t, q, label) for _, t, q, label in calls if label is not None]
+    radii = [(t, q) for _, t, q, label in calls if label is None]
     assert len(points) > 2000 and radii
-    cases = [(800, Fraction(n, q), label) for _, n, q, label in points]
+    cases = [(800, Fraction(t, 8 * q), label) for t, q, label in points]
     rng = random.Random(41)
     while len(cases) < 100_000:
         q = rng.choice((rng.randint(1, 10**6), rng.randint(1, 10**12), 2**64))
@@ -695,7 +729,7 @@ def test_exact_evaluator_matches_mpmath_oracle(monkeypatch):
         slow[size]._fast = False
     for size, x, label in cases:
         assert slow[size].pix(x.numerator, x.denominator, label) == _mpf_pix(x, size, "1.06" if label else None)
-    lengths = [(800, Fraction(n, q)) for _, n, q in radii]
+    lengths = [(800, Fraction(t, 4 * q)) for t, q in radii]
     for size, count in zip(_SIZES + (2**53 + 1, 10**400), (6600,) * 6 + (500,)):
         for _ in range(count):
             q = rng.choice((rng.randint(2, 10**6), rng.randint(2, 10**12)))
