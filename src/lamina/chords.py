@@ -13,9 +13,9 @@ common image.
 int pairs on one integer ring mod N, where circle order is int order; with
 ``_ring_image`` for the image, pullbacks, order preservation and the checks
 on a lamination's own ring (``FiniteLamination.ring``) run on such pairs.
-On Chords of Angles, ``linked`` and ``chord_image`` read the ends' ints in
-``lamina.circle``, the one module that names Fraction's slots; ``linked``
-lives there and is exported here.
+On Chords of Angles, ``linked``, ``chord_image`` and a Chord's text read
+the ends' ints in ``lamina.circle``, the one module that names Fraction's
+slots; ``linked`` lives there and is exported here.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .circle import Angle, _sigma_pair, linked, shortest_dist, sigma, preimages
+from .circle import Angle, _pair_text, _sigma_pair, linked, shortest_dist, sigma, preimages
 
 __all__ = [
     "Chord",
@@ -76,8 +76,8 @@ class Chord(namedtuple("Chord", "a b")):
     def endpoints(self) -> tuple[Angle, Angle]:
         return (self.a, self.b)
 
-    def __str__(self) -> str:
-        return f"{self.a} {self.b}"
+    # "a b", each end's text read off its slots in lamina.circle
+    __str__ = _pair_text
 
 
 def disjoint(c1, c2) -> bool:

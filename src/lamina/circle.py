@@ -11,8 +11,9 @@ reduced ints (``_ratio``), construction of a known-reduced value
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
 Angles.  Results are the same Angle values Fraction arithmetic gives.
 ``linked``, the crossing test that ``lamina.chords`` exports, lives here
-to compare two Chords of Angles on their ends' ints in one frame, and
-``_sigma_pair`` forms ``chord_image``'s two images at once.
+to compare two Chords of Angles on their ends' ints in one frame,
+``_sigma_pair`` forms ``chord_image``'s two images at once, and
+``_pair_text``, which is ``Chord.__str__``, prints the ends from their ints.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
 angles on one integer ring mod N, where no Angle is built at all, as
 ``_pair_ring`` does for two pairs in one step; ``_at`` reads a ring point
@@ -291,6 +292,21 @@ def linked(c1, c2) -> bool:
     if x < a:
         return a < y < b
     return False
+
+
+def _pair_text(p) -> str:
+    """``f"{a} {b}"`` for a pair (a, b) of angles, ``Chord.__str__``: each
+    Angle's text, "n/q" or "0", from its slots; Fraction's text for a pair
+    with an end that is no Angle."""
+    a, b = p
+    if type(a) is not Angle or type(b) is not Angle:
+        return f"{a} {b}"
+    n, m = a._numerator, b._numerator
+    if n and m:
+        return f"{n}/{a._denominator} {m}/{b._denominator}"
+    s = f"{n}/{a._denominator}" if n else "0"
+    t = f"{m}/{b._denominator}" if m else "0"
+    return f"{s} {t}"
 
 
 def _ring(angles) -> tuple[int, list[int]]:

@@ -15,12 +15,10 @@ reads the faces once per lamination, takes the boundary degree of each
 finite one on the ring (sigma_d is ``d*x % N``) and keeps the arc-bearing
 ones for later readers.  Its critical clusters are the all-critical gaps,
 merged where they share an edge, plus each critical leaf that lies in no
-merged polygon.  Laminations
-are generated from critical portraits by the standard pullback scheme,
-with branches chosen inside the complementary sectors of a full collection
-of critical chords: :func:`sector_partition` returns the faces of those
-chords, all arc-bearing, whose ring ints the build reads through one rule:
-an end's preimage in each sector's half-open arcs.
+merged polygon.  Laminations are generated from critical portraits by the
+standard pullback scheme, with branches chosen inside the complementary
+sectors of a full collection of critical chords: :func:`sector_partition`
+returns the faces of those chords, all arc-bearing.
 
 Orbits, pullbacks and invariance checks run on one integer ring (1/N)Z/Z:
 sigma_d never enlarges a denominator and each pullback generation
@@ -29,14 +27,27 @@ the common denominator of its portrait and sector chords, and a finished
 lamination on the common denominator of its endpoints.  There a leaf is a
 sorted pair of ints, sigma_d is ``d*x % N``, the preimages of an endpoint X
 of a leaf still to be pulled back are X//d + k*(N//d), and the circle order
-is the order of the ints, so ``linked`` and ``disjoint`` take the pairs as
-they take Chords (a Chord is the sorted pair of its angles).  One loop,
+is the order of the ints, so ``disjoint`` takes the pairs as it takes
+Chords (a Chord is the sorted pair of its angles).  One loop,
 :func:`_ring_orbit`, follows every orbit; a build's generation 0 is the
 portrait chords' orbits, each stopped before its first degenerate image,
 and is refused by one bound while it is followed (see
 :func:`pullback_build`).  Chords are a view of the ring, formed on first
 read; a check builds Chords only for the leaves it returns, and membership
 and truncation by pullback generation build none.
+
+A build scales the sector faces' rings onto its own and reads them through
+one preimage table, :func:`_preimage_rows`.  Of the d preimages of an end
+X, one lies in each sector's half-open arcs, and which one lies in which
+sector changes only where one of them passes a sector arc start s, that is
+where X//d passes s % (N//d).  Those values, times d, and 0 are the table's
+ascending cuts, and each cut keeps a row that gives each sector the offset
+k*(N//d) of its preimage.  So an end's preimage in each sector is X//d plus
+the row of the last cut at or below X: one bisection per end, where
+bisecting the arc starts per preimage takes d.  The ambiguous search of
+:func:`pullback_build` tests each candidate against the leaves built so far
+by the interleave of their ints, s < u < t < v or u < s < v < t, in
+:func:`_unlinked`.
 """
 
 from __future__ import annotations
@@ -55,7 +66,6 @@ from .chords import (
     disjoint,
     greedy_no_loop,
     is_critical,
-    linked,
     validate_collection,
 )
 
@@ -191,9 +201,11 @@ class FiniteLamination:
         return self._depth
 
     def up_to(self, generation: int) -> "FiniteLamination":
-        """The leaves of pullback generation <= ``generation``, a leaf with no
-        recorded generation counting as 0; an untracked lamination, or one
-        with no leaf past ``generation``, is all of itself."""
+        """The leaves of pullback generation <= ``generation``, an int >= 0,
+        a leaf with no recorded generation counting as 0; an untracked
+        lamination, or one with no leaf past ``generation``, is all of
+        itself.  The result's ring is canonical, so truncations compare with
+        ``==``."""
         _check_int("generation", generation)
         if self._gens is None or generation >= (self.max_generation or 0):
             return self
@@ -222,7 +234,12 @@ class Gap:
     kept on its lamination's ring: ``ring`` is (N, xs), xs the ascending ints
     of its boundary points, and ``arc_sides`` the indices i of the sides from
     xs[i] to xs[i + 1] (cyclically) that are circle arcs, not leaves.  The
-    whole disk has no points.  Equality and hash divide gcd(N, *xs) out."""
+    whole disk has no points.  ``vertices``, ``sides``, ``edges`` and
+    ``arcs`` are Angle views formed on read.  Equality and hash divide
+    gcd(N, *xs) out, so one face read off two rings compares equal; nothing
+    else forms that reduced ring, and readers such as
+    ``suites.heuristically_dendritic`` and ``render`` take a face on its
+    lamination's ring."""
 
     __slots__ = ("ring", "arc_sides")
 
@@ -408,7 +425,7 @@ def boundary_degree(d: int, vertices) -> int:
 
 
 def gap_degree(d: int, g: Gap) -> int:
-    """Degree of a finite gap; > 1 means critical."""
+    """Degree of a finite gap, taken on its ring ints; > 1 means critical."""
     if not g.finite:
         raise ValueError("degree of an arc-bearing gap is unsupported")
     return _image_degree([d * x % g.ring[0] for x in g.ring[1]])
@@ -506,7 +523,8 @@ def sector_partition(d: int, critical_chords) -> list[Gap]:
     A component is the union of its face's half-open arc sides; a vertex
     that starts no arc belongs to its closure only.  So a point falling on
     a component boundary belongs to the component that contains its
-    positively adjacent arc.
+    positively adjacent arc.  Raises InconsistentPortrait when the chords
+    are no full collection or cross each other.
     """
     critical_chords = list(critical_chords)
     if not validate_collection(d, critical_chords).is_full_collection:
@@ -524,6 +542,40 @@ def sector_partition(d: int, critical_chords) -> list[Gap]:
 
 # pullback_build refuses a depth at which the leaf count could pass this
 MAX_PULLBACK_LEAVES = 1_000_000
+
+
+def _preimage_rows(d: int, N: int, faces) -> tuple[list[int], list[list[int]]]:
+    """The preimage table of the sector faces on the ring mod N (see the
+    module docstring), each face given as (arc side indices, vertex ints):
+    ascending ``cuts`` from 0 and one row per cut.  For X from cuts[i] up to
+    the next cut, the preimage of X in the half-open arcs of sector k is
+    X//d + rows[i][k]."""
+    step = N // d
+    # the arc starting at starts[i] belongs to sector tiles[i][1], and the
+    # last one wraps past 0
+    tiles = sorted((xs[i], k) for k, (arcs, xs) in enumerate(faces) for i in arcs)
+    starts = [s for s, _ in tiles]
+    cuts = sorted({s % step * d for s in starts} | {0})
+    rows = []
+    for c in cuts:
+        row = [0] * d
+        for o in range(0, d * step, step):
+            row[tiles[bisect_right(starts, c // d + o) - 1][1]] = o
+        rows.append(row)
+    return cuts, rows
+
+
+def _unlinked(cands, built) -> list[tuple]:
+    """The candidate int pairs that cross no built int pair: sorted pairs
+    (s, t) and (u, v) interleave iff s < u < t < v or u < s < v < t."""
+    kept = []
+    for s, t in cands:
+        for u, v in built:
+            if s < u < t < v or u < s < v < t:
+                break
+        else:
+            kept.append((s, t))
+    return kept
 
 
 def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLamination:
@@ -607,24 +659,12 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     scale = d**depth
     N *= scale
     step = N // d
-    # each face's ring, of sector chord ends, scaled onto N; the half-open
-    # sector arcs tile the circle: the arc starting at starts[i] belongs to
-    # sector owner[i], and the last one wraps past 0
+    # each face's ring, of sector chord ends, scaled onto N
     faces = [(g.arc_sides, [x * (N // g.ring[0]) for x in g.ring[1]]) for g in parts]
-    tiles = sorted((xs[i], k) for k, (arcs, xs) in enumerate(faces) for i in arcs)
-    starts = [s for s, _ in tiles]
-    owner = [k for _, k in tiles]
+    cuts, rows = _preimage_rows(d, N, faces)
     # the points of each closed sector outside its half-open arcs
     closure = [{x for i, x in enumerate(xs) if i not in arcs} for arcs, xs in faces]
     ambiguous_values = {d * x * scale % N for p in pairs[len(portrait) :] for x in p}
-
-    def own(X: int) -> list[int]:
-        """The preimage of X in each sector's half-open arcs, by sector: they
-        have length 1/d in all and sigma_d maps them onto the circle 1-to-1."""
-        found = [0] * d
-        for q in range(X // d, N, step):
-            found[owner[bisect_right(starts, q) - 1]] = q
-        return found
 
     # int pair -> its generation, in record order
     generations: dict[tuple, int] = {(a * scale, b * scale): 0 for a, b in sorted(gen0)}
@@ -645,15 +685,12 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         ends = []
         for X in leaf:  # the preimages of X in each closed sector, its own one first
             pre = range(X // d, N, step)
-            ends.append([[q] + [x for x in pre if x != q and x in closure[k]] for k, q in enumerate(own(X))])
+            own = [X // d + o for o in rows[bisect_right(cuts, X) - 1]]
+            ends.append([[q] + [x for x in pre if x != q and x in closure[k]] for k, q in enumerate(own)])
         options = []
         for k, (arcs, xs) in enumerate(faces):
-            cands = []
-            for x in ends[0][k]:
-                for y in ends[1][k]:  # preimages of distinct ends differ
-                    p = (x, y) if x < y else (y, x)
-                    if not any(linked(p, m) for m in generations):
-                        cands.append(p)
+            # preimages of distinct ends differ
+            cands = _unlinked([(x, y) if x < y else (y, x) for x in ends[0][k] for y in ends[1][k]], generations)
             if not cands:
                 # the sectors' arcs tile the circle, so they name the sector
                 sector = " ".join(f"({_at(N, xs[i])}, {_at(N, xs[(i + 1) % len(xs)])})" for i in arcs)
@@ -682,7 +719,10 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                 pulled = pull_leaf(leaf)
             else:
                 # interior preimages: the one of each end in each sector
-                pulled = [(x, y) if x < y else (y, x) for x, y in zip(own(a), own(b))]
+                x, y = a // d, b // d
+                pulled = []
+                for i, j in zip(rows[bisect_right(cuts, a) - 1], rows[bisect_right(cuts, b) - 1]):
+                    pulled.append((x + i, y + j) if x + i < y + j else (y + j, x + i))
             for p in pulled:
                 if p not in generations:
                     generations[p] = g

@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lamina
 from lamina.circle import Angle, _ring, sigma
@@ -100,6 +100,22 @@ def _linked_oracle(c1, c2):
 # small denominators, so equal, touching and degenerate chords are common
 _angles = st.builds(lambda q, n: A(n % q, q), st.integers(1, 12), st.integers(0, 11))
 _chords = st.builds(Chord, _angles, _angles)
+
+_wide_angles = st.fractions(0, 1, max_denominator=10**30).filter(lambda x: x < 1).map(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_angles, _wide_angles), st.one_of(_angles, _wide_angles))
+@example(A(0), A(0))
+@example(A(0), A(1, 2))
+def test_chord_text_is_the_fraction_text_of_its_ends(a, b):
+    # Chord text is read off the Angles' slots: "n/q", or "0" for 0, as
+    # Fraction prints them
+    a, b = sorted((a, b))
+    assert str(Chord(a, b)) == f"{Fraction(a)} {Fraction(b)}"
+    # a pair with an end that is no Angle keeps Fraction's text
+    for pair in ((Fraction(a), b), (a, Fraction(b))):
+        assert str(tuple.__new__(Chord, pair)) == f"{Fraction(a)} {Fraction(b)}"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lamina.chords as chords
 import lamina.circle as circle
 import lamina.lamination as lamination
 import lamina.quad_minor as quad_minor
@@ -258,7 +260,10 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     def no_rotation_order(a, b):
         raise AssertionError("gaps called ccw_offset")
 
-    monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
+    # lamination names no linked; the chords and circle functions it calls
+    # would read these
+    monkeypatch.setattr(chords, "linked", no_pairwise_scan)
+    monkeypatch.setattr(circle, "linked", no_pairwise_scan)
     # lamination imports no ccw_offset; Arc reads the one in circle
     monkeypatch.setattr(circle, "ccw_offset", no_rotation_order)
     assert check_unlinked(lam) == (True, None)
@@ -864,16 +869,23 @@ def test_a_build_ring_drops_denominators_no_leaf_has():
         assert lam.ring == FiniteLamination(3, lam.leaves).ring
 
 
+# four sectors: the all-critical square, and three disjoint critical leaves
+SQUARE = "degree 4\npoly 0 1/4 1/2 3/4\n"
+THREE_CRITICAL_LEAVES = "degree 4\nleaf 0 1/4\nleaf 1/3 7/12\nleaf 2/3 11/12\n"
+
+
 def pullback_cases():
     """(d, portrait, sectors, depth) for the shipped portraits at depths
     0-5, the quadratic ones also at depths 17 and 20 (refused: there the
-    depth can pull back 3 and 0 generation-0 leaves), every period <= 6
-    minor at depth 4, and 200 sampled cubic portraits at depth 3 (some of
-    them inconsistent)."""
+    depth can pull back 3 and 0 generation-0 leaves), two degree-4
+    portraits, every period <= 6 minor at depth 4, and 200 sampled cubic
+    portraits at depth 3 (some of them inconsistent)."""
     cases = []
-    for path in SHIPPED_PORTRAITS:
-        spec = parse_portrait(path.read_text())
-        depths = [*range(6), 17, 20] if spec.degree == 2 else range(6)
+    texts = [path.read_text() for path in SHIPPED_PORTRAITS]
+    for text, depths in [*((t, None) for t in texts), (SQUARE, range(4)), (THREE_CRITICAL_LEAVES, [3])]:
+        spec = parse_portrait(text)
+        if depths is None:
+            depths = [*range(6), 17, 20] if spec.degree == 2 else range(6)
         for depth in depths:
             cases.append((spec.degree, spec.initial_chords(), spec.sector_chords(), depth))
     for minor in qml_enumerate(6):
@@ -900,6 +912,53 @@ def test_pullback_build_agrees_with_chord_oracle():
         inconsistent += got[0] is InconsistentPortrait
         refused += got[0] is ValueError
     assert inconsistent > 0 and refused > 0
+
+
+def test_pullback_cases_cover_two_to_four_sectors():
+    cases = pullback_cases()
+    assert len(cases) == 296
+    assert {d for d, *_ in cases} == {2, 3, 4}
+    assert [depth for d, *_, depth in cases if d == 4] == [0, 1, 2, 3, 3]
+
+
+def sector_preimages_oracle(d, N, faces, X):
+    """The preimage of X in each sector's half-open arcs, by sector: one
+    bisection of the sorted sector arc starts per preimage."""
+    tiles = sorted((xs[i], k) for k, (arcs, xs) in enumerate(faces) for i in arcs)
+    starts = [s for s, _ in tiles]
+    found = [None] * d
+    for q in range(X // d, N, N // d):
+        k = tiles[bisect.bisect_right(starts, q) - 1][1]
+        assert found[k] is None, "two preimages in one sector"
+        found[k] = q
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(1, 2), st.randoms(use_true_random=False))
+def test_preimage_rows_agree_with_the_bisection_oracle(d, m, depth, rng):
+    # a random full collection of critical chords on the ring mod d*m: the
+    # critical chords there in random order, each kept while the kept ones
+    # stay unlinked with no loop
+    N0 = d * m
+    pool = [(x, y) for x in range(N0) for y in range(x + m, N0, m)]
+    rng.shuffle(pool)
+    kept = []
+    for p in pool:
+        if len(kept) < d - 1 and not any(linked(p, q) for q in kept):
+            trial = [Chord(A(x, N0), A(y, N0)) for x, y in kept + [p]]
+            if len(greedy_no_loop(d, trial)) == len(trial):
+                kept.append(p)
+    critical = [Chord(A(x, N0), A(y, N0)) for x, y in kept]
+    assert validate_collection(d, critical).is_full_collection
+    # each face's ring scaled onto the ring of a depth-``depth`` build
+    N = N0 * d**depth
+    faces = [(g.arc_sides, [x * (N // g.ring[0]) for x in g.ring[1]]) for g in sector_partition(d, critical)]
+    cuts, rows = lamination._preimage_rows(d, N, faces)
+    assert cuts[0] == 0 and cuts == sorted(set(cuts)) and len(rows) == len(cuts)
+    for X in range(N):
+        table = [X // d + o for o in rows[bisect.bisect_right(cuts, X) - 1]]
+        assert table == sector_preimages_oracle(d, N, faces, X), X
 
 
 def _dendritic_oracle(lam) -> bool:
@@ -938,8 +997,8 @@ def test_pullback_refusal_names_the_sector_face(monkeypatch):
     assert [" ".join(map(str, f.arcs)) for f in faces] == ["(1/14, 4/7)", "(4/7, 1/14)"]
 
     def rigged_linked(k):
-        """Every candidate pullback is linked, except, for k = 1, the first
-        one asked about, so the search refuses in face k."""
+        """For the oracle: every candidate pullback is linked, except, for
+        k = 1, the first one asked about, so the search refuses in face k."""
         first = []
 
         def rigged(p, m):
@@ -948,15 +1007,26 @@ def test_pullback_refusal_names_the_sector_face(monkeypatch):
 
         return rigged
 
+    def rigged_unlinked(k):
+        """For the build, which filters each face's candidates in one call:
+        none is unlinked, except, for k = 1, the first candidate of the first
+        face filtered, so the search refuses in face k."""
+        calls = []
+
+        def rigged(cands, built):
+            calls.append(cands)
+            return cands[:1] if k == 1 and len(calls) == 1 else []
+
+        return rigged
+
     outcomes = []
     # the rabbit's first leaf ending at 1/7, the image of its spike, has no
     # pullback in the refusing face
     for k, sector in enumerate(["(1/14, 4/7)", "(4/7, 1/14)"]):
         text = f"no unlinked pullback of 1/14 1/7 in sector {sector}"
+        monkeypatch.setattr(lamination, "_unlinked", rigged_unlinked(k))
+        monkeypatch.setitem(globals(), "linked", rigged_linked(k))
         for build in (pullback_build, chord_pullback_build):
-            rigged = rigged_linked(k)
-            monkeypatch.setattr(lamination, "linked", rigged)
-            monkeypatch.setitem(globals(), "linked", rigged)
             outcome = build_outcome(build, 2, RABBIT_QUAD, 1, sectors=RABBIT_SPIKE)
             assert outcome == (InconsistentPortrait, text), build
         outcomes.append(outcome)
@@ -965,21 +1035,23 @@ def test_pullback_refusal_names_the_sector_face(monkeypatch):
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
     # 1/7 is the image of the rabbit's spike, so the leaves ending there pull
-    # back through the joint search, whose candidates are filtered by linked
+    # back through the joint search, whose candidates _unlinked filters
+    # against the leaves built so far, one call per face
     calls = []
+    unlinked = lamination._unlinked
 
-    def counting_linked(c1, c2):
-        calls.append((c1, c2))
-        return linked(c1, c2)
+    def counting_unlinked(cands, built):
+        calls.append((list(cands), list(built)))
+        return unlinked(cands, built)
 
-    monkeypatch.setattr(lamination, "linked", counting_linked)
+    monkeypatch.setattr(lamination, "_unlinked", counting_unlinked)
     pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
     # the search runs on the build's ring: every candidate and leaf is a
     # sorted pair of ints, and no Chord is built per candidate
     assert calls and all(
         type(c) is tuple and len(c) == 2 and all(type(x) is int for x in c) and c[0] <= c[1]
-        for pair in calls
-        for c in pair
+        for cands, built in calls
+        for c in cands + built
     )
 
 
