@@ -302,7 +302,7 @@ def _pair_text(p) -> str:
     if type(a) is not Angle or type(b) is not Angle:
         return f"{a} {b}"
     n, m = a._numerator, b._numerator
-    if n and m:
+    if n and m:  # nearly every pair: one f-string, not three
         return f"{n}/{a._denominator} {m}/{b._denominator}"
     s = f"{n}/{a._denominator}" if n else "0"
     t = f"{m}/{b._denominator}" if m else "0"

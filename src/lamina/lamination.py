@@ -27,8 +27,8 @@ the common denominator of its portrait and sector chords, and a finished
 lamination on the common denominator of its endpoints.  There a leaf is a
 sorted pair of ints, sigma_d is ``d*x % N``, the preimages of an endpoint X
 of a leaf still to be pulled back are X//d + k*(N//d), and the circle order
-is the order of the ints, so ``disjoint`` takes the pairs as it takes
-Chords (a Chord is the sorted pair of its angles).  One loop,
+is the order of the ints, so ``linked`` and ``disjoint`` take the pairs as
+they take Chords (a Chord is the sorted pair of its angles).  One loop,
 :func:`_ring_orbit`, follows every orbit; a build's generation 0 is the
 portrait chords' orbits, each stopped before its first degenerate image,
 and is refused by one bound while it is followed (see
@@ -44,10 +44,7 @@ where X//d passes s % (N//d).  Those values, times d, and 0 are the table's
 ascending cuts, and each cut keeps a row that gives each sector the offset
 k*(N//d) of its preimage.  So an end's preimage in each sector is X//d plus
 the row of the last cut at or below X: one bisection per end, where
-bisecting the arc starts per preimage takes d.  The ambiguous search of
-:func:`pullback_build` tests each candidate against the leaves built so far
-by the interleave of their ints, s < u < t < v or u < s < v < t, in
-:func:`_unlinked`.
+bisecting the arc starts per preimage takes d.
 """
 
 from __future__ import annotations
@@ -66,6 +63,7 @@ from .chords import (
     disjoint,
     greedy_no_loop,
     is_critical,
+    linked,
     validate_collection,
 )
 
@@ -565,19 +563,6 @@ def _preimage_rows(d: int, N: int, faces) -> tuple[list[int], list[list[int]]]:
     return cuts, rows
 
 
-def _unlinked(cands, built) -> list[tuple]:
-    """The candidate int pairs that cross no built int pair: sorted pairs
-    (s, t) and (u, v) interleave iff s < u < t < v or u < s < v < t."""
-    kept = []
-    for s, t in cands:
-        for u, v in built:
-            if s < u < t < v or u < s < v < t:
-                break
-        else:
-            kept.append((s, t))
-    return kept
-
-
 def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLamination:
     """Pullback construction: forward orbits of the portrait chords plus all
     iterated sector preimages up to ``depth`` generations.
@@ -666,6 +651,11 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     closure = [{x for i, x in enumerate(xs) if i not in arcs} for arcs, xs in faces]
     ambiguous_values = {d * x * scale % N for p in pairs[len(portrait) :] for x in p}
 
+    def own(X: int) -> list[int]:
+        """The preimage of X in each sector's half-open arcs, by sector: they
+        have length 1/d in all and sigma_d maps them onto the circle 1-to-1."""
+        return [X // d + o for o in rows[bisect_right(cuts, X) - 1]]
+
     # int pair -> its generation, in record order
     generations: dict[tuple, int] = {(a * scale, b * scale): 0 for a, b in sorted(gen0)}
     # before a leaf is pulled back, the leaves with its image are of
@@ -685,12 +675,15 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         ends = []
         for X in leaf:  # the preimages of X in each closed sector, its own one first
             pre = range(X // d, N, step)
-            own = [X // d + o for o in rows[bisect_right(cuts, X) - 1]]
-            ends.append([[q] + [x for x in pre if x != q and x in closure[k]] for k, q in enumerate(own)])
+            ends.append([[q] + [x for x in pre if x != q and x in closure[k]] for k, q in enumerate(own(X))])
         options = []
         for k, (arcs, xs) in enumerate(faces):
-            # preimages of distinct ends differ
-            cands = _unlinked([(x, y) if x < y else (y, x) for x in ends[0][k] for y in ends[1][k]], generations)
+            cands = []
+            for x in ends[0][k]:
+                for y in ends[1][k]:  # preimages of distinct ends differ
+                    p = (x, y) if x < y else (y, x)
+                    if not any(linked(p, m) for m in generations):
+                        cands.append(p)
             if not cands:
                 # the sectors' arcs tile the circle, so they name the sector
                 sector = " ".join(f"({_at(N, xs[i])}, {_at(N, xs[(i + 1) % len(xs)])})" for i in arcs)
@@ -718,7 +711,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
             if a in ambiguous_values or b in ambiguous_values:
                 pulled = pull_leaf(leaf)
             else:
-                # interior preimages: the one of each end in each sector
+                # interior preimages: the one of each end in each sector,
+                # own(a) and own(b) read inline, the hot loop of a build
                 x, y = a // d, b // d
                 pulled = []
                 for i, j in zip(rows[bisect_right(cuts, a) - 1], rows[bisect_right(cuts, b) - 1]):

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lamina.chords as chords
 import lamina.circle as circle
 import lamina.lamination as lamination
 import lamina.quad_minor as quad_minor
@@ -260,10 +259,7 @@ def test_check_unlinked_is_a_sweep(monkeypatch):
     def no_rotation_order(a, b):
         raise AssertionError("gaps called ccw_offset")
 
-    # lamination names no linked; the chords and circle functions it calls
-    # would read these
-    monkeypatch.setattr(chords, "linked", no_pairwise_scan)
-    monkeypatch.setattr(circle, "linked", no_pairwise_scan)
+    monkeypatch.setattr(lamination, "linked", no_pairwise_scan)
     # lamination imports no ccw_offset; Arc reads the one in circle
     monkeypatch.setattr(circle, "ccw_offset", no_rotation_order)
     assert check_unlinked(lam) == (True, None)
@@ -997,8 +993,8 @@ def test_pullback_refusal_names_the_sector_face(monkeypatch):
     assert [" ".join(map(str, f.arcs)) for f in faces] == ["(1/14, 4/7)", "(4/7, 1/14)"]
 
     def rigged_linked(k):
-        """For the oracle: every candidate pullback is linked, except, for
-        k = 1, the first one asked about, so the search refuses in face k."""
+        """Every candidate pullback is linked, except, for k = 1, the first
+        one asked about, so the search refuses in face k."""
         first = []
 
         def rigged(p, m):
@@ -1007,26 +1003,15 @@ def test_pullback_refusal_names_the_sector_face(monkeypatch):
 
         return rigged
 
-    def rigged_unlinked(k):
-        """For the build, which filters each face's candidates in one call:
-        none is unlinked, except, for k = 1, the first candidate of the first
-        face filtered, so the search refuses in face k."""
-        calls = []
-
-        def rigged(cands, built):
-            calls.append(cands)
-            return cands[:1] if k == 1 and len(calls) == 1 else []
-
-        return rigged
-
     outcomes = []
     # the rabbit's first leaf ending at 1/7, the image of its spike, has no
     # pullback in the refusing face
     for k, sector in enumerate(["(1/14, 4/7)", "(4/7, 1/14)"]):
         text = f"no unlinked pullback of 1/14 1/7 in sector {sector}"
-        monkeypatch.setattr(lamination, "_unlinked", rigged_unlinked(k))
-        monkeypatch.setitem(globals(), "linked", rigged_linked(k))
         for build in (pullback_build, chord_pullback_build):
+            rigged = rigged_linked(k)
+            monkeypatch.setattr(lamination, "linked", rigged)
+            monkeypatch.setitem(globals(), "linked", rigged)
             outcome = build_outcome(build, 2, RABBIT_QUAD, 1, sectors=RABBIT_SPIKE)
             assert outcome == (InconsistentPortrait, text), build
         outcomes.append(outcome)
@@ -1035,23 +1020,21 @@ def test_pullback_refusal_names_the_sector_face(monkeypatch):
 
 def test_pullback_build_takes_the_ambiguous_branch(monkeypatch):
     # 1/7 is the image of the rabbit's spike, so the leaves ending there pull
-    # back through the joint search, whose candidates _unlinked filters
-    # against the leaves built so far, one call per face
+    # back through the joint search, whose candidates are filtered by linked
     calls = []
-    unlinked = lamination._unlinked
 
-    def counting_unlinked(cands, built):
-        calls.append((list(cands), list(built)))
-        return unlinked(cands, built)
+    def counting_linked(c1, c2):
+        calls.append((c1, c2))
+        return linked(c1, c2)
 
-    monkeypatch.setattr(lamination, "_unlinked", counting_unlinked)
+    monkeypatch.setattr(lamination, "linked", counting_linked)
     pullback_build(2, RABBIT_QUAD, 4, sectors=RABBIT_SPIKE)
     # the search runs on the build's ring: every candidate and leaf is a
     # sorted pair of ints, and no Chord is built per candidate
     assert calls and all(
         type(c) is tuple and len(c) == 2 and all(type(x) is int for x in c) and c[0] <= c[1]
-        for cands, built in calls
-        for c in cands + built
+        for pair in calls
+        for c in pair
     )
 
 
