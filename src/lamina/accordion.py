@@ -4,18 +4,33 @@ The accordion of an axis chord collects the leaves of another lamination
 (or of a chord's forward orbit) crossing it.  For mutually order-preserving
 linked pairs the possible exact patterns are rigid: one extra crossing leaf
 (periodic flip or four disjoint endpoint orbits), two crossing images, or a
-periodic polygon swept out by the pair's convex hull.  Order preservation
-puts both chords on one integer ring mod N, the common denominator of their
-endpoints, by the one pair-ring rule ``circle._pair_ring``, and decides
-linkage on its ints, as the hull analysis does.  It then follows the pair's
-four ends in lockstep, asking at each step whether sigma_d keeps their
-circular order: while it does, the images stay linked, so each image of the
-second chord lies in the accordion of the matching image of the first, and
-sigma_d keeps the order of every part of a set whose order it keeps.  Only
-a pair whose four ends come back in order follows the two orbits as int
-pairs with ``lamination._ring_orbit``, the loop behind every orbit here: an
-accordion follows its chord's orbit once on the ring, and so does the hull
-analysis ``_compgap_ring``, which the ``compgap`` suite calls.
+periodic polygon swept out by the pair's convex hull.
+
+Everything runs on one integer ring mod N, the common denominator of the
+chords' endpoints: a pair of chords goes there by the one pair-ring rule
+``circle._pair_ring``, a chord and a lamination's leaves by
+``circle._ring``, linkage is decided by ``linked`` on the int pairs, and
+Angles are formed only for reports.  Every orbit is followed with
+``lamination._ring_orbit``: an accordion follows its chord's orbit once,
+and so does the hull analysis ``_compgap_ring``.  The module imports none
+of ``cubic_tags``, ``qc_portrait``, ``orbit_classify`` and ``sigma_power``.
+
+Order preservation first follows the pair's four ends in lockstep, asking
+at each step whether sigma_d keeps their circular order: while it does,
+the images stay linked, so each image of the second chord lies in the
+accordion of the matching image of the first, and sigma_d keeps the order
+of every part of a set whose order it keeps.  The ends are one strictly
+ascending 4-tuple of ring ints, and a step takes their images ``d*x % N``
+and keeps the one rotation of them that ascends strictly, or refuses the
+pair when none does.  For four points this is ``_order_kept``'s rule,
+exactly one cyclic descent of the images: a strictly ascending rotation
+has its one descent at the wrap, and a cycle with exactly one descent,
+which counts equal neighbours, is strictly ascending from just past it;
+that rotation is also the sorted tuple of the images.  Only a pair whose
+four ends come back follows the two chord orbits, checked with
+``_order_kept``.  The ``compgap`` suite decides each pair with
+``_order_preserving_ring`` in ``suites._survivor_pairs`` and hands the
+survivors to ``_compgap_ring``, so each is decided once.
 """
 
 from __future__ import annotations
@@ -45,6 +60,10 @@ PERIODIC_GAP = "periodic_gap"
 
 @dataclass(frozen=True)
 class AccordionReport:
+    """An accordion and its crossing pattern; it has no order-preservation
+    field, since :func:`order_preserving_accordions` is the one place that
+    is decided."""
+
     axis: Chord
     members: tuple            # axis plus every leaf strictly crossing it
     touching: tuple           # leaves sharing an endpoint with the axis only
@@ -64,7 +83,9 @@ def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = No
     classification is ``single`` or undetermined (None); it takes no
     ``horizon``, and a ``d`` must be its degree.  A ``horizon`` must be an
     int >= 0 when given.  The axis and the leaves or the orbit share one
-    ring; order preservation is :func:`order_preserving_accordions`'s.
+    ring.  A single crossing chord of an exact orbit is its k-th chord, so
+    it is preperiodic iff k is below the orbit's preperiod, and a flip iff
+    d^period * x = y on the ring for its ends x < y.
     """
     if horizon is not None:
         _check_int("horizon", horizon)
@@ -136,18 +157,27 @@ def _order_preserving_ring(d: int, N: int, c1, c2) -> bool:
     on the accordion of each chord of either orbit with respect to the other
     orbit.
 
-    The pair's four ends are followed in lockstep first: while sigma_d keeps
-    them in order the images stay linked, so each image of c2 lies in the
-    accordion of the matching image of c1, and a step that breaks their
-    order refuses the pair with the verdict of the full check.  Only a pair
-    whose four ends come back follows both chord orbits; every chord of
-    them has then passed the distinctness test, so none is critical."""
-    ends, seen = tuple(sorted((*c1, *c2))), set()
-    while ends not in seen:
-        if not _order_kept(d, N, ends):
+    The four ends go first, by the module's rotation step, and a step that
+    breaks their order refuses the pair with the verdict of the full check.
+    Only a pair whose four ends come back follows both chord orbits; every
+    chord of them has then passed the distinctness test, so none is
+    critical."""
+    (a1, b1), (a2, b2) = c1, c2
+    # linked sorted pairs interleave one way or the other
+    p, q, r, s = (a1, a2, b1, b2) if a1 < a2 else (a2, a1, b2, b1)
+    seen = set()
+    while (p, q, r, s) not in seen:
+        seen.add((p, q, r, s))
+        p, q, r, s = d * p % N, d * q % N, d * r % N, d * s % N
+        # the one rotation of the images that ascends strictly, if any
+        if q < r < s < p:
+            p, q, r, s = q, r, s, p
+        elif r < s < p < q:
+            p, q, r, s = r, s, p, q
+        elif s < p < q < r:
+            p, q, r, s = s, p, q, r
+        elif not p < q < r < s:
             return False
-        seen.add(ends)
-        ends = tuple(sorted(d * p % N for p in ends))
     o1, o2 = _ring_orbit(d, N, c1)[1], _ring_orbit(d, N, c2)[1]
     for axes, others in ((o1, o2), (o2, o1)):
         for ax in axes:
@@ -181,7 +211,9 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
 
 def _interiors_intersect(u, v) -> bool:
     """Interiors of the convex hulls of two sorted tuples of four distinct
-    circle points each, so one hull holds the other only when they are equal."""
+    circle points each, so one hull holds the other only when they are equal.
+    The hull sides come from ``chords._sides`` and are tested with
+    ``linked`` as they are."""
     if u == v:
         return True
     sides = _sides(v)
@@ -190,6 +222,10 @@ def _interiors_intersect(u, v) -> bool:
 
 @dataclass(frozen=True)
 class CompgapReport:
+    """The hull analysis of :func:`compgap_analyze`.  It has no horizon:
+    order preservation keeps the four ends distinct, so ``r`` and ``step``
+    are always ints."""
+
     classification: str        # PERIODIC_GAP
     r: int                     # first index whose image hull recurs
     step: int                  # return time of the hull at index r
@@ -219,7 +255,9 @@ def _compgap_ring(d: int, N: int, c1, c2) -> CompgapReport:
     """:func:`compgap_analyze` on linked, mutually order-preserving sorted int
     pairs mod N, Angles formed only for the report.  Order preservation keeps
     the four ends distinct, so the hull at the preperiod meets itself one
-    period later: ``r`` and ``step`` exist."""
+    period later: ``r`` and ``step`` exist.  The hull orbit, the polygon
+    swept under sigma_{d^step}, the vertex orbits and the vertex-set orbit
+    are each followed with ``_ring_orbit``."""
     preperiod, hulls = _ring_orbit(d, N, frozenset((*c1, *c2)))
     hulls = [tuple(sorted(h)) for h in hulls]
     period = len(hulls) - preperiod

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from lamina.accordion import (
     _compgap_ring,
     _interiors_intersect,
     _order_kept,
+    _order_preserving_ring,
     accordion,
     compgap_analyze,
     order_preserving_accordions,
@@ -25,6 +27,8 @@ from lamina.accordion import (
 from lamina.suites import _compgap_universe, _fixture_laminations, _survivor_pairs
 
 A = Angle
+# the package's ``accordion`` attribute is the function of that name
+_ACCORDION = importlib.import_module("lamina.accordion")
 
 
 def C(*args):
@@ -193,7 +197,7 @@ _POINTS = {
             for n in range(q)
         }
     )
-    for d in (2, 3, 4)
+    for d in (2, 3, 4, 5)
 }
 
 
@@ -205,6 +209,100 @@ def test_order_preserving_accordions_agrees_with_chord_oracle(d, data):
     l1, l2 = Chord(p0, p2), Chord(p1, p3)
     assert order_preserving_accordions(d, l1, l2) == _order_preserving_oracle(d, l1, l2)
     assert order_preserving_accordions(d, l2, l1) == order_preserving_accordions(d, l1, l2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_order_preserving_accordions_agrees_with_chord_oracle_in_degree_five(data):
+    pts = data.draw(st.lists(st.sampled_from(_POINTS[5]), min_size=4, max_size=4, unique=True))
+    p0, p1, p2, p3 = sorted(pts)
+    l1, l2 = Chord(p0, p2), Chord(p1, p3)
+    assert order_preserving_accordions(5, l1, l2) == _order_preserving_oracle(5, l1, l2)
+    assert order_preserving_accordions(5, l2, l1) == order_preserving_accordions(5, l1, l2)
+
+
+def _ends_come_back(d, N, ends):
+    """The lockstep of ``_order_preserving_ring`` as it read: ``_order_kept``
+    asked of the sorted four ends at every step, then their images sorted."""
+    ends, seen = tuple(sorted(ends)), set()
+    while ends not in seen:
+        if not _order_kept(d, N, ends):
+            return False
+        seen.add(ends)
+        ends = tuple(sorted(d * p % N for p in ends))
+    return True
+
+
+def _lockstep_oracle(d, N, c1, c2):
+    """``_order_preserving_ring`` as it read before the rotation step."""
+    if not _ends_come_back(d, N, (*c1, *c2)):
+        return False
+    o1, o2 = _ring_orbit(d, N, c1)[1], _ring_orbit(d, N, c2)[1]
+    for axes, others in ((o1, o2), (o2, o1)):
+        for ax in axes:
+            pts = set(ax)
+            for c in others:
+                if linked(ax, c):
+                    pts.update(c)
+            if not _order_kept(d, N, sorted(pts)):
+                return False
+    return True
+
+
+def _agree_with_lockstep_oracle(d, N, pairs):
+    """Each linked pair gets the oracle's verdict, and its chord orbits are
+    followed exactly when the oracle's four ends come back; returns the
+    number of pairs whose ends come back and the number that survive."""
+    back = survive = 0
+    with mock.patch.object(_ACCORDION, "_ring_orbit", wraps=_ring_orbit) as orbit:
+        for c1, c2 in pairs:
+            calls = orbit.call_count
+            got = _order_preserving_ring(d, N, c1, c2), orbit.call_count > calls
+            expected = _lockstep_oracle(d, N, c1, c2), _ends_come_back(d, N, (*c1, *c2))
+            assert got == expected, (d, N, c1, c2)
+            survive += got[0]
+            back += got[1]
+    return back, survive
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from((2, 3, 4, 5)), st.data())
+def test_order_preserving_ring_agrees_with_the_lockstep_oracle(d, data):
+    # rings where d divides N, so sigma_d is not one-to-one, and rings where
+    # it does not; d^k - 1 and d^j (d^k - 1) hold periodic and preperiodic
+    # points, whose ends come back more often
+    N = data.draw(
+        st.one_of(
+            st.integers(2, 30).map(lambda m: d * m),
+            st.integers(4, 120).filter(lambda n: n % d),
+            st.integers(2, 4).map(lambda k: d**k - 1),
+            st.tuples(st.integers(1, 2), st.integers(1, 3)).map(lambda jk: d ** jk[0] * (d ** jk[1] - 1)),
+        ).filter(lambda n: n >= 4)
+    )
+    p0, p1, p2, p3 = sorted(data.draw(st.lists(st.integers(0, N - 1), min_size=4, max_size=4, unique=True)))
+    c1, c2 = (p0, p2), (p1, p3)
+    if data.draw(st.booleans()):
+        c1, c2 = c2, c1
+    _agree_with_lockstep_oracle(d, N, [(c1, c2)])
+
+
+@pytest.mark.parametrize(
+    "d, N, back, survive",
+    [
+        (2, 15, 90, 2),
+        (2, 30, 720, 8),
+        (3, 26, 1911, 186),
+        (3, 24, 360, 34),
+        (4, 15, 345, 135),
+        (4, 30, 1860, 252),
+        (5, 24, 2826, 1066),
+        (5, 20, 175, 37),
+    ],
+)
+def test_order_preserving_ring_agrees_with_the_lockstep_oracle_on_whole_rings(d, N, back, survive):
+    # every linked pair of int chords on the ring, whether d divides N or not
+    pairs = [((p0, p2), (p1, p3)) for p0, p1, p2, p3 in itertools.combinations(range(N), 4)]
+    assert _agree_with_lockstep_oracle(d, N, pairs) == (back, survive)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from lamina.chords import (
     sibling_collections,
     validate_collection,
 )
-from lamina.cubic_tags import full_portraits_of
+from lamina.cubic_tags import ConvexSet, full_portraits_of
 from lamina.formats import parse_portrait
 from lamina.quad_minor import major_quadrilateral, minor_of, qml_enumerate
 from lamina.sampling import Lcg
@@ -1225,6 +1225,25 @@ def test_critical_analysis_clusters():
     an3 = critical_analysis(lam3)
     assert an3.critical_leaves == (C(0, 1, 1, 2),)
     assert an3.critical_clusters == ((A(0), A(1, 2)),)
+
+
+def _critical_hulls(lam):
+    return sorted(ConvexSet.hull_of(s).ring for s in critical_analysis(lam).critical_sets)
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_a_build_has_the_critical_sets_it_was_built_from(depth):
+    # check_invariance and check_unlinked both accept a build whose pullback
+    # closes a critical hexagon to a quadrilateral; its critical sets do not
+    root = Path(__file__).resolve().parent.parent / "portraits"
+    for path in sorted(root.glob("*/*.portrait")):
+        spec = parse_portrait(path.read_text())
+        expected = sorted(s.ring for s in spec.convex_sets())
+        assert _critical_hulls(spec.build(depth)) == expected, (path.name, depth)
+    for lam, (verts, q, (s1, s2), q2) in zip(hexagon_fixtures(depth), suites._HEXAGONS, strict=True):
+        hexagon = ConvexSet.of([A(n, q) for n in verts])
+        leaf = ConvexSet.hull_of(C(s1, q2, s2, q2))
+        assert _critical_hulls(lam) == sorted((hexagon.ring, leaf.ring)), (verts, depth)
 
 
 def test_critical_analysis_concatenated_leaves_stay_separate():
