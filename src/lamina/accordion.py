@@ -36,9 +36,8 @@ survivors to ``_compgap_ring``, so each is decided once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .circle import _at, _check_degree, _check_int, _pair_ring, _ring
+from .circle import _at, _check_degree, _check_int, _pair_ring, _record, _ring
 from .chords import Chord, _sides, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit
 
@@ -58,18 +57,19 @@ WANDERING = "wandering_up_to_horizon"
 PERIODIC_GAP = "periodic_gap"
 
 
-@dataclass(frozen=True)
+@_record(
+    "axis",
+    "members",                # axis plus every leaf strictly crossing it
+    "touching",               # leaves sharing an endpoint with the axis only
+    "horizon",
+    "exact",                  # orbit closed within the horizon
+    "classification",         # a str, or None
+    frozen=True,
+)
 class AccordionReport:
     """An accordion and its crossing pattern; it has no order-preservation
     field, since :func:`order_preserving_accordions` is the one place that
     is decided."""
-
-    axis: Chord
-    members: tuple            # axis plus every leaf strictly crossing it
-    touching: tuple           # leaves sharing an endpoint with the axis only
-    horizon: int
-    exact: bool               # orbit closed within the horizon
-    classification: str | None
 
 
 def accordion(axis: Chord, other, horizon: int | None = None, d: int | None = None) -> AccordionReport:
@@ -220,19 +220,20 @@ def _interiors_intersect(u, v) -> bool:
     return any(linked(e1, e2) for e1 in _sides(u) for e2 in sides)
 
 
-@dataclass(frozen=True)
+@_record(
+    "classification",          # PERIODIC_GAP
+    "r",                       # first index whose image hull recurs
+    "step",                    # return time of the hull at index r
+    "vertices",                # the periodic polygon's vertex set
+    "orbit_groups",            # vertices grouped by sigma_d-orbit
+    "periods",                 # period of each group
+    "remap_is_identity",       # a bool, or None
+    frozen=True,
+)
 class CompgapReport:
     """The hull analysis of :func:`compgap_analyze`.  It has no horizon:
     order preservation keeps the four ends distinct, so ``r`` and ``step``
     are always ints."""
-
-    classification: str        # PERIODIC_GAP
-    r: int                     # first index whose image hull recurs
-    step: int                  # return time of the hull at index r
-    vertices: tuple            # the periodic polygon's vertex set
-    orbit_groups: tuple        # vertices grouped by sigma_d-orbit
-    periods: tuple             # period of each group
-    remap_is_identity: bool | None
 
 
 def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 
-from .circle import Angle, _pair_text, _sigma_pair, linked, shortest_dist, sigma, preimages
+from .circle import Angle, _pair_text, _record, _sigma_pair, linked, shortest_dist, sigma, preimages
 
 __all__ = [
     "Chord",
@@ -143,10 +142,9 @@ def sibling_collections(d: int, c: Chord) -> list[list[Chord]]:
     return collections
 
 
-@dataclass(frozen=True)
+@_record("has_loop", "is_full_collection", frozen=True)
 class CollectionReport:
-    has_loop: bool
-    is_full_collection: bool
+    pass
 
 
 def validate_collection(d: int, chords) -> CollectionReport:

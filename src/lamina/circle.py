@@ -2,29 +2,45 @@
 
 Angles are reduced fractions in [0, 1); everything downstream (chords,
 laminations, tags) is built on top of them.  No floating point enters any
-computation here.
+computation here.  Arc membership is ``Arc.contains``; there is no
+``in_arc`` wrapper.
 
 The hot operations run on the integers n, q of an angle n/q rather than
 through Fraction's generic arithmetic: reading an angle token as its
 reduced ints (``_ratio``), construction of a known-reduced value
 (``_angle``), ``sigma``, ``sigma_power``, ``preimages``, the
 counterclockwise offset ``ccw_offset`` and comparisons and hashing between
-Angles.  Results are the same Angle values Fraction arithmetic gives.
+Angles.  Results are the same Angle values Fraction arithmetic gives.  This
+is the one module that reads or writes Fraction's ``_numerator`` and
+``_denominator`` slots.
 ``linked``, the crossing test that ``lamina.chords`` exports, lives here
-to compare two Chords of Angles on their ends' ints in one frame,
-``_sigma_pair`` forms ``chord_image``'s two images at once, and
-``_pair_text``, which is ``Chord.__str__``, prints the ends from their ints.
+to compare two Chords of Angles on their ends' ints in one frame, by
+cross-multiplied int comparisons (int pairs, Fraction pairs and mixed kinds
+keep the comparison chain); ``_sigma_pair`` forms ``chord_image``'s two
+images at once, ordered by one cross-multiplication, and ``_pair_text``,
+which is ``Chord.__str__``, prints the ends from their ints.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
 angles on one integer ring mod N, where no Angle is built at all, as
 ``_pair_ring`` does for two pairs in one step; ``_at`` reads a ring point
 back as an Angle and ``_on_ring`` puts one angle on a given ring.
+
+One rule, ``_check_int``, refuses an int argument of the library that is
+no int, is a bool or lies out of range, with one message shape: ``depth``,
+``boundary_depth``, ``horizon``, the period bound, ``--samples``,
+``orbit_classify``'s ``max_steps``, ``sigma_power``'s iterate count,
+``up_to``'s generation and ``Lcg``'s seed.
+
+The library's records, ``Arc`` here and the results and reports of the
+other modules, are made by ``_record``, not by ``dataclasses``: importing
+dataclasses pulls in ``inspect``, and its decorator compiles each method
+of each class on its own, a fixed cost of every process that imports
+lamina.  ``tests/test_records.py`` holds each record to a dataclass twin.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -166,19 +182,64 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _record(*names, frozen=False, **defaults):
+    """Class decorator: a record of the fields ``names``, then the keys of
+    ``defaults`` with their defaults (a callable one is a factory, called
+    once per instance).  The class gets what ``@dataclass``, or
+    ``@dataclass(frozen=True)``, gives it: ``__init__``, which calls
+    ``__post_init__`` if the class has one, ``__repr__``, ``__eq__``
+    between records of one class, the hash of the field tuple if frozen
+    (no hash if not), the refusal to set or delete a field if frozen, and
+    ``__match_args__``, the field tuple."""
+    fields = names + tuple(defaults)
+    factories = {f"_{n}": v for n, v in defaults.items() if callable(v)}
+    missing = object()
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def decorate(cls):
+        put = "_set(self, {0!r}, {1})" if frozen else "self.{0} = {1}"
+        body = [put.format(n, f"_{n}() if {n} is _M else {n}" if f"_{n}" in factories else n) for n in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        mine, theirs = (f"({''.join(f'{o}.{n}, ' for n in fields)})" for o in ("self", "other"))
+        # the hot methods are compiled, one line each, as namedtuple compiles
+        # its __new__: generic ones over attrgetter(*fields) build 2-6x and
+        # compare 1.6-1.8x slower
+        ns = {"_M": missing, "_set": object.__setattr__, **factories}
+        exec(
+            f"def __init__(self, {', '.join(fields)}): {'; '.join(body)}\n"
+            f"def __eq__(self, other): return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented\n"
+            f"def __hash__(self): return hash({mine})",
+            ns,
+        )
+        ns["__init__"].__defaults__ = tuple(missing if callable(v) else v for v in defaults.values()) or None
+        cls.__init__, cls.__eq__, cls.__repr__, cls.__match_args__ = ns["__init__"], ns["__eq__"], __repr__, fields
+        cls.__hash__ = ns["__hash__"] if frozen else None  # a mutable record is unhashable
+        if frozen:
+            cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+        return cls
+
+    return decorate
+
+
 THIRD = Angle(1, 3)
 
 
-@dataclass(frozen=True)
+@_record("start", "end", frozen=True)
 class Arc:
     """The open circle arc traversed positively from ``start`` to ``end``.
 
     Degenerate arcs (start == end) are rejected; the full circle is not an
     Arc.  ``length`` is (end - start) mod 1.
     """
-
-    start: Angle
-    end: Angle
 
     def __post_init__(self):
         start, end = Angle(self.start), Angle(self.end)

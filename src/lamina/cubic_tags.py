@@ -14,11 +14,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .circle import _at, _ring
+from .circle import _at, _record, _ring
 from .chords import Chord, _sides
 from .lamination import (
     FiniteLamination,
@@ -194,13 +193,10 @@ def _cocritical_set(C: ConvexSet) -> ConvexSet:
     return ConvexSet(M, points)
 
 
-@dataclass(frozen=True)
+@_record("first", "second", frozen=True)
 class FullPortrait:
     """Ordered pair of cubic critical sets; equal components only for the
     unique degree-3 critical set of a unicritical lamination."""
-
-    first: ConvexSet
-    second: ConvexSet
 
     def __post_init__(self):
         if self.first == self.second and self.first.degree(3) != 3:
@@ -220,11 +216,8 @@ def minor_set(fp: FullPortrait) -> ConvexSet:
     return fp.second.image(3)
 
 
-@dataclass(frozen=True)
+@_record("cocritical_factor", "minor_factor", frozen=True)
 class MixedTag:
-    cocritical_factor: ConvexSet
-    minor_factor: ConvexSet
-
     def intersects(self, other: "MixedTag") -> bool:
         return self.cocritical_factor.intersects(
             other.cocritical_factor
@@ -344,13 +337,15 @@ def _full_portraits(sets) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@_record(
+    "relation",
+    "triangle_case",           # equal laminations through an all-critical triangle
+    "containment_case",        # lamination containment with portrait refinement
+    "consistent",              # (non-disjoint) == (triangle_case or containment_case)
+    "common_depth",            # an int, or None
+)
 class TagCaseReport:
-    relation: str
-    triangle_case: bool        # equal laminations through an all-critical triangle
-    containment_case: bool     # lamination containment with portrait refinement
-    consistent: bool           # (non-disjoint) == (triangle_case or containment_case)
-    common_depth: int | None
+    pass
 
 
 def classify_tag_relation(lamA, fpA: FullPortrait, lamX, fpX: FullPortrait) -> TagCaseReport:
@@ -423,14 +418,14 @@ def separation_check(C1: ConvexSet, C2: ConvexSet) -> Fraction:
     return Fraction(max(min(dist(p, v) for v in B) for A, B in ((xs, ys), (ys, xs)) for p in A), L)
 
 
-@dataclass
+@_record(
+    colocation_failures=list,
+    linkco_failures=list,
+    reconstruction_failures=list,
+    separation_failures=list,
+    checked=dict,
+)
 class GeometryReport:
-    colocation_failures: list = field(default_factory=list)
-    linkco_failures: list = field(default_factory=list)
-    reconstruction_failures: list = field(default_factory=list)
-    separation_failures: list = field(default_factory=list)
-    checked: dict = field(default_factory=dict)
-
     @property
     def ok(self) -> bool:
         return not (

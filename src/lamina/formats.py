@@ -10,10 +10,9 @@ bit-exact because angles serialize as reduced fractions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
 
-from .circle import Angle, _check_degree, _integer, _ratio
+from .circle import Angle, _check_degree, _integer, _ratio, _record
 from .chords import Chord, _chord_tokens, _sides, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
@@ -89,12 +88,13 @@ def parse_lamination(text: str) -> FiniteLamination:
     return FiniteLamination._from_ring(degree, N, sorted(pairs))
 
 
-@dataclass(frozen=True)
+@_record(
+    "degree",
+    "entries",  # ("leaf", Chord) | ("quad", CriticalQuadrilateral) | ("poly", tuple of Angles)
+    frozen=True,
+)
 class PortraitSpec:
     """Parsed portrait file: ordered critical sets of one lamination."""
-
-    degree: int
-    entries: tuple  # ("leaf", Chord) | ("quad", CriticalQuadrilateral) | ("poly", tuple of Angles)
 
     def initial_chords(self) -> list:
         chords = []

@@ -51,11 +51,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from math import gcd
 from numbers import Rational
 
-from .circle import Arc, _at, _check_degree, _check_int, _on_ring, _ring, cyclic_descents, sigma
+from .circle import Arc, _at, _check_degree, _check_int, _on_ring, _record, _ring, cyclic_descents, sigma
 from .chords import (
     Chord,
     _ring_image,
@@ -434,13 +433,14 @@ def _all_critical(d: int, g: Gap) -> bool:
     return len({d * x % g.ring[0] for x in g.ring[1]}) == 1
 
 
-@dataclass(frozen=True)
+@_record(
+    "preperiod",
+    "period",
+    "orbit",  # the preperiodic tail followed by one full cycle
+    frozen=True,
+)
 class OrbitInfo:
     """Exact eventual periodicity data of a sigma_d orbit."""
-
-    preperiod: int
-    period: int
-    orbit: tuple  # the preperiodic tail followed by one full cycle
 
     @property
     def closes_at(self) -> int:
@@ -688,7 +688,6 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
                 # the sectors' arcs tile the circle, so they name the sector
                 sector = " ".join(f"({_at(N, xs[i])}, {_at(N, xs[(i + 1) % len(xs)])})" for i in arcs)
                 raise InconsistentPortrait(f"no unlinked pullback of {_chord(N, leaf)} in sector {sector}")
-            cands.sort(key=lambda p: p not in existing)
             options.append(cands)
 
         # exhaustive over the tiny option product: the assignments with 2d
@@ -731,7 +730,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@_record(condition1=list, condition2=list, condition3=list, exempt=0)
 class InvarianceReport:
     """Per-condition violations of sibling invariance.
 
@@ -741,11 +740,6 @@ class InvarianceReport:
     Leaves of the deepest pullback generation are exempt from (2) and (3):
     finite truncations cannot provide pullbacks at the frontier.
     """
-
-    condition1: list = field(default_factory=list)
-    condition2: list = field(default_factory=list)
-    condition3: list = field(default_factory=list)
-    exempt: int = 0
 
     @property
     def ok(self) -> bool:
@@ -809,14 +803,15 @@ def _in_sibling_collection(d: int, group) -> set:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record(
+    "critical_leaves",
+    "critical_gaps",           # finite gaps of degree > 1
+    "critical_clusters",       # vertex tuples of maximal convex unions of critical leaves
+    "critical_sets",           # maximal critical sets: gaps plus free critical leaves
+    "arc_gaps",                # the arc-bearing gaps, which are skipped
+    frozen=True,
+)
 class CriticalAnalysis:
-    critical_leaves: tuple
-    critical_gaps: tuple       # finite gaps of degree > 1
-    critical_clusters: tuple   # vertex tuples of maximal convex unions of critical leaves
-    critical_sets: tuple       # maximal critical sets: gaps plus free critical leaves
-    arc_gaps: tuple            # the arc-bearing gaps, which are skipped
-
     @property
     def skipped_infinite_gaps(self) -> int:
         return len(self.arc_gaps)

@@ -11,9 +11,8 @@ pairs allowed to sit in a common critical cluster.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .circle import Angle, cyclic_descents, sigma
+from .circle import Angle, _record, cyclic_descents, sigma
 from .chords import Chord, chord_image, greedy_no_loop, is_critical, validate_collection
 from .lamination import (
     FiniteLamination,
@@ -44,16 +43,13 @@ ALL_CRITICAL_TRIANGLE = "all_critical_triangle"
 ALL_CRITICAL_QUADRILATERAL = "all_critical_quadrilateral"
 
 
-@dataclass(frozen=True)
+@_record("degree", "vertices", frozen=True)
 class CriticalQuadrilateral:
     """Circular 4-tuple [a0, a1, a2, a3] with critical diagonals.
 
     The four rotations are the same quadrilateral; the stored tuple is the
     lexicographically smallest rotation.
     """
-
-    degree: int
-    vertices: tuple
 
     @property
     def spikes(self) -> tuple:
@@ -124,10 +120,13 @@ def make_quadrilateral(vertices, d: int) -> CriticalQuadrilateral:
     return CriticalQuadrilateral(degree=d, vertices=min(rotations))
 
 
-@dataclass(frozen=True)
+@_record(
+    "linked",
+    "witness",  # (numbering of A, numbering of B), or None
+    frozen=True,
+)
 class StrongLinkReport:
-    linked: bool
-    witness: tuple | None  # (numbering of A, numbering of B)
+    pass
 
 
 def strongly_linked(A: CriticalQuadrilateral, B: CriticalQuadrilateral) -> StrongLinkReport:
@@ -142,12 +141,9 @@ def strongly_linked(A: CriticalQuadrilateral, B: CriticalQuadrilateral) -> Stron
     return StrongLinkReport(False, None)
 
 
-@dataclass(frozen=True)
+@_record("degree", "quads", frozen=True)
 class QcPortrait:
     """Ordered (d-1)-tuple of critical quadrilaterals."""
-
-    degree: int
-    quads: tuple
 
     def __str__(self) -> str:
         return "; ".join(str(q) for q in self.quads)
@@ -259,11 +255,14 @@ def _in_common_cluster(A, B, common_clusters) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@_record(
+    "verdict",                   # "linked" | "essentially_equal" | "neither"
+    "k",                         # number of index pairs classified by linkage, or None
+    "detail",                    # per-index status for the winning alignment
+    frozen=True,
+)
 class PairReport:
-    verdict: str                 # "linked" | "essentially_equal" | "neither"
-    k: int | None                # number of index pairs classified by linkage
-    detail: tuple                # per-index status for the winning alignment
+    pass
 
 
 def _pair_verdict(status, clustered) -> PairReport:

@@ -13,10 +13,9 @@ endpoints up to a period bound) are drawn by Lavaurs' algorithm alone: the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
-from .circle import THIRD, _at, _check_int, _ring, preimages
+from .circle import THIRD, _at, _check_int, _record, _ring, preimages
 from .chords import Chord, _sides, chord_image, disjoint, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit, pullback_build
 
@@ -56,14 +55,10 @@ def _meets_open(s, t, c) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@_record("bound1", "bound2", degenerate=False, frozen=True)
 class Strip:
     """Closed region bounded by two disjoint chords and the two circle arcs
     between them; ``degenerate`` strips (a single diameter) have no interior."""
-
-    bound1: Chord
-    bound2: Chord
-    degenerate: bool = False
 
     def meets_open(self, c: Chord) -> bool:
         """Does the chord meet the interior of the strip?"""
@@ -108,11 +103,14 @@ def critical_strip(c: Chord) -> Strip:
     return Strip(*major_quadrilateral(c)[2])
 
 
-@dataclass(frozen=True)
+@_record(
+    "passes",
+    "fail_index",             # n with sigma^n meeting the open strip, or None
+    "fail_chord",             # that image, a Chord, or None
+    frozen=True,
+)
 class StripVerdict:
-    passes: bool
-    fail_index: int | None    # n with sigma^n meeting the open strip
-    fail_chord: Chord | None
+    pass
 
 
 def strip_test(c: Chord) -> StripVerdict:
@@ -124,10 +122,9 @@ def strip_test(c: Chord) -> StripVerdict:
     return StripVerdict(False, *hit)
 
 
-@dataclass(frozen=True)
+@_record("minor", "majors", frozen=True)
 class MinorReport:
-    minor: Chord
-    majors: tuple
+    pass
 
 
 def minor_of(lam: FiniteLamination) -> MinorReport:

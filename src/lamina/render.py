@@ -100,14 +100,13 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
 from .chords import Chord, _sides
-from .circle import Angle, _at, _check_int, _on_ring, _ring
+from .circle import Angle, _at, _check_int, _on_ring, _record, _ring
 from .lamination import FiniteLamination, Gap
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -132,13 +131,14 @@ def _highlight_chord(entry) -> Chord:
     raise ValueError(f"highlight entry {entry!r} is not a pair of angles")
 
 
-@dataclass(frozen=True)
+@_record(
+    size=800,
+    geodesic_style="hyperbolic",  # or "straight"
+    labels=False,
+    highlight=tuple,
+    frozen=True,
+)
 class RenderSpec:
-    size: int = 800
-    geodesic_style: str = "hyperbolic"  # or "straight"
-    labels: bool = False
-    highlight: tuple = field(default_factory=tuple)
-
     def __post_init__(self):
         _check_int("size", self.size, 1)
         if self.geodesic_style not in ("hyperbolic", "straight"):

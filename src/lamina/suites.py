@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .circle import THIRD, Angle, _check_int, ccw_offset, cyclic_descents
+from .circle import THIRD, Angle, _check_int, _record, ccw_offset, cyclic_descents
 from .chords import Chord, _sides, linked
 from .lamination import (
     FiniteLamination,
@@ -49,13 +48,8 @@ __all__ = ["SuiteResult", "SUITES", "run_suite", "sample_cubic_library", "hexago
 MAX_SUITE_SAMPLES = 1_000_000
 
 
-@dataclass
+@_record("name", "passed", counts=dict, failures=list)
 class SuiteResult:
-    name: str
-    passed: bool
-    counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
     def lines(self):
         out = [f"suite: {self.name}", f"status: {'pass' if self.passed else 'FAIL'}"]
         for key in sorted(self.counts):

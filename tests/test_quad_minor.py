@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -116,7 +115,7 @@ def _periodic_points(max_period):
 
 def test_critical_strip_construction():
     s = critical_strip(C(1, 7, 2, 7))
-    assert [f.name for f in fields(Strip)] == ["bound1", "bound2", "degenerate"]
+    assert Strip.__match_args__ == ("bound1", "bound2", "degenerate")
     assert {s.bound1, s.bound2} == {C(1, 7, 4, 7), C(1, 14, 9, 14)}
     assert s.bound1.length == s.bound2.length
     # inside each between-arc, 1/14 .. 1/7 and 4/7 .. 9/14

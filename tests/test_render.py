@@ -611,6 +611,29 @@ def test_commands_that_draw_nothing_leave_mpmath_unloaded(argv):
     _fresh(f"import sys; from lamina.cli import main; assert main({argv!r}) == 0; assert 'mpmath' not in sys.modules")
 
 
+def test_commands_leave_dataclasses_and_inspect_unloaded(tmp_path):
+    # the records come from circle._record, so no command imports
+    # dataclasses, nor inspect, which dataclasses imports; each command runs
+    # alone in its own interpreter, render on the lamination build wrote
+    lam = tmp_path / "rabbit3.lam"
+    commands = [
+        ["build", "--portrait", str(_ROOT / "portraits" / "quadratic" / "rabbit.portrait"), "--depth", "3", "--out", str(lam)],
+        ["render", "--lamination", str(lam), "--out", str(tmp_path / "rabbit3.svg")],
+        ["qml", "--period", "6"],
+        ["tags", "--portraits", str(_ROOT / "portraits" / "cubic"), "--depth", "3"],
+        ["verify", "--suite", "reconstruct", "--samples", "5"],
+    ]
+    for argv in commands:
+        _fresh(
+            "import contextlib, io, sys\n"
+            "from lamina.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+            f"assert not loaded, ({argv[0]!r}, loaded)\n"
+        )
+
+
 def test_exact_ties_print_half_up_and_end():
     # at size 222222222230, R = 100000000003.5 exactly: the boundary circle
     # and the arc of 0 1/4, tan(pi/4)*R = R, print it alike, half up; at
