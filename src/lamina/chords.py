@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .circle import Angle, _pair_text, _record, _sigma_pair, linked, shortest_dist, sigma, preimages
+from .circle import Angle, _pair_text, _record, _ring, _sigma_pair, linked, shortest_dist, sigma, preimages
 
 __all__ = [
     "Chord",
@@ -142,6 +142,22 @@ def sibling_collections(d: int, c: Chord) -> list[list[Chord]]:
     return collections
 
 
+def _in_sibling_collection(d: int, groups) -> set:
+    """The leaves (ring int pairs) of the image groups that lie in d pairwise
+    disjoint leaves of their group, a sibling collection: a run of d leaves
+    in group order, grown one leaf at a time from the disjoint pairs, each
+    pair tested once.  A leaf lies in one group, so a run never leaves it."""
+    apart = [p for group in groups for p in itertools.combinations(group, 2) if disjoint(*p)]
+    runs = apart
+    if d > 2:
+        after: dict[tuple, list] = {}  # leaf -> the later leaves of its group disjoint from it
+        for v, w in apart:
+            after.setdefault(v, []).append(w)
+        for _ in range(d - 2):
+            runs = [r + (w,) for r in runs for w in after.get(r[-1], ()) if all(w in after[u] for u in r[:-1])]
+    return set(itertools.chain.from_iterable(runs))
+
+
 @_record("has_loop", "is_full_collection", frozen=True)
 class CollectionReport:
     pass
@@ -152,23 +168,25 @@ def validate_collection(d: int, chords) -> CollectionReport:
 
     A loop (a closed concatenation or two equal chords) makes
     :func:`greedy_no_loop` drop a chord.  A full collection is exactly d-1
-    critical chords with no loop.
+    critical chords with no loop.  Both are decided on the chords' ring.
     """
-    chords = list(chords)
-    has_loop = len(greedy_no_loop(d, chords)) != len(chords)
-    full = (
-        not has_loop
-        and len(chords) == d - 1
-        and all(is_critical(d, ch) for ch in chords)
-    )
+    N, xs = _ring([e for c in chords for e in c])
+    return _ring_collection(d, N, list(zip(xs[::2], xs[1::2])))
+
+
+def _ring_collection(d: int, N: int, pairs) -> CollectionReport:
+    """:func:`validate_collection` of sorted int pairs on the ring mod N: a
+    pair is critical when its ends differ and ``d*a % N == d*b % N``."""
+    has_loop = len(greedy_no_loop(d, pairs)) != len(pairs)
+    full = not has_loop and len(pairs) == d - 1 and all(a != b and d * a % N == d * b % N for a, b in pairs)
     return CollectionReport(has_loop=has_loop, is_full_collection=full)
 
 
-def greedy_no_loop(d: int, chords) -> list[Chord]:
-    """The chords, in order, that repeat no kept chord and join no two
-    endpoints the kept ones connect: one union-find pass on the endpoints."""
-    chosen: list[Chord] = []
-    parent: dict[Angle, Angle] = {}
+def greedy_no_loop(d: int, chords) -> list:
+    """The chords or ring int pairs, in order, that repeat no kept one and
+    join no two endpoints the kept ones connect: one union-find pass."""
+    chosen: list = []
+    parent: dict = {}
 
     def find(x):
         parent.setdefault(x, x)
@@ -178,9 +196,10 @@ def greedy_no_loop(d: int, chords) -> list[Chord]:
         return x
 
     for c in chords:
-        ra, rb = find(c.a), find(c.b)
+        a, b = c
+        ra, rb = find(a), find(b)
         # ra == rb for a degenerate chord, so joining them is a no-op
-        if ra != rb or (c.degenerate and c not in chosen):
+        if ra != rb or (a == b and c not in chosen):
             parent[ra] = rb
             chosen.append(c)
     return chosen

@@ -22,7 +22,8 @@ which is ``Chord.__str__``, prints the ends from their ints.
 Loops that follow whole orbits go one step further: ``_ring`` puts their
 angles on one integer ring mod N, where no Angle is built at all, as
 ``_pair_ring`` does for two pairs in one step; ``_at`` reads a ring point
-back as an Angle and ``_on_ring`` puts one angle on a given ring.
+back as an Angle, ``_ring_angles`` reads many in one pass, each distinct
+point once, and ``_on_ring`` puts one angle on a given ring.
 
 One rule, ``_check_int``, refuses an int argument of the library that is
 no int, is a bool or lies out of range, with one message shape: ``depth``,
@@ -380,7 +381,7 @@ def _ring(angles) -> tuple[int, list[int]]:
     """
     # callers pass thousands of Angles, for which Angle() is a no-op call
     angles = [a if type(a) is Angle else Angle(a) for a in angles]
-    N = lcm(*(a._denominator for a in angles))
+    N = lcm(*[a._denominator for a in angles])
     return N, [a._numerator * (N // a._denominator) for a in angles]
 
 
@@ -401,6 +402,17 @@ def _at(N: int, x: int) -> Angle:
     """The Angle x/N of a point 0 <= x < N of the ring mod N, reduced."""
     g = gcd(x, N)
     return _angle(x // g, N // g)
+
+
+def _ring_angles(N: int, xs) -> dict:
+    """``{x: _at(N, x)}`` for points xs of the ring mod N, each distinct
+    point's Angle made once, inline, in one pass."""
+    at = dict.fromkeys(xs)
+    for x in at:
+        g = gcd(x, N)
+        at[x] = a = object.__new__(Angle)
+        a._numerator, a._denominator, a._hash = x // g, N // g, None
+    return at
 
 
 def _on_ring(N: int, a) -> int | None:

@@ -54,16 +54,16 @@ from bisect import bisect_left, bisect_right
 from math import gcd
 from numbers import Rational
 
-from .circle import Arc, _at, _check_degree, _check_int, _on_ring, _record, _ring, cyclic_descents, sigma
+from .circle import Arc, _at, _check_degree, _check_int, _on_ring, _record, _ring, _ring_angles, cyclic_descents, sigma
 from .chords import (
     Chord,
+    _in_sibling_collection,
+    _ring_collection,
     _ring_image,
     _sides,
-    disjoint,
     greedy_no_loop,
     is_critical,
     linked,
-    validate_collection,
 )
 
 __all__ = [
@@ -178,9 +178,9 @@ class FiniteLamination:
     def leaves(self) -> tuple:
         if self._leaves is None:
             N, pairs = self.ring
-            at = {x: _at(N, x) for x in set(itertools.chain.from_iterable(pairs))}
+            at = _ring_angles(N, itertools.chain.from_iterable(pairs))
             # a ring pair is sorted, so it is a Chord as it stands
-            self._leaves = tuple(tuple.__new__(Chord, (at[a], at[b])) for a, b in pairs)
+            self._leaves = tuple([tuple.__new__(Chord, (at[a], at[b])) for a, b in pairs])
         return self._leaves
 
     @property
@@ -522,14 +522,19 @@ def sector_partition(d: int, critical_chords) -> list[Gap]:
     that starts no arc belongs to its closure only.  So a point falling on
     a component boundary belongs to the component that contains its
     positively adjacent arc.  Raises InconsistentPortrait when the chords
-    are no full collection or cross each other.
+    are no full collection or cross each other, decided on their ring.
     """
-    critical_chords = list(critical_chords)
-    if not validate_collection(d, critical_chords).is_full_collection:
+    N, xs = _ring([e for c in critical_chords for e in c])
+    return _sector_faces(d, N, list(zip(xs[::2], xs[1::2])))
+
+
+def _sector_faces(d: int, N: int, pairs) -> list[Gap]:
+    """:func:`sector_partition` of sorted int pairs on the ring mod N."""
+    if not _ring_collection(d, N, pairs).is_full_collection:
         raise InconsistentPortrait(
-            f"critical chords do not form a full collection: {list(map(str, critical_chords))}"
+            f"critical chords do not form a full collection: {[str(_chord(N, p)) for p in pairs]}"
         )
-    lam = FiniteLamination(d, critical_chords)
+    lam = FiniteLamination._from_ring(d, N, sorted(pairs))
     if not check_unlinked(lam)[0]:
         raise InconsistentPortrait("critical chords of the portrait cross each other")
     # d - 1 unlinked critical chords with no loop close no polygon, so all
@@ -563,7 +568,7 @@ def _preimage_rows(d: int, N: int, faces) -> tuple[list[int], list[list[int]]]:
     return cuts, rows
 
 
-def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLamination:
+def pullback_build(d: int, portrait, depth: int, sectors=None, *, N: int | None = None) -> FiniteLamination:
     """Pullback construction: forward orbits of the portrait chords plus all
     iterated sector preimages up to ``depth`` generations.
 
@@ -572,7 +577,8 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     a full collection, which determines the d pullback branches.  Passing
     ``sectors`` (a list of critical chords) overrides that default, e.g. to
     use quadrilateral spikes that should not become leaves.  Leaf
-    generations are recorded on the result.
+    generations are recorded on the result.  With ``N``, both the portrait
+    and the sectors, which must then be given, are sorted int pairs mod N.
 
     Branch choice: each leaf pulls back once per complementary sector of
     the critical chords.  Endpoint preimages are unique inside a sector
@@ -589,11 +595,12 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
 
     Generation 0 (gen0) is the forward orbits of the portrait chords, each
     up to its first degenerate image, followed as int pairs on the ring mod
-    N0 of the portrait and sector chords.  The pullbacks run on the ring mod
-    N = N0 * d**depth: the preimages of X/N are (X + kN)/(dN), and a
-    generation-g leaf has numerators divisible by d**(depth - g), so every
-    leaf the build can reach is a pair of ints mod N.  The result is handed
-    over as those pairs, so the build makes no Chord.
+    N0 of the portrait and sector chords, where the sectors are checked.
+    The pullbacks run on the ring mod N = N0 * d**depth: the preimages of
+    X/N are (X + kN)/(dN), and a generation-g leaf has numerators divisible
+    by d**(depth - g), so every leaf the build can reach is a pair of ints
+    mod N.  The result is handed over as those pairs, so the build makes no
+    Chord.
 
     Every leaf pulls back to d leaves a generation, so the build has at most
     |gen0| * g leaves, g = (d**(depth+1) - 1) // (d - 1).  Raises ValueError
@@ -603,22 +610,25 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
     orbit or a sector chord.
     """
     _check_int("depth", depth)
-    portrait = [c for c in portrait if not c.degenerate]
+    portrait = [c for c in portrait if c[0] != c[1]]
     if sectors is not None:
         sector_chords = list(sectors)
+    elif N is not None:
+        raise ValueError("pullback_build needs the sectors with N")
     else:
         # maximal no-loop subset of the portrait's critical chords (an
         # all-critical polygon contributes all edges as leaves but only a
         # spanning subset as branch cuts)
         sector_chords = greedy_no_loop(d, [c for c in portrait if is_critical(d, c)])
-    parts = sector_partition(d, sector_chords)
+    pairs = portrait + sector_chords
+    if N is None:
+        N, xs = _ring([e for c in pairs for e in c])
+        pairs = list(zip(xs[::2], xs[1::2]))
+    parts = _sector_faces(d, N, pairs[len(portrait) :])
 
     # the most gen0 leaves depth can pull back within the limit; past depth
     # 64 it is 0, so d**depth is not formed
     cap = MAX_PULLBACK_LEAVES // ((d ** (min(depth, 64) + 1) - 1) // (d - 1))
-    ends = [e for c in portrait + sector_chords for e in c]
-    N, xs = _ring(ends)
-    pairs = list(zip(xs[::2], xs[1::2]))
     gen0: set[tuple] = set()
     for p in pairs[: len(portrait)]:
         if p in gen0:
@@ -708,15 +718,17 @@ def pullback_build(d: int, portrait, depth: int, sectors=None) -> FiniteLaminati
         for leaf in current:
             a, b = leaf
             if a in ambiguous_values or b in ambiguous_values:
-                pulled = pull_leaf(leaf)
-            else:
-                # interior preimages: the one of each end in each sector,
-                # own(a) and own(b) read inline, the hot loop of a build
-                x, y = a // d, b // d
-                pulled = []
-                for i, j in zip(rows[bisect_right(cuts, a) - 1], rows[bisect_right(cuts, b) - 1]):
-                    pulled.append((x + i, y + j) if x + i < y + j else (y + j, x + i))
-            for p in pulled:
+                for p in pull_leaf(leaf):
+                    if p not in generations:
+                        generations[p] = g
+                        new.append(p)
+                continue
+            # interior preimages: the one of each end in each sector, own(a)
+            # and own(b) read inline and each recorded as it is formed, the
+            # hot loop of a build
+            x, y = a // d, b // d
+            for i, j in zip(rows[bisect_right(cuts, a) - 1], rows[bisect_right(cuts, b) - 1]):
+                p = (x + i, y + j) if x + i < y + j else (y + j, x + i)
                 if p not in generations:
                     generations[p] = g
                     new.append(p)
@@ -768,7 +780,8 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
     by_image: dict[tuple, list] = {}
     for p, img in zip(pairs, images):
         by_image.setdefault(img, []).append(p)
-    siblings: dict[tuple, set] = {}  # image -> the leaves of its group in a sibling collection
+    tested = {img for img, g in zip(images, gens) if img[0] != img[1] and (g is None or g < boundary_depth)}
+    siblings = _in_sibling_collection(d, [by_image[img] for img in tested])
 
     for p, img, g in zip(pairs, images, gens):
         degenerate = img[0] == img[1]
@@ -779,23 +792,9 @@ def check_invariance(lam: FiniteLamination, boundary_depth: int) -> InvarianceRe
             continue
         if p not in by_image:
             report.condition2.append(_chord(N, p))
-        if not degenerate:
-            if img not in siblings:
-                siblings[img] = _in_sibling_collection(d, by_image[img])
-            if p not in siblings[img]:
-                report.condition3.append(_chord(N, p))
+        if not degenerate and p not in siblings:
+            report.condition3.append(_chord(N, p))
     return report
-
-
-def _in_sibling_collection(d: int, group) -> set:
-    """The leaves of an image group that lie in d pairwise disjoint leaves
-    of the group, a sibling collection; a group of d leaves is one
-    collection or none."""
-    found = set()
-    for ps in itertools.combinations(group, d):
-        if all(disjoint(u, v) for u, v in itertools.combinations(ps, 2)):
-            found.update(ps)
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,27 @@
 """Quadratic machinery: critical strips, the minor test, QML enumeration.
 
 A chord of length < 1/3 determines a *critical strip*, the region between
-its two majors.  A strip is its two bounding chords: whether a chord meets
-its interior is decided by comparing the ends of sorted pairs, as
+its two majors (a degenerate minor's diameter is its one bound).  A strip
+is its two bounding chords; ``meets_open`` compares the six ends of a
+chord and both bounds as ints on one ring, as sorted pairs, as
 :func:`linked` decides a crossing.  A chord belongs to the quadratic minor
-lamination exactly when no forward image under angle doubling meets the
-open strip; that orbit is followed on a ring of ints.  The finite
-approximations of QML used by the CLI and suites (all chords with periodic
-endpoints up to a period bound) are drawn by Lavaurs' algorithm alone: the
-``qml-unlinked`` suite and the tests check its chords with the strip test.
+lamination exactly when no forward image under doubling meets the open
+strip, and ``first_entry`` follows that orbit with ``_ring_orbit`` on the
+same ring.  The majors of a minor x/N y/N are the long opposite sides of
+the quadrilateral of its four distinct halving preimages x, x + N, y and
+y + N on the ring mod 2N, whose sides compare as ints; its Angles and
+Chords are formed once, at the end, and ``build_from_minor`` hands its
+edges and spike to the build as ints.
+``minor_of`` reads leaf lengths on the lamination's ring.  Nothing here
+does ``Fraction`` arithmetic or imports ``fractions``.
+
+``qml_enumerate`` draws the QML chords up to a period bound by Lavaurs'
+algorithm alone, swept on one ring mod L = lcm(2^k - 1 : k <= bound): the
+angles of exact period k come from the necklace rule, events sort as ints,
+a chord is kept when 3 * min(b - a, L - b + a) < L, and only the output
+becomes Chords.  It refuses a bound that is no int from 1 to 12, bools
+included, and checks nothing it draws: the ``qml-unlinked`` suite and the
+tests strip-test its chords.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from __future__ import annotations
 from math import lcm
 
 from .circle import THIRD, _at, _check_int, _record, _ring, preimages
-from .chords import Chord, _sides, chord_image, disjoint, linked
+from .chords import Chord, _ring_image, _sides, chord_image, disjoint
 from .lamination import FiniteLamination, _chord, _ring_orbit, pullback_build
 
 __all__ = [
@@ -33,26 +46,22 @@ __all__ = [
 ]
 
 
-def _meets_open(s, t, c) -> bool:
-    """Does the sorted pair ``c`` meet the open strip between the disjoint
-    sorted pairs ``s`` and ``t`` (Chords, or ints on one ring, as in
-    :func:`linked`)?  Yes when it crosses a bound, or when it is no bound
-    and both its ends lie on the closed strip arcs: each is an end of a
-    bound, or on the side of each bound that faces the other.  Circle
-    points never lie in the interior, so a degenerate ``c`` never meets it.
+def _meets_open(s0: int, s1: int, t0: int, t1: int, a: int, b: int) -> bool:
+    """Does the sorted pair a b meet the open strip between the disjoint
+    sorted pairs s0 s1 and t0 t1, ints on one ring?  Yes when it crosses a
+    bound, or when it is no bound and each end is an end of a bound or on
+    the side of each bound that faces the other.  A point never meets it.
     """
-    if c[0] == c[1] or c == s or c == t:
+    if a == b or (a == s0 and b == s1) or (a == t0 and b == t1):
         return False
-    if linked(c, s) or linked(c, t):
+    if a < s0 < b < s1 or s0 < a < s1 < b or a < t0 < b < t1 or t0 < a < t1 < b:
         return True
-    s0, s1, t0, t1 = s[0], s[1], t[0], t[1]
     # the side of s facing t is the one holding t's ends, and vice versa
     t_in_s, s_in_t = s0 < t0 < s1, t0 < s0 < t1
-    return all(
-        p == s0 or p == s1 or p == t0 or p == t1
-        or ((s0 < p < s1) == t_in_s and (t0 < p < t1) == s_in_t)
-        for p in c
-    )
+    for p in (a, b):
+        if not (p == s0 or p == s1 or p == t0 or p == t1 or ((s0 < p < s1) == t_in_s and (t0 < p < t1) == s_in_t)):
+            return False
+    return True
 
 
 @_record("bound1", "bound2", degenerate=False, frozen=True)
@@ -62,19 +71,18 @@ class Strip:
 
     def meets_open(self, c: Chord) -> bool:
         """Does the chord meet the interior of the strip?"""
-        return not self.degenerate and _meets_open(self.bound1, self.bound2, c)
+        return not self.degenerate and _meets_open(*_ring(self.bound1 + self.bound2 + c)[1])
 
     def first_entry(self, c: Chord):
         """(n, sigma_2^n(c)) for the first doubling image of ``c`` meeting
-        the open strip, or None once the orbit closes without one.  The
-        orbit is followed on the ring of the chord and both bounds."""
+        the open strip, or None once the orbit closes without one."""
         if self.degenerate:
             return None
-        N, (a, b, s0, s1, t0, t1) = _ring(c + self.bound1 + self.bound2)
+        N, (s0, s1, t0, t1, a, b) = _ring(self.bound1 + self.bound2 + c)
         pre, orbit = _ring_orbit(2, N, (a, b))
         # the images 1 .. closes_at; the last one is the first repeat
         for n, image in enumerate(orbit[1:] + orbit[pre : pre + 1], 1):
-            if _meets_open((s0, s1), (t0, t1), image):
+            if _meets_open(s0, s1, t0, t1, *image):
                 return n, _chord(N, image)
         return None
 
@@ -134,15 +142,16 @@ def minor_of(lam: FiniteLamination) -> MinorReport:
         raise ValueError("minors are defined for degree-2 laminations")
     if not lam:
         raise ValueError("empty lamination has no minor")
-    # on the lamination's ring a leaf's length is min(b - a, N - b + a)
+    # on the lamination's ring a leaf's length is b - a or N - (b - a)
     N, pairs = lam.ring
-    lengths = [min(b - a, N - b + a) for a, b in pairs]
+    lengths = [t if t + t <= N else N - t for t in [b - a for a, b in pairs]]
     top = max(lengths)
-    majors = tuple(_chord(N, p) for p, length in zip(pairs, lengths) if length == top)
-    images = {chord_image(2, c) for c in majors}
+    longest = [p for p, length in zip(pairs, lengths) if length == top]
+    images = {_ring_image(2, N, p) for p in longest}
     if len(images) != 1:
-        raise ValueError(f"longest leaves have distinct images: {sorted(map(str, images))}")
-    return MinorReport(minor=next(iter(images)), majors=majors)
+        raise ValueError(f"longest leaves have distinct images: {sorted(str(_chord(N, p)) for p in images)}")
+    majors = tuple(_chord(N, p) for p in longest)
+    return MinorReport(minor=chord_image(2, majors[0]), majors=majors)
 
 
 def _period_points(k: int) -> list[int]:
@@ -164,8 +173,7 @@ def qml_enumerate(period_bound: int) -> list[Chord]:
     innermost drawn chord around it, or the outer region); within each
     region the new angles are joined in consecutive pairs in angle order.
     The period-2 chord 1/3 2/3 stays drawn during the sweep and is dropped
-    at the end with every other chord of length >= 1/3.  Nothing is checked
-    here: the ``qml-unlinked`` suite and the tests strip-test the chords.
+    at the end with every other chord of length >= 1/3.
     """
     _check_int("period bound", period_bound, 1, 12)
     L = lcm(*(2**k - 1 for k in range(1, period_bound + 1)))
@@ -195,11 +203,8 @@ def major_quadrilateral(minor: Chord):
     long opposite edges)."""
     if minor.degenerate:
         raise ValueError("degenerate minor has a critical major, not a quadrilateral")
-    # the halving preimages of x/N are x and x + N on the ring mod 2N, and
-    # those of two distinct points are four distinct points
     N, (a, b) = _ring(minor)
-    xs = sorted((a, a + N, b, b + N))
-    M = 2 * N
+    M, xs = 2 * N, sorted((a, a + N, b, b + N))
     # a side's length on the ring is the shorter way round
     lengths = [min(y - x, M - y + x) for x, y in _sides(xs)]
     verts = [_at(M, x) for x in xs]
@@ -209,12 +214,13 @@ def major_quadrilateral(minor: Chord):
 
 
 def build_from_minor(minor: Chord, depth: int) -> FiniteLamination:
-    """Pullback lamination generated by the major data of a minor chord.
-    Raises ValueError for a minor longer than 1/3, which is no QML minor."""
+    """Pullback lamination generated by the major data of a minor chord:
+    its quadrilateral's edges, and the spike joining the first and third
+    vertex as sector.  Raises ValueError for a minor longer than 1/3."""
     if minor.degenerate:
         return pullback_build(2, [critical_strip(minor).bound1], depth)
-    if minor.length > THIRD:
+    N, (a, b) = _ring(minor)
+    if 3 * min(b - a, N - b + a) > N:
         raise ValueError(f"a quadratic minor is at most 1/3 long, got length {minor.length}")
-    verts, edges, _ = major_quadrilateral(minor)
-    spike = Chord(verts[0], verts[2])
-    return pullback_build(2, edges, depth, sectors=[spike])
+    xs = sorted((a, a + N, b, b + N))
+    return pullback_build(2, _sides(xs), depth, sectors=[(xs[0], xs[2])], N=2 * N)

@@ -1,8 +1,10 @@
 import bisect
 import functools
+import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import lamina.suites as suites
 from lamina.circle import Angle, _ring, ccw_offset, preimages, sigma
 from lamina.chords import (
     Chord,
+    _in_sibling_collection,
     chord_image,
     disjoint,
     greedy_no_loop,
@@ -635,6 +638,32 @@ def test_every_full_collection_cuts_d_equal_sectors():
     assert count == 945
 
 
+# chord lists that are no full collection, each for its reason
+NO_FULL_COLLECTIONS = [
+    (3, ["0 1/3"]),  # the wrong count
+    (2, ["0 1/3"]),  # a non-critical chord
+    (2, ["1/3 1/3"]),  # a degenerate chord
+    (3, ["0 1/3", "0 1/3"]),  # a repeated chord
+    (4, ["0 1/4", "1/4 1/2", "0 1/2"]),  # a loop
+]
+
+
+@pytest.mark.parametrize("d, texts", NO_FULL_COLLECTIONS)
+def test_sector_refusals_name_the_chords(d, texts):
+    # the test runs on the chords' ring ints, in sector_partition and in a
+    # build's sectors, given as Chords or as int pairs on a ring
+    chords = [Chord.parse(t) for t in texts]
+    message = re.escape(f"critical chords do not form a full collection: {texts}") + "$"
+    N, xs = _ring([e for c in chords for e in c])
+    for refuse in (
+        lambda: sector_partition(d, chords),
+        lambda: pullback_build(d, [C(1, 7, 2, 7)], 2, sectors=chords),
+        lambda: pullback_build(d, [], 2, sectors=list(zip(xs[::2], xs[1::2])), N=N),
+    ):
+        with pytest.raises(InconsistentPortrait, match=message):
+            refuse()
+
+
 @pytest.mark.parametrize("depth", [-1, -3, 1.5, "2", None, True])
 def test_pullback_rejects_bad_depth(depth):
     with pytest.raises(ValueError, match="depth"):
@@ -853,6 +882,23 @@ def test_ring_is_the_ring_of_the_endpoints(path):
     again = FiniteLamination(lam.degree, lam.leaves, lam.generations)
     assert again == lam and hash(again) == hash(lam)
     assert again.ring == lam.ring and again.generations == lam.generations
+
+
+@pytest.mark.parametrize("path", SHIPPED_PORTRAITS, ids=lambda p: p.stem)
+def test_leaf_view_is_the_chords_of_the_ring(path):
+    lam = parse_portrait(path.read_text()).build(4)
+    N, pairs = lam.ring
+    assert lam.leaves == tuple(lamination._chord(N, p) for p in pairs)
+    assert all(type(c) is Chord for c in lam.leaves)
+    # each ring point is one Angle, which every leaf with that end shares
+    at = {}
+    for p, c in zip(pairs, lam.leaves):
+        for x, a in zip(p, c):
+            assert at.setdefault(x, a) is a
+    assert len(at) < 2 * len(pairs)
+    for x, a in at.items():
+        assert a == Fraction(x, N) and hash(a) == hash(Fraction(x, N)) and str(a) == str(Fraction(x, N))
+    assert [str(c) for c in lam.leaves] == [f"{Fraction(a, N)} {Fraction(b, N)}" for a, b in pairs]
 
 
 def test_a_build_ring_drops_denominators_no_leaf_has():
@@ -1243,6 +1289,57 @@ def test_a_build_has_the_critical_sets_it_was_built_from(depth):
         hexagon = ConvexSet.of([A(n, q) for n in verts])
         leaf = ConvexSet.hull_of(C(s1, q2, s2, q2))
         assert _critical_hulls(lam) == sorted((hexagon.ring, leaf.ring)), (verts, depth)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_in_sibling_collection_agrees_with_the_subset_rule(d):
+    # random image groups of d to d + 3 leaves (at most the d * d leaves
+    # with one image when d = 2), in random order, with shared ends and,
+    # for d > 2, crossing pairs (two leaves with one image under doubling
+    # never cross), against the rule that tests every d-subset
+    def subset_rule(group):
+        found = set()
+        for ps in itertools.combinations(group, d):
+            if all(disjoint(u, v) for u, v in itertools.combinations(ps, 2)):
+                found.update(ps)
+        return found
+
+    rng = random.Random(f"sibling groups {d}")
+    N = 12 * d * d
+    seen = {"shared": 0, "crossing": 0, "none found": 0, "some found": 0}
+    for _ in range(200):
+        groups = []
+        for X, Y in (rng.sample(range(0, N, d), 2) for _ in range(rng.randint(1, 3))):
+            ends = [[Z // d + k * (N // d) for k in range(d)] for Z in (X, Y)]
+            leaves = [tuple(sorted(p)) for p in itertools.product(*ends)]
+            groups.append(rng.sample(leaves, rng.randint(d, min(d + 3, len(leaves)))))
+        found = _in_sibling_collection(d, groups)
+        assert found == set().union(*map(subset_rule, groups))
+        for u, v in (p for g in groups for p in itertools.combinations(g, 2)):
+            seen["shared"] += bool(set(u) & set(v))
+            seen["crossing"] += linked(u, v)
+        seen["some found" if found else "none found"] += 1
+    assert seen["shared"] and seen["none found"] and seen["some found"], seen
+    assert seen["crossing"] > 0 if d > 2 else seen["crossing"] == 0
+
+
+def test_invariance_of_every_qml_minor_of_period_at_most_seven():
+    # the reports and leaf counts of the 114 minors at depth 3, whole and
+    # with every third leaf dropped
+    lines = []
+    for m in qml_enumerate(7):
+        lam = quad_minor.build_from_minor(m, 3)
+        kept = [c for i, c in enumerate(lam.leaves) if i % 3]
+        cut = FiniteLamination(2, kept, generations={c: lam.generations[c] for c in kept})
+        for x in (lam, cut):
+            r = check_invariance(x, 3)
+            lines.append(f"{m} {len(x)} {r.exempt} {len(r.condition1)} {len(r.condition2)} {len(r.condition3)}")
+    assert len(lines) == 2 * 114
+    assert sum(int(line.split()[2]) for line in lines[::2]) == 9932
+    assert all(line.endswith(" 0 0 0") for line in lines[::2])
+    assert sum(int(line.split()[-1]) for line in lines[1::2]) == 1019
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d3a1c378f158c9c2e11948688d734b4417623e88e97f67afb91345b03f9556a0"
 
 
 def test_critical_analysis_concatenated_leaves_stay_separate():

@@ -377,6 +377,19 @@ def test_build_from_minor_refuses_a_minor_longer_than_a_third():
     assert minor_of(lam).minor == C(1, 3, 2, 3)
 
 
+def test_build_from_minor_hands_the_build_what_its_chords_would():
+    # the quadrilateral's edges and spike, as int pairs on its ring, build
+    # the lamination that the same Chords build
+    for m in qml_enumerate(6):
+        verts, edges, _ = major_quadrilateral(m)
+        lam = build_from_minor(m, 3)
+        again = pullback_build(2, edges, 3, sectors=[Chord(verts[0], verts[2])])
+        assert lam == again and lam.generations == again.generations
+    # on a ring the sectors are not read off the portrait
+    with pytest.raises(ValueError, match="^pullback_build needs the sectors with N$"):
+        pullback_build(2, [(1, 2), (2, 4)], 3, N=7)
+
+
 def test_strip_between_and_central_strip_property():
     for m in qml_enumerate(4):
         lam = build_from_minor(m, 3)
