@@ -7,6 +7,14 @@ the product coc(first) x sigma3(second) in the bidisk; tags of distinct
 dendritic-style laminations are expected to be disjoint or equal, and
 refining a portrait inside its critical sets shrinks the tag.  A set is a
 ``ConvexSet``, kept as its ring ints like a lamination and its faces.
+
+``mixed_tag`` finds each side of a portrait set, scaled onto the
+lamination's ring, among its leaf pairs by bisection, and forms Angles only
+for a refusal; a portrait tagged again, as by ``classify_tag_relation``,
+reads its sets' kept co-critical and minor sets.  A linked sample of
+``geometry_checks`` takes its co-critical sets through
+``qc_portrait._collapsing`` and decides strong linkage on the lcm of their
+rings by ``qc_portrait._interleaving``, as ``strongly_linked`` does.
 """
 
 from __future__ import annotations
@@ -22,10 +30,11 @@ from .chords import Chord, _sides
 from .lamination import (
     FiniteLamination,
     Gap,
+    _chord,
     _image_degree,
     critical_analysis,
 )
-from .qc_portrait import _collapsing_quad, strongly_linked
+from .qc_portrait import _collapsing, _collapsing_quad, _interleaving, strongly_linked
 
 __all__ = [
     "ConvexSet",
@@ -50,13 +59,15 @@ class ConvexSet:
     """Convex hull of finitely many circle points: a point, chord or polygon.
 
     ``ConvexSet(N, xs)`` takes ring points mod N (see ``circle._ring``) in
-    any order, with repeats, and keeps ``ring`` = (N, ascending xs) with
-    gcd(N, *xs) divided out, so equal sets have equal rings and every
-    question below is asked of ints; ``vertices`` is an Angle view.  Its
-    co-critical set and its text are formed on first use and kept.
+    any order, with repeats, refuses an empty set, and keeps ``ring`` = (N,
+    ascending xs) with gcd(N, *xs) divided out, so equal sets have equal
+    rings, no Angle is stored and every question below is asked of ints;
+    ``ConvexSet.of`` takes points.  ``vertices`` is an Angle view, the repr
+    reads ``ConvexSet({0, 1/3})``, and the co-critical set, the cubic image
+    (the minor set) and the text are formed on first use and kept.
     """
 
-    __slots__ = ("ring", "_cocritical", "_text")
+    __slots__ = ("ring", "_cocritical", "_minor", "_text")
 
     def __init__(self, N: int, xs):
         xs = sorted(set(xs))
@@ -64,7 +75,7 @@ class ConvexSet:
             raise ValueError("a convex set needs at least one vertex")
         g = gcd(N, *xs)
         self.ring = N // g, tuple(x // g for x in xs)
-        self._cocritical = self._text = None
+        self._cocritical = self._minor = self._text = None
 
     @classmethod
     def of(cls, points) -> "ConvexSet":
@@ -160,10 +171,10 @@ def cocritical_set(C: ConvexSet) -> ConvexSet:
     s + 1/3 when it is longer than 1/3, and otherwise a preimage of a
     vertex off its ends, which exists since the set is no triangle.
 
-    The work is on ints: the tripling preimages of a point w of the ring
-    mod N are w, w + N and w + 2N on the ring mod 3N, where a vertex x of
-    the set sits at 3x and its hole (s, e) of length l becomes (3s, 3e) of
-    length 3l.
+    The work is on ints, with no ``Fraction`` arithmetic: the tripling
+    preimages of a point w of the ring mod N are w, w + N and w + 2N on the
+    ring mod 3N, where a vertex x of the set sits at 3x and its hole (s, e)
+    of length l becomes (3s, 3e) of length 3l.
     """
     if C._cocritical is None:
         C._cocritical = _cocritical_set(C)
@@ -213,7 +224,11 @@ class FullPortrait:
 
 
 def minor_set(fp: FullPortrait) -> ConvexSet:
-    return fp.second.image(3)
+    """The cubic image of the second set, formed once per set and kept on it."""
+    S = fp.second
+    if S._minor is None:
+        S._minor = S.image(3)
+    return S._minor
 
 
 @_record("cocritical_factor", "minor_factor", frozen=True)
@@ -233,17 +248,23 @@ class MixedTag:
 
 
 def _validate_portrait_sets(lam: FiniteLamination, fp: FullPortrait):
-    # the sides of a hull, sorted pairs of Angles in the order of
-    # ConvexSet.edges, are looked up on the lamination's ring by `in`; a
-    # point has no sides and is no critical set
+    # sides in the order of ConvexSet.edges; an end off the lamination's ring
+    # becomes -1, which no leaf has, and a point has no sides
+    M, pairs = lam.ring
     for S in fp:
-        vs = S.vertices
-        missing = next((e for e in _sides(vs) if e not in lam), None)
-        if missing is None and len(vs) > 1:
+        N, xs = S.ring
+        ys = [-1 if x * M % N else x * M // N for x in xs]
+        missing = None
+        for i, p in enumerate(_sides(ys)):
+            j = bisect_left(pairs, p)
+            if j == len(pairs) or pairs[j] != p:
+                missing = _sides(xs)[i]
+                break
+        if missing is None and len(xs) > 1:
             continue
-        if len(vs) <= 2:
+        if len(xs) <= 2:
             raise ValueError(f"{S} is not a leaf of the lamination")
-        raise ValueError(f"{S} is not a gap of the lamination (missing edge {Chord(*missing)})")
+        raise ValueError(f"{S} is not a gap of the lamination (missing edge {_chord(N, missing)})")
 
 
 def mixed_tag(lam: FiniteLamination | None, fp: FullPortrait) -> MixedTag:
@@ -448,14 +469,18 @@ def linked_pair_cocritical_quads(l1: Chord, l2: Chord):
     """The co-critical quadrilaterals of two linked chords shorter than a
     third, and their strong-linkage report.  A chord x y, x < y, has its set
     refused for 1/3 < y - x < 2/3, under four points if critical or
-    degenerate (a ValueError here), and else x+1/3, y+1/3, x+2/3, y+2/3."""
-    quads = []
-    for c in (l1, l2):
-        quad = _collapsing_quad(3, cocritical_set(ConvexSet.hull_of(c)))
-        if quad is None:
-            raise ValueError(f"the co-critical set of {c} is no collapsing quadrilateral")
-        quads.append(quad)
-    return quads[0], quads[1], strongly_linked(*quads)
+    degenerate (a ValueError naming the chord here), and else x+1/3, y+1/3,
+    x+2/3, y+2/3."""
+    q1, q2 = (_collapsing_quad(3, _cocritical_quad(c)) for c in (l1, l2))
+    return q1, q2, strongly_linked(q1, q2)
+
+
+def _cocritical_quad(c: Chord) -> ConvexSet:
+    """The co-critical set of a chord, refused unless it is :func:`_collapsing`."""
+    S = cocritical_set(ConvexSet.hull_of(c))
+    if not _collapsing(3, *S.ring):
+        raise ValueError(f"the co-critical set of {c} is no collapsing quadrilateral")
+    return S
 
 
 def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
@@ -480,13 +505,13 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
     report.checked["portraits"] = len(portraits)
 
     for fp in portraits:
-        C, D = fp.first, fp.second
+        C = fp.first
         # a critical set has degree 2 (one long hole) or 3: never refused
         coc = cocritical_set(C)
         if len(coc.ring[1]) == 1:
             continue  # its one hole is the whole circle, behind no edge
         # the three sets on one ring mod L
-        minor = D.image(3)
+        minor = minor_set(fp)
         L = lcm(coc.ring[0], C.ring[0], minor.ring[0])
         crit, ends = ([x * (L // S.ring[0]) for x in S.ring[1]] for S in (C, minor))
         k = L // coc.ring[0]
@@ -506,12 +531,14 @@ def geometry_checks(lam: FiniteLamination, linked_samples=()) -> GeometryReport:
                     )
 
     for l1, l2 in linked_samples:
-        if not linked_pair_cocritical_quads(l1, l2)[2].linked:
+        (N, xs), (M, ys) = _cocritical_quad(l1).ring, _cocritical_quad(l2).ring
+        L = lcm(N, M)
+        if _interleaving([[x * (L // N) for x in xs]], [[y * (L // M) for y in ys]]) is None:
             report.linkco_failures.append((str(l1), str(l2), "not strongly linked"))
     report.checked["linked_samples"] = len(linked_samples)
 
     recon_targets = [hulls.get(c) or ConvexSet.hull_of(c) for c in analysis.critical_leaves]
-    recon_targets += [hulls[g] for g in analysis.critical_gaps if _collapsing_quad(3, g) is not None]
+    recon_targets += [hulls[g] for g in analysis.critical_gaps if _collapsing(3, *g.ring)]
     for C in recon_targets:
         if reconstruct(C) != C:
             report.reconstruction_failures.append(str(C))

@@ -367,15 +367,24 @@ def _walk(lam: FiniteLamination) -> tuple:
     parent, pair = _nest(lam)
     if pair is not None:
         raise ValueError(f"leaves cross, so there are no gaps: {pair[0]} x {pair[1]}")
-    children = [[] for _ in range(len(pairs) + 1)]  # the last list is the top level
+    # a list of children only for a leaf that has some; the last is the top level
+    children = [None] * (len(pairs) + 1)
     for i, p in enumerate(parent):
+        if children[p] is None:
+            children[p] = []
         children[p].append(i)
     top = children[-1]
     # the outer gap runs from the first end of the first top-level leaf to
     # the last end of the last one, and back along the arc between them
     bounds = [*pairs, (pairs[top[0]][0], pairs[top[-1]][1])]
     result = []
+    new = object.__new__
     for k, ((x, y), inside) in enumerate(zip(bounds, children)):
+        g = new(Gap)
+        result.append(g)
+        if inside is None:  # a childless leaf: its face is the leaf and the arc under it
+            g.ring, g.arc_sides = (N, (x, y)), (0,)
+            continue
         # an arc of length 0 between two children that share an end is left out
         xs, arcs = [x], []
         for j in inside:
@@ -389,7 +398,7 @@ def _walk(lam: FiniteLamination) -> tuple:
             xs.append(y)
         if k == len(pairs):  # the outer gap closes along an arc, the others along their leaf
             arcs.append(len(xs) - 1)
-        result.append(Gap(N, xs, arcs))
+        g.ring, g.arc_sides = (N, tuple(xs)), tuple(arcs)
     # The vertices of a face run in circle order from the first end of its
     # leaf, and of two leaves from one point the shorter one's face has the
     # smaller vertices (the longer one's next vertex is the end of a leaf
@@ -841,12 +850,12 @@ def _critical_analysis(lam: FiniteLamination) -> CriticalAnalysis:
     # two vertices that is no side runs through the polygon's inside.
     polygons = []
     for g in gaps(lam):
-        if g.is_disk:
-            continue
         if g.arc_sides:
             arc_gaps.append(g)
             continue
         xs = g.ring[1]
+        if not xs:
+            continue  # the whole disk
         images = [d * x % N for x in xs]
         if _image_degree(images) > 1:
             crit_gaps.append(g)

@@ -6,13 +6,19 @@ whose diagonals (*spikes*) are critical chords.  A qc-portrait is an ordered
 (one spike per quadrilateral) is a full collection.  Two portraits compare
 by strong linkage / spike sharing per index, with a suffix of associated
 pairs allowed to sit in a common critical cluster.
+
+Two rules are stated once, on ring ints: :func:`_collapsing`, which hull is
+a collapsing quadrilateral, read by every caller of ``_collapsing_quad`` (so
+a gap reaches no ``make_quadrilateral``) and by ``cubic_tags``; and
+:func:`_interleaving`, which rotations of two quadrilaterals interleave, read
+by ``strongly_linked`` and ``cubic_tags.geometry_checks``.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .circle import Angle, _record, cyclic_descents, sigma
+from .circle import Angle, _record, _ring, cyclic_descents, sigma
 from .chords import Chord, chord_image, greedy_no_loop, is_critical, validate_collection
 from .lamination import (
     FiniteLamination,
@@ -132,13 +138,27 @@ class StrongLinkReport:
 def strongly_linked(A: CriticalQuadrilateral, B: CriticalQuadrilateral) -> StrongLinkReport:
     """Search for vertex numberings a0 <= b0 <= a1 <= b1 <= ... <= a0 around
     the circle (non-strict).  All-critical triangles are tried in all their
-    quadrilateral presentations."""
-    for pa, i, pb, j in itertools.product(A.presentations(), range(4), B.presentations(), range(4)):
-        ra, rb = pa[i:] + pa[:i], pb[j:] + pb[:j]
-        merged = [ra[0], rb[0], ra[1], rb[1], ra[2], rb[2], ra[3], rb[3]]
-        if cyclic_descents(merged) <= 1:
-            return StrongLinkReport(True, (ra, rb))
-    return StrongLinkReport(False, None)
+    quadrilateral presentations, all put on one ring for :func:`_interleaving`."""
+    pas, pbs = A.presentations(), B.presentations()
+    vertices = [v for p in pas + pbs for v in p]
+    _, xs = _ring(vertices)
+    rings = [tuple(xs[k : k + 4]) for k in range(0, len(xs), 4)]
+    found = _interleaving(rings[: len(pas)], rings[len(pas) :])
+    if found is None:
+        return StrongLinkReport(False, None)
+    at = dict(zip(xs, vertices))
+    return StrongLinkReport(True, tuple(tuple(at[x] for x in r) for r in found))
+
+
+def _interleaving(pas, pbs):
+    """The first rotations (a, b), in product order over the presentations
+    ``pas`` and ``pbs`` (int 4-tuples on one ring) and their rotations, that
+    merge as a0 b0 a1 b1 ... a3 b3 with at most one cyclic descent, or None."""
+    for pa, i, pb, j in itertools.product(pas, range(4), pbs, range(4)):
+        a, b = pa[i:] + pa[:i], pb[j:] + pb[:j]
+        if cyclic_descents((a[0], b[0], a[1], b[1], a[2], b[2], a[3], b[3])) <= 1:
+            return a, b
+    return None
 
 
 @_record("degree", "quads", frozen=True)
@@ -165,13 +185,17 @@ def validate_qc_portrait(p: QcPortrait) -> bool:
     return True
 
 
-def _collapsing_quad(d: int, g: Gap) -> CriticalQuadrilateral | None:
-    """The collapsing quadrilateral of a finite gap, or None: the one rule for
-    which gap is one.  It has four vertices, critical diagonals and sides not
-    all critical (so degree 2); its ascending vertices are the least rotation."""
-    N, xs = g.ring
+def _collapsing(d: int, N: int, xs) -> bool:
+    """Whether ascending ring ints mod N are a collapsing quadrilateral: four
+    vertices, critical diagonals and sides not all critical (so degree 2)."""
     images = [d * x % N for x in xs]
-    if len(xs) != 4 or images[0] != images[2] or images[1] != images[3] or images[0] == images[1]:
+    return len(xs) == 4 and images[0] == images[2] != images[1] == images[3]
+
+
+def _collapsing_quad(d: int, g: Gap) -> CriticalQuadrilateral | None:
+    """The quadrilateral of a gap or hull that is :func:`_collapsing`, or
+    None; its ascending vertices are the least rotation."""
+    if not _collapsing(d, *g.ring):
         return None
     return CriticalQuadrilateral(degree=d, vertices=g.vertices)
 
@@ -182,7 +206,7 @@ def qc_portrait_exists(lam: FiniteLamination) -> bool:
     frontier artifacts of finite truncation and are ignored."""
     d = lam.degree
     return all(
-        _all_critical(d, g) or _collapsing_quad(d, g) is not None
+        _all_critical(d, g) or _collapsing(d, *g.ring)
         for g in critical_analysis(lam).critical_gaps
     )
 

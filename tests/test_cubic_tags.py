@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lamina.circle import THIRD, Angle
 from lamina.chords import Chord
 from lamina.formats import parse_portrait
-from lamina.lamination import Gap, pullback_build
+from lamina.lamination import Gap, critical_analysis, pullback_build
 from lamina.qc_portrait import COLLAPSING, _collapsing_quad, make_quadrilateral
 from lamina.sampling import Lcg
 from lamina.cubic_tags import (
@@ -696,3 +696,179 @@ def test_cocritical_set_is_defined_on_every_critical_set():
             assert isinstance(cocritical_set(C), ConvexSet)
             checked += 1
     assert checked >= len(library)
+
+
+def validation_oracle(lam, sets):
+    """The portrait-set validation on Angles: each hull's sides, sorted
+    pairs of Angles in the order of ``ConvexSet.edges``, looked up by ``in``."""
+    from lamina.chords import _sides
+
+    for S in sets:
+        vs = S.vertices
+        missing = next((e for e in _sides(vs) if e not in lam), None)
+        if missing is None and len(vs) > 1:
+            continue
+        if len(vs) <= 2:
+            raise ValueError(f"{S} is not a leaf of the lamination")
+        raise ValueError(f"{S} is not a gap of the lamination (missing edge {Chord(*missing)})")
+
+
+def validation_outcome(validate, lam, sets):
+    try:
+        validate(lam, sets)
+    except ValueError as exc:
+        return str(exc)
+    return "valid"
+
+
+@functools.cache
+def validation_laminations():
+    """The shipped cubic portraits at depths 1-3 and the hexagon fixtures."""
+    from lamina.suites import hexagon_fixtures
+
+    cubic = sorted((Path(__file__).parent.parent / "portraits" / "cubic").glob("*.portrait"))
+    return [parse_portrait(p.read_text()).build(d) for p in cubic for d in (1, 2, 3)] + hexagon_fixtures(2)
+
+
+@st.composite
+def hull_on_or_off(draw, lam):
+    """A point, leaf or polygon of the lamination's leaf ends, its critical
+    sets and leaves, one of those with a vertex moved off the ring by a
+    fraction of a ring step, or points on or off its ring, mixed."""
+    N, pairs = lam.ring
+    kind = draw(st.sampled_from(("critical", "leaf", "near", "ends", "ring", "off")))
+    if kind in ("critical", "near"):
+        S = ConvexSet.hull_of(draw(st.sampled_from(critical_analysis(lam).critical_sets)))
+        if kind == "critical":
+            return S
+        # just past a vertex on a ring p times finer, p a prime not dividing N
+        M, xs = S.ring
+        p = next(p for p in (5, 7, 11, 13) if N % p)
+        k, step = draw(st.integers(0, len(xs) - 1)), draw(st.integers(1, p - 1))
+        return ConvexSet(p * N, [p * x * (N // M) + (step if i == k else 0) for i, x in enumerate(xs)])
+    if kind == "leaf":
+        a, b = draw(st.sampled_from(pairs))
+        return ConvexSet(N, (a, b))
+    ends = sorted({x for p in pairs for x in p})
+    n = draw(st.integers(1, 6))
+    points = [Fraction(x, N) for x in draw(st.lists(st.sampled_from(ends), min_size=1, max_size=n))]
+    if kind in ("ring", "off"):
+        q = N if kind == "ring" else draw(st.sampled_from((5, 7, 2 * N, 3 * N)))
+        points += [Fraction(x, q) for x in draw(st.lists(st.integers(0, q - 1), max_size=3))]
+    return ConvexSet.of(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_portrait_set_validation_on_the_ring_agrees_with_the_angle_oracle(data):
+    import lamina.cubic_tags as cubic_tags
+
+    lam = data.draw(st.sampled_from(validation_laminations()))
+    sets = (data.draw(hull_on_or_off(lam)), data.draw(hull_on_or_off(lam)))
+    got = validation_outcome(cubic_tags._validate_portrait_sets, lam, sets)
+    assert got == validation_outcome(validation_oracle, lam, sets)
+
+
+def test_portrait_set_validation_names_the_first_missing_edge():
+    # the ring 54 of lam_bicritical(2) holds no fifth, so 2/5 is off it,
+    # but the first side 0 1/3 is a leaf: the side named is the second
+    lam = lam_bicritical(2)
+    leaf = S(0, F(1, 3))
+    cases = {
+        S(F(1, 2), F(5, 6)): "valid",
+        S(0, F(1, 3), F(2, 5)): "{0, 1/3, 2/5} is not a gap of the lamination (missing edge 1/3 2/5)",
+        S(0, F(1, 3), F(1, 2)): "{0, 1/3, 1/2} is not a gap of the lamination (missing edge 1/3 1/2)",
+        S(F(1, 7), F(1, 2), F(5, 6)): "{1/7, 1/2, 5/6} is not a gap of the lamination (missing edge 1/7 1/2)",
+        S(F(1, 2), F(4, 5)): "{1/2, 4/5} is not a leaf of the lamination",
+    }
+    for second, want in cases.items():
+        for validate in (validation_oracle, lambda lam, sets: mixed_tag(lam, FullPortrait(*sets))):
+            assert validation_outcome(validate, lam, (leaf, second)) == want
+
+
+def strongly_linked_oracle(A_, B_):
+    """Strong linkage on Angles: every presentation and rotation of each
+    quadrilateral, merged a0 b0 a1 b1 ..., in product order, the first
+    with at most one cyclic descent."""
+    import itertools
+
+    from lamina.circle import cyclic_descents
+
+    for pa, i, pb, j in itertools.product(A_.presentations(), range(4), B_.presentations(), range(4)):
+        ra, rb = pa[i:] + pa[:i], pb[j:] + pb[:j]
+        merged = [ra[0], rb[0], ra[1], rb[1], ra[2], rb[2], ra[3], rb[3]]
+        if cyclic_descents(merged) <= 1:
+            return True, (ra, rb)
+    return False, None
+
+
+def test_geometry_linked_samples_on_the_ring_agree_with_the_angle_search():
+    # linked pairs, pairs of window chords (often unlinked), and critical,
+    # degenerate and long chords, which are refused with one message
+    from lamina.lamination import FiniteLamination
+
+    lam = FiniteLamination(3, ())
+    rngs = [Lcg(seed) for seed in range(1, 5)]
+    pairs = [rng.linked_pair_in_window() for rng in rngs for _ in range(500)]
+    pairs += [(rng.chord_in_window(), rng.chord_in_window()) for rng in rngs for _ in range(100)]
+    odd = [C(0, 1, 1, 3), C(1, 5, 1, 5), C(0, 1, 1, 2), C(1, 9, 2, 3)]
+    pairs += [(c, C(1, 24, 1, 8)) for c in odd] + [(C(1, 24, 1, 8), c) for c in odd]
+    verdicts = []
+    for l1, l2 in pairs:
+        try:
+            q1, q2, report = linked_pair_cocritical_quads(l1, l2)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                geometry_checks(lam, [(l1, l2)])
+            assert str(info.value) == str(exc)
+            verdicts.append(str(exc).split(" is ")[-1].split("; ")[-1])
+            continue
+        failures = geometry_checks(lam, [(l1, l2)]).linkco_failures
+        assert (report.linked, report.witness) == strongly_linked_oracle(q1, q2), (l1, l2)
+        assert (not failures) == report.linked
+        assert failures in ([], [(str(l1), str(l2), "not strongly linked")])
+        verdicts.append(report.linked)
+    assert verdicts[:2000] == [True] * 2000
+    assert set(verdicts) == {True, False, "no collapsing quadrilateral", "co-critical set undefined"}
+
+
+def random_quadrilaterals(seed, count):
+    """Seeded critical quadrilaterals of degree 3 on small rings: collapsing
+    ones, critical leaves and all-critical triangles."""
+    import random
+
+    from lamina.qc_portrait import make_quadrilateral
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        q = 3 * rng.choice((1, 2, 3, 4, 6, 8))
+        x, y = (A(rng.randrange(q), q) for _ in range(2))
+        kind = rng.randrange(3)
+        if kind == 0:
+            vs = [x, x, x + THIRD, x + 2 * THIRD]
+        elif kind == 1:
+            vs = [x, x, x + THIRD, x + THIRD]
+        else:
+            vs = [x, y, x + rng.choice((1, 2)) * THIRD, y + rng.choice((1, 2)) * THIRD]
+        vs = sorted(A(v) for v in vs)  # circularly ordered, or refused below
+        try:
+            out.append(make_quadrilateral(vs, 3))
+        except ValueError:
+            continue
+    return out
+
+
+def test_strongly_linked_on_one_ring_agrees_with_the_angle_search():
+    from lamina.qc_portrait import ALL_CRITICAL_TRIANGLE, strongly_linked
+
+    quads = random_quadrilaterals(51, 120)
+    kinds = {q.classification for q in quads}
+    assert ALL_CRITICAL_TRIANGLE in kinds and len(kinds) >= 3
+    outcomes = set()
+    for A_ in quads:
+        for B_ in quads[::4]:
+            report = strongly_linked(A_, B_)
+            assert (report.linked, report.witness) == strongly_linked_oracle(A_, B_), (A_, B_)
+            outcomes.add((report.linked, len(A_.presentations()) * len(B_.presentations())))
+    assert outcomes >= {(True, 1), (False, 1), (True, 3), (False, 3), (True, 9), (False, 9)}

@@ -1687,3 +1687,78 @@ def test_issubset_agrees_with_chord_set_oracle():
     third, quarter = FiniteLamination(3, [C(0, 1, 1, 3)]), FiniteLamination(3, [C(0, 1, 1, 4)])
     assert not check(third, quarter) and not check(quarter, third)
     assert check(FiniteLamination(3, []), third)
+
+
+def walk_oracle(lam):
+    """The face walk with a children list for every leaf and each face made
+    by ``Gap(...)``; the faces of :func:`gaps` must be these, in order."""
+    N, pairs = lam.ring
+    if not pairs:
+        return (Gap.whole_disk(),)
+    parent, pair = lamination._sweep(N, pairs)
+    assert pair is None
+    children = [[] for _ in range(len(pairs) + 1)]  # the last list is the top level
+    for i, p in enumerate(parent):
+        children[p].append(i)
+    top = children[-1]
+    bounds = [*pairs, (pairs[top[0]][0], pairs[top[-1]][1])]
+    result = []
+    for k, ((x, y), inside) in enumerate(zip(bounds, children)):
+        xs, arcs = [x], []
+        for j in inside:
+            a, b = pairs[j]
+            if xs[-1] != a:
+                arcs.append(len(xs) - 1)
+                xs.append(a)
+            xs.append(b)
+        if xs[-1] != y:
+            arcs.append(len(xs) - 1)
+            xs.append(y)
+        if k == len(pairs):
+            arcs.append(len(xs) - 1)
+        result.append(Gap(N, xs, arcs))
+    result.insert(bisect.bisect_right(pairs, (pairs[top[0]][0], N)), result.pop())
+    return tuple(result)
+
+
+def shared_end_laminations(seed, count):
+    """Seeded unlinked laminations on rings of 4 to 24 points, where many
+    leaves share an end, fans of leaves from one point included."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        q = rng.randrange(4, 25)
+        leaves = []
+        if rng.random() < 0.3:  # a fan from one point
+            x = rng.randrange(q)
+            leaves += [Chord(*sorted((A(x, q), A(y, q)))) for y in range(q) if y != x and rng.random() < 0.5]
+        for _ in range(rng.randrange(1, 2 * q)):
+            a, b = sorted(rng.sample(range(q), 2))
+            c = Chord(A(a, q), A(b, q))
+            if not any(linked(c, m) for m in leaves):
+                leaves.append(c)
+        out.append(FiniteLamination(rng.choice((2, 3)), leaves))
+    return out
+
+
+def test_face_walk_agrees_with_the_children_list_walk():
+    lams = [parse_portrait(p.read_text()).build(d) for p in SHIPPED_PORTRAITS for d in range(7)]
+    lams += hexagon_fixtures() + suites.sample_cubic_library(Lcg(1), 50)
+    lams += shared_end_laminations(15, 300) + [FiniteLamination(3, ()), FiniteLamination(2, TRIANGLE)]
+    assert len(SHIPPED_PORTRAITS) == 6
+    shared = childless = 0
+    for lam in lams:
+        want = walk_oracle(lam)
+        got = gaps(FiniteLamination._from_ring(lam.degree, *lam.ring))
+        assert [(g.ring, g.arc_sides) for g in got] == [(g.ring, g.arc_sides) for g in want], lam
+        assert all(type(g) is Gap for g in got)
+        ends = [x for p in lam.ring[1] for x in p]
+        shared += len(set(ends)) < len(ends)
+        childless += sum(g.arc_sides == (0,) and len(g.ring[1]) == 2 for g in got)
+    assert shared > 300 and childless > 10000
+
+
+def test_critical_analysis_of_the_empty_lamination():
+    analysis = critical_analysis(FiniteLamination(3, ()))
+    assert analysis == lamination.CriticalAnalysis((), (), (), (), ())
+    assert gaps(FiniteLamination(3, ())) == [Gap.whole_disk()]

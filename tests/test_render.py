@@ -727,6 +727,51 @@ def _mpf_radius(x, size):
         return _nstr(mpmath.tan(mpmath.pi * x.numerator / x.denominator) * _mpf_frame(size)[1])
 
 
+_PREC_30 = mpmath.libmp.dps_to_prec(30)
+
+
+def _raw_text(v):
+    """``_nstr`` of the raw mpf v = (sign, man, exp, bc): its exact value
+    man*2**exp rounded half up to 12 digits by one Decimal rounding, laid
+    out as ``nstr(x, 12)`` lays out 12 digits, in fixed point for a leading
+    digit from 10**-4 to 10**11 and else with an exponent, trailing zeros
+    dropped."""
+    sign, man, exp, _ = v
+    if not man:
+        return "0.0"
+    sign = "-" if sign else ""
+    r = _HALF_UP_12.plus(Decimal(sign + (str(man << exp) if exp >= 0 else f"{man * 5**-exp}e{exp}")))
+    digits = "".join(map(str, r.as_tuple().digits)).rstrip("0") or "0"
+    e = r.adjusted()
+    if not -5 < e < 12:
+        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{e:+d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    digits = digits.ljust(e + 1, "0")
+    return f"{sign}{digits[:e + 1]}.{digits[e + 1:] or '0'}"
+
+
+def _raw_pix(x, size, scale=None):
+    """``_mpf_pix`` on raw mpf tuples at the same 30 digits: one
+    ``mpf_cos_sin_pi`` for both coordinates, each rounded by ``_raw_text``."""
+    libmp = mpmath.libmp
+    c, R = (v._mpf_ for v in _mpf_frame(size, scale))
+    t = libmp.mpf_div(libmp.from_int(2 * x.numerator), libmp.from_int(x.denominator), _PREC_30, "n")
+    cos, sin = libmp.mpf_cos_sin_pi(t, _PREC_30, "n")
+    return (
+        _raw_text(libmp.mpf_add(c, libmp.mpf_mul(R, cos, _PREC_30, "n"), _PREC_30, "n")),
+        _raw_text(libmp.mpf_sub(c, libmp.mpf_mul(R, sin, _PREC_30, "n"), _PREC_30, "n")),
+    )
+
+
+def _raw_radius(x, size):
+    """``_mpf_radius`` on raw mpf tuples at the same 30 digits."""
+    libmp = mpmath.libmp
+    pi_x = libmp.mpf_mul_int(libmp.mpf_pi(_PREC_30, "n"), x.numerator, _PREC_30, "n")
+    tan = libmp.mpf_tan(libmp.mpf_div(pi_x, libmp.from_int(x.denominator), _PREC_30, "n"), _PREC_30, "n")
+    return _raw_text(libmp.mpf_mul(tan, _mpf_frame(size)[1]._mpf_, _PREC_30, "n"))
+
+
 def test_exact_evaluator_matches_mpmath_oracle(monkeypatch):
     # every point and radius the binary64 path hands over while the 114
     # minors of qml_enumerate(7) are drawn at depths 3 and 6 with labels,
@@ -750,16 +795,23 @@ def test_exact_evaluator_matches_mpmath_oracle(monkeypatch):
     for size in _SIZES + (2**53 + 1, 10**400):
         slow[size] = _Canvas(size, 1)
         slow[size]._fast = False
-    for size, x, label in cases:
-        assert slow[size].pix(x.numerator, x.denominator, label) == _mpf_pix(x, size, "1.06" if label else None)
+    # the raw-tuple oracles are the mpf-object ones, checked on every 50th value
+    for k, (size, x, label) in enumerate(cases):
+        want = _raw_pix(x, size, "1.06" if label else None)
+        assert slow[size].pix(x.numerator, x.denominator, label) == want
+        if not k % 50:
+            assert want == _mpf_pix(x, size, "1.06" if label else None)
     lengths = [(800, Fraction(t, 4 * q)) for t, q in radii]
     for size, count in zip(_SIZES + (2**53 + 1, 10**400), (6600,) * 6 + (500,)):
         for _ in range(count):
             q = rng.choice((rng.randint(2, 10**6), rng.randint(2, 10**12)))
             lengths.append((size, Fraction(rng.randint(1, (q - 1) // 2), q)))
     assert len(lengths) >= 40_000
-    for size, x in lengths:
-        assert slow[size].geodesic_radius(x.numerator, x.denominator) == _mpf_radius(x, size)
+    for k, (size, x) in enumerate(lengths):
+        want = _raw_radius(x, size)
+        assert slow[size].geodesic_radius(x.numerator, x.denominator) == want
+        if not k % 50:
+            assert want == _mpf_radius(x, size)
 
 
 @pytest.mark.parametrize("size", [True, False, -800, 0, 800.0, "800", None])
