@@ -68,7 +68,9 @@ NEITHER = "neither"
 _HASH_MODULUS = sys.hash_info.modulus
 # ASCII digits only: \d and int() also take other scripts' digits and "_"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(f"({_INTEGER.pattern})" + r"(?:/(0*[1-9][0-9]*))?")
+# the same rule for a token per line, capturing its numerator and denominator
+_RATIONAL_LINES = re.compile(f"^{_RATIONAL.pattern}$", re.M)
 
 
 class Angle(Fraction):

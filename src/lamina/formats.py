@@ -5,6 +5,15 @@ canonical order; ``#`` starts a comment.  Portrait files share the header
 and list ordered critical data: ``leaf p/q p/q``, ``quad`` with four
 angles, or ``poly`` with three or more vertices.  Round-trips are
 bit-exact because angles serialize as reduced fractions.
+
+A lamination file is read in bulk: comments are cut only if ``#``
+occurs, the header and the two tokens of every other line are checked
+over all lines at once, the distinct tokens are matched by one pattern,
+and each distinct denominator is converted once.  The chords go onto
+the ring mod N, N the lcm of the denominators as written, where
+``_from_ring`` divides out gcd(N, *ints), so no token is reduced alone.
+If any bulk check fails, the line reader reads the file and raises its
+first refusal, so which refusal wins is the line reader's alone.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
-from .circle import Angle, _check_degree, _integer, _ratio, _record
+from .circle import _RATIONAL_LINES, Angle, _check_degree, _integer, _ratio, _record
 from .chords import Chord, _chord_tokens, _sides, greedy_no_loop, is_critical
 from .lamination import FiniteLamination, boundary_degree, pullback_build
 from .qc_portrait import make_quadrilateral
@@ -56,10 +65,36 @@ def _degree(line: str, seen) -> int:
 
 
 def parse_lamination(text: str) -> FiniteLamination:
-    """The lamination of a lamination file.  Each distinct angle token is
-    read once, as its reduced ints n, q; the chords go straight onto the
-    ring mod N, N the lcm of the q's, where they are sorted and deduped and
-    degenerate ones dropped."""
+    """The lamination of a lamination file, read in bulk (see the module
+    docstring); a file the bulk read turns down goes to the line reader,
+    :func:`_read_lamination`, which raises its first refusal."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # every token in turn, the header's two first; no list per line is kept
+    tokens = " ".join(lines).split()
+    header, tokens = tokens[:2], tokens[2:]
+    distinct = list(set(tokens))
+    found = _RATIONAL_LINES.findall("\n".join(distinct))
+    if header[:1] != ["degree"] or not set(map(len, map(str.split, lines))) <= {0, 2} or len(found) != len(distinct):
+        return _read_lamination(text)
+    try:  # a bad degree, or more digits than int() takes
+        degree = _integer(header[1])
+        _check_degree(degree)
+        qs = {q: int(q or 1) for q in {q for _, q in found}}
+        N = lcm(*qs.values())
+        step = {q: N // v for q, v in qs.items()}
+        at = {t: int(p) * step[q] % N for t, (p, q) in zip(distinct, found)}
+    except ValueError:
+        return _read_lamination(text)
+    xs = list(map(at.__getitem__, tokens))
+    pairs = {(a, b) if a < b else (b, a) for a, b in zip(xs[::2], xs[1::2]) if a != b}
+    return FiniteLamination._from_ring(degree, N, sorted(pairs))
+
+
+def _read_lamination(text: str) -> FiniteLamination:
+    """:func:`parse_lamination` line by line, each distinct angle token read
+    once as its reduced ints; it refuses a bad file at its first bad line."""
     degree = None
     ratios = {}  # token -> its reduced (n, q)
     tokens = []  # the two tokens of each chord line, in turn

@@ -589,18 +589,22 @@ def pullback_build(d: int, portrait, depth: int, sectors=None, *, N: int | None 
     generations are recorded on the result.  With ``N``, both the portrait
     and the sectors, which must then be given, are sorted int pairs mod N.
 
-    Branch choice: each leaf pulls back once per complementary sector of
-    the critical chords.  Endpoint preimages are unique inside a sector
-    except when the leaf endpoint is the image of a critical chord, in
-    which case both chord ends qualify; the choice is then filtered by
-    unlinkedness against everything built so far and against the leaf's
-    other sector preimages, preferring the end whose positively adjacent
-    arc lies in the sector, and then the leaves already present with the
-    leaf's image.  Only generation-0 leaves are indexed by image: a
-    pullback's image is the leaf it came from, and each leaf is pulled back
-    once, so no later leaf has the image of a leaf still to be pulled back.
-    The other leaves pull back inline to the preimage of each end in each
-    sector's half-open arcs, which the ambiguous search also tries first.
+    Branch choice: each leaf pulls back once per complementary sector of the
+    critical chords.  Endpoint preimages are unique inside a sector except
+    when the leaf endpoint is the image of a critical chord, in which case
+    both chord ends qualify; the choice is then filtered by unlinkedness
+    against generation 0 and the leaves built so far in the candidate's own
+    sector, and against the leaf's other sector preimages, preferring the
+    end whose positively adjacent arc lies in the sector, and then the
+    leaves already present with the leaf's image.  The other sectors' leaves
+    cannot cross the candidate: a pullback into a sector has both ends on
+    its closed arcs, the closed sectors are convex and meet only along
+    critical chords, and no pullback is critical.  Only generation-0 leaves
+    are indexed by image: a pullback's image is the leaf it came from, and
+    each leaf is pulled back once, so no later leaf has the image of a leaf
+    still to be pulled back.  The other leaves pull back inline to the
+    preimage of each end in each sector's half-open arcs, which the
+    ambiguous search also tries first.
 
     Generation 0 (gen0) is the forward orbits of the portrait chords, each
     up to its first degenerate image, followed as int pairs on the ring mod
@@ -682,6 +686,9 @@ def pullback_build(d: int, portrait, depth: int, sectors=None, *, N: int | None 
     by_image: dict[tuple, list] = {}
     for p in generations:
         by_image.setdefault(_ring_image(d, N, p), []).append(p)
+    first = list(generations)
+    # the pullbacks by the sector they were pulled into, in record order
+    placed: list[list] = [[] for _ in range(d)]
 
     def pull_leaf(leaf) -> tuple:
         """The d pullbacks of a leaf with an end that is the image of a
@@ -701,7 +708,7 @@ def pullback_build(d: int, portrait, depth: int, sectors=None, *, N: int | None 
             for x in ends[0][k]:
                 for y in ends[1][k]:  # preimages of distinct ends differ
                     p = (x, y) if x < y else (y, x)
-                    if not any(linked(p, m) for m in generations):
+                    if not any(linked(p, m) for m in itertools.chain(first, placed[k])):
                         cands.append(p)
             if not cands:
                 # the sectors' arcs tile the circle, so they name the sector
@@ -721,26 +728,28 @@ def pullback_build(d: int, portrait, depth: int, sectors=None, *, N: int | None 
             raise InconsistentPortrait(f"no disjoint pullback collection for {_chord(N, leaf)}")
         return chosen
 
-    current = list(generations)
+    current = first
     for g in range(1, depth + 1):
         new: list[tuple] = []
         for leaf in current:
             a, b = leaf
             if a in ambiguous_values or b in ambiguous_values:
-                for p in pull_leaf(leaf):
+                for sector, p in zip(placed, pull_leaf(leaf)):
                     if p not in generations:
                         generations[p] = g
                         new.append(p)
+                        sector.append(p)
                 continue
             # interior preimages: the one of each end in each sector, own(a)
             # and own(b) read inline and each recorded as it is formed, the
             # hot loop of a build
             x, y = a // d, b // d
-            for i, j in zip(rows[bisect_right(cuts, a) - 1], rows[bisect_right(cuts, b) - 1]):
+            for sector, i, j in zip(placed, rows[bisect_right(cuts, a) - 1], rows[bisect_right(cuts, b) - 1]):
                 p = (x + i, y + j) if x + i < y + j else (y + j, x + i)
                 if p not in generations:
                     generations[p] = g
                     new.append(p)
+                    sector.append(p)
         current = new
     leaves = sorted(generations)
     return FiniteLamination._from_ring(d, N, leaves, [generations[p] for p in leaves])

@@ -10,20 +10,22 @@ standard library alone.
 Every disk of a picture draws its chords through one path on integers:
 the points of the disk lie on one ring mod N (``circle._ring``), a
 lamination's own ``ring`` or the ring of a chord list's endpoints (and
-of the shaded gaps' vertices), where a chord is a sorted int pair, circle
-order is int order and a degenerate pair is drawn as a point.  Each disk
-has one ``_Canvas`` and evaluates every distinct quantity once: one loop
-(``_Canvas.xy``) prints the "x,y" string of every ring point of the
-disk's paths, and one loop (``_geodesics``) builds the path data of all
-its chords, printing the arc radius of each chord length the first time
-it occurs; both are kept in dicts keyed by their ints.  The geodesic
-joining ring points a and b, with shortest distance l (``b - a`` or
-``N - b + a``, over N), is the circle orthogonal to the unit circle
-through both points; its radius is tan(pi*l), with no cancellation
-however near l is to 1/2.  The arc bends toward the disk centre, which
-fixes its sweep flag exactly: drawn from a to b it is 1 iff b lies less
-than half a turn counterclockwise of a.  The dicts live and die with
-their disk: nothing is cached across calls.
+of the shaded gaps' vertices), where a chord is a sorted int pair,
+circle order is int order and a degenerate pair is drawn as a point.
+Each disk has one ``_Canvas`` and evaluates every distinct quantity
+once: one pass (``_Canvas.xy``) prints the "x,y" string of every ring
+point of the disk's paths, calling ``_cos_sin`` once per residual m of
+the reduction below, which points and labels with that m share, and one
+loop (``_geodesics``) builds the path data of all its chords, printing
+the arc radius of each chord length the first time it occurs; both are
+kept in dicts keyed by their ints.  The geodesic joining ring points a
+and b, with shortest distance l (``b - a`` or ``N - b + a``, over N), is
+the circle orthogonal to the unit circle through both points; its radius
+is tan(pi*l), with no cancellation however near l is to 1/2.  The arc
+bends toward the disk centre, which fixes its sweep flag exactly: drawn
+from a to b it is 1 iff b lies less than half a turn counterclockwise of
+a.  The dicts live and die with their disk: nothing is cached across
+calls.
 
 The printed values are the pixel coordinates c + R*cos(2*pi*a) and
 c - R*sin(2*pi*a) of an angle a, with c = size/2 and R = 0.45*size
@@ -63,15 +65,17 @@ an exact evaluator in ``decimal`` prints the rest.
   relative of it.  The certificate takes e = 1e-15*size for a coordinate
   and e = 4e-15*v for a radius.
 * The certificate.  CPython formats floats with its own dtoa
-  (``sys.float_repr_style == "short"``), so ``"%.12g" % f`` is the correct
-  12-digit rounding of the binary value f.  If it is the same string for
-  v - e and v + e, no rounding boundary (a 13-digit decimal ending in 5)
-  lies between them, and e exceeds the error bound plus the rounding of
-  v -+ e, so that string is the rounding of the exact value, in
-  ``to_str``'s layout but for the ``.0`` of a bare integer mantissa and
-  the exponent's zero padding.  When the ends differ, for well under one
-  value in a hundred (0.2-0.6% in the random oracles of
-  ``tests/test_render.py``), the exact evaluator prints the value.
+  (``sys.float_repr_style == "short"``), so ``"%.12g" % f`` is the
+  correct 12-digit rounding of the binary value f.  If it is the same
+  string for v - e and v + e, no rounding boundary (a 13-digit decimal
+  ending in 5) lies between them, and e exceeds the error bound plus the
+  rounding of v -+ e, so that string is the rounding of the exact value,
+  in ``to_str``'s layout but for the ``.0`` of a bare integer mantissa
+  and the exponent's zero padding.  A point takes one pair of formats,
+  ``"%.12g,%.12g"`` of (x - e, y - e) against that of (x + e, y + e),
+  which is this test on both coordinates at once.  When the ends differ,
+  for well under one value in a hundred (0.2-0.6% in the random oracles
+  of ``tests/test_render.py``), the exact evaluator prints the value.
 * The exact evaluator takes m/q from the same reduction, ``divmod(t, q)``
   with t = 8n for a point and 4n for a length, and works in ``decimal`` at
   p = 20, 40, 80, ... digits whatever the size, u = 10**(1 - p).  With pi/4
@@ -268,6 +272,7 @@ class _Canvas:
         exact = _context(self._wide)
         self.center, self.radius, self.label_radius = (exact.multiply(size, Decimal(f)) for f in ("0.5", "0.45", "0.477"))
         self.radii: dict = {}  # chord length on the ring -> its arc radius
+        self._trig: dict = {}  # residual m -> binary64 cos and sin of (pi/4)*m/N
         # c, R and 1.06*R in binary64 (c exact, the radii within the
         # module docstring's bounds) and the bound e, for the fast path;
         # its int divisions are correctly rounded, so n/q need not be
@@ -287,14 +292,17 @@ class _Canvas:
         if not self._fast:
             return [self._exact(8 * n, q, label) for n in ns]
         c, R, e = self._c, (self._label_r if label else self._r), self._e
+        trig = self._trig if q == self.N else {}
         out = []
         for n in ns:
             k, r = divmod(8 * n, q)
+            m = q - r if k & 1 else r
+            cs = trig.get(m)
+            if cs is None:
+                cs = trig[m] = _cos_sin(m, q)
+            cos, sin = cs
             if k & 1:
-                cos, sin = _cos_sin(q - r, q)
                 sin = -sin
-            else:
-                cos, sin = _cos_sin(r, q)
             j = (k + 1) >> 1 & 3
             if j == 0:
                 x, y = cos, sin
@@ -304,9 +312,14 @@ class _Canvas:
                 x, y = -cos, -sin
             else:
                 x, y = sin, -cos
-            px = _certified(c + R * x, e)
-            py = _certified(c - R * y, e)
-            out.append(f"{px},{py}" if px is not None and py is not None else self._exact(8 * n, q, label))
+            # both coordinates certified by one pair of formats
+            x, y = c + R * x, c - R * y
+            t = "%.12g,%.12g" % (x - e, y - e)
+            if t != "%.12g,%.12g" % (x + e, y + e):
+                t = self._exact(8 * n, q, label)
+            elif "e" in t or t.count(".") != 2:  # not yet to_str's layout
+                t = f"{_certified(x, e)},{_certified(y, e)}"
+            out.append(t)
         return out
 
     def pix(self, n: int, q: int, label: bool = False) -> tuple[str, str]:

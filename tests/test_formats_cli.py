@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lamina.cli as cli
+import lamina.formats as formats
 import lamina.lamination as lamination
 from lamina.circle import Angle, sigma_power
 from lamina.chords import Chord
@@ -144,6 +146,77 @@ def test_parse_lamination_error_messages_are_pinned(text, message):
     with pytest.raises(ValueError) as info:
         parse_lamination(text)
     assert str(info.value) == message
+
+
+# angle tokens with signs, leading zeros and whole turns off, bad tokens,
+# and the blanks and line ends the two readers must split alike (\xa0 is a
+# blank, \x0c and \x1c end a line)
+_TOKEN = st.builds(
+    lambda sign, zeros, n, q: f"{sign}{'0' * zeros}{n}" + (f"/{'0' * zeros}{q}" if q else ""),
+    st.sampled_from(["", "", "+", "-"]),
+    st.integers(0, 2),
+    st.integers(0, 40),
+    st.integers(0, 14),
+)
+_BAD_TOKEN = st.sampled_from(["degree", "x", "1/0", "0.5", "1e3", "1/-7", "\u0661/7", "1_0", "7/", "#"])
+_BLANK = st.sampled_from([" ", "  ", "\t", "\xa0", " \t"])
+_GOOD_LINE = st.one_of(
+    st.tuples(_TOKEN, _BLANK, _TOKEN).map("".join),
+    st.tuples(_TOKEN, _BLANK, _TOKEN, st.sampled_from(["  # a chord", "#", ""])).map("".join),
+    st.sampled_from(["", "  ", "# a comment", "0 0", "1/3 1/3"]),  # degenerate chords too
+)
+_BAD_LINE = st.one_of(
+    st.tuples(_TOKEN, _BLANK, _BAD_TOKEN).map("".join),
+    st.tuples(_BAD_TOKEN, _BLANK, _TOKEN).map("".join),
+    st.tuples(st.just("degree"), _BLANK, st.one_of(_TOKEN, _BAD_TOKEN)).map("".join),
+    st.sampled_from(["degree", "1/7", "0 1/3 2/3", "1/7 2/ 7", "degree 2 3", "1/3\x0c2/3", "1/3\x1c2/3"]),
+)
+
+
+@st.composite
+def _lamination_texts(draw):
+    """Lamination texts, most of them well formed: a header, then chord
+    lines, some of them repeated, among comments, and now and then a bad
+    header or one bad line."""
+    header = ["degree 2", "degree 3", " degree\t+03 ", "degree 02 # d", "degree 1", "degree x", ""]
+    lines = [draw(st.sampled_from(header[:4] * 3 + header[4:]))]
+    for _ in range(draw(st.integers(0, 12))):
+        lines += [draw(_GOOD_LINE)] * draw(st.sampled_from([1, 1, 2]))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINE))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        lam = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return lam.degree, lam.ring, lam._gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lamination_texts())
+def test_bulk_parse_agrees_with_the_line_reader(text):
+    # the bulk read returns the line reader's lamination, and a file it
+    # turns down gets the line reader's first refusal
+    assert _parse_outcome(parse_lamination, text) == _parse_outcome(formats._read_lamination, text)
+
+
+def test_a_well_formed_file_never_reaches_the_line_reader(monkeypatch):
+    texts = ["degree 2\n", "degree 2\r\n1/7\t2/7\r\n# c\r\n", "degree +03\n-1/3 04/06\n0 0\n1/3 1/3 # x\n"]
+    texts.append(lamination_text(pullback_build(2, [C(1, 14, 4, 7)], 4)))
+    expected = [formats._read_lamination(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError(f"the line reader read {text!r}")
+
+    monkeypatch.setattr(formats, "_read_lamination", refuse)
+    assert [parse_lamination(text) for text in texts] == expected
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(AssertionError):
+            parse_lamination(text)
 
 
 def test_degree_header_is_the_whole_first_token(tmp_path, capsys):

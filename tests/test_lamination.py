@@ -962,6 +962,97 @@ def test_pullback_cases_cover_two_to_four_sectors():
     assert [depth for d, *_, depth in cases if d == 4] == [0, 1, 2, 3, 3]
 
 
+def _sectors_holding(faces, N, pair):
+    """The indices of the sector faces whose closed arcs hold both ends of
+    the sorted int pair mod N."""
+    L = math.lcm(N, *(g.ring[0] for g in faces))
+    ends = [x * (L // N) for x in pair]
+    held = []
+    for k, g in enumerate(faces):
+        n, xs = g.ring
+        xs = [x * (L // n) for x in xs]
+        arcs = [(xs[i], (xs[(i + 1) % len(xs)] - xs[i]) % L or L) for i in g.arc_sides]
+        if all(any((x - u) % L <= w for u, w in arcs) for x in ends):
+            held.append(k)
+    return held
+
+
+def _recording_sector_faces(monkeypatch):
+    """Keep (d, N0, faces) of every build's sector faces, N0 the ring of
+    its portrait and sector chords."""
+    kept = []
+    real = lamination._sector_faces
+
+    def recording(d, N, pairs):
+        kept.append((d, N, real(d, N, pairs)))
+        return kept[-1][2]
+
+    monkeypatch.setattr(lamination, "_sector_faces", recording)
+    return kept
+
+
+def test_every_pullback_lies_on_the_closed_arcs_of_one_sector(monkeypatch):
+    # the ambiguous search tests a candidate of sector k against generation
+    # 0 and sector k's pullbacks only; that is exact because every leaf of
+    # generation >= 1 has both ends on the closed arcs of one sector face,
+    # and the closed sectors are convex and meet only along critical chords
+    kept = _recording_sector_faces(monkeypatch)
+    lams = [parse_portrait(path.read_text()).build(depth) for path in SHIPPED_PORTRAITS for depth in range(6)]
+    lams += hexagon_fixtures()
+    lams += [quad_minor.build_from_minor(m, 4) for m in qml_enumerate(7)]
+    assert len(kept) == len(lams) == 36 + 3 + 114
+    pulled = 0
+    for lam, (_, _, faces) in zip(lams, kept):
+        N, pairs = lam.ring
+        for pair, gen in zip(pairs, lam._gens):
+            if gen:
+                pulled += 1
+                assert _sectors_holding(faces, N, pair), (lam, pair)
+    assert pulled > 10_000
+
+
+def test_the_ambiguous_search_scans_generation_0_and_its_own_sector(monkeypatch):
+    # a candidate pulled at generation g into sector k is tested against
+    # generation 0 and the leaves already pulled into sector k: all those
+    # of generations 1 to g - 1, some of generation g, and no other; a scan
+    # that no linked leaf cut short shows the whole list
+    kept = _recording_sector_faces(monkeypatch)
+    calls = []
+
+    def recording(p, m):
+        calls.append((p, m, linked(p, m)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lamination, "linked", recording)
+    builds = [(parse_portrait(path.read_text()).build, 4) for path in SHIPPED_PORTRAITS]
+    builds += [(functools.partial(quad_minor.build_from_minor, m), 4) for m in qml_enumerate(5)]
+    checked = beyond_first = 0
+    for build, depth in builds:
+        kept.clear()
+        calls.clear()
+        lam = build(depth)
+        [(d, N0, faces)] = kept
+        N = N0 * d**depth  # the build's ring
+        scale = N // lam.ring[0]
+        gen = {(a * scale, b * scale): g for (a, b), g in zip(lam.ring[1], lam._gens)}
+        first = {m for m, g in gen.items() if g == 0}
+        where = {m: _sectors_holding(faces, N, m) for m, g in gen.items() if g}
+        scanned, cut = {}, set()
+        for p, m, crossed in calls:
+            scanned.setdefault(p, set()).add(m)
+            if crossed:
+                cut.add(p)
+        for p in scanned.keys() - cut:
+            g = gen[tuple(sorted((d * p[0] % N, d * p[1] % N)))] + 1
+            [k] = _sectors_holding(faces, N, p)
+            lower = first | {m for m, ks in where.items() if ks == [k] and gen[m] < g}
+            upper = first | {m for m, ks in where.items() if k in ks and gen[m] <= g}
+            assert lower <= scanned[p] <= upper, (lam, p)
+            checked += 1
+            beyond_first += bool(lower - first)
+    assert checked > 100 and beyond_first > 50
+
+
 def sector_preimages_oracle(d, N, faces, X):
     """The preimage of X in each sector's half-open arcs, by sector: one
     bisection of the sorted sector arc starts per preimage."""

@@ -351,6 +351,39 @@ def test_batched_points_match_pix_and_mpf_oracle(monkeypatch):
     assert all("." in v or "e" in v for v in values) and "760.0" in values
 
 
+def _per_coordinate_xy(canvas, q, ns, label):
+    """The binary64 points of ``_Canvas.xy`` as each coordinate alone
+    prints them: ``_cos_sin`` per point and ``_certified`` per value."""
+    c, R, e = canvas._c, (canvas._label_r if label else canvas._r), canvas._e
+    out = []
+    for n in ns:
+        k, r = divmod(8 * n, q)
+        cos, sin = render._cos_sin(q - r if k & 1 else r, q)
+        sin = -sin if k & 1 else sin
+        x, y = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[(k + 1) >> 1 & 3]
+        px, py = render._certified(c + R * x, e), render._certified(c - R * y, e)
+        out.append(f"{px},{py}" if px and py else canvas._exact(8 * n, q, label))
+    return out
+
+
+def test_one_pass_points_match_the_per_coordinate_certificate():
+    # xy evaluates cos and sin once per residual m and certifies a point by
+    # one pair of formats; over an m/q grid it prints what each coordinate
+    # alone prints, and the floats it keeps for the disk are _cos_sin's, bit
+    # for bit.  Size 4 prints bare integers (2.0), 10**13 exponents.
+    rng = random.Random(52)
+    grid = [(q, range(q)) for q in (1, 2, 8, 12, 60, 486, 840)]
+    grid += [(q, [rng.randrange(q) for _ in range(300)]) for q in (2**20 + 7, 3**30, 2**64)]
+    for size in (1, 4, 800, 10**13, 2**52):
+        for q, ns in grid:
+            canvas = _Canvas(size, q)
+            for label in (False, True):
+                assert canvas.xy(q, ns, label) == _per_coordinate_xy(canvas, q, ns, label)
+            kept = {m: tuple(map(float.hex, cs)) for m, cs in canvas._trig.items()}
+            assert kept == {m: tuple(map(float.hex, render._cos_sin(m, q))) for m in kept}
+            assert sorted(kept) == sorted({q - 8 * n % q if 8 * n // q & 1 else 8 * n % q for n in ns})
+
+
 def test_binary64_arc_radii_match_libmp_path(monkeypatch):
     rng = random.Random(9)
     top = float(_STRAIGHT_FROM)
