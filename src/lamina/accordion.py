@@ -9,13 +9,12 @@ periodic polygon swept out by the pair's convex hull.
 Everything runs on one integer ring mod N, the common denominator of the
 chords' endpoints: a pair of chords goes there by the one pair-ring rule
 ``circle._pair_ring``, a chord and a lamination's leaves by
-``circle._ring``, linkage is decided by ``linked`` on the int pairs, and
-Angles are formed only for reports.  Every orbit is followed with
-``lamination._ring_orbit``: an accordion follows its chord's orbit once,
-and so does the hull analysis ``_compgap_ring``.  The module imports none
-of ``cubic_tags``, ``qc_portrait``, ``orbit_classify`` and ``sigma_power``.
+``circle._ring``, crossings are decided on the sorted int pairs, and
+Angles are formed only for reports.  An accordion follows its chord's
+orbit once with ``lamination._ring_orbit``.  The module imports none of
+``cubic_tags``, ``qc_portrait``, ``orbit_classify`` and ``sigma_power``.
 
-Order preservation first follows the pair's four ends in lockstep, asking
+One lockstep, ``_ends_orbit``, follows a linked pair's four ends, asking
 at each step whether sigma_d keeps their circular order: while it does,
 the images stay linked, so each image of the second chord lies in the
 accordion of the matching image of the first, and sigma_d keeps the order
@@ -26,18 +25,22 @@ pair when none does.  For four points this is ``_order_kept``'s rule,
 exactly one cyclic descent of the images: a strictly ascending rotation
 has its one descent at the wrap, and a cycle with exactly one descent,
 which counts equal neighbours, is strictly ascending from just past it;
-that rotation is also the sorted tuple of the images.  Only a pair whose
+that rotation is also the sorted tuple of the images.  Most pairs are
+refused at the first step, before any set is formed.  Only a pair whose
 four ends come back follows the two chord orbits, checked with
-``_order_kept``.  The ``compgap`` suite decides each pair with
-``_order_preserving_ring`` in ``suites._survivor_pairs`` and hands the
-survivors to ``_compgap_ring``, so each is decided once.
+``_order_kept`` by ``_orbits_kept``.  The lockstep's orbit of 4-tuples is
+read twice: it decides order preservation, and, the ends being distinct
+and ascending, it is the orbit of sorted hulls that the hull analysis
+``_compgap_ring`` starts from.  The ``compgap`` suite decides each pair
+with ``_order_preserving_ring`` in ``suites._survivor_pairs`` and hands
+the survivors to ``_compgap_ring``, so each is decided once.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .circle import _at, _check_degree, _check_int, _pair_ring, _record, _ring
+from .circle import _check_degree, _check_int, _pair_ring, _record, _ring, _ring_angles
 from .chords import Chord, _sides, linked
 from .lamination import FiniteLamination, _chord, _ring_orbit
 
@@ -151,23 +154,16 @@ def _order_kept(d: int, N: int, points) -> bool:
     return turns == 1
 
 
-def _order_preserving_ring(d: int, N: int, c1, c2) -> bool:
-    """Mutual order preservation of the orbits of two linked sorted int pairs
-    on the ring mod N: sigma_d is injective and positively order preserving
-    on the accordion of each chord of either orbit with respect to the other
-    orbit.
-
-    The four ends go first, by the module's rotation step, and a step that
-    breaks their order refuses the pair with the verdict of the full check.
-    Only a pair whose four ends come back follows both chord orbits; every
-    chord of them has then passed the distinctness test, so none is
-    critical."""
+def _ends_orbit(d: int, N: int, c1, c2):
+    """The lockstep of the four ends of two linked sorted int pairs on the
+    ring mod N: (preperiod, orbit), the orbit being their ascending 4-tuples
+    up to one full cycle, or None when sigma_d breaks their circular order
+    at some step.  A pair refused at the first step forms no set or dict."""
     (a1, b1), (a2, b2) = c1, c2
     # linked sorted pairs interleave one way or the other
-    p, q, r, s = (a1, a2, b1, b2) if a1 < a2 else (a2, a1, b2, b1)
-    seen = set()
-    while (p, q, r, s) not in seen:
-        seen.add((p, q, r, s))
+    start = p, q, r, s = (a1, a2, b1, b2) if a1 < a2 else (a2, a1, b2, b1)
+    orbit = index = None
+    while True:
         p, q, r, s = d * p % N, d * q % N, d * r % N, d * s % N
         # the one rotation of the images that ascends strictly, if any
         if q < r < s < p:
@@ -177,17 +173,40 @@ def _order_preserving_ring(d: int, N: int, c1, c2) -> bool:
         elif s < p < q < r:
             p, q, r, s = s, p, q, r
         elif not p < q < r < s:
-            return False
+            return None
+        if orbit is None:
+            orbit, index = [start], {start: 0}
+        ends = p, q, r, s
+        if ends in index:
+            return index[ends], orbit
+        index[ends] = len(orbit)
+        orbit.append(ends)
+
+
+def _orbits_kept(d: int, N: int, c1, c2) -> bool:
+    """Is sigma_d injective and positively order preserving on the accordion
+    of each chord of either orbit of the sorted int pairs c1, c2 with
+    respect to the other orbit?  Crossings are tested on the sorted pairs,
+    as ``linked`` tests them."""
     o1, o2 = _ring_orbit(d, N, c1)[1], _ring_orbit(d, N, c2)[1]
     for axes, others in ((o1, o2), (o2, o1)):
-        for ax in axes:
-            pts = set(ax)
-            for c in others:
-                if linked(ax, c):
-                    pts.update(c)
+        for a, b in axes:
+            pts = {a, b}
+            for x, y in others:
+                if a < x < b < y or x < a < y < b:
+                    pts.add(x)
+                    pts.add(y)
             if not _order_kept(d, N, sorted(pts)):
                 return False
     return True
+
+
+def _order_preserving_ring(d: int, N: int, c1, c2) -> bool:
+    """Mutual order preservation of the orbits of two linked sorted int pairs
+    on the ring mod N: the lockstep of the four ends, and only for a pair
+    whose ends come back, both chord orbits.  Every chord of them has then
+    passed the distinctness test, so none is critical."""
+    return _ends_orbit(d, N, c1, c2) is not None and _orbits_kept(d, N, c1, c2)
 
 
 def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
@@ -196,12 +215,13 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
     respect to the other's forward orbit.  Exact for rational data (orbits
     close); after ``d``, linkage is checked on the ints of ``_pair_ring``,
     and the four ends are followed in lockstep before either full orbit."""
-    _check_degree(d)
+    if type(d) is not int or d < 2:
+        _check_degree(d)
     N, (a1, b1, a2, b2) = _pair_ring(l1, l2)
-    c1, c2 = (a1, b1), (a2, b2)
-    if not linked(c1, c2):
+    if not (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1):
         raise ValueError("order preserving accordions are defined for linked chords")
-    return _order_preserving_ring(d, N, c1, c2)
+    c1, c2 = (a1, b1), (a2, b2)
+    return _ends_orbit(d, N, c1, c2) is not None and _orbits_kept(d, N, c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +232,16 @@ def order_preserving_accordions(d: int, l1: Chord, l2: Chord) -> bool:
 def _interiors_intersect(u, v) -> bool:
     """Interiors of the convex hulls of two sorted tuples of four distinct
     circle points each, so one hull holds the other only when they are equal.
-    The hull sides come from ``chords._sides`` and are tested with
-    ``linked`` as they are."""
+    The hull sides come from ``chords._sides`` and are sorted pairs, whose
+    crossings are tested as ``linked`` tests them."""
     if u == v:
         return True
     sides = _sides(v)
-    return any(linked(e1, e2) for e1 in _sides(u) for e2 in sides)
+    for a, b in _sides(u):
+        for x, y in sides:
+            if a < x < b < y or x < a < y < b:
+                return True
+    return False
 
 
 @_record(
@@ -241,26 +265,29 @@ def compgap_analyze(d: int, l1: Chord, l2: Chord) -> CompgapReport:
     chords; locate the first recurring image and the periodic polygon its
     orbit sweeps out, reporting vertex orbits and the return behavior.
     After ``d``, both checks and the analysis run on the ring ints of the
-    four ends from ``_pair_ring``."""
+    four ends from ``_pair_ring``, and the lockstep that decides order
+    preservation hands its orbit of hulls to the analysis."""
     _check_degree(d)
     N, (a1, b1, a2, b2) = _pair_ring(l1, l2)
     c1, c2 = (a1, b1), (a2, b2)
     if not linked(c1, c2):
         raise ValueError("hull analysis needs linked chords")
-    if not _order_preserving_ring(d, N, c1, c2):
+    ends = _ends_orbit(d, N, c1, c2)
+    if ends is None or not _orbits_kept(d, N, c1, c2):
         raise ValueError("hull analysis needs mutually order preserving accordions")
-    return _compgap_ring(d, N, c1, c2)
+    return _compgap_ring(d, N, c1, c2, ends)
 
 
-def _compgap_ring(d: int, N: int, c1, c2) -> CompgapReport:
+def _compgap_ring(d: int, N: int, c1, c2, ends=None) -> CompgapReport:
     """:func:`compgap_analyze` on linked, mutually order-preserving sorted int
-    pairs mod N, Angles formed only for the report.  Order preservation keeps
-    the four ends distinct, so the hull at the preperiod meets itself one
-    period later: ``r`` and ``step`` exist.  The hull orbit, the polygon
-    swept under sigma_{d^step}, the vertex orbits and the vertex-set orbit
-    are each followed with ``_ring_orbit``."""
-    preperiod, hulls = _ring_orbit(d, N, frozenset((*c1, *c2)))
-    hulls = [tuple(sorted(h)) for h in hulls]
+    pairs mod N, Angles formed only for the report.  The hull orbit is
+    ``ends``, the lockstep's ``_ends_orbit(d, N, c1, c2)``, run here when not
+    given: order preservation keeps the four ends distinct and ascending, so
+    its 4-tuples are the sorted hulls, and the hull at the preperiod meets
+    itself one period later: ``r`` and ``step`` exist.  The polygon swept
+    under sigma_{d^step}, the vertex orbits and the vertex-set orbit are
+    each followed with ``_ring_orbit``."""
+    preperiod, hulls = ends or _ends_orbit(d, N, c1, c2)
     period = len(hulls) - preperiod
     total = preperiod + 2 * period
 
@@ -277,6 +304,7 @@ def _compgap_ring(d: int, N: int, c1, c2) -> CompgapReport:
     # the hulls the base sweeps out under sigma_d^step = sigma_{d^step}
     vertices = sorted(set().union(*_ring_orbit(d**step, N, frozenset(base))[1]))
     orbits = {v: _ring_orbit(d, N, v) for v in vertices}
+    at = _ring_angles(N, vertices)
 
     groups, periods = [], []
     remaining = set(vertices)
@@ -284,7 +312,7 @@ def _compgap_ring(d: int, N: int, c1, c2) -> CompgapReport:
         v = min(remaining)
         pre, orbit = orbits[v]
         members = sorted((set(orbit[pre:]) & remaining) | {v})
-        groups.append(tuple(_at(N, x) for x in members))
+        groups.append(tuple(at[x] for x in members))
         periods.append(len(orbit) - pre)
         remaining -= set(members)
     vop = _ring_orbit(d, N, frozenset(vertices), 256)
@@ -298,7 +326,7 @@ def _compgap_ring(d: int, N: int, c1, c2) -> CompgapReport:
         classification=PERIODIC_GAP,
         r=r,
         step=step,
-        vertices=tuple(_at(N, v) for v in vertices),
+        vertices=tuple(at.values()),
         orbit_groups=tuple(groups),
         periods=tuple(periods),
         remap_is_identity=remap_identity,

@@ -1,13 +1,16 @@
 """Chords of the closed disk: linking, criticality, siblings, loop detection.
 
 A chord is an unordered pair of circle angles (possibly degenerate), stored
-as the sorted pair (a, b): ``Chord`` is a tuple.  Two chords are *linked*
-when they cross inside the open disk; a chord is *critical* under sigma_d
-when its endpoints share an image.  Collections of critical chords are
-validated against loops (closed concatenations or repeated chords) by
-the one union-find pass of ``greedy_no_loop``, and sibling collections
-enumerate the ways a chord extends to d pairwise disjoint chords with a
-common image.
+as the sorted pair (a, b): ``Chord`` is a tuple, with the tuple's equality,
+order and hash.  Two chords are *linked* when they cross inside the open
+disk; a chord is *critical* under sigma_d when its endpoints share an
+image.  Collections of critical chords are validated against loops (closed
+concatenations or repeated chords) by the one union-find pass of
+``greedy_no_loop``: it keeps each chord, in order, unless it repeats a kept
+chord or joins two endpoints the kept chords already connect, and a
+degenerate chord joins nothing; ``validate_collection`` reports a loop
+exactly when that pass drops a chord.  Sibling collections enumerate the
+ways a chord extends to d pairwise disjoint chords with a common image.
 
 ``linked`` and ``disjoint`` read only that pair, so they also take sorted
 int pairs on one integer ring mod N, where circle order is int order; with
@@ -15,7 +18,12 @@ int pairs on one integer ring mod N, where circle order is int order; with
 on a lamination's own ring (``FiniteLamination.ring``) run on such pairs.
 On Chords of Angles, ``linked``, ``chord_image`` and a Chord's text read
 the ends' ints in ``lamina.circle``, the one module that names Fraction's
-slots; ``linked`` lives there and is exported here.
+slots; ``linked`` lives there and is the same function object here.  It
+makes at most three ordered comparisons and no equality test, and it is
+exact for sorted pairs only.  ``chord_image`` is one ``circle._sigma_pair``
+call, its sorted pair made a Chord as is.  The private ``_sides`` turns
+circularly ordered points, Angles or ring ints, into hull sides, and every
+hull side in the package comes from it.
 """
 
 from __future__ import annotations

@@ -503,7 +503,9 @@ def orbit_classify(d: int, x, max_steps: int | None = None) -> OrbitInfo | None:
     if isinstance(x, Chord):
         N, (a, b) = _ring(x)
         found = _ring_orbit(d, N, (a, b), max_steps)
-        back = lambda c: _chord(N, c)
+        # each distinct end of the orbit read back once
+        at = _ring_angles(N, itertools.chain.from_iterable(found[1])) if found else None
+        back = lambda c: tuple.__new__(Chord, (at[c[0]], at[c[1]]))
     elif isinstance(x, (set, frozenset, tuple, list)):
         N, vs = _ring(x)
         found = _ring_orbit(d, N, frozenset(vs), max_steps)

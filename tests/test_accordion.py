@@ -6,8 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lamina.circle import POSITIVE, Angle, circular_order, cyclic_descents, sigma, sigma_power
-from lamina.chords import Chord, chord_image, linked
+from lamina.circle import POSITIVE, Angle, _at, circular_order, cyclic_descents, sigma, sigma_power
+from lamina.chords import Chord, _sides, chord_image, linked
 from lamina.lamination import FiniteLamination, _chord, _ring_orbit, orbit_classify
 from lamina.accordion import (
     PERIODIC_GAP,
@@ -17,6 +17,7 @@ from lamina.accordion import (
     TWO_LEAF_FLIP,
     WANDERING,
     _compgap_ring,
+    _ends_orbit,
     _interiors_intersect,
     _order_kept,
     _order_preserving_ring,
@@ -359,6 +360,132 @@ def test_order_preserving_accordions_on_chords_of_the_whole_compgap_universe():
     assert found == [(u, v) for u, v in pairs if order_preserving_accordions(3, v, u)]
     assert found == [(_chord(N, c1), _chord(N, c2)) for c1, c2 in survivors]
     assert (len(chords), len(pairs), nlinked, len(found)) == (694, 47103, 47103, 122)
+
+
+def _universe_ring_chords():
+    """The 694 leaf-eligible ring chords of the compgap universe (equal
+    endpoint periods, a pairwise unlinked orbit) and its ring N."""
+    N, pts, period = _compgap_universe(4)
+    chords = []
+    for a, b in itertools.combinations(pts, 2):
+        if period[a] == period[b]:
+            orbit = _ring_orbit(3, N, (a, b))[1]
+            if not any(linked(u, v) for u, v in itertools.combinations(orbit, 2)):
+                chords.append((a, b))
+    return N, chords
+
+
+def test_order_preserving_accordions_agrees_with_the_lockstep_oracle_on_every_ordered_pair():
+    # every ordered linked pair of perfbench's accordions universe, the 694
+    # leaf-eligible chords with denominators dividing 80, through the public
+    # entry on Chords against the oracle on the ring
+    N, chords = _universe_ring_chords()
+    angles = {c: _chord(N, c) for c in chords}
+    survivors = 0
+    for c1, c2 in itertools.permutations(chords, 2):
+        if linked(c1, c2):
+            got = order_preserving_accordions(3, angles[c1], angles[c2])
+            assert got == _lockstep_oracle(3, N, c1, c2), (c1, c2)
+            survivors += got
+    assert (len(chords), survivors) == (694, 244)
+
+
+def _interiors_intersect_oracle(u, v):
+    """``_interiors_intersect`` as it read, each pair of hull sides tested
+    with ``linked``."""
+    return u == v or any(linked(e1, e2) for e1 in _sides(u) for e2 in _sides(v))
+
+
+def test_interiors_intersect_agrees_with_the_side_oracle():
+    # every pair of 4-point hulls on nine points, hulls sharing vertices and
+    # sides included, which the compgap survivors alone do not tell apart
+    hulls = list(itertools.combinations(range(9), 4))
+    for u, v in itertools.product(hulls, repeat=2):
+        assert _interiors_intersect(u, v) == _interiors_intersect_oracle(u, v), (u, v)
+
+
+def _compgap_ring_oracle(d, N, c1, c2):
+    """``_compgap_ring`` as it read, following the hull orbit as frozensets
+    with ``_ring_orbit`` and sorting each hull, and reading each vertex back
+    with ``_at``."""
+    preperiod, hulls = _ring_orbit(d, N, frozenset((*c1, *c2)))
+    hulls = [tuple(sorted(h)) for h in hulls]
+    period = len(hulls) - preperiod
+    total = preperiod + 2 * period
+
+    def hull_at(i):
+        return hulls[i if i < len(hulls) else preperiod + (i - preperiod) % period]
+
+    r = next(
+        i
+        for i in range(preperiod + period)
+        if any(_interiors_intersect_oracle(hull_at(i), hull_at(j)) for j in range(i + 1, total + 1))
+    )
+    base = hull_at(r)
+    step = next(t for t in range(1, total + 1) if _interiors_intersect_oracle(base, hull_at(r + t)))
+    vertices = sorted(set().union(*_ring_orbit(d**step, N, frozenset(base))[1]))
+    orbits = {v: _ring_orbit(d, N, v) for v in vertices}
+    groups, periods = [], []
+    remaining = set(vertices)
+    while remaining:
+        v = min(remaining)
+        pre, orbit = orbits[v]
+        members = sorted((set(orbit[pre:]) & remaining) | {v})
+        groups.append(tuple(_at(N, x) for x in members))
+        periods.append(len(orbit) - pre)
+        remaining -= set(members)
+    vop = _ring_orbit(d, N, frozenset(vertices), 256)
+    remap_identity = None
+    if vop is not None and vop[0] == 0:
+        remap_identity = all(
+            pre == 0 and len(vop[1]) % (len(orbit) - pre) == 0 for pre, orbit in orbits.values()
+        )
+    return PERIODIC_GAP, r, step, tuple(_at(N, v) for v in vertices), tuple(groups), tuple(periods), remap_identity
+
+
+def test_compgap_ring_fed_the_lockstep_orbit_agrees_with_the_frozenset_orbit():
+    # the lockstep's 4-tuples are the sorted hulls of the frozenset orbit,
+    # with the same preperiod, and the analysis fed them reports as before
+    N, _, survivors = _survivor_pairs(4)
+    for c1, c2 in survivors:
+        ends = _ends_orbit(3, N, c1, c2)
+        pre, hulls = _ring_orbit(3, N, frozenset((*c1, *c2)))
+        assert ends == (pre, [tuple(sorted(h)) for h in hulls])
+        expected = _compgap_ring_oracle(3, N, c1, c2)
+        assert _compgap_fields(_compgap_ring(3, N, c1, c2, ends)) == expected
+        assert _compgap_fields(_compgap_ring(3, N, c1, c2)) == expected
+    assert len(survivors) == 122
+
+
+def test_the_lockstep_returns_the_ascending_ends_orbit():
+    # on the ring mod 8, the ends 0 < 1/8 < 3/8 < 1/2 triple to 0, 3/8, 1/8,
+    # 1/2, out of order, and 1/8 < 1/4 < 3/8 < 3/4 triple to 3/8, 3/4, 1/8,
+    # 1/4, the same set; on the ring mod 24, 0 < 1 < 2 < 5 triple to
+    # 0 < 3 < 6 < 15, then 0 < 9 < 18 < 21, which triple back to 0, 3, 6, 15
+    assert _ends_orbit(3, 8, (0, 3), (1, 4)) is None
+    assert _ends_orbit(3, 8, (2, 6), (1, 3)) == (0, [(1, 2, 3, 6)])
+    assert _ends_orbit(3, 24, (0, 2), (1, 5)) == (1, [(0, 1, 2, 5), (0, 3, 6, 15), (0, 9, 18, 21)])
+
+
+@pytest.mark.parametrize("d", [True, 2.0, 1])
+def test_a_bad_degree_keeps_its_message(d):
+    for check in (order_preserving_accordions, compgap_analyze):
+        with pytest.raises(ValueError) as info:
+            check(d, C(1, 8, 3, 8), C(1, 4, 3, 4))
+        assert str(info.value) == f"degree must be an integer >= 2, got {d!r}"
+
+
+def test_the_entry_decides_degree_and_linkage_inline():
+    # an int degree >= 2 and a linked pair call neither check, and an int
+    # subclass that the degree check accepts is decided as its value
+    class Three(int):
+        pass
+
+    refuse = mock.Mock(side_effect=AssertionError("called"))
+    with mock.patch.object(_ACCORDION, "_check_degree", refuse), mock.patch.object(_ACCORDION, "linked", refuse):
+        assert order_preserving_accordions(3, C(1, 8, 3, 8), C(1, 4, 3, 4))
+        assert not order_preserving_accordions(3, C(0, 1, 3, 8), C(1, 8, 1, 2))
+    assert order_preserving_accordions(Three(3), C(1, 8, 3, 8), C(1, 4, 3, 4))
 
 
 # unlinked pairs: sharing an endpoint, one degenerate chord, equal chords

@@ -234,24 +234,26 @@ def test_binary64_points_match_libmp_path(monkeypatch):
     points = angles + special
     combos = [(size, label) for size in _SIZES for label in (False, True)]
     fallbacks = 0
-    with mpmath.workdps(30):
-        # mpmath's cos and sin of each angle, once
-        turns = (2 * mpmath.mpf(a.numerator) / a.denominator for a in points)
-        trig = [(mpmath.cospi(t), mpmath.sinpi(t)) for t in turns]
-        for i, (size, label) in enumerate(combos):
-            fast, slow = _canvases(size)
-            c, R = _mpf_frame(size, "1.06" if label else None)
-            want = [(_nstr(c + R * x), _nstr(c - R * y)) for x, y in trig]
-            # one share of the points through the exact evaluator itself,
-            # every point of both lists on the binary64 path at all ten pairs
-            share = points[i :: len(combos)]
-            assert want[i :: len(combos)] == [slow.pix(a.numerator, a.denominator, label) for a in share]
-            with monkeypatch.context() as m:
-                calls = _counting(m, _Canvas, "_exact")
-                got = [fast.pix(a.numerator, a.denominator, label) for a in angles]
-                fallbacks += len(calls)
-                got += [fast.pix(a.numerator, a.denominator, label) for a in special]
-            assert got == want
+    # mpmath's cos and sin of each angle, once, on raw tuples at 30 digits
+    trig = [_raw_cos_sin(a) for a in points]
+    for i, (size, label) in enumerate(combos):
+        fast, slow = _canvases(size)
+        scale = "1.06" if label else None
+        frame = [v._mpf_ for v in _mpf_frame(size, scale)]
+        want = [_raw_point(frame, cos, sin) for cos, sin in trig]
+        # the raw-tuple oracle is the mpf-object one, checked on every 50th value
+        for k in range(i, len(points), 50):
+            assert want[k] == _mpf_pix(points[k], size, scale)
+        # one share of the points through the exact evaluator itself,
+        # every point of both lists on the binary64 path at all ten pairs
+        share = points[i :: len(combos)]
+        assert want[i :: len(combos)] == [slow.pix(a.numerator, a.denominator, label) for a in share]
+        with monkeypatch.context() as m:
+            calls = _counting(m, _Canvas, "_exact")
+            got = [fast.pix(a.numerator, a.denominator, label) for a in angles]
+            fallbacks += len(calls)
+            got += [fast.pix(a.numerator, a.denominator, label) for a in special]
+        assert got == want
     # the binary64 path decides nearly every value: a path that never ran
     # would fall back on all of them
     assert fallbacks < 0.02 * len(angles) * len(combos)
@@ -784,17 +786,28 @@ def _raw_text(v):
     return f"{sign}{digits[:e + 1]}.{digits[e + 1:] or '0'}"
 
 
-def _raw_pix(x, size, scale=None):
-    """``_mpf_pix`` on raw mpf tuples at the same 30 digits: one
-    ``mpf_cos_sin_pi`` for both coordinates, each rounded by ``_raw_text``."""
+def _raw_cos_sin(x):
+    """cos and sin of the angle x, in turns, as raw mpf tuples at 30 digits:
+    one ``mpf_cos_sin_pi`` of 2x."""
     libmp = mpmath.libmp
-    c, R = (v._mpf_ for v in _mpf_frame(size, scale))
     t = libmp.mpf_div(libmp.from_int(2 * x.numerator), libmp.from_int(x.denominator), _PREC_30, "n")
-    cos, sin = libmp.mpf_cos_sin_pi(t, _PREC_30, "n")
+    return libmp.mpf_cos_sin_pi(t, _PREC_30, "n")
+
+
+def _raw_point(frame, cos, sin):
+    """The pixel strings of a point with raw cos and sin in the raw frame
+    (centre, radius), each rounded by ``_raw_text``."""
+    libmp = mpmath.libmp
+    c, R = frame
     return (
         _raw_text(libmp.mpf_add(c, libmp.mpf_mul(R, cos, _PREC_30, "n"), _PREC_30, "n")),
         _raw_text(libmp.mpf_sub(c, libmp.mpf_mul(R, sin, _PREC_30, "n"), _PREC_30, "n")),
     )
+
+
+def _raw_pix(x, size, scale=None):
+    """``_mpf_pix`` on raw mpf tuples at the same 30 digits."""
+    return _raw_point([v._mpf_ for v in _mpf_frame(size, scale)], *_raw_cos_sin(x))
 
 
 def _raw_radius(x, size):

@@ -1,5 +1,5 @@
-"""Mutation check of the pullback search, the bulk lamination reader and
-the one-pass SVG points.
+"""Mutation check of the pullback search, the bulk lamination reader, the
+one-pass SVG points and the accordion lockstep and hull analysis.
 
 Each mutant is one textual edit of one file under ``src/lamina``.  For each,
 the checkout is copied into a temporary directory, the edit is made there,
@@ -96,6 +96,62 @@ MUTANTS = {
         "render.py",
         'elif "e" in t or t.count(".") != 2:',
         'elif "e" in t and t.count(".") != 2:',
+    ),
+    # accordion: the one lockstep, the chord-orbit check and the hull analysis
+    "lockstep-rotation-dropped": (
+        "accordion.py",
+        "        elif r < s < p < q:\n            p, q, r, s = r, s, p, q\n",
+        "",
+    ),
+    "lockstep-start-unsorted": (
+        "accordion.py",
+        "(a1, a2, b1, b2) if a1 < a2 else (a2, a1, b2, b1)",
+        "(a1, a2, b1, b2) if a1 < a2 else (a2, a1, b1, b2)",
+    ),
+    "lockstep-preperiod-plus-one": (
+        "accordion.py",
+        "return index[ends], orbit",
+        "return index[ends] + 1, orbit",
+    ),
+    "entry-linkage-le": (
+        "accordion.py",
+        "if not (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1):",
+        "if not (a1 <= a2 < b1 < b2 or a2 < a1 < b2 < b1):",
+    ),
+    "entry-degree-one": (
+        "accordion.py",
+        "if type(d) is not int or d < 2:",
+        "if type(d) is not int or d < 1:",
+    ),
+    "orbits-kept-skipped": (
+        "accordion.py",
+        "    o1, o2 = _ring_orbit(d, N, c1)[1], _ring_orbit(d, N, c2)[1]\n",
+        "    return True\n",
+    ),
+    "orbits-kept-one-side": (
+        "accordion.py",
+        "for axes, others in ((o1, o2), (o2, o1)):",
+        "for axes, others in ((o1, o2),):",
+    ),
+    "orbits-kept-crossing-le": (
+        "accordion.py",
+        "if a < x < b < y or x < a < y < b:\n                    pts.add(x)",
+        "if a <= x < b < y or x < a < y < b:\n                    pts.add(x)",
+    ),
+    "order-kept-two-turns": (
+        "accordion.py",
+        "return turns == 1",
+        "return turns <= 2",
+    ),
+    "hulls-without-equal-shortcut": (
+        "accordion.py",
+        "    if u == v:\n        return True\n    sides = _sides(v)",
+        "    sides = _sides(v)",
+    ),
+    "hull-crossing-le": (
+        "accordion.py",
+        "if a < x < b < y or x < a < y < b:\n                return True",
+        "if a < x < b < y or x <= a < y < b:\n                return True",
     ),
 }
 
