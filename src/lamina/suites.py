@@ -3,7 +3,12 @@
 Each suite samples its inputs with the documented linear generator, runs
 the corresponding property at desk scale with exact arithmetic, and returns
 a report of pass/fail plus counters.  Every failure is a hard failure: the
-properties are exact identities, not statistics.
+properties are exact identities, not statistics.  No suite follows an Angle
+orbit: ``compgap`` reads each survivor's crossing case and hull orbit off the
+ring orbits ``_survivor_pairs`` holds, and ``gaptrans`` follows each distinct
+endpoint once on the lamination's ring.  ``qml-unlinked`` checks Lavaurs'
+chords independently, by the strip test and ``check_unlinked``, and
+``maintag`` relates only the tag pairs whose minor factors meet.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .lamination import (
 )
 from .quad_minor import build_from_minor, major_quadrilateral, minor_of, qml_enumerate, strip_between, strip_test
 from .qc_portrait import tune_insert
-from .accordion import THREE_LEAF, TWO_LEAF_DISJOINT, TWO_LEAF_FLIP, _compgap_ring, _order_preserving_ring
+from .accordion import THREE_LEAF, TWO_LEAF_DISJOINT, TWO_LEAF_FLIP, _compgap_ring, _ends_orbit
 from .cubic_tags import (
     _meeting_pairs,
     ConvexSet,
@@ -373,7 +378,9 @@ def _survivor_pairs(kmax: int):
     """All linked pairs of equal-endpoint-period chords (denominators
     dividing 3^k - 1, k <= kmax) with mutually order preserving accordions,
     via integer arithmetic modulo the common denominator: N, the linked pair
-    count, and each surviving pair mapped to its two (preperiod, orbit)s."""
+    count, and each surviving pair mapped to the two chords' (preperiod,
+    orbit)s and the ``_ends_orbit`` that decided it, the hull orbit that
+    ``_compgap_ring`` reads."""
     N, pts, period = _compgap_universe(kmax)
     # leaf-eligible chords: equal endpoint periods and a pairwise unlinked
     # forward orbit (leaves of an invariant lamination satisfy both)
@@ -394,8 +401,9 @@ def _survivor_pairs(kmax: int):
             if not linked(c1, c2):
                 continue
             nlinked += 1
-            if _order_preserving_ring(3, N, c1, c2):
-                survivors[c1, c2] = orbit[c1], orbit[c2]
+            ends = _ends_orbit(3, N, c1, c2)
+            if ends is not None:
+                survivors[c1, c2] = orbit[c1], orbit[c2], ends
     return N, nlinked, survivors
 
 
@@ -448,7 +456,7 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
     counts = {"linked_pairs": nlinked, "order_preserving_pairs": len(survivors)}
     case_counts: dict[str, int] = {}
     chosen = list(survivors.items())[: samples or None]
-    for (c1, c2), ((pre1, o1), (pre2, o2)) in chosen:
+    for (c1, c2), ((pre1, o1), (pre2, o2), ends) in chosen:
         l1, l2 = _chord(N, c1), _chord(N, c2)
         # order preservation forces images of crossing leaves to keep crossing;
         # the k-th image is read off the orbit, past its end round its cycle
@@ -463,7 +471,7 @@ def run_compgap(samples: int = 0, seed: int = 1) -> SuiteResult:
             failures.append(f"unclassified pair {l1} / {l2}: {detail}")
             continue
         case_counts[case] = case_counts.get(case, 0) + 1
-        cg = _compgap_ring(3, N, c1, c2)
+        cg = _compgap_ring(3, N, ends)
         if cg.classification != "periodic_gap":
             failures.append(f"{l1} / {l2}: hull orbit did not close ({cg.classification})")
             continue

@@ -1,6 +1,5 @@
 import importlib
 import itertools
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -20,7 +19,6 @@ from lamina.accordion import (
     _ends_orbit,
     _interiors_intersect,
     _order_kept,
-    _order_preserving_ring,
     accordion,
     compgap_analyze,
     order_preserving_accordions,
@@ -49,15 +47,12 @@ def test_accordion_against_lamination():
 
 
 def test_accordion_against_lamination_refuses_a_horizon_and_a_foreign_degree():
-    # a lamination accordion follows no orbit, so a horizon would be reported
-    # as horizon 0 and ignored, and a d other than the degree silently dropped
+    # accordion takes no horizon at all, and a lamination accordion follows
+    # no orbit, so a d other than the degree would be silently dropped
     lam = FiniteLamination(2, [C(1, 7, 2, 7), C(2, 7, 4, 7), C(1, 7, 4, 7)])
     axis = C(0, 1, 1, 2)
-    with pytest.raises(ValueError, match="horizon"):
-        accordion(axis, lam, horizon=5, d=3)
-    for horizon in (0, 5):
-        with pytest.raises(ValueError, match="horizon"):
-            accordion(axis, lam, horizon=horizon)
+    with pytest.raises(TypeError, match="horizon"):
+        accordion(axis, lam, horizon=5)
     with pytest.raises(ValueError, match="degree 2"):
         accordion(axis, lam, d=3)
     assert accordion(axis, lam, d=2) == accordion(axis, lam)
@@ -65,50 +60,22 @@ def test_accordion_against_lamination_refuses_a_horizon_and_a_foreign_degree():
 
 def test_accordion_of_triangle_edge_orbit():
     rep = accordion(C(1, 7, 2, 7), C(1, 7, 2, 7), d=2)
-    assert rep.classification == SINGLE and rep.exact
+    assert rep.classification == SINGLE
 
 
 def test_accordion_period_six_sibling_orbit():
     M = C(1026, 2184, 1737, 2184)
     sibling = C(1009, 2184, 1754, 2184)
-    rep = accordion(M, sibling, d=3, horizon=12)
+    rep = accordion(M, sibling, d=3)
     # the sibling orbit merges into the unlinked orbit of M after one step
     assert rep.members == (M,)
-    assert rep.classification == SINGLE and rep.exact
+    assert rep.classification == SINGLE
 
 
 def test_accordion_flip_classification():
     rep = accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3)
     assert rep.classification == TWO_LEAF_FLIP
     assert order_preserving_accordions(3, C(1, 8, 3, 8), C(1, 4, 3, 4))
-
-
-def test_accordion_wandering_cutoff():
-    # the partner's chord orbit closes after three steps; a one-step horizon
-    # leaves the verdict provisional
-    rep = accordion(C(1, 8, 3, 8), C(1, 26, 7, 26), d=3, horizon=1)
-    assert not rep.exact
-    assert rep.classification == WANDERING
-
-
-@pytest.mark.parametrize("horizon", [-1, -3, 2.5, Fraction(1), True, "1"])
-def test_accordion_refuses_a_horizon_that_is_not_a_nonnegative_int(horizon):
-    # a negative horizon would slice the orbit from its end, and report this
-    # flip pair as SINGLE; a float one would pass whenever the orbit closes first
-    with pytest.raises(ValueError, match="horizon"):
-        accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3, horizon=horizon)
-    assert accordion(C(1, 8, 3, 8), C(1, 4, 3, 4), d=3, horizon=0).horizon == 0
-
-
-def test_accordion_cut_off_before_any_crossing_is_wandering():
-    # the flip partner's orbit is the one chord 1/4 3/4, which crosses the
-    # axis; a horizon of 0 follows none of it, and a crossing seen nowhere
-    # in a cut-off orbit says nothing about the rest of it
-    axis, partner = C(1, 8, 3, 8), C(1, 4, 3, 4)
-    rep = accordion(axis, partner, d=3, horizon=0)
-    assert not rep.exact and rep.members == (axis,)
-    assert rep.classification == WANDERING
-    assert accordion(axis, partner, d=3).classification == TWO_LEAF_FLIP
 
 
 def test_order_preserving_follows_orbits_only_past_the_four_ends(monkeypatch):
@@ -223,7 +190,7 @@ def test_order_preserving_accordions_agrees_with_chord_oracle_in_degree_five(dat
 
 
 def _ends_come_back(d, N, ends):
-    """The lockstep of ``_order_preserving_ring`` as it read: ``_order_kept``
+    """The lockstep of ``_ends_orbit`` as it read: ``_order_kept``
     asked of the sorted four ends at every step, then their images sorted."""
     ends, seen = tuple(sorted(ends)), set()
     while ends not in seen:
@@ -235,7 +202,7 @@ def _ends_come_back(d, N, ends):
 
 
 def _lockstep_oracle(d, N, c1, c2):
-    """``_order_preserving_ring`` as it read before the rotation step."""
+    """``_ends_orbit``'s decision as it read before the rotation step."""
     if not _ends_come_back(d, N, (*c1, *c2)):
         return False
     o1, o2 = _ring_orbit(d, N, c1)[1], _ring_orbit(d, N, c2)[1]
@@ -258,7 +225,7 @@ def _agree_with_lockstep_oracle(d, N, pairs):
     with mock.patch.object(_ACCORDION, "_ring_orbit", wraps=_ring_orbit) as orbit:
         for c1, c2 in pairs:
             calls = orbit.call_count
-            got = _order_preserving_ring(d, N, c1, c2), orbit.call_count > calls
+            got = _ends_orbit(d, N, c1, c2) is not None, orbit.call_count > calls
             expected = _lockstep_oracle(d, N, c1, c2), _ends_come_back(d, N, (*c1, *c2))
             assert got == expected, (d, N, c1, c2)
             survive += got[0]
@@ -445,15 +412,13 @@ def _compgap_ring_oracle(d, N, c1, c2):
 
 def test_compgap_ring_fed_the_lockstep_orbit_agrees_with_the_frozenset_orbit():
     # the lockstep's 4-tuples are the sorted hulls of the frozenset orbit,
-    # with the same preperiod, and the analysis fed them reports as before
+    # with the same preperiod, the survivor keeps that orbit, and the
+    # analysis fed it reports as before
     N, _, survivors = _survivor_pairs(4)
-    for c1, c2 in survivors:
-        ends = _ends_orbit(3, N, c1, c2)
+    for (c1, c2), (_, _, ends) in survivors.items():
         pre, hulls = _ring_orbit(3, N, frozenset((*c1, *c2)))
-        assert ends == (pre, [tuple(sorted(h)) for h in hulls])
-        expected = _compgap_ring_oracle(3, N, c1, c2)
-        assert _compgap_fields(_compgap_ring(3, N, c1, c2, ends)) == expected
-        assert _compgap_fields(_compgap_ring(3, N, c1, c2)) == expected
+        assert ends == _ends_orbit(3, N, c1, c2) == (pre, [tuple(sorted(h)) for h in hulls])
+        assert _compgap_fields(_compgap_ring(3, N, ends)) == _compgap_ring_oracle(3, N, c1, c2)
     assert len(survivors) == 122
 
 
@@ -603,17 +568,14 @@ def test_period_six_strip_pair_is_unlinked():
         order_preserving_accordions(3, M, Nprime)
 
 
-def _accordion_oracle(axis, other, horizon=None, d=None):
+def _accordion_oracle(axis, other, d=None):
     """``accordion`` as it read following orbits as Angles, with
     ``orbit_classify`` and ``sigma_power`` (arguments assumed valid), as
     the tuple of its report's fields."""
     if isinstance(other, FiniteLamination):
-        chords, steps, exact = other.leaves, 0, True
+        chords = other.leaves
     else:
-        info = orbit_classify(d, other)
-        steps = info.closes_at if horizon is None else min(horizon, info.closes_at)
-        exact = steps >= info.closes_at
-        chords = [c for c in info.orbit[:steps] if not c.degenerate]
+        chords = [c for c in orbit_classify(d, other).orbit if not c.degenerate]
     members = [axis] + [c for c in chords if linked(c, axis)]
     touching = [
         c
@@ -621,9 +583,7 @@ def _accordion_oracle(axis, other, horizon=None, d=None):
         if c != axis and not linked(c, axis) and set(c.endpoints) & set(axis.endpoints)
     ]
     crossing = len(members) - 1
-    if not exact:
-        classification = WANDERING
-    elif crossing == 0:
+    if crossing == 0:
         classification = SINGLE
     elif isinstance(other, FiniteLamination):
         classification = None
@@ -640,11 +600,11 @@ def _accordion_oracle(axis, other, horizon=None, d=None):
         classification = THREE_LEAF
     else:
         classification = PERIODIC_GAP
-    return tuple(members), tuple(touching), steps, exact, classification
+    return tuple(members), tuple(touching), classification
 
 
 def _fields(rep):
-    return rep.members, rep.touching, rep.horizon, rep.exact, rep.classification
+    return rep.members, rep.touching, rep.classification
 
 
 def _compgap_oracle(d, l1, l2):
@@ -702,16 +662,15 @@ def test_accordion_on_the_ring_agrees_with_the_angle_oracle(d):
     chords = [Chord(a, b) for i, a in enumerate(pts) for b in pts[i + 1 :]]
     seen = set()
     for axis, other in itertools.product(chords, repeat=2):
-        for horizon in (None, 0, 1, 2, 5):
-            got = _fields(accordion(axis, other, horizon=horizon, d=d))
-            assert got == _accordion_oracle(axis, other, horizon, d), (axis, other, horizon)
-            seen.add(got[4])
+        got = _fields(accordion(axis, other, d=d))
+        assert got == _accordion_oracle(axis, other, d), (axis, other)
+        seen.add(got[2])
     lams = [lam for lam in _fixture_laminations() if lam.degree == d]
     lams.append(FiniteLamination(d, chords[::7]))
     for lam, axis in itertools.product(lams, chords):
         got = _fields(accordion(axis, lam))
         assert got == _accordion_oracle(axis, lam), (axis, lam)
-        seen.add(got[4])
+        seen.add(got[2])
     assert {SINGLE, WANDERING, TWO_LEAF_FLIP, TWO_LEAF_DISJOINT, THREE_LEAF, None} <= seen
 
 
@@ -720,14 +679,14 @@ def test_compgap_survivors_agree_with_the_angle_oracles():
     # survivor, on the ring and through the public entry point
     N, _, survivors = _survivor_pairs(4)
     cases = set()
-    for c1, c2 in survivors:
+    for (c1, c2), (_, _, ends) in survivors.items():
         l1, l2 = _chord(N, c1), _chord(N, c2)
         for axis, other in ((l1, l2), (l2, l1)):
             got = _fields(accordion(axis, other, d=3))
             assert got == _accordion_oracle(axis, other, d=3)
-            cases.add(got[4])
+            cases.add(got[2])
         expected = _compgap_oracle(3, l1, l2)
-        assert _compgap_fields(_compgap_ring(3, N, c1, c2)) == expected
+        assert _compgap_fields(_compgap_ring(3, N, ends)) == expected
         assert _compgap_fields(compgap_analyze(3, l1, l2)) == expected
     assert len(survivors) == 122 and {TWO_LEAF_FLIP, THREE_LEAF} <= cases
 

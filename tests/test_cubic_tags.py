@@ -583,6 +583,8 @@ def test_meeting_pairs_agrees_with_all_pairs_scan():
     assert list(_meeting_pairs([])) == [] == list(_meeting_pairs(hulls[:1]))
     fake = [(k % 7, None, MixedTag(P, Q)) for k, (P, Q) in enumerate(zip(hulls, random_hulls(12, 250)))]
     fake += [(idx + 1, fp, tag) for idx, fp, tag in fake[:20]]
+    # equal tags of one lamination, which are no failure
+    fake += fake[20:23]
     lines = _tag_pair_failures(fake)
     assert lines == all_pairs_tag_failures(fake)
     assert {line.split(" ")[0] for line in lines} == {"tags", "equal"}

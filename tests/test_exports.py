@@ -72,3 +72,11 @@ def test_only_circle_reads_fraction_slots():
     paths = sorted(Path(lamina.__path__[0]).glob("*.py"))
     naming = [p.name for p in paths if re.search(r"_numerator|_denominator", p.read_text())]
     assert len(paths) >= 13 and naming == ["circle.py"]
+
+
+def test_readme_names_every_exported_name():
+    # each module's row in README's library table names its public functions
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`\n]+)`", readme))))
+    missing = {module.__name__: [name for name in module.__all__ if name not in named] for module in _modules()}
+    assert len(missing) >= 12 and {name: names for name, names in missing.items() if names} == {}

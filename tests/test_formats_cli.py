@@ -21,7 +21,6 @@ from lamina.formats import (
     portrait_text,
 )
 from lamina.lamination import FiniteLamination, check_invariance, check_unlinked, gaps, orbit_classify, pullback_build
-from lamina.accordion import accordion
 from lamina.quad_minor import qml_enumerate
 from lamina.sampling import Lcg
 from lamina.suites import run_suite
@@ -848,8 +847,6 @@ _INT_ARGUMENTS = [
     ("pullback_build", lambda v: pullback_build(2, [C(1, 3, 2, 3)], v), "depth must be an integer >= 0, got ", (None,)),
     ("check_invariance", lambda v: check_invariance(FiniteLamination(2, [C(1, 3, 2, 3)]), v),
      "boundary_depth must be an integer >= 0, got ", (None,)),
-    ("accordion", lambda v: accordion(C(0, 1, 1, 2), C(1, 4, 3, 4), horizon=v, d=2),
-     "horizon must be an integer >= 0, got ", ()),
     ("qml_enumerate", qml_enumerate, "period bound must be an integer between 1 and 12, got ", (None, 13, 10**7)),
     ("run_suite", lambda v: run_suite("linkco", v, 1),
      "--samples must be an integer between 0 and 1000000, got ", (10**7,)),

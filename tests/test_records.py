@@ -31,7 +31,7 @@ def _factory(name, make):
 # record -> (frozen, its fields as make_dataclass takes them); a name alone
 # is a field without a default
 TWINS = {
-    AccordionReport: (True, ["axis", "members", "touching", "horizon", "exact", "classification"]),
+    AccordionReport: (True, ["axis", "members", "touching", "classification"]),
     CompgapReport: (
         True,
         ["classification", "r", "step", "vertices", "orbit_groups", "periods", "remap_is_identity"],

@@ -1,6 +1,8 @@
 """Determinism and report formatting of the verification suites."""
 
+import importlib
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -11,6 +13,9 @@ from lamina.chords import Chord, linked
 from lamina.lamination import FiniteLamination, _chord, _ring_orbit, critical_analysis, orbit_classify
 from lamina.sampling import Lcg
 from lamina.suites import SUITES, hexagon_fixtures, run_suite, sample_cubic_library
+
+# the package's ``accordion`` attribute is the function of that name
+_ACCORDION = importlib.import_module("lamina.accordion")
 
 
 def test_suites_are_deterministic_under_fixed_seed():
@@ -63,6 +68,16 @@ def test_compgap_counts_pinned():
     assert counts["order_preserving_pairs"] == 122
     assert counts["case_three_leaf"] == 100
     assert counts["case_two_leaf_periodic_flip"] == 22
+
+
+def test_compgap_decides_each_linked_pair_with_one_lockstep(monkeypatch):
+    # each survivor's hull orbit is the one _ends_orbit returned for it, so
+    # the hull analysis runs no second lockstep
+    counted = mock.Mock(wraps=_ACCORDION._ends_orbit)
+    monkeypatch.setattr(_ACCORDION, "_ends_orbit", counted)
+    monkeypatch.setattr(suites, "_ends_orbit", counted, raising=False)
+    res = suites.run_compgap()
+    assert res.passed and res.counts["linked_pairs"] == counted.call_count == 47103
 
 
 def test_gaptrans_fails_without_samples():
@@ -165,7 +180,7 @@ def test_classify_case_agrees_with_the_accordion_oracle():
     assert {"two crossing images", "recrossing image neither separated nor fixed"} <= seen
     assert any(reason.endswith("crossing images") and reason[0].isdigit() for reason in seen)
     N, _, survivors = suites._survivor_pairs(4)
-    for (c1, c2), (_, partner) in survivors.items():
+    for (c1, c2), (_, partner, _) in survivors.items():
         got = suites._classify_case(3, N, c1, partner)
         assert got == _classify_case_oracle(3, _chord(N, c1), _chord(N, c2)), (c1, c2)
 

@@ -1,9 +1,12 @@
 """Mutation check of the pullback search, the bulk lamination reader, the
-one-pass SVG points and the accordion lockstep and hull analysis.
+one-pass SVG points, the accordion lockstep and hull analysis, the sweep and
+face walk, the invariance and sibling checks, the collapsing-quadrilateral
+rule and maintag's failure rule.
 
 Each mutant is one textual edit of one file under ``src/lamina``.  For each,
 the checkout is copied into a temporary directory, the edit is made there,
-and the tier-1 suite runs with ``-x``; the mutant is killed when the run
+and the tier-1 suite runs with ``-x``, less ``tests/test_mutants.py``, which
+checks these texts against the checkout; the mutant is killed when the run
 fails.  One line per mutant gives its name, killed or survived, the seconds
 the run took and the first failing test.  The checkout itself is never
 edited.  Standard library only; run it from anywhere, with tier-1 passing:
@@ -25,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIER1 += ["--deselect", "tests/test_mutants.py::test_every_mutant_edits_text_that_occurs_once"]
 TIMEOUT_S = 900
 
 # name -> (file under src/lamina, text that occurs once, its replacement)
@@ -110,8 +114,8 @@ MUTANTS = {
     ),
     "lockstep-preperiod-plus-one": (
         "accordion.py",
-        "return index[ends], orbit",
-        "return index[ends] + 1, orbit",
+        "return (index[ends], orbit) if",
+        "return (index[ends] + 1, orbit) if",
     ),
     "entry-linkage-le": (
         "accordion.py",
@@ -152,6 +156,80 @@ MUTANTS = {
         "accordion.py",
         "if a < x < b < y or x < a < y < b:\n                return True",
         "if a < x < b < y or x <= a < y < b:\n                return True",
+    ),
+    # lamination: the one sweep and the face walk
+    "sweep-close-outermost-first": (
+        "lamination.py",
+        "[(b, 0, -a, i) for i, (a, b) in enumerate(ring)]",
+        "[(b, 0, a, i) for i, (a, b) in enumerate(ring)]",
+    ),
+    "sweep-open-innermost-first": (
+        "lamination.py",
+        "[(a, 1, -b, i) for i, (a, b) in enumerate(ring)]",
+        "[(a, 1, b, i) for i, (a, b) in enumerate(ring)]",
+    ),
+    "sweep-open-before-close": (
+        "lamination.py",
+        "[(b, 0, -a, i) for i, (a, b) in enumerate(ring)]",
+        "[(b, 2, -a, i) for i, (a, b) in enumerate(ring)]",
+    ),
+    "walk-zero-arcs-kept": (
+        "lamination.py",
+        "            if xs[-1] != a:\n                arcs.append(len(xs) - 1)",
+        "            if True:\n                arcs.append(len(xs) - 1)",
+    ),
+    "walk-outer-gap-closed": (
+        "lamination.py",
+        "if k == len(pairs):  # the outer gap",
+        "if k == len(pairs) - 1:  # the outer gap",
+    ),
+    "walk-outer-gap-last": (
+        "lamination.py",
+        "    result.insert(bisect_right(pairs, (pairs[top[0]][0], N)), result.pop())\n",
+        "",
+    ),
+    # lamination and chords: invariance and the sibling runs
+    "invariance-critical-images": (
+        "lamination.py",
+        "if not degenerate and img not in leaf_pairs:",
+        "if img not in leaf_pairs:",
+    ),
+    "invariance-deepest-checked": (
+        "lamination.py",
+        "if g is not None and g >= boundary_depth:",
+        "if g is not None and g > boundary_depth:",
+    ),
+    "sibling-runs-one-short": (
+        "chords.py",
+        "for _ in range(d - 2):",
+        "for _ in range(d - 3):",
+    ),
+    "sibling-runs-not-pairwise": (
+        "chords.py",
+        "for w in after.get(r[-1], ()) if all(w in after[u] for u in r[:-1])]",
+        "for w in after.get(r[-1], ())]",
+    ),
+    # qc_portrait: the one collapsing-quadrilateral rule
+    "collapsing-all-critical": (
+        "qc_portrait.py",
+        "images[0] == images[2] != images[1] == images[3]",
+        "images[0] == images[2] and images[1] == images[3]",
+    ),
+    "collapsing-one-diagonal": (
+        "qc_portrait.py",
+        "images[0] == images[2] != images[1] == images[3]",
+        "images[0] == images[2] != images[1]",
+    ),
+    # suites: maintag's failure rule
+    "tag-equal-any-lamination": (
+        "suites.py",
+        'elif rel == "equal" and lam_i != lam_j:',
+        'elif rel == "equal":',
+    ),
+    "tag-overlap-ignored": (
+        "suites.py",
+        'if rel == "properly_overlapping":',
+        'if rel == "overlapping":',
     ),
 }
 
